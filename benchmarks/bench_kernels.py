@@ -3,6 +3,8 @@
 These time one full sweep of MTTKRPs for each engine on a single process so
 the relative kernel costs (naive vs DT vs MSDT, and the PP approximated
 update) can be inspected directly with pytest-benchmark's own statistics.
+The last row times the sparse trees' segmented-sum operator against the
+``np.add.reduceat`` it replaced (information only, nothing is gated).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import pytest
 from conftest import BENCH_TINY
 
 from repro.core.pp_corrections import first_order_correction
+from repro.sparse.csf import SegmentSum
 from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import make_provider
 
@@ -59,3 +62,20 @@ def test_pp_approximated_sweep_time(benchmark, workload):
         return out
 
     benchmark(_approx_sweep)
+
+
+@pytest.mark.parametrize("n_rows", [64, 100_000], ids=["tiny", "1e5-rows"])
+@pytest.mark.parametrize("kind", ["segment-sum", "reduceat-oracle"])
+def test_segment_sum_time(benchmark, kind, n_rows):
+    """Fiber-run sums (runs of ~3 rows) of an ``n_rows x R`` block."""
+    rng = np.random.default_rng(0)
+    block = rng.random((n_rows, _RANK))
+    starts = np.flatnonzero(rng.random(n_rows) < 1 / 3)
+    starts[0] = 0
+    expected = np.add.reduceat(block, starts, axis=0)
+    if kind == "segment-sum":
+        operator = SegmentSum(starts, n_rows)  # built once, as the providers do
+        result = benchmark(operator.__matmul__, block)
+    else:
+        result = benchmark(np.add.reduceat, block, starts, 0)
+    assert np.allclose(result, expected, rtol=1e-12, atol=1e-12)

@@ -13,6 +13,7 @@ from repro.sparse.csf import (
     CsfLevel,
     CsfTensor,
     FiberGrouping,
+    SegmentSum,
     csf_cache_stats,
     fiber_grouping,
     reset_csf_cache_stats,
@@ -35,6 +36,7 @@ __all__ = [
     "FiberGrouping",
     "KernelBackend",
     "NumpyKernel",
+    "SegmentSum",
     "available_kernels",
     "csf_cache_stats",
     "fiber_grouping",

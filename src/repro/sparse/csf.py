@@ -12,13 +12,18 @@ across every ALS sweep, which is exactly the amortization the sparse
 dimension-tree MTTKRP (:mod:`repro.trees.sparse_dt`) relies on:
 
 * the *root contraction* of the tree reduces each deepest-level fiber run of
-  nonzeros into one ``R``-vector (a contiguous segmented reduction, no
-  scatter), producing a semi-sparse intermediate of ``n_fibers x R`` dense
-  blocks;
+  nonzeros into one ``R``-vector, producing a semi-sparse intermediate of
+  ``n_fibers x R`` dense blocks;
 * every further contraction regroups parent fibers into child fibers along a
-  precomputed permutation, again a contiguous segmented reduction.
+  precomputed permutation and sums each group.
 
-:func:`segment_reduce` and :func:`run_starts` are those shared kernels;
+Both are *segmented sums* whose structure depends only on the sparsity
+pattern, so each is stored once as a :class:`SegmentSum` — a SciPy CSR matrix
+with the run offsets as ``indptr``, the gathered rows as column indices and
+the optional per-row weights as data — and applied with ``op @ block`` (one
+compiled sparse-times-dense product, no gathered or scaled temporary).
+:func:`segment_reduce` is the stateless convenience on top of it and
+:func:`run_starts` the grouping primitive that yields the offsets;
 :class:`FiberGrouping` is the flat one-level variant (unique fibers over an
 arbitrary mode subset) for consumers that need a single grouping without the
 full hierarchy.
@@ -31,12 +36,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csc_array, csr_array
 
 from repro.sparse.coo import CooTensor
 
-__all__ = ["CsfLevel", "CsfTensor", "FiberGrouping", "csf_cache_stats",
-           "fiber_grouping", "reset_csf_cache_stats", "run_starts",
-           "segment_reduce"]
+__all__ = ["CsfLevel", "CsfTensor", "FiberGrouping", "SegmentSum",
+           "csf_cache_stats", "fiber_grouping", "reset_csf_cache_stats",
+           "run_starts", "segment_reduce"]
 
 # Guards every CooTensor's per-instance layout cache (the tensors are shared
 # across multi-start / service worker threads) and the process-wide counters.
@@ -65,36 +71,211 @@ def reset_csf_cache_stats() -> None:
         _CSF_CACHE_MISSES = 0
 
 
+#: largest index SciPy's 32-bit sparse kernels can address; structures beyond
+#: it get 64-bit index arrays
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _check_starts(starts: np.ndarray, n_rows: int) -> np.ndarray:
+    """``starts`` as validated run offsets into ``n_rows`` rows.
+
+    The offsets must begin at 0 and increase strictly below ``n_rows``: a
+    first offset above 0 would drop the leading rows, and a repeated or
+    decreasing offset would double-count or misplace a run.
+    """
+    starts = np.asarray(starts)
+    if starts.ndim != 1 or (starts.size and not np.issubdtype(starts.dtype, np.integer)):
+        raise ValueError(
+            f"starts must be a 1-d integer array, got shape {starts.shape} "
+            f"and dtype {starts.dtype}"
+        )
+    if starts.size == 0:
+        if n_rows:
+            raise ValueError(
+                f"empty starts for a block of {n_rows} rows; a nonempty block "
+                "forms at least one run (starts must begin with 0)"
+            )
+        return starts
+    if starts[0] != 0:
+        raise ValueError(
+            f"starts must begin with 0, got starts[0] = {int(starts[0])} "
+            "(the rows before it would be dropped)"
+        )
+    bad = np.flatnonzero(starts[1:] <= starts[:-1])
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise ValueError(
+            f"starts must be strictly increasing, got starts[{k}] = "
+            f"{int(starts[k])} after starts[{k - 1}] = {int(starts[k - 1])}"
+        )
+    if starts[-1] >= n_rows:
+        raise ValueError(
+            f"starts[{starts.size - 1}] = {int(starts[-1])} is not a row of a "
+            f"block of {n_rows} rows"
+        )
+    return starts
+
+
+def _check_index(name: str, index: np.ndarray, bound: int,
+                 length: int | None = None) -> np.ndarray:
+    """``index`` as a validated 1-d integer array with values in ``[0, bound)``."""
+    index = np.asarray(index)
+    if index.ndim != 1 or (length is not None and index.size != length) \
+            or (index.size and not np.issubdtype(index.dtype, np.integer)):
+        want = "a 1-d" if length is None else f"a length-{length}"
+        raise ValueError(
+            f"{name} must be {want} integer array, got shape {index.shape} "
+            f"and dtype {index.dtype}"
+        )
+    if index.size and (index.min() < 0 or index.max() >= bound):
+        raise ValueError(
+            f"{name} must lie in [0, {bound}), got values in "
+            f"[{int(index.min())}, {int(index.max())}]"
+        )
+    return index
+
+
+def _index_dtype(maxval: int):
+    return np.int32 if maxval <= _INT32_MAX else np.int64
+
+
+def _frozen(array: np.ndarray, dtype) -> np.ndarray:
+    """A read-only contiguous ``dtype`` array over ``array``'s data (a view when it fits)."""
+    out = np.ascontiguousarray(array, dtype=dtype).view()
+    out.flags.writeable = False
+    return out
+
+
+class SegmentSum:
+    """Pattern-only segmented-sum operator, applied as ``op @ block``.
+
+    The run form ``SegmentSum(starts, n_rows, ...)`` sums contiguous runs::
+
+        (op @ block)[k] = sum(weights[i] * block[columns[i]]
+                              for i in range(starts[k], starts[k + 1]))
+
+    with the last run extending to ``n_rows``.  ``columns`` are optional
+    gather indices into a ``block`` of ``n_columns`` rows (default: the
+    identity, so ``block`` itself has ``n_rows`` rows); passing a permutation
+    folds a regrouping into the sum, passing tensor coordinates together with
+    the nonzero values as ``weights`` makes ``op @ factor`` a whole
+    gather-multiply-reduce contraction.  The placement form
+    :meth:`scatter` sums the rows of ``block`` into given output rows, in any
+    order, leaving the others zero.
+
+    Everything is validated here, once, so a malformed structure raises
+    instead of silently dropping or double-counting rows.  The operator holds
+    a SciPy sparse array in ``dtype`` (CSR for runs, CSC for a placement; the
+    product with a ``dtype`` block stays in ``dtype``), never changes after
+    construction, and can be applied from several threads at once.
+    """
+
+    __slots__ = ("_matrix",)
+
+    def __init__(self, starts: np.ndarray, n_rows: int, *,
+                 columns: np.ndarray | None = None,
+                 n_columns: int | None = None,
+                 weights: np.ndarray | None = None,
+                 dtype=np.float64):
+        n_rows = int(n_rows)
+        starts = _check_starts(starts, n_rows)
+        if n_columns is None:
+            if columns is not None:
+                raise ValueError("gather columns require n_columns")
+            n_columns = n_rows
+        n_columns = int(n_columns)
+        index = _index_dtype(max(n_rows, n_columns))
+        if columns is not None:
+            columns = _check_index("columns", columns, n_columns, length=n_rows)
+        elif n_columns == n_rows:
+            columns = np.arange(n_rows, dtype=index)
+        else:
+            raise ValueError(
+                f"n_columns = {n_columns} without gather columns; the block "
+                f"then has n_rows = {n_rows} rows"
+            )
+        if weights is None:
+            weights = np.ones(n_rows, dtype=dtype)
+        elif np.shape(weights) != (n_rows,):
+            raise ValueError(
+                f"weights must have shape ({n_rows},), got {np.shape(weights)}"
+            )
+        indptr = np.empty(starts.size + 1, dtype=index)
+        indptr[:-1] = starts
+        indptr[-1] = n_rows
+        self._matrix = csr_array(
+            (_frozen(weights, dtype), _frozen(columns, index), _frozen(indptr, index)),
+            shape=(starts.size, n_columns),
+        )
+
+    @classmethod
+    def scatter(cls, rows: np.ndarray, n_out: int, *, dtype=np.float64) -> "SegmentSum":
+        """The operator with ``(op @ block)[r] = sum(block[i] for i where rows[i] == r)``.
+
+        ``rows`` (one output row per row of ``block``, any order, repeats
+        allowed) is used as is, as the row indices of a SciPy CSC matrix with
+        one entry per column: nothing is sorted, and the product streams
+        through ``block`` once.  Output rows that no entry names are legal
+        and sum to zero.
+        """
+        n_out = int(n_out)
+        rows = _check_index("rows", rows, n_out)
+        n_rows = rows.size
+        index = _index_dtype(max(n_rows, n_out))
+        op = cls.__new__(cls)
+        op._matrix = csc_array(
+            (_frozen(np.ones(n_rows, dtype=dtype), dtype), _frozen(rows, index),
+             _frozen(np.arange(n_rows + 1, dtype=index), index)),
+            shape=(n_out, n_rows),
+        )
+        return op
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(output rows, rows of the block it applies to)``."""
+        return self._matrix.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._matrix.dtype
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored pattern (weights, column indices, row pointer)."""
+        m = self._matrix
+        return int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+    def __matmul__(self, block: np.ndarray) -> np.ndarray:
+        """The segmented sums of ``block`` (1-d or 2-d), freshly allocated."""
+        return self._matrix @ block
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"SegmentSum(shape={self.shape}, dtype={self.dtype})"
+
+
 def segment_reduce(block: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Sum contiguous row-runs of ``block``: ``out[k] = block[starts[k]:starts[k+1]].sum(0)``.
 
     ``starts`` must be strictly increasing run offsets beginning at 0 (the
-    final run extends to the end of ``block``).  This is the fiber-run
-    segmented reduction at the heart of every CSF contraction — unlike a
-    scatter-add there are no repeated output indices, so it is a single
-    ``np.add.reduceat`` sweep.
+    final run extends to the end of ``block``); anything else raises a
+    :class:`ValueError` naming the offending offset.  This is the stateless
+    form of :class:`SegmentSum` — callers that reduce over the same runs
+    repeatedly should build the operator once and keep it.
 
     The result must be treated as **read-only**: when every run is a single
     row the reduction is the identity and a non-writeable view of ``block``
     is returned instead of a copy (callers that need to mutate the result
-    must copy it explicitly).  A nonempty ``block`` with empty ``starts`` is
-    a contract violation — it would silently drop every row — and raises.
+    must copy it explicitly).
     """
     n_rows = block.shape[0]
-    n_runs = starts.shape[0]
-    if n_runs == 0:
-        if n_rows:
-            raise ValueError(
-                f"segment_reduce: empty starts for a block of {n_rows} rows; "
-                "a nonempty block forms at least one run (starts must begin "
-                "with 0)"
-            )
-        return np.zeros((0,) + block.shape[1:], dtype=block.dtype)
-    if n_runs == n_rows:  # every run is a single row: identity, aliased view
+    if np.shape(starts) == (n_rows,):
+        # as many runs as rows: valid offsets are 0, 1, 2, ... — every run a
+        # single row, the reduction the identity, returned as an aliased view
+        _check_starts(starts, n_rows)
         view = block[:]
         view.flags.writeable = False
         return view
-    return np.add.reduceat(block, starts, axis=0)
+    return SegmentSum(starts, n_rows, dtype=block.dtype) @ block
 
 
 def _check_mode_order(mode_order: Sequence[int], ndim: int) -> tuple[int, ...]:

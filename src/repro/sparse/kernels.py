@@ -1,33 +1,38 @@
 """Pluggable kernel backends for the sparse hot loops (``numpy`` | ``numba``).
 
 Every sparse contraction in the package funnels through a handful of
-primitive loops: the fiber-run segmented reduction
-(:func:`repro.sparse.csf.segment_reduce`), the gather·multiply·reduce step of
+primitive loops: the fiber-run segmented sum
+(:class:`repro.sparse.csf.SegmentSum`), the gather·multiply·reduce step of
 the semi-sparse tree contractions (:mod:`repro.trees.sparse_dt`), the
 blockwise COO gather/scatter MTTKRP (:mod:`repro.sparse.mttkrp`), and the
 fiber-run first-order PP correction (:mod:`repro.trees.sparse_pp`).  This
 module gives each of them a *kernel backend*:
 
-* :class:`NumpyKernel` — the pure-NumPy reference implementation.  It is the
-  parity oracle for every compiled kernel and the automatic fallback when
-  Numba is not installed.
+* :class:`NumpyKernel` — the stateless NumPy/SciPy reference implementation:
+  every reduction and scatter is one :class:`~repro.sparse.csf.SegmentSum`
+  product (SciPy's compiled CSR-times-dense routine), built per call.  It is
+  the parity oracle for every compiled kernel and the automatic fallback when
+  Numba is not installed.  The providers do not call it on their hot path —
+  they keep their operators with the sparsity pattern — so the bar a compiled
+  backend has to clear is the cached-operator path of
+  :mod:`repro.trees.sparse_dt`, not this class.
 * :class:`NumbaKernel` — ``@njit``-compiled fused loops (available only when
   :mod:`numba` imports; install the ``compiled`` extra).  The fused variants
-  skip the intermediate arrays the NumPy path materializes — no gathered
-  factor-row block, no scaled temporary, no permutation gather — and the
-  segment loops (one independent output run per iteration) optionally run
-  thread-parallel via ``numba.prange`` (kernel name ``"numba-parallel"``).
+  skip the intermediate arrays a product of two dense blocks materializes —
+  no gathered factor-row block, no scaled temporary — and the segment loops
+  (one independent output run per iteration) optionally run thread-parallel
+  via ``numba.prange`` (kernel name ``"numba-parallel"``).
 
 Selection is by name through :func:`get_kernel` — the same names the engine
 registry exposes as the ``*_compiled`` engines and the drivers accept as the
 ``kernel=`` option:
 
 ``None``
-    the default engine-based NumPy path at every call site (no kernel object;
-    elementwise products keep routing through the shared contraction-plan
-    cache);
+    the default path at every call site (no kernel object; cached
+    :class:`~repro.sparse.csf.SegmentSum` operators, elementwise products
+    through the shared contraction-plan cache);
 ``"numpy"``
-    the explicit pure-NumPy kernel backend;
+    the explicit NumPy/SciPy kernel backend;
 ``"numba"`` / ``"numba-parallel"``
     the compiled backend (serial / thread-parallel segment loops).  When
     Numba is missing the call **falls back** to :class:`NumpyKernel` with a
@@ -43,6 +48,8 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+
+from repro.sparse.csf import SegmentSum
 
 __all__ = [
     "KernelBackend",
@@ -169,52 +176,43 @@ class KernelBackend:
 
 
 class NumpyKernel(KernelBackend):
-    """Pure-NumPy reference kernels (fallback and parity oracle)."""
+    """Stateless NumPy/SciPy reference kernels (fallback and parity oracle)."""
 
     name = "numpy"
 
     def segment_reduce(self, block, starts):
-        from repro.sparse.csf import segment_reduce
-
-        out = segment_reduce(np.ascontiguousarray(block), starts)
-        # the fast path returns a read-only alias; kernels promise a fresh,
-        # writable result
-        return out.copy() if not out.flags.writeable else out
+        return SegmentSum(starts, block.shape[0], dtype=block.dtype) @ block
 
     def scale_reduce(self, data, coords, factor, starts, perm=None):
-        from repro.sparse.csf import segment_reduce
-
-        rows = factor[coords]
-        scaled = data[:, None] * rows if data.ndim == 1 else data * rows
-        if perm is not None:
-            scaled = scaled[perm]
-        out = segment_reduce(scaled, starts)
-        return out.copy() if not out.flags.writeable else out
+        n_rows = data.shape[0]
+        if data.ndim == 1:  # scalar weights: the whole step is one product
+            if perm is not None:
+                data, coords = data[perm], coords[perm]
+            return SegmentSum(starts, n_rows, columns=coords,
+                              n_columns=factor.shape[0], weights=data,
+                              dtype=factor.dtype) @ factor
+        scaled = data * factor[coords]
+        return SegmentSum(starts, n_rows, columns=perm, n_columns=n_rows,
+                          dtype=scaled.dtype) @ scaled
 
     def coo_mttkrp(self, indices, values, factors, mode, out, block_size=1 << 16):
         n_modes = len(factors)
-        length = out.shape[0]
         for lo in range(0, indices.shape[0], block_size):
             idx = indices[lo:lo + block_size]
             block = np.repeat(values[lo:lo + block_size, None], out.shape[1], axis=1)
             for j in range(n_modes):
                 if j != mode:
                     block *= factors[j][idx[:, j]]
-            for r in range(out.shape[1]):
-                out[:, r] += np.bincount(idx[:, mode], weights=block[:, r],
-                                         minlength=length)
+            out += SegmentSum.scatter(idx[:, mode], out.shape[0],
+                                      dtype=block.dtype) @ block
         return out
 
     def pair_accumulate(self, out, fibers, block, factor, out_axis):
         if fibers.shape[0] == 0:
             return out
         scaled = block * factor[fibers[:, 1 - out_axis]]
-        # output coordinates repeat across fibers, so route through bincount
-        # (np.add.at is substantially slower for repeated indices)
-        segments = fibers[:, out_axis]
-        for r in range(out.shape[1]):
-            out[:, r] += np.bincount(segments, weights=scaled[:, r],
-                                     minlength=out.shape[0])
+        out += SegmentSum.scatter(fibers[:, out_axis], out.shape[0],
+                                  dtype=scaled.dtype) @ scaled
         return out
 
 
@@ -381,7 +379,7 @@ def _warn_fallback(name: str) -> None:
     if not _FALLBACK_WARNED:
         warnings.warn(
             f"kernel {name!r} requested but numba is not installed; falling "
-            "back to the pure-NumPy kernels (identical results, no compiled "
+            "back to the NumPy/SciPy kernels (identical results, no compiled "
             "speedup). Install the 'compiled' extra to silence this.",
             RuntimeWarning,
             stacklevel=3,

@@ -5,8 +5,9 @@ receives the contribution ``v * hadamard_{j != n} A^(j)[i_j, :]`` added into
 row ``i_n`` of the output.  The kernels below process the nonzeros in blocks
 of bounded size: gather the factor rows addressed by the block's coordinates,
 form the per-nonzero Khatri-Rao (row-wise Hadamard) products with one cached
-einsum through :mod:`repro.contract`, and scatter-add into the output with a
-per-rank-column ``bincount``.  Total work is ``O(nnz * R * N)`` versus the
+einsum through :mod:`repro.contract`, and scatter-add into the output with one
+sparse-times-dense product (:class:`~repro.sparse.csf.SegmentSum`).  Total
+work is ``O(nnz * R * N)`` versus the
 dense kernel's ``O(prod(shape) * R)`` — the classic sparse-MTTKRP bound of the
 SPLATT line of work the paper's cost models build on.
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from repro.contract import resolve_engine
 from repro.sparse.coo import CooTensor
+from repro.sparse.csf import SegmentSum
 from repro.sparse.kernels import KernelBackend, get_kernel
 from repro.utils.validation import check_factor_matrices, check_mode
 
@@ -55,40 +57,20 @@ def _hadamard_rows(engine, values: np.ndarray, rows: list[np.ndarray]) -> np.nda
     return engine.contract(spec, values, *rows)
 
 
-#: run count below which the sorted-segment scatter sums each run with a
-#: sliced ``.sum`` (cheaper than ``np.add.reduceat`` for few, long runs)
-_SLICE_SUM_RUNS = 1024
-
-
 def _scatter_add(out: np.ndarray, segments: np.ndarray, block: np.ndarray) -> None:
-    """``out[segments[b], :] += block[b, :]``.
+    """``out[segments[b], :] += block[b, :]`` (repeated rows accumulate).
 
-    When ``segments`` is non-decreasing (always true for the primary sort mode
-    of a canonical :class:`CooTensor`) the rows form contiguous runs with
-    unique output indices, so the scatter reduces to per-run segment sums —
-    far cheaper than a general scatter.  Otherwise a per-rank-column
-    ``np.bincount`` is used, which is substantially faster than
-    ``np.ufunc.at`` for repeated indices (the rank loop is short).
+    One :class:`~repro.sparse.csf.SegmentSum` product over the row range the
+    block touches: sorted segments (the primary sort mode of a canonical
+    :class:`CooTensor`, or any mode under ``order_perm``) touch a short
+    contiguous range, so the cost stays proportional to the block and not to
+    the height of ``out``.
     """
-    n = segments.size
-    if n == 0:
+    if segments.size == 0:
         return
-    if n == 1 or np.all(segments[1:] >= segments[:-1]):
-        boundaries = np.flatnonzero(segments[1:] != segments[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        rows = segments[starts]
-        if starts.size <= _SLICE_SUM_RUNS:
-            ends = np.concatenate((boundaries, [n]))
-            for k in range(starts.size):
-                out[rows[k]] += block[starts[k]:ends[k]].sum(axis=0)
-        else:
-            # rows are unique (one run per distinct sorted value), so fancy
-            # in-place addition is safe
-            out[rows] += np.add.reduceat(block, starts, axis=0)
-        return
-    length = out.shape[0]
-    for r in range(out.shape[1]):
-        out[:, r] += np.bincount(segments, weights=block[:, r], minlength=length)
+    lo, hi = int(segments.min()), int(segments.max()) + 1
+    out[lo:hi] += SegmentSum.scatter(segments - lo, hi - lo,
+                                     dtype=block.dtype) @ block
 
 
 def sparse_mttkrp(
@@ -121,9 +103,9 @@ def sparse_mttkrp(
         Optional permutation of the nonzeros making ``indices[:, mode]``
         non-decreasing (e.g. ``fiber_grouping(tensor, (mode,)).perm``).  The
         canonical COO sort already guarantees that for mode 0; for other
-        modes passing the (pattern-only, reusable) permutation turns every
-        block's scatter-add into a fiber-run segmented reduction instead of a
-        per-rank-column ``bincount``.
+        modes passing the (pattern-only, reusable) permutation makes every
+        block's scatter-add touch a short contiguous range of output rows
+        instead of all of them.
     kernel:
         Optional kernel backend (name or :class:`~repro.sparse.kernels.KernelBackend`).
         A compiled kernel runs the whole gather/Hadamard/scatter as one fused

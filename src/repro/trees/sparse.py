@@ -3,13 +3,13 @@
 Two engines, mirroring the dense ``naive`` / ``unfolding`` pair so the
 sparse-vs-dense parity suite can cross-check independent implementations:
 
-* :class:`SparseCooMTTKRP` — blockwise gather / Hadamard / segmented-reduce
+* :class:`SparseCooMTTKRP` — blockwise gather / Hadamard / scatter-add
   over the nonzeros (:func:`repro.sparse.mttkrp.sparse_mttkrp`),
   ``O(nnz * R * N)`` per call with a bounded workspace.  For non-primary
   output modes the provider caches a per-mode nonzero ordering (one stable
-  argsort, built once — the tensor never changes) so every scatter-add
-  collapses to a fiber-run segmented reduction instead of a per-column
-  ``bincount``.
+  argsort, built once — the tensor never changes) so every block's
+  scatter-add touches a short contiguous range of output rows instead of
+  all of them.
 * :class:`SparseUnfoldingMTTKRP` — the unfolding-equivalent baseline: a
   scipy CSR mode-``n`` matricization (built once per mode and kept, the
   tensor never changes) times the dense Khatri-Rao matrix of the other
@@ -54,9 +54,9 @@ class SparseCooMTTKRP(MTTKRPProvider):
     def _mode_perm(self, mode: int) -> np.ndarray | None:
         """Permutation making ``indices[:, mode]`` non-decreasing (None if it is).
 
-        With it the scatter-add of :func:`sparse_mttkrp` always takes the
-        sorted fiber-run path (one segmented reduction per block) — the
-        canonical COO order only guarantees that for mode 0.
+        With it every block of :func:`sparse_mttkrp` scatter-adds into a
+        short contiguous row range — the canonical COO order only
+        guarantees that for mode 0.
         """
         if mode not in self._mode_perms:
             self._mode_perms[mode] = (

@@ -9,24 +9,31 @@ nonzero — have nonzero rows, so an intermediate is stored as a
 matrix plus an ``(n_fibers, R)`` dense block (the SPLATT-style "mode-``R``
 semi-sparse tensor").
 
-Two kinds of contraction step, both *fiber-run segmented reductions* (no
-scatter-add, no bincount):
+Two kinds of contraction step, both *fiber-run segmented sums* whose structure
+is a :class:`~repro.sparse.csf.SegmentSum` operator (a SciPy CSR matrix)
+cached with the sparsity pattern:
 
 * **root contraction** — from the raw COO tensor, contract one factor
   ``A^(k)``: the :class:`~repro.sparse.csf.CsfTensor` layout for the ordering
   ``sorted(S) + (k,)`` (built once per ``k``, cached for the lifetime of the
-  provider) stores the nonzeros grouped by ``S``-fiber, so the result is one
-  multiply per nonzero followed by a contiguous segmented reduction —
-  ``O(nnz * R)`` work versus the dense tree's ``O(prod(shape) * R)`` TTM;
+  provider) stores the nonzeros grouped by ``S``-fiber, so the whole step is
+  the single sparse-times-dense product ``csr @ A^(k)`` — values as data,
+  mode-``k`` coordinates as column indices, the fiber pointer as ``indptr``;
+  no gathered or scaled ``nnz x R`` temporary — ``O(nnz * R)`` work versus
+  the dense tree's ``O(prod(shape) * R)`` TTM;
 * **fiber contraction** — from a semi-sparse intermediate over ``S``,
   contract mode ``k`` in ``S``: parent fibers that agree outside ``k``
   collapse into one child fiber.  The regrouping permutation and run offsets
   depend only on the sparsity pattern, so they too are computed once per
-  ``(S, k)`` pair and cached (:class:`_FiberStep`), leaving ``O(n_fibers * R)``
-  work per sweep step.
+  ``(S, k)`` pair and cached (:class:`_FiberStep`) with the permutation
+  folded into the operator's column indices, leaving one elementwise product
+  and one sparse product of ``O(n_fibers * R)`` work per sweep step.  The
+  step that leaves a single mode sums straight into that mode's rows, so its
+  block already is the dense ``(s_mode, R)`` MTTKRP.
 
-Both steps route their elementwise products through the shared
-:class:`~repro.contract.ContractionEngine` and record flops/words/seconds in
+Fiber steps route their elementwise product through the shared
+:class:`~repro.contract.ContractionEngine`, and both steps record
+flops/words/seconds in
 the :class:`~repro.machine.cost_tracker.CostTracker` under the same
 ``"ttm"``/``"mttv"`` categories as the dense tree, so Figure-3-style
 breakdowns compare directly.  The control flow (cache lookup, DT/MSDT descent
@@ -44,7 +51,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.sparse.coo import CooTensor
-from repro.sparse.csf import CsfTensor, run_starts, segment_reduce
+from repro.sparse.csf import CsfTensor, SegmentSum, run_starts
 from repro.sparse.kernels import get_kernel
 from repro.trees.amortized import AmortizedTreeMTTKRP, DtOrderPolicy, MsdtOrderPolicy
 
@@ -93,8 +100,9 @@ class _RootStep:
     """Precomputed structure of the first-level contraction of mode ``k``.
 
     Derived from the CSF layout ordered ``sorted(S) + (k,)``: the nonzeros
-    appear grouped by ``S``-fiber, so the contraction is gather → multiply →
-    contiguous segment reduce.
+    appear grouped by ``S``-fiber, so the contraction is the one product
+    ``contract @ A^(k)``.  ``starts``/``k_coords``/``values`` are the same
+    structure as plain arrays, for the compiled kernels.
     """
 
     modes: tuple[int, ...]      # S = all modes except k, sorted
@@ -102,6 +110,7 @@ class _RootStep:
     starts: np.ndarray          # (n_fibers,) run offsets into the CSF nnz order
     k_coords: np.ndarray        # (nnz,) mode-k coordinate per CSF-ordered nonzero
     values: np.ndarray          # (nnz,) values in CSF order
+    contract: SegmentSum        # (n_fibers, s_k): values at (fiber, k_coord)
 
 
 @dataclass(frozen=True)
@@ -112,6 +121,12 @@ class _FiberStep:
     ``k`` is the last mode of ``S`` — dropping the least significant sort key
     keeps lexicographic order); ``starts`` delimits the child runs;
     ``k_coords`` is each parent fiber's mode-``k`` coordinate (pre-``perm``).
+
+    ``reduce`` sums the scaled parent rows (pre-``perm``: the permutation is
+    its column indices) into the rows ``out_fibers``.  Those are the child
+    fibers, except on the step that leaves a single mode: it sums straight
+    into that mode's rows, so ``out_fibers`` is every coordinate of the mode
+    and the block is the dense MTTKRP.
     """
 
     child_modes: tuple[int, ...]
@@ -119,6 +134,8 @@ class _FiberStep:
     perm: np.ndarray | None
     starts: np.ndarray
     k_coords: np.ndarray
+    reduce: SegmentSum
+    out_fibers: np.ndarray
 
 
 class SparseTreeBackend(AmortizedTreeMTTKRP):
@@ -148,6 +165,10 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
         self._csf: dict[tuple[int, ...], CsfTensor] = {}
         self._root_steps: dict[int, _RootStep] = {}
         self._fiber_steps: dict[tuple[tuple[int, ...], int], _FiberStep] = {}
+        # PP pair-operator sums, {(i, j): {out_axis: SegmentSum}}, filled by
+        # the operators of repro.trees.sparse_pp and shared by every
+        # checkpoint this provider serves
+        self._pair_sums: dict[tuple[int, int], dict[int, SegmentSum]] = {}
 
     # -- structural caches (sparsity pattern only, never invalidated) --------
     def csf_layout(self, mode_order: Sequence[int]) -> CsfTensor:
@@ -165,12 +186,17 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
             modes = tuple(m for m in range(self.order) if m != k)
             layout = self.csf_layout(modes + (k,))
             depth = self.order - 2
+            starts = layout.value_ptr(depth)[:-1]
+            k_coords = layout.sorted_column(self.order - 1)
             step = _RootStep(
                 modes=modes,
                 fibers=layout.fiber_index(depth),
-                starts=layout.value_ptr(depth)[:-1],
-                k_coords=layout.sorted_column(self.order - 1),
+                starts=starts,
+                k_coords=k_coords,
                 values=layout.values,
+                contract=SegmentSum(starts, self.tensor.nnz, columns=k_coords,
+                                    n_columns=self.tensor.shape[k],
+                                    weights=layout.values, dtype=self.dtype),
             )
             self._root_steps[k] = step
         return step
@@ -200,8 +226,18 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
         starts = run_starts([cols[:, j] for j in range(cols.shape[1])], n_parents)
         child_fibers = (cols[starts] if n_parents
                         else np.zeros((0, len(child_modes)), dtype=np.int64))
+        if len(child_modes) == 1:
+            # each parent's output row is its coordinate along the mode left
+            n_out = self.tensor.shape[child_modes[0]]
+            reduce = SegmentSum.scatter(child_cols[:, 0], n_out, dtype=self.dtype)
+            out_fibers = np.arange(n_out, dtype=np.int64)[:, None]
+        else:
+            reduce = SegmentSum(starts, n_parents, columns=perm,
+                                n_columns=n_parents, dtype=self.dtype)
+            out_fibers = child_fibers
         step = _FiberStep(child_modes=child_modes, child_fibers=child_fibers,
-                          perm=perm, starts=starts, k_coords=k_coords)
+                          perm=perm, starts=starts, k_coords=k_coords,
+                          reduce=reduce, out_fibers=out_fibers)
         self._fiber_steps[key] = step
         return step
 
@@ -216,9 +252,7 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
             block = self.kernel.scale_reduce(step.values, step.k_coords,
                                              self.factors[k], step.starts)
         else:
-            rows = self.factors[k][step.k_coords]
-            scaled = self.engine.contract("b,br->br", step.values, rows)
-            block = segment_reduce(scaled, step.starts)
+            block = step.contract @ self.factors[k]
         elapsed = time.perf_counter() - start
         if self.tracker is not None:
             nnz = self.tensor.nnz
@@ -242,22 +276,24 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
             block = self.kernel.scale_reduce(semi.block, step.k_coords,
                                              self.factors[k], step.starts,
                                              perm=step.perm)
+            fibers = step.child_fibers
         else:
             rows = self.factors[k][step.k_coords]
-            scaled = self.engine.contract("fr,fr->fr", semi.block, rows)
-            if step.perm is not None:
-                scaled = scaled[step.perm]
-            block = segment_reduce(scaled, step.starts)
+            # scaled in place: the gathered rows are the only temporary
+            self.engine.contract("fr,fr->fr", semi.block, rows, out=rows)
+            block = step.reduce @ rows
+            fibers = step.out_fibers
         elapsed = time.perf_counter() - start
         if self.tracker is not None:
             n_fibers = semi.n_fibers
             self.tracker.add_flops("mttv", 2 * n_fibers * rank)
+            # the model counts the child fibers, whatever rows the block has
             self.tracker.add_vertical_words(
-                n_fibers * (2 + 2 * rank) + block.size
+                n_fibers * (2 + 2 * rank) + step.child_fibers.shape[0] * rank
             )
             self.tracker.add_seconds("mttv", elapsed)
-        return SemiSparseIntermediate(modes=step.child_modes,
-                                      fibers=step.child_fibers, block=block)
+        return SemiSparseIntermediate(modes=step.child_modes, fibers=fibers,
+                                      block=block)
 
     # -- backend hooks -------------------------------------------------------
     def _descend_semi(
@@ -311,8 +347,12 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
         )
 
     def _finalize(self, semi: SemiSparseIntermediate) -> np.ndarray:
-        """Densify the single-mode intermediate into the ``(s_mode, R)`` MTTKRP."""
+        """The single-mode intermediate as the dense ``(s_mode, R)`` MTTKRP."""
         (mode,) = semi.modes
+        if semi.n_fibers == self.tensor.shape[mode]:
+            # fiber rows are sorted and unique, so every row is present and in
+            # place (always so after a last fiber step's full-height sum)
+            return semi.block
         out = np.zeros((self.tensor.shape[mode], self.rank), dtype=self.dtype)
         if semi.n_fibers:
             out[semi.fibers[:, 0]] = semi.block  # fiber rows are unique
@@ -327,6 +367,10 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
     # -- diagnostics ---------------------------------------------------------
     def structure_stats(self) -> dict:
         """Sizes of the pattern-only structural caches (not factor data)."""
+        operators = [s.contract for s in self._root_steps.values()]
+        operators += [s.reduce for s in self._fiber_steps.values()]
+        operators += [op for sums in self._pair_sums.values()
+                      for op in sums.values()]
         return {
             "csf_layouts": len(self._csf),
             "csf_bytes": sum(c.nbytes for c in self._csf.values()),
@@ -336,6 +380,8 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
                 + (s.perm.nbytes if s.perm is not None else 0)
                 for s in self._fiber_steps.values()
             ),
+            "operators": len(operators),
+            "operator_bytes": sum(op.nbytes for op in operators),
         }
 
 

@@ -15,7 +15,9 @@ pair:
   1 of the paper);
 * root contractions come off the cached :class:`~repro.sparse.csf.CsfTensor`
   layouts and fiber contractions off the cached per-``(S, k)`` regroupings —
-  both pattern-only structures built once per provider lifetime;
+  both pattern-only structures (with their
+  :class:`~repro.sparse.csf.SegmentSum` operators) built once per provider
+  lifetime;
 * non-target modes are contracted in ascending order
   (:func:`~repro.trees.descent.ascending_order`), so the ``binom(l+1, 2)``
   intermediates of the paper's PP tree (Fig. 1b) are shared across the pair
@@ -29,10 +31,14 @@ proves for the dense PP tree, now on the sparse backend.
 The pair operators themselves *stay semi-sparse*: a
 :class:`SemiSparsePairOperator` holds the sorted ``(n_fibers, 2)`` coordinate
 matrix and the ``(n_fibers, R)`` dense block, and contracts the first-order
-corrections ``U^(n,i)`` (Eq. 6) as fiber-run segmented reductions without ever
+corrections ``U^(n,i)`` (Eq. 6) as one elementwise product plus one
+:class:`~repro.sparse.csf.SegmentSum` product per pair, without ever
 materializing the dense ``(s_i, s_j, R)`` array — which is what keeps padded
 per-rank blocks of order > 3 tensors from densifying in
-:func:`~repro.core.parallel_pp_cp_als.parallel_pp_cp_als`.
+:func:`~repro.core.parallel_pp_cp_als.parallel_pp_cp_als`.  The scatter into the
+output rows is the sum operator's row structure; it depends on the fibers
+alone and is kept per ``(pair, axis)`` on the tree provider, so a later
+checkpoint on the same pattern builds nothing.
 
 Example
 -------
@@ -63,7 +69,7 @@ import numpy as np
 
 from repro.contract import resolve_engine
 from repro.sparse.coo import CooTensor
-from repro.sparse.csf import run_starts, segment_reduce
+from repro.sparse.csf import SegmentSum, run_starts
 from repro.trees.descent import ascending_order
 from repro.trees.sparse_dt import SparseDimensionTreeMTTKRP, SparseTreeBackend
 
@@ -83,12 +89,19 @@ class SemiSparsePairOperator:
     operator outside those fibers is exactly zero.  The object is immutable
     after construction — a checkpoint operator must not drift while the PP
     approximated sweeps update the factors.
+
+    ``sums`` is an optional ``{out_axis: SegmentSum}`` dict to keep the
+    per-axis output sums in: they depend on ``fibers`` alone, so whoever
+    builds operators over the same fibers again and again (the tree provider,
+    once per PP checkpoint) passes the same dict each time and they are built
+    once.
     """
 
-    __slots__ = ("modes", "fibers", "block", "dims", "_groupings")
+    __slots__ = ("modes", "fibers", "block", "dims", "_sums", "_groupings")
 
     def __init__(self, modes: tuple[int, int], fibers: np.ndarray,
-                 block: np.ndarray, dims: tuple[int, int]):
+                 block: np.ndarray, dims: tuple[int, int],
+                 sums: dict[int, SegmentSum] | None = None):
         i, j = (int(modes[0]), int(modes[1]))
         if not i < j:
             raise ValueError(f"pair operator modes must satisfy i < j, got {(i, j)}")
@@ -99,8 +112,9 @@ class SemiSparsePairOperator:
                 f"block shape {block.shape} inconsistent with {fibers.shape[0]} fibers"
             )
         if fibers.shape[0] > 1:
-            # contract_other's segmented reductions silently assume the CSF
-            # invariant; a violation would drop contributions, not error
+            # densify() and the compiled kernels' run groupings silently
+            # assume the CSF invariant; a violation would drop contributions,
+            # not error
             d0 = np.diff(fibers[:, 0])
             d1 = np.diff(fibers[:, 1])
             if not bool(np.all((d0 > 0) | ((d0 == 0) & (d1 > 0)))):
@@ -111,7 +125,9 @@ class SemiSparsePairOperator:
         self.fibers = fibers
         self.block = block
         self.dims = (int(dims[0]), int(dims[1]))
-        # lazy per-axis regroupings (pattern-only): axis -> (perm, starts, coords)
+        self._sums = {} if sums is None else sums
+        # lazy per-axis regroupings for the compiled kernels (pattern-only):
+        # axis -> (perm, starts, coords)
         self._groupings: dict[int, tuple[np.ndarray | None, np.ndarray, np.ndarray]] = {}
 
     # -- properties ----------------------------------------------------------
@@ -164,7 +180,8 @@ class SemiSparsePairOperator:
         equal output coordinates are adjacent (``None`` for axis 0 — the
         lexicographic sort already groups them), ``starts`` delimits the runs,
         ``coords`` is each run's output coordinate.  Pattern-only, computed
-        once per axis and cached for the checkpoint's lifetime.
+        once per axis and cached for the checkpoint's lifetime; the form the
+        compiled kernels take (everything else goes through :meth:`_sum`).
         """
         cached = self._groupings.get(out_axis)
         if cached is not None:
@@ -180,6 +197,19 @@ class SemiSparsePairOperator:
                   else np.zeros(0, dtype=np.int64))
         self._groupings[out_axis] = (perm, starts, coords)
         return self._groupings[out_axis]
+
+    def _sum(self, out_axis: int) -> SegmentSum:
+        """Sum of the fiber rows into their ``out_axis`` coordinate's row.
+
+        Pattern-only and full height (``dims[out_axis]`` output rows, zero
+        where no fiber lands), built once per axis.
+        """
+        op = self._sums.get(out_axis)
+        if op is None:
+            op = SegmentSum.scatter(self.fibers[:, out_axis], self.dims[out_axis],
+                                    dtype=self.block.dtype)
+            self._sums[out_axis] = op
+        return op
 
     def contract_other(
         self,
@@ -238,16 +268,11 @@ class SemiSparsePairOperator:
                     self.block, self.fibers[:, other], factor, starts, perm=perm
                 )
             else:
-                rows = factor[self.fibers[:, other]]
-                scaled = eng.contract("fr,fr->fr", self.block, rows)
-                perm, starts, coords = self._grouping(out_axis)
-                if perm is not None:
-                    scaled = scaled[perm]
-                if accumulate:
-                    # run coords are unique, so fancy in-place addition is safe
-                    out[coords] += segment_reduce(scaled, starts)
-                else:
-                    out[coords] = segment_reduce(scaled, starts)
+                rows = factor[self.fibers[:, other]].astype(
+                    np.result_type(factor, self.block), copy=False)
+                # scaled in place: the gathered rows are the only temporary
+                eng.contract("fr,fr->fr", self.block, rows, out=rows)
+                out += self._sum(out_axis) @ rows  # out is zero unless accumulating
         elapsed = time.perf_counter() - start
         if tracker is not None:
             tracker.add_flops(category, 2 * self.n_fibers * self.rank)
@@ -408,6 +433,7 @@ def build_semi_sparse_operators(
                 pair_ops[(i, j)] = SemiSparsePairOperator(
                     modes=(i, j), fibers=semi.fibers, block=semi.block,
                     dims=(shape[i], shape[j]),
+                    sums=backend._pair_sums.setdefault((i, j), {}),
                 )
 
         single_ops: dict[int, np.ndarray] = {}

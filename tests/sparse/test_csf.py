@@ -7,10 +7,13 @@ invariants every consumer (the sparse dimension tree) relies on.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.sparse import CooTensor, CsfTensor, fiber_grouping, segment_reduce
+from repro.sparse import CooTensor, CsfTensor, SegmentSum, fiber_grouping, segment_reduce
 
 
 def _random_coo(shape, density, seed):
@@ -229,3 +232,111 @@ class TestSegmentReduce:
             out[0, 0] = 99.0
         assert block[0, 0] == 0.0  # source untouched, and stays writable
         assert block.flags.writeable
+
+    @pytest.mark.parametrize("starts, offending", [
+        ([2, 4], r"starts\[0\] = 2"),          # used to drop rows 0-1
+        ([0, 4, 4], r"starts\[2\] = 4"),       # used to count row 4 twice
+        ([0, 4, 2], r"starts\[2\] = 2"),       # decreasing: likewise
+        ([0, 3, 6], r"starts\[2\] = 6"),       # a run that starts past the end
+        ([-1, 2], r"starts\[0\] = -1"),
+    ])
+    def test_malformed_starts_raise_naming_the_offset(self, starts, offending):
+        # regression: each of these returned sums, silently wrong ones
+        block = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(ValueError, match=offending):
+            segment_reduce(block, np.array(starts))
+        with pytest.raises(ValueError, match=offending):
+            SegmentSum(np.array(starts), 6)
+
+    def test_identity_runs_are_validated_too(self):
+        # as many offsets as rows is the aliasing fast path only when they are
+        # the single-row runs 0, 1, 2, ...
+        with pytest.raises(ValueError, match=r"starts\[0\] = 1"):
+            segment_reduce(np.ones((2, 3)), np.array([1, 2]))
+
+
+class TestSegmentSum:
+    def test_construction_rejects_inconsistent_structure(self):
+        starts = np.array([0, 2])
+        with pytest.raises(ValueError, match="1-d integer"):
+            SegmentSum(np.array([0.0, 2.0]), 4)
+        with pytest.raises(ValueError, match="require n_columns"):
+            SegmentSum(starts, 4, columns=np.arange(4))
+        with pytest.raises(ValueError, match=r"columns must lie in \[0, 3\)"):
+            SegmentSum(starts, 4, columns=np.array([0, 1, 2, 3]), n_columns=3)
+        with pytest.raises(ValueError, match="length-4"):
+            SegmentSum(starts, 4, columns=np.arange(3), n_columns=3)
+        with pytest.raises(ValueError, match="weights must have shape"):
+            SegmentSum(starts, 4, weights=np.ones(3))
+        with pytest.raises(ValueError, match="without gather columns"):
+            SegmentSum(starts, 4, n_columns=5)
+        with pytest.raises(ValueError, match=r"rows must lie in \[0, 2\)"):
+            SegmentSum.scatter(np.array([0, 2]), 2)
+        with pytest.raises(ValueError, match=r"rows must lie in \[0, 2\)"):
+            SegmentSum.scatter(np.array([-1, 0]), 2)
+        with pytest.raises(ValueError, match="1-d integer"):
+            SegmentSum.scatter(np.zeros((2, 2), dtype=np.int64), 2)
+
+    def test_block_of_the_wrong_height_raises(self):
+        with pytest.raises(ValueError):
+            SegmentSum(np.array([0, 2]), 4) @ np.ones((5, 2))
+        with pytest.raises(ValueError):
+            SegmentSum.scatter(np.array([0, 1, 1]), 2) @ np.ones((4, 2))
+
+    def test_immutable_and_detached_from_its_inputs(self):
+        starts = np.array([0, 2])
+        weights = np.array([1.0, 2.0, 3.0, 4.0])
+        op = SegmentSum(starts, 4, weights=weights)
+        with pytest.raises(AttributeError):
+            op.extra = 1
+        for part in (op._matrix.data, op._matrix.indices, op._matrix.indptr):
+            assert not part.flags.writeable
+        # weights may be shared, not copied, but the caller's array stays its own
+        assert weights.flags.writeable
+        block = np.ones((4, 1))
+        np.testing.assert_array_equal(op @ block, [[3.0], [7.0]])
+        starts[1] = 3  # the run structure was copied into the row pointer
+        np.testing.assert_array_equal(op @ block, [[3.0], [7.0]])
+
+    def test_one_dimensional_block(self):
+        op = SegmentSum(np.array([0, 1, 3]), 4)
+        np.testing.assert_array_equal(op @ np.array([1.0, 2.0, 3.0, 4.0]),
+                                      [1.0, 5.0, 4.0])
+
+    def test_nbytes_counts_the_stored_pattern(self):
+        op = SegmentSum(np.array([0, 2]), 4, dtype=np.float32)
+        # 4 float32 weights + 4 int32 columns + 3 int32 row-pointer entries
+        assert op.nbytes == 4 * 4 + 4 * 4 + 3 * 4
+        assert op.dtype == np.float32
+
+    def test_concurrent_apply_on_a_shared_operator(self):
+        """Two threads applying one operator get the serial result, every time."""
+        rng = np.random.default_rng(5)
+        n_rows, n_out, rank = 4000, 50, 8
+        run_op = SegmentSum(np.arange(0, n_rows, 40), n_rows,
+                            columns=rng.permutation(n_rows), n_columns=n_rows,
+                            weights=rng.random(n_rows))
+        scatter_op = SegmentSum.scatter(rng.integers(0, n_out, n_rows), n_out)
+        blocks = [rng.random((n_rows, rank)) for _ in range(2)]
+        serial = [(run_op @ b, scatter_op @ b) for b in blocks]
+        mismatches: list[int] = []
+
+        def worker(i: int) -> None:
+            for _ in range(200):
+                got = (run_op @ blocks[i], scatter_op @ blocks[i])
+                if not all(np.array_equal(g, s) for g, s in zip(got, serial[i])):
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i % 2,))
+                       for i in range(4)]  # more threads than cores
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches

@@ -237,6 +237,55 @@ class TestAmortization:
         assert stats_after_two["csf_layouts"] >= 1
         assert stats_after_two["fiber_steps"] >= 1
 
+    @pytest.mark.parametrize("engine", ["dt", "msdt"])
+    def test_sum_operators_are_built_once(self, engine):
+        shape = (8, 7, 6, 5)
+        _, coo = _random_sparse(shape, density=0.3, seed=36)
+        rng = np.random.default_rng(37)
+        factors = [rng.random((s, 2)) for s in shape]
+        provider = make_provider(engine, coo, [f.copy() for f in factors])
+        assert provider.structure_stats()["operators"] == 0
+
+        def sweep():
+            for mode in range(len(shape)):
+                provider.mttkrp(mode)
+                provider.set_factor(mode, rng.random(factors[mode].shape))
+
+        sweep()
+        if engine == "msdt":  # its root mode rotates: N sweeps visit every root
+            for _ in range(len(shape) - 1):
+                sweep()
+        warm = provider.structure_stats()
+        # one operator per root contraction and per fiber regrouping, and
+        # their bytes are part of the structural footprint
+        assert warm["operators"] == len(provider._root_steps) + warm["fiber_steps"]
+        assert warm["operators"] >= 2
+        assert warm["operator_bytes"] >= 12 * coo.nnz  # >= one root's values + columns
+        root_ops = [step.contract for step in provider._root_steps.values()]
+        for _ in range(3):
+            sweep()
+        assert provider.structure_stats() == warm
+        assert all(a is b.contract for a, b in
+                   zip(root_ops, provider._root_steps.values()))
+
+    def test_last_fiber_step_yields_the_dense_mttkrp(self):
+        """The step that leaves one mode sums into that mode's rows directly:
+        empty slices are zero rows of its block, not missing fibers."""
+        dense = np.zeros((6, 5, 4))
+        rng = np.random.default_rng(38)
+        dense[[0, 2, 5]] = rng.random((3, 5, 4)) * (rng.random((3, 5, 4)) < 0.5)
+        dense[0, 0, 0] = 1.0
+        coo = CooTensor.from_dense(dense)
+        factors = [rng.random((s, 3)) for s in dense.shape]
+        provider = make_provider("dt", coo, [f.copy() for f in factors])
+        got = provider.mttkrp(0)
+        np.testing.assert_allclose(got, reference_mttkrp(dense, factors, 0),
+                                   atol=1e-12)
+        assert not got[[1, 3, 4]].any()
+        entry = provider.cache.find_valid(provider.versions, {0})
+        assert entry.array.n_fibers == 6 and entry.array.block is got
+        np.testing.assert_array_equal(entry.array.fibers[:, 0], np.arange(6))
+
     def test_max_cache_bytes_bounds_intermediates_not_correctness(self):
         shape = (7, 6, 5)
         dense, coo = _random_sparse(shape, density=0.4, seed=34)

@@ -65,6 +65,37 @@ class TestBuilder:
                     np.asarray(standalone.pair_operator(i, j)), atol=1e-12,
                 )
 
+    def test_second_checkpoint_builds_no_new_sum_operator(self, rng):
+        """The pair operators' output sums depend on the pattern alone: the
+        provider keeps them per (pair, axis) across PP checkpoints."""
+        _, coo, factors = _sparse_instance(rng, (6, 5, 4), rank=2)
+        # dt: the sweep's own structure is complete after one sweep
+        provider = make_provider("dt", coo, [f.copy() for f in factors])
+
+        def checkpoint():
+            for mode in range(3):
+                provider.mttkrp(mode)
+                provider.set_factor(mode, rng.random(factors[mode].shape))
+            ops = PairwiseOperators.build(coo, provider.factors, provider=provider)
+            for mode in range(3):  # use every (pair, axis) as a PP sweep does
+                for other in range(3):
+                    if other != mode:
+                        ops.pair_operator(mode, other).contract_delta(
+                            provider.factors[other])
+            return ops
+
+        first = checkpoint()
+        stats = provider.structure_stats()
+        sums = {(pair, axis): op for pair, by_axis in provider._pair_sums.items()
+                for axis, op in by_axis.items()}
+        assert len(sums) == 6  # three pairs, two axes each
+        second = checkpoint()
+        assert provider.structure_stats() == stats
+        assert all(provider._pair_sums[pair][axis] is op
+                   for (pair, axis), op in sums.items())
+        # new blocks, same pattern
+        assert first.pairs()[0, 1].block is not second.pairs()[0, 1].block
+
     def test_build_restores_provider_tracker_and_engine(self, rng):
         _, coo, factors = _sparse_instance(rng, (5, 4, 3), rank=2)
         provider_tracker = CostTracker()
