@@ -3,8 +3,11 @@
 These time one full sweep of MTTKRPs for each engine on a single process so
 the relative kernel costs (naive vs DT vs MSDT, and the PP approximated
 update) can be inspected directly with pytest-benchmark's own statistics.
-The last row times the sparse trees' segmented-sum operator against the
-``np.add.reduceat`` it replaced (information only, nothing is gated).
+The last rows time the hot loops against what they replaced: the sparse trees'
+segmented-sum operator against ``np.add.reduceat``, and the two dense tree
+kernels (batched GEMM / matrix-vector products on views) against
+``np.einsum(..., optimize=True)``, per mode and per axis (information only,
+nothing is gated but the equality of the results).
 """
 
 from __future__ import annotations
@@ -15,11 +18,15 @@ from conftest import BENCH_TINY
 
 from repro.core.pp_corrections import first_order_correction
 from repro.sparse.csf import SegmentSum
+from repro.tensor.ttm import first_contraction
+from repro.tensor.ttv import contract_intermediate_mode
 from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import make_provider
 
 _SHAPE = (8, 8, 8) if BENCH_TINY else (40, 40, 40)
 _RANK = 4 if BENCH_TINY else 16
+#: the harness's dense workload (``dense4_collinear``): 32^4, R = 16
+_TREE_SHAPE = (6, 5, 4, 3) if BENCH_TINY else (32, 32, 32, 32)
 
 
 def _sweep(provider):
@@ -79,3 +86,47 @@ def test_segment_sum_time(benchmark, kind, n_rows):
     else:
         result = benchmark(np.add.reduceat, block, starts, 0)
     assert np.allclose(result, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def tree_workload():
+    rng = np.random.default_rng(0)
+    tensor = rng.random(_TREE_SHAPE)
+    factors = [rng.random((s, _RANK)) for s in _TREE_SHAPE]
+    return tensor, factors
+
+
+def _ttm_oracle(tensor, factor, mode):
+    subs = "abcd"[:tensor.ndim]
+    kept = subs.replace(subs[mode], "")
+    return np.einsum(f"{subs},{subs[mode]}R->{kept}R", tensor, factor, optimize=True)
+
+
+def _mttv_oracle(intermediate, factor, axis):
+    subs = "abcd"[:intermediate.ndim - 1]
+    kept = subs.replace(subs[axis], "")
+    return np.einsum(f"{subs}R,{subs[axis]}R->{kept}R", intermediate, factor, optimize=True)
+
+
+@pytest.mark.parametrize("mode", range(4))
+@pytest.mark.parametrize("kind", ["gemm-on-views", "einsum-oracle"])
+def test_first_contraction_time(benchmark, tree_workload, kind, mode):
+    """First-level TTM of every mode (DT contracts the last and the first,
+    MSDT's root rotates through all of them)."""
+    tensor, factors = tree_workload
+    kernel = first_contraction if kind == "gemm-on-views" else _ttm_oracle
+    result = benchmark(kernel, tensor, factors[mode], mode)
+    assert np.allclose(result, _ttm_oracle(tensor, factors[mode], mode),
+                       rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("kind", ["matvec-on-views", "einsum-oracle"])
+def test_contract_intermediate_mode_time(benchmark, tree_workload, kind, axis):
+    """Second-level mTTV of every axis, on the intermediate the TTM leaves."""
+    tensor, factors = tree_workload
+    intermediate = first_contraction(tensor, factors[0], 0)
+    kernel = contract_intermediate_mode if kind == "matvec-on-views" else _mttv_oracle
+    result = benchmark(kernel, intermediate, factors[axis + 1], axis)
+    assert np.allclose(result, _mttv_oracle(intermediate, factors[axis + 1], axis),
+                       rtol=1e-12, atol=1e-12)

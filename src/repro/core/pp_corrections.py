@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.contract import resolve_engine
+from repro.tensor.ttv import contract_intermediate_mode
 from repro.trees.sparse_pp import OrientedPairOperator, SemiSparsePairOperator
 
 __all__ = [
@@ -65,10 +66,16 @@ def first_order_correction(
     ``(s_n, R)``.  This is a batched TTV, so it is recorded under the paper's
     ``mTTV`` kernel category (the PP approximated step is mTTV bound).
 
-    On the sparse backend the oriented operator is a semi-sparse
+    A dense operator is a two-mode intermediate, so the correction is
+    :func:`~repro.tensor.ttv.contract_intermediate_mode` on its second axis —
+    one batched matrix-vector product, the same for the operator and for the
+    transposed view that
+    :meth:`~repro.trees.pp_operators.PairwiseOperators.pair_operator` hands
+    out when ``n > i`` (nothing is copied).  On the sparse backend the
+    oriented operator is a semi-sparse
     :class:`~repro.trees.sparse_pp.OrientedPairOperator`; the contraction then
     runs as a fiber-run segmented reduction over its nonzero fibers without
-    densifying the operator.
+    densifying the operator, through ``engine``.
 
     ``accumulate=True`` adds the correction into the caller's ``out`` buffer
     instead of overwriting it — the fused approximated step
@@ -100,17 +107,14 @@ def first_order_correction(
             f"delta factor shape {delta_factor.shape} incompatible with operator "
             f"shape {pair_operator.shape}"
         )
-    eng = resolve_engine(engine)
-    start = time.perf_counter()
+    correction = contract_intermediate_mode(pair_operator, delta_factor, 1,
+                                            tracker=tracker, category=category)
+    if out is None:
+        return correction
     if accumulate:
-        out += eng.contract("xyk,yk->xk", pair_operator, delta_factor)
+        out += correction
     else:
-        out = eng.contract("xyk,yk->xk", pair_operator, delta_factor, out=out)
-    elapsed = time.perf_counter() - start
-    if tracker is not None:
-        tracker.add_flops(category, 2 * pair_operator.size)
-        tracker.add_vertical_words(pair_operator.size + out.size)
-        tracker.add_seconds(category, elapsed)
+        np.copyto(out, correction)
     return out
 
 

@@ -6,7 +6,9 @@ tensor library is implemented here on top of ``numpy``:
 * matricization and generalized unfoldings (:mod:`repro.tensor.unfold`),
 * Khatri-Rao / Kronecker / Hadamard products (:mod:`repro.tensor.products`),
 * tensor-times-matrix and (batched) tensor-times-vector kernels
-  (:mod:`repro.tensor.ttm`, :mod:`repro.tensor.ttv`),
+  (:mod:`repro.tensor.ttm`, :mod:`repro.tensor.ttv`) and the memory layout of
+  the rank-carrying intermediates they exchange
+  (:mod:`repro.tensor.intermediate`),
 * MTTKRP and partially-contracted MTTKRP intermediates
   (:mod:`repro.tensor.mttkrp`),
 * norms, inner products, residual and fitness (:mod:`repro.tensor.norms`),

@@ -37,7 +37,10 @@ def reconstruct(factors: Sequence[np.ndarray], shape: Sequence[int] | None = Non
         if weights.shape != (rank,):
             raise ValueError(f"weights must have shape ({rank},), got {weights.shape}")
         operands[0] = factors[0] * weights[None, :]
-    return np.einsum(spec, *operands, optimize=True)
+    # einsum's optimised path leaves the output in whatever axis order its
+    # last pairwise step produced; hand out C order so no consumer pays a
+    # strided tensor-sized copy (same values, bit for bit)
+    return np.ascontiguousarray(np.einsum(spec, *operands, optimize=True))
 
 
 @dataclass

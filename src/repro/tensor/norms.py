@@ -46,7 +46,9 @@ def tensor_norm(tensor) -> float:
         norm = getattr(tensor, "norm", None)
         if callable(norm):
             return float(norm())
-    return float(np.linalg.norm(np.asarray(tensor).ravel()))
+    # order="K" flattens in memory order: a view, not a copy, for any array
+    # contiguous in some axis order (the norm does not care which)
+    return float(np.linalg.norm(np.asarray(tensor).ravel(order="K")))
 
 
 def inner_product(a: np.ndarray, b: np.ndarray, engine=None) -> float:

@@ -3,12 +3,15 @@
 Two flavours are provided:
 
 * :func:`ttm` — the textbook mode-``n`` product ``T x_n A`` whose output keeps
-  the contracted mode in place with the new dimension (rows of ``A``).
+  the contracted mode in place with the new dimension (rows of ``A``); an
+  einsum through the shared :class:`~repro.contract.ContractionEngine`.
 * :func:`first_contraction` — the "first-level contraction" used by dimension
   trees (Section II-C of the paper): contracting mode ``n`` of the input
   tensor with a factor matrix ``A^(n)`` of shape ``(s_n, R)`` *removes* that
   mode and appends a trailing rank axis, producing the partially contracted
-  MTTKRP intermediate ``M^({1..N} \\ {n})`` of Eq. (4).
+  MTTKRP intermediate ``M^({1..N} \\ {n})`` of Eq. (4).  This is the hot loop
+  of every dense tree sweep and runs as a batched BLAS GEMM on views of the
+  tensor, not through einsum (``docs/engines.rst``, "Dense hot loops").
 
 Both record ``2 * prod(shape) * R`` flops (one multiply + one add per term)
 into the tracker under the ``"ttm"`` category, which is how the TTM bar of the
@@ -17,15 +20,35 @@ paper's Figure 3c-f breakdown is measured.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Sequence
 
 import numpy as np
 
 from repro.contract import resolve_engine, subscript_letters
+from repro.tensor.intermediate import empty_rank_first, rank_last
 from repro.utils.validation import check_mode
 
 __all__ = ["ttm", "multi_ttm", "first_contraction"]
+
+#: Multiply-adds one GEMM of :func:`first_contraction`'s batch may do.  A block
+#: this small keeps its slice of the tensor, its slice of the output and the
+#: factor together in a core's L2 (256 KB of tensor at ``R = 16``), so BLAS
+#: never packs a panel it has to stream from memory twice, and it is within
+#: the ``M * N * K <= 10^6`` range in which OpenBLAS's AVX-512 builds skip
+#: packing altogether: at 32^4, R = 16 a mode-0 TTM takes 1.3 ms as one GEMM
+#: and 0.75-1.1 ms in blocks of 32 to 1024 columns.
+_GEMM_WORK = 1 << 19
+
+#: Largest contracted extent for which a block of *trailing* indices is split
+#: off at all.  Such a block is a strided view, ``s_mode`` rows that each lie
+#: on a page of their own, and an unpacked GEMM walks all of them per output
+#: tile: within the reach of an L1 data TLB (64-96 entries) that beats packing
+#: (1.95 against 2.93 ms at 20^5, R = 8), beyond it packing one large GEMM wins
+#: (0.97 against 1.44 ms for mode 0 of 200x30x20x10).  Blocks of rows, which
+#: the last mode uses, are contiguous and gain at every extent.
+_STRIDED_ROWS = 64
 
 
 def _record(tracker, category: str, flops: int, words: int = 0, seconds: float = 0.0) -> None:
@@ -90,13 +113,29 @@ def multi_ttm(
     return out
 
 
+def _gemm_block(extents: Sequence[int], work_per_index: int) -> int:
+    """Product of as many trailing ``extents`` as keep one GEMM of the batch small.
+
+    The block is the kept-index extent of one matrix of the batch; it always
+    takes the innermost (non-trivial) extent and then grows by whole extents
+    while ``block * work_per_index`` multiply-adds stay within
+    :data:`_GEMM_WORK`.  (A zero extent yields 1: the batch is empty and only
+    has to reshape.)
+    """
+    block = 1
+    for extent in reversed(extents):
+        if block > 1 and block * extent * work_per_index > _GEMM_WORK:
+            break
+        block *= extent
+    return max(block, 1)
+
+
 def first_contraction(
     tensor: np.ndarray,
     factor: np.ndarray,
     mode: int,
     tracker=None,
     category: str = "ttm",
-    engine=None,
 ) -> np.ndarray:
     """Contract mode ``mode`` of ``tensor`` with factor matrix ``factor``.
 
@@ -108,7 +147,13 @@ def first_contraction(
     = sum_j tensor[..., j, ...] * factor[j, r]``.
 
     This is the expensive first-level kernel of every dimension tree
-    (cost ``2 s^N R`` for an equidimensional tensor).
+    (cost ``2 s^N R`` for an equidimensional tensor).  It runs as one batched
+    GEMM ``factor^T @ X`` in which every matrix ``X`` of the batch is a view
+    ``(s_mode, block)`` of the tensor — ``block`` consecutive trailing indices
+    of a ``(lead, s_mode, trail)`` reshape, or, for the last mode, the
+    transposed view of ``block`` consecutive rows — written straight into the
+    rank-first buffer of :mod:`repro.tensor.intermediate`; no operand is
+    transposed in memory.
     """
     tensor = np.asarray(tensor)
     factor = np.asarray(factor)
@@ -117,12 +162,29 @@ def first_contraction(
         raise ValueError(
             f"factor shape {factor.shape} cannot contract mode {mode} of size {tensor.shape[mode]}"
         )
-    subs = subscript_letters(tensor.ndim, exclude="R")
-    kept = "".join(s for i, s in enumerate(subs) if i != mode)
-    spec = f"{''.join(subs)},{subs[mode]}R->{kept}R"
-    eng = resolve_engine(engine)
-    start = time.perf_counter()
-    out = eng.contract(spec, tensor, factor)
-    elapsed = time.perf_counter() - start
-    _record(tracker, category, 2 * tensor.size * factor.shape[1], tensor.size + out.size, elapsed)
-    return out
+    if tracker is not None:
+        start = time.perf_counter()
+    # GEMM speed must not depend on the caller's factor strides: with an
+    # F-ordered factor the last-mode product is the doubly transposed BLAS
+    # variant, 1.7x slower at 32^4
+    factor = np.ascontiguousarray(factor)
+    shape = tensor.shape
+    extent, rank = factor.shape
+    lead = math.prod(shape[:mode])
+    trail = math.prod(shape[mode + 1:])
+    buffer = empty_rank_first(shape[:mode] + shape[mode + 1:], rank,
+                              np.result_type(tensor, factor))
+    if trail != 1:
+        block = (_gemm_block(shape[mode + 1:], extent * rank)
+                 if extent <= _STRIDED_ROWS else trail)
+        blocks = tensor.reshape(lead, extent, trail // block, block).transpose(0, 2, 1, 3)
+    else:
+        block = _gemm_block(shape[:mode], extent * rank)
+        blocks = tensor.reshape(1, lead // block, block, extent).transpose(0, 1, 3, 2)
+    out = buffer.reshape(rank, *blocks.shape[:2], block).transpose(1, 2, 0, 3)
+    np.matmul(factor.T, blocks, out=out)
+    result = rank_last(buffer)
+    if tracker is not None:
+        _record(tracker, category, 2 * tensor.size * rank, tensor.size + result.size,
+                time.perf_counter() - start)
+    return result

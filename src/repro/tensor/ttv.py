@@ -5,16 +5,22 @@ trees below the first level: a partially contracted MTTKRP intermediate
 ``M^(S)`` carries a trailing rank axis, and contracting one more mode ``j`` of
 it against factor ``A^(j)`` pairs column ``r`` of the factor with slice ``r``
 of the intermediate — i.e. ``R`` independent TTVs batched together.
+:func:`contract_intermediate_mode` runs them as one batched BLAS matrix-vector
+product on the rank-first buffer of :mod:`repro.tensor.intermediate`
+(``docs/engines.rst``, "Dense hot loops"); the plain :func:`ttv` is an einsum
+through the shared :class:`~repro.contract.ContractionEngine`.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Sequence
 
 import numpy as np
 
 from repro.contract import resolve_engine, subscript_letters
+from repro.tensor.intermediate import empty_rank_first, rank_first, rank_last
 from repro.utils.validation import check_mode
 
 __all__ = ["ttv", "multi_ttv", "contract_intermediate_mode"]
@@ -85,7 +91,6 @@ def contract_intermediate_mode(
     axis: int,
     tracker=None,
     category: str = "mttv",
-    engine=None,
 ) -> np.ndarray:
     """Batched multi-TTV step on a rank-carrying intermediate.
 
@@ -97,6 +102,11 @@ def contract_intermediate_mode(
     ``out[..., r] = sum_y intermediate[..., y, ..., r] * factor[y, r]``
 
     i.e. the mTTV kernel of the paper.  Cost: ``2 * intermediate.size`` flops.
+
+    Slice ``r`` of the rank-first buffer is a ``(lead, s_j, trail)`` tensor, so
+    the step is one batched matrix-vector product: column ``r`` of the factor
+    times each ``(s_j, trail)`` matrix, or, for the last axis, the
+    ``(lead, s_j)`` matrix times the column.
     """
     intermediate = np.asarray(intermediate)
     factor = np.asarray(factor)
@@ -107,19 +117,29 @@ def contract_intermediate_mode(
         raise ValueError(
             f"axis {axis} out of range; intermediate has {n_tensor_axes} tensor axes"
         )
-    rank = intermediate.shape[-1]
-    if factor.shape != (intermediate.shape[axis], rank):
+    shape = intermediate.shape
+    rank = shape[-1]
+    extent = shape[axis]
+    if factor.shape != (extent, rank):
         raise ValueError(
             f"factor shape {factor.shape} incompatible with intermediate axis {axis} "
-            f"(size {intermediate.shape[axis]}) and rank {rank}"
+            f"(size {extent}) and rank {rank}"
         )
-    subs = subscript_letters(intermediate.ndim)
-    rank_sub = subs[-1]
-    kept = "".join(s for i, s in enumerate(subs[:-1]) if i != axis)
-    spec = f"{''.join(subs)},{subs[axis]}{rank_sub}->{kept}{rank_sub}"
-    eng = resolve_engine(engine)
-    start = time.perf_counter()
-    out = eng.contract(spec, intermediate, factor)
-    elapsed = time.perf_counter() - start
-    _record(tracker, category, 2 * intermediate.size, intermediate.size + out.size, elapsed)
-    return out
+    if tracker is not None:
+        start = time.perf_counter()
+    lead = math.prod(shape[:axis])
+    trail = math.prod(shape[axis + 1:-1])
+    buffer = empty_rank_first(shape[:axis] + shape[axis + 1:-1], rank,
+                              np.result_type(intermediate, factor))
+    slices = rank_first(intermediate)
+    if trail != 1:
+        np.matmul(factor.T[:, None, None, :], slices.reshape(rank, lead, extent, trail),
+                  out=buffer.reshape(rank, lead, 1, trail))
+    else:
+        np.matmul(slices.reshape(rank, lead, extent), factor.T[:, :, None],
+                  out=buffer.reshape(rank, lead, 1))
+    result = rank_last(buffer)
+    if tracker is not None:
+        _record(tracker, category, 2 * intermediate.size, intermediate.size + result.size,
+                time.perf_counter() - start)
+    return result

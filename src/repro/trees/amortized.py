@@ -3,7 +3,7 @@
 The standard dimension tree (DT) and the multi-sweep dimension tree (MSDT)
 differ *only* in the contraction order they choose when no cached intermediate
 is reusable; the dense and sparse backends differ *only* in how a descent step
-is executed (dense einsum contractions vs semi-sparse fiber reductions).
+is executed (dense BLAS contractions vs semi-sparse fiber reductions).
 :class:`AmortizedTreeMTTKRP` factors the common skeleton — cache lookup,
 descent-order selection, degenerate order-1 handling — so the four concrete
 engines (``dt``/``msdt`` x dense/sparse) are each a policy plus a backend:

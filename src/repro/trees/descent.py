@@ -7,6 +7,14 @@ later requests can resume from the deepest still-valid ancestor.  The order in
 which modes are contracted is the only degree of freedom, and it is what
 distinguishes the standard dimension tree from MSDT and from the PP operator
 tree; the order policies live here as small pure functions.
+
+The two steps of a descent are the dense hot loops of the package:
+:func:`~repro.tensor.ttm.first_contraction` (one batched GEMM on views of the
+tensor) starts at the root and
+:func:`~repro.tensor.ttv.contract_intermediate_mode` (one batched
+matrix-vector product) does every step below it.  Neither is an einsum, so a
+descent takes no contraction engine; every intermediate it caches is in the
+rank-first layout of :mod:`repro.tensor.intermediate`.
 """
 
 from __future__ import annotations
@@ -80,7 +88,6 @@ def descend(
     tracker=None,
     ttm_category: str = "ttm",
     mttv_category: str = "mttv",
-    engine=None,
 ) -> np.ndarray:
     """Contract ``contraction_order`` away from a starting intermediate.
 
@@ -122,11 +129,11 @@ def descend(
         factor = factors[mode]
         if is_raw_tensor:
             array = first_contraction(array, factor, axis, tracker=tracker,
-                                      category=ttm_category, engine=engine)
+                                      category=ttm_category)
             is_raw_tensor = False
         else:
             array = contract_intermediate_mode(array, factor, axis, tracker=tracker,
-                                               category=mttv_category, engine=engine)
+                                               category=mttv_category)
         versions_used[mode] = versions[mode]
         remaining.pop(axis)
         if remaining:

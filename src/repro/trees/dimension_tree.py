@@ -8,7 +8,10 @@ modes inside ``S`` — the versioned cache makes that invariant explicit.  The
 leading-order per-sweep cost is two first-level TTMs, i.e. ``4 s^N R``.
 
 The control flow (cache lookup, binary-split descent order) lives in
-:mod:`repro.trees.amortized`; this module supplies the dense descent backend.
+:mod:`repro.trees.amortized`; this module supplies the dense descent backend,
+whose two kernels are BLAS calls on views of the tensor and of the rank-first
+intermediates (:mod:`repro.tensor.intermediate`) — the contraction engine the
+provider carries is not involved.
 The sparse twin over CSF fiber blocks is
 :class:`repro.trees.sparse_dt.SparseDimensionTreeMTTKRP`.
 """
@@ -26,7 +29,8 @@ __all__ = ["DenseTreeBackend", "DimensionTreeMTTKRP"]
 
 
 class DenseTreeBackend(AmortizedTreeMTTKRP):
-    """Dense descent backend: einsum TTM / batched multi-TTV contractions."""
+    """Dense descent backend: first-level TTM as a batched GEMM, every further
+    step as a batched matrix-vector product (:func:`repro.trees.descent.descend`)."""
 
     def _descend_from(
         self,
@@ -45,7 +49,6 @@ class DenseTreeBackend(AmortizedTreeMTTKRP):
             base_versions,
             order_list,
             tracker=self.tracker,
-            engine=self.engine,
         )
 
 

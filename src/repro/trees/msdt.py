@@ -8,7 +8,10 @@ factor ``A^(k)``, because that factor will not change again for the next
 ``N - 1`` mode updates, so the resulting root intermediate
 ``M^({1..N} \\ {k})`` serves all of them.  In steady state this is one
 first-level TTM per ``N - 1`` mode updates, i.e. ``N/(N-1)`` TTMs per sweep —
-the paper's leading-order cost ``2 N/(N-1) s^N R``.
+the paper's leading-order cost ``2 N/(N-1) s^N R``.  The root rotates through
+every mode, which is why :func:`~repro.tensor.ttm.first_contraction` has to
+cost the same GEMM for a middle mode as for the first or the last: with a
+transposed copy per middle-mode TTM the saved flops were not saved seconds.
 
 The produced MTTKRPs are *exactly* those of the standard algorithm (the same
 contractions with the same factor versions), so MSDT introduces no

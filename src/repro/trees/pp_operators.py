@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.backend import is_sparse_tensor
-from repro.contract import resolve_engine
 from repro.trees.base import MTTKRPProvider
 from repro.trees.cache import ContractionCache
 from repro.trees.descent import ascending_order, descend
@@ -143,7 +142,9 @@ class PairwiseOperators:
         (:func:`repro.trees.sparse_pp.build_semi_sparse_operators`) — when the
         ``provider`` is one of the sparse dimension trees, its versioned
         intermediate cache and pattern-only CSF structures are shared exactly
-        like the dense path shares the dense provider's cache.
+        like the dense path shares the dense provider's cache.  ``engine`` is
+        the contraction engine of those sparse descents; the dense descents
+        are BLAS calls on views and use none.
         """
         sparse = is_sparse_tensor(tensor)
         if not sparse:
@@ -208,13 +209,10 @@ class PairwiseOperators:
             cache = provider.cache
             versions: Sequence[int] = provider.versions
             work_factors = provider.factors
-            if engine is None:
-                engine = provider.engine
         else:
             cache = ContractionCache(max_bytes=max_cache_bytes)
             versions = [0] * order
             work_factors = factors
-        engine = resolve_engine(engine)
 
         def _compute(targets: set[int]) -> np.ndarray:
             start = cache.find_valid(versions, targets)
@@ -237,7 +235,6 @@ class PairwiseOperators:
                 base_versions,
                 order_list,
                 tracker=tracker,
-                engine=engine,
             )
 
         pair_ops: dict[tuple[int, int], np.ndarray] = {}

@@ -80,7 +80,8 @@ def make_provider(
     :mod:`repro.trees.sparse_dt`; ``"sparse"`` / ``"coo"`` select the
     ``O(nnz R N)`` recompute kernel explicitly.  ``engine`` is the shared
     :class:`~repro.contract.ContractionEngine` used for every einsum the
-    provider issues (defaults to the process-wide one).
+    provider issues (defaults to the process-wide one; the dense ``dt`` /
+    ``msdt`` trees contract through BLAS and issue none).
 
     ``kernel`` selects the sparse kernel backend
     (:func:`repro.sparse.kernels.get_kernel` names; ``None`` keeps the default

@@ -2,7 +2,10 @@
 
 Covers plan-cache hit/miss accounting, ``out=`` buffer reuse, CostTracker
 reporting, and parity of every migrated kernel against a plain ``np.einsum``
-oracle on random order-3/4/5 tensors.
+oracle on random order-3/4/5 tensors.  The dense tree kernels
+(``first_contraction``, ``contract_intermediate_mode`` and the dense
+``first_order_correction``) are BLAS calls, not einsums: they keep their
+parity checks here and are asserted *not* to reach the engine.
 """
 
 from __future__ import annotations
@@ -214,19 +217,15 @@ class TestKernelPlanReuse:
 
     def test_every_migrated_kernel_hits_on_second_call(self):
         tensor, factors = _random_problem((5, 4, 3), rank=3, seed=6)
-        intermediate = np.random.default_rng(7).random((5, 4, 3))
         kernels = [
             lambda eng: mttkrp(tensor, factors, 1, engine=eng),
             lambda eng: mttkrp_unfolding(tensor, factors, 1, engine=eng),
             lambda eng: partial_mttkrp(tensor, factors, [0, 2], engine=eng),
             lambda eng: ttv(tensor, factors[1][:, 0], 1, engine=eng),
             lambda eng: ttm(tensor, factors[0].T, 0, engine=eng),
-            lambda eng: first_contraction(tensor, factors[2], 2, engine=eng),
-            lambda eng: contract_intermediate_mode(intermediate, factors[1], 1, engine=eng),
             lambda eng: khatri_rao([factors[0], factors[1]], engine=eng),
             lambda eng: gram_matrix(factors[0], engine=eng),
             lambda eng: delta_gram(factors[0], factors[0], engine=eng),
-            lambda eng: first_order_correction(intermediate, factors[1], engine=eng),
         ]
         for kernel in kernels:
             engine = ContractionEngine()
@@ -235,25 +234,35 @@ class TestKernelPlanReuse:
             info = engine.cache_info()
             assert info["hits"] >= 1, f"no plan-cache hit for {kernel}"
 
-    def test_every_provider_honors_injected_engine(self):
-        from repro.trees.registry import available_providers, make_provider
+    def test_every_einsum_provider_honors_injected_engine(self):
+        from repro.sparse import CooTensor
+        from repro.trees.registry import make_provider
 
         tensor, factors = _random_problem((5, 4, 3), rank=3, seed=9)
-        for name in available_providers():
+        sparse = CooTensor.from_dense(tensor)
+        cases = [("naive", tensor), ("unfolding", tensor)] + [
+            (name, sparse) for name in ("sparse", "unfolding", "dt", "msdt")]
+        for name, data in cases:
             engine = ContractionEngine()
-            provider = make_provider(name, tensor, [f.copy() for f in factors],
+            provider = make_provider(name, data, [f.copy() for f in factors],
                                      engine=engine)
             provider.mttkrp(0)
             assert engine.cache_info()["calls"] >= 1, (
                 f"provider {name!r} bypassed its injected engine"
             )
 
-    def test_provider_sweep_reuses_plans_across_sweeps(self):
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense-naive", "sparse-dt"])
+    def test_provider_sweep_reuses_plans_across_sweeps(self, sparse):
+        from repro.sparse import CooTensor
         from repro.trees.registry import make_provider
 
         engine = ContractionEngine()
         tensor, factors = _random_problem((6, 5, 4), rank=3, seed=8)
-        provider = make_provider("dt", tensor, factors, engine=engine)
+        if sparse:
+            provider = make_provider("dt", CooTensor.from_dense(tensor), factors,
+                                     engine=engine)
+        else:
+            provider = make_provider("naive", tensor, factors, engine=engine)
         for _ in range(3):
             for mode in range(3):
                 result = provider.mttkrp(mode)
@@ -263,6 +272,33 @@ class TestKernelPlanReuse:
         stats = provider.cache_stats()
         assert stats["plan_cache"]["hits"] >= 1
         assert stats["plan_cache"]["misses"] >= 1
+
+    def test_dense_tree_kernels_never_reach_the_engine(self):
+        """The dense ``dt``/``msdt`` sweeps, the dense PP operator build and
+        the dense first-order correction are BLAS calls on views: neither an
+        injected engine nor the process-wide one sees a single spec."""
+        from repro.trees.pp_operators import PairwiseOperators
+        from repro.trees.registry import make_provider
+
+        tensor, factors = _random_problem((6, 5, 4, 3), rank=3, seed=8)
+        default = reset_default_engine()
+        for name in ("dt", "msdt"):
+            injected = ContractionEngine()
+            provider = make_provider(name, tensor, [f.copy() for f in factors],
+                                     engine=injected)
+            for mode in range(tensor.ndim):
+                got = provider.mttkrp(mode)
+                np.testing.assert_allclose(
+                    got, _oracle_mttkrp(tensor, provider.factors, mode), atol=1e-10)
+                provider.set_factor(mode, got / (np.linalg.norm(got) + 1.0))
+            operators = PairwiseOperators.build(tensor, provider.factors,
+                                                provider=provider)
+            first_order_correction(operators.pair_operator(2, 0), factors[0])
+            assert injected.cache_info()["specs"] == 0
+        # (an order-4 array whose last extent is the rank is an intermediate)
+        first_contraction(tensor, factors[1], 1)
+        contract_intermediate_mode(tensor, factors[1], 1)
+        assert default.cache_info()["specs"] == 0
 
 
 # -- migrated kernels vs the np.einsum oracle -------------------------------

@@ -48,6 +48,33 @@ class TestFirstOrderCorrection:
         with pytest.raises(ValueError):
             first_order_correction(rng.random((4, 5)), rng.random((5, 2)))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_dense_operators_in_both_orientations(self, rng, dtype):
+        """Operators as the dense PP build leaves them, used as ``(mode, other)``
+        and as the transposed ``(other, mode)`` view, into every ``out=`` form."""
+        tensor = rng.random((5, 4, 6, 3)).astype(dtype)
+        factors = [rng.random((s, 2)).astype(dtype) for s in tensor.shape]
+        operators = PairwiseOperators.build(tensor, factors)
+        tol = 1e-4 if dtype == np.float32 else 1e-12
+        for mode, other in [(0, 2), (2, 0), (3, 1), (1, 3)]:
+            operator = operators.pair_operator(mode, other)
+            delta = rng.random((tensor.shape[other], 2)).astype(dtype)
+            expected = np.einsum("xyk,yk->xk", operator, delta)
+            plain = first_order_correction(operator, delta)
+            assert plain.dtype == dtype
+            np.testing.assert_allclose(plain, expected, rtol=tol, atol=tol)
+            buffer = np.full((tensor.shape[mode], 2), 7.0, dtype=dtype)
+            assert first_order_correction(operator, delta, out=buffer) is buffer
+            np.testing.assert_allclose(buffer, expected, rtol=tol, atol=tol)
+            assert first_order_correction(operator, delta, out=buffer,
+                                          accumulate=True) is buffer
+            np.testing.assert_allclose(buffer, 2 * expected, rtol=tol, atol=tol)
+
+    def test_accumulate_needs_a_buffer(self, rng):
+        with pytest.raises(ValueError, match="requires an out= buffer"):
+            first_order_correction(rng.random((4, 5, 2)), rng.random((5, 2)),
+                                   accumulate=True)
+
 
 class TestSecondOrderCorrection:
     def test_matches_bruteforce_formula(self, rng):

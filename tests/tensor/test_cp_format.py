@@ -33,6 +33,23 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(factors, weights=np.ones(3))
 
+    @pytest.mark.parametrize("shape", [(6, 5, 4, 3), (8, 8, 8, 8), (5, 4, 3, 2, 3)])
+    def test_result_is_c_contiguous_with_einsum_values(self, rng, shape):
+        """einsum's optimised path returns these shapes with permuted strides;
+        consumers must not each pay a strided copy, and the values stay
+        bit-identical to what einsum computed."""
+        factors = [rng.random((s, 3)) for s in shape]
+        letters = "abcde"[:len(shape)]
+        spec = ",".join(c + "r" for c in letters) + "->" + letters
+        for full in (reconstruct(factors), CPTensor(factors).full()):
+            assert full.flags.c_contiguous and full.flags.writeable
+            assert np.array_equal(full, np.einsum(spec, *factors, optimize=True))
+
+    def test_collinearity_tensor_is_c_contiguous(self):
+        from repro.data.collinearity import collinearity_tensor
+
+        assert collinearity_tensor((8, 8, 8, 8), 4, seed=0).tensor.flags.c_contiguous
+
 
 class TestCPTensor:
     def test_properties(self, factors3):

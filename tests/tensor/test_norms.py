@@ -19,6 +19,27 @@ class TestBasicNorms:
     def test_tensor_norm_matches_numpy(self, small_tensor3):
         assert np.isclose(tensor_norm(small_tensor3), np.linalg.norm(small_tensor3))
 
+    @pytest.mark.parametrize("layout", ["transposed", "fortran", "c"])
+    def test_tensor_norm_copies_nothing_for_any_memory_order(self, rng, layout):
+        """An array contiguous in *some* axis order is flattened as a view:
+        the tracemalloc peak stays far below one tensor (it was a full
+        C-order copy for a transposed input)."""
+        import tracemalloc
+
+        base = rng.random((20, 20, 20, 20))
+        tensor = {"transposed": base.transpose(2, 0, 3, 1),
+                  "fortran": np.asfortranarray(base), "c": base}[layout]
+        expected = float(np.sqrt(np.sum(base * base)))
+        tensor_norm(tensor)
+        tracemalloc.start()
+        try:
+            got = tensor_norm(tensor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert peak < tensor.nbytes // 100
+
     def test_inner_product(self, rng):
         a, b = rng.random((3, 4, 5)), rng.random((3, 4, 5))
         assert np.isclose(inner_product(a, b), np.sum(a * b))

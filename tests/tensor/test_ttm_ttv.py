@@ -1,5 +1,7 @@
 """Tests for the TTM and (batched) TTV kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,66 @@ class TestContractIntermediateMode:
     def test_requires_rank_axis(self, rng):
         with pytest.raises(ValueError):
             contract_intermediate_mode(rng.random(5), rng.random((5, 2)), axis=0)
+
+
+def _traced_peak(call):
+    """``(tracemalloc peak bytes, result)`` of a second, warm ``call()``."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+class TestDenseTreeKernelsCopyNothing:
+    """The two tree kernels read the tensor and the intermediate through views.
+
+    Their only allocation is the output buffer, for every mode and axis: a
+    transposed tensor-sized temporary (what einsum's two-operand path made for
+    every middle mode) would show as a peak of several outputs.
+    """
+
+    SLACK = 16 * 1024  # view objects, shape tuples, the (s, R) factor copy
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(0)
+        tensor = rng.random((24, 24, 24, 24))
+        factors = [rng.random((24, 8)) for _ in range(4)]
+        return tensor, factors
+
+    @pytest.mark.parametrize("mode", range(4))
+    def test_first_contraction_allocates_only_its_output(self, problem, mode):
+        tensor, factors = problem
+        peak, out = _traced_peak(lambda: first_contraction(tensor, factors[mode], mode))
+        assert out.nbytes == tensor.nbytes // 24 * 8
+        assert peak < out.nbytes + self.SLACK
+        assert np.allclose(out, np.tensordot(tensor, factors[mode], axes=(mode, 0)),
+                           rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("root", [0, 3])
+    @pytest.mark.parametrize("axis", range(3))
+    def test_mttv_allocates_only_its_output(self, problem, root, axis):
+        tensor, factors = problem
+        intermediate = first_contraction(tensor, factors[root], root)
+        peak, out = _traced_peak(
+            lambda: contract_intermediate_mode(intermediate, factors[1], axis))
+        assert out.nbytes == intermediate.nbytes // 24
+        assert peak < out.nbytes + self.SLACK
+
+    def test_pair_operator_correction_in_both_orientations(self, problem):
+        """``first_order_correction`` on a pair operator and on its transposed
+        view (the ``mode > other`` orientation) never copies the operator."""
+        from repro.core.pp_corrections import first_order_correction
+
+        tensor, factors = problem
+        pair = contract_intermediate_mode(
+            first_contraction(tensor, factors[0], 0), factors[1], 0)
+        for operator in (pair, np.transpose(pair, (1, 0, 2))):
+            peak, out = _traced_peak(lambda: first_order_correction(operator, factors[3]))
+            assert peak < pair.nbytes // 4  # no operator-sized temporary
+            assert np.allclose(out, np.einsum("xyk,yk->xk", operator, factors[3]),
+                               rtol=1e-12, atol=1e-12)
