@@ -37,13 +37,19 @@ def test_fig4_pp_speedup_vs_collinearity(benchmark, report):
     )
     report("fig4_collinearity_speedup", text)
 
-    # shape checks: PP never slows things down catastrophically in any bin and
-    # delivers a clear speed-up in at least one bin (the paper reports up to
-    # 1.8x; at container scale the per-sweep python overhead damps the gain
-    # for the bins that converge in very few sweeps — see EXPERIMENTS.md)
+    # the measured direction (20 repeat runs, one and two BLAS threads, on the
+    # 2-vCPU container): PP beats DT in the two bins of collinearity >= 0.6,
+    # medians 1.12-1.55x and 1.25-1.46x (the paper reports up to 1.8x at
+    # 1600^3), because an approximated sweep costs ~0.30 ms against the ~0.45
+    # ms of an exact one at this size; below 0.4 a run converges in a dozen
+    # sweeps, too few to pay back the PP initializations, and PP takes
+    # 0.65-1.05x the time of DT.  (While the R x R algebra of a sweep still
+    # went through the einsum engine an approximated sweep cost more than an
+    # exact one here and no bin reached 1.0: medians 0.56-1.09 in 20 runs.)
     medians = [r.median_speedup for r in results]
-    assert all(m > 0.4 for m in medians)
+    assert all(m > 0.5 for m in medians)
     assert max(medians) > 1.2
+    assert min(medians[-2:]) > 1.0
     # and PP must reach essentially the same fitness as the DT baseline
     for result in results:
         for fit_dt, fit_pp in zip(result.final_fitness_baseline, result.final_fitness_pp):

@@ -4,19 +4,23 @@ These time one full sweep of MTTKRPs for each engine on a single process so
 the relative kernel costs (naive vs DT vs MSDT, and the PP approximated
 update) can be inspected directly with pytest-benchmark's own statistics.
 The last rows time the hot loops against what they replaced: the sparse trees'
-segmented-sum operator against ``np.add.reduceat``, and the two dense tree
+segmented-sum operator against ``np.add.reduceat``, the two dense tree
 kernels (batched GEMM / matrix-vector products on views) against
-``np.einsum(..., optimize=True)``, per mode and per axis (information only,
-nothing is gated but the equality of the results).
+``np.einsum(..., optimize=True)``, per mode and per axis, and the pieces of a
+PP approximated sweep (Eq. 5's first-order assembly, the normal-equations
+solve, the Gram matrix) against the per-pair einsum, SciPy's
+``cho_factor``/``cho_solve`` wrappers and the einsum they were (information
+only, nothing is gated but the equality of the results).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import BENCH_TINY
 
-from repro.core.pp_corrections import first_order_correction
+from repro.core.normal_equations import gram_matrix, solve_normal_equations
 from repro.sparse.csf import SegmentSum
 from repro.tensor.ttm import first_contraction
 from repro.tensor.ttv import contract_intermediate_mode
@@ -52,23 +56,37 @@ def test_engine_sweep_time(benchmark, workload, engine):
     benchmark(_sweep, provider)
 
 
-def test_pp_approximated_sweep_time(benchmark, workload):
-    tensor, factors = workload
+def _first_order_oracle(operators, mode, deltas):
+    """Eq. (5) up to first order, one ``np.einsum`` per pair."""
+    out = operators.single(mode).copy()
+    for other in range(operators.order):
+        if other != mode:
+            out += np.einsum("xyk,yk->xk", operators.pair_operator(mode, other),
+                             deltas[other])
+    return out
+
+
+@pytest.mark.parametrize("shape", ["order3", "harness"])
+@pytest.mark.parametrize("kind", ["first-order-mttkrp", "per-pair-einsum-oracle"])
+def test_pp_approximated_sweep_time(benchmark, workload, tree_workload, kind, shape):
+    """The first-order assembly of one approximated sweep (all modes), at the
+    engine-sweep shape above and at the harness's dense workload."""
+    tensor, factors = workload if shape == "order3" else tree_workload
+    order = tensor.ndim
     operators = PairwiseOperators.build(tensor, factors)
     deltas = [1e-3 * f for f in factors]
+    workspaces = [np.empty_like(f) for f in factors]
 
     def _approx_sweep():
-        out = None
-        for mode in range(3):
-            out = operators.single(mode).copy()
-            for other in range(3):
-                if other != mode:
-                    out += first_order_correction(
-                        operators.pair_operator(mode, other), deltas[other]
-                    )
-        return out
+        if kind == "first-order-mttkrp":
+            return [operators.first_order_mttkrp(mode, deltas, out=workspaces[mode])
+                    for mode in range(order)]
+        return [_first_order_oracle(operators, mode, deltas) for mode in range(order)]
 
-    benchmark(_approx_sweep)
+    result = benchmark(_approx_sweep)
+    for mode in range(order):
+        assert np.allclose(result[mode], _first_order_oracle(operators, mode, deltas),
+                           rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_rows", [64, 100_000], ids=["tiny", "1e5-rows"])
@@ -130,3 +148,29 @@ def test_contract_intermediate_mode_time(benchmark, tree_workload, kind, axis):
     result = benchmark(kernel, intermediate, factors[axis + 1], axis)
     assert np.allclose(result, _mttv_oracle(intermediate, factors[axis + 1], axis),
                        rtol=1e-12, atol=1e-12)
+
+
+def _cholesky_oracle(gamma, rhs):
+    chol = scipy.linalg.cho_factor(gamma, lower=True, check_finite=False)
+    return scipy.linalg.cho_solve(chol, rhs.T, check_finite=False).T
+
+
+@pytest.mark.parametrize("kind", ["potrf-potrs", "cho-factor-solve-oracle"])
+def test_solve_normal_equations_time(benchmark, tree_workload, kind):
+    """One mode's solve at the harness shape (32 x 16 against a 16 x 16 Gamma)."""
+    _, factors = tree_workload
+    gamma = factors[1].T @ factors[1] + np.eye(_RANK)
+    rhs = np.asfortranarray(factors[0])  # the trees hand the MTTKRP out rank-first
+    solver = solve_normal_equations if kind == "potrf-potrs" else _cholesky_oracle
+    result = benchmark(solver, gamma, rhs)
+    assert np.allclose(result, _cholesky_oracle(gamma, rhs), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["matmul", "einsum-oracle"])
+def test_gram_matrix_time(benchmark, tree_workload, kind):
+    _, factors = tree_workload
+    if kind == "matmul":
+        result = benchmark(gram_matrix, factors[0])
+    else:
+        result = benchmark(np.einsum, "ar,as->rs", factors[0], factors[0], optimize=True)
+    assert np.allclose(result, factors[0].T @ factors[0], rtol=1e-12, atol=1e-12)

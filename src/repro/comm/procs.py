@@ -193,24 +193,16 @@ class _WorkerState:
 
     def pp_contrib(self, mode: int, accumulator: np.ndarray,
                    group_size: int) -> int:
-        from repro.core.pp_corrections import first_order_correction
-
         if self.operators is None or self.checkpoint is None:
             raise RuntimeError("pp_contrib before pp_build")
-        ops = self.operators
-        order = self.provider.order
-        t0 = time.perf_counter()
-        local = ops.single(mode).copy()
-        self.tracker.add_seconds("others", time.perf_counter() - t0)
-        for other in range(order):
-            if other == mode:
-                continue
-            delta = self.provider.factors[other] - self.checkpoint[other]
-            first_order_correction(
-                ops.pair_operator(mode, other), delta,
-                tracker=self.tracker, out=local, accumulate=True,
-                kernel=getattr(self.provider, "kernel", None),
-            )
+        local = self.operators.first_order_mttkrp(
+            mode,
+            [None if other == mode else factor - checkpoint
+             for other, (factor, checkpoint)
+             in enumerate(zip(self.provider.factors, self.checkpoint))],
+            tracker=self.tracker,
+            kernel=getattr(self.provider, "kernel", None),
+        )
         factor_block = self.provider.factors[mode]
         t0 = time.perf_counter()
         v_block = factor_block @ accumulator

@@ -34,7 +34,7 @@ from repro.core.parallel_common import (
     zero_delta_factors,
 )
 from repro.core.options import ParallelPPOptions, resolve_options
-from repro.core.pp_corrections import first_order_correction, pp_step_within_tolerance
+from repro.core.pp_corrections import pp_step_within_tolerance, second_order_accumulator
 from repro.core.results import ParallelALSResult, ResultBase, SweepRecord
 from repro.distributed.dist_factor import DistributedFactor
 from repro.distributed.dist_tensor import DistributedTensor
@@ -104,28 +104,11 @@ def _pp_contributions(
     panels in place.
     """
     machine = state.machine
-    order = state.order
     rank_r = state.rank
 
     # second-order accumulator (R x R), identical on every rank (redundant compute)
     t0 = time.perf_counter()
-    accumulator = np.zeros((rank_r, rank_r))
-    hadamard_flops = 0
-    for i in range(order):
-        if i == mode:
-            continue
-        for j in range(i + 1, order):
-            if j == mode:
-                continue
-            term = delta_grams[i] * delta_grams[j]
-            hadamard_flops += rank_r * rank_r
-            for k in range(order):
-                if k in (i, j, mode):
-                    continue
-                term = term * grams[k]
-                hadamard_flops += rank_r * rank_r
-            accumulator += term
-            hadamard_flops += rank_r * rank_r
+    accumulator, hadamard_flops = second_order_accumulator(mode, grams, delta_grams)
     elapsed = time.perf_counter() - t0
     for proc in state.grid.ranks():
         tracker = machine.tracker(proc)
@@ -159,23 +142,13 @@ def _pp_contributions(
         if proc in remote:
             continue
         tracker = machine.tracker(proc)
-        ops = local_operators[proc]
-        t0 = time.perf_counter()
-        local = ops.single(mode).copy()
-        elapsed = time.perf_counter() - t0
-        tracker.add_seconds("others", elapsed)
-        for other in range(order):
-            if other == mode:
-                continue
-            # fused: the correction accumulates straight into this rank's
-            # Mtilde block (no per-pair temporary)
-            first_order_correction(
-                ops.pair_operator(mode, other),
-                delta_factors[other].local_block_for(proc),
-                tracker=tracker,
-                out=local, accumulate=True,
-                kernel=getattr(state.providers[proc], "kernel", None),
-            )
+        local = local_operators[proc].first_order_mttkrp(
+            mode,
+            [None if other == mode else df.local_block_for(proc)
+             for other, df in enumerate(delta_factors)],
+            tracker=tracker,
+            kernel=getattr(state.providers[proc], "kernel", None),
+        )
         # this rank's share of V^(mode): rows of its factor block times the
         # accumulator, divided by the slice size so the Reduce-Scatter sum
         # contributes V exactly once

@@ -8,6 +8,15 @@ where the first-order corrections ``U^(n,i)`` contract the pairwise operators
 ``M_p^(n,i)`` against the factor steps ``dA^(i)`` (Eq. 6) and the second-order
 correction ``V^(n)`` only involves ``R x R`` Hadamard products and one small
 matrix product (Eq. 7).
+
+What runs where: the sum ``M_p^(n) + sum_i U^(n,i)`` is assembled by
+:meth:`repro.trees.pp_operators.PairwiseOperators.first_order_mttkrp`, the one
+place that knows how the operators are laid out (:func:`first_order_correction`
+is the single-pair kernel, kept for callers that hold one operator);
+:func:`second_order_accumulator` is the one spelling of Eq. (7)'s ``R x R``
+sum, shared with the parallel driver; :func:`delta_gram` and the last product
+of Eq. (7) are plain ``@`` (BLAS), not einsum-engine calls — at these sizes
+the engine's per-call parsing is ten times the arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.contract import resolve_engine
 from repro.tensor.ttv import contract_intermediate_mode
 from repro.trees.sparse_pp import OrientedPairOperator, SemiSparsePairOperator
 
@@ -25,13 +33,13 @@ __all__ = [
     "delta_gram",
     "first_order_correction",
     "fused_approx_update",
+    "second_order_accumulator",
     "second_order_correction",
     "pp_step_within_tolerance",
 ]
 
 
-def delta_gram(factor: np.ndarray, delta_factor: np.ndarray, tracker=None,
-               engine=None) -> np.ndarray:
+def delta_gram(factor: np.ndarray, delta_factor: np.ndarray, tracker=None) -> np.ndarray:
     """``dS^(i) = A^(i)^T dA^(i)`` (Eq. 8)."""
     factor = np.asarray(factor)
     delta_factor = np.asarray(delta_factor)
@@ -39,14 +47,14 @@ def delta_gram(factor: np.ndarray, delta_factor: np.ndarray, tracker=None,
         raise ValueError(
             f"factor and delta factor shapes differ: {factor.shape} vs {delta_factor.shape}"
         )
-    eng = resolve_engine(engine)
+    if tracker is None:
+        return factor.T @ delta_factor
     start = time.perf_counter()
-    out = eng.contract("ar,as->rs", factor, delta_factor)
+    out = factor.T @ delta_factor
     elapsed = time.perf_counter() - start
-    if tracker is not None:
-        rows, rank = factor.shape
-        tracker.add_flops("others", 2 * rows * rank * rank)
-        tracker.add_seconds("others", elapsed)
+    rows, rank = factor.shape
+    tracker.add_flops("others", 2 * rows * rank * rank)
+    tracker.add_seconds("others", elapsed)
     return out
 
 
@@ -78,9 +86,8 @@ def first_order_correction(
     densifying the operator, through ``engine``.
 
     ``accumulate=True`` adds the correction into the caller's ``out`` buffer
-    instead of overwriting it — the fused approximated step
-    (:func:`fused_approx_update`) assembles Eq. (5) this way.  A compiled
-    ``kernel`` collapses the semi-sparse case into one scatter loop.
+    instead of overwriting it.  A compiled ``kernel`` collapses the
+    semi-sparse case into one scatter loop.
     """
     if isinstance(pair_operator, SemiSparsePairOperator):
         # a raw operator's orientation is ambiguous whenever s_i == s_j (no
@@ -128,45 +135,65 @@ def fused_approx_update(
     gamma: np.ndarray,
     rule,
     tracker=None,
-    engine=None,
     out: np.ndarray | None = None,
     kernel=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One fused PP approximated step for ``mode``: assemble Eq. (5) and solve.
 
-    The approximated MTTKRP ``Mtilde^(mode)`` is built in a single workspace —
-    the checkpoint MTTKRP ``M_p^(mode)`` is copied in, each first-order
-    correction ``U^(mode,i)`` (Eq. 6) is accumulated *in place* (no per-pair
-    temporary array), the second-order correction ``V^(mode)`` (Eq. 7) is
-    added — and the mode's normal equations are solved immediately through
-    ``rule.update_rows`` against ``gamma``.  Pass a preallocated ``out``
-    (shape ``(s_mode, R)``) to reuse the workspace across sweeps.
-
-    With a compiled ``kernel`` the semi-sparse corrections each run as one
-    fused scatter loop
-    (:meth:`~repro.sparse.kernels.KernelBackend.pair_accumulate`).
+    The approximated MTTKRP ``Mtilde^(mode)`` is built in a single workspace:
+    :meth:`~repro.trees.pp_operators.PairwiseOperators.first_order_mttkrp`
+    writes ``M_p^(mode) + sum_i U^(mode,i)`` (Eq. 6) into it, the second-order
+    correction ``V^(mode)`` (Eq. 7) is added, and the mode's normal equations
+    are solved immediately through ``rule.update_rows`` against ``gamma``.
+    Pass a preallocated ``out`` (shape ``(s_mode, R)``) to reuse the workspace
+    across sweeps; ``kernel`` is the sparse kernel backend of the semi-sparse
+    operators (dense ones take none).
 
     Returns ``(updated_factor, mtilde)``; ``mtilde`` aliases ``out`` when one
-    was given.  With the default ``kernel=None`` the assembly performs exactly
-    the additions of the unfused spelling in the same order, so iterates are
-    bit-identical.
+    was given.
     """
-    single = operators.single(mode)
-    if out is None:
-        out = np.empty_like(single)
-    np.copyto(out, single)
-    for other in range(len(delta_factors)):
-        if other == mode:
-            continue
-        first_order_correction(
-            operators.pair_operator(mode, other), delta_factors[other],
-            tracker=tracker, engine=engine, out=out, accumulate=True,
-            kernel=kernel,
-        )
-    out += second_order_correction(mode, factor, grams, delta_grams,
-                                   tracker=tracker, engine=engine)
+    out = operators.first_order_mttkrp(mode, delta_factors, out=out,
+                                       tracker=tracker, kernel=kernel)
+    out += second_order_correction(mode, factor, grams, delta_grams, tracker=tracker)
     updated = rule.update_rows(mode, gamma, out, factor, tracker=tracker)
     return updated, out
+
+
+def second_order_accumulator(
+    mode: int,
+    grams: Sequence[np.ndarray],
+    delta_grams: Sequence[np.ndarray],
+) -> tuple[np.ndarray, int]:
+    """The ``R x R`` sum of Eq. (7) and the Hadamard flops the model charges for it.
+
+    ``sum_{i<j, i,j != n} dS^(i) * dS^(j) * (*_{k != i,j,n} S^(k))`` is the
+    ``t^2`` coefficient of ``prod_{k != n} (S^(k) + t dS^(k))``, so it is
+    accumulated factor by factor, carrying the product truncated after
+    ``t^2``: ``O(N)`` Hadamard products where the sum written out takes
+    ``O(N^3)``.  The flop count returned is that of the written-out sum
+    (``N - 1`` products per pair), which is what Table I prices.
+    """
+    order = len(grams)
+    if len(delta_grams) != order:
+        raise ValueError("grams and delta_grams must have equal length")
+    if not 0 <= mode < order:
+        raise ValueError(f"mode {mode} out of range for order {order}")
+    others = [k for k in range(order) if k != mode]
+    if len(others) < 2:
+        raise ValueError("the second-order correction needs at least three modes")
+    # coefficients of 1, t and t^2 of the product over the modes seen so far
+    zeroth = np.asarray(grams[others[0]])
+    first = np.asarray(delta_grams[others[0]])
+    second = None
+    for position, k in enumerate(others[1:], start=2):
+        gram = np.asarray(grams[k])
+        delta = np.asarray(delta_grams[k])
+        second = first * delta if second is None else second * gram + first * delta
+        if position < len(others):
+            first = first * gram + zeroth * delta
+            zeroth = zeroth * gram
+    n_pairs = len(others) * (len(others) - 1) // 2
+    return second, n_pairs * (order - 1) * second.size
 
 
 def second_order_correction(
@@ -175,44 +202,22 @@ def second_order_correction(
     grams: Sequence[np.ndarray],
     delta_grams: Sequence[np.ndarray],
     tracker=None,
-    engine=None,
 ) -> np.ndarray:
     """``V^(n)`` of Eq. (7): the second-order subproblem correction.
 
     ``V^(n) = A^(n) ( sum_{i<j, i,j != n} dS^(i) * dS^(j) * (*_{k != i,j,n} S^(k)) )``
 
     All matrices involved are ``R x R`` except the final product with
-    ``A^(n)``, so the cost is ``O(N^2 R^2 + s R^2)`` per mode.
+    ``A^(n)``, so the cost is ``O(N R^2 + s R^2)`` per mode.
     """
     factor = np.asarray(factor)
-    order = len(grams)
-    if len(delta_grams) != order:
-        raise ValueError("grams and delta_grams must have equal length")
-    if not 0 <= mode < order:
-        raise ValueError(f"mode {mode} out of range for order {order}")
-    rank = factor.shape[1]
-    start = time.perf_counter()
-    accumulator = np.zeros((rank, rank))
-    hadamard_flops = 0
-    for i in range(order):
-        if i == mode:
-            continue
-        for j in range(i + 1, order):
-            if j == mode:
-                continue
-            term = np.asarray(delta_grams[i]) * np.asarray(delta_grams[j])
-            hadamard_flops += rank * rank
-            for k in range(order):
-                if k in (i, j, mode):
-                    continue
-                term = term * np.asarray(grams[k])
-                hadamard_flops += rank * rank
-            accumulator += term
-            hadamard_flops += rank * rank
-    eng = resolve_engine(engine)
-    correction = eng.contract("ir,rs->is", factor, accumulator)
-    elapsed = time.perf_counter() - start
     if tracker is not None:
+        start = time.perf_counter()
+    accumulator, hadamard_flops = second_order_accumulator(mode, grams, delta_grams)
+    correction = factor @ accumulator
+    if tracker is not None:
+        elapsed = time.perf_counter() - start
+        rank = factor.shape[1]
         tracker.add_flops("hadamard", hadamard_flops)
         tracker.add_flops("others", 2 * factor.shape[0] * rank * rank)
         tracker.add_seconds("hadamard", elapsed / 2.0)

@@ -166,6 +166,9 @@ def pp_cp_als(
             operators = PairwiseOperators.build(
                 tensor, checkpoint, tracker=tracker, provider=provider
             )
+            # dS^(i) = A^(i)^T dA^(i) (Eq. 8) is refreshed after each mode
+            # update and carried from one approximated sweep to the next
+            delta_grams = [np.zeros_like(g) for g in grams]
             elapsed = time.perf_counter() - phase_start
             cumulative += elapsed
             total_sweeps += 1
@@ -190,10 +193,6 @@ def pp_cp_als(
                 grams_backup = [g.copy() for g in grams]
                 delta_backup = [d.copy() for d in delta_factors]
                 last_mttkrp_approx: np.ndarray | None = None
-                delta_grams = [
-                    delta_gram(provider.factors[i], delta_factors[i], tracker=tracker)
-                    for i in range(order)
-                ]
                 for mode in range(order):
                     gamma = gamma_chain(grams, mode, tracker=tracker)
                     updated, approx = fused_approx_update(

@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.initialization import init_factors
-from repro.core.pp_corrections import first_order_correction
 from repro.costs.mttkrp_costs import TABLE1_METHODS, mttkrp_costs_for
 from repro.machine.cost_tracker import CostTracker
 from repro.machine.params import MachineParams
@@ -97,12 +96,6 @@ def measured_mttkrp_flops_per_sweep(
     tracker = CostTracker()
     deltas = [1e-3 * np.asarray(f) for f in factors]
     for mode in range(order):
-        approx = operators.single(mode).copy()
-        for other in range(order):
-            if other == mode:
-                continue
-            approx += first_order_correction(
-                operators.pair_operator(mode, other), deltas[other], tracker=tracker
-            )
+        operators.first_order_mttkrp(mode, deltas, tracker=tracker)
     results["pp-approx"] = _contraction_flops(tracker)
     return results

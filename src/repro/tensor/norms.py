@@ -14,6 +14,10 @@ inside the square root; the standard identity
 
 is implemented here, which is what the paper's referenced implementations
 compute.)
+
+The residual is evaluated once per sweep of every driver on ``R x R`` and
+``s x R`` operands, so it is plain NumPy: Hadamard products and one BLAS dot
+product (:func:`inner_product`), nothing through the einsum engine.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.contract import resolve_engine
 from repro.tensor.products import hadamard_all_but
 
 __all__ = [
@@ -51,14 +54,13 @@ def tensor_norm(tensor) -> float:
     return float(np.linalg.norm(np.asarray(tensor).ravel(order="K")))
 
 
-def inner_product(a: np.ndarray, b: np.ndarray, engine=None) -> float:
-    """Frobenius inner product of two equal-shaped arrays."""
+def inner_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius inner product of two equal-shaped (real) arrays: one BLAS dot."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"inner_product shapes differ: {a.shape} vs {b.shape}")
-    eng = resolve_engine(engine)
-    return float(eng.contract("a,a->", a.ravel(), b.ravel()))
+    return float(np.dot(a.ravel(), b.ravel()))
 
 
 def cp_norm_squared(factors: Sequence[np.ndarray], grams: Sequence[np.ndarray] | None = None) -> float:

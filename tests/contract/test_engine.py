@@ -4,8 +4,10 @@ Covers plan-cache hit/miss accounting, ``out=`` buffer reuse, CostTracker
 reporting, and parity of every migrated kernel against a plain ``np.einsum``
 oracle on random order-3/4/5 tensors.  The dense tree kernels
 (``first_contraction``, ``contract_intermediate_mode`` and the dense
-``first_order_correction``) are BLAS calls, not einsums: they keep their
-parity checks here and are asserted *not* to reach the engine.
+``first_order_correction``) and the ``R x R`` algebra around them
+(``gram_matrix``, ``delta_gram``, ``inner_product``, the solve, Eq. 7) are
+BLAS/LAPACK calls, not einsums: they keep their parity checks here and whole
+dense ``cp_als`` / ``pp_cp_als`` runs are asserted *not* to reach the engine.
 """
 
 from __future__ import annotations
@@ -224,8 +226,6 @@ class TestKernelPlanReuse:
             lambda eng: ttv(tensor, factors[1][:, 0], 1, engine=eng),
             lambda eng: ttm(tensor, factors[0].T, 0, engine=eng),
             lambda eng: khatri_rao([factors[0], factors[1]], engine=eng),
-            lambda eng: gram_matrix(factors[0], engine=eng),
-            lambda eng: delta_gram(factors[0], factors[0], engine=eng),
         ]
         for kernel in kernels:
             engine = ContractionEngine()
@@ -276,7 +276,13 @@ class TestKernelPlanReuse:
     def test_dense_tree_kernels_never_reach_the_engine(self):
         """The dense ``dt``/``msdt`` sweeps, the dense PP operator build and
         the dense first-order correction are BLAS calls on views: neither an
-        injected engine nor the process-wide one sees a single spec."""
+        injected engine nor the process-wide one sees a single spec.  Nor do
+        whole dense driver runs, whose Gram matrices, solves, Eq. (7) and
+        residuals are plain BLAS/LAPACK: exact sweeps, ``pp-init`` and
+        approximated sweeps included."""
+        from repro.core.cp_als import cp_als
+        from repro.core.pp_cp_als import pp_cp_als
+        from repro.tensor.cp_format import random_cp_tensor
         from repro.trees.pp_operators import PairwiseOperators
         from repro.trees.registry import make_provider
 
@@ -298,6 +304,16 @@ class TestKernelPlanReuse:
         # (an order-4 array whose last extent is the rank is an intermediate)
         first_contraction(tensor, factors[1], 1)
         contract_intermediate_mode(tensor, factors[1], 1)
+        assert default.cache_info()["specs"] == 0
+
+        lowrank = random_cp_tensor((7, 6, 8, 5), rank=3, seed=11).full()
+        for name in ("dt", "msdt"):
+            exact = cp_als(lowrank, rank=3, n_sweeps=4, mttkrp=name, seed=0)
+            assert np.isfinite(exact.residual)
+            perturbed = pp_cp_als(lowrank, rank=3, n_sweeps=30, tol=1e-12,
+                                  pp_tol=0.3, mttkrp=name, seed=0)
+            types = {record.sweep_type for record in perturbed.sweeps}
+            assert types == {"als", "pp-init", "pp-approx"}
         assert default.cache_info()["specs"] == 0
 
 

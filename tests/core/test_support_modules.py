@@ -100,6 +100,70 @@ class TestNormalEquations:
         out = solve_normal_equations(gamma, rhs, ridge=1e-6)
         assert np.allclose(out, rhs, atol=1e-4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gamma_raises_instead_of_returning_nan(self, rng, bad):
+        """Regression: a NaN in Gamma used to come back as an all-NaN factor
+        (Cholesky failed, the pseudo-inverse fallback propagated it)."""
+        gamma = np.eye(4) + 0.1
+        gamma[2, 1] = gamma[1, 2] = bad
+        with pytest.raises(ValueError, match="Gamma is non-finite"):
+            solve_normal_equations(gamma, rng.random((5, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_last_diagonal_entry_raises(self, rng, bad):
+        gamma = np.eye(4) + 0.1
+        gamma[-1, -1] = bad
+        with pytest.raises(ValueError, match="Gamma is non-finite"):
+            solve_normal_equations(gamma, rng.random((5, 4)))
+
+    def test_rank_zero_solve_is_empty(self):
+        assert solve_normal_equations(np.zeros((0, 0)), np.zeros((3, 0))).shape == (3, 0)
+
+    def test_inf_in_the_mttkrp_is_caught_at_the_next_solve(self, rng):
+        """An inf in the right-hand side costs nothing to let through (the
+        solve returns a non-finite row) because the Gram matrix built from
+        that factor makes the next mode's solve raise."""
+        rhs = rng.random((5, 4))
+        rhs[2, 1] = np.inf
+        factor = solve_normal_equations(np.eye(4) + 0.1, rhs)
+        assert not np.isfinite(factor[2]).all()
+        assert np.isfinite(np.delete(factor, 2, axis=0)).all()
+        gamma = gram_matrix(factor) * (np.eye(4) + 0.1)
+        with pytest.raises(ValueError, match="Gamma is non-finite"):
+            solve_normal_equations(gamma, rng.random((6, 4)))
+
+    def test_singular_finite_gamma_still_takes_the_pseudo_inverse(self, rng):
+        rhs = rng.random((5, 4))
+        out = solve_normal_equations(np.ones((4, 4)), rhs)
+        np.testing.assert_allclose(out, rhs @ np.linalg.pinv(np.ones((4, 4))),
+                                   rtol=0, atol=1e-14)
+
+    def test_lapack_argument_error_raises(self, rng, monkeypatch):
+        from repro.core import normal_equations
+
+        monkeypatch.setattr(normal_equations, "dpotrf",
+                            lambda a, lower, clean: (a, -1))
+        with pytest.raises(ValueError, match="argument 1"):
+            solve_normal_equations(np.eye(3), rng.random((4, 3)))
+
+    def test_float32_inputs_get_the_float64_solve(self, rng):
+        """The drivers hand float32 MTTKRPs and Grams in and cast the result
+        back themselves: the solve is the float64 one on the promoted values."""
+        gamma = (np.eye(3) + 0.1).astype(np.float32)
+        rhs = rng.random((6, 3)).astype(np.float32)
+        out = solve_normal_equations(gamma, rhs)
+        assert out.dtype == np.float64
+        expected = solve_normal_equations(gamma.astype(np.float64),
+                                          rhs.astype(np.float64))
+        assert np.array_equal(out, expected)
+        np.testing.assert_allclose(out @ gamma.astype(np.float64), rhs, atol=1e-12)
+
+    def test_ridge_scale_is_relative_to_the_diagonal(self, rng):
+        gamma = 100.0 * np.eye(3)
+        rhs = rng.random((4, 3))
+        out = solve_normal_equations(gamma, rhs, ridge=0.5)
+        np.testing.assert_allclose(out, rhs / 150.0, atol=1e-14)
+
 
 class TestOptions:
     def test_als_options_validation(self):

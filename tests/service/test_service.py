@@ -119,12 +119,17 @@ class TestBurstParity:
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_cross_job_plan_cache_hits(self, tensor):
-        """Jobs share the process-wide ContractionEngine plan cache."""
+        """Jobs share the process-wide ContractionEngine plan cache.
+
+        Sparse input: its tree contractions still plan through the engine (a
+        dense job's sweeps are BLAS calls and reach it with no spec at all).
+        """
+        sparse = CooTensor.from_dense(tensor)
 
         async def main():
             async with DecompositionService(n_workers=2) as svc:
                 jobs = [
-                    await svc.submit(DecompositionRequest(tensor, rank=3, seed=s))
+                    await svc.submit(DecompositionRequest(sparse, rank=3, seed=s))
                     for s in range(4)
                 ]
                 for job in jobs:
