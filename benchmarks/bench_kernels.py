@@ -9,8 +9,10 @@ kernels (batched GEMM / matrix-vector products on views) against
 ``np.einsum(..., optimize=True)``, per mode and per axis, and the pieces of a
 PP approximated sweep (Eq. 5's first-order assembly, the normal-equations
 solve, the Gram matrix) against the per-pair einsum, SciPy's
-``cho_factor``/``cho_solve`` wrappers and the einsum they were (information
-only, nothing is gated but the equality of the results).
+``cho_factor``/``cho_solve`` wrappers and the einsum they were, and the
+sparse set-up (COO canonicalisation, a CSF layout, a fiber step) against the
+``np.lexsort`` spelling it had before ``repro.sparse.ordering.lex_order``
+(information only, nothing is gated but the equality of the results).
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import scipy.linalg
 from conftest import BENCH_TINY
 
 from repro.core.normal_equations import gram_matrix, solve_normal_equations
-from repro.sparse.csf import SegmentSum
+from repro.data.sparse_synthetic import sparse_skewed_count_tensor
+from repro.sparse import CooTensor, CsfTensor
+from repro.sparse.csf import SegmentSum, run_starts
 from repro.tensor.ttm import first_contraction
 from repro.tensor.ttv import contract_intermediate_mode
 from repro.trees.pp_operators import PairwiseOperators
@@ -174,3 +178,121 @@ def test_gram_matrix_time(benchmark, tree_workload, kind):
     else:
         result = benchmark(np.einsum, "ar,as->rs", factors[0], factors[0], optimize=True)
     assert np.allclose(result, factors[0].T @ factors[0], rtol=1e-12, atol=1e-12)
+
+
+# -- sparse set-up: one sort of a linearised key against np.lexsort -------------
+
+@pytest.fixture(scope="module")
+def sparse_workload():
+    """The harness's ``sparse3_skewed`` tensor (9.1e4 nnz), or a tiny one."""
+    if BENCH_TINY:
+        return sparse_skewed_count_tensor((30, 30, 30), 0.02, alpha=1.1, seed=1)
+    return sparse_skewed_count_tensor((800, 800, 800), 2.5e-4, alpha=1.1, seed=1)
+
+
+def _lexsort_canonicalise(indices, values, shape):
+    """``CooTensor.__init__``'s sort-and-sum as it was spelled (no validation)."""
+    order = np.lexsort(indices.T[::-1])
+    indices, values = indices[order], values[order]
+    keep = np.empty(indices.shape[0], dtype=bool)
+    keep[0] = True
+    np.any(indices[1:] != indices[:-1], axis=1, out=keep[1:])
+    if not keep.all():
+        values = np.add.reduceat(values, np.flatnonzero(keep))
+        indices = indices[keep]
+    return indices, values
+
+
+@pytest.mark.parametrize("entry", ["shuffled", "already-sorted", "5pct-duplicated"])
+@pytest.mark.parametrize("kind", ["lex-order", "lexsort-oracle"])
+def test_coo_canonicalise_time(benchmark, sparse_workload, kind, entry):
+    tensor = sparse_workload
+    rng = np.random.default_rng(0)
+    indices, values = tensor.indices, tensor.values
+    if entry == "5pct-duplicated":
+        again = rng.integers(0, tensor.nnz, size=tensor.nnz // 20)
+        indices = np.concatenate((indices, indices[again]))
+        values = np.concatenate((values, values[again]))
+    if entry != "already-sorted":
+        shuffle = rng.permutation(indices.shape[0])
+        indices, values = indices[shuffle], values[shuffle]
+    if kind == "lex-order":
+        built = benchmark(CooTensor, indices, values, tensor.shape)
+        result = built.indices, built.values
+    else:
+        result = benchmark(_lexsort_canonicalise, indices, values, tensor.shape)
+    expected = _lexsort_canonicalise(indices, values, tensor.shape)
+    assert np.array_equal(result[0], expected[0])
+    assert np.array_equal(result[1], expected[1])  # same sums, in the same order
+
+
+def _lexsort_layout(tensor, order):
+    """A CSF layout's permutation and per-level run offsets as they were built."""
+    perm = np.lexsort(tuple(tensor.indices[:, m] for m in reversed(order)))
+    cols = [tensor.indices[perm, m] for m in order]
+    changed = np.zeros(tensor.nnz - 1, dtype=bool)
+    starts = []
+    for col in cols:
+        np.logical_or(changed, col[1:] != col[:-1], out=changed)
+        starts.append(np.concatenate(([0], np.flatnonzero(changed) + 1)))
+    return perm, starts
+
+
+@pytest.mark.parametrize("order", [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)],
+                         ids=lambda order: "".join(map(str, order)))
+@pytest.mark.parametrize("kind", ["lex-order", "lexsort-oracle"])
+def test_csf_layout_time(benchmark, sparse_workload, kind, order):
+    """A cold layout build for each non-identity ordering (a ``dt`` request
+    on an order-3 tensor builds ``120``)."""
+    tensor = sparse_workload
+    perm, starts = _lexsort_layout(tensor, order)
+    if kind == "lex-order":
+        layout = benchmark(CsfTensor, tensor, order)
+        assert np.array_equal(layout.perm, perm)
+        for depth in range(3):
+            assert np.array_equal(layout.value_ptr(depth)[:-1], starts[depth])
+    else:
+        benchmark(_lexsort_layout, tensor, order)
+
+
+def _lexsort_fiber_step(fibers, pos, n_out):
+    """A fiber step's regrouping and sum operator as they were built."""
+    child_cols = np.delete(fibers, pos, axis=1)
+    n_parents, n_child = child_cols.shape
+    if pos == fibers.shape[1] - 1:
+        perm, cols = None, child_cols
+    else:
+        perm = np.lexsort(tuple(child_cols[:, j] for j in reversed(range(n_child))))
+        cols = child_cols[perm]
+    starts = run_starts([cols[:, j] for j in range(n_child)], n_parents)
+    if n_child == 1:
+        reduce = SegmentSum.scatter(child_cols[:, 0], n_out)
+    else:
+        reduce = SegmentSum(starts, n_parents, columns=perm, n_columns=n_parents)
+    return cols[starts], reduce
+
+
+@pytest.mark.parametrize("leaves", ["one-mode", "two-modes"])
+@pytest.mark.parametrize("kind", ["lex-order", "lexsort-oracle"])
+def test_fiber_step_build_time(benchmark, sparse_workload, kind, leaves):
+    """Contracting the leading mode out of the fibers over two modes (every
+    order-3 sweep does it twice: nothing is sorted any more) and over three."""
+    tensor = sparse_workload
+    modes = (0, 1) if leaves == "one-mode" else (0, 1, 2)
+    fibers = np.unique(tensor.indices[:, modes], axis=0)
+    if kind == "lex-order":
+        rng = np.random.default_rng(0)
+
+        def build():
+            provider = make_provider(
+                "dt", tensor, [rng.random((s, 2)) for s in tensor.shape])
+            return provider._fiber_step(modes, 0, fibers)
+
+        step = benchmark(build)
+        result = step.child_fibers, step.reduce
+    else:
+        result = benchmark(_lexsort_fiber_step, fibers, 0, tensor.shape[1])
+    expected = _lexsort_fiber_step(fibers, 0, tensor.shape[1])
+    assert np.array_equal(result[0], expected[0])
+    block = np.random.default_rng(1).random((fibers.shape[0], 3))
+    assert np.array_equal(result[1] @ block, expected[1] @ block)

@@ -55,6 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.normal_equations import gamma_chain, gram_matrix, solve_normal_equations
+from repro.sparse.ordering import lex_order
 from repro.tensor.norms import inner_product, residual_from_mttkrp
 
 __all__ = [
@@ -286,15 +287,11 @@ class MaskedLeastSquaresUpdate(UpdateRule):
                 f"mask_indices must have shape (nnz, {len(tuple(shape))}), "
                 f"got {mask_indices.shape}"
             )
-        if mask_indices.shape[0]:
-            # canonical COO order (sorted, deduplicated) — the per-sweep model
-            # tensor is built with CooTensor._from_canonical off this pattern
-            order = np.lexsort(mask_indices.T[::-1])
-            mask_indices = mask_indices[order]
-            keep = np.empty(mask_indices.shape[0], dtype=bool)
-            keep[0] = True
-            np.any(mask_indices[1:] != mask_indices[:-1], axis=1, out=keep[1:])
-            mask_indices = np.ascontiguousarray(mask_indices[keep])
+        # canonical COO order (sorted, deduplicated) — the per-sweep model
+        # tensor is built with CooTensor._from_canonical off this pattern
+        order, starts = lex_order(mask_indices.T, shape)
+        if order is not None or starts.size < mask_indices.shape[0]:
+            mask_indices = mask_indices[starts if order is None else order[starts]]
         self.mask_indices = mask_indices
         self.shape = tuple(int(s) for s in shape)
         self._checkpoint: list[np.ndarray] | None = None

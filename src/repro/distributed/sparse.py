@@ -39,6 +39,7 @@ import numpy as np
 from repro.grid.balance import PartitionReport, TensorPartition, make_partition
 from repro.grid.processor_grid import ProcessorGrid
 from repro.sparse.coo import CooTensor
+from repro.sparse.ordering import lex_order
 
 __all__ = ["DistSparseTensor"]
 
@@ -113,14 +114,16 @@ class DistSparseTensor:
             partition = make_partition(partitioner, tensor, grid, seed=seed)
         ranks, local_indices = partition.assign(tensor.indices)
         local_shape = partition.padded_extents
-        order = np.argsort(ranks, kind="stable")
-        sorted_ranks = ranks[order]
-        rank_ids = np.arange(grid.size, dtype=np.int64)
-        starts = np.searchsorted(sorted_ranks, rank_ids, side="left")
-        stops = np.searchsorted(sorted_ranks, rank_ids, side="right")
+        # stable: each block keeps the canonical order of its nonzeros, so a
+        # partition that maps slices monotonically hands over sorted blocks
+        order, _ = lex_order([ranks], [grid.size])
+        bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(ranks, minlength=grid.size))))
         blocks: Dict[int, CooTensor] = {}
         for proc in grid.ranks():
-            sel = order[starts[proc]:stops[proc]]
+            sel = slice(bounds[proc], bounds[proc + 1])
+            if order is not None:
+                sel = order[sel]
             blocks[proc] = CooTensor(
                 local_indices[sel], tensor.values[sel], local_shape,
                 dtype=tensor.dtype,

@@ -9,6 +9,13 @@ is unique.  Explicit zeros surviving duplicate summation are kept (pruning
 them would make round-trips through arithmetic surprising); ``from_dense``
 never produces them.
 
+The order comes from :func:`repro.sparse.ordering.lex_order`: one pass over
+the C-order linearised coordinate shows whether the rows are canonical as
+handed over (then nothing is sorted — a round trip, a block cut out of a
+canonical tensor), otherwise that key is sorted once, and duplicates are the
+places where the sorted key repeats.  Only a shape whose cell count leaves
+int64 (``size`` is exact, a Python integer) goes through ``np.lexsort``.
+
 The format targets the sparse real-world workloads the pairwise-perturbation
 paper's cost models are motivated by (SPLATT-style sparse MTTKRP): the
 per-mode nonzero statistics exposed here (``mode_nnz``, ``empty_slices``,
@@ -17,10 +24,12 @@ per-mode nonzero statistics exposed here (``mode_nnz``, ``empty_slices``,
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
+from repro.sparse.ordering import lex_order
 from repro.utils.validation import check_mode
 
 __all__ = ["CooTensor"]
@@ -88,17 +97,15 @@ class CooTensor:
                 raise ValueError("indices out of bounds for shape "
                                  f"{shape}")
             # canonical order: lexicographic with mode 0 as the primary key
-            order = np.lexsort(idx.T[::-1])
-            idx = idx[order]
-            vals = vals[order]
-            # sum duplicate coordinates
-            keep = np.empty(idx.shape[0], dtype=bool)
-            keep[0] = True
-            np.any(idx[1:] != idx[:-1], axis=1, out=keep[1:])
-            if not keep.all():
-                starts = np.flatnonzero(keep)
+            order, starts = lex_order(idx.T, shape)
+            if order is not None:
+                vals = vals[order]
+            if starts.size < vals.shape[0]:
+                # sum duplicate coordinates; each run keeps its first row
                 vals = np.add.reduceat(vals, starts)
-                idx = idx[keep]
+                order = starts if order is None else order[starts]
+            if order is not None:
+                idx = idx[order]
         self.indices = idx
         self.values = np.ascontiguousarray(vals)
         self.shape = shape
@@ -181,7 +188,8 @@ class CooTensor:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64))
+        """Number of cells, as an exact Python integer (it may exceed int64)."""
+        return math.prod(self.shape)
 
     @property
     def density(self) -> float:

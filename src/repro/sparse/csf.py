@@ -22,11 +22,16 @@ pattern, so each is stored once as a :class:`SegmentSum` — a SciPy CSR matrix
 with the run offsets as ``indptr``, the gathered rows as column indices and
 the optional per-row weights as data — and applied with ``op @ block`` (one
 compiled sparse-times-dense product, no gathered or scaled temporary).
-:func:`segment_reduce` is the stateless convenience on top of it and
-:func:`run_starts` the grouping primitive that yields the offsets;
+:func:`segment_reduce` is the stateless convenience on top of it;
 :class:`FiberGrouping` is the flat one-level variant (unique fibers over an
 arbitrary mode subset) for consumers that need a single grouping without the
 full hierarchy.
+
+A layout costs one ordering of the nonzeros
+(:func:`repro.sparse.ordering.lex_order`: none at all when the canonical COO
+order already is the requested one) plus one pass per level for the run
+offsets, which is all the contractions read.  The ``ptr`` / ``index`` arrays
+of :attr:`CsfTensor.levels` are built when somebody first asks for them.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 from scipy.sparse import csc_array, csr_array
 
 from repro.sparse.coo import CooTensor
+from repro.sparse.ordering import _run_starts, lex_order, run_starts
 
 __all__ = ["CsfLevel", "CsfTensor", "FiberGrouping", "SegmentSum",
            "csf_cache_stats", "fiber_grouping", "reset_csf_cache_stats",
@@ -287,53 +293,6 @@ def _check_mode_order(mode_order: Sequence[int], ndim: int) -> tuple[int, ...]:
     return order
 
 
-def _sort_perm(indices: np.ndarray, key_modes: Sequence[int]) -> np.ndarray | None:
-    """Stable lexicographic sort permutation with ``key_modes[0]`` primary.
-
-    Returns ``None`` when the rows are already sorted that way (e.g. the
-    canonical COO order for the identity ordering), so callers can skip the
-    gather entirely.
-    """
-    key_modes = list(key_modes)
-    if key_modes == list(range(len(key_modes))) and key_modes:
-        # canonical CooTensor order: already lexicographic over a mode prefix
-        if len(key_modes) <= indices.shape[1]:
-            return None
-    # np.lexsort sorts by the *last* key first, so feed the keys reversed
-    return np.lexsort(tuple(indices[:, m] for m in reversed(key_modes)))
-
-
-def _run_starts(changed: np.ndarray, n_rows: int) -> np.ndarray:
-    """Offsets of runs given the ``rows[i] != rows[i+1]`` change mask.
-
-    ``changed`` has ``n_rows - 1`` entries (empty for 0 or 1 rows); a
-    nonempty block always yields at least the run starting at offset 0, so a
-    single row maps to ``[0]`` — never to an empty offset array, which
-    :func:`segment_reduce` would reject (it used to silently drop the run).
-    """
-    if n_rows <= 1:
-        return np.zeros(min(n_rows, 1), dtype=np.int64)
-    return np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.flatnonzero(changed).astype(np.int64) + 1)
-    )
-
-
-def run_starts(columns: Sequence[np.ndarray], n_rows: int) -> np.ndarray:
-    """Run offsets of equal-row groups among lexicographically sorted rows.
-
-    ``columns`` are the key columns of an ``n_rows``-row matrix already sorted
-    lexicographically; rows belong to the same run when *all* columns agree.
-    This is the one grouping primitive shared by :func:`fiber_grouping` and
-    the sparse dimension tree's fiber regroupings.
-    """
-    if n_rows <= 1:
-        return np.zeros(min(n_rows, 1), dtype=np.int64)
-    changed = np.zeros(n_rows - 1, dtype=bool)
-    for col in columns:
-        np.logical_or(changed, col[1:] != col[:-1], out=changed)
-    return _run_starts(changed, n_rows)
-
-
 @dataclass(frozen=True)
 class CsfLevel:
     """One compressed index level of a :class:`CsfTensor`.
@@ -363,7 +322,7 @@ class CsfTensor:
     permutation of the nonzeros is computed once at build time.
     """
 
-    __slots__ = ("source", "mode_order", "perm", "levels", "_starts", "_values")
+    __slots__ = ("source", "mode_order", "perm", "_levels", "_starts", "_values")
 
     def __init__(self, source: CooTensor, mode_order: Sequence[int] | None = None):
         if not isinstance(source, CooTensor):
@@ -375,34 +334,49 @@ class CsfTensor:
                  else _check_mode_order(mode_order, ndim))
         self.source = source
         self.mode_order = order
-        self.perm = _sort_perm(source.indices, order)
+        # the runs over all the modes are the deepest level's
+        self.perm, deepest = lex_order([source.indices[:, m] for m in order],
+                                       [source.shape[m] for m in order])
         self._values: np.ndarray | None = None
+        self._levels: list[CsfLevel] | None = None
 
         nnz = source.nnz
-        cols = [self.sorted_column(d) for d in range(ndim)]
         # changed[i] accumulates "any of the first d+1 sort keys differs
         # between sorted nonzeros i and i+1" as d grows
         changed = np.zeros(max(nnz - 1, 0), dtype=bool)
         starts: list[np.ndarray] = []
-        for d in range(ndim):
-            np.logical_or(changed, cols[d][1:] != cols[d][:-1], out=changed)
+        for d in range(ndim - 1):
+            col = self.sorted_column(d)
+            np.logical_or(changed, col[1:] != col[:-1], out=changed)
             starts.append(_run_starts(changed, nnz))
-        self._starts = starts
+        self._starts = starts + [deepest]
 
-        levels: list[CsfLevel] = []
-        for d in range(ndim):
-            index = cols[d][starts[d]]
-            if d == ndim - 1:
-                ptr = np.concatenate((starts[d], [nnz])).astype(np.int64)
-            else:
-                # starts[d] is a subset of starts[d+1]: every depth-d node
-                # boundary is also a boundary one level down
-                ptr = np.concatenate((
-                    np.searchsorted(starts[d + 1], starts[d]),
-                    [starts[d + 1].shape[0]],
-                )).astype(np.int64)
-            levels.append(CsfLevel(index=index, ptr=ptr))
-        self.levels = levels
+    @property
+    def levels(self) -> list[CsfLevel]:
+        """The compressed index levels, built on first access.
+
+        No contraction reads them (the trees take :meth:`value_ptr`,
+        :meth:`fiber_index` and :meth:`sorted_column`), so a layout that is
+        only ever contracted never pays for them; :attr:`nbytes` counts them
+        once they exist.
+        """
+        if self._levels is None:
+            starts = self._starts
+            levels: list[CsfLevel] = []
+            for d in range(self.ndim):
+                index = self.sorted_column(d)[starts[d]]
+                if d == self.ndim - 1:
+                    ptr = self.value_ptr(d)
+                else:
+                    # starts[d] is a subset of starts[d+1]: every depth-d node
+                    # boundary is also a boundary one level down
+                    ptr = np.concatenate((
+                        np.searchsorted(starts[d + 1], starts[d]),
+                        [starts[d + 1].shape[0]],
+                    )).astype(np.int64)
+                levels.append(CsfLevel(index=index, ptr=ptr))
+            self._levels = levels
+        return self._levels
 
     @classmethod
     def from_coo(cls, tensor: CooTensor,
@@ -463,8 +437,9 @@ class CsfTensor:
     @property
     def nbytes(self) -> int:
         """Bytes owned by the layout (excluding storage shared with the source)."""
-        own = sum(level.nbytes for level in self.levels)
-        own += sum(s.nbytes for s in self._starts)
+        own = sum(s.nbytes for s in self._starts)
+        if self._levels is not None:
+            own += sum(level.nbytes for level in self._levels)
         if self.perm is not None:
             own += self.perm.nbytes
             if self._values is not None:  # cached gather, not a shared view
@@ -473,7 +448,7 @@ class CsfTensor:
 
     def n_fibers(self, depth: int) -> int:
         """Number of distinct fibers over ``mode_order[:depth + 1]``."""
-        return self.levels[depth].n_nodes
+        return int(self._starts[depth].shape[0])
 
     def value_ptr(self, depth: int) -> np.ndarray:
         """Run offsets of each depth-``depth`` node's nonzeros into :attr:`values`."""
@@ -510,7 +485,7 @@ class CsfTensor:
                          dtype=self.source.dtype)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        fibers = "x".join(str(level.n_nodes) for level in self.levels)
+        fibers = "x".join(str(s.shape[0]) for s in self._starts)
         return (
             f"CsfTensor(order={self.mode_order}, nnz={self.nnz}, "
             f"fibers={fibers})"
@@ -550,7 +525,7 @@ def fiber_grouping(tensor: CooTensor, modes: Sequence[int]) -> FiberGrouping:
 
     ``modes`` must be sorted and non-empty.  Equivalent to the depth
     ``len(modes) - 1`` level of a CSF tree ordered ``modes`` first, but built
-    directly (one lexsort) because the tree's deeper levels are not needed.
+    directly (one ordering) because the tree's deeper levels are not needed.
     """
     modes = tuple(int(m) for m in modes)
     if not modes:
@@ -559,11 +534,8 @@ def fiber_grouping(tensor: CooTensor, modes: Sequence[int]) -> FiberGrouping:
         raise ValueError(f"modes must be sorted and distinct, got {modes}")
     if any(m < 0 or m >= tensor.ndim for m in modes):
         raise ValueError(f"modes {modes} out of range for order-{tensor.ndim}")
-    perm = _sort_perm(tensor.indices, modes)
-    cols = [tensor.indices[:, m] if perm is None else tensor.indices[perm, m]
-            for m in modes]
-    nnz = tensor.nnz
-    starts = run_starts(cols, nnz)
-    fibers = (np.stack([col[starts] for col in cols], axis=1)
-              if nnz else np.zeros((0, len(modes)), dtype=np.int64))
+    cols = [tensor.indices[:, m] for m in modes]
+    perm, starts = lex_order(cols, [tensor.shape[m] for m in modes])
+    first = starts if perm is None else perm[starts]
+    fibers = np.stack([col[first] for col in cols], axis=1)
     return FiberGrouping(modes=modes, fibers=fibers, perm=perm, starts=starts)

@@ -7,7 +7,7 @@ sparse-vs-dense parity suite can cross-check independent implementations:
   over the nonzeros (:func:`repro.sparse.mttkrp.sparse_mttkrp`),
   ``O(nnz * R * N)`` per call with a bounded workspace.  For non-primary
   output modes the provider caches a per-mode nonzero ordering (one stable
-  argsort, built once — the tensor never changes) so every block's
+  sort, built once — the tensor never changes) so every block's
   scatter-add touches a short contiguous range of output rows instead of
   all of them.
 * :class:`SparseUnfoldingMTTKRP` — the unfolding-equivalent baseline: a
@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.sparse.kernels import get_kernel
 from repro.sparse.mttkrp import sparse_mttkrp
+from repro.sparse.ordering import lex_order
 from repro.tensor.products import khatri_rao
 from repro.trees.base import MTTKRPProvider
 
@@ -59,10 +60,8 @@ class SparseCooMTTKRP(MTTKRPProvider):
         guarantees that for mode 0.
         """
         if mode not in self._mode_perms:
-            self._mode_perms[mode] = (
-                None if mode == 0
-                else np.argsort(self.tensor.indices[:, mode], kind="stable")
-            )
+            self._mode_perms[mode], _ = lex_order(
+                [self.tensor.indices[:, mode]], [self.tensor.shape[mode]])
         return self._mode_perms[mode]
 
     def mttkrp(self, mode: int) -> np.ndarray:

@@ -29,7 +29,14 @@ cached with the sparsity pattern:
   folded into the operator's column indices, leaving one elementwise product
   and one sparse product of ``O(n_fibers * R)`` work per sweep step.  The
   step that leaves a single mode sums straight into that mode's rows, so its
-  block already is the dense ``(s_mode, R)`` MTTKRP.
+  block already is the dense ``(s_mode, R)`` MTTKRP — and since a placement
+  needs no order among the parents, that step sorts nothing (only a compiled
+  kernel, which reduces runs, asks for its regrouping).
+
+Every ordering here goes through :func:`repro.sparse.ordering.lex_order`:
+one sort of the linearised child coordinate when ``prod`` of the child extents
+fits int64, ``np.lexsort`` over the columns when it does not, and no sort when
+the parents are in child order already (``k`` the last mode of ``S``).
 
 Fiber steps route their elementwise product through the shared
 :class:`~repro.contract.ContractionEngine`, and both steps record
@@ -51,8 +58,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.sparse.coo import CooTensor
-from repro.sparse.csf import CsfTensor, SegmentSum, run_starts
+from repro.sparse.csf import CsfTensor, SegmentSum
 from repro.sparse.kernels import get_kernel
+from repro.sparse.ordering import lex_order
 from repro.trees.amortized import AmortizedTreeMTTKRP, DtOrderPolicy, MsdtOrderPolicy
 
 __all__ = [
@@ -115,24 +123,23 @@ class _RootStep:
 
 @dataclass(frozen=True)
 class _FiberStep:
-    """Precomputed regrouping for contracting mode ``k`` out of fiber set ``S``.
+    """Precomputed structure for contracting mode ``k`` out of fiber set ``S``.
 
-    ``perm`` reorders parent fibers so children are contiguous (``None`` when
-    ``k`` is the last mode of ``S`` — dropping the least significant sort key
-    keeps lexicographic order); ``starts`` delimits the child runs;
-    ``k_coords`` is each parent fiber's mode-``k`` coordinate (pre-``perm``).
+    ``k_coords`` is each parent fiber's mode-``k`` coordinate; ``reduce`` sums
+    the scaled parent rows into the rows ``out_fibers`` (a regrouping
+    permutation, where there is one, is its column indices).  Those are the
+    child fibers, except on the step that leaves a single mode: it sums
+    straight into that mode's rows, so ``out_fibers`` is every coordinate of
+    the mode and the block is the dense MTTKRP.
 
-    ``reduce`` sums the scaled parent rows (pre-``perm``: the permutation is
-    its column indices) into the rows ``out_fibers``.  Those are the child
-    fibers, except on the step that leaves a single mode: it sums straight
-    into that mode's rows, so ``out_fibers`` is every coordinate of the mode
-    and the block is the dense MTTKRP.
+    The regrouping itself — the parent order that makes each child's parents
+    adjacent, and the child runs — is not part of the step: only the compiled
+    kernels and the steps that leave two or more modes read it
+    (:meth:`SparseTreeBackend._regrouping`).
     """
 
     child_modes: tuple[int, ...]
     child_fibers: np.ndarray
-    perm: np.ndarray | None
-    starts: np.ndarray
     k_coords: np.ndarray
     reduce: SegmentSum
     out_fibers: np.ndarray
@@ -165,6 +172,8 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
         self._csf: dict[tuple[int, ...], CsfTensor] = {}
         self._root_steps: dict[int, _RootStep] = {}
         self._fiber_steps: dict[tuple[tuple[int, ...], int], _FiberStep] = {}
+        self._regroupings: dict[tuple[tuple[int, ...], int],
+                                tuple[np.ndarray | None, np.ndarray]] = {}
         # PP pair-operator sums, {(i, j): {out_axis: SegmentSum}}, filled by
         # the operators of repro.trees.sparse_pp and shared by every
         # checkpoint this provider serves
@@ -201,6 +210,25 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
             self._root_steps[k] = step
         return step
 
+    def _regrouping(self, modes: tuple[int, ...], k: int,
+                    fibers: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """``(perm, starts)`` regrouping the parent ``fibers`` once ``k`` is dropped.
+
+        ``perm`` orders the parents so that those of one child fiber are
+        adjacent (``None`` when they already are, e.g. ``k`` the last mode of
+        ``modes``); ``starts`` delimits the child runs.  The one sort of a
+        fiber step, done when somebody first reads it.
+        """
+        key = (modes, k)
+        grouping = self._regroupings.get(key)
+        if grouping is None:
+            pos = modes.index(k)
+            grouping = lex_order(
+                np.delete(fibers, pos, axis=1).T,
+                [self.tensor.shape[m] for m in modes if m != k])
+            self._regroupings[key] = grouping
+        return grouping
+
     def _fiber_step(self, modes: tuple[int, ...], k: int,
                     fibers: np.ndarray) -> _FiberStep:
         key = (modes, k)
@@ -209,34 +237,23 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
             return step
         pos = modes.index(k)
         child_modes = modes[:pos] + modes[pos + 1:]
-        child_cols = np.delete(fibers, pos, axis=1)
-        k_coords = np.ascontiguousarray(fibers[:, pos])
         n_parents = fibers.shape[0]
-        if pos == len(modes) - 1:
-            perm = None          # dropping the last sort key keeps the order
-            cols = child_cols
-        else:
-            # lexicographic re-sort (np.lexsort: last key is primary, so feed
-            # the columns reversed); no linearization, so huge mode products
-            # cannot overflow
-            perm = np.lexsort(
-                tuple(child_cols[:, j] for j in reversed(range(len(child_modes))))
-            ).astype(np.int64)
-            cols = child_cols[perm]
-        starts = run_starts([cols[:, j] for j in range(cols.shape[1])], n_parents)
-        child_fibers = (cols[starts] if n_parents
-                        else np.zeros((0, len(child_modes)), dtype=np.int64))
         if len(child_modes) == 1:
-            # each parent's output row is its coordinate along the mode left
+            # each parent's output row is its coordinate along the mode left:
+            # a placement, which needs no order among the parents
             n_out = self.tensor.shape[child_modes[0]]
-            reduce = SegmentSum.scatter(child_cols[:, 0], n_out, dtype=self.dtype)
+            rows = fibers[:, 1 - pos]
+            reduce = SegmentSum.scatter(rows, n_out, dtype=self.dtype)
+            child_fibers = np.flatnonzero(np.bincount(rows, minlength=n_out))[:, None]
             out_fibers = np.arange(n_out, dtype=np.int64)[:, None]
         else:
+            perm, starts = self._regrouping(modes, k, fibers)
+            first = starts if perm is None else perm[starts]
+            child_fibers = out_fibers = np.delete(fibers[first], pos, axis=1)
             reduce = SegmentSum(starts, n_parents, columns=perm,
                                 n_columns=n_parents, dtype=self.dtype)
-            out_fibers = child_fibers
         step = _FiberStep(child_modes=child_modes, child_fibers=child_fibers,
-                          perm=perm, starts=starts, k_coords=k_coords,
+                          k_coords=np.ascontiguousarray(fibers[:, pos]),
                           reduce=reduce, out_fibers=out_fibers)
         self._fiber_steps[key] = step
         return step
@@ -273,9 +290,9 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
         start = time.perf_counter()
         if self.kernel is not None and self.kernel.compiled:
             # fused multiply·(permute·)segment-reduce over the parent fibers
+            perm, starts = self._regrouping(semi.modes, k, semi.fibers)
             block = self.kernel.scale_reduce(semi.block, step.k_coords,
-                                             self.factors[k], step.starts,
-                                             perm=step.perm)
+                                             self.factors[k], starts, perm=perm)
             fibers = step.child_fibers
         else:
             rows = self.factors[k][step.k_coords]
@@ -376,9 +393,11 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
             "csf_bytes": sum(c.nbytes for c in self._csf.values()),
             "fiber_steps": len(self._fiber_steps),
             "fiber_step_bytes": sum(
-                s.child_fibers.nbytes + s.starts.nbytes + s.k_coords.nbytes
-                + (s.perm.nbytes if s.perm is not None else 0)
+                s.child_fibers.nbytes + s.k_coords.nbytes
                 for s in self._fiber_steps.values()
+            ) + sum(
+                starts.nbytes + (perm.nbytes if perm is not None else 0)
+                for perm, starts in self._regroupings.values()
             ),
             "operators": len(operators),
             "operator_bytes": sum(op.nbytes for op in operators),

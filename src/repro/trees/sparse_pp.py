@@ -69,7 +69,8 @@ import numpy as np
 
 from repro.contract import resolve_engine
 from repro.sparse.coo import CooTensor
-from repro.sparse.csf import SegmentSum, run_starts
+from repro.sparse.csf import SegmentSum
+from repro.sparse.ordering import lex_order
 from repro.trees.descent import ascending_order
 from repro.trees.sparse_dt import SparseDimensionTreeMTTKRP, SparseTreeBackend
 
@@ -187,14 +188,8 @@ class SemiSparsePairOperator:
         if cached is not None:
             return cached
         col = self.fibers[:, out_axis]
-        if out_axis == 0:
-            perm = None
-        else:
-            perm = np.argsort(col, kind="stable").astype(np.int64)
-            col = col[perm]
-        starts = run_starts([col], self.n_fibers)
-        coords = (col[starts] if self.n_fibers
-                  else np.zeros(0, dtype=np.int64))
+        perm, starts = lex_order([col], [self.dims[out_axis]])
+        coords = col[starts if perm is None else perm[starts]]
         self._groupings[out_axis] = (perm, starts, coords)
         return self._groupings[out_axis]
 
@@ -366,7 +361,8 @@ def build_semi_sparse_operators(
     checkpoint taken right after a DT/MSDT sweep starts from the sweep's
     still-valid intermediates.  Without a provider a standalone descent
     backend is built from scratch — correct, but the structural caches are
-    then rebuilt (``N - 1`` ``O(nnz log nnz)`` lexsorts) and discarded per
+    then rebuilt (one ordering of the nonzeros per non-identity root layout,
+    :func:`~repro.sparse.ordering.lex_order`) and discarded per
     call, so repeated checkpoints should go through a tree provider (the
     ``pp_cp_als`` / ``parallel_pp_cp_als`` default).
 

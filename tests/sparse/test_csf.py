@@ -340,3 +340,99 @@ class TestSegmentSum:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not mismatches
+
+
+def _lexsort_layout(coo: CooTensor, order):
+    """The layout as it was built before ``lex_order``: ``np.lexsort`` over the
+    int64 columns, run offsets from the sorted columns, every level eagerly."""
+    cols = [coo.indices[:, m] for m in order]
+    perm = np.lexsort(tuple(reversed(cols)))
+    cols = [col[perm] for col in cols]
+    nnz, ndim = coo.nnz, coo.ndim
+    changed = np.zeros(max(nnz - 1, 0), dtype=bool)
+    starts = []
+    for d in range(ndim):
+        changed |= cols[d][1:] != cols[d][:-1]
+        starts.append(np.concatenate(([0], np.flatnonzero(changed) + 1)))
+    levels = []
+    for d in range(ndim):
+        ptr = (np.concatenate((starts[d], [nnz])) if d == ndim - 1 else
+               np.concatenate((np.searchsorted(starts[d + 1], starts[d]),
+                               [starts[d + 1].shape[0]])))
+        levels.append((cols[d][starts[d]], ptr))
+    return perm, cols, starts, levels
+
+
+class TestLayoutEqualsLexsortConstruction:
+    """``perm``, ``levels``, ``fiber_index`` and ``value_ptr`` for all ``N!``
+    orderings are those of the ``np.lexsort`` construction they replaced."""
+
+    @pytest.mark.parametrize("shape", [(6, 5, 7), (4, 1, 5, 3)])
+    def test_every_ordering(self, shape):
+        import itertools
+
+        _, coo = _random_coo(shape, density=0.4, seed=len(shape))
+        for order in itertools.permutations(range(len(shape))):
+            csf = CsfTensor(coo, order)
+            perm, cols, starts, levels = _lexsort_layout(coo, order)
+            if csf.perm is None:
+                assert np.array_equal(perm, np.arange(coo.nnz))
+            else:
+                assert np.array_equal(csf.perm, perm)
+            np.testing.assert_array_equal(csf.values, coo.values[perm])
+            assert len(csf.levels) == len(shape)
+            for d, (index, ptr) in enumerate(levels):
+                assert csf.levels[d].index.dtype == np.int64
+                assert csf.levels[d].ptr.dtype == np.int64
+                np.testing.assert_array_equal(csf.levels[d].index, index)
+                np.testing.assert_array_equal(csf.levels[d].ptr, ptr)
+                np.testing.assert_array_equal(
+                    csf.value_ptr(d), np.concatenate((starts[d], [coo.nnz])))
+                np.testing.assert_array_equal(
+                    csf.fiber_index(d),
+                    np.stack([cols[j][starts[d]] for j in range(d + 1)], axis=1))
+                assert csf.n_fibers(d) == starts[d].shape[0]
+
+    def test_levels_are_built_on_first_access_and_then_counted(self):
+        _, coo = _random_coo((6, 5, 7), density=0.4, seed=3)
+        csf = CsfTensor(coo, (2, 0, 1))
+        assert csf._levels is None
+        before = csf.nbytes
+        levels = csf.levels
+        assert csf.levels is levels                      # built once
+        assert csf.nbytes == before + sum(level.nbytes for level in levels)
+
+    @pytest.mark.parametrize("driver", ["dt", "msdt", "pp"])
+    def test_no_run_builds_levels(self, driver):
+        from repro import cp_als, pp_cp_als
+
+        _, coo = _random_coo((7, 6, 5), density=0.5, seed=4)
+        if driver == "pp":
+            result = pp_cp_als(coo, rank=2, n_sweeps=8, tol=0.0, pp_tol=0.9, seed=0)
+            assert "pp-init" in [record.sweep_type for record in result.sweeps]
+        else:
+            cp_als(coo, rank=2, n_sweeps=2, tol=0.0, mttkrp=driver, seed=0)
+        layouts = list(coo._csf_cache.values())
+        assert len(layouts) >= 2
+        assert all(layout._levels is None for layout in layouts)
+        _check_invariants(layouts[-1])                   # correct when asked for
+
+
+class TestDuplicateSums:
+    def test_bit_identical_to_reduceat_in_input_order(self):
+        """Equal coordinates are summed in the order they were handed over,
+        as ``np.add.reduceat`` over the stably sorted values did."""
+        rng = np.random.default_rng(5)
+        shape = (9, 8, 7)
+        indices = rng.integers(0, shape, size=(400, 3))
+        indices[rng.integers(0, 400, size=120)] = indices[rng.integers(0, 400, size=120)]
+        values = rng.standard_normal(400) * 10.0 ** rng.integers(-8, 8, size=400)
+        coo = CooTensor(indices, values, shape)
+        order = np.lexsort(indices.T[::-1])
+        sorted_idx = indices[order]
+        keep = np.ones(400, dtype=bool)
+        keep[1:] = np.any(sorted_idx[1:] != sorted_idx[:-1], axis=1)
+        assert not keep.all()
+        np.testing.assert_array_equal(coo.indices, sorted_idx[keep])
+        assert np.array_equal(
+            coo.values, np.add.reduceat(values[order], np.flatnonzero(keep)))

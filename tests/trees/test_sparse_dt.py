@@ -312,3 +312,91 @@ class TestAmortization:
         # the semi-sparse M^(0,1) equals the dense partial MTTKRP (Eq. 4)
         expected = np.einsum("abc,cz->abz", dense, factors[2])
         np.testing.assert_allclose(semi.densify(shape), expected, atol=1e-12)
+
+
+def _lexsort_fiber_step(fibers, pos, n_out, dtype):
+    """A fiber step as it was built before ``lex_order``: the child columns
+    re-sorted by ``np.lexsort`` (not at all when the last key is dropped),
+    run offsets from the sorted columns, eagerly for every step."""
+    from repro.sparse.csf import SegmentSum, run_starts
+
+    child_cols = np.delete(fibers, pos, axis=1)
+    n_parents, n_child = child_cols.shape
+    if pos == fibers.shape[1] - 1:
+        perm, cols = None, child_cols
+    else:
+        perm = np.lexsort(tuple(child_cols[:, j] for j in reversed(range(n_child))))
+        cols = child_cols[perm]
+    starts = run_starts([cols[:, j] for j in range(n_child)], n_parents)
+    if n_child == 1:
+        reduce = SegmentSum.scatter(child_cols[:, 0], n_out, dtype=dtype)
+    else:
+        reduce = SegmentSum(starts, n_parents, columns=perm, n_columns=n_parents,
+                            dtype=dtype)
+    return cols[starts], perm, starts, reduce
+
+
+def _same_operator(a, b) -> bool:
+    a, b = a._matrix, b._matrix
+    return (a.format == b.format and a.shape == b.shape
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    and getattr(a, f).dtype == getattr(b, f).dtype
+                    for f in ("data", "indices", "indptr")))
+
+
+class TestFiberStepsEqualLexsortConstruction:
+    @pytest.mark.parametrize("shape", [(7, 6, 5), (5, 1, 6, 4)])
+    def test_every_step_of_every_descent(self, shape):
+        """All ``(S, k)`` steps — every ``S`` of two or more modes, every
+        ``k`` in it — have the child fibers and the sum operator of the
+        ``np.lexsort`` construction, and the lazily built regrouping is its
+        permutation and run offsets."""
+        import itertools
+
+        _, coo = _random_sparse(shape, density=0.35, seed=len(shape))
+        rng = np.random.default_rng(40)
+        provider = make_provider("dt", coo, [rng.random((s, 2)) for s in shape])
+        order = len(shape)
+        for size in range(2, order):
+            for modes in itertools.combinations(range(order), size):
+                fibers = np.unique(coo.indices[:, modes], axis=0)
+                for pos, k in enumerate(modes):
+                    step = provider._fiber_step(modes, k, fibers)
+                    child_modes = modes[:pos] + modes[pos + 1:]
+                    n_out = shape[child_modes[0]]
+                    child, perm, starts, reduce = _lexsort_fiber_step(
+                        fibers, pos, n_out, provider.dtype)
+                    assert step.child_modes == child_modes
+                    assert step.child_fibers.dtype == np.int64
+                    np.testing.assert_array_equal(step.child_fibers, child)
+                    np.testing.assert_array_equal(step.k_coords, fibers[:, pos])
+                    assert _same_operator(step.reduce, reduce)
+                    if size == 2:
+                        np.testing.assert_array_equal(
+                            step.out_fibers, np.arange(n_out)[:, None])
+                        # the placement needs no order: nothing was sorted
+                        assert (modes, k) not in provider._regroupings
+                    else:
+                        assert step.out_fibers is step.child_fibers
+                    got_perm, got_starts = provider._regrouping(modes, k, fibers)
+                    np.testing.assert_array_equal(got_starts, starts)
+                    if got_perm is None:
+                        assert perm is None or np.array_equal(
+                            perm, np.arange(fibers.shape[0]))
+                    else:
+                        np.testing.assert_array_equal(got_perm, perm)
+
+    def test_numpy_sweeps_never_regroup_into_a_single_mode(self):
+        shape = (7, 6, 5, 4)
+        _, coo = _random_sparse(shape, density=0.3, seed=41)
+        rng = np.random.default_rng(42)
+        for engine in ("dt", "msdt"):
+            provider = make_provider(engine, coo, [rng.random((s, 2)) for s in shape])
+            for _ in range(len(shape)):
+                for mode in range(len(shape)):
+                    provider.mttkrp(mode)
+                    provider.set_factor(mode, rng.random((shape[mode], 2)))
+            leaf_steps = [key for key in provider._fiber_steps if len(key[0]) == 2]
+            assert leaf_steps
+            assert provider._regroupings
+            assert all(len(modes) > 2 for modes, _ in provider._regroupings)
