@@ -27,8 +27,7 @@ def run_regular_sweep(
     """Run one exact ALS sweep in place and return the last mode's MTTKRP.
 
     Thin wrapper over the shared kernel :func:`repro.core.updates.sweep` with
-    the exact least-squares rule — kept for backward compatibility (PP uses it
-    for its exact sweeps too).
+    the exact least-squares rule — kept for backward compatibility.
     """
     return sweep(provider, grams, rule=None, tracker=tracker)
 

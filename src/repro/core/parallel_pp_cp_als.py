@@ -20,6 +20,7 @@ local engine, as the paper's implementation does.
 
 from __future__ import annotations
 
+import logging
 import time
 from typing import Dict, Sequence
 
@@ -34,7 +35,13 @@ from repro.core.parallel_common import (
     zero_delta_factors,
 )
 from repro.core.options import ParallelPPOptions, resolve_options
-from repro.core.pp_corrections import pp_step_within_tolerance, second_order_accumulator
+from repro.core.pp_corrections import (
+    log_pp_phase,
+    logger,
+    pp_phase_end,
+    pp_step_within_tolerance,
+    second_order_accumulator,
+)
 from repro.core.results import ParallelALSResult, ResultBase, SweepRecord
 from repro.distributed.dist_factor import DistributedFactor
 from repro.distributed.dist_tensor import DistributedTensor
@@ -247,12 +254,17 @@ def parallel_pp_cp_als(
     total_sweeps = 0
     run_start = time.perf_counter()
 
+    def _steps() -> tuple[list[np.ndarray], list[np.ndarray], float]:
+        return ([df.padded_global() for df in state.dist_factors],
+                [df.padded_global() for df in delta_factors], pp_tol)
+
     def _within_tolerance() -> bool:
-        return pp_step_within_tolerance(
-            [df.padded_global() for df in state.dist_factors],
-            [df.padded_global() for df in delta_factors],
-            pp_tol,
-        )
+        return pp_step_within_tolerance(*_steps())
+
+    def _set_step(mode: int, reference: list[DistributedFactor]) -> None:
+        for x in range(state.grid.dims[mode]):
+            delta_factors[mode].set_block(
+                x, state.dist_factors[mode].block(x) - reference[mode].block(x))
 
     def _record(sweep_type: str, elapsed: float, snapshots) -> None:
         nonlocal cumulative
@@ -280,6 +292,7 @@ def parallel_pp_cp_als(
     # success, failure and KeyboardInterrupt alike (no-op when simulated)
     try:
         while total_sweeps < n_sweeps:
+            inner, phase_end = 0, None
             if _within_tolerance():
                 # ---------------------------------------------------- PP initialization
                 sweep_start = time.perf_counter()
@@ -293,7 +306,6 @@ def parallel_pp_cp_als(
                 _record("pp-init", elapsed, snapshots)
 
                 # ---------------------------------------------------- PP approximated sweeps
-                inner = 0
                 while (
                     total_sweeps < n_sweeps
                     and inner < max_pp_sweeps_per_phase
@@ -313,12 +325,7 @@ def parallel_pp_cp_als(
                         )
                         last_summed = summed
                         # refresh the distributed step and its Gram products
-                        for block_index in range(state.grid.dims[mode]):
-                            delta_factors[mode].set_block(
-                                block_index,
-                                state.dist_factors[mode].block(block_index)
-                                - checkpoint[mode].block(block_index),
-                            )
+                        _set_step(mode, checkpoint)
                         delta_grams[mode] = allreduce_rowwise_product(
                             state,
                             state.dist_factors[mode].padded_global(),
@@ -337,19 +344,32 @@ def parallel_pp_cp_als(
                     elapsed = time.perf_counter() - sweep_start
                     _record("pp-approx", elapsed, snapshots)
                     if abs(previous_residual - residual) < tol:
+                        # stalled: whether the run is done is for the exact sweep
+                        phase_end = "stalled"
                         break
                     previous_residual = residual
+                if phase_end is None and logger.isEnabledFor(logging.DEBUG):
+                    # gathers the global factors: for the DEBUG record only
+                    phase_end = pp_phase_end(*_steps())
 
             if total_sweeps >= n_sweeps:
+                log_pp_phase(inner, "budget")
                 break
 
             # -------------------------------------------------------------- exact sweep
             sweep_start = time.perf_counter()
             snapshots = machine.snapshot_costs()
             before_blocks = [df.copy() for df in state.dist_factors]
+            grams_before = list(state.grams)
             last_summed = None
             for mode in range(order):
                 _, summed = parallel_mode_update(state, mode)
+                if mode == 0 and inner:
+                    # the factors moved since the last exact residual: Eq. (3)
+                    # on this sweep's first MTTKRP gives the one it starts from
+                    previous_residual = residual_from_mttkrp(
+                        state.norm_t, summed, before_blocks[0].padded_global(),
+                        grams_before, last_mode=0)
                 last_summed = summed
             assert last_summed is not None
             residual = residual_from_mttkrp(
@@ -359,27 +379,15 @@ def parallel_pp_cp_als(
                 state.grams,
                 last_mode=order - 1,
             )
-            delta_factors = []
+            delta_factors = zero_delta_factors(state)
             for mode in range(order):
-                blocks = [
-                    state.dist_factors[mode].block(x) - before_blocks[mode].block(x)
-                    for x in range(state.grid.dims[mode])
-                ]
-                delta_factors.append(
-                    DistributedFactor(
-                        mode,
-                        state.dist_factors[mode].global_rows,
-                        rank,
-                        state.grid,
-                        blocks,
-                        partition=state.dist_factors[mode].partition,
-                    )
-                )
+                _set_step(mode, before_blocks)
             total_sweeps += 1
             elapsed = time.perf_counter() - sweep_start
             _record("als", elapsed, snapshots)
-            if abs(previous_residual - residual) < tol:
-                converged = True
+            converged = abs(previous_residual - residual) < tol
+            log_pp_phase(inner, phase_end, converged)
+            if converged:
                 break
             previous_residual = residual
 

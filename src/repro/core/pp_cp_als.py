@@ -11,6 +11,11 @@ The driver alternates between two regimes:
   (Eqs. 5-8) run until some factor drifts too far from the checkpoint, after
   which an exact sweep is performed and convergence is re-evaluated.
 
+The stop rule is :func:`~repro.core.cp_als.cp_als`'s on exact numbers: two
+*exact* residuals one sweep apart, the exact sweep after a PP phase judged
+against the residual Eq. (3) gives from its own first MTTKRP.  An approximated
+residual only ever ends a phase (``docs/algorithms.rst``, "PP control loop").
+
 Every phase is recorded as sweep records of type ``"als"``, ``"pp-init"`` or
 ``"pp-approx"`` — the statistics behind Tables III and IV and Figures 4/5.
 """
@@ -22,23 +27,35 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.cp_als import run_regular_sweep
 from repro.core.initialization import prepare_als_inputs
 from repro.core.normal_equations import gamma_chain, gram_matrix
 from repro.core.pp_corrections import (
     delta_gram,
     fused_approx_update,
+    log_pp_phase,
+    pp_phase_end,
     pp_step_within_tolerance,
 )
 from repro.core.options import PPOptions, resolve_options
 from repro.core.results import ALSResult, ResultBase, SweepRecord
-from repro.core.updates import make_update_rule
+from repro.core.updates import LeastSquaresUpdate, sweep
 from repro.machine.cost_tracker import CostTracker
 from repro.tensor.norms import residual_from_mttkrp
 from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import make_provider
 
 __all__ = ["pp_cp_als"]
+
+
+class _ExactSweepRule(LeastSquaresUpdate):
+    """The exact update, keeping what Eq. (3) needs of each sweep's first MTTKRP:
+    ``M^(0)`` is exact for the factors the sweep starts from, so their residual
+    costs no tensor pass on any engine."""
+
+    def adjust_mttkrp(self, mode, mttkrp, provider, grams, tracker=None):
+        if mode == 0:
+            self.start = (mttkrp, provider.factors[0], list(grams))
+        return mttkrp
 
 
 def _record_sweep(records, index, sweep_type, residual, elapsed, cumulative, tracker, before):
@@ -137,7 +154,7 @@ def pp_cp_als(
     grams = [gram_matrix(f, tracker=tracker) for f in provider.factors]
     # PP approximates the MTTKRP, not the update: the approximated sweeps run
     # the same exact least-squares rule as the shared sweep kernel
-    rule = make_update_rule("least_squares")
+    rule = _ExactSweepRule()
 
     # Algorithm 2 line 2: dA^(i) <- A^(i), so the first iterations use exact sweeps.
     delta_factors = [f.copy() for f in provider.factors]
@@ -156,6 +173,7 @@ def pp_cp_als(
         return total_sweeps < n_sweeps
 
     while _sweeps_left():
+        inner_sweeps, phase_end = 0, None
         # ------------------------------------------------------------------ PP phase
         if pp_step_within_tolerance(provider.factors, delta_factors, pp_tol):
             # PP initialization step (Algorithm 2 lines 6-9)
@@ -177,7 +195,6 @@ def pp_cp_als(
                               elapsed, cumulative, tracker, before)
 
             # PP approximated sweeps (Algorithm 2 lines 10-17)
-            inner_sweeps = 0
             while (
                 _sweeps_left()
                 and inner_sweeps < max_pp_sweeps_per_phase
@@ -223,6 +240,7 @@ def pp_cp_als(
                         grams[mode] = grams_backup[mode]
                         delta_factors[mode] = delta_backup[mode]
                     residual = residual_before
+                    phase_end = "diverged"
                     break
                 elapsed = time.perf_counter() - sweep_start
                 cumulative += elapsed
@@ -235,22 +253,27 @@ def pp_cp_als(
                     callback(total_sweeps - 1, [f.copy() for f in provider.factors],
                              ResultBase.fitness_from_residual(residual))
                 if abs(previous_residual - residual) < tol:
-                    # Converged inside the PP regime; the exact sweep below
-                    # confirms it with an exact residual.
+                    # Stalled: whether the run is done is for the exact sweep.
+                    phase_end = "stalled"
                     break
                 previous_residual = residual
+            phase_end = phase_end or pp_phase_end(provider.factors, delta_factors, pp_tol)
 
         if not _sweeps_left():
+            log_pp_phase(inner_sweeps, "budget")
             break
 
         # ------------------------------------------------------------- exact ALS sweep
         sweep_start = time.perf_counter()
         before = tracker.snapshot()
         factors_before = [f.copy() for f in provider.factors]
-        last_mttkrp = run_regular_sweep(provider, grams, tracker)
+        last_mttkrp = sweep(provider, grams, rule=rule, tracker=tracker)
         residual = residual_from_mttkrp(
             norm_t, last_mttkrp, provider.factors[-1], grams, last_mode=order - 1
         )
+        if inner_sweeps:
+            # approximated sweeps moved the factors: judge this sweep from its own start
+            previous_residual = residual_from_mttkrp(norm_t, *rule.start, last_mode=0)
         delta_factors = [
             provider.factors[i] - factors_before[i] for i in range(order)
         ]
@@ -263,8 +286,9 @@ def pp_cp_als(
         if callback is not None:
             callback(total_sweeps - 1, [f.copy() for f in provider.factors],
                      ResultBase.fitness_from_residual(residual))
-        if abs(previous_residual - residual) < tol:
-            converged = True
+        converged = abs(previous_residual - residual) < tol
+        log_pp_phase(inner_sweeps, phase_end, converged)
+        if converged:
             break
         previous_residual = residual
 

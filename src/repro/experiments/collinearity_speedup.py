@@ -42,9 +42,8 @@ class CollinearityBinResult:
     speedups: list[float] = field(default_factory=list)
     baseline_seconds: list[float] = field(default_factory=list)
     pp_seconds: list[float] = field(default_factory=list)
-    n_als_sweeps: list[int] = field(default_factory=list)
-    n_pp_init: list[int] = field(default_factory=list)
-    n_pp_approx: list[int] = field(default_factory=list)
+    #: sweep-type sequence of each PP run (``"als"`` / ``"pp-init"`` / ``"pp-approx"``)
+    pp_sweep_types: list[list[str]] = field(default_factory=list)
     final_fitness_baseline: list[float] = field(default_factory=list)
     final_fitness_pp: list[float] = field(default_factory=list)
 
@@ -58,13 +57,17 @@ class CollinearityBinResult:
             return (0.0, 0.0, 0.0)
         return tuple(np.percentile(self.speedups, [25, 50, 75]))  # type: ignore[return-value]
 
+    def _mean_count(self, sweep_type: str) -> float:
+        counts = [types.count(sweep_type) for types in self.pp_sweep_types]
+        return float(np.mean(counts)) if counts else 0.0
+
     def table3_row(self) -> dict:
         """Mean sweep counts — one row of Table III."""
         return {
             "collinearity": f"[{self.collinearity_range[0]:.1f}, {self.collinearity_range[1]:.1f})",
-            "num_als": float(np.mean(self.n_als_sweeps)) if self.n_als_sweeps else 0.0,
-            "num_pp_init": float(np.mean(self.n_pp_init)) if self.n_pp_init else 0.0,
-            "num_pp_approx": float(np.mean(self.n_pp_approx)) if self.n_pp_approx else 0.0,
+            "num_als": self._mean_count("als"),
+            "num_pp_init": self._mean_count("pp-init"),
+            "num_pp_approx": self._mean_count("pp-approx"),
             "median_speedup": self.median_speedup,
         }
 
@@ -114,9 +117,7 @@ def collinearity_speedup_study(
             bin_result.speedups.append(float(speedup))
             bin_result.baseline_seconds.append(float(baseline_time))
             bin_result.pp_seconds.append(float(pp_time))
-            bin_result.n_als_sweeps.append(pp.count_sweeps("als"))
-            bin_result.n_pp_init.append(pp.count_sweeps("pp-init"))
-            bin_result.n_pp_approx.append(pp.count_sweeps("pp-approx"))
+            bin_result.pp_sweep_types.append([s.sweep_type for s in pp.sweeps])
             bin_result.final_fitness_baseline.append(baseline.fitness)
             bin_result.final_fitness_pp.append(pp.fitness)
         results.append(bin_result)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.normal_equations import gram_matrix
+from repro.core.updates import sweep
 from repro.machine.cost_tracker import CostTracker
 from repro.tensor.mttkrp import mttkrp, partial_mttkrp
 from repro.trees.pp_operators import PairwiseOperators
@@ -105,6 +107,49 @@ class TestBuildWithProvider:
         provider = make_provider("dt", rng.random((3, 3, 3)), [rng.random((3, 4))] * 3)
         with pytest.raises(ValueError):
             PairwiseOperators.build(small_tensor3, factors3, provider=provider)
+
+
+class TestBuildAfterASweep:
+    """What a checkpoint pays on top of what the exact sweep before it left."""
+
+    RANK = 3
+
+    def warm_provider(self, engine, order, rng):
+        shape = tuple(int(s) for s in rng.integers(4, 7, size=order))
+        tensor = rng.random(shape)
+        tracker = CostTracker()
+        provider = make_provider(engine, tensor, [rng.random((s, self.RANK)) for s in shape],
+                                 tracker=tracker)
+        sweep(provider, [gram_matrix(f) for f in provider.factors], tracker=tracker)
+        return tensor, provider, tracker
+
+    def first_level_ttms(self, tracker, before, tensor) -> float:
+        return (tracker.flops_by_category["ttm"] - before) / (2 * tensor.size * self.RANK)
+
+    @pytest.mark.parametrize("engine", ["dt", "msdt"])
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_operators_match_the_oracle_and_reuse_the_sweep(self, order, engine, rng):
+        tensor, provider, tracker = self.warm_provider(engine, order, rng)
+        before = tracker.flops_by_category["ttm"]
+        operators = PairwiseOperators.build(tensor, provider.factors, tracker=tracker,
+                                            provider=provider)
+        for i in range(order):
+            for j in range(i + 1, order):
+                assert np.allclose(operators.pair_operator(i, j),
+                                   partial_mttkrp(tensor, provider.factors, [i, j]),
+                                   atol=1e-10)
+            assert np.allclose(operators.single(i), mttkrp(tensor, provider.factors, i),
+                               atol=1e-10)
+        # the PP tree has three first-level intermediates at every order (Fig.
+        # 1b); the sweep left one of them: T x A^(0) on dt, T x A^(N-2) on msdt
+        assert self.first_level_ttms(tracker, before, tensor) == 2
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_cold_build_pays_three_first_level_ttms(self, order, rng):
+        tensor, provider, _ = self.warm_provider("dt", order, rng)
+        tracker = CostTracker()
+        PairwiseOperators.build(tensor, provider.factors, tracker=tracker)
+        assert self.first_level_ttms(tracker, 0, tensor) == 3
 
 
 class TestConstructorValidation:
