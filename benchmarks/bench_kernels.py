@@ -8,7 +8,8 @@ segmented-sum operator against ``np.add.reduceat``, the two dense tree
 kernels (batched GEMM / matrix-vector products on views) against
 ``np.einsum(..., optimize=True)``, per mode and per axis, and the pieces of a
 PP approximated sweep (Eq. 5's first-order assembly, the normal-equations
-solve, the Gram matrix) against the per-pair einsum, SciPy's
+solve, the Gram matrix) against the per-pair einsum — on semi-sparse
+operators against the gather-scale-scatter it was —, SciPy's
 ``cho_factor``/``cho_solve`` wrappers and the einsum they were, and the
 sparse set-up (COO canonicalisation, a CSF layout, a fiber step) against the
 ``np.lexsort`` spelling it had before ``repro.sparse.ordering.lex_order``
@@ -22,6 +23,7 @@ import pytest
 import scipy.linalg
 from conftest import BENCH_TINY
 
+from repro.contract import default_engine
 from repro.core.normal_equations import gram_matrix, solve_normal_equations
 from repro.data.sparse_synthetic import sparse_skewed_count_tensor
 from repro.sparse import CooTensor, CsfTensor
@@ -70,27 +72,96 @@ def _first_order_oracle(operators, mode, deltas):
     return out
 
 
-@pytest.mark.parametrize("shape", ["order3", "harness"])
-@pytest.mark.parametrize("kind", ["first-order-mttkrp", "per-pair-einsum-oracle"])
-def test_pp_approximated_sweep_time(benchmark, workload, tree_workload, kind, shape):
+def _gather_scale_scatter_plan(operators):
+    """Per ``(pair, out_axis)``: the fiber block as the C-contiguous
+    ``(n_fibers, R)`` array it was held as, the gather columns and the cached
+    placement operator — the semi-sparse first-order correction's structure
+    before the block-diagonal product."""
+    plan = {}
+    for pair, op in operators.pairs().items():
+        block = np.ascontiguousarray(op.block)
+        for out_axis in (0, 1):
+            plan[pair, out_axis] = (block, op.fibers[:, 1 - out_axis],
+                                    SegmentSum.scatter(op.fibers[:, out_axis],
+                                                       op.dims[out_axis],
+                                                       dtype=block.dtype))
+    return plan
+
+
+def _gather_scale_scatter(operators, plan, mode, deltas, engine):
+    """Eq. (5) up to first order on semi-sparse operators as it was computed:
+    per pair, the factor rows of the fibers gathered into an ``n_fibers x R``
+    array, scaled in place by the block through the einsum engine, and
+    scatter-added into the output rows."""
+    out = operators.single(mode).copy()
+    for other in range(operators.order):
+        if other != mode:
+            pair, out_axis = ((mode, other), 0) if mode < other else ((other, mode), 1)
+            block, gather, scatter = plan[pair, out_axis]
+            rows = deltas[other][gather]
+            engine.contract("fr,fr->fr", block, rows, out=rows)
+            out += scatter @ rows
+    return out
+
+
+@pytest.fixture(scope="module")
+def warm_sparse_operators(sparse_workload):
+    """PP operators of the harness's ``sparse3_skewed`` tensor (or the tiny
+    one), built from a provider that has run one sweep."""
+    rng = np.random.default_rng(0)
+    provider = make_provider("msdt", sparse_workload,
+                             [rng.random((s, _RANK)) for s in sparse_workload.shape])
+    _sweep(provider)
+    operators = PairwiseOperators.build(sparse_workload, provider.factors,
+                                        provider=provider)
+    return operators, [1e-3 * f for f in provider.factors]
+
+
+_APPROX_CASES = [
+    pytest.param(shape, kind, id=f"{kind}-{shape}")
+    for shape, kinds in (("order3", ("first-order-mttkrp", "per-pair-einsum-oracle")),
+                         ("harness", ("first-order-mttkrp", "per-pair-einsum-oracle")),
+                         ("sparse3", ("first-order-mttkrp", "gather-scale-scatter")))
+    for kind in kinds
+]
+
+
+@pytest.mark.parametrize("shape,kind", _APPROX_CASES)
+def test_pp_approximated_sweep_time(benchmark, request, kind, shape):
     """The first-order assembly of one approximated sweep (all modes), at the
-    engine-sweep shape above and at the harness's dense workload."""
-    tensor, factors = workload if shape == "order3" else tree_workload
-    order = tensor.ndim
-    operators = PairwiseOperators.build(tensor, factors)
-    deltas = [1e-3 * f for f in factors]
-    workspaces = [np.empty_like(f) for f in factors]
+    engine-sweep shape above, at the harness's dense workload, and on the
+    semi-sparse operators of its ``sparse3_skewed`` tensor — there against
+    the gather-scale-scatter correction the block-diagonal product replaced,
+    which it must equal bit for bit."""
+    if shape == "sparse3":
+        operators, deltas = request.getfixturevalue("warm_sparse_operators")
+    else:
+        tensor, factors = request.getfixturevalue(
+            "workload" if shape == "order3" else "tree_workload")
+        operators = PairwiseOperators.build(tensor, factors)
+        deltas = [1e-3 * f for f in factors]
+    order = operators.order
+    workspaces = [np.empty_like(operators.single(mode)) for mode in range(order)]
+    plan = _gather_scale_scatter_plan(operators) if shape == "sparse3" else None
+    engine = default_engine()
 
     def _approx_sweep():
         if kind == "first-order-mttkrp":
             return [operators.first_order_mttkrp(mode, deltas, out=workspaces[mode])
                     for mode in range(order)]
+        if kind == "gather-scale-scatter":
+            return [_gather_scale_scatter(operators, plan, mode, deltas, engine)
+                    for mode in range(order)]
         return [_first_order_oracle(operators, mode, deltas) for mode in range(order)]
 
     result = benchmark(_approx_sweep)
     for mode in range(order):
-        assert np.allclose(result[mode], _first_order_oracle(operators, mode, deltas),
-                           rtol=1e-12, atol=1e-12)
+        if plan is not None:
+            assert np.array_equal(
+                result[mode], _gather_scale_scatter(operators, plan, mode, deltas, engine))
+        else:
+            assert np.allclose(result[mode], _first_order_oracle(operators, mode, deltas),
+                               rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_rows", [64, 100_000], ids=["tiny", "1e5-rows"])

@@ -67,7 +67,6 @@ def first_order_correction(
     delta_factor: np.ndarray,
     tracker=None,
     category: str = "mttv",
-    engine=None,
     out: np.ndarray | None = None,
     accumulate: bool = False,
     kernel=None,
@@ -86,8 +85,8 @@ def first_order_correction(
     out when ``n > i`` (nothing is copied).  On the sparse backend the
     oriented operator is a semi-sparse
     :class:`~repro.trees.sparse_pp.OrientedPairOperator`; the contraction then
-    runs as a fiber-run segmented reduction over its nonzero fibers without
-    densifying the operator, through ``engine``.
+    is one sparse matrix-vector product over its nonzero fibers (block-diagonal
+    in the rank), without densifying the operator.
 
     ``accumulate=True`` adds the correction into the caller's ``out`` buffer
     instead of overwriting it.  A compiled ``kernel`` collapses the
@@ -107,7 +106,7 @@ def first_order_correction(
     if isinstance(pair_operator, OrientedPairOperator):
         return pair_operator.contract_delta(
             np.asarray(delta_factor), tracker=tracker, category=category,
-            engine=engine, out=out, accumulate=accumulate, kernel=kernel,
+            out=out, accumulate=accumulate, kernel=kernel,
         )
     pair_operator = np.asarray(pair_operator)
     delta_factor = np.asarray(delta_factor)

@@ -174,10 +174,9 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
         self._fiber_steps: dict[tuple[tuple[int, ...], int], _FiberStep] = {}
         self._regroupings: dict[tuple[tuple[int, ...], int],
                                 tuple[np.ndarray | None, np.ndarray]] = {}
-        # PP pair-operator sums, {(i, j): {out_axis: SegmentSum}}, filled by
-        # the operators of repro.trees.sparse_pp and shared by every
-        # checkpoint this provider serves
-        self._pair_sums: dict[tuple[int, int], dict[int, SegmentSum]] = {}
+        # {(i, j): (indices, indptr)} of the PP pair operators of
+        # repro.trees.sparse_pp, shared by every checkpoint this provider serves
+        self._pair_patterns: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- structural caches (sparsity pattern only, never invalidated) --------
     def csf_layout(self, mode_order: Sequence[int]) -> CsfTensor:
@@ -386,8 +385,7 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
         """Sizes of the pattern-only structural caches (not factor data)."""
         operators = [s.contract for s in self._root_steps.values()]
         operators += [s.reduce for s in self._fiber_steps.values()]
-        operators += [op for sums in self._pair_sums.values()
-                      for op in sums.values()]
+        pair_arrays = [a for pattern in self._pair_patterns.values() for a in pattern]
         return {
             "csf_layouts": len(self._csf),
             "csf_bytes": sum(c.nbytes for c in self._csf.values()),
@@ -399,8 +397,8 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
                 starts.nbytes + (perm.nbytes if perm is not None else 0)
                 for perm, starts in self._regroupings.values()
             ),
-            "operators": len(operators),
-            "operator_bytes": sum(op.nbytes for op in operators),
+            "operators": len(operators) + len(self._pair_patterns),
+            "operator_bytes": sum(op.nbytes for op in operators + pair_arrays),
         }
 
 

@@ -28,17 +28,17 @@ Checkpoint setup thus drops from ``binom(N, 2)`` independent
 contractions plus fiber-level work — the same tree amortization the paper
 proves for the dense PP tree, now on the sparse backend.
 
-The pair operators themselves *stay semi-sparse*: a
-:class:`SemiSparsePairOperator` holds the sorted ``(n_fibers, 2)`` coordinate
-matrix and the ``(n_fibers, R)`` dense block, and contracts the first-order
-corrections ``U^(n,i)`` (Eq. 6) as one elementwise product plus one
-:class:`~repro.sparse.csf.SegmentSum` product per pair, without ever
-materializing the dense ``(s_i, s_j, R)`` array — which is what keeps padded
-per-rank blocks of order > 3 tensors from densifying in
-:func:`~repro.core.parallel_pp_cp_als.parallel_pp_cp_als`.  The scatter into the
-output rows is the sum operator's row structure; it depends on the fibers
-alone and is kept per ``(pair, axis)`` on the tree provider, so a later
-checkpoint on the same pattern builds nothing.
+The pair operators themselves *stay semi-sparse* (padded per-rank blocks of
+order > 3 tensors must not densify in
+:func:`~repro.core.parallel_pp_cp_als.parallel_pp_cp_als`): a
+:class:`SemiSparsePairOperator` holds the sorted ``(n_fibers, 2)`` fibers and
+their ``R``-vectors rank-first, the data of a block-diagonal ``(R s_i, R s_j)``
+CSR matrix ``B`` (block ``r``: the fiber pattern, rank column ``r``), so a
+first-order correction ``U^(n,i)`` (Eq. 6) is one sparse matrix-vector
+product, ``B @ vec(dA_j^T)`` or ``B.T @ vec(dA_i^T)``: nothing of size
+``n_fibers x R`` is gathered or allocated.  ``B``'s index arrays are kept per
+pair on the tree provider; a checkpoint lays out only the data, once (layout
+by measurement: ``docs/engines.rst``, "The approximated sweep").
 
 Example
 -------
@@ -66,10 +66,9 @@ import time
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
-from repro.contract import resolve_engine
 from repro.sparse.coo import CooTensor
-from repro.sparse.csf import SegmentSum
 from repro.sparse.ordering import lex_order
 from repro.trees.descent import ascending_order
 from repro.trees.sparse_dt import SparseDimensionTreeMTTKRP, SparseTreeBackend
@@ -79,6 +78,26 @@ __all__ = [
     "OrientedPairOperator",
     "build_semi_sparse_operators",
 ]
+
+
+def _rank_first(block: np.ndarray) -> np.ndarray:
+    """``block`` ``(F, R)`` copied into a C-contiguous ``(R, F)`` array 256 fibers
+    at a time (0.55 ms at 35 500 x 16; ``np.ascontiguousarray(block.T)``: 2.4 ms)."""
+    out = np.empty(block.shape[::-1], dtype=block.dtype)
+    for start in range(0, len(block), 256):
+        out[:, start:start + 256] = block[start:start + 256].T
+    return out
+
+
+def _block_diagonal_pattern(fibers, dims, rank) -> tuple[np.ndarray, np.ndarray]:
+    """``(indices, indptr)`` of ``B``: row ``x + r s_i`` holds the fibers of lead
+    coordinate ``x`` in fiber order at columns ``y_f + r s_j``."""
+    s_i, s_j = dims
+    index = np.int32 if rank * max(s_i, s_j, len(fibers)) < 2**31 else np.int64
+    indices = fibers[:, 1].astype(index) + np.arange(rank, dtype=index)[:, None] * s_j
+    indptr = np.zeros(rank * s_i + 1, dtype=index)
+    np.cumsum(np.tile(np.bincount(fibers[:, 0], minlength=s_i), rank), out=indptr[1:])
+    return indices.ravel(), indptr
 
 
 class SemiSparsePairOperator:
@@ -91,18 +110,18 @@ class SemiSparsePairOperator:
     after construction — a checkpoint operator must not drift while the PP
     approximated sweeps update the factors.
 
-    ``sums`` is an optional ``{out_axis: SegmentSum}`` dict to keep the
-    per-axis output sums in: they depend on ``fibers`` alone, so whoever
-    builds operators over the same fibers again and again (the tree provider,
-    once per PP checkpoint) passes the same dict each time and they are built
-    once.
+    ``block`` is held as the view of a rank-first copy, the data of
+    :meth:`contract_other`'s block-diagonal matrix; ``pattern``, that
+    matrix's ``(indices, indptr)``, depends on ``fibers``, ``dims`` and ``R``
+    alone, so whoever builds operators over the same fibers again (the tree
+    provider, once per PP checkpoint) passes the previous one's back in.
     """
 
-    __slots__ = ("modes", "fibers", "block", "dims", "_sums", "_groupings")
+    __slots__ = ("modes", "fibers", "block", "dims", "pattern", "_products", "_groupings")
 
     def __init__(self, modes: tuple[int, int], fibers: np.ndarray,
                  block: np.ndarray, dims: tuple[int, int],
-                 sums: dict[int, SegmentSum] | None = None):
+                 pattern: tuple[np.ndarray, np.ndarray] | None = None):
         i, j = (int(modes[0]), int(modes[1]))
         if not i < j:
             raise ValueError(f"pair operator modes must satisfy i < j, got {(i, j)}")
@@ -113,9 +132,9 @@ class SemiSparsePairOperator:
                 f"block shape {block.shape} inconsistent with {fibers.shape[0]} fibers"
             )
         if fibers.shape[0] > 1:
-            # densify() and the compiled kernels' run groupings silently
-            # assume the CSF invariant; a violation would drop contributions,
-            # not error
+            # densify(), the block-diagonal matrix and the compiled kernels'
+            # run groupings silently assume the CSF invariant; a violation
+            # would misplace or drop contributions, not error
             d0 = np.diff(fibers[:, 0])
             d1 = np.diff(fibers[:, 1])
             if not bool(np.all((d0 > 0) | ((d0 == 0) & (d1 > 0)))):
@@ -124,9 +143,13 @@ class SemiSparsePairOperator:
                 )
         self.modes = (i, j)
         self.fibers = fibers
-        self.block = block
         self.dims = (int(dims[0]), int(dims[1]))
-        self._sums = {} if sums is None else sums
+        data = _rank_first(block)
+        self.block, rank = data.T, data.shape[0]
+        self.pattern = pattern or _block_diagonal_pattern(fibers, self.dims, rank)
+        forward = csr_array((data.ravel(), *self.pattern),
+                            shape=(rank * self.dims[0], rank * self.dims[1]))
+        self._products = (forward, forward.T)  # by out_axis; .T is CSC, same arrays
         # lazy per-axis regroupings for the compiled kernels (pattern-only):
         # axis -> (perm, starts, coords)
         self._groupings: dict[int, tuple[np.ndarray | None, np.ndarray, np.ndarray]] = {}
@@ -182,7 +205,7 @@ class SemiSparsePairOperator:
         lexicographic sort already groups them), ``starts`` delimits the runs,
         ``coords`` is each run's output coordinate.  Pattern-only, computed
         once per axis and cached for the checkpoint's lifetime; the form the
-        compiled kernels take (everything else goes through :meth:`_sum`).
+        compiled kernels take (everything else is one sparse matvec).
         """
         cached = self._groupings.get(out_axis)
         if cached is not None:
@@ -193,26 +216,12 @@ class SemiSparsePairOperator:
         self._groupings[out_axis] = (perm, starts, coords)
         return self._groupings[out_axis]
 
-    def _sum(self, out_axis: int) -> SegmentSum:
-        """Sum of the fiber rows into their ``out_axis`` coordinate's row.
-
-        Pattern-only and full height (``dims[out_axis]`` output rows, zero
-        where no fiber lands), built once per axis.
-        """
-        op = self._sums.get(out_axis)
-        if op is None:
-            op = SegmentSum.scatter(self.fibers[:, out_axis], self.dims[out_axis],
-                                    dtype=self.block.dtype)
-            self._sums[out_axis] = op
-        return op
-
     def contract_other(
         self,
         factor: np.ndarray,
         out_axis: int,
         tracker=None,
         category: str = "mttv",
-        engine=None,
         out: np.ndarray | None = None,
         accumulate: bool = False,
         kernel=None,
@@ -221,14 +230,14 @@ class SemiSparsePairOperator:
 
         ``out_axis`` selects which of the two kept modes survives: the result
         is the dense ``(dims[out_axis], R)`` matrix
-        ``sum_y M(x, y, k) * factor(y, k)`` — one multiply and one
-        segment-add per fiber per rank column instead of the dense kernel's
-        ``s_i * s_j * R``.
+        ``sum_y M(x, y, k) * factor(y, k)``: one product of the block-diagonal
+        matrix (or its transpose) with ``vec(factor^T)``, adding each output
+        row's fibers in fiber order — ``2 R`` flops per fiber, not ``s_i s_j R``.
 
         With ``accumulate=True`` the contribution is *added* into the caller's
         ``out`` buffer instead of overwriting it (the fused PP approximated
-        step assembles Eq. 5 this way, with no per-pair temporary); a compiled
-        ``kernel`` then runs the whole thing as one scatter loop
+        step assembles Eq. 5 this way); a compiled ``kernel`` then runs the
+        whole thing as one scatter loop
         (:meth:`~repro.sparse.kernels.KernelBackend.pair_accumulate`).
         """
         if out_axis not in (0, 1):
@@ -240,7 +249,6 @@ class SemiSparsePairOperator:
                 f"factor shape {factor.shape} incompatible with pair operator of "
                 f"shape {self.shape} contracted over axis {other}"
             )
-        eng = resolve_engine(engine)
         expected = (self.dims[out_axis], self.rank)
         if out is None:
             if accumulate:
@@ -263,11 +271,8 @@ class SemiSparsePairOperator:
                     self.block, self.fibers[:, other], factor, starts, perm=perm
                 )
             else:
-                rows = factor[self.fibers[:, other]].astype(
-                    np.result_type(factor, self.block), copy=False)
-                # scaled in place: the gathered rows are the only temporary
-                eng.contract("fr,fr->fr", self.block, rows, out=rows)
-                out += self._sum(out_axis) @ rows  # out is zero unless accumulating
+                summed = self._products[out_axis] @ factor.T.ravel()
+                out += summed.reshape(self.rank, -1).T  # out is zero unless accumulating
         elapsed = time.perf_counter() - start
         if tracker is not None:
             tracker.add_flops(category, 2 * self.n_fibers * self.rank)
@@ -321,13 +326,12 @@ class OrientedPairOperator:
         return s_lead * s_other * rank
 
     def contract_delta(self, delta_factor: np.ndarray, tracker=None,
-                       category: str = "mttv", engine=None,
-                       out: np.ndarray | None = None,
+                       category: str = "mttv", out: np.ndarray | None = None,
                        accumulate: bool = False, kernel=None) -> np.ndarray:
         """``U(x, k) = sum_y M(x, y, k) delta(y, k)`` with the lead mode as ``x``."""
         return self.operator.contract_other(
             delta_factor, self.lead_axis, tracker=tracker, category=category,
-            engine=engine, out=out, accumulate=accumulate, kernel=kernel,
+            out=out, accumulate=accumulate, kernel=kernel,
         )
 
     def densify(self) -> np.ndarray:
@@ -356,20 +360,18 @@ def build_semi_sparse_operators(
 
     When ``provider`` is a :class:`~repro.trees.sparse_dt.SparseTreeBackend`
     bound to this tensor (its factors must already equal ``factors`` — the
-    caller checks), the descents share its versioned intermediate cache *and*
-    its pattern-only structural caches (CSF layouts, fiber regroupings), so a
-    checkpoint taken right after a DT/MSDT sweep starts from the sweep's
-    still-valid intermediates.  Without a provider a standalone descent
-    backend is built from scratch — correct, but the structural caches are
-    then rebuilt (one ordering of the nonzeros per non-identity root layout,
-    :func:`~repro.sparse.ordering.lex_order`) and discarded per
-    call, so repeated checkpoints should go through a tree provider (the
-    ``pp_cp_als`` / ``parallel_pp_cp_als`` default).
+    caller checks), the descents share its versioned intermediate cache and
+    its pattern-only caches (CSF layouts, fiber regroupings, the pair
+    operators' index arrays), so a checkpoint taken right after a DT/MSDT
+    sweep starts from the sweep's still-valid intermediates and builds no
+    structure.  Without one a standalone backend rebuilds and discards all of
+    it per call, so repeated checkpoints should go through a tree provider
+    (the ``pp_cp_als`` / ``parallel_pp_cp_als`` default).
 
     Intermediates produced by the descents land in the (shared) versioned
-    cache under its usual byte budget; they serve later descents within this
-    build and are dropped by the provider's normal stale-entry sweep as soon
-    as the next factor update invalidates them.
+    cache under its usual byte budget until the next factor update
+    invalidates them; a cached pair intermediate is pointed at its operator's
+    rank-first copy of the ``R``-vectors, so one copy of them stays alive.
 
     Returns ``(pair_ops, single_ops)``: the pair operators keyed ``(i, j)``
     with ``i < j`` as :class:`SemiSparsePairOperator`, and the dense
@@ -426,22 +428,22 @@ def build_semi_sparse_operators(
                     raise RuntimeError(
                         f"descent for pair {(i, j)} produced modes {semi.modes}"
                     )
-                pair_ops[(i, j)] = SemiSparsePairOperator(
+                op = pair_ops[(i, j)] = SemiSparsePairOperator(
                     modes=(i, j), fibers=semi.fibers, block=semi.block,
                     dims=(shape[i], shape[j]),
-                    sums=backend._pair_sums.setdefault((i, j), {}),
+                    pattern=backend._pair_patterns.get((i, j)),
                 )
+                backend._pair_patterns[(i, j)] = op.pattern
+                semi.block = op.block  # same values; the cache's copy is freed
 
         single_ops: dict[int, np.ndarray] = {}
-        eng = backend.engine
         for n in range(order):
             if n < order - 1:
                 op, other, axis = pair_ops[(n, n + 1)], n + 1, 0
             else:
                 op, other, axis = pair_ops[(n - 1, n)], n - 1, 1
-            single_ops[n] = op.contract_other(
-                backend.factors[other], axis, tracker=tracker, engine=eng,
-            )
+            single_ops[n] = op.contract_other(backend.factors[other], axis,
+                                              tracker=tracker)
     finally:
         backend.tracker = prev_tracker
         backend._engine = prev_engine

@@ -1,10 +1,14 @@
-"""Unit tests for the semi-sparse PP operator builder (ISSUE 5)."""
+"""Unit tests for the semi-sparse PP operator builder and its operators."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.machine.cost_tracker import CostTracker
 from repro.sparse import CooTensor
+from repro.sparse.csf import SegmentSum
 from repro.tensor.mttkrp import mttkrp, partial_mttkrp
 from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import make_provider
@@ -21,6 +25,44 @@ def _sparse_instance(rng, shape, rank, density=0.3):
     coo = CooTensor.from_dense(dense)
     factors = [rng.random((s, rank)) for s in shape]
     return dense, coo, factors
+
+
+def _gather_scale_scatter(fibers, block, dims, factor, out_axis, out=None,
+                          accumulate=False):
+    """``contract_other`` as a gather, scale and scatter: the factor rows of
+    the fibers gathered into an ``n_fibers x R`` array, scaled in place by the
+    fiber block, and added into their output rows by a placement operator in
+    fiber order.  The oracle the block-diagonal product must equal bit for bit."""
+    other = 1 - out_axis
+    if out is None:
+        out = np.zeros((dims[out_axis], block.shape[1]), dtype=block.dtype)
+    elif not accumulate:
+        out.fill(0.0)
+    if fibers.shape[0]:
+        rows = factor[fibers[:, other]].astype(np.result_type(factor, block), copy=False)
+        np.einsum("fr,fr->fr", block, rows, out=rows)
+        out += SegmentSum.scatter(fibers[:, out_axis], dims[out_axis],
+                                  dtype=block.dtype) @ rows
+    return out
+
+
+def _assert_matches_gather_scale_scatter(operator, rng, factor_dtype=None):
+    """Both axes, overwriting and accumulating, ``np.array_equal`` and same dtype."""
+    for out_axis in (0, 1):
+        shape = (operator.dims[1 - out_axis], operator.rank)
+        factor = rng.random(shape).astype(factor_dtype or operator.block.dtype)
+        expected = _gather_scale_scatter(operator.fibers, operator.block,
+                                         operator.dims, factor, out_axis)
+        got = operator.contract_other(factor, out_axis)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        start = rng.random(expected.shape).astype(expected.dtype)
+        expected = _gather_scale_scatter(operator.fibers, operator.block,
+                                         operator.dims, factor, out_axis,
+                                         out=start.copy(), accumulate=True)
+        got = operator.contract_other(factor, out_axis, out=start.copy(),
+                                      accumulate=True)
+        assert np.array_equal(got, expected)
 
 
 class TestBuilder:
@@ -65,9 +107,10 @@ class TestBuilder:
                     np.asarray(standalone.pair_operator(i, j)), atol=1e-12,
                 )
 
-    def test_second_checkpoint_builds_no_new_sum_operator(self, rng):
-        """The pair operators' output sums depend on the pattern alone: the
-        provider keeps them per (pair, axis) across PP checkpoints."""
+    def test_second_checkpoint_reuses_the_pair_patterns(self, rng):
+        """The index arrays of the pair operators' block-diagonal matrices
+        depend on the pattern alone: the provider keeps them per pair across
+        PP checkpoints, and only the data is new."""
         _, coo, factors = _sparse_instance(rng, (6, 5, 4), rank=2)
         # dt: the sweep's own structure is complete after one sweep
         provider = make_provider("dt", coo, [f.copy() for f in factors])
@@ -86,15 +129,39 @@ class TestBuilder:
 
         first = checkpoint()
         stats = provider.structure_stats()
-        sums = {(pair, axis): op for pair, by_axis in provider._pair_sums.items()
-                for axis, op in by_axis.items()}
-        assert len(sums) == 6  # three pairs, two axes each
+        patterns = dict(provider._pair_patterns)
+        assert sorted(patterns) == [(0, 1), (0, 2), (1, 2)]
         second = checkpoint()
         assert provider.structure_stats() == stats
-        assert all(provider._pair_sums[pair][axis] is op
-                   for (pair, axis), op in sums.items())
-        # new blocks, same pattern
-        assert first.pairs()[0, 1].block is not second.pairs()[0, 1].block
+        assert provider._pair_patterns == patterns  # same tuples of the same arrays
+        for pair, (indices, indptr) in patterns.items():
+            op = second.pairs()[pair]
+            assert op.pattern[0] is indices and op.pattern[1] is indptr
+            # new data, same pattern
+            assert not np.shares_memory(op.block, first.pairs()[pair].block)
+
+    def test_build_leaves_one_copy_of_each_pair_block(self, rng):
+        """The operator's rank-first data replaces the descent's block in the
+        provider's cache: the cached pair intermediates read the operator's
+        array, and the blocks they held before the build are freed."""
+        _, coo, factors = _sparse_instance(rng, (9, 8, 7), rank=3, density=0.5)
+        provider = make_provider("dt", coo, [f.copy() for f in factors])
+        for mode in range(3):
+            provider.mttkrp(mode)
+        cached = [weakref.ref(entry.array.block) for entry in provider.cache.entries()
+                  if len(entry.modes) == 2]
+        assert cached  # the sweep left a pair intermediate to build from
+        ops = PairwiseOperators.build(coo, provider.factors, provider=provider)
+        gc.collect()
+        assert all(ref() is None for ref in cached)
+        pairs_in_cache = 0
+        for entry in provider.cache.entries():
+            if len(entry.modes) == 2:
+                assert entry.array.block is ops.pairs()[tuple(sorted(entry.modes))].block
+                pairs_in_cache += 1
+        assert pairs_in_cache == 3
+        for op in ops.pairs().values():
+            assert op.block.T.flags.c_contiguous
 
     def test_build_restores_provider_tracker_and_engine(self, rng):
         _, coo, factors = _sparse_instance(rng, (5, 4, 3), rank=2)
@@ -161,6 +228,69 @@ class TestBuilder:
         ops = PairwiseOperators.build(coo32, factors32)
         assert all(op.block.dtype == np.float32 for op in ops.pairs().values())
         assert all(ops.single(n).dtype == np.float32 for n in range(3))
+
+
+class TestContractOtherBitIdentity:
+    """The block-diagonal sparse matrix-vector product adds each output row's
+    fibers in fiber order, as the gather-scale-scatter did: equal bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(40, 30, 20), (9, 6, 5, 4), (6, 5, 4, 3, 7)],
+                             ids=["order3", "order4", "order5"])
+    def test_every_pair_of_a_build(self, shape, rng):
+        _, coo, factors = _sparse_instance(rng, shape, rank=4)
+        ops = PairwiseOperators.build(coo, factors)
+        for op in ops.pairs().values():
+            _assert_matches_gather_scale_scatter(op, rng)
+
+    def test_no_fibers(self, rng):
+        coo = CooTensor(np.zeros((0, 3), dtype=np.int64), np.zeros(0), (4, 3, 2))
+        pairs, _ = build_semi_sparse_operators(coo, [rng.random((s, 2)) for s in coo.shape])
+        for op in pairs.values():
+            assert op.n_fibers == 0
+            _assert_matches_gather_scale_scatter(op, rng)
+
+    def test_one_fiber(self, rng):
+        coo = CooTensor(np.array([[2, 1, 0]]), np.array([1.5]), (4, 3, 2))
+        pairs, _ = build_semi_sparse_operators(coo, [rng.random((s, 3)) for s in coo.shape])
+        for op in pairs.values():
+            assert op.n_fibers == 1
+            _assert_matches_gather_scale_scatter(op, rng)
+
+    def test_rank_one(self, rng):
+        _, coo, factors = _sparse_instance(rng, (7, 5, 6), rank=1)
+        for op in build_semi_sparse_operators(coo, factors)[0].values():
+            _assert_matches_gather_scale_scatter(op, rng)
+
+    def test_float32_stays_float32(self, rng):
+        _, coo, factors = _sparse_instance(rng, (7, 5, 6), rank=3)
+        ops = PairwiseOperators.build(coo.astype(np.float32),
+                                      [f.astype(np.float32) for f in factors])
+        for op in ops.pairs().values():
+            assert op.block.dtype == np.float32
+            _assert_matches_gather_scale_scatter(op, rng)  # float32 results
+
+    @pytest.mark.parametrize("operator_dtype,factor_dtype",
+                             [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_mixed_dtypes_follow_result_type(self, operator_dtype, factor_dtype, rng):
+        _, coo, factors = _sparse_instance(rng, (7, 5, 6), rank=3)
+        ops = PairwiseOperators.build(coo.astype(operator_dtype),
+                                      [f.astype(operator_dtype) for f in factors])
+        for op in ops.pairs().values():
+            _assert_matches_gather_scale_scatter(op, rng, factor_dtype=factor_dtype)
+
+    def test_rank_first_copy_is_exact_and_pattern_reused(self, rng):
+        """A block is copied rank-first in chunks (here four of them, the last
+        one partial); an operator given a pattern keeps it."""
+        fibers = np.stack(np.divmod(np.arange(1000), 40), axis=1)
+        block = rng.random((1000, 3))
+        op = SemiSparsePairOperator((0, 1), fibers, block, (25, 40))
+        assert np.array_equal(op.block, block)
+        assert op.block.T.flags.c_contiguous and not np.shares_memory(op.block, block)
+        again = SemiSparsePairOperator((0, 1), fibers, 2.0 * block, (25, 40),
+                                       pattern=op.pattern)
+        assert again.pattern is op.pattern
+        _assert_matches_gather_scale_scatter(op, rng)
+        _assert_matches_gather_scale_scatter(again, rng)
 
 
 class TestSemiSparsePairOperator:
