@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.cp_als import cp_als
 from repro.core.options import ALSOptions
 from repro.data.sparse_synthetic import sparse_low_rank_tensor
-from repro.sparse.kernels import get_kernel
 from repro.grid.balance import make_partition
 from repro.grid.processor_grid import ProcessorGrid
 from repro.machine.cost_tracker import CostTracker
@@ -84,31 +83,6 @@ def run_sweeps(config: dict) -> dict:
         info[f"seconds_per_sweep_{engine}"] = wall / result.n_sweeps
         info[f"fitness_{engine}"] = result.fitness
 
-    # compiled-kernel ratio: the dt run again through kernel="numpy" (the
-    # explicit NumPy/SciPy backend — same path as the default) and, when
-    # numba is installed, through kernel="auto" (@njit fused loops).  Without
-    # numba "auto" *is* the numpy backend, so the compiled metrics are null:
-    # NumPy timed against itself is not a measurement of the compiled layer.
-    # Wall-clock only, so it lives in the non-gated info section; the flop
-    # gate above is kernel-independent by design.
-    def timed_dt(kernel_name: str) -> float:
-        options = ALSOptions(rank=config["rank"], n_sweeps=config["n_sweeps"],
-                             tol=0.0, mttkrp="dt", kernel=kernel_name, seed=0)
-        cp_als(tensor, options=options)  # warmup: JIT + structural caches
-        start = time.perf_counter()
-        cp_als(tensor, options=options)
-        return time.perf_counter() - start
-
-    kernel = get_kernel("auto")
-    numpy_wall = timed_dt("numpy")
-    compiled_wall = timed_dt("auto") if kernel.compiled else None
-    info["kernel_backend"] = kernel.name
-    info["wall_s_dt_kernel_numpy"] = numpy_wall
-    info["wall_s_dt_kernel_compiled"] = compiled_wall
-    info["wall_ratio_compiled_vs_numpy_dt"] = (
-        compiled_wall / numpy_wall if compiled_wall is not None else None
-    )
-
     checkpoint_flops, checkpoint_wall = pp_checkpoint_flops(
         tensor, config["rank"]
     )
@@ -151,10 +125,6 @@ def test_sparse_baseline(report):
     # the amortizing tree engines must run, and msdt must not do more work
     # than the standard tree (its whole point is reuse across sweeps)
     assert data["tracked"]["flops_msdt"] <= data["tracked"]["flops_dt"]
-    # the compiled metrics exist exactly when a compiled kernel was timed
-    compiled = get_kernel("auto").compiled
-    for key in ("wall_s_dt_kernel_compiled", "wall_ratio_compiled_vs_numpy_dt"):
-        assert (data["info"][key] is not None) == compiled
     report("bench_sparse_baseline", format_report(data))
 
 

@@ -35,7 +35,6 @@ from conftest import BENCH_TINY as _TINY
 from repro.data import sparse_low_rank_tensor
 from repro.machine.cost_tracker import CostTracker
 from repro.sparse import sparse_mttkrp
-from repro.sparse.kernels import get_kernel, numba_available
 from repro.sparse.mttkrp import sparse_partial_mttkrp
 from repro.tensor.mttkrp import mttkrp, partial_mttkrp
 from repro.trees.pp_operators import PairwiseOperators
@@ -103,66 +102,6 @@ def test_sparse_vs_dense_mttkrp(report):
         lines.append("acceptance: unfolding engine beats dense at <= 1% density; "
                      "COO kernel beats dense at <= 0.1%")
     report("sparse_mttkrp", "\n".join(lines))
-
-
-def test_compiled_kernel_mttkrp(report):
-    """Compiled kernel backend vs the default engine path (ISSUE 8).
-
-    Times the COO MTTKRP and a dt-tree sweep through the ``kernel="auto"``
-    backend — the real ``@njit`` fused loops when numba is installed, the
-    pure-NumPy fallback otherwise — against the default engine path, with
-    parity asserted at 1e-10 either way.  The wall-clock win is only asserted
-    when the backend actually compiled (the CI compiled leg); without numba
-    the ratio just documents that the fallback costs nothing.
-    """
-    kernel = get_kernel("auto")
-    rng = np.random.default_rng(0)
-    factors = [rng.random((s, _RANK)) for s in _SHAPE]
-    coo = sparse_low_rank_tensor(_SHAPE, rank=_RANK,
-                                 density=_DENSITIES[-1], noise=0.1, seed=7)
-    order = len(_SHAPE)
-
-    # warm the JIT cache before timing (first call compiles)
-    sparse_mttkrp(coo, factors, 0, kernel=kernel)
-    expected = sparse_mttkrp(coo, factors, 0)
-    got = sparse_mttkrp(coo, factors, 0, kernel=kernel)
-    scale = max(float(np.abs(expected).max()), 1.0)
-    err = float(np.abs(got - expected).max())
-    assert err <= 1e-10 * scale, f"compiled COO MTTKRP diverged: {err:.2e}"
-
-    base_t = _time_best(lambda: sparse_mttkrp(coo, factors, 0), _REPEATS)
-    kern_t = _time_best(lambda: sparse_mttkrp(coo, factors, 0, kernel=kernel),
-                        _REPEATS)
-
-    def sweep(provider):
-        for mode in range(order):
-            provider.mttkrp(mode)
-            provider.set_factor(mode, factors[mode])
-
-    base_dt = make_provider("dt", coo, [f.copy() for f in factors])
-    kern_dt = make_provider("dt", coo, [f.copy() for f in factors],
-                            kernel=kernel)
-    sweep(base_dt), sweep(kern_dt)  # warmup: structural caches + JIT
-    base_sweep_t = _time_best(lambda: sweep(base_dt), _REPEATS)
-    kern_sweep_t = _time_best(lambda: sweep(kern_dt), _REPEATS)
-
-    lines = [
-        f"Compiled kernel backend ({kernel.name}), shape={_SHAPE}, "
-        f"rank={_RANK}, density={_DENSITIES[-1]} (nnz={coo.nnz}, best of "
-        f"{_REPEATS})",
-        f"{'kernel op':>12s} {'engine (s)':>11s} {'kernel (s)':>11s} "
-        f"{'speedup':>8s}",
-        f"{'coo mttkrp':>12s} {base_t:11.4f} {kern_t:11.4f} "
-        f"{base_t / kern_t:7.2f}x",
-        f"{'dt sweep':>12s} {base_sweep_t:11.4f} {kern_sweep_t:11.4f} "
-        f"{base_sweep_t / kern_sweep_t:7.2f}x",
-    ]
-    if numba_available() and not _TINY:
-        # acceptance: the fused @njit loops beat the blockwise gather/scatter
-        # COO path outright (no per-block workspace, one pass per nonzero)
-        assert kern_t < base_t, (kern_t, base_t)
-        lines.append("acceptance: compiled COO MTTKRP beats the engine path")
-    report("compiled_kernel_mttkrp", "\n".join(lines))
 
 
 _SWEEP_DENSITY = 0.05 if _TINY else 0.01

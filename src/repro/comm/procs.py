@@ -156,7 +156,6 @@ class _WorkerState:
             spec["engine"], tensor, factors,
             tracker=self.tracker,
             max_cache_bytes=spec.get("max_cache_bytes"),
-            kernel=spec.get("kernel"),
         )
         self.checkpoint: list[np.ndarray] | None = None
         self.operators = None
@@ -201,7 +200,6 @@ class _WorkerState:
              for other, (factor, checkpoint)
              in enumerate(zip(self.provider.factors, self.checkpoint))],
             tracker=self.tracker,
-            kernel=getattr(self.provider, "kernel", None),
         )
         factor_block = self.provider.factors[mode]
         t0 = time.perf_counter()

@@ -108,7 +108,6 @@ def cp_als(
     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
     max_cache_bytes: int | None = None,
     dtype: np.dtype | str | None = None,
-    kernel: str | None = None,
     options: ALSOptions | None = None,
 ) -> ALSResult:
     """CP decomposition via alternating least squares (Algorithm 1).
@@ -150,11 +149,6 @@ def cp_als(
         Working floating dtype.  ``None`` (default) normalizes the tensor and
         factors to float64; pass e.g. ``np.float32`` to run the whole
         decomposition in single precision.
-    kernel:
-        Sparse kernel backend (``"numpy"`` | ``"numba"`` | ``"numba-parallel"``
-        | ``"auto"``; default ``None`` = the engine-based path).  Equivalent to
-        the ``*_compiled`` engine names: ``mttkrp="dt_compiled"`` is
-        ``mttkrp="dt", kernel="numba"``.  Ignored by dense engines.
     options:
         An :class:`~repro.core.options.ALSOptions` bundle carrying ``rank``,
         ``n_sweeps``, ``tol``, ``mttkrp`` and ``seed`` as one object.  Passing
@@ -169,10 +163,10 @@ def cp_als(
     opts = resolve_options(
         ALSOptions, options,
         {"rank": rank, "n_sweeps": n_sweeps, "tol": tol,
-         "mttkrp": mttkrp, "seed": seed, "kernel": kernel},
+         "mttkrp": mttkrp, "seed": seed},
     )
-    rank, n_sweeps, tol, mttkrp, seed, kernel = (
-        opts.rank, opts.n_sweeps, opts.tol, opts.mttkrp, opts.seed, opts.kernel,
+    rank, n_sweeps, tol, mttkrp, seed = (
+        opts.rank, opts.n_sweeps, opts.tol, opts.mttkrp, opts.seed,
     )
     tracker = tracker if tracker is not None else CostTracker()
     tensor, factors, norm_t = prepare_als_inputs(
@@ -181,7 +175,7 @@ def cp_als(
     )
 
     provider = make_provider(mttkrp, tensor, factors, tracker=tracker,
-                             max_cache_bytes=max_cache_bytes, kernel=kernel)
+                             max_cache_bytes=max_cache_bytes)
     grams = [gram_matrix(f, tracker=tracker) for f in provider.factors]
 
     residual, converged, sweeps_run, records, total_elapsed = run_als_loop(
@@ -204,7 +198,6 @@ def cp_als(
             "n_sweeps": n_sweeps,
             "tol": tol,
             "mttkrp": mttkrp,
-            "kernel": kernel,
             "dtype": str(tensor.dtype),
         },
     )

@@ -131,7 +131,6 @@ def masked_cp_als(
     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
     max_cache_bytes: int | None = None,
     dtype: np.dtype | str | None = None,
-    kernel: str | None = None,
     options: MaskedOptions | None = None,
 ) -> MaskedALSResult:
     """CP decomposition over observed entries only (masked/weighted ALS).
@@ -170,7 +169,7 @@ record_sweeps, callback, dtype, options:
     opts = resolve_options(
         MaskedOptions, options,
         {"rank": rank, "n_sweeps": n_sweeps, "tol": tol,
-         "mttkrp": mttkrp, "seed": seed, "kernel": kernel},
+         "mttkrp": mttkrp, "seed": seed},
     )
     tracker = tracker if tracker is not None else CostTracker()
 
@@ -196,8 +195,7 @@ record_sweeps, callback, dtype, options:
 
     rule = MaskedLeastSquaresUpdate(mask_indices, shape)
     provider = make_provider(opts.mttkrp, observed_tensor, factors,
-                             tracker=tracker, max_cache_bytes=max_cache_bytes,
-                             kernel=opts.kernel)
+                             tracker=tracker, max_cache_bytes=max_cache_bytes)
     grams = [gram_matrix(f, tracker=tracker) for f in provider.factors]
 
     residual, converged, sweeps_run, records, total_elapsed = run_als_loop(

@@ -54,7 +54,6 @@ def nn_cp_als(
     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
     max_cache_bytes: int | None = None,
     dtype: np.dtype | str | None = None,
-    kernel: str | None = None,
     options: NNOptions | None = None,
 ) -> ALSResult:
     """Nonnegative CP decomposition (HALS by default).
@@ -81,7 +80,7 @@ def nn_cp_als(
     opts = resolve_options(
         NNOptions, options,
         {"rank": rank, "n_sweeps": n_sweeps, "tol": tol,
-         "mttkrp": mttkrp, "seed": seed, "update": update, "kernel": kernel},
+         "mttkrp": mttkrp, "seed": seed, "update": update},
     )
     tracker = tracker if tracker is not None else CostTracker()
     rule = make_update_rule(opts.update)
@@ -101,8 +100,7 @@ def nn_cp_als(
                 )
 
     provider = make_provider(opts.mttkrp, tensor, factors, tracker=tracker,
-                             max_cache_bytes=max_cache_bytes,
-                             kernel=opts.kernel)
+                             max_cache_bytes=max_cache_bytes)
     grams = [gram_matrix(f, tracker=tracker) for f in provider.factors]
 
     residual, converged, sweeps_run, records, total_elapsed = run_als_loop(

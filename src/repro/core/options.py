@@ -54,19 +54,12 @@ class ALSOptions:
     #: root seed (an int keeps the bundle hashable/serializable; the drivers
     #: also accept a ``np.random.Generator`` here at runtime)
     seed: object = None
-    #: sparse kernel backend (``"numpy"`` | ``"numba"`` | ``"numba-parallel"``
-    #: | ``"auto"``); ``None`` keeps the default engine-based path.  The
-    #: ``*_compiled`` engine names imply ``kernel="numba"``.
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         self.rank = check_rank(self.rank)
         self.n_sweeps = check_positive_int(self.n_sweeps, "n_sweeps")
         if self.tol < 0:
             raise ValueError("tol must be non-negative")
-        from repro.sparse.kernels import normalize_kernel_name
-
-        self.kernel = normalize_kernel_name(self.kernel)
 
     # -- round-trip helpers --------------------------------------------------
     @classmethod

@@ -142,7 +142,6 @@ def setup_parallel_state(
     max_cache_bytes: int | None = None,
     partitioner: str = "nnz-balanced",
     partition_seed: int | np.random.Generator | None = None,
-    kernel: str | None = None,
     execution: str = "simulated",
     overlap: bool = True,
     worker_timeout: float | None = None,
@@ -253,7 +252,7 @@ def setup_parallel_state(
         try:
             runtime = ProcessRuntime(
                 machine, grid, dist_tensor, dist_factors, mttkrp,
-                kernel=kernel, max_cache_bytes=max_cache_bytes,
+                max_cache_bytes=max_cache_bytes,
             )
         except BaseException:
             if owns_machine:
@@ -276,7 +275,6 @@ def setup_parallel_state(
                 local_factors,
                 tracker=machine.tracker(proc),
                 max_cache_bytes=max_cache_bytes,
-                kernel=kernel,
             )
 
     state = ParallelState(

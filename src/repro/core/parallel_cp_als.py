@@ -54,7 +54,6 @@ def parallel_cp_als(
     partitioner: str | None = None,
     partition_seed: int | np.random.Generator | None = None,
     update: str | None = None,
-    kernel: str | None = None,
     execution: str | None = None,
     collectives: str | None = None,
     options: ParallelOptions | None = None,
@@ -123,7 +122,7 @@ def parallel_cp_als(
         ParallelOptions, options,
         {"rank": rank, "n_sweeps": n_sweeps, "tol": tol, "mttkrp": mttkrp,
          "seed": seed, "distributed_solve": distributed_solve,
-         "partitioner": partitioner, "update": update, "kernel": kernel,
+         "partitioner": partitioner, "update": update,
          "execution": execution, "collectives": collectives,
          "grid": None if grid is None else tuple(getattr(grid, "dims", grid))},
     )
@@ -143,7 +142,7 @@ def parallel_cp_als(
         distributed_solve=distributed_solve,
         max_cache_bytes=max_cache_bytes,
         partitioner=partitioner, partition_seed=partition_seed,
-        kernel=opts.kernel, execution=opts.execution,
+        execution=opts.execution,
         collectives=opts.collectives,
     )
     machine = state.machine

@@ -154,7 +154,6 @@ def _pp_contributions(
             [None if other == mode else df.local_block_for(proc)
              for other, df in enumerate(delta_factors)],
             tracker=tracker,
-            kernel=getattr(state.providers[proc], "kernel", None),
         )
         # this rank's share of V^(mode): rows of its factor block times the
         # accumulator, divided by the slice size so the Reduce-Scatter sum
@@ -188,7 +187,6 @@ def parallel_pp_cp_als(
     partitioner: str | None = None,
     partition_seed: int | np.random.Generator | None = None,
     update: str | None = None,
-    kernel: str | None = None,
     execution: str | None = None,
     collectives: str | None = None,
     options: ParallelPPOptions | None = None,
@@ -210,7 +208,7 @@ def parallel_pp_cp_als(
         ParallelPPOptions, options,
         {"rank": rank, "n_sweeps": n_sweeps, "tol": tol, "pp_tol": pp_tol,
          "mttkrp": mttkrp, "seed": seed, "distributed_solve": distributed_solve,
-         "partitioner": partitioner, "update": update, "kernel": kernel,
+         "partitioner": partitioner, "update": update,
          "execution": execution, "collectives": collectives,
          "max_pp_sweeps_per_phase": max_pp_sweeps_per_phase,
          "grid": None if grid is None else tuple(getattr(grid, "dims", grid))},
@@ -236,7 +234,7 @@ def parallel_pp_cp_als(
         distributed_solve=distributed_solve,
         max_cache_bytes=max_cache_bytes,
         partitioner=partitioner, partition_seed=partition_seed,
-        kernel=opts.kernel, execution=opts.execution,
+        execution=opts.execution,
         collectives=opts.collectives,
     )
     machine = state.machine

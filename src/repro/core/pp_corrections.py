@@ -69,7 +69,6 @@ def first_order_correction(
     category: str = "mttv",
     out: np.ndarray | None = None,
     accumulate: bool = False,
-    kernel=None,
 ) -> np.ndarray:
     """``U^(n,i)(x, k) = sum_y M_p^(n,i)(x, y, k) dA^(i)(y, k)`` (Eq. 6).
 
@@ -89,8 +88,7 @@ def first_order_correction(
     in the rank), without densifying the operator.
 
     ``accumulate=True`` adds the correction into the caller's ``out`` buffer
-    instead of overwriting it.  A compiled ``kernel`` collapses the
-    semi-sparse case into one scatter loop.
+    instead of overwriting it.
     """
     if isinstance(pair_operator, SemiSparsePairOperator):
         # a raw operator's orientation is ambiguous whenever s_i == s_j (no
@@ -106,7 +104,7 @@ def first_order_correction(
     if isinstance(pair_operator, OrientedPairOperator):
         return pair_operator.contract_delta(
             np.asarray(delta_factor), tracker=tracker, category=category,
-            out=out, accumulate=accumulate, kernel=kernel,
+            out=out, accumulate=accumulate,
         )
     pair_operator = np.asarray(pair_operator)
     delta_factor = np.asarray(delta_factor)
@@ -139,7 +137,8 @@ def fused_approx_update(
     rule,
     tracker=None,
     out: np.ndarray | None = None,
-    kernel=None,
+    *,
+    kernel=None,  # only None: the harness's layers.py passes it; ROADMAP 1(d) deletes both
 ) -> tuple[np.ndarray, np.ndarray]:
     """One fused PP approximated step for ``mode``: assemble Eq. (5) and solve.
 
@@ -149,14 +148,15 @@ def fused_approx_update(
     correction ``V^(mode)`` (Eq. 7) is added, and the mode's normal equations
     are solved immediately through ``rule.update_rows`` against ``gamma``.
     Pass a preallocated ``out`` (shape ``(s_mode, R)``) to reuse the workspace
-    across sweeps; ``kernel`` is the sparse kernel backend of the semi-sparse
-    operators (dense ones take none).
+    across sweeps.
 
     Returns ``(updated_factor, mtilde)``; ``mtilde`` aliases ``out`` when one
     was given.
     """
+    if kernel is not None:
+        raise TypeError(f"fused_approx_update accepts only kernel=None, got {kernel!r}")
     out = operators.first_order_mttkrp(mode, delta_factors, out=out,
-                                       tracker=tracker, kernel=kernel)
+                                       tracker=tracker)
     out += second_order_correction(mode, factor, grams, delta_grams, tracker=tracker)
     updated = rule.update_rows(mode, gamma, out, factor, tracker=tracker)
     return updated, out

@@ -89,7 +89,6 @@ def pp_cp_als(
     max_pp_sweeps_per_phase: int | None = None,
     max_cache_bytes: int | None = None,
     dtype: np.dtype | str | None = None,
-    kernel: str | None = None,
     options: PPOptions | None = None,
 ) -> ALSResult:
     """CP decomposition via pairwise-perturbation ALS (Algorithm 2).
@@ -117,11 +116,6 @@ def pp_cp_als(
     max_pp_sweeps_per_phase:
         Safety bound on consecutive approximated sweeps within one PP phase
         (default 200).
-    kernel:
-        Sparse kernel backend (as in :func:`~repro.core.cp_als.cp_als`); the
-        ``*_compiled`` engine names imply ``kernel="numba"``.  A compiled
-        kernel additionally runs each approximated sweep's first-order
-        corrections as fused scatter loops.
     options:
         A :class:`~repro.core.options.PPOptions` bundle carrying the settings
         above as one object; mutually exclusive with the legacy keywords
@@ -130,7 +124,7 @@ def pp_cp_als(
     opts = resolve_options(
         PPOptions, options,
         {"rank": rank, "n_sweeps": n_sweeps, "tol": tol, "pp_tol": pp_tol,
-         "mttkrp": mttkrp, "seed": seed, "kernel": kernel,
+         "mttkrp": mttkrp, "seed": seed,
          "max_pp_sweeps_per_phase": max_pp_sweeps_per_phase},
     )
     rank, n_sweeps, tol, pp_tol, mttkrp, seed, max_pp_sweeps_per_phase = (
@@ -144,12 +138,7 @@ def pp_cp_als(
     )
 
     provider = make_provider(mttkrp, tensor, factors, tracker=tracker,
-                             max_cache_bytes=max_cache_bytes,
-                             kernel=opts.kernel)
-    # the provider resolved the kernel name (including any *_compiled engine
-    # suffix and the numba-missing fallback); the fused approximated sweeps
-    # below use the same backend object
-    kernel_obj = getattr(provider, "kernel", None)
+                             max_cache_bytes=max_cache_bytes)
     order = provider.order
     grams = [gram_matrix(f, tracker=tracker) for f in provider.factors]
     # PP approximates the MTTKRP, not the update: the approximated sweeps run
@@ -217,7 +206,6 @@ def pp_cp_als(
                         delta_factors, grams, delta_grams, gamma, rule,
                         tracker=tracker,
                         out=approx_workspaces.get(mode),
-                        kernel=kernel_obj,
                     )
                     approx_workspaces[mode] = approx
                     provider.set_factor(mode, updated)
@@ -308,7 +296,6 @@ def pp_cp_als(
             "tol": tol,
             "pp_tol": pp_tol,
             "mttkrp": mttkrp,
-            "kernel": opts.kernel,
             "dtype": str(tensor.dtype),
         },
     )

@@ -81,7 +81,7 @@ class ProcessRuntime:
     """
 
     def __init__(self, machine: ProcessMachine, grid, dist_tensor,
-                 dist_factors, mttkrp: str, kernel: str | None = None,
+                 dist_factors, mttkrp: str,
                  max_cache_bytes: int | None = None):
         if machine.n_ranks != grid.size:
             raise ValueError(
@@ -137,7 +137,6 @@ class ProcessRuntime:
             coord = grid.coordinate(proc)
             specs[proc] = {
                 "engine": mttkrp,
-                "kernel": kernel,
                 "max_cache_bytes": max_cache_bytes,
                 "rank": rank_r,
                 "order": order,
@@ -158,8 +157,7 @@ class ProcessRuntime:
             machine.release_segment(name)
 
         self.providers: dict[int, RemoteProvider] = {
-            proc: RemoteProvider(self, proc, grid.coordinate(proc),
-                                 mttkrp, kernel)
+            proc: RemoteProvider(self, proc, grid.coordinate(proc), mttkrp)
             for proc in grid.ranks()
         }
 
@@ -263,20 +261,18 @@ class RemoteProvider:
     """Master-side proxy of one worker's MTTKRP engine.
 
     Presents the provider surface the parallel drivers touch (``mttkrp``,
-    ``set_factor``, ``tracker``, ``kernel``) plus split submit/result calls
+    ``set_factor``, ``tracker``) plus split submit/result calls
     for batch dispatch.  Results come back through the rank's shared output
     panel; replies only carry the row count and the worker's cost delta.
     """
 
-    def __init__(self, runtime: ProcessRuntime, proc: int, coord, engine: str,
-                 kernel: str | None):
+    def __init__(self, runtime: ProcessRuntime, proc: int, coord, engine: str):
         self.runtime = runtime
         self.machine = runtime.machine
         self.proc = proc
         self.coord = tuple(coord)
         self.engine_name = engine
         self.name = f"process[{engine}]"
-        self.kernel = kernel
         self._pending: str | None = None
 
     @property

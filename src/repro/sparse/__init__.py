@@ -12,20 +12,9 @@ from repro.sparse.coo import CooTensor
 from repro.sparse.csf import (
     CsfLevel,
     CsfTensor,
-    FiberGrouping,
     SegmentSum,
     csf_cache_stats,
-    fiber_grouping,
     reset_csf_cache_stats,
-    segment_reduce,
-)
-from repro.sparse.kernels import (
-    KernelBackend,
-    NumpyKernel,
-    available_kernels,
-    get_kernel,
-    normalize_kernel_name,
-    numba_available,
 )
 from repro.sparse.mttkrp import DEFAULT_BLOCK_SIZE, sparse_mttkrp, sparse_partial_mttkrp
 
@@ -33,18 +22,9 @@ __all__ = [
     "CooTensor",
     "CsfLevel",
     "CsfTensor",
-    "FiberGrouping",
-    "KernelBackend",
-    "NumpyKernel",
     "SegmentSum",
-    "available_kernels",
     "csf_cache_stats",
-    "fiber_grouping",
-    "get_kernel",
-    "normalize_kernel_name",
-    "numba_available",
     "reset_csf_cache_stats",
-    "segment_reduce",
     "sparse_mttkrp",
     "sparse_partial_mttkrp",
     "DEFAULT_BLOCK_SIZE",

@@ -22,10 +22,6 @@ pattern, so each is stored once as a :class:`SegmentSum` — a SciPy CSR matrix
 with the run offsets as ``indptr``, the gathered rows as column indices and
 the optional per-row weights as data — and applied with ``op @ block`` (one
 compiled sparse-times-dense product, no gathered or scaled temporary).
-:func:`segment_reduce` is the stateless convenience on top of it;
-:class:`FiberGrouping` is the flat one-level variant (unique fibers over an
-arbitrary mode subset) for consumers that need a single grouping without the
-full hierarchy.
 
 A layout costs one ordering of the nonzeros
 (:func:`repro.sparse.ordering.lex_order`: none at all when the canonical COO
@@ -46,9 +42,8 @@ from scipy.sparse import csc_array, csr_array
 from repro.sparse.coo import CooTensor
 from repro.sparse.ordering import _run_starts, lex_order, run_starts
 
-__all__ = ["CsfLevel", "CsfTensor", "FiberGrouping", "SegmentSum",
-           "csf_cache_stats", "fiber_grouping", "reset_csf_cache_stats",
-           "run_starts", "segment_reduce"]
+__all__ = ["CsfLevel", "CsfTensor", "SegmentSum", "csf_cache_stats",
+           "reset_csf_cache_stats", "run_starts"]
 
 # Guards every CooTensor's per-instance layout cache (the tensors are shared
 # across multi-start / service worker threads) and the process-wide counters.
@@ -259,31 +254,6 @@ class SegmentSum:
         return f"SegmentSum(shape={self.shape}, dtype={self.dtype})"
 
 
-def segment_reduce(block: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sum contiguous row-runs of ``block``: ``out[k] = block[starts[k]:starts[k+1]].sum(0)``.
-
-    ``starts`` must be strictly increasing run offsets beginning at 0 (the
-    final run extends to the end of ``block``); anything else raises a
-    :class:`ValueError` naming the offending offset.  This is the stateless
-    form of :class:`SegmentSum` — callers that reduce over the same runs
-    repeatedly should build the operator once and keep it.
-
-    The result must be treated as **read-only**: when every run is a single
-    row the reduction is the identity and a non-writeable view of ``block``
-    is returned instead of a copy (callers that need to mutate the result
-    must copy it explicitly).
-    """
-    n_rows = block.shape[0]
-    if np.shape(starts) == (n_rows,):
-        # as many runs as rows: valid offsets are 0, 1, 2, ... — every run a
-        # single row, the reduction the identity, returned as an aliased view
-        _check_starts(starts, n_rows)
-        view = block[:]
-        view.flags.writeable = False
-        return view
-    return SegmentSum(starts, n_rows, dtype=block.dtype) @ block
-
-
 def _check_mode_order(mode_order: Sequence[int], ndim: int) -> tuple[int, ...]:
     order = tuple(int(m) for m in mode_order)
     if sorted(order) != list(range(ndim)):
@@ -491,51 +461,3 @@ class CsfTensor:
             f"fibers={fibers})"
         )
 
-
-@dataclass(frozen=True)
-class FiberGrouping:
-    """Unique fibers of a sparse tensor over an arbitrary sorted mode subset.
-
-    The flat (single-level) counterpart of a CSF level used by the sparse
-    dimension tree for its internal nodes: ``perm`` reorders the nonzeros so
-    equal fibers are adjacent (``None`` when the canonical order already has
-    that property), ``starts`` delimits the runs, and ``fibers`` holds each
-    run's coordinates over ``modes`` in lexicographic row order.
-    """
-
-    modes: tuple[int, ...]
-    fibers: np.ndarray          # (n_fibers, len(modes))
-    perm: np.ndarray | None     # (nnz,) or None if canonical order suffices
-    starts: np.ndarray          # (n_fibers,) run offsets into the permuted nnz
-
-    @property
-    def n_fibers(self) -> int:
-        return int(self.fibers.shape[0])
-
-    @property
-    def nbytes(self) -> int:
-        own = int(self.fibers.nbytes + self.starts.nbytes)
-        if self.perm is not None:
-            own += int(self.perm.nbytes)
-        return own
-
-
-def fiber_grouping(tensor: CooTensor, modes: Sequence[int]) -> FiberGrouping:
-    """Group the nonzeros of ``tensor`` by their coordinates over ``modes``.
-
-    ``modes`` must be sorted and non-empty.  Equivalent to the depth
-    ``len(modes) - 1`` level of a CSF tree ordered ``modes`` first, but built
-    directly (one ordering) because the tree's deeper levels are not needed.
-    """
-    modes = tuple(int(m) for m in modes)
-    if not modes:
-        raise ValueError("fiber_grouping requires at least one mode")
-    if list(modes) != sorted(set(modes)):
-        raise ValueError(f"modes must be sorted and distinct, got {modes}")
-    if any(m < 0 or m >= tensor.ndim for m in modes):
-        raise ValueError(f"modes {modes} out of range for order-{tensor.ndim}")
-    cols = [tensor.indices[:, m] for m in modes]
-    perm, starts = lex_order(cols, [tensor.shape[m] for m in modes])
-    first = starts if perm is None else perm[starts]
-    fibers = np.stack([col[first] for col in cols], axis=1)
-    return FiberGrouping(modes=modes, fibers=fibers, perm=perm, starts=starts)

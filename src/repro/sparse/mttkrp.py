@@ -27,7 +27,6 @@ import numpy as np
 from repro.contract import resolve_engine
 from repro.sparse.coo import CooTensor
 from repro.sparse.csf import SegmentSum
-from repro.sparse.kernels import KernelBackend, get_kernel
 from repro.utils.validation import check_factor_matrices, check_mode
 
 __all__ = ["sparse_mttkrp", "sparse_partial_mttkrp", "DEFAULT_BLOCK_SIZE"]
@@ -83,7 +82,6 @@ def sparse_mttkrp(
     block_size: int = DEFAULT_BLOCK_SIZE,
     out: np.ndarray | None = None,
     order_perm: np.ndarray | None = None,
-    kernel: str | KernelBackend | None = None,
 ) -> np.ndarray:
     """Sparse MTTKRP ``M^(mode)`` in ``O(nnz * R * N)`` work.
 
@@ -101,16 +99,12 @@ def sparse_mttkrp(
         Optional preallocated ``(shape[mode], R)`` buffer; zeroed and filled.
     order_perm:
         Optional permutation of the nonzeros making ``indices[:, mode]``
-        non-decreasing (e.g. ``fiber_grouping(tensor, (mode,)).perm``).  The
+        non-decreasing (e.g. the ``perm`` of
+        :func:`~repro.sparse.ordering.lex_order` over that column).  The
         canonical COO sort already guarantees that for mode 0; for other
         modes passing the (pattern-only, reusable) permutation makes every
         block's scatter-add touch a short contiguous range of output rows
         instead of all of them.
-    kernel:
-        Optional kernel backend (name or :class:`~repro.sparse.kernels.KernelBackend`).
-        A compiled kernel runs the whole gather/Hadamard/scatter as one fused
-        loop over the nonzeros (no blocking needed — the workspace is one
-        ``R``-vector); ``None`` keeps the blockwise engine-based path.
     """
     factors = _check_sparse_inputs(tensor, factors, what="sparse_mttkrp")
     mode = check_mode(mode, tensor.ndim)
@@ -137,17 +131,6 @@ def sparse_mttkrp(
         raise ValueError(
             f"order_perm must have shape ({tensor.nnz},), got {order_perm.shape}"
         )
-    kernel_obj = kernel if isinstance(kernel, KernelBackend) else get_kernel(kernel)
-    if kernel_obj is not None and kernel_obj.compiled and tensor.ndim > 1:
-        kernel_obj.coo_mttkrp(tensor.indices, tensor.values,
-                              tuple(factors), mode, out)
-        elapsed = time.perf_counter() - start
-        if tracker is not None:
-            tracker.add_flops(category,
-                              (2 * (tensor.ndim - 1) + 1) * tensor.nnz * rank)
-            tracker.add_vertical_words(tensor.nnz * (tensor.ndim + 1) + out.size)
-            tracker.add_seconds(category, elapsed)
-        return out
     others = [j for j in range(tensor.ndim) if j != mode]
     for lo in range(0, tensor.nnz, block_size):
         if order_perm is None:

@@ -35,7 +35,7 @@ def _run_starts(changed: np.ndarray, n_rows: int) -> np.ndarray:
     ``changed`` has ``n_rows - 1`` entries (empty for 0 or 1 rows); a
     nonempty block always yields at least the run starting at offset 0, so a
     single row maps to ``[0]`` — never to an empty offset array, which
-    :func:`~repro.sparse.csf.segment_reduce` would reject.
+    :class:`~repro.sparse.csf.SegmentSum` would reject.
     """
     if n_rows <= 1:
         return np.zeros(min(n_rows, 1), dtype=np.int64)

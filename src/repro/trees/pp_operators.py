@@ -156,7 +156,6 @@ class PairwiseOperators:
         delta_factors: Sequence[np.ndarray],
         out: np.ndarray | None = None,
         tracker=None,
-        kernel=None,
     ) -> np.ndarray:
         """``M_p^(mode) + sum_{i != mode} U^(mode,i)`` — Eq. (5) up to first order.
 
@@ -170,7 +169,7 @@ class PairwiseOperators:
         it is the second, so no operator is ever transposed — into one
         scratch, summed once.  Semi-sparse operators accumulate one
         :meth:`~repro.trees.sparse_pp.OrientedPairOperator.contract_delta` per
-        pair (a compiled ``kernel`` runs each as one scatter loop).  Either
+        pair.  Either
         way the tracker is charged what the ``N - 1`` single-pair
         :func:`~repro.core.pp_corrections.first_order_correction` calls charge.
         """
@@ -189,7 +188,7 @@ class PairwiseOperators:
                 if other != mode:
                     self.pair_operator(mode, other).contract_delta(
                         np.asarray(delta_factors[other]), tracker=tracker,
-                        out=out, accumulate=True, kernel=kernel,
+                        out=out, accumulate=True,
                     )
             return out
         if tracker is not None:

@@ -49,15 +49,10 @@ SPARSE_PROVIDERS: dict[str, Type[MTTKRPProvider]] = {
 }
 
 
-#: engine-name suffix selecting the compiled kernel backend (sparse engines)
-_COMPILED_SUFFIX = "_compiled"
-
-
 def available_providers(sparse: bool = False) -> list[str]:
     """Canonical engine names accepted by :func:`make_provider`."""
     if sparse:
-        return ["sparse", "unfolding", "naive", "dt", "msdt",
-                "dt_compiled", "msdt_compiled"]
+        return ["sparse", "unfolding", "naive", "dt", "msdt"]
     return ["naive", "unfolding", "dt", "msdt"]
 
 
@@ -68,7 +63,6 @@ def make_provider(
     tracker=None,
     max_cache_bytes: int | None = None,
     engine=None,
-    kernel=None,
 ) -> MTTKRPProvider:
     """Construct the MTTKRP engine ``name`` for ``tensor`` and ``factors``.
 
@@ -81,31 +75,15 @@ def make_provider(
     ``O(nnz R N)`` recompute kernel explicitly.  ``engine`` is the shared
     :class:`~repro.contract.ContractionEngine` used for every einsum the
     provider issues (defaults to the process-wide one; the dense ``dt`` /
-    ``msdt`` trees contract through BLAS and issue none).
-
-    ``kernel`` selects the sparse kernel backend
-    (:func:`repro.sparse.kernels.get_kernel` names; ``None`` keeps the default
-    engine-based path).  The ``*_compiled`` engine names (``"dt_compiled"``,
-    ``"msdt_compiled"``, ...) are shorthand for the base engine with
-    ``kernel="numba"`` — when numba is missing they fall back to the NumPy
-    kernels with a one-time warning.  Dense providers ignore the kernel (the
-    compiled backend targets the sparse loops); compiled names on dense
-    inputs therefore behave exactly like their base names.
+    ``msdt`` trees contract through BLAS and issue none).  An unknown name
+    raises :class:`ValueError` listing :func:`available_providers`.
     """
     key = name.lower().strip()
-    if key.endswith(_COMPILED_SUFFIX):
-        key = key[: -len(_COMPILED_SUFFIX)]
-        if kernel is None:
-            kernel = "numba"
     registry = SPARSE_PROVIDERS if is_sparse_tensor(tensor) else PROVIDERS
     if key not in registry:
         raise ValueError(
             f"unknown MTTKRP engine {name!r}; available: "
             f"{available_providers(sparse=registry is SPARSE_PROVIDERS)}"
         )
-    cls = registry[key]
-    kwargs = dict(tracker=tracker, max_cache_bytes=max_cache_bytes,
-                  engine=engine)
-    if getattr(cls, "supports_kernel", False):
-        kwargs["kernel"] = kernel
-    return cls(tensor, factors, **kwargs)
+    return registry[key](tensor, factors, tracker=tracker,
+                         max_cache_bytes=max_cache_bytes, engine=engine)

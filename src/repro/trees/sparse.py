@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.kernels import get_kernel
 from repro.sparse.mttkrp import sparse_mttkrp
 from repro.sparse.ordering import lex_order
 from repro.tensor.products import khatri_rao
@@ -40,15 +39,11 @@ class SparseCooMTTKRP(MTTKRPProvider):
     """Recompute every sparse MTTKRP from scratch in ``O(nnz * R * N)``."""
 
     name = "sparse"
-    #: the registry may thread a ``kernel=`` selection into this provider
-    supports_kernel = True
 
     def __init__(self, tensor, factors, tracker=None, max_cache_bytes=None,
-                 engine=None, kernel=None):
+                 engine=None):
         super().__init__(tensor, factors, tracker=tracker,
                          max_cache_bytes=max_cache_bytes, engine=engine)
-        self.kernel = get_kernel(kernel) if isinstance(kernel, (str, type(None))) \
-            else kernel
         # per-output-mode nonzero orderings: pattern-only, built lazily once
         self._mode_perms: dict[int, np.ndarray | None] = {}
 
@@ -68,8 +63,7 @@ class SparseCooMTTKRP(MTTKRPProvider):
         return sparse_mttkrp(self.tensor, self.factors, mode,
                              tracker=self.tracker, category="ttm",
                              engine=self.engine,
-                             order_perm=self._mode_perm(int(mode)),
-                             kernel=self.kernel)
+                             order_perm=self._mode_perm(int(mode)))
 
     def _on_factor_update(self, mode: int) -> None:  # no cache to maintain
         return None

@@ -30,8 +30,7 @@ cached with the sparsity pattern:
   and one sparse product of ``O(n_fibers * R)`` work per sweep step.  The
   step that leaves a single mode sums straight into that mode's rows, so its
   block already is the dense ``(s_mode, R)`` MTTKRP — and since a placement
-  needs no order among the parents, that step sorts nothing (only a compiled
-  kernel, which reduces runs, asks for its regrouping).
+  needs no order among the parents, that step sorts nothing.
 
 Every ordering here goes through :func:`repro.sparse.ordering.lex_order`:
 one sort of the linearised child coordinate when ``prod`` of the child extents
@@ -59,7 +58,6 @@ import numpy as np
 
 from repro.sparse.coo import CooTensor
 from repro.sparse.csf import CsfTensor, SegmentSum
-from repro.sparse.kernels import get_kernel
 from repro.sparse.ordering import lex_order
 from repro.trees.amortized import AmortizedTreeMTTKRP, DtOrderPolicy, MsdtOrderPolicy
 
@@ -109,15 +107,11 @@ class _RootStep:
 
     Derived from the CSF layout ordered ``sorted(S) + (k,)``: the nonzeros
     appear grouped by ``S``-fiber, so the contraction is the one product
-    ``contract @ A^(k)``.  ``starts``/``k_coords``/``values`` are the same
-    structure as plain arrays, for the compiled kernels.
+    ``contract @ A^(k)``.
     """
 
     modes: tuple[int, ...]      # S = all modes except k, sorted
     fibers: np.ndarray          # (n_fibers, |S|)
-    starts: np.ndarray          # (n_fibers,) run offsets into the CSF nnz order
-    k_coords: np.ndarray        # (nnz,) mode-k coordinate per CSF-ordered nonzero
-    values: np.ndarray          # (nnz,) values in CSF order
     contract: SegmentSum        # (n_fibers, s_k): values at (fiber, k_coord)
 
 
@@ -133,8 +127,8 @@ class _FiberStep:
     the mode and the block is the dense MTTKRP.
 
     The regrouping itself — the parent order that makes each child's parents
-    adjacent, and the child runs — is not part of the step: only the compiled
-    kernels and the steps that leave two or more modes read it
+    adjacent, and the child runs — is not part of the step: only the steps
+    that leave two or more modes read it
     (:meth:`SparseTreeBackend._regrouping`).
     """
 
@@ -155,11 +149,8 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
     against ``max_cache_bytes`` (index arrays, not rank-``R`` blocks).
     """
 
-    #: the registry may thread a ``kernel=`` selection into this provider
-    supports_kernel = True
-
     def __init__(self, tensor, factors, tracker=None, max_cache_bytes=None,
-                 engine=None, kernel=None):
+                 engine=None):
         if not isinstance(tensor, CooTensor):
             raise TypeError(
                 f"{type(self).__name__} expects a CooTensor, got "
@@ -167,8 +158,6 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
             )
         super().__init__(tensor, factors, tracker=tracker,
                          max_cache_bytes=max_cache_bytes, engine=engine)
-        self.kernel = get_kernel(kernel) if isinstance(kernel, (str, type(None))) \
-            else kernel
         self._csf: dict[tuple[int, ...], CsfTensor] = {}
         self._root_steps: dict[int, _RootStep] = {}
         self._fiber_steps: dict[tuple[tuple[int, ...], int], _FiberStep] = {}
@@ -177,6 +166,7 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
         # {(i, j): (indices, indptr)} of the PP pair operators of
         # repro.trees.sparse_pp, shared by every checkpoint this provider serves
         self._pair_patterns: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._gather_buffer: np.ndarray | None = None  # see _gather_rows
 
     # -- structural caches (sparsity pattern only, never invalidated) --------
     def csf_layout(self, mode_order: Sequence[int]) -> CsfTensor:
@@ -194,15 +184,11 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
             modes = tuple(m for m in range(self.order) if m != k)
             layout = self.csf_layout(modes + (k,))
             depth = self.order - 2
-            starts = layout.value_ptr(depth)[:-1]
-            k_coords = layout.sorted_column(self.order - 1)
             step = _RootStep(
                 modes=modes,
                 fibers=layout.fiber_index(depth),
-                starts=starts,
-                k_coords=k_coords,
-                values=layout.values,
-                contract=SegmentSum(starts, self.tensor.nnz, columns=k_coords,
+                contract=SegmentSum(layout.value_ptr(depth)[:-1], self.tensor.nnz,
+                                    columns=layout.sorted_column(self.order - 1),
                                     n_columns=self.tensor.shape[k],
                                     weights=layout.values, dtype=self.dtype),
             )
@@ -258,17 +244,31 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
         return step
 
     # -- contraction kernels -------------------------------------------------
+    def _gather_rows(self, k: int, coords: np.ndarray) -> np.ndarray:
+        """``A^(k)[coords]`` written into the provider's one gather workspace.
+
+        The gathered rows are a sweep's only ``n_fibers``-long temporary.
+        Allocated afresh per fiber step, whether malloc hands back pages
+        that are still mapped depends on the process's allocation history
+        (glibc's adaptive mmap and trim thresholds): the sweep then pays a
+        page fault per 4 KiB of rows in some processes and none in others.
+        One buffer, grown to the largest step, faults once.
+        """
+        n_rows = coords.shape[0]
+        if self._gather_buffer is None or self._gather_buffer.shape[0] < n_rows:
+            self._gather_buffer = np.empty((n_rows, self.rank), dtype=self.dtype)
+        rows = self._gather_buffer[:n_rows]
+        # the coordinates are validated tensor indices; "clip" writes
+        # straight into ``rows`` where "raise" would buffer the result
+        np.take(self.factors[k], coords, axis=0, out=rows, mode="clip")
+        return rows
+
     def _root_contract(self, k: int) -> SemiSparseIntermediate:
         """First-level contraction ``M^(S)``, ``S = {0..N-1} \\ {k}``, from COO."""
         step = self._root_step(k)
         rank = self.rank
         start = time.perf_counter()
-        if self.kernel is not None and self.kernel.compiled:
-            # fused gather·multiply·segment-reduce: no scaled temporary
-            block = self.kernel.scale_reduce(step.values, step.k_coords,
-                                             self.factors[k], step.starts)
-        else:
-            block = step.contract @ self.factors[k]
+        block = step.contract @ self.factors[k]
         elapsed = time.perf_counter() - start
         if self.tracker is not None:
             nnz = self.tensor.nnz
@@ -287,18 +287,10 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
         step = self._fiber_step(semi.modes, k, semi.fibers)
         rank = self.rank
         start = time.perf_counter()
-        if self.kernel is not None and self.kernel.compiled:
-            # fused multiply·(permute·)segment-reduce over the parent fibers
-            perm, starts = self._regrouping(semi.modes, k, semi.fibers)
-            block = self.kernel.scale_reduce(semi.block, step.k_coords,
-                                             self.factors[k], starts, perm=perm)
-            fibers = step.child_fibers
-        else:
-            rows = self.factors[k][step.k_coords]
-            # scaled in place: the gathered rows are the only temporary
-            self.engine.contract("fr,fr->fr", semi.block, rows, out=rows)
-            block = step.reduce @ rows
-            fibers = step.out_fibers
+        rows = self._gather_rows(k, step.k_coords)
+        # scaled in place; the product below allocates the only new block
+        self.engine.contract("fr,fr->fr", semi.block, rows, out=rows)
+        block = step.reduce @ rows
         elapsed = time.perf_counter() - start
         if self.tracker is not None:
             n_fibers = semi.n_fibers
@@ -308,8 +300,8 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
                 n_fibers * (2 + 2 * rank) + step.child_fibers.shape[0] * rank
             )
             self.tracker.add_seconds("mttv", elapsed)
-        return SemiSparseIntermediate(modes=step.child_modes, fibers=fibers,
-                                      block=block)
+        return SemiSparseIntermediate(modes=step.child_modes,
+                                      fibers=step.out_fibers, block=block)
 
     # -- backend hooks -------------------------------------------------------
     def _descend_semi(

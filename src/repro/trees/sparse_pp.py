@@ -69,7 +69,6 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from repro.sparse.coo import CooTensor
-from repro.sparse.ordering import lex_order
 from repro.trees.descent import ascending_order
 from repro.trees.sparse_dt import SparseDimensionTreeMTTKRP, SparseTreeBackend
 
@@ -117,7 +116,7 @@ class SemiSparsePairOperator:
     provider, once per PP checkpoint) passes the previous one's back in.
     """
 
-    __slots__ = ("modes", "fibers", "block", "dims", "pattern", "_products", "_groupings")
+    __slots__ = ("modes", "fibers", "block", "dims", "pattern", "_products")
 
     def __init__(self, modes: tuple[int, int], fibers: np.ndarray,
                  block: np.ndarray, dims: tuple[int, int],
@@ -132,9 +131,9 @@ class SemiSparsePairOperator:
                 f"block shape {block.shape} inconsistent with {fibers.shape[0]} fibers"
             )
         if fibers.shape[0] > 1:
-            # densify(), the block-diagonal matrix and the compiled kernels'
-            # run groupings silently assume the CSF invariant; a violation
-            # would misplace or drop contributions, not error
+            # densify() and the block-diagonal matrix silently assume the
+            # CSF invariant; a violation would misplace or drop
+            # contributions, not error
             d0 = np.diff(fibers[:, 0])
             d1 = np.diff(fibers[:, 1])
             if not bool(np.all((d0 > 0) | ((d0 == 0) & (d1 > 0)))):
@@ -150,9 +149,6 @@ class SemiSparsePairOperator:
         forward = csr_array((data.ravel(), *self.pattern),
                             shape=(rank * self.dims[0], rank * self.dims[1]))
         self._products = (forward, forward.T)  # by out_axis; .T is CSC, same arrays
-        # lazy per-axis regroupings for the compiled kernels (pattern-only):
-        # axis -> (perm, starts, coords)
-        self._groupings: dict[int, tuple[np.ndarray | None, np.ndarray, np.ndarray]] = {}
 
     # -- properties ----------------------------------------------------------
     @property
@@ -197,25 +193,6 @@ class SemiSparsePairOperator:
         return dense if dtype is None else dense.astype(dtype)
 
     # -- contraction ---------------------------------------------------------
-    def _grouping(self, out_axis: int):
-        """Regrouping of the fibers by their ``out_axis`` coordinate.
-
-        Returns ``(perm, starts, coords)``: ``perm`` reorders the fibers so
-        equal output coordinates are adjacent (``None`` for axis 0 — the
-        lexicographic sort already groups them), ``starts`` delimits the runs,
-        ``coords`` is each run's output coordinate.  Pattern-only, computed
-        once per axis and cached for the checkpoint's lifetime; the form the
-        compiled kernels take (everything else is one sparse matvec).
-        """
-        cached = self._groupings.get(out_axis)
-        if cached is not None:
-            return cached
-        col = self.fibers[:, out_axis]
-        perm, starts = lex_order([col], [self.dims[out_axis]])
-        coords = col[starts if perm is None else perm[starts]]
-        self._groupings[out_axis] = (perm, starts, coords)
-        return self._groupings[out_axis]
-
     def contract_other(
         self,
         factor: np.ndarray,
@@ -224,7 +201,6 @@ class SemiSparsePairOperator:
         category: str = "mttv",
         out: np.ndarray | None = None,
         accumulate: bool = False,
-        kernel=None,
     ) -> np.ndarray:
         """Contract ``factor`` over the non-output fiber axis (Eq. 6 kernel).
 
@@ -236,9 +212,7 @@ class SemiSparsePairOperator:
 
         With ``accumulate=True`` the contribution is *added* into the caller's
         ``out`` buffer instead of overwriting it (the fused PP approximated
-        step assembles Eq. 5 this way); a compiled ``kernel`` then runs the
-        whole thing as one scatter loop
-        (:meth:`~repro.sparse.kernels.KernelBackend.pair_accumulate`).
+        step assembles Eq. 5 this way).
         """
         if out_axis not in (0, 1):
             raise ValueError(f"out_axis must be 0 or 1, got {out_axis}")
@@ -261,18 +235,8 @@ class SemiSparsePairOperator:
                 out.fill(0.0)
         start = time.perf_counter()
         if self.n_fibers:
-            compiled = kernel is not None and getattr(kernel, "compiled", False)
-            if compiled and accumulate:
-                kernel.pair_accumulate(out, self.fibers, self.block, factor,
-                                       out_axis)
-            elif compiled:
-                perm, starts, coords = self._grouping(out_axis)
-                out[coords] = kernel.scale_reduce(
-                    self.block, self.fibers[:, other], factor, starts, perm=perm
-                )
-            else:
-                summed = self._products[out_axis] @ factor.T.ravel()
-                out += summed.reshape(self.rank, -1).T  # out is zero unless accumulating
+            summed = self._products[out_axis] @ factor.T.ravel()
+            out += summed.reshape(self.rank, -1).T  # out is zero unless accumulating
         elapsed = time.perf_counter() - start
         if tracker is not None:
             tracker.add_flops(category, 2 * self.n_fibers * self.rank)
@@ -327,11 +291,11 @@ class OrientedPairOperator:
 
     def contract_delta(self, delta_factor: np.ndarray, tracker=None,
                        category: str = "mttv", out: np.ndarray | None = None,
-                       accumulate: bool = False, kernel=None) -> np.ndarray:
+                       accumulate: bool = False) -> np.ndarray:
         """``U(x, k) = sum_y M(x, y, k) delta(y, k)`` with the lead mode as ``x``."""
         return self.operator.contract_other(
             delta_factor, self.lead_axis, tracker=tracker, category=category,
-            out=out, accumulate=accumulate, kernel=kernel,
+            out=out, accumulate=accumulate,
         )
 
     def densify(self) -> np.ndarray:

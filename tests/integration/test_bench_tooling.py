@@ -1,8 +1,8 @@
 """The benchmark tooling on canned reports (no benchmark runs here).
 
-``bench_sparse_baseline.py`` writes ``null`` for the compiled-kernel timings
-when no compiled kernel ran; ``compare_bench.py`` must print those side by
-side like any other ``info`` value and gate on ``tracked`` alone.
+An ``info`` value may be ``null`` (a timing that did not run);
+``compare_bench.py`` must print it side by side like any other ``info`` value
+and gate on ``tracked`` alone.
 ``ab_pairs.py`` turns alternating parent/change harness runs into the verdict
 of the rule every speed claim is held to.
 """
@@ -28,9 +28,7 @@ def compare_bench():
 def _report(ratio, flops=100):
     return {"name": "sparse_baseline", "config": {"rank": 8},
             "tracked": {"flops_dt": flops},
-            "info": {"kernel_backend": "numpy",
-                     "wall_s_dt_kernel_compiled": ratio,
-                     "wall_ratio_compiled_vs_numpy_dt": ratio}}
+            "info": {"wall_s_optional": ratio}}
 
 
 @pytest.mark.parametrize("baseline, candidate", [(0.95, None), (None, None), (None, 0.4)])

@@ -7,7 +7,8 @@ master-driven, exactly as on the simulated machine, and
 ``collectives="worker"`` instead pre-sums the panels in the workers through a
 shared-memory reduction tree (see :class:`TestWorkerCollectives`).  Two
 consequences are pinned here, over the full partitioner x engine x driver
-matrix:
+matrix (every engine of the sparse registry, so the COO and CSR engines run
+inside the workers as well as the dimension trees):
 
 * at the *same* rank count, a process run and a simulated run execute the
   same float64 operations on the same operands in the same order, so their
@@ -22,11 +23,6 @@ One :class:`ProcessMachine` per rank count is shared module-wide (worker
 spawn is the expensive part; the per-run :class:`ProcessRuntime` attaches and
 detaches cleanly), and the module teardown asserts that no shared-memory
 segment leaked from any run.
-
-The ``*_compiled`` engine names run here too: without numba installed they
-exercise the dispatch-and-fallback path inside the *workers* (the fallback
-warning fires in the worker process, not the master), with numba installed
-(the CI compiled leg) the same assertions pin the @njit kernels.
 """
 
 import numpy as np
@@ -38,13 +34,10 @@ from repro.core.parallel_cp_als import parallel_cp_als
 from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
 from repro.data import sparse_low_rank_tensor
 from repro.grid.balance import available_partitioners
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:kernel .* requested but numba is not installed"
-)
+from repro.trees.registry import available_providers
 
 PARTITIONERS = available_partitioners()
-ENGINES = ("dt", "msdt", "dt_compiled", "msdt_compiled")
+ENGINES = tuple(available_providers(sparse=True))
 GRID = (1, 2, 2)
 RANK = 3
 ATOL = 1e-10
@@ -142,7 +135,7 @@ class TestWorkerCollectives:
     parity against the single-rank oracle holds to 1e-10 (fp grouping differs,
     as for master collectives) and repeated runs are bitwise identical."""
 
-    @pytest.mark.parametrize("engine", ("dt", "msdt"))
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
     def test_cp_als_matches_single_rank_oracle(self, coo, initial, machine4,
                                                partitioner, engine):
@@ -155,7 +148,7 @@ class TestWorkerCollectives:
             np.testing.assert_allclose(a, b, atol=ATOL, rtol=0)
         assert np.isclose(worker.residual, single.residual, atol=ATOL)
 
-    @pytest.mark.parametrize("engine", ("dt", "msdt"))
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
     def test_pp_cp_als_matches_master_collectives(self, coo, initial, machine4,
                                                   partitioner, engine):

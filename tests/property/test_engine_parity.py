@@ -2,22 +2,15 @@
 
 Every registered MTTKRP engine — ``naive`` / ``unfolding`` / ``dt`` / ``msdt``
 on the dense backend, plus ``sparse`` / ``unfolding`` / ``naive`` / ``dt`` /
-``msdt`` and the compiled-kernel variants ``dt_compiled`` / ``msdt_compiled``
-on the COO backend — must produce the same MTTKRPs (against the einsum
+``msdt`` on the COO backend — must produce the same MTTKRPs (against the einsum
 oracle) and the same CP-ALS iterates, for random shapes, orders (3-5), ranks
 and densities, under arbitrary factor-update sequences.  This is what keeps
 the engine/backend matrix honest: the implementations share no kernel code
 across backends (einsum contractions vs CSF fiber reductions vs CSR
-matricization vs compiled fused loops), so agreement to 1e-10 is strong
-evidence of correctness.  Without numba installed the ``*_compiled`` names
-fall back to the pure-NumPy kernels, which still exercises the registry
-dispatch and fallback path; with numba installed (the CI compiled leg) the
-same assertions pin the compiled loops to the oracle.
+matricization), so agreement to 1e-10 is strong evidence of correctness.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -30,15 +23,7 @@ from repro.trees.registry import make_provider
 pytestmark = pytest.mark.property
 
 DENSE_ENGINES = ("naive", "unfolding", "dt", "msdt")
-SPARSE_ENGINES = ("sparse", "naive", "unfolding", "dt", "msdt",
-                  "dt_compiled", "msdt_compiled")
-
-# the numba-missing fallback warns once per process; the sweep below is about
-# numerical parity, not the warning (tests/sparse/test_kernels.py covers it)
-warnings.filterwarnings(
-    "ignore", message="kernel .* requested but numba is not installed",
-    category=RuntimeWarning,
-)
+SPARSE_ENGINES = ("sparse", "naive", "unfolding", "dt", "msdt")
 
 _LETTERS = "abcdefgh"
 

@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.sparse import CooTensor, CsfTensor, SegmentSum, fiber_grouping, segment_reduce
+from repro.sparse import CooTensor, CsfTensor, SegmentSum
 
 
 def _random_coo(shape, density, seed):
@@ -147,91 +147,49 @@ class TestCsfBuilder:
             CsfTensor.from_coo(coo, (0, 2))
 
 
-class TestFiberGrouping:
-    def test_groups_match_unique(self):
-        _, coo = _random_coo((6, 5, 4), density=0.5, seed=4)
-        for modes in [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)]:
-            grouping = fiber_grouping(coo, modes)
-            cols = coo.indices[:, list(modes)]
-            expected = np.unique(cols, axis=0)
-            assert np.array_equal(grouping.fibers, expected)
-            # runs really are constant-fiber and cover all nonzeros
-            permuted = cols if grouping.perm is None else cols[grouping.perm]
-            bounds = np.append(grouping.starts, coo.nnz)
-            for k in range(grouping.n_fibers):
-                run = permuted[bounds[k]:bounds[k + 1]]
-                assert np.all(run == grouping.fibers[k])
+class TestSegmentSumRuns:
+    """The run form's edge cases: empty and single-row runs, malformed offsets."""
 
-    def test_mode0_prefix_needs_no_perm(self):
-        _, coo = _random_coo((6, 5, 4), density=0.5, seed=5)
-        assert fiber_grouping(coo, (0,)).perm is None
-        assert fiber_grouping(coo, (0, 1)).perm is None
-        assert fiber_grouping(coo, (1,)).perm is not None
-
-    def test_validation(self):
-        _, coo = _random_coo((3, 3), density=0.5, seed=6)
-        with pytest.raises(ValueError, match="at least one mode"):
-            fiber_grouping(coo, ())
-        with pytest.raises(ValueError, match="sorted and distinct"):
-            fiber_grouping(coo, (1, 0))
-        with pytest.raises(ValueError, match="out of range"):
-            fiber_grouping(coo, (0, 5))
-
-
-class TestSegmentReduce:
     def test_matches_loop(self):
         rng = np.random.default_rng(7)
         block = rng.random((10, 3))
         starts = np.array([0, 2, 3, 7])
-        out = segment_reduce(block, starts)
+        out = SegmentSum(starts, 10) @ block
         bounds = np.append(starts, 10)
         for k in range(4):
             np.testing.assert_allclose(out[k],
                                        block[bounds[k]:bounds[k + 1]].sum(0))
 
     def test_degenerate(self):
-        block = np.zeros((0, 4))
-        assert segment_reduce(block, np.zeros(0, dtype=np.int64)).shape == (0, 4)
+        empty = np.zeros(0, dtype=np.int64)
+        assert (SegmentSum(empty, 0) @ np.zeros((0, 4))).shape == (0, 4)
         one = np.arange(8.0).reshape(2, 4)
-        # singleton runs: the block is its own reduction
-        np.testing.assert_allclose(
-            segment_reduce(one, np.array([0, 1])), one
-        )
+        # singleton runs: the block is its own reduction, in a fresh array
+        out = SegmentSum(np.array([0, 1]), 2) @ one
+        np.testing.assert_array_equal(out, one)
+        assert not np.shares_memory(out, one) and out.flags.writeable
 
     def test_empty_starts_nonempty_block_raises(self):
         # regression: this used to return an empty result, silently dropping
         # every row of the block (a 1-row block goes through run_starts,
         # which previously produced an empty offset array for it)
         with pytest.raises(ValueError, match="empty starts"):
-            segment_reduce(np.ones((2, 3)), np.zeros(0, dtype=np.int64))
+            SegmentSum(np.zeros(0, dtype=np.int64), 2)
         with pytest.raises(ValueError, match="empty starts"):
-            segment_reduce(np.ones((1, 3)), np.zeros(0, dtype=np.int64))
+            SegmentSum(np.zeros(0, dtype=np.int64), 1)
 
     def test_run_starts_single_row(self):
         from repro.sparse.csf import run_starts
 
         # regression: a single sorted row is one run starting at 0, not zero
-        # runs — segment_reduce([row], run_starts(...)) must keep the row
+        # runs — the sum over run_starts([row]) must keep the row
         col = np.array([7])
         starts = run_starts([col], 1)
         np.testing.assert_array_equal(starts, [0])
         block = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_allclose(segment_reduce(block, starts), block)
+        np.testing.assert_array_equal(SegmentSum(starts, 1) @ block, block)
         # and the empty case still yields no runs
         assert run_starts([np.array([], dtype=np.int64)], 0).shape == (0,)
-
-    def test_identity_fast_path_returns_readonly_view(self):
-        # regression: the n_runs == n_rows fast path used to return `block`
-        # itself — callers mutating the "reduction" corrupted the caller's
-        # data. The contract is now an explicitly read-only view.
-        block = np.arange(6.0).reshape(3, 2)
-        out = segment_reduce(block, np.array([0, 1, 2]))
-        assert np.shares_memory(out, block)  # still zero-copy
-        assert not out.flags.writeable
-        with pytest.raises(ValueError):
-            out[0, 0] = 99.0
-        assert block[0, 0] == 0.0  # source untouched, and stays writable
-        assert block.flags.writeable
 
     @pytest.mark.parametrize("starts, offending", [
         ([2, 4], r"starts\[0\] = 2"),          # used to drop rows 0-1
@@ -239,20 +197,12 @@ class TestSegmentReduce:
         ([0, 4, 2], r"starts\[2\] = 2"),       # decreasing: likewise
         ([0, 3, 6], r"starts\[2\] = 6"),       # a run that starts past the end
         ([-1, 2], r"starts\[0\] = -1"),
+        ([1, 2, 3, 4, 5, 6], r"starts\[0\] = 1"),  # as many runs as rows
     ])
     def test_malformed_starts_raise_naming_the_offset(self, starts, offending):
         # regression: each of these returned sums, silently wrong ones
-        block = np.arange(12.0).reshape(6, 2)
-        with pytest.raises(ValueError, match=offending):
-            segment_reduce(block, np.array(starts))
         with pytest.raises(ValueError, match=offending):
             SegmentSum(np.array(starts), 6)
-
-    def test_identity_runs_are_validated_too(self):
-        # as many offsets as rows is the aliasing fast path only when they are
-        # the single-row runs 0, 1, 2, ...
-        with pytest.raises(ValueError, match=r"starts\[0\] = 1"):
-            segment_reduce(np.ones((2, 3)), np.array([1, 2]))
 
 
 class TestSegmentSum:

@@ -4,7 +4,8 @@ Equality of the permutation with ``np.lexsort`` is the property suite's
 (``tests/property/test_ordering_properties.py``); here the *number* of sorts a
 request pays is pinned, by counting the ``argsort`` / ``lexsort`` calls the
 primitive makes, together with the ``DEBUG`` records it writes and the exact
-``size`` of a tensor whose cell count leaves int64.
+``size`` of a tensor whose cell count leaves int64, and what a grouping over
+a subset of the modes looks like.
 """
 
 from __future__ import annotations
@@ -112,6 +113,29 @@ class TestSortsAreCounted:
         assert MaskedLeastSquaresUpdate(tensor.indices, tensor.shape).n_observed \
             == tensor.nnz
         assert sorts == [mask.shape[0]]
+
+
+class TestGroupings:
+    """``lex_order`` over a subset of a tensor's modes groups its nonzeros."""
+
+    @pytest.mark.parametrize("modes", [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)])
+    def test_runs_are_the_unique_fibers(self, tensor, modes):
+        cols = tensor.indices[:, list(modes)]
+        perm, starts = ordering.lex_order(cols.T, [tensor.shape[m] for m in modes])
+        permuted = cols if perm is None else cols[perm]
+        np.testing.assert_array_equal(permuted[starts], np.unique(cols, axis=0))
+        # every run is one fiber, and the runs cover all nonzeros
+        bounds = np.append(starts, tensor.nnz)
+        for k in range(starts.size):
+            assert (permuted[bounds[k]:bounds[k + 1]] == permuted[starts[k]]).all()
+
+    def test_mode0_prefixes_of_the_canonical_order_need_no_perm(self, tensor):
+        def perm(modes):
+            return ordering.lex_order([tensor.indices[:, m] for m in modes],
+                                      [tensor.shape[m] for m in modes])[0]
+
+        assert perm((0,)) is None and perm((0, 1)) is None
+        assert perm((1,)) is not None
 
 
 class TestHugeShapes:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.cp_als import cp_als
+from repro.core.options import ALSOptions
+from repro.core.pp_corrections import fused_approx_update
+from repro.core.updates import make_update_rule
 from repro.machine.cost_tracker import CostTracker
+from repro.sparse import CooTensor
+from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import available_providers, make_provider
 
 
@@ -53,6 +59,50 @@ class TestRegistry:
             provider = make_provider(name, small_tensor3, factors3)
             with pytest.raises(ValueError):
                 provider.mttkrp(5)
+
+
+class TestOneSparseKernelPath:
+    """The sparse engines have one implementation each: no compiled-kernel
+    engine name, option or keyword is accepted."""
+
+    @pytest.fixture()
+    def coo_and_factors(self, rng):
+        dense = rng.random((5, 4, 3)) * (rng.random((5, 4, 3)) < 0.5)
+        coo = CooTensor.from_dense(dense)
+        return coo, [rng.random((s, 2)) for s in coo.shape]
+
+    def test_compiled_engine_name_is_unknown(self, coo_and_factors):
+        coo, factors = coo_and_factors
+        assert available_providers(sparse=True) == ["sparse", "unfolding", "naive",
+                                                     "dt", "msdt"]
+        with pytest.raises(ValueError) as raised:
+            make_provider("dt_compiled", coo, factors)
+        assert str(available_providers(sparse=True)) in str(raised.value)
+
+    def test_kernel_option_is_unknown(self, coo_and_factors):
+        coo, _ = coo_and_factors
+        with pytest.raises(TypeError):
+            ALSOptions(rank=2, kernel="numba")
+        with pytest.raises(TypeError):
+            cp_als(coo, rank=2, kernel="numba")
+
+    def test_fused_approx_update_accepts_only_kernel_none(self, coo_and_factors, rng):
+        coo, factors = coo_and_factors
+        operators = PairwiseOperators.build(coo, factors)
+        deltas = [0.01 * rng.random(f.shape) for f in factors]
+        grams = [f.T @ f for f in factors]
+        delta_grams = [f.T @ d for f, d in zip(factors, deltas)]
+        gamma = grams[1] * grams[2]
+
+        def update(**kwargs):
+            return fused_approx_update(operators, 0, factors[0], deltas, grams,
+                                       delta_grams, gamma,
+                                       make_update_rule("least_squares"), **kwargs)
+
+        with pytest.raises(TypeError, match="kernel"):
+            update(kernel=object())
+        for got, want in zip(update(kernel=None), update()):
+            assert np.array_equal(got, want)
 
 
 class TestEquivalence:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.machine.cost_tracker import CostTracker
-from repro.sparse import CooTensor
+from repro.sparse import CooTensor, sparse_mttkrp
 from repro.trees.registry import make_provider
 from repro.trees.sparse_dt import (
     SemiSparseIntermediate,
@@ -94,13 +94,48 @@ class TestExactness:
         out = provider.mttkrp(0)
         assert out.dtype == np.float32
 
-    def test_empty_tensor(self):
+    @pytest.mark.parametrize("engine", ["sparse", "dt", "msdt"])
+    def test_empty_tensor(self, engine):
         coo = CooTensor(np.empty((0, 3), dtype=np.int64), np.empty(0), (4, 5, 6))
         rng = np.random.default_rng(5)
         factors = [rng.random((s, 2)) for s in coo.shape]
-        provider = make_provider("dt", coo, factors)
+        provider = make_provider(engine, coo, factors)
         for mode in range(3):
-            assert np.all(provider.mttkrp(mode) == 0.0)
+            out = provider.mttkrp(mode)
+            assert out.shape == (coo.shape[mode], 2) and np.all(out == 0.0)
+            np.testing.assert_array_equal(sparse_mttkrp(coo, factors, mode), out)
+
+    @pytest.mark.parametrize("engine", ["sparse", "dt", "msdt"])
+    @pytest.mark.parametrize("cells", [[(2, 1, 0)], [(2, 1, 0), (2, 1, 1)]],
+                             ids=["one-nonzero", "one-fiber"])
+    def test_single_nonzero_and_single_fiber(self, engine, cells):
+        """One nonzero, or one fiber of two: every grouping is a single run."""
+        dense = np.zeros((4, 3, 2))
+        for k, cell in enumerate(cells):
+            dense[cell] = 5.0 + k
+        coo = CooTensor.from_dense(dense)
+        rng = np.random.default_rng(6)
+        factors = [rng.random((s, 2)) for s in dense.shape]
+        provider = make_provider(engine, coo, [f.copy() for f in factors])
+        for _ in range(2):
+            for mode in range(3):
+                np.testing.assert_allclose(provider.mttkrp(mode),
+                                           reference_mttkrp(dense, factors, mode),
+                                           rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("engine", ["dt", "msdt"])
+    def test_gather_buffer_never_escapes(self, engine):
+        """Every fiber step gathers into one reused buffer: an MTTKRP held
+        across later calls must stay intact and never alias that buffer."""
+        dense, coo = _random_sparse((5, 4, 6, 3), density=0.4, seed=11)
+        rng = np.random.default_rng(12)
+        factors = [rng.random((s, 3)) for s in dense.shape]
+        provider = make_provider(engine, coo, [f.copy() for f in factors])
+        held = [provider.mttkrp(mode) for mode in range(4)]
+        for mode, got in enumerate(held):
+            assert not np.shares_memory(got, provider._gather_buffer)
+            np.testing.assert_allclose(got, reference_mttkrp(dense, factors, mode),
+                                       rtol=1e-12, atol=1e-12)
 
     def test_huge_mode_products_do_not_overflow(self):
         """Fiber regrouping must not linearize coordinates: an order-5 tensor
@@ -386,7 +421,7 @@ class TestFiberStepsEqualLexsortConstruction:
                     else:
                         np.testing.assert_array_equal(got_perm, perm)
 
-    def test_numpy_sweeps_never_regroup_into_a_single_mode(self):
+    def test_sweeps_never_regroup_into_a_single_mode(self):
         shape = (7, 6, 5, 4)
         _, coo = _random_sparse(shape, density=0.3, seed=41)
         rng = np.random.default_rng(42)

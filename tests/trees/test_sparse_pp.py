@@ -333,6 +333,22 @@ class TestSemiSparsePairOperator:
         with pytest.raises(ValueError, match="out must have shape"):
             operator.contract_other(rng.random((4, 3)), 0, out=np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("accumulate", [False, True])
+    def test_oriented_pair_contraction(self, accumulate, rng):
+        """Every ``(mode, other)`` orientation of a build, overwriting or
+        adding into the caller's buffer, against the dense operator."""
+        _, coo, factors = _sparse_instance(rng, (5, 4, 3), rank=3, density=0.4)
+        ops = PairwiseOperators.build(coo, factors)
+        for mode in range(3):
+            for other in set(range(3)) - {mode}:
+                op = ops.pair_operator(mode, other)
+                delta = rng.random(factors[other].shape)
+                expected = np.einsum("xyk,yk->xk", np.asarray(op), delta)
+                base = rng.random(expected.shape)
+                out = op.contract_delta(delta, out=base.copy(), accumulate=accumulate)
+                np.testing.assert_allclose(out, base + expected if accumulate else expected,
+                                           rtol=1e-12, atol=1e-12)
+
     def test_contract_tracks_mttv_costs(self, op, rng):
         operator, _, _ = op
         tracker = CostTracker()
