@@ -18,10 +18,12 @@
   per-start seeds and optional worker threads sharing one contraction-plan
   cache.
 
-The per-mode factor updates live in :mod:`repro.core.updates` (the
+Every driver runs the one sweep loop of :mod:`repro.core.loop` (stop rule,
+PP phases, sweep records) over a sequential or a parallel substrate.  The
+per-mode factor updates live in :mod:`repro.core.updates` (the
 :class:`~repro.core.updates.UpdateRule` objects plus the shared
-:func:`~repro.core.updates.sweep` kernel every driver runs), and the
-name → (driver, options-class) registry in :mod:`repro.core.algorithms`.
+:func:`~repro.core.updates.sweep` kernel every sequential driver runs), and
+the name → (driver, options-class) registry in :mod:`repro.core.algorithms`.
 """
 
 from repro.core.options import (

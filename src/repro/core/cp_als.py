@@ -2,97 +2,18 @@
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.initialization import prepare_als_inputs
-from repro.core.normal_equations import gram_matrix
+from repro.core.loop import SequentialRun, run_sweeps
 from repro.core.options import ALSOptions, resolve_options
-from repro.core.results import ALSResult, ResultBase, SweepRecord
-from repro.core.updates import UpdateRule, make_update_rule, sweep
+from repro.core.results import ALSResult
+from repro.core.updates import make_update_rule
 from repro.machine.cost_tracker import CostTracker
-from repro.trees.base import MTTKRPProvider
-from repro.trees.registry import make_provider
 
-__all__ = ["cp_als", "run_regular_sweep", "run_als_loop"]
-
-
-def run_regular_sweep(
-    provider: MTTKRPProvider,
-    grams: list[np.ndarray],
-    tracker: CostTracker | None,
-) -> np.ndarray:
-    """Run one exact ALS sweep in place and return the last mode's MTTKRP.
-
-    Thin wrapper over the shared kernel :func:`repro.core.updates.sweep` with
-    the exact least-squares rule — kept for backward compatibility.
-    """
-    return sweep(provider, grams, rule=None, tracker=tracker)
-
-
-def run_als_loop(
-    provider: MTTKRPProvider,
-    grams: list[np.ndarray],
-    norm_t: float,
-    rule: UpdateRule,
-    n_sweeps: int,
-    tol: float,
-    tracker: CostTracker,
-    record_sweeps: bool = True,
-    callback: Callable[[int, list[np.ndarray], float], None] | None = None,
-) -> tuple[float, bool, int, list[SweepRecord], float]:
-    """The shared sequential driver loop over :func:`repro.core.updates.sweep`.
-
-    Runs up to ``n_sweeps`` sweeps of ``rule`` on ``provider``/``grams``,
-    evaluating the rule's residual after each, recording
-    :class:`~repro.core.results.SweepRecord` entries and honoring the
-    ``|r_prev - r| < tol`` stopping criterion.  Returns ``(residual,
-    converged, sweeps_run, records, total_elapsed_seconds)`` —
-    :func:`cp_als`, :func:`~repro.core.nn_cp_als.nn_cp_als` and
-    :func:`~repro.core.masked_cp_als.masked_cp_als` all run through here.
-    """
-    records: list[SweepRecord] = []
-    residual = 1.0
-    previous_residual = np.inf
-    converged = False
-    cumulative = 0.0
-    run_start = time.perf_counter()
-    sweeps_run = 0
-
-    for sweep_index in range(n_sweeps):
-        sweep_start = time.perf_counter()
-        before = tracker.snapshot()
-        last_mttkrp = sweep(provider, grams, rule=rule, tracker=tracker)
-        residual = rule.residual(norm_t, last_mttkrp, provider, grams)
-        elapsed = time.perf_counter() - sweep_start
-        cumulative += elapsed
-        sweeps_run = sweep_index + 1
-        fitness = ResultBase.fitness_from_residual(residual)
-        if record_sweeps:
-            delta = tracker.diff_since(before)
-            records.append(
-                SweepRecord(
-                    index=sweep_index,
-                    sweep_type="als",
-                    fitness=fitness,
-                    residual=residual,
-                    elapsed_seconds=elapsed,
-                    cumulative_seconds=cumulative,
-                    kernel_seconds=delta.seconds_by_category,
-                    flops=delta.flops_by_category,
-                )
-            )
-        if callback is not None:
-            callback(sweep_index, [f.copy() for f in provider.factors], fitness)
-        if abs(previous_residual - residual) < tol:
-            converged = True
-            break
-        previous_residual = residual
-
-    total_elapsed = time.perf_counter() - run_start
-    return residual, converged, sweeps_run, records, total_elapsed
+__all__ = ["cp_als"]
 
 
 def cp_als(
@@ -174,25 +95,14 @@ def cp_als(
         initial_factors=initial_factors, seed=seed,
     )
 
-    provider = make_provider(mttkrp, tensor, factors, tracker=tracker,
-                             max_cache_bytes=max_cache_bytes)
-    grams = [gram_matrix(f, tracker=tracker) for f in provider.factors]
-
-    residual, converged, sweeps_run, records, total_elapsed = run_als_loop(
-        provider, grams, norm_t, make_update_rule("least_squares"),
-        n_sweeps, tol, tracker,
-        record_sweeps=record_sweeps, callback=callback,
-    )
+    run = SequentialRun.build(mttkrp, tensor, factors, norm_t, tracker,
+                              make_update_rule("least_squares"), max_cache_bytes)
+    outcome = run_sweeps(run, n_sweeps=n_sweeps, tol=tol,
+                         record_sweeps=record_sweeps, callback=callback)
 
     return ALSResult(
-        factors=[f.copy() for f in provider.factors],
-        fitness=ResultBase.fitness_from_residual(residual),
-        residual=residual,
-        n_sweeps=sweeps_run,
-        converged=converged,
-        sweeps=records,
+        factors=run.factors(),
         tracker=tracker,
-        elapsed_seconds=total_elapsed,
         options={
             "rank": rank,
             "n_sweeps": n_sweeps,
@@ -200,4 +110,5 @@ def cp_als(
             "mttkrp": mttkrp,
             "dtype": str(tensor.dtype),
         },
+        **outcome.result_fields(),
     )

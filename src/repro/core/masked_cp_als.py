@@ -20,15 +20,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.backend import is_sparse_tensor
-from repro.core.cp_als import run_als_loop
 from repro.core.initialization import prepare_als_inputs
-from repro.core.normal_equations import gram_matrix
+from repro.core.loop import SequentialRun, run_sweeps
 from repro.core.options import MaskedOptions, resolve_options
-from repro.core.results import ALSResult, ResultBase
+from repro.core.results import ALSResult
 from repro.core.updates import MaskedLeastSquaresUpdate
 from repro.machine.cost_tracker import CostTracker
 from repro.sparse.coo import CooTensor
-from repro.trees.registry import make_provider
 
 __all__ = ["masked_cp_als", "MaskedALSResult", "normalize_mask"]
 
@@ -194,33 +192,24 @@ record_sweeps, callback, dtype, options:
     )
 
     rule = MaskedLeastSquaresUpdate(mask_indices, shape)
-    provider = make_provider(opts.mttkrp, observed_tensor, factors,
-                             tracker=tracker, max_cache_bytes=max_cache_bytes)
-    grams = [gram_matrix(f, tracker=tracker) for f in provider.factors]
-
-    residual, converged, sweeps_run, records, total_elapsed = run_als_loop(
-        provider, grams, norm_obs, rule, opts.n_sweeps, opts.tol, tracker,
-        record_sweeps=record_sweeps, callback=callback,
-    )
+    run = SequentialRun.build(opts.mttkrp, observed_tensor, factors, norm_obs, tracker,
+                              rule, max_cache_bytes)
+    outcome = run_sweeps(run, n_sweeps=opts.n_sweeps, tol=opts.tol,
+                         record_sweeps=record_sweeps, callback=callback)
 
     n_observed = int(mask_indices.shape[0])
     size = int(np.prod(shape, dtype=np.int64))
     return MaskedALSResult(
-        factors=[f.copy() for f in provider.factors],
-        fitness=ResultBase.fitness_from_residual(residual),
-        residual=residual,
-        n_sweeps=sweeps_run,
-        converged=converged,
-        sweeps=records,
+        factors=run.factors(),
         tracker=tracker,
-        elapsed_seconds=total_elapsed,
         options={
             "rank": opts.rank,
             "n_sweeps": opts.n_sweeps,
             "tol": opts.tol,
             "mttkrp": opts.mttkrp,
-            "dtype": str(provider.dtype),
+            "dtype": str(run.provider.dtype),
         },
         n_observed=n_observed,
         observed_fraction=n_observed / size,
+        **outcome.result_fields(),
     )

@@ -19,14 +19,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.backend import is_sparse_tensor
-from repro.core.cp_als import run_als_loop
 from repro.core.initialization import prepare_als_inputs
-from repro.core.normal_equations import gram_matrix
+from repro.core.loop import SequentialRun, run_sweeps
 from repro.core.options import NNOptions, resolve_options
-from repro.core.results import ALSResult, ResultBase
+from repro.core.results import ALSResult
 from repro.core.updates import make_update_rule
 from repro.machine.cost_tracker import CostTracker
-from repro.trees.registry import make_provider
 
 __all__ = ["nn_cp_als"]
 
@@ -99,24 +97,14 @@ def nn_cp_als(
                     "nonnegative CP requires nonnegative initial factors"
                 )
 
-    provider = make_provider(opts.mttkrp, tensor, factors, tracker=tracker,
-                             max_cache_bytes=max_cache_bytes)
-    grams = [gram_matrix(f, tracker=tracker) for f in provider.factors]
-
-    residual, converged, sweeps_run, records, total_elapsed = run_als_loop(
-        provider, grams, norm_t, rule, opts.n_sweeps, opts.tol, tracker,
-        record_sweeps=record_sweeps, callback=callback,
-    )
+    run = SequentialRun.build(opts.mttkrp, tensor, factors, norm_t, tracker, rule,
+                              max_cache_bytes)
+    outcome = run_sweeps(run, n_sweeps=opts.n_sweeps, tol=opts.tol,
+                         record_sweeps=record_sweeps, callback=callback)
 
     return ALSResult(
-        factors=[f.copy() for f in provider.factors],
-        fitness=ResultBase.fitness_from_residual(residual),
-        residual=residual,
-        n_sweeps=sweeps_run,
-        converged=converged,
-        sweeps=records,
+        factors=run.factors(),
         tracker=tracker,
-        elapsed_seconds=total_elapsed,
         options={
             "rank": opts.rank,
             "n_sweeps": opts.n_sweeps,
@@ -125,4 +113,5 @@ def nn_cp_als(
             "update": opts.update,
             "dtype": str(tensor.dtype),
         },
+        **outcome.result_fields(),
     )

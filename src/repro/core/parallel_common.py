@@ -8,6 +8,10 @@ time into the rank's cost tracker), and the collectives of Algorithm 3 (lines
 Section II-E.  Because the data movement is performed exactly, the parallel
 drivers produce the same iterates as the sequential ones given the same
 initial factors — an invariant the integration tests rely on.
+
+:class:`ParallelRun` is the substrate both parallel drivers hand to the one
+sweep loop, :func:`repro.core.loop.run_sweeps`; :func:`solve_parallel` is
+their shared body.
 """
 
 from __future__ import annotations
@@ -21,16 +25,23 @@ import numpy as np
 from repro.backend import is_sparse_tensor
 from repro.comm.simulated import SimulatedMachine
 from repro.core.initialization import init_factors
+from repro.core.loop import SweepRun, run_sweeps
 from repro.core.normal_equations import solve_normal_equations
+from repro.core.pp_corrections import second_order_accumulator
+from repro.core.results import ParallelALSResult
+from repro.core.updates import make_update_rule
 from repro.distributed.dist_factor import DistributedFactor
 from repro.distributed.dist_tensor import DistributedTensor
 from repro.distributed.sparse import DistSparseTensor
 from repro.grid.distribution import split_rows_evenly
 from repro.grid.processor_grid import ProcessorGrid
 from repro.machine.collective_costs import reduce_scatter_cost
+from repro.machine.cost_tracker import CostTracker
 from repro.machine.params import MachineParams
+from repro.tensor.norms import residual_from_mttkrp
 from repro.tensor.products import hadamard_all_but
 from repro.trees.base import MTTKRPProvider
+from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import make_provider
 from repro.utils.validation import check_dense_tensor, check_factor_matrices
 
@@ -38,7 +49,8 @@ __all__ = [
     "ParallelState",
     "setup_parallel_state",
     "parallel_mode_update",
-    "run_parallel_sweep",
+    "ParallelRun",
+    "solve_parallel",
     "zero_delta_factors",
     "allreduce_rowwise_product",
     "compute_gamma",
@@ -543,17 +555,257 @@ def parallel_mode_update(
     return gamma, summed_mttkrp
 
 
-def run_parallel_sweep(state: ParallelState, rule=None) -> np.ndarray:
-    """One full parallel sweep (all modes) and the last summed MTTKRP.
+class ParallelRun(SweepRun):
+    """The parallel substrate of :func:`~repro.core.loop.run_sweeps`.
 
-    The parallel counterpart of :func:`repro.core.updates.sweep`: walks the
-    modes through :func:`parallel_mode_update` under ``rule`` (default exact
-    least squares) and returns the globally-summed padded ``M^(N-1)`` that
-    Eq. (3) needs for the residual.
+    An exact sweep is Algorithm 3: :func:`parallel_mode_update` per mode under
+    ``rule`` (default exact least squares).  A PP phase is Algorithm 4: every
+    rank builds its pairwise operators from its own block (local PP-init,
+    line 2), and each approximated mode update reduce-scatters the ranks'
+    local first-order MTTKRPs (line 9).  The factor steps are distributed
+    like the factors.
     """
-    last_summed: np.ndarray | None = None
-    for mode in range(state.order):
-        _, summed = parallel_mode_update(state, mode, rule=rule)
-        last_summed = summed
-    assert last_summed is not None
-    return last_summed
+
+    def __init__(self, state: ParallelState, rule=None):
+        self.state, self.rule = state, rule
+
+    def snapshot(self):
+        return self.state.machine.snapshot_costs()
+
+    def costs(self, snapshot):
+        machine = self.state.machine
+        critical = CostTracker.max_over(machine.costs_since(snapshot))
+        return (critical.seconds_by_category, critical.flops_by_category,
+                critical.modeled_time(machine.params))
+
+    def _residual(self, last_summed: np.ndarray) -> float:
+        state = self.state
+        return residual_from_mttkrp(
+            state.norm_t, last_summed, state.dist_factors[-1].padded_global(),
+            state.grams, last_mode=state.order - 1,
+        )
+
+    def _set_step(self, mode: int, reference: list[DistributedFactor]) -> None:
+        current = self.state.dist_factors[mode]
+        for x in range(self.state.grid.dims[mode]):
+            self.steps[mode].set_block(x, current.block(x) - reference[mode].block(x))
+
+    def exact_sweep(self, track_step: bool) -> float:
+        state = self.state
+        if track_step:
+            before, grams_before = [df.copy() for df in state.dist_factors], list(state.grams)
+        for mode in range(state.order):
+            _, summed = parallel_mode_update(state, mode, rule=self.rule)
+            if mode == 0 and track_step:
+                # the summed M^(0) is exact for the factors the sweep starts from
+                self._start = (summed, before[0], grams_before)
+        residual = self._residual(summed)
+        if track_step:
+            self.steps = zero_delta_factors(state)
+            for mode in range(state.order):
+                self._set_step(mode, before)
+        return residual
+
+    def start_residual(self) -> float:
+        summed, factor, grams = self._start
+        return residual_from_mttkrp(self.state.norm_t, summed, factor.padded_global(),
+                                    grams, last_mode=0)
+
+    def pp_init(self) -> None:
+        state = self.state
+        self.checkpoint = [df.copy() for df in state.dist_factors]
+        self.steps = zero_delta_factors(state)
+        self.operators = self._build_local_operators()
+        self.delta_grams = [np.zeros((state.rank, state.rank)) for _ in range(state.order)]
+
+    def _build_local_operators(self) -> Dict[int, PairwiseOperators]:
+        """Local-PP-init of Algorithm 4 (line 2): one operator set per processor.
+
+        On sparse per-rank blocks the operators come out of each rank's
+        CSF-based tree provider as semi-sparse descents
+        (:mod:`repro.trees.sparse_pp`) and stay in fiber form; intermediates
+        still valid from the preceding exact sweep are reused rank-locally.
+
+        Remote providers (process execution) build their operators inside the
+        worker instead, concurrently across ranks; the worker also checkpoints
+        its factors so later PP contributions can recompute the steps locally.
+        Their dict entry is the provider itself — :meth:`_contributions`
+        dispatches on it, never on a master-side operator set.
+        """
+        state = self.state
+        operators: Dict[int, PairwiseOperators] = {}
+        remote = [proc for proc in state.grid.ranks()
+                  if hasattr(state.providers[proc], "pp_build_submit")]
+        for proc in remote:
+            state.providers[proc].pp_build_submit()
+        for proc in state.grid.ranks():
+            provider = state.providers[proc]
+            if proc in remote:
+                provider.pp_build_result()
+                operators[proc] = provider
+            else:
+                operators[proc] = PairwiseOperators.build(
+                    provider.tensor, provider.factors,
+                    tracker=state.machine.tracker(proc), provider=provider,
+                )
+        return operators
+
+    def _contributions(
+        self, mode: int,
+    ) -> tuple[Dict[int, np.ndarray] | None, Dict[int, int] | None]:
+        """Per-rank approximated MTTKRP contributions for one mode update.
+
+        Each rank contributes its local ``M_p^(mode) + sum_i U^(mode,i)`` plus
+        its share of the (global, cheap) second-order correction ``V^(mode)``,
+        so that summing the contributions over the mode's processor slice
+        reproduces Eq. (5) exactly.
+
+        Returns ``(contributions, panel_rows)``: normally the per-rank arrays
+        and ``None``.  Under worker-side collectives the results stay in the
+        workers' shared output panels — the return is ``(None, per-rank row
+        counts)`` and :func:`parallel_mode_update` reduces the panels in place.
+        """
+        state = self.state
+        machine = state.machine
+        rank_r = state.rank
+
+        # second-order accumulator (R x R), identical on every rank (redundant compute)
+        t0 = time.perf_counter()
+        accumulator, hadamard_flops = second_order_accumulator(
+            mode, state.grams, self.delta_grams)
+        elapsed = time.perf_counter() - t0
+        for proc in state.grid.ranks():
+            tracker = machine.tracker(proc)
+            tracker.add_flops("hadamard", hadamard_flops)
+            tracker.add_seconds("hadamard", elapsed)
+
+        slice_groups = state.grid.slice_groups(mode)
+        group_size = len(slice_groups[0]) if slice_groups else 1
+
+        if state.collectives == "worker" and state.runtime is not None:
+            # worker-side collectives: results stay in the shared panels for the
+            # reduction tree, only row counts come back
+            for proc in state.grid.ranks():
+                state.providers[proc].pp_contrib_submit(mode, accumulator, group_size)
+            panel_rows = {
+                proc: state.providers[proc].pp_contrib_result_rows()
+                for proc in state.grid.ranks()
+            }
+            return None, panel_rows
+
+        contributions: Dict[int, np.ndarray] = {}
+        remote = [proc for proc in state.grid.ranks()
+                  if hasattr(state.providers[proc], "pp_contrib_submit")]
+        for proc in remote:
+            # the worker recomputes its steps from the pp_build checkpoint, so
+            # only the R x R accumulator crosses the process boundary
+            state.providers[proc].pp_contrib_submit(mode, accumulator, group_size)
+        for proc in remote:
+            contributions[proc] = state.providers[proc].pp_contrib_result()
+        for proc in state.grid.ranks():
+            if proc in remote:
+                continue
+            tracker = machine.tracker(proc)
+            local = self.operators[proc].first_order_mttkrp(
+                mode,
+                [None if other == mode else step.local_block_for(proc)
+                 for other, step in enumerate(self.steps)],
+                tracker=tracker,
+            )
+            # this rank's share of V^(mode): rows of its factor block times the
+            # accumulator, divided by the slice size so the Reduce-Scatter sum
+            # contributes V exactly once
+            factor_block = state.dist_factors[mode].local_block_for(proc)
+            t0 = time.perf_counter()
+            v_block = factor_block @ accumulator
+            elapsed = time.perf_counter() - t0
+            tracker.add_flops("others", 2 * factor_block.shape[0] * rank_r * rank_r
+                              // max(group_size, 1))
+            tracker.add_seconds("others", elapsed)
+            contributions[proc] = local + v_block / max(group_size, 1)
+        return contributions, None
+
+    def approx_sweep(self) -> float:
+        state = self.state
+        for mode in range(state.order):
+            contributions, panel_rows = self._contributions(mode)
+            _, summed = parallel_mode_update(
+                state, mode, contributions=contributions, panel_rows=panel_rows)
+            # refresh the distributed step and its Gram product (Eq. 8)
+            self._set_step(mode, self.checkpoint)
+            self.delta_grams[mode] = allreduce_rowwise_product(
+                state, state.dist_factors[mode].padded_global(),
+                self.steps[mode].padded_global(),
+            )
+        return self._residual(summed)
+
+    def factor_steps(self):
+        # gathers the global factors: once per approximated sweep
+        return ([df.padded_global() for df in self.state.dist_factors],
+                [step.padded_global() for step in self.steps])
+
+    def save(self):
+        # the Gram matrices are replaced, never written in place: a list copy will do
+        return [df.copy() for df in self.state.dist_factors], list(self.state.grams)
+
+    def restore(self, saved) -> None:
+        state = self.state
+        factors, grams = saved
+        for mode, saved_factor in enumerate(factors):
+            factor = state.dist_factors[mode]
+            for x in range(state.grid.dims[mode]):
+                factor.set_block(x, saved_factor.block(x))
+            # republish to every rank's provider (a worker's shared panel too)
+            for proc in state.grid.ranks():
+                state.providers[proc].set_factor(mode, factor.local_block_for(proc))
+        state.grams[:] = grams
+
+    def factors(self) -> list[np.ndarray]:
+        return self.state.global_factors()
+
+
+def solve_parallel(tensor, grid, opts, *, pp: tuple[float, int] | None = None,
+                   record_sweeps: bool = True, **setup) -> ParallelALSResult:
+    """The body of both parallel drivers: distribute, run the one sweep loop
+    on a :class:`ParallelRun`, release the substrate, report.
+
+    ``opts`` is the resolved :class:`~repro.core.options.ParallelOptions` (or
+    its PP subclass); ``setup`` holds the remaining keywords of
+    :func:`setup_parallel_state` (``machine``, ``params``,
+    ``initial_factors``, ``max_cache_bytes``, ``partition_seed``).
+    """
+    rule = make_update_rule(opts.update)
+    state = setup_parallel_state(
+        tensor, opts.rank, grid, mttkrp=opts.mttkrp, seed=opts.seed,
+        distributed_solve=opts.distributed_solve, partitioner=opts.partitioner,
+        execution=opts.execution, collectives=opts.collectives, **setup,
+    )
+    run = ParallelRun(state, rule)
+    # the finally releases process-execution workers and shared segments on
+    # success, failure and KeyboardInterrupt alike (no-op when simulated)
+    try:
+        outcome = run_sweeps(run, n_sweeps=opts.n_sweeps, tol=opts.tol, pp=pp,
+                             record_sweeps=record_sweeps)
+    finally:
+        state.close()
+    options = {"rank": opts.rank, "n_sweeps": opts.n_sweeps, "tol": opts.tol}
+    if pp is not None:
+        options["pp_tol"] = opts.pp_tol
+    options.update({
+        "mttkrp": opts.mttkrp,
+        "grid": tuple(state.grid.dims),
+        "distributed_solve": opts.distributed_solve,
+        "update": opts.update,
+        "partitioner": getattr(getattr(state.dist_tensor, "partition", None), "name", None),
+        "execution": type(state.machine).__name__,
+        "collectives": state.collectives,
+    })
+    return ParallelALSResult(
+        factors=run.factors(),
+        tracker=state.machine.critical_path_tracker(),
+        options=options,
+        grid_dims=tuple(state.grid.dims),
+        per_sweep_modeled_seconds=outcome.modeled_seconds,
+        critical_path=state.machine.critical_path_tracker(),
+        **outcome.result_fields(),
+    )

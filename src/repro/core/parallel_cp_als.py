@@ -17,22 +17,18 @@ dispatches to the sparse engine registry on its own COO/CSF block.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
 
 from repro.comm.simulated import SimulatedMachine
 from repro.core.options import ParallelOptions, resolve_options
-from repro.core.parallel_common import run_parallel_sweep, setup_parallel_state
-from repro.core.results import ParallelALSResult, ResultBase, SweepRecord
-from repro.core.updates import make_update_rule
+from repro.core.parallel_common import solve_parallel
+from repro.core.results import ParallelALSResult
 from repro.distributed.dist_tensor import DistributedTensor
 from repro.distributed.sparse import DistSparseTensor
 from repro.grid.processor_grid import ProcessorGrid
-from repro.machine.cost_tracker import CostTracker
 from repro.machine.params import MachineParams
-from repro.tensor.norms import residual_from_mttkrp
 
 __all__ = ["parallel_cp_als"]
 
@@ -126,105 +122,11 @@ def parallel_cp_als(
          "execution": execution, "collectives": collectives,
          "grid": None if grid is None else tuple(getattr(grid, "dims", grid))},
     )
-    rank, n_sweeps, tol, mttkrp, seed = (
-        opts.rank, opts.n_sweeps, opts.tol, opts.mttkrp, opts.seed,
-    )
-    distributed_solve, partitioner = opts.distributed_solve, opts.partitioner
-    rule = make_update_rule(opts.update)
     # keep an explicitly-passed ProcessorGrid instance as-is; the bundle only
     # carries its dims
-    grid = grid if grid is not None else opts.grid
-
-    state = setup_parallel_state(
-        tensor, rank, grid,
-        mttkrp=mttkrp, machine=machine, params=params,
-        initial_factors=initial_factors, seed=seed,
-        distributed_solve=distributed_solve,
-        max_cache_bytes=max_cache_bytes,
-        partitioner=partitioner, partition_seed=partition_seed,
-        execution=opts.execution,
-        collectives=opts.collectives,
-    )
-    machine = state.machine
-    order = state.order
-
-    records: list[SweepRecord] = []
-    per_sweep_modeled: list[float] = []
-    residual = 1.0
-    previous_residual = np.inf
-    converged = False
-    cumulative = 0.0
-    sweeps_run = 0
-    run_start = time.perf_counter()
-
-    # the finally releases process-execution workers and shared segments on
-    # success, failure and KeyboardInterrupt alike (no-op when simulated)
-    try:
-        for sweep in range(n_sweeps):
-            sweep_start = time.perf_counter()
-            snapshots = machine.snapshot_costs()
-            last_summed = run_parallel_sweep(state, rule=rule)
-            residual = residual_from_mttkrp(
-                state.norm_t,
-                last_summed,
-                state.dist_factors[order - 1].padded_global(),
-                state.grams,
-                last_mode=order - 1,
-            )
-            elapsed = time.perf_counter() - sweep_start
-            cumulative += elapsed
-            sweeps_run = sweep + 1
-
-            sweep_costs = machine.costs_since(snapshots)
-            critical = CostTracker.max_over(sweep_costs)
-            modeled = critical.modeled_time(machine.params)
-            per_sweep_modeled.append(modeled)
-            if record_sweeps:
-                records.append(
-                    SweepRecord(
-                        index=sweep,
-                        sweep_type="als",
-                        fitness=ResultBase.fitness_from_residual(residual),
-                        residual=residual,
-                        elapsed_seconds=elapsed,
-                        cumulative_seconds=cumulative,
-                        kernel_seconds=critical.seconds_by_category,
-                        flops=critical.flops_by_category,
-                        modeled_seconds=modeled,
-                    )
-                )
-            if abs(previous_residual - residual) < tol:
-                converged = True
-                break
-            previous_residual = residual
-    finally:
-        state.close()
-
-    total_elapsed = time.perf_counter() - run_start
-    return ParallelALSResult(
-        factors=state.global_factors(),
-        fitness=ResultBase.fitness_from_residual(residual),
-        residual=residual,
-        n_sweeps=sweeps_run,
-        converged=converged,
-        sweeps=records,
-        tracker=machine.critical_path_tracker(),
-        elapsed_seconds=total_elapsed,
-        options={
-            "rank": rank,
-            "n_sweeps": n_sweeps,
-            "tol": tol,
-            "mttkrp": mttkrp,
-            "grid": tuple(state.grid.dims),
-            "distributed_solve": distributed_solve,
-            "update": opts.update,
-            "partitioner": getattr(
-                getattr(state.dist_tensor, "partition", None), "name", None
-            ),
-            "execution": type(state.machine).__name__,
-            "collectives": state.collectives,
-        },
-        grid_dims=tuple(state.grid.dims),
-        per_sweep_modeled_seconds=per_sweep_modeled,
-        critical_path=machine.critical_path_tracker(),
+    return solve_parallel(
+        tensor, grid if grid is not None else opts.grid, opts,
+        record_sweeps=record_sweeps, machine=machine, params=params,
+        initial_factors=initial_factors, max_cache_bytes=max_cache_bytes,
+        partition_seed=partition_seed,
     )

@@ -21,7 +21,6 @@ the engine's per-call parsing is ten times the arithmetic.
 
 from __future__ import annotations
 
-import logging
 import time
 from typing import Sequence
 
@@ -30,8 +29,6 @@ import numpy as np
 from repro.tensor.ttv import contract_intermediate_mode
 from repro.trees.sparse_pp import OrientedPairOperator, SemiSparsePairOperator
 
-logger = logging.getLogger("repro.core")
-
 __all__ = [
     "delta_gram",
     "first_order_correction",
@@ -39,7 +36,6 @@ __all__ = [
     "second_order_accumulator",
     "second_order_correction",
     "pp_step_within_tolerance",
-    "pp_phase_end", "log_pp_phase",
 ]
 
 
@@ -244,23 +240,3 @@ def pp_step_within_tolerance(
         if np.linalg.norm(delta) >= pp_tol * np.linalg.norm(factor):
             return False
     return True
-
-
-def pp_phase_end(factors, delta_factors, pp_tol: float) -> str | None:
-    """Why a PP phase's loop condition failed, for :func:`log_pp_phase`: the mode
-    with the largest ``||dA||_F / ||A||_F`` when that has crossed ``pp_tol``, else
-    ``"budget"`` (a sweep bound ended the phase).  ``None`` while DEBUG is off."""
-    if not logger.isEnabledFor(logging.DEBUG):
-        return None
-    ratios = [np.linalg.norm(delta) / max(np.linalg.norm(factor), np.finfo(float).tiny)
-              for factor, delta in zip(factors, delta_factors)]
-    mode = int(np.argmax(ratios))
-    return f"pp_tol(mode {mode}, {ratios[mode]:.3f})" if ratios[mode] >= pp_tol else "budget"
-
-
-def log_pp_phase(sweeps: int, ended: str | None, converged: bool = False) -> None:
-    """One DEBUG record per PP phase on logger ``repro.core``.  A phase that
-    ``"stalled"`` reads ``converged`` when the exact sweep after it confirmed."""
-    if ended is not None:
-        logger.debug("pp phase: %d approximated sweeps, ended by %s", sweeps,
-                     "converged" if converged and ended == "stalled" else ended)

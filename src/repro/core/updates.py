@@ -16,9 +16,9 @@ drivers:
   (:func:`~repro.core.cp_als.cp_als`, :func:`~repro.core.pp_cp_als.pp_cp_als`
   and the new :func:`~repro.core.nn_cp_als.nn_cp_als` /
   :func:`~repro.core.masked_cp_als.masked_cp_als`) runs its exact sweeps
-  through it, and the parallel drivers route their per-chunk solves through
-  the same rule objects (see
-  :func:`repro.core.parallel_common.run_parallel_sweep`).
+  through it (as :class:`repro.core.loop.SequentialRun`), and the parallel
+  drivers route their per-chunk solves through the same rule objects (see
+  :func:`repro.core.parallel_common.parallel_mode_update`).
 
 Update rules are **row-separable**: ``update_rows`` maps a block of MTTKRP
 rows plus the matching block of current factor rows to a block of updated

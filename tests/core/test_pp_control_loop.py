@@ -8,9 +8,13 @@ import pytest
 
 from repro.core.cp_als import cp_als
 from repro.core.initialization import init_factors
+from repro.core.loop import SequentialRun, _ExactSweepRule
+from repro.core.nn_cp_als import nn_cp_als
 from repro.core.normal_equations import gram_matrix
+from repro.core.parallel_common import ParallelRun
+from repro.core.parallel_cp_als import parallel_cp_als
 from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
-from repro.core.pp_cp_als import _ExactSweepRule, pp_cp_als
+from repro.core.pp_cp_als import pp_cp_als
 from repro.core.updates import sweep
 from repro.data import collinearity_tensor, sparse_low_rank_tensor
 from repro.machine.cost_tracker import CostTracker
@@ -149,20 +153,122 @@ class TestPhaseLog:
         assert not [r for r in caplog.records if r.name == "repro.core"]
 
 
+#: (sequential driver, parallel driver, extra keywords of both) per loop flavour
+DRIVER_PAIRS = {
+    "pp": (pp_cp_als, parallel_pp_cp_als, {"mttkrp": "msdt"}),
+    "als": (cp_als, parallel_cp_als, {"mttkrp": "dt"}),
+    "hals": (nn_cp_als, parallel_cp_als, {"mttkrp": "dt", "update": "hals"}),
+}
+
+
+def parity_inputs(kind, flavour, sparse3):
+    """``(tensor, rank, start, extra keywords)`` of one parity case."""
+    if kind == "sparse":
+        (tensor, start), rank, pp_tol = sparse3, 3, 0.4
+    else:
+        (tensor, start), rank, pp_tol = collinear(3), 4, 0.2
+    if flavour == "hals":
+        start = init_factors(tensor.shape, rank, seed=23)  # nonnegative
+    return tensor, rank, start, {"pp_tol": pp_tol} if flavour == "pp" else {}
+
+
 class TestSequentialParallelParity:
-    @pytest.mark.parametrize("grid", [(1, 1, 1), (1, 2, 2)])
+    @pytest.mark.parametrize("flavour,grid,execution", [
+        *((flavour, grid, "simulated") for flavour in DRIVER_PAIRS
+          for grid in [(1, 1, 1), (1, 2, 2)]),
+        ("pp", (1, 2, 2), "process"),
+    ])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    def test_same_sweep_types_and_factors_at_positive_tol(self, kind, grid, sparse3):
-        if kind == "sparse":
-            (tensor, start), rank, pp_tol = sparse3, 3, 0.4
-        else:
-            (tensor, start), rank, pp_tol = collinear(3), 4, 0.2
-        sequential = pp_cp_als(tensor, rank, n_sweeps=300, tol=TOL, pp_tol=pp_tol,
-                               mttkrp="msdt", initial_factors=start)
-        parallel = parallel_pp_cp_als(tensor, rank, grid, n_sweeps=300, tol=TOL,
-                                      pp_tol=pp_tol, mttkrp="msdt", initial_factors=start)
+    def test_same_sweep_types_and_factors_at_positive_tol(
+            self, kind, flavour, grid, execution, sparse3):
+        tensor, rank, start, extra = parity_inputs(kind, flavour, sparse3)
+        sequential_driver, parallel_driver, common = DRIVER_PAIRS[flavour]
+        kwargs = dict(n_sweeps=300, tol=TOL, initial_factors=start, **common, **extra)
+        sequential = sequential_driver(tensor, rank, **kwargs)
+        parallel = parallel_driver(tensor, rank, grid, execution=execution, **kwargs)
         assert sequential.converged and parallel.converged
-        assert sweep_types(sequential)[-2:] == ["pp-approx", "als"]
+        assert parallel.n_sweeps == sequential.n_sweeps
+        if flavour == "pp":
+            assert sweep_types(sequential)[-2:] == ["pp-approx", "als"]
         assert sweep_types(parallel) == sweep_types(sequential)
+        for a, b in zip(parallel.factors, sequential.factors):
+            assert np.allclose(a, b, atol=1e-8)
+
+    def test_parallel_drivers_report_the_same_options(self, sparse3):
+        tensor, start = sparse3
+        kwargs = dict(n_sweeps=3, tol=0.0, mttkrp="msdt", initial_factors=start)
+        als = parallel_cp_als(tensor, 3, (1, 2, 2), **kwargs).options
+        pp = parallel_pp_cp_als(tensor, 3, (1, 2, 2), pp_tol=0.4, **kwargs).options
+        assert set(pp) ^ set(als) == {"pp_tol"}
+        assert {key: pp[key] for key in als} == als
+        assert als["execution"] == "SimulatedMachine"
+
+
+def state_of(run):
+    """Copies of a substrate's global factors and Gram matrices."""
+    if isinstance(run, ParallelRun):
+        return ([df.padded_global() for df in run.state.dist_factors],
+                [g.copy() for g in run.state.grams])
+    return [f.copy() for f in run.provider.factors], [g.copy() for g in run.grams]
+
+
+@pytest.fixture
+def diverge_once(monkeypatch):
+    """Make each run's first approximated sweep report its residual 0.5 too
+    high, on both substrates; the list collects ``(before, after rollback)``
+    states of every rolled-back sweep."""
+    rollbacks = []
+    for substrate in (SequentialRun, ParallelRun):
+        def approx_sweep(self, real=substrate.approx_sweep):
+            if getattr(self, "forced", False):
+                return real(self)
+            self.forced = True
+            rollbacks.append([state_of(self)])
+            return real(self) + 0.5
+
+        def restore(self, saved, real=substrate.restore):
+            real(self, saved)
+            rollbacks[-1].append(state_of(self))
+
+        monkeypatch.setattr(substrate, "approx_sweep", approx_sweep)
+        monkeypatch.setattr(substrate, "restore", restore)
+    return rollbacks
+
+
+class TestDivergenceRollback:
+    def reasons(self, caplog) -> list[str]:
+        return [r.getMessage().split("ended by ")[1] for r in caplog.records
+                if r.name == "repro.core"]
+
+    def check(self, result, rollbacks, caplog):
+        types = sweep_types(result)
+        first = types.index("pp-init")
+        # the rolled-back sweep left no record: the exact sweep follows pp-init
+        assert types[first + 1] == "als"
+        assert [r.index for r in result.sweeps] == list(range(result.n_sweeps))
+        assert self.reasons(caplog)[0] == "diverged"
+        assert caplog.records[0].getMessage().startswith("pp phase: 0 approximated")
+        (before, after), = rollbacks
+        for saved, restored in zip(before, after):  # factors, then Grams
+            assert all(np.array_equal(a, b) for a, b in zip(saved, restored))
+        return types
+
+    @pytest.mark.parametrize("execution", ["simulated", "process"])
+    def test_both_substrates_roll_back_the_same_sweep(self, diverge_once, caplog,
+                                                      execution, sparse3):
+        tensor, start = sparse3
+        kwargs = dict(n_sweeps=300, tol=TOL, pp_tol=0.4, mttkrp="msdt",
+                      initial_factors=start)
+        with caplog.at_level(logging.DEBUG, logger="repro.core"):
+            sequential = pp_cp_als(tensor, 3, **kwargs)
+        types = self.check(sequential, diverge_once, caplog)
+        diverge_once.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="repro.core"):
+            parallel = parallel_pp_cp_als(tensor, 3, (1, 2, 2), execution=execution,
+                                          **kwargs)
+        assert self.check(parallel, diverge_once, caplog) == types
+        # the exact sweep after the rollback ran on the restored factors on
+        # every rank (under process execution: republished to the workers)
         for a, b in zip(parallel.factors, sequential.factors):
             assert np.allclose(a, b, atol=1e-8)

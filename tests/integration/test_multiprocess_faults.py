@@ -23,9 +23,9 @@ from repro.comm.procs import ProcessMachine, leaked_segments
 from repro.core.parallel_cp_als import parallel_cp_als
 from repro.data import sparse_low_rank_tensor
 
-#: the driver *module* (``repro.core`` re-exports the function under the same
-#: name, so a plain ``from repro.core import parallel_cp_als`` would shadow it)
-_driver_module = importlib.import_module("repro.core.parallel_cp_als")
+#: the module whose ``residual_from_mttkrp`` the parallel sweeps call once per
+#: sweep (:class:`repro.core.parallel_common.ParallelRun`)
+_driver_module = importlib.import_module("repro.core.parallel_common")
 
 
 @pytest.fixture(scope="module")
