@@ -20,6 +20,7 @@ from conftest import BENCH_TINY as _TINY
 
 from repro.contract import ContractionEngine, default_engine
 from repro.core.multi_start import multi_start
+from repro.core.options import ALSOptions
 from repro.tensor.cp_format import random_cp_tensor
 
 # (mode size, rank, repeats) — small contractions are where the per-call path
@@ -78,8 +79,11 @@ def test_multi_start_shares_plans(report):
 
     before = default_engine().cache_info()
     start = time.perf_counter()
-    result = multi_start(tensor, rank, n_starts=n_starts, seed=1,
-                         n_sweeps=3 if _TINY else 10, tol=0.0)
+    # the einsum engine: the dense dimension trees contract through BLAS and
+    # never consult the plan cache
+    options = ALSOptions(rank=rank, seed=1, n_sweeps=3 if _TINY else 10, tol=0.0,
+                         mttkrp="naive")
+    result = multi_start(tensor, options, n_starts=n_starts)
     elapsed = time.perf_counter() - start
     after = default_engine().cache_info()
     shared_hits = after["hits"] - before["hits"]

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.masked_cp_als import masked_cp_als
 from repro.core.nn_cp_als import nn_cp_als
+from repro.core.options import MaskedOptions, NNOptions
 from repro.data.sparse_synthetic import sparse_low_rank_tensor
 from repro.sparse.coo import CooTensor
 
@@ -50,7 +51,8 @@ def run_families(config: dict) -> dict:
 
     runs = {
         "nncp_hals": lambda: nn_cp_als(
-            tensor, rank, n_sweeps=n_sweeps, tol=0.0, update="hals", seed=0),
+            tensor, NNOptions(rank=rank, n_sweeps=n_sweeps, tol=0.0, update="hals",
+                              seed=0)),
         "nncp_multiplicative": lambda: nn_cp_als(
             # the multiplicative rule needs a nonnegative tensor; the noisy
             # synthetic one has a few negative entries, so clamp its values
@@ -58,9 +60,10 @@ def run_families(config: dict) -> dict:
             # work — is unchanged)
             CooTensor(tensor.indices, np.maximum(tensor.values, 0.0),
                       tensor.shape),
-            rank, n_sweeps=n_sweeps, tol=0.0, update="multiplicative", seed=0),
+            NNOptions(rank=rank, n_sweeps=n_sweeps, tol=0.0, update="multiplicative",
+                      seed=0)),
         "masked": lambda: masked_cp_als(
-            tensor, rank, n_sweeps=n_sweeps, tol=0.0, seed=0),
+            tensor, MaskedOptions(rank=rank, n_sweeps=n_sweeps, tol=0.0, seed=0)),
     }
     for name, run in runs.items():
         start = time.perf_counter()

@@ -145,7 +145,7 @@ def test_sparse_sweep_engines(report):
 
     results = {}
     for label, engine, tensor in (
-        ("sparse recompute", "sparse", coo),
+        ("sparse recompute", "naive", coo),
         ("sparse dt", "dt", coo),
         ("sparse msdt", "msdt", coo),
         ("dense dt", "dt", dense),

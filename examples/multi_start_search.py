@@ -11,6 +11,7 @@ statistics showing that all starts share one set of cached einsum plans.
 from __future__ import annotations
 
 from repro import default_engine, multi_start
+from repro.core.options import ALSOptions
 from repro.data.collinearity import collinearity_tensor
 
 
@@ -24,8 +25,10 @@ def main() -> None:
     engine = default_engine()
     before = engine.cache_info()
 
-    result = multi_start(tensor, rank, n_starts=8, seed=3, n_workers=4,
-                         n_sweeps=40, tol=1e-7, mttkrp="msdt")
+    result = multi_start(tensor,
+                         ALSOptions(rank=rank, seed=3, n_sweeps=40, tol=1e-7,
+                                    mttkrp="msdt"),
+                         n_starts=8, n_workers=4)
 
     after = engine.cache_info()
     print(f"Best-of-{result.n_starts} multi-start CP-ALS on a collinear "

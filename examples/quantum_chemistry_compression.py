@@ -17,6 +17,7 @@ import numpy as np
 
 from repro import cp_als, pp_cp_als
 from repro.core.initialization import init_factors
+from repro.core.options import ALSOptions, PPOptions
 from repro.data.quantum_chemistry import density_fitting_tensor
 
 
@@ -28,9 +29,10 @@ def main() -> None:
 
     for rank in (8, 16, 24):
         initial = init_factors(tensor.shape, rank, seed=1)
-        exact = cp_als(tensor, rank, n_sweeps=60, tol=1e-5, mttkrp="msdt",
+        exact = cp_als(tensor,
+                       ALSOptions(rank=rank, n_sweeps=60, tol=1e-5, mttkrp="msdt"),
                        initial_factors=initial)
-        pp = pp_cp_als(tensor, rank, n_sweeps=120, tol=1e-5, pp_tol=0.1,
+        pp = pp_cp_als(tensor, PPOptions(rank=rank, n_sweeps=120, tol=1e-5, pp_tol=0.1),
                        initial_factors=initial)
         compressed = sum(s * rank for s in tensor.shape)
         ratio = n_entries / compressed
@@ -44,7 +46,7 @@ def main() -> None:
               f"{mix['pp-init']['count']} init, {mix['pp-approx']['count']} approximated")
 
     # sanity: the decomposition really reconstructs the tensor to the reported fitness
-    result = cp_als(tensor, 24, n_sweeps=40, tol=1e-5, seed=2)
+    result = cp_als(tensor, ALSOptions(rank=24, n_sweeps=40, tol=1e-5, seed=2))
     reconstruction = result.cp.full()
     rel_err = np.linalg.norm(tensor - reconstruction) / np.linalg.norm(tensor)
     print(f"\nreconstruction check at rank 24: relative error {rel_err:.4f} "

@@ -10,6 +10,7 @@ a laptop.
 from __future__ import annotations
 
 from repro import cp_als, pp_cp_als, random_cp_tensor
+from repro.core.options import ALSOptions, PPOptions
 
 
 def main() -> None:
@@ -23,13 +24,16 @@ def main() -> None:
     print("-" * len(header))
 
     for engine in ("naive", "dt", "msdt"):
-        result = cp_als(tensor, rank, n_sweeps=40, tol=1e-8, mttkrp=engine, seed=1)
+        result = cp_als(tensor,
+                        ALSOptions(rank=rank, n_sweeps=40, tol=1e-8, mttkrp=engine,
+                                   seed=1))
         flops = result.tracker.flops_by_category
         print(f"{engine:12s} {result.fitness:9.5f} {result.n_sweeps:7d} "
               f"{result.elapsed_seconds:9.3f} {flops.get('ttm', 0) / 1e9:10.3f} "
               f"{flops.get('mttv', 0) / 1e9:11.3f}")
 
-    pp = pp_cp_als(tensor, rank, n_sweeps=120, tol=1e-8, pp_tol=0.2, seed=1)
+    pp = pp_cp_als(tensor,
+                   PPOptions(rank=rank, n_sweeps=120, tol=1e-8, pp_tol=0.2, seed=1))
     flops = pp.tracker.flops_by_category
     print(f"{'pp':12s} {pp.fitness:9.5f} {pp.n_sweeps:7d} "
           f"{pp.elapsed_seconds:9.3f} {flops.get('ttm', 0) / 1e9:10.3f} "

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.options import ParallelOptions
 from repro.core.parallel_cp_als import parallel_cp_als
 from repro.data.sparse_synthetic import sparse_skewed_count_tensor
 from repro.distributed import DistSparseTensor
@@ -48,18 +49,21 @@ def main() -> None:
     rows = []
     for kind in ("uniform", "nnz-balanced"):
         for engine in ("naive", "msdt"):
-            result = parallel_cp_als(
-                tensor, RANK, grid, n_sweeps=3, tol=0.0, mttkrp=engine,
-                params=params, seed=2, partitioner=kind, partition_seed=1,
-            )
+            result = parallel_cp_als(tensor,
+                                     ParallelOptions(rank=RANK, grid=grid, n_sweeps=3,
+                                                     tol=0.0, mttkrp=engine, seed=2,
+                                                     partitioner=kind),
+                                     params=params, partition_seed=1)
             rows.append([
                 kind, engine,
                 f"{reports[kind].imbalance:.2f}x",
                 float(np.mean(result.per_sweep_modeled_seconds)),
                 result.fitness,
             ])
-    single = parallel_cp_als(tensor, RANK, (1, 1, 1), n_sweeps=3, tol=0.0,
-                             mttkrp="msdt", params=params, seed=2)
+    single = parallel_cp_als(tensor,
+                             ParallelOptions(rank=RANK, grid=(1, 1, 1), n_sweeps=3,
+                                             tol=0.0, mttkrp="msdt", seed=2),
+                             params=params)
     rows.append(["(single rank)", "msdt", "1.00x",
                  float(np.mean(single.per_sweep_modeled_seconds)),
                  single.fitness])

@@ -22,9 +22,9 @@ Quick start
 -----------
 
 >>> import numpy as np
->>> from repro import cp_als, random_cp_tensor
+>>> from repro import ALSOptions, cp_als, random_cp_tensor
 >>> tensor = random_cp_tensor((20, 21, 22), rank=5, seed=0).full()
->>> result = cp_als(tensor, rank=5, n_sweeps=20, mttkrp="msdt", seed=1)
+>>> result = cp_als(tensor, ALSOptions(rank=5, n_sweeps=20, mttkrp="msdt", seed=1))
 >>> result.fitness > 0.8
 True
 """

@@ -33,7 +33,6 @@ from repro.core.options import (
     MaskedOptions,
     ParallelOptions,
     ParallelPPOptions,
-    resolve_options,
 )
 from repro.core.results import ALSResult, ParallelALSResult, ResultBase, SweepRecord
 from repro.core.initialization import init_factors
@@ -72,7 +71,6 @@ __all__ = [
     "MaskedOptions",
     "ParallelOptions",
     "ParallelPPOptions",
-    "resolve_options",
     "ALSResult",
     "MaskedALSResult",
     "ParallelALSResult",

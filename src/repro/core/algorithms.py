@@ -37,7 +37,7 @@ class AlgorithmSpec:
 
     #: registry name (``"als"``, ``"pp"``, ``"nncp"``, ``"masked"``)
     name: str
-    #: the driver: ``driver(tensor, rank=None, ..., options=...) -> ResultBase``
+    #: the driver: ``driver(tensor, options, **data) -> ResultBase``
     driver: Callable
     #: canonical options-bundle class accepted by the driver
     options_cls: type

@@ -22,7 +22,7 @@ import numpy as np
 from repro.backend import is_sparse_tensor
 from repro.core.initialization import prepare_als_inputs
 from repro.core.loop import SequentialRun, run_sweeps
-from repro.core.options import MaskedOptions, resolve_options
+from repro.core.options import MaskedOptions, check_options
 from repro.core.results import ALSResult
 from repro.core.updates import MaskedLeastSquaresUpdate
 from repro.machine.cost_tracker import CostTracker
@@ -117,19 +117,15 @@ def _observed_values(tensor, mask_indices: np.ndarray) -> np.ndarray:
 
 def masked_cp_als(
     tensor: np.ndarray,
-    rank: int | None = None,
+    options: MaskedOptions,
+    *,
     mask=None,
-    n_sweeps: int | None = None,
-    tol: float | None = None,
-    mttkrp: str | None = None,
     initial_factors: Sequence[np.ndarray] | None = None,
-    seed: int | np.random.Generator | None = None,
     tracker: CostTracker | None = None,
     record_sweeps: bool = True,
     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
     max_cache_bytes: int | None = None,
     dtype: np.dtype | str | None = None,
-    options: MaskedOptions | None = None,
 ) -> MaskedALSResult:
     """CP decomposition over observed entries only (masked/weighted ALS).
 
@@ -139,22 +135,24 @@ def masked_cp_als(
         A dense ndarray or a sparse :class:`~repro.sparse.CooTensor`.  Only
         entries selected by ``mask`` are ever read — unobserved dense entries
         may hold anything (including NaN placeholders).
+    options:
+        A :class:`~repro.core.options.MaskedOptions` bundle.  The mask itself
+        never lives in the bundle (it is data, like the tensor).
     mask:
         The observed-entry pattern; see :func:`normalize_mask` for the
         accepted spellings.  Required for dense input; defaults to the
         nonzero pattern for sparse input.
-    rank, n_sweeps, tol, mttkrp, initial_factors, seed, tracker, \
-record_sweeps, callback, dtype, options:
-        As in :func:`~repro.core.cp_als.cp_als`, with
-        :class:`~repro.core.options.MaskedOptions` as the bundle class.  The
-        mask itself never lives in the bundle (it is data, like the tensor).
+    initial_factors, tracker, record_sweeps, callback, max_cache_bytes, dtype:
+        As in :func:`~repro.core.cp_als.cp_als`.
 
     >>> import numpy as np
     >>> from repro.core.masked_cp_als import masked_cp_als
+    >>> from repro.core.options import MaskedOptions
     >>> rng = np.random.default_rng(0)
     >>> t = rng.random((6, 5, 4))
     >>> observed = rng.random(t.shape) < 0.5
-    >>> result = masked_cp_als(t, rank=2, mask=observed, n_sweeps=10, seed=1)
+    >>> result = masked_cp_als(t, MaskedOptions(rank=2, n_sweeps=10, seed=1),
+    ...                        mask=observed)
     >>> result.n_observed == int(observed.sum())
     True
 
@@ -164,11 +162,7 @@ record_sweeps, callback, dtype, options:
     observed entries, and ``n_observed``/``observed_fraction`` report the
     mask size.
     """
-    opts = resolve_options(
-        MaskedOptions, options,
-        {"rank": rank, "n_sweeps": n_sweeps, "tol": tol,
-         "mttkrp": mttkrp, "seed": seed},
-    )
+    opts = check_options(options, MaskedOptions)
     tracker = tracker if tracker is not None else CostTracker()
 
     sparse_input = is_sparse_tensor(tensor)

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
 
-from repro.core.algorithms import algorithm_for_options, get_algorithm
-from repro.core.options import ALSOptions, ParallelOptions
+from repro.core.algorithms import algorithm_for_options
+from repro.core.options import ALSOptions, ParallelOptions, check_options
 from repro.core.results import ALSResult, ResultBase, SweepRecord
 from repro.machine.cost_tracker import CostTracker
 from repro.utils.validation import check_positive_int
@@ -38,8 +37,9 @@ __all__ = ["start_seeds", "multi_start", "MultiStartResult"]
 def start_seeds(seed: int | None, n_starts: int) -> list[np.random.SeedSequence]:
     """Deterministic per-start seed sequences spawned from one root ``seed``.
 
-    ``multi_start(..., seed=s)`` uses exactly these sequences in start order,
-    so a manual loop over ``start_seeds(s, k)`` reproduces its starts.
+    ``multi_start`` with a bundle seeded ``s`` uses exactly these sequences in
+    start order, so a manual loop over ``start_seeds(s, k)`` reproduces its
+    starts.
     """
     n_starts = check_positive_int(n_starts, "n_starts")
     return list(np.random.SeedSequence(seed).spawn(n_starts))
@@ -165,123 +165,76 @@ def _best_index(results: List[ALSResult]) -> int:
 
 def multi_start(
     tensor: np.ndarray,
-    rank: int | None = None,
+    options: ALSOptions,
+    *,
     n_starts: int = 8,
-    algorithm: str | None = None,
-    seed: int | None = None,
     n_workers: int = 1,
     tracker: CostTracker | None = None,
-    options: ALSOptions | None = None,
     **solver_kwargs,
 ) -> MultiStartResult:
     """Best-of-``n_starts`` CP decomposition with shared contraction plans.
 
     Parameters
     ----------
-    tensor, rank:
+    tensor:
         As in :func:`~repro.core.cp_als.cp_als`; the tensor may be a dense
         ndarray or a sparse :class:`repro.sparse.CooTensor` (every start then
         runs the sparse MTTKRP engines against the shared plan cache).
+    options:
+        A sequential bundle (:class:`~repro.core.options.ALSOptions`,
+        :class:`~repro.core.options.PPOptions`, ...).  Its type selects the
+        solver through :func:`repro.core.algorithms.algorithm_for_options`
+        (e.g. an :class:`~repro.core.options.NNOptions` runs ``"nncp"``), and
+        its ``seed`` is the root seed: per-start seeds come from
+        :func:`start_seeds`, so the run is deterministic for any
+        ``n_workers``.
     n_starts:
         Number of independent random initializations ``K``.
-    algorithm:
-        Any name in the sequential-algorithm registry
-        (:func:`repro.core.algorithms.available_algorithms`): ``"als"``,
-        ``"pp"``, ``"nncp"`` or ``"masked"``.  When omitted it is inferred
-        from ``options`` via
-        :func:`repro.core.algorithms.algorithm_for_options` (e.g. an
-        :class:`~repro.core.options.NNOptions` bundle selects ``"nncp"``);
-        with no bundle either, ``"als"``.
-    seed:
-        Root seed; per-start seeds come from :func:`start_seeds` so the run is
-        deterministic for any ``n_workers``.
     n_workers:
         Worker threads for the embarrassingly parallel starts (1 = sequential).
     tracker:
         Optional :class:`CostTracker`; each start accumulates into a private
         tracker (the class is not thread-safe) and all of them are merged into
         this one in start order after the run.
-    options:
-        An :class:`~repro.core.options.ALSOptions` /
-        :class:`~repro.core.options.PPOptions` bundle for the underlying
-        solver; its ``rank`` and ``seed`` fields stand in for the matching
-        parameters here (``seed`` as the root seed — per-start seeds are
-        always spawned from it).  Expanding the bundle to the equivalent
-        keywords produces a bit-identical run.
     solver_kwargs:
-        Forwarded to the underlying solver (``n_sweeps``, ``tol``, ``mttkrp``,
-        ``pp_tol``, ``callback``, ...).
+        Data and runtime arguments forwarded to the solver (``callback``,
+        ``mask``, ``record_sweeps``, ``max_cache_bytes``, ``dtype``).
 
     Returns
     -------
     :class:`MultiStartResult` with the best-fitness result and the per-start
     fitness trajectory table.
     """
-    if options is not None:
-        if isinstance(options, ParallelOptions):
-            raise TypeError(
-                "multi_start batches the sequential solvers; pass ALSOptions "
-                "or PPOptions, not a parallel bundle"
-            )
-        if not isinstance(options, ALSOptions):
-            raise TypeError(
-                f"options must be an ALSOptions bundle, got {type(options).__name__}"
-            )
-        if algorithm is None:
-            algorithm = algorithm_for_options(options).name
-        option_fields = {f.name for f in dataclasses.fields(type(options))}
-        overrides = {k: v for k, v in solver_kwargs.items() if k in option_fields}
-        if rank is not None:
-            overrides["rank"] = rank
-        if seed is not None:
-            overrides["seed"] = seed
-        if overrides:
-            warnings.warn(
-                "passing both options= and legacy driver keywords is "
-                f"deprecated; the explicit keywords override the bundle: "
-                f"{sorted(overrides)}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = dataclasses.replace(options, **overrides)
-        expanded = options.to_kwargs()
-        rank = expanded.pop("rank")
-        seed = expanded.pop("seed")
-        solver_kwargs = {
-            **expanded,
-            **{k: v for k, v in solver_kwargs.items() if k not in option_fields},
-        }
-    elif rank is None:
-        raise TypeError("rank is required (pass rank= or an options= bundle)")
-    algorithm = "als" if algorithm is None else algorithm
+    if isinstance(options, ParallelOptions):
+        raise TypeError(
+            "multi_start batches the sequential solvers; pass ALSOptions "
+            "or PPOptions, not a parallel bundle"
+        )
+    spec = algorithm_for_options(check_options(options, ALSOptions))
     n_starts = check_positive_int(n_starts, "n_starts")
     n_workers = check_positive_int(n_workers, "n_workers")
-    spec = get_algorithm(algorithm)
     if "mask" in solver_kwargs and not spec.accepts_mask:
         raise TypeError(
-            f"algorithm {algorithm!r} does not accept a mask; "
-            f"masked decomposition runs under algorithm='masked'"
+            f"algorithm {spec.name!r} does not accept a mask; masked "
+            "decomposition runs under a MaskedOptions bundle"
         )
     if "initial_factors" in solver_kwargs:
-        # seed/tracker are named multi_start parameters and can never reach
+        # tracker is a named multi_start parameter and can never reach
         # solver_kwargs; only this one needs an explicit guard
         raise TypeError(
             "multi_start draws every start's initialization from its spawned "
             "seed; explicit initial_factors are not supported (run the solver "
             "directly for a single chosen initialization)"
         )
-    solver = spec.driver
-    seeds = start_seeds(seed, n_starts)
+    seeds = start_seeds(options.seed, n_starts)
     trackers = [CostTracker() for _ in range(n_starts)]
 
     def _run(k: int) -> ALSResult:
-        return solver(
-            tensor,
-            rank,
-            seed=np.random.default_rng(seeds[k]),
-            tracker=trackers[k],
-            **solver_kwargs,
+        start_options = dataclasses.replace(
+            options, seed=np.random.default_rng(seeds[k])
         )
+        return spec.driver(tensor, start_options, tracker=trackers[k],
+                           **solver_kwargs)
 
     run_start = time.perf_counter()
     if n_workers == 1 or n_starts == 1:
@@ -299,12 +252,7 @@ def multi_start(
         best_index=_best_index(results),
         results=results,
         elapsed_seconds=elapsed,
-        algorithm=algorithm,
+        algorithm=spec.name,
         n_workers=n_workers,
-        options={
-            "rank": rank,
-            "n_starts": n_starts,
-            "seed": seed,
-            **solver_kwargs,
-        },
+        options={**options.asdict(), "n_starts": n_starts, **solver_kwargs},
     )

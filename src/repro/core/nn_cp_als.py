@@ -21,7 +21,7 @@ import numpy as np
 from repro.backend import is_sparse_tensor
 from repro.core.initialization import prepare_als_inputs
 from repro.core.loop import SequentialRun, run_sweeps
-from repro.core.options import NNOptions, resolve_options
+from repro.core.options import NNOptions, check_options
 from repro.core.results import ALSResult
 from repro.core.updates import make_update_rule
 from repro.machine.cost_tracker import CostTracker
@@ -40,34 +40,31 @@ def _check_nonnegative_tensor(tensor) -> None:
 
 def nn_cp_als(
     tensor: np.ndarray,
-    rank: int | None = None,
-    n_sweeps: int | None = None,
-    tol: float | None = None,
-    mttkrp: str | None = None,
-    update: str | None = None,
+    options: NNOptions,
+    *,
     initial_factors: Sequence[np.ndarray] | None = None,
-    seed: int | np.random.Generator | None = None,
     tracker: CostTracker | None = None,
     record_sweeps: bool = True,
     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
     max_cache_bytes: int | None = None,
     dtype: np.dtype | str | None = None,
-    options: NNOptions | None = None,
 ) -> ALSResult:
     """Nonnegative CP decomposition (HALS by default).
 
-    Accepts everything :func:`~repro.core.cp_als.cp_als` accepts plus
-    ``update`` — ``"hals"`` (default) or ``"multiplicative"`` — and returns
-    factors that are elementwise nonnegative.  The default uniform-random
+    ``options`` is an :class:`~repro.core.options.NNOptions`, whose
+    ``update`` selects ``"hals"`` (default) or ``"multiplicative"``; the other
+    arguments are those of :func:`~repro.core.cp_als.cp_als`.  The returned
+    factors are elementwise nonnegative.  The default uniform-random
     initialization is already nonnegative; explicit ``initial_factors`` must
     be too.  Multiplicative updates additionally require the tensor itself to
     be elementwise nonnegative (HALS does not).
 
     >>> import numpy as np
     >>> from repro.core.nn_cp_als import nn_cp_als
+    >>> from repro.core.options import NNOptions
     >>> rng = np.random.default_rng(0)
     >>> t = rng.random((6, 5, 4))
-    >>> result = nn_cp_als(t, rank=3, n_sweeps=10, seed=1)
+    >>> result = nn_cp_als(t, NNOptions(rank=3, n_sweeps=10, seed=1))
     >>> all((f >= 0).all() for f in result.factors)
     True
 
@@ -75,11 +72,7 @@ def nn_cp_als(
     -------
     :class:`~repro.core.results.ALSResult`
     """
-    opts = resolve_options(
-        NNOptions, options,
-        {"rank": rank, "n_sweeps": n_sweeps, "tol": tol,
-         "mttkrp": mttkrp, "seed": seed, "update": update},
-    )
+    opts = check_options(options, NNOptions)
     tracker = tracker if tracker is not None else CostTracker()
     rule = make_update_rule(opts.update)
     if opts.update == "multiplicative":

@@ -1,35 +1,36 @@
-"""Option bundles for the ALS drivers — the single ``options=`` path.
+"""Option bundles: the one way to configure a run of any driver.
 
-Every driver accepts its bundle through one ``options=`` parameter:
-:func:`~repro.core.cp_als.cp_als` takes an :class:`ALSOptions`,
+Every driver takes its settings as one bundle, its second argument:
+:func:`~repro.core.cp_als.cp_als` an :class:`ALSOptions`,
 :func:`~repro.core.pp_cp_als.pp_cp_als` a :class:`PPOptions`,
-:func:`~repro.core.parallel_cp_als.parallel_cp_als` a :class:`ParallelOptions`,
-:func:`~repro.core.parallel_pp_cp_als.parallel_pp_cp_als` a
-:class:`ParallelPPOptions`, and :func:`~repro.core.multi_start.multi_start`
-forwards an :class:`ALSOptions`/:class:`PPOptions` to the solver it batches.
-The legacy plain keyword arguments remain supported and are routed through
-these dataclasses internally (:func:`resolve_options`), so both spellings
-produce bit-identical runs; passing ``options=`` *and* legacy keywords emits a
-:class:`DeprecationWarning` and the explicit keywords override the bundle.
+:func:`~repro.core.nn_cp_als.nn_cp_als` an :class:`NNOptions`,
+:func:`~repro.core.masked_cp_als.masked_cp_als` a :class:`MaskedOptions`,
+:func:`~repro.core.parallel_cp_als.parallel_cp_als` a :class:`ParallelOptions`
+and :func:`~repro.core.parallel_pp_cp_als.parallel_pp_cp_als` a
+:class:`ParallelPPOptions`.  :func:`~repro.core.multi_start.multi_start` takes
+any sequential bundle and runs the algorithm registered for its type.  The
+driver's remaining keywords are data and runtime arguments (initial factors,
+tracker, callback, mask, machine, ...), never a setting of the run.
 
-Field defaults mirror the matching driver's defaults exactly (e.g.
-``PPOptions.n_sweeps == 300`` like ``pp_cp_als``, ``ParallelOptions.n_sweeps
-== 25`` like ``parallel_cp_als``), so ``cls(rank=r)`` and a bare driver call
-configure the same run.
+Each setting has one canonical name, checked when the bundle is built: an
+unknown MTTKRP engine, partitioner, update rule or execution substrate, a
+non-finite or negative ``tol``, raise :class:`ValueError` at construction, not
+mid-run.
 
 The bundles are also what :mod:`repro.service` serializes into artifact-cache
-keys — :meth:`ALSOptions.cache_key` is the canonical hashable form — and
-:meth:`ALSOptions.from_kwargs` / :meth:`ALSOptions.to_kwargs` round-trip a
-bundle through the driver keyword-argument spelling.
+keys — :meth:`ALSOptions.cache_key` is the canonical hashable form.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.grid.balance import available_partitioners
+from repro.grid.processor_grid import ProcessorGrid
+from repro.trees.registry import available_providers
 from repro.utils.validation import check_positive_int, check_rank
 
 __all__ = [
@@ -39,13 +40,40 @@ __all__ = [
     "MaskedOptions",
     "ParallelOptions",
     "ParallelPPOptions",
-    "resolve_options",
+    "check_options",
 ]
+
+
+def check_options(options, cls: type):
+    """``options`` itself when it is a ``cls`` bundle, else :class:`TypeError`.
+
+    Each driver calls this with its own bundle class; a subclass bundle is
+    accepted and read through the fields ``cls`` declares.
+    """
+    if not isinstance(options, cls):
+        raise TypeError(
+            f"options must be a {cls.__name__} (or subclass) bundle, got "
+            f"{type(options).__name__}"
+        )
+    return options
+
+
+def _check_choice(value: str, what: str, choices: Sequence[str]) -> None:
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; available: {list(choices)}")
 
 
 @dataclass
 class ALSOptions:
-    """Settings of a plain CP-ALS run (Algorithm 1, :func:`cp_als`)."""
+    """Settings of a plain CP-ALS run (Algorithm 1, :func:`cp_als`).
+
+    ``rank`` is the CP rank ``R``; ``n_sweeps`` bounds the sweeps; ``tol`` is
+    the stop rule's ``Delta`` (the run stops when the relative residual moves
+    by less than ``tol`` between two exact sweeps); ``mttkrp`` names the
+    engine, one of :func:`~repro.trees.registry.available_providers` (the
+    same names on dense and sparse input); ``seed`` seeds the uniform random
+    initial factors.
+    """
 
     rank: int
     n_sweeps: int = 50
@@ -58,48 +86,9 @@ class ALSOptions:
     def __post_init__(self) -> None:
         self.rank = check_rank(self.rank)
         self.n_sweeps = check_positive_int(self.n_sweeps, "n_sweeps")
-        if self.tol < 0:
-            raise ValueError("tol must be non-negative")
-
-    # -- round-trip helpers --------------------------------------------------
-    @classmethod
-    def from_kwargs(cls, **kwargs) -> "ALSOptions":
-        """Build a bundle from driver keyword arguments.
-
-        ``None`` values mean "not given" and fall back to the field defaults;
-        unknown keys raise ``TypeError``.  ``cls.from_kwargs(**opts.to_kwargs())``
-        reproduces ``opts`` exactly.
-        """
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            raise TypeError(
-                f"{cls.__name__}.from_kwargs got unknown options {unknown}; "
-                f"known: {sorted(known)}"
-            )
-        clean = {k: v for k, v in kwargs.items() if v is not None}
-        if "rank" not in clean:
-            raise TypeError(
-                f"rank is required (pass rank= or an {cls.__name__} bundle)"
-            )
-        return cls(**clean)
-
-    def to_kwargs(self) -> dict:
-        """The driver keyword arguments reproducing this bundle.
-
-        Only keywords the matching driver actually accepts are emitted, so
-        ``driver(tensor, **opts.to_kwargs())`` is always a valid call.
-        """
-        return {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name not in self._exclude_from_kwargs()
-        }
-
-    @classmethod
-    def _exclude_from_kwargs(cls) -> tuple:
-        """Fields carried by the bundle but not accepted by its driver."""
-        return ()
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol!r}")
+        _check_choice(self.mttkrp, "MTTKRP engine", available_providers())
 
     def asdict(self) -> dict:
         """Plain-dict form (sequences normalized to tuples) for reports."""
@@ -121,6 +110,14 @@ class ALSOptions:
         return (type(self).__name__, tuple(sorted(self.asdict().items())))
 
 
+def _check_pp(options) -> None:
+    if not 0.0 < options.pp_tol < 1.0:
+        raise ValueError("pp_tol must lie in (0, 1)")
+    options.max_pp_sweeps_per_phase = check_positive_int(
+        options.max_pp_sweeps_per_phase, "max_pp_sweeps_per_phase"
+    )
+
+
 @dataclass
 class PPOptions(ALSOptions):
     """Settings of a pairwise-perturbation run (Algorithm 2, :func:`pp_cp_als`).
@@ -128,8 +125,10 @@ class PPOptions(ALSOptions):
     ``pp_tol`` is the epsilon of Algorithm 2: PP sweeps are used while every
     factor's relative step ``||dA^(i)||_F / ||A^(i)||_F`` stays below it.  The
     paper uses 0.2 for the synthetic collinearity study and 0.1 for the
-    application tensors.  ``n_sweeps`` defaults to 300 like the driver (the
-    paper's bound for the collinearity study), not 50.
+    application tensors.  ``n_sweeps`` defaults to 300 (the paper's bound for
+    the collinearity study), and ``mttkrp`` to MSDT, as in the paper's
+    implementation.  ``max_pp_sweeps_per_phase`` bounds the consecutive
+    approximated sweeps of one PP phase.
     """
 
     n_sweeps: int = 300
@@ -139,11 +138,7 @@ class PPOptions(ALSOptions):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0.0 < self.pp_tol < 1.0:
-            raise ValueError("pp_tol must lie in (0, 1)")
-        self.max_pp_sweeps_per_phase = check_positive_int(
-            self.max_pp_sweeps_per_phase, "max_pp_sweeps_per_phase"
-        )
+        _check_pp(self)
 
 
 @dataclass
@@ -152,21 +147,15 @@ class NNOptions(ALSOptions):
 
     ``update`` selects the nonnegative update rule: ``"hals"`` (default,
     hierarchical ALS — exact cyclic column minimization) or
-    ``"multiplicative"`` (alias ``"mu"``, Lee–Seung multiplicative updates,
-    which additionally require an elementwise-nonnegative input tensor).
+    ``"multiplicative"`` (Lee–Seung multiplicative updates, which
+    additionally require an elementwise-nonnegative input tensor).
     """
 
     update: str = "hals"
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self.update = str(self.update).lower().strip()
-        if self.update == "mu":
-            self.update = "multiplicative"
-        if self.update not in ("hals", "multiplicative"):
-            raise ValueError(
-                f"update must be 'hals' or 'multiplicative', got {self.update!r}"
-            )
+        _check_choice(self.update, "update rule", ("hals", "multiplicative"))
 
 
 @dataclass
@@ -174,7 +163,7 @@ class MaskedOptions(ALSOptions):
     """Settings of a masked/weighted ALS run (:func:`~repro.core.masked_cp_als.masked_cp_als`).
 
     The observed-entry mask itself is *data*, not configuration — it travels
-    with the tensor through the drivers' ``mask=`` parameter (and the service
+    with the tensor through the driver's ``mask=`` parameter (and the service
     request's ``mask`` field), never inside the bundle, so the bundle stays
     hashable for artifact-cache keys.
     """
@@ -184,12 +173,18 @@ class MaskedOptions(ALSOptions):
 class ParallelOptions(ALSOptions):
     """Settings of a parallel run (Algorithm 3, :func:`parallel_cp_als`).
 
-    ``n_sweeps`` defaults to 25 like the driver.  The PP-specific fields live
-    on :class:`ParallelPPOptions` (Algorithm 4), which this class no longer
-    carries.  ``update`` selects the per-mode update rule applied to each
-    reduce-scattered chunk (every registered rule is row-separable, so the
-    parallel iterates match the sequential ones): ``"least_squares"``
-    (default), ``"hals"`` or ``"multiplicative"``.
+    ``n_sweeps`` defaults to 25.  ``grid`` is the processor grid, a dimension
+    tuple such as ``(2, 2, 4)`` or a
+    :class:`~repro.grid.processor_grid.ProcessorGrid` (kept as its dims); its
+    order must equal the tensor order.  ``distributed_solve=True`` models the
+    paper's distributed SPD solves, ``False`` the PLANC-style redundant
+    sequential solve.  ``partitioner`` (one of
+    :func:`repro.grid.balance.available_partitioners`) splits sparse inputs
+    over the grid.  ``update`` is the per-mode rule applied to each
+    reduce-scattered chunk: ``"least_squares"`` (default, Algorithm 3
+    exactly), ``"hals"`` or ``"multiplicative"``; every rule is row-separable,
+    so the parallel iterates match the sequential ones.  The PP fields live
+    on :class:`ParallelPPOptions` (Algorithm 4).
     """
 
     n_sweeps: int = 25
@@ -212,38 +207,24 @@ class ParallelOptions(ALSOptions):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if isinstance(self.grid, ProcessorGrid):
+            self.grid = self.grid.dims
         self.grid = tuple(int(d) for d in self.grid)
         if any(d <= 0 for d in self.grid):
             raise ValueError(f"grid dimensions must be positive, got {self.grid}")
-        self.execution = str(self.execution).lower().strip()
-        if self.execution == "sim":
-            self.execution = "simulated"
-        elif self.execution in ("procs", "multiprocess"):
-            self.execution = "process"
-        if self.execution not in ("simulated", "process"):
-            raise ValueError(
-                "execution must be 'simulated' or 'process', "
-                f"got {self.execution!r}"
-            )
-        self.collectives = str(self.collectives).lower().strip()
-        if self.collectives not in ("master", "worker"):
-            raise ValueError(
-                "collectives must be 'master' or 'worker', "
-                f"got {self.collectives!r}"
-            )
-        self.update = str(self.update).lower().strip()
-        if self.update == "mu":
-            self.update = "multiplicative"
-        if self.update not in ("least_squares", "hals", "multiplicative"):
-            raise ValueError(
-                "update must be 'least_squares', 'hals' or 'multiplicative', "
-                f"got {self.update!r}"
-            )
+        _check_choice(self.partitioner, "partitioner", available_partitioners())
+        _check_choice(self.update, "update rule",
+                      ("least_squares", "hals", "multiplicative"))
+        _check_choice(self.execution, "execution substrate", ("simulated", "process"))
+        _check_choice(self.collectives, "collectives", ("master", "worker"))
 
 
 @dataclass
 class ParallelPPOptions(ParallelOptions):
-    """Settings of a parallel PP run (Algorithm 4, :func:`parallel_pp_cp_als`)."""
+    """Settings of a parallel PP run (Algorithm 4, :func:`parallel_pp_cp_als`).
+
+    The PP fields mean what they mean on :class:`PPOptions`.
+    """
 
     n_sweeps: int = 300
     mttkrp: str = "msdt"
@@ -252,42 +233,4 @@ class ParallelPPOptions(ParallelOptions):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0.0 < self.pp_tol < 1.0:
-            raise ValueError("pp_tol must lie in (0, 1)")
-        self.max_pp_sweeps_per_phase = check_positive_int(
-            self.max_pp_sweeps_per_phase, "max_pp_sweeps_per_phase"
-        )
-
-
-def resolve_options(cls, options, legacy: dict):
-    """Merge an ``options=`` bundle with explicitly-passed legacy keywords.
-
-    The drivers call this with their canonical bundle class ``cls``, the
-    ``options`` argument they received (or ``None``), and a mapping of their
-    option-covered keyword parameters (``None`` meaning "not given").
-
-    * neither given → ``TypeError`` from the missing ``rank``;
-    * legacy keywords only → a fresh ``cls`` with driver defaults filled in;
-    * ``options`` only → its fields, filtered to what ``cls`` knows (so an
-      :class:`ALSOptions` upgrades into a :class:`PPOptions` with PP defaults,
-      and a :class:`PPOptions` downgrades into :func:`cp_als` cleanly);
-    * both → :class:`DeprecationWarning`, the explicit keywords override.
-    """
-    explicit = {k: v for k, v in legacy.items() if v is not None}
-    if options is None:
-        return cls.from_kwargs(**explicit)
-    if not isinstance(options, ALSOptions):
-        raise TypeError(
-            f"options must be an ALSOptions bundle, got {type(options).__name__}"
-        )
-    known = {f.name for f in dataclasses.fields(cls)}
-    merged = {k: v for k, v in options.asdict().items() if k in known}
-    if explicit:
-        warnings.warn(
-            "passing both options= and legacy driver keywords is deprecated; "
-            f"the explicit keywords override the bundle: {sorted(explicit)}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        merged.update(explicit)
-    return cls(**merged)
+        _check_pp(self)

@@ -27,6 +27,7 @@ from repro.comm.simulated import SimulatedMachine
 from repro.core.initialization import init_factors
 from repro.core.loop import SweepRun, run_sweeps
 from repro.core.normal_equations import solve_normal_equations
+from repro.core.options import ParallelOptions
 from repro.core.pp_corrections import second_order_accumulator
 from repro.core.results import ParallelALSResult
 from repro.core.updates import make_update_rule
@@ -143,59 +144,46 @@ def _allreduce_gram(state: ParallelState, mode: int) -> np.ndarray:
 
 def setup_parallel_state(
     tensor: np.ndarray | DistributedTensor | DistSparseTensor,
-    rank: int,
-    grid: ProcessorGrid | Sequence[int],
-    mttkrp: str = "dt",
+    options: ParallelOptions,
+    *,
     machine: SimulatedMachine | None = None,
     params: MachineParams | None = None,
     initial_factors: Sequence[np.ndarray] | None = None,
-    seed: int | np.random.Generator | None = None,
-    distributed_solve: bool = True,
     max_cache_bytes: int | None = None,
-    partitioner: str = "nnz-balanced",
     partition_seed: int | np.random.Generator | None = None,
-    execution: str = "simulated",
-    overlap: bool = True,
-    worker_timeout: float | None = None,
-    collectives: str = "master",
 ) -> ParallelState:
     """Distribute the tensor and factors and build the per-rank MTTKRP engines.
 
-    ``tensor`` may be dense (an ndarray or a pre-built
+    ``options`` is the run's :class:`~repro.core.options.ParallelOptions`
+    (grid, local engine, seed, solve model, partitioner, substrate and
+    collectives).  ``tensor`` may be dense (an ndarray or a pre-built
     :class:`~repro.distributed.dist_tensor.DistributedTensor`) or sparse (a
     :class:`~repro.sparse.CooTensor` or a pre-built
     :class:`~repro.distributed.sparse.DistSparseTensor`).  Sparse inputs are
-    partitioned by ``partitioner`` (see
+    partitioned by ``options.partitioner`` (see
     :func:`repro.grid.balance.make_partition`); the per-rank MTTKRP engines
     then come from the sparse registry, so ``mttkrp="dt"``/``"msdt"`` build
     CSF-based semi-sparse dimension trees on each rank's own block.
 
-    ``execution`` selects the substrate when no ``machine`` is passed:
-    ``"simulated"`` (default — logical ranks in-process, bit-identical to
-    real distributed execution) or ``"process"`` (a
+    ``options.execution`` selects the substrate when no ``machine`` is
+    passed: ``"simulated"`` (logical ranks in-process, bit-identical to real
+    distributed execution) or ``"process"`` (a
     :class:`~repro.comm.procs.ProcessMachine` with one spawned worker per
     rank and shared-memory factor panels).  An explicit ``machine`` always
     wins; a :class:`~repro.comm.procs.ProcessMachine` instance routes the
     per-rank engines through :class:`~repro.distributed.runtime.ProcessRuntime`
-    proxies either way.  ``overlap``/``worker_timeout`` configure a machine
-    created here (see :class:`~repro.comm.procs.ProcessMachine`).  Callers
-    must ``state.close()`` when done so worker state and shared segments are
-    reclaimed (the drivers do this in a ``finally``).
+    proxies either way.  Callers must ``state.close()`` when done so worker
+    state and shared segments are reclaimed (the drivers do this in a
+    ``finally``).
 
-    ``collectives`` selects who sums the per-rank MTTKRP panels:
-    ``"master"`` (default, bit-identical to simulated execution) or
-    ``"worker"`` — the workers of a process machine reduce among themselves
-    through shared memory (binomial tree over the output panels, barriered by
-    the command queues), and the master reads one summed panel per slice
-    group instead of every rank's.  ``"worker"`` requires process execution.
+    ``options.collectives="worker"`` lets the workers of a process machine
+    sum the per-rank MTTKRP panels among themselves through shared memory
+    (binomial tree over the output panels, barriered by the command queues),
+    so the master reads one summed panel per slice group instead of every
+    rank's; it requires process execution.
     """
-    collectives = str(collectives or "master").lower().strip()
-    if collectives not in ("master", "worker"):
-        raise ValueError(
-            f"collectives must be 'master' or 'worker', got {collectives!r}"
-        )
-    if not isinstance(grid, ProcessorGrid):
-        grid = ProcessorGrid(grid)
+    grid = ProcessorGrid(options.grid)
+    rank = options.rank
     if isinstance(tensor, (DistributedTensor, DistSparseTensor)):
         if tensor.grid != grid:
             raise ValueError("distributed tensor was built for a different grid")
@@ -207,7 +195,7 @@ def setup_parallel_state(
                 f"tensor order {tensor.ndim} does not match grid order {grid.order}"
             )
         dist_tensor = DistSparseTensor.from_coo(
-            tensor, grid, partitioner=partitioner, seed=partition_seed
+            tensor, grid, partitioner=options.partitioner, seed=partition_seed
         )
         global_shape = tensor.shape
     else:
@@ -221,27 +209,19 @@ def setup_parallel_state(
 
     owns_machine = machine is None
     if machine is None:
-        key = str(execution or "simulated").lower().strip()
-        if key in ("simulated", "sim"):
-            machine = SimulatedMachine(grid.size, params=params)
-        elif key in ("process", "procs", "multiprocess"):
+        if options.execution == "process":
             from repro.comm.procs import ProcessMachine
 
-            kwargs = {} if worker_timeout is None else {"timeout": worker_timeout}
-            machine = ProcessMachine(grid.size, params=params,
-                                     overlap=overlap, **kwargs)
+            machine = ProcessMachine(grid.size, params=params)
         else:
-            raise ValueError(
-                f"unknown execution substrate {execution!r}; "
-                "available: 'simulated', 'process'"
-            )
+            machine = SimulatedMachine(grid.size, params=params)
     elif machine.n_ranks != grid.size:
         raise ValueError(
             f"machine has {machine.n_ranks} ranks but grid needs {grid.size}"
         )
 
     if initial_factors is None:
-        factors = init_factors(global_shape, rank, seed=seed, method="uniform")
+        factors = init_factors(global_shape, rank, seed=options.seed, method="uniform")
     else:
         factors = [np.array(f, dtype=np.float64, copy=True) for f in
                    check_factor_matrices(initial_factors, shape=global_shape, rank=rank)]
@@ -263,7 +243,7 @@ def setup_parallel_state(
 
         try:
             runtime = ProcessRuntime(
-                machine, grid, dist_tensor, dist_factors, mttkrp,
+                machine, grid, dist_tensor, dist_factors, options.mttkrp,
                 max_cache_bytes=max_cache_bytes,
             )
         except BaseException:
@@ -272,7 +252,7 @@ def setup_parallel_state(
             raise
         providers: Dict[int, MTTKRPProvider] = runtime.providers
     else:
-        if collectives == "worker":
+        if options.collectives == "worker":
             raise ValueError(
                 "collectives='worker' needs real workers to reduce in — "
                 "use execution='process' or pass a ProcessMachine"
@@ -282,7 +262,7 @@ def setup_parallel_state(
             local_factors = [dist_factors[m].local_block_for(proc)
                              for m in range(grid.order)]
             providers[proc] = make_provider(
-                mttkrp,
+                options.mttkrp,
                 dist_tensor.local_block(proc),
                 local_factors,
                 tracker=machine.tracker(proc),
@@ -298,8 +278,8 @@ def setup_parallel_state(
         grams=[np.eye(rank)] * grid.order,
         norm_t=dist_tensor.norm(),
         rank=rank,
-        distributed_solve=distributed_solve,
-        collectives=collectives,
+        distributed_solve=options.distributed_solve,
+        collectives=options.collectives,
         runtime=runtime,
         owns_machine=owns_machine,
     )
@@ -764,22 +744,19 @@ class ParallelRun(SweepRun):
         return self.state.global_factors()
 
 
-def solve_parallel(tensor, grid, opts, *, pp: tuple[float, int] | None = None,
+def solve_parallel(tensor, opts: ParallelOptions, *,
+                   pp: tuple[float, int] | None = None,
                    record_sweeps: bool = True, **setup) -> ParallelALSResult:
     """The body of both parallel drivers: distribute, run the one sweep loop
     on a :class:`ParallelRun`, release the substrate, report.
 
-    ``opts`` is the resolved :class:`~repro.core.options.ParallelOptions` (or
+    ``opts`` is the run's :class:`~repro.core.options.ParallelOptions` (or
     its PP subclass); ``setup`` holds the remaining keywords of
     :func:`setup_parallel_state` (``machine``, ``params``,
     ``initial_factors``, ``max_cache_bytes``, ``partition_seed``).
     """
     rule = make_update_rule(opts.update)
-    state = setup_parallel_state(
-        tensor, opts.rank, grid, mttkrp=opts.mttkrp, seed=opts.seed,
-        distributed_solve=opts.distributed_solve, partitioner=opts.partitioner,
-        execution=opts.execution, collectives=opts.collectives, **setup,
-    )
+    state = setup_parallel_state(tensor, opts, **setup)
     run = ParallelRun(state, rule)
     # the finally releases process-execution workers and shared segments on
     # success, failure and KeyboardInterrupt alike (no-op when simulated)

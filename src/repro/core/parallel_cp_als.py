@@ -22,12 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.comm.simulated import SimulatedMachine
-from repro.core.options import ParallelOptions, resolve_options
+from repro.core.options import ParallelOptions, check_options
 from repro.core.parallel_common import solve_parallel
 from repro.core.results import ParallelALSResult
 from repro.distributed.dist_tensor import DistributedTensor
 from repro.distributed.sparse import DistSparseTensor
-from repro.grid.processor_grid import ProcessorGrid
 from repro.machine.params import MachineParams
 
 __all__ = ["parallel_cp_als"]
@@ -35,24 +34,14 @@ __all__ = ["parallel_cp_als"]
 
 def parallel_cp_als(
     tensor: np.ndarray | DistributedTensor | DistSparseTensor,
-    rank: int | None = None,
-    grid: ProcessorGrid | Sequence[int] | None = None,
-    n_sweeps: int | None = None,
-    tol: float | None = None,
-    mttkrp: str | None = None,
+    options: ParallelOptions,
+    *,
     machine: SimulatedMachine | None = None,
     params: MachineParams | None = None,
     initial_factors: Sequence[np.ndarray] | None = None,
-    seed: int | np.random.Generator | None = None,
-    distributed_solve: bool | None = None,
     record_sweeps: bool = True,
     max_cache_bytes: int | None = None,
-    partitioner: str | None = None,
     partition_seed: int | np.random.Generator | None = None,
-    update: str | None = None,
-    execution: str | None = None,
-    collectives: str | None = None,
-    options: ParallelOptions | None = None,
 ) -> ParallelALSResult:
     """Distributed-memory CP-ALS (Algorithm 3) executed on the simulated machine.
 
@@ -62,70 +51,32 @@ def parallel_cp_als(
         Dense tensor, sparse :class:`~repro.sparse.CooTensor`, or an
         already-distributed :class:`DistributedTensor` /
         :class:`~repro.distributed.sparse.DistSparseTensor`.
-    grid:
-        Processor grid (``ProcessorGrid`` or a dimension tuple such as
-        ``(2, 2, 4)``); its order must equal the tensor order.
-    mttkrp:
-        Engine used for the *local* MTTKRPs (``"dt"``, ``"msdt"``, ``"naive"``).
-        On sparse inputs the same names dispatch to the sparse registry
-        (CSF-based semi-sparse dimension trees / COO recompute) per block.
-    partitioner / partition_seed:
-        How sparse inputs are split over the grid — a name accepted by
-        :func:`repro.grid.balance.make_partition` (default ``"nnz-balanced"``);
-        ignored for dense and pre-distributed inputs.
-    distributed_solve:
-        ``True`` models the paper's distributed SPD solves, ``False`` the
-        PLANC-style redundant sequential solve (used as the PLANC baseline in
-        the Figure 3 benchmarks).
-    update:
-        Per-mode update rule applied to each rank's reduce-scattered chunk:
-        ``"least_squares"`` (default, Algorithm 3 exactly), ``"hals"`` or
-        ``"multiplicative"`` for parallel nonnegative CP.  Every rule is
-        row-separable, so the communication pattern — Reduce-Scatter, local
-        chunk update, All-Gather, Gram All-Reduce — is identical, and the
-        iterates match the sequential driver running the same rule.
+    options:
+        A :class:`~repro.core.options.ParallelOptions` bundle: the settings of
+        :func:`~repro.core.cp_als.cp_als` plus the processor grid, the solve
+        model, the sparse partitioner, the update rule and the execution
+        substrate.  ``mttkrp`` names the engine of the *local* MTTKRPs; on
+        sparse inputs the same names dispatch to the sparse registry per
+        block.
     machine / params:
         The machine (or its cost parameters) to run on; a fresh machine with
-        KNL-like parameters is created when omitted.  Passing a
+        KNL-like parameters, of the bundle's ``execution`` substrate, is
+        created when omitted.  Passing a
         :class:`~repro.comm.procs.ProcessMachine` runs the per-rank kernels
         in real worker processes (the machine is then *not* closed here, so
         it can be reused across runs).
-    execution:
-        Substrate for an auto-created machine: ``"simulated"`` (default,
-        bit-identical logical ranks) or ``"process"`` (spawned workers with
-        shared-memory factor panels; created, used and torn down within this
-        call).  Ignored when ``machine=`` is given.
-    collectives:
-        ``"master"`` (default — master-driven reductions, bit-identical to
-        simulated execution) or ``"worker"`` (process execution only: workers
-        sum the MTTKRP panels among themselves through shared memory; matches
-        the single-rank result at 1e-10 and is deterministic run to run).
-    options:
-        A :class:`~repro.core.options.ParallelOptions` bundle carrying
-        ``rank``, ``grid``, ``n_sweeps``, ``tol``, ``mttkrp``, ``seed``,
-        ``distributed_solve`` and ``partitioner`` as one object; mutually
-        exclusive with the matching legacy keywords (``DeprecationWarning``
-        when both are given, the keywords override).
+    initial_factors, record_sweeps, max_cache_bytes:
+        As in :func:`~repro.core.cp_als.cp_als`.
+    partition_seed:
+        Seed of the ``"random"`` partitioner of sparse inputs.
 
     Returns
     -------
     :class:`~repro.core.results.ParallelALSResult` with per-sweep fitness,
     measured local kernel breakdowns and modeled parallel times.
     """
-    if grid is None and options is None:
-        raise TypeError("grid is required (pass grid= or an options= bundle)")
-    opts = resolve_options(
-        ParallelOptions, options,
-        {"rank": rank, "n_sweeps": n_sweeps, "tol": tol, "mttkrp": mttkrp,
-         "seed": seed, "distributed_solve": distributed_solve,
-         "partitioner": partitioner, "update": update,
-         "execution": execution, "collectives": collectives,
-         "grid": None if grid is None else tuple(getattr(grid, "dims", grid))},
-    )
-    # keep an explicitly-passed ProcessorGrid instance as-is; the bundle only
-    # carries its dims
     return solve_parallel(
-        tensor, grid if grid is not None else opts.grid, opts,
+        tensor, check_options(options, ParallelOptions),
         record_sweeps=record_sweeps, machine=machine, params=params,
         initial_factors=initial_factors, max_cache_bytes=max_cache_bytes,
         partition_seed=partition_seed,

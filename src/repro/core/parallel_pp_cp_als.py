@@ -28,11 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.comm.simulated import SimulatedMachine
-from repro.core.options import ParallelPPOptions, resolve_options
+from repro.core.options import ParallelPPOptions, check_options
 from repro.core.parallel_common import solve_parallel
 from repro.core.results import ParallelALSResult
 from repro.distributed.dist_tensor import DistributedTensor
-from repro.grid.processor_grid import ProcessorGrid
 from repro.machine.params import MachineParams
 
 __all__ = ["parallel_pp_cp_als"]
@@ -40,59 +39,34 @@ __all__ = ["parallel_pp_cp_als"]
 
 def parallel_pp_cp_als(
     tensor: np.ndarray | DistributedTensor,
-    rank: int | None = None,
-    grid: ProcessorGrid | Sequence[int] | None = None,
-    n_sweeps: int | None = None,
-    tol: float | None = None,
-    pp_tol: float | None = None,
-    mttkrp: str | None = None,
+    options: ParallelPPOptions,
+    *,
     machine: SimulatedMachine | None = None,
     params: MachineParams | None = None,
     initial_factors: Sequence[np.ndarray] | None = None,
-    seed: int | np.random.Generator | None = None,
-    distributed_solve: bool | None = None,
     record_sweeps: bool = True,
-    max_pp_sweeps_per_phase: int | None = None,
     max_cache_bytes: int | None = None,
-    partitioner: str | None = None,
     partition_seed: int | np.random.Generator | None = None,
-    update: str | None = None,
-    execution: str | None = None,
-    collectives: str | None = None,
-    options: ParallelPPOptions | None = None,
 ) -> ParallelALSResult:
     """Parallel PP-CP-ALS (Algorithm 4) on the simulated machine.
 
-    Arguments mirror :func:`repro.core.parallel_cp_als.parallel_cp_als`
-    (including sparse :class:`~repro.sparse.CooTensor` inputs and the
-    ``partitioner`` selection) plus the PP tolerance ``pp_tol`` and the
-    per-phase safety bound ``max_pp_sweeps_per_phase`` (see
-    :func:`repro.core.pp_cp_als.pp_cp_als`).  The ``options=`` bundle is a
-    :class:`~repro.core.options.ParallelPPOptions`, mutually exclusive with
-    the matching legacy keywords (``DeprecationWarning`` when both are given,
-    the keywords override).
+    ``options`` is a :class:`~repro.core.options.ParallelPPOptions`: the
+    settings of :func:`repro.core.parallel_cp_als.parallel_cp_als` plus the PP
+    fields of :func:`repro.core.pp_cp_als.pp_cp_als`.  The other arguments
+    (including sparse :class:`~repro.sparse.CooTensor` inputs) are those of
+    :func:`~repro.core.parallel_cp_als.parallel_cp_als`.
     """
-    if grid is None and options is None:
-        raise TypeError("grid is required (pass grid= or an options= bundle)")
-    opts = resolve_options(
-        ParallelPPOptions, options,
-        {"rank": rank, "n_sweeps": n_sweeps, "tol": tol, "pp_tol": pp_tol,
-         "mttkrp": mttkrp, "seed": seed, "distributed_solve": distributed_solve,
-         "partitioner": partitioner, "update": update,
-         "execution": execution, "collectives": collectives,
-         "max_pp_sweeps_per_phase": max_pp_sweeps_per_phase,
-         "grid": None if grid is None else tuple(getattr(grid, "dims", grid))},
-    )
+    opts = check_options(options, ParallelPPOptions)
     if opts.update != "least_squares":
         # the PP corrections linearize the *least-squares* update around the
         # checkpoint; other rules have no perturbative expansion here
         raise NotImplementedError(
             "parallel_pp_cp_als supports only the least_squares update rule; "
-            "use parallel_cp_als(update=...) for parallel nonnegative CP"
+            "use parallel_cp_als with ParallelOptions(update=...) for parallel "
+            "nonnegative CP"
         )
     return solve_parallel(
-        tensor, grid if grid is not None else opts.grid, opts,
-        pp=(opts.pp_tol, opts.max_pp_sweeps_per_phase),
+        tensor, opts, pp=(opts.pp_tol, opts.max_pp_sweeps_per_phase),
         record_sweeps=record_sweeps, machine=machine, params=params,
         initial_factors=initial_factors, max_cache_bytes=max_cache_bytes,
         partition_seed=partition_seed,

@@ -37,7 +37,7 @@ Registered rules
     Hierarchical ALS for nonnegative CP: exact cyclic column-wise
     minimization with projection onto the nonnegative orthant (the default of
     :func:`~repro.core.nn_cp_als.nn_cp_als`).
-``multiplicative`` (alias ``mu``)
+``multiplicative``
     Lee–Seung multiplicative updates for nonnegative CP.
 ``masked_least_squares``
     EM-style weighted least squares over an observed-entry mask: the raw
@@ -377,7 +377,6 @@ _RULES = {
     "least_squares": LeastSquaresUpdate,
     "hals": HalsUpdate,
     "multiplicative": MultiplicativeUpdate,
-    "mu": MultiplicativeUpdate,
     "masked_least_squares": MaskedLeastSquaresUpdate,
 }
 
@@ -400,7 +399,7 @@ def make_update_rule(name: str | UpdateRule | None = None, **params) -> UpdateRu
         if params:
             raise TypeError("cannot pass constructor params with a rule instance")
         return name
-    key = "least_squares" if name is None else str(name).lower().strip()
+    key = "least_squares" if name is None else name
     if key not in _RULES:
         raise ValueError(
             f"unknown update rule {name!r}; available: {available_update_rules()}"

@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.options import ParallelOptions, ParallelPPOptions
 from repro.core.parallel_cp_als import parallel_cp_als
 from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
 from repro.costs.sweep_model import MODELED_METHODS, sweep_time_model
@@ -72,18 +73,19 @@ def executed_breakdown(
     out: dict[str, dict[str, float]] = {}
     for method in methods:
         if method in ("planc", "dt", "msdt"):
-            result = parallel_cp_als(
-                tensor, rank, grid, n_sweeps=n_sweeps, tol=0.0,
-                mttkrp="dt" if method == "planc" else method,
-                params=params, seed=seed,
+            options = ParallelOptions(
+                rank=rank, grid=grid, n_sweeps=n_sweeps, tol=0.0,
+                mttkrp="dt" if method == "planc" else method, seed=seed,
                 distributed_solve=(method != "planc"),
             )
+            result = parallel_cp_als(tensor, options, params=params)
             sweeps = [s for s in result.sweeps if s.sweep_type == "als"]
         else:
-            result = parallel_pp_cp_als(
-                tensor, rank, grid, n_sweeps=4 * n_sweeps, tol=0.0,
-                pp_tol=0.6, params=params, seed=seed,
+            options = ParallelPPOptions(
+                rank=rank, grid=grid, n_sweeps=4 * n_sweeps, tol=0.0,
+                pp_tol=0.6, seed=seed,
             )
+            result = parallel_pp_cp_als(tensor, options, params=params)
             wanted = "pp-init" if method == "pp-init" else "pp-approx"
             sweeps = [s for s in result.sweeps if s.sweep_type == wanted]
         if not sweeps:

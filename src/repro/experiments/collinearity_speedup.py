@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.cp_als import cp_als
+from repro.core.options import ALSOptions, PPOptions
 from repro.core.pp_cp_als import pp_cp_als
 from repro.data.collinearity import collinearity_tensor
 
@@ -100,14 +101,14 @@ def collinearity_speedup_study(
             tensor = generated.tensor
             init_seed = seed + 17
 
-            baseline = cp_als(
-                tensor, rank, n_sweeps=n_sweeps, tol=tol,
+            baseline = cp_als(tensor, ALSOptions(
+                rank=rank, n_sweeps=n_sweeps, tol=tol,
                 mttkrp=baseline_mttkrp, seed=init_seed,
-            )
-            pp = pp_cp_als(
-                tensor, rank, n_sweeps=n_sweeps, tol=tol, pp_tol=pp_tol,
+            ))
+            pp = pp_cp_als(tensor, PPOptions(
+                rank=rank, n_sweeps=n_sweeps, tol=tol, pp_tol=pp_tol,
                 mttkrp="msdt", seed=init_seed,
-            )
+            ))
 
             # time-to-solution comparison: wall-clock until each run stopped
             baseline_time = baseline.elapsed_seconds

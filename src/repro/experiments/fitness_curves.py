@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.cp_als import cp_als
 from repro.core.initialization import init_factors
+from repro.core.options import ALSOptions, PPOptions
 from repro.core.pp_cp_als import pp_cp_als
 from repro.core.results import ALSResult
 
@@ -91,15 +92,16 @@ def fitness_curve_comparison(
     tensor = np.asarray(tensor, dtype=np.float64)
     initial = init_factors(tensor.shape, rank, seed=seed, method="uniform")
     dt_result = cp_als(
-        tensor, rank, n_sweeps=n_sweeps, tol=tol, mttkrp="dt",
+        tensor, ALSOptions(rank=rank, n_sweeps=n_sweeps, tol=tol, mttkrp="dt"),
         initial_factors=initial,
     )
     msdt_result = cp_als(
-        tensor, rank, n_sweeps=n_sweeps, tol=tol, mttkrp="msdt",
+        tensor, ALSOptions(rank=rank, n_sweeps=n_sweeps, tol=tol, mttkrp="msdt"),
         initial_factors=initial,
     )
     pp_result = pp_cp_als(
-        tensor, rank, n_sweeps=n_sweeps, tol=tol, pp_tol=pp_tol, mttkrp="msdt",
+        tensor, PPOptions(rank=rank, n_sweeps=n_sweeps, tol=tol, pp_tol=pp_tol,
+                          mttkrp="msdt"),
         initial_factors=initial,
     )
     return FitnessCurves(label=label, dt=dt_result, msdt=msdt_result, pp=pp_result)

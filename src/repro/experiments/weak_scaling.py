@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.initialization import init_factors
+from repro.core.options import ParallelOptions, ParallelPPOptions
 from repro.core.parallel_cp_als import parallel_cp_als
 from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
 from repro.costs.sweep_model import (
@@ -176,20 +177,22 @@ def executed_weak_scaling(
 
         for method in methods:
             if method in ("planc", "dt", "msdt"):
-                result = parallel_cp_als(
-                    tensor, rank, grid, n_sweeps=n_sweeps, tol=0.0,
-                    mttkrp="dt" if method == "planc" else method,
-                    params=params, seed=seed, initial_factors=initial,
+                options = ParallelOptions(
+                    rank=rank, grid=grid, n_sweeps=n_sweeps, tol=0.0,
+                    mttkrp="dt" if method == "planc" else method, seed=seed,
                     distributed_solve=(method != "planc"),
                 )
+                result = parallel_cp_als(tensor, options, params=params,
+                                         initial_factors=initial)
                 mean_time, breakdown = _mean_modeled(result, "als")
                 points.append(WeakScalingPoint(grid, method, mean_time, breakdown, "executed"))
             else:
-                result = parallel_pp_cp_als(
-                    tensor, rank, grid, n_sweeps=4 * n_sweeps, tol=0.0,
-                    pp_tol=0.6, params=params, seed=seed,
-                    initial_factors=initial,
+                options = ParallelPPOptions(
+                    rank=rank, grid=grid, n_sweeps=4 * n_sweeps, tol=0.0,
+                    pp_tol=0.6, seed=seed,
                 )
+                result = parallel_pp_cp_als(tensor, options, params=params,
+                                            initial_factors=initial)
                 sweep_type = "pp-init" if method == "pp-init" else "pp-approx"
                 mean_time, breakdown = _mean_modeled(result, sweep_type)
                 points.append(WeakScalingPoint(grid, method, mean_time, breakdown, "executed"))
@@ -280,11 +283,12 @@ def executed_sparse_weak_scaling(
         density = min(1.0, nnz_local * n_procs / size)
         tensor = sparse_skewed_count_tensor(shape, density, alpha=alpha, seed=seed)
         for method in methods:
-            result = parallel_cp_als(
-                tensor, rank, grid, n_sweeps=n_sweeps, tol=0.0,
-                mttkrp=method, params=params, seed=seed,
-                partitioner=partitioner, partition_seed=seed,
+            options = ParallelOptions(
+                rank=rank, grid=grid, n_sweeps=n_sweeps, tol=0.0,
+                mttkrp=method, seed=seed, partitioner=partitioner,
             )
+            result = parallel_cp_als(tensor, options, params=params,
+                                     partition_seed=seed)
             values = [s for s in result.sweeps if s.sweep_type == "als"]
             mean_time = float(np.mean([s.modeled_seconds for s in values]))
             breakdown = values[-1].kernel_seconds if values else {}
@@ -351,10 +355,11 @@ def measured_multiprocess_sweep(
     report = partition.report(tensor)
     dist = DistSparseTensor.from_coo(tensor, pgrid, partitioner=partition)
 
-    result = parallel_cp_als(
-        dist, rank, pgrid, n_sweeps=n_sweeps, tol=0.0, mttkrp=method,
-        params=params, seed=seed, execution="process", collectives=collectives,
+    options = ParallelOptions(
+        rank=rank, grid=pgrid, n_sweeps=n_sweeps, tol=0.0, mttkrp=method,
+        seed=seed, execution="process", collectives=collectives,
     )
+    result = parallel_cp_als(dist, options, params=params)
     sweeps = [s for s in result.sweeps if s.sweep_type == "als"]
     timed = sweeps[1:] if len(sweeps) > 1 else sweeps
     measured = float(np.mean([s.elapsed_seconds for s in timed]))

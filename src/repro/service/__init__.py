@@ -9,13 +9,13 @@ so identical resubmissions never recompute.
 
 >>> import asyncio
 >>> import numpy as np
->>> from repro import random_cp_tensor
+>>> from repro import ALSOptions, random_cp_tensor
 >>> from repro.service import DecompositionRequest, DecompositionService
 >>> async def demo():
 ...     tensor = random_cp_tensor((12, 13, 14), rank=3, seed=0).full()
 ...     async with DecompositionService(n_workers=2) as service:
 ...         job = await service.submit(
-...             DecompositionRequest(tensor, rank=3, algorithm="als", seed=7)
+...             DecompositionRequest(tensor, ALSOptions(rank=3), seed=7)
 ...         )
 ...         result = await service.result(job.id)
 ...     return result.fitness > 0.5

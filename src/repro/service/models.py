@@ -7,11 +7,9 @@ registry of :mod:`repro.core.algorithms` — ``"als"``, ``"pp"``, ``"nncp"``,
 ``"masked"`` — or ``"multi_start"``), an
 :class:`~repro.core.options.ALSOptions`-family bundle for every solver
 setting, an optional observation ``mask`` for the masked family, and an
-optional root seed.  Construction normalizes the request — a bare ``rank``
-becomes the algorithm's default options bundle (looked up in the registry),
-a seed carried inside the bundle is hoisted into
-:attr:`DecompositionRequest.seed` — so one canonical form reaches the queue,
-the workers and the artifact key.
+optional root seed.  Construction normalizes the request — a seed carried
+inside the bundle is hoisted into :attr:`DecompositionRequest.seed` — so one
+canonical form reaches the queue, the workers and the artifact key.
 
 :func:`tensor_fingerprint` hashes the tensor *content* (shape, dtype and the
 nonzero pattern/values), so two structurally identical submissions share an
@@ -31,7 +29,12 @@ import numpy as np
 
 from repro.core.algorithms import available_algorithms, get_algorithm
 from repro.core.masked_cp_als import normalize_mask
-from repro.core.options import ALSOptions, MaskedOptions, ParallelOptions
+from repro.core.options import (
+    ALSOptions,
+    MaskedOptions,
+    ParallelOptions,
+    check_options,
+)
 from repro.sparse.coo import CooTensor
 from repro.utils.validation import check_positive_int
 
@@ -101,21 +104,18 @@ class DecompositionRequest:
     ----------
     tensor:
         Dense ndarray or sparse :class:`~repro.sparse.CooTensor`.
-    rank:
-        CP rank; required unless carried by ``options``.
+    options:
+        An :class:`~repro.core.options.ALSOptions`-family bundle, of the
+        class the algorithm registers (e.g. ``"nncp"`` takes an
+        :class:`~repro.core.options.NNOptions`; ``"multi_start"`` takes any
+        sequential bundle).  A ``seed`` inside the bundle is hoisted into
+        :attr:`seed` so the request has exactly one seed channel.
     algorithm:
         Any name in the sequential-algorithm registry
         (:func:`repro.core.algorithms.available_algorithms` — ``"als"``,
         ``"pp"``, ``"nncp"``, ``"masked"``) or ``"multi_start"``
         (:func:`~repro.core.multi_start.multi_start`; the inner solver follows
         the options bundle type).
-    options:
-        An :class:`~repro.core.options.ALSOptions`-family bundle.  When
-        omitted, the algorithm's registered default bundle class is built
-        from ``rank`` (e.g. ``"nncp"`` gets
-        :class:`~repro.core.options.NNOptions`).  A ``seed`` inside the
-        bundle is hoisted into :attr:`seed` so the request has exactly one
-        seed channel.
     n_starts:
         Number of random starts (only meaningful for ``"multi_start"``).
     mask:
@@ -134,9 +134,8 @@ class DecompositionRequest:
     """
 
     tensor: Any
-    rank: int | None = None
+    options: ALSOptions
     algorithm: str = "als"
-    options: ALSOptions | None = None
     n_starts: int = 8
     seed: int | None = None
     mask: Any = None
@@ -153,37 +152,20 @@ class DecompositionRequest:
                 f"unknown algorithm {self.algorithm!r}; available: {sorted(algorithms)}"
             )
         self.n_starts = check_positive_int(self.n_starts, "n_starts")
-        if self.options is None:
-            if self.rank is None:
-                raise TypeError("rank is required (pass rank= or an options= bundle)")
-            cls = (
-                ALSOptions
-                if self.algorithm == "multi_start"
-                else get_algorithm(self.algorithm).options_cls
-            )
-            self.options = cls.from_kwargs(rank=self.rank)
-        elif isinstance(self.options, ParallelOptions):
+        if isinstance(self.options, ParallelOptions):
             raise TypeError(
                 "the service runs the sequential solvers; pass an "
                 "ALSOptions-family bundle, not a parallel bundle"
             )
-        elif not isinstance(self.options, ALSOptions):
-            raise TypeError(
-                f"options must be an ALSOptions bundle, got {type(self.options).__name__}"
-            )
-        else:
-            if self.rank is not None and self.rank != self.options.rank:
-                raise ValueError(
-                    f"rank={self.rank} conflicts with options.rank={self.options.rank}"
+        check_options(self.options, ALSOptions)
+        if self.algorithm != "multi_start":
+            spec = get_algorithm(self.algorithm)
+            if not isinstance(self.options, spec.options_cls):
+                raise TypeError(
+                    f"algorithm {self.algorithm!r} requires a "
+                    f"{spec.options_cls.__name__} bundle, got "
+                    f"{type(self.options).__name__}"
                 )
-            if self.algorithm != "multi_start":
-                spec = get_algorithm(self.algorithm)
-                if not isinstance(self.options, spec.options_cls):
-                    raise TypeError(
-                        f"algorithm {self.algorithm!r} requires a "
-                        f"{spec.options_cls.__name__} bundle, got "
-                        f"{type(self.options).__name__}"
-                    )
         self._validate_mask()
         # one seed channel: hoist a bundle-borne seed onto the request
         if self.options.seed is not None:
@@ -193,7 +175,6 @@ class DecompositionRequest:
                 )
             self.seed = self.options.seed
             self.options = dataclasses.replace(self.options, seed=None)
-        self.rank = self.options.rank
 
     @property
     def masked(self) -> bool:

@@ -328,11 +328,9 @@ class DecompositionService(BaseService):
             # the algorithm registry (NNOptions -> nncp, MaskedOptions ->
             # masked, PPOptions -> pp, plain ALSOptions -> als)
             return multi_start(
-                request.tensor, n_starts=request.n_starts, options=options, **extra
+                request.tensor, options, n_starts=request.n_starts, **extra
             )
-        return get_algorithm(request.algorithm).driver(
-            request.tensor, options=options, **extra
-        )
+        return get_algorithm(request.algorithm).driver(request.tensor, options, **extra)
 
     def _finish(self, job: Job, state: JobState) -> None:
         job.state = state

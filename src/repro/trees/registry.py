@@ -23,37 +23,25 @@ PROVIDERS: dict[str, Type[MTTKRPProvider]] = {
     "naive": NaiveMTTKRP,
     "unfolding": UnfoldingMTTKRP,
     "dt": DimensionTreeMTTKRP,
-    "dimension_tree": DimensionTreeMTTKRP,
     "msdt": MultiSweepDimensionTree,
-    "multi_sweep": MultiSweepDimensionTree,
 }
 
-#: engines used when the tensor is a sparse backend object.  Every dense name
-#: has a real sparse counterpart: ``dt``/``msdt`` dispatch to the CSF-based
-#: semi-sparse dimension trees (:mod:`repro.trees.sparse_dt`), ``naive`` to the
-#: ``O(nnz R N)`` recompute kernel, ``unfolding`` to the cached-CSR
-#: matricization engine — so ``cp_als(..., mttkrp="msdt")``, the drivers'
-#: default, amortizes on sparse inputs exactly as it does on dense ones.
+#: engines used when the tensor is a sparse backend object, under the same
+#: names: ``dt``/``msdt`` dispatch to the CSF-based semi-sparse dimension
+#: trees (:mod:`repro.trees.sparse_dt`), ``naive`` to the ``O(nnz R N)``
+#: recompute kernel, ``unfolding`` to the cached-CSR matricization engine —
+#: so ``cp_als``'s engines amortize on sparse inputs exactly as on dense ones.
 SPARSE_PROVIDERS: dict[str, Type[MTTKRPProvider]] = {
-    "sparse": SparseCooMTTKRP,
-    "coo": SparseCooMTTKRP,
     "naive": SparseCooMTTKRP,
-    "dt": SparseDimensionTreeMTTKRP,
-    "dimension_tree": SparseDimensionTreeMTTKRP,
-    "sparse-dt": SparseDimensionTreeMTTKRP,
-    "msdt": SparseMultiSweepDimensionTree,
-    "multi_sweep": SparseMultiSweepDimensionTree,
-    "sparse-msdt": SparseMultiSweepDimensionTree,
     "unfolding": SparseUnfoldingMTTKRP,
-    "sparse-unfolding": SparseUnfoldingMTTKRP,
+    "dt": SparseDimensionTreeMTTKRP,
+    "msdt": SparseMultiSweepDimensionTree,
 }
 
 
-def available_providers(sparse: bool = False) -> list[str]:
-    """Canonical engine names accepted by :func:`make_provider`."""
-    if sparse:
-        return ["sparse", "unfolding", "naive", "dt", "msdt"]
-    return ["naive", "unfolding", "dt", "msdt"]
+def available_providers() -> list[str]:
+    """Engine names accepted by :func:`make_provider`, on either backend."""
+    return list(PROVIDERS)
 
 
 def make_provider(
@@ -67,23 +55,20 @@ def make_provider(
     """Construct the MTTKRP engine ``name`` for ``tensor`` and ``factors``.
 
     ``tensor`` may be a dense ndarray or a :class:`repro.sparse.CooTensor`;
-    the same names dispatch to the matching backend implementation.  Dense
-    names: ``"naive"``, ``"unfolding"``, ``"dt"`` (alias ``"dimension_tree"``)
-    and ``"msdt"`` (alias ``"multi_sweep"``).  On sparse inputs the tree names
+    the names ``"naive"``, ``"unfolding"``, ``"dt"`` and ``"msdt"`` dispatch
+    to the matching backend implementation (on sparse inputs the tree names
     build the CSF-based semi-sparse dimension trees of
-    :mod:`repro.trees.sparse_dt`; ``"sparse"`` / ``"coo"`` select the
-    ``O(nnz R N)`` recompute kernel explicitly.  ``engine`` is the shared
+    :mod:`repro.trees.sparse_dt`, and ``"naive"`` the ``O(nnz R N)``
+    recompute kernel).  ``engine`` is the shared
     :class:`~repro.contract.ContractionEngine` used for every einsum the
     provider issues (defaults to the process-wide one; the dense ``dt`` /
     ``msdt`` trees contract through BLAS and issue none).  An unknown name
     raises :class:`ValueError` listing :func:`available_providers`.
     """
-    key = name.lower().strip()
     registry = SPARSE_PROVIDERS if is_sparse_tensor(tensor) else PROVIDERS
-    if key not in registry:
+    if name not in registry:
         raise ValueError(
-            f"unknown MTTKRP engine {name!r}; available: "
-            f"{available_providers(sparse=registry is SPARSE_PROVIDERS)}"
+            f"unknown MTTKRP engine {name!r}; available: {available_providers()}"
         )
-    return registry[key](tensor, factors, tracker=tracker,
-                         max_cache_bytes=max_cache_bytes, engine=engine)
+    return registry[name](tensor, factors, tracker=tracker,
+                          max_cache_bytes=max_cache_bytes, engine=engine)

@@ -38,7 +38,7 @@ __all__ = ["SparseCooMTTKRP", "SparseUnfoldingMTTKRP"]
 class SparseCooMTTKRP(MTTKRPProvider):
     """Recompute every sparse MTTKRP from scratch in ``O(nnz * R * N)``."""
 
-    name = "sparse"
+    name = "naive"
 
     def __init__(self, tensor, factors, tracker=None, max_cache_bytes=None,
                  engine=None):
@@ -72,7 +72,7 @@ class SparseCooMTTKRP(MTTKRPProvider):
 class SparseUnfoldingMTTKRP(MTTKRPProvider):
     """Sparse-unfolding MTTKRP: cached CSR matricization times dense Khatri-Rao."""
 
-    name = "sparse-unfolding"
+    name = "unfolding"
 
     def __init__(self, tensor, factors, tracker=None, max_cache_bytes=None,
                  engine=None):
@@ -137,10 +137,10 @@ class SparseUnfoldingMTTKRP(MTTKRPProvider):
         kr_bytes = n_rows * self.rank * np.dtype(self.dtype).itemsize
         if kr_bytes > budget:
             raise MemoryError(
-                f"sparse-unfolding MTTKRP for mode {mode} needs a dense "
+                f"unfolding MTTKRP of a sparse tensor for mode {mode} needs a dense "
                 f"{n_rows} x {self.rank} Khatri-Rao workspace "
                 f"({kr_bytes} bytes), exceeding max_cache_bytes={budget}; "
-                "use the 'sparse' (COO) engine or the sparse dimension trees "
+                "use the 'naive' (COO) engine or the sparse dimension trees "
                 "('dt'/'msdt'), which never densify"
             )
 

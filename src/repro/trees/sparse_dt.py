@@ -397,10 +397,10 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
 class SparseDimensionTreeMTTKRP(DtOrderPolicy, SparseTreeBackend):
     """Per-sweep binary dimension tree over semi-sparse CSF intermediates."""
 
-    name = "sparse-dt"
+    name = "dt"
 
 
 class SparseMultiSweepDimensionTree(MsdtOrderPolicy, SparseTreeBackend):
     """Cross-sweep MSDT over semi-sparse CSF intermediates."""
 
-    name = "sparse-msdt"
+    name = "msdt"

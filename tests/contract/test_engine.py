@@ -23,6 +23,7 @@ from repro.contract import (
     subscript_letters,
 )
 from repro.core.normal_equations import gram_matrix
+from repro.core.options import ALSOptions, PPOptions
 from repro.core.pp_corrections import delta_gram, first_order_correction
 from repro.machine.cost_tracker import CostTracker
 from repro.tensor.mttkrp import mttkrp, mttkrp_unfolding, partial_mttkrp
@@ -241,7 +242,7 @@ class TestKernelPlanReuse:
         tensor, factors = _random_problem((5, 4, 3), rank=3, seed=9)
         sparse = CooTensor.from_dense(tensor)
         cases = [("naive", tensor), ("unfolding", tensor)] + [
-            (name, sparse) for name in ("sparse", "unfolding", "dt", "msdt")]
+            (name, sparse) for name in ("naive", "unfolding", "dt", "msdt")]
         for name, data in cases:
             engine = ContractionEngine()
             provider = make_provider(name, data, [f.copy() for f in factors],
@@ -308,10 +309,11 @@ class TestKernelPlanReuse:
 
         lowrank = random_cp_tensor((7, 6, 8, 5), rank=3, seed=11).full()
         for name in ("dt", "msdt"):
-            exact = cp_als(lowrank, rank=3, n_sweeps=4, mttkrp=name, seed=0)
+            exact = cp_als(lowrank, ALSOptions(rank=3, n_sweeps=4, mttkrp=name, seed=0))
             assert np.isfinite(exact.residual)
-            perturbed = pp_cp_als(lowrank, rank=3, n_sweeps=30, tol=1e-12,
-                                  pp_tol=0.3, mttkrp=name, seed=0)
+            perturbed = pp_cp_als(lowrank,
+                                  PPOptions(rank=3, n_sweeps=30, tol=1e-12, pp_tol=0.3,
+                                            mttkrp=name, seed=0))
             types = {record.sweep_type for record in perturbed.sweeps}
             assert types == {"als", "pp-init", "pp-approx"}
         assert default.cache_info()["specs"] == 0

@@ -14,6 +14,7 @@ from repro.core.cp_als import cp_als
 from repro.core.options import MaskedOptions
 from repro.sparse.coo import CooTensor
 from repro.tensor.cp_format import CPTensor, random_cp_tensor
+from repro.core.options import ALSOptions
 
 RANK = 2
 SHAPE = (7, 6, 5)
@@ -36,7 +37,8 @@ def _oracle_em_als(tensor, mask, initial, n_sweeps):
     factors = [f.copy() for f in initial]
     for _ in range(n_sweeps):
         filled = np.where(mask, tensor, _reconstruct(factors))
-        step = cp_als(filled, RANK, n_sweeps=1, tol=0.0, initial_factors=factors)
+        step = cp_als(filled, ALSOptions(rank=RANK, n_sweeps=1, tol=0.0),
+                      initial_factors=factors)
         factors = step.factors
     return factors
 
@@ -46,16 +48,17 @@ class TestAgainstDenseOracle:
         tensor, mask = problem
         rng = np.random.default_rng(3)
         initial = [rng.random((s, RANK)) for s in SHAPE]
-        result = masked_cp_als(tensor, RANK, mask=mask, n_sweeps=6, tol=0.0,
-                               initial_factors=initial)
+        result = masked_cp_als(tensor, MaskedOptions(rank=RANK, n_sweeps=6, tol=0.0),
+                               mask=mask, initial_factors=initial)
         oracle = _oracle_em_als(tensor, mask, initial, n_sweeps=6)
         for a, b in zip(result.factors, oracle):
             np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_weighted_residual_definition(self, problem):
         tensor, mask = problem
-        result = masked_cp_als(tensor, RANK, mask=mask, n_sweeps=5, tol=0.0,
-                               seed=1)
+        result = masked_cp_als(tensor,
+                               MaskedOptions(rank=RANK, n_sweeps=5, tol=0.0, seed=1),
+                               mask=mask)
         diff = np.where(mask, tensor - _reconstruct(result.factors), 0.0)
         expected = np.linalg.norm(diff) / np.linalg.norm(np.where(mask, tensor, 0.0))
         assert result.residual == pytest.approx(expected, abs=1e-12)
@@ -65,9 +68,9 @@ class TestAgainstDenseOracle:
         rng = np.random.default_rng(5)
         initial = [rng.random((s, RANK)) for s in SHAPE]
         full = np.ones(SHAPE, dtype=bool)
-        masked = masked_cp_als(tensor, RANK, mask=full, n_sweeps=4, tol=0.0,
-                               initial_factors=initial)
-        plain = cp_als(tensor, RANK, n_sweeps=4, tol=0.0,
+        masked = masked_cp_als(tensor, MaskedOptions(rank=RANK, n_sweeps=4, tol=0.0),
+                               mask=full, initial_factors=initial)
+        plain = cp_als(tensor, ALSOptions(rank=RANK, n_sweeps=4, tol=0.0),
                        initial_factors=initial)
         for a, b in zip(masked.factors, plain.factors):
             np.testing.assert_allclose(a, b, atol=1e-9)
@@ -80,27 +83,32 @@ class TestBackends:
         rng = np.random.default_rng(9)
         initial = [rng.random((s, RANK)) for s in SHAPE]
         sparse = CooTensor.from_dense(np.where(mask, tensor, 0.0))
-        dense_result = masked_cp_als(tensor, RANK, mask=mask, n_sweeps=5,
-                                     tol=0.0, initial_factors=initial)
-        sparse_result = masked_cp_als(sparse, RANK, mask=mask, n_sweeps=5,
-                                      tol=0.0, initial_factors=initial)
+        dense_result = masked_cp_als(tensor,
+                                     MaskedOptions(rank=RANK, n_sweeps=5, tol=0.0),
+                                     mask=mask, initial_factors=initial)
+        sparse_result = masked_cp_als(sparse,
+                                      MaskedOptions(rank=RANK, n_sweeps=5, tol=0.0),
+                                      mask=mask, initial_factors=initial)
         for a, b in zip(dense_result.factors, sparse_result.factors):
             np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_sparse_default_mask_is_nnz_pattern(self, problem):
         tensor, mask = problem
         sparse = CooTensor.from_dense(np.where(mask, tensor, 0.0))
-        implicit = masked_cp_als(sparse, RANK, n_sweeps=3, tol=0.0, seed=2)
-        explicit = masked_cp_als(sparse, RANK, mask=sparse, n_sweeps=3,
-                                 tol=0.0, seed=2)
+        implicit = masked_cp_als(sparse,
+                                 MaskedOptions(rank=RANK, n_sweeps=3, tol=0.0, seed=2))
+        explicit = masked_cp_als(sparse,
+                                 MaskedOptions(rank=RANK, n_sweeps=3, tol=0.0, seed=2),
+                                 mask=sparse)
         for a, b in zip(implicit.factors, explicit.factors):
             np.testing.assert_array_equal(a, b)
 
     def test_unobserved_entries_are_never_read(self, problem):
         tensor, mask = problem
         poisoned = np.where(mask, tensor, np.nan)
-        result = masked_cp_als(poisoned, RANK, mask=mask, n_sweeps=4, tol=0.0,
-                               seed=0)
+        result = masked_cp_als(poisoned,
+                               MaskedOptions(rank=RANK, n_sweeps=4, tol=0.0, seed=0),
+                               mask=mask)
         assert np.isfinite(result.residual)
         assert all(np.isfinite(f).all() for f in result.factors)
 
@@ -108,7 +116,8 @@ class TestBackends:
 class TestResultShape:
     def test_result_metadata(self, problem):
         tensor, mask = problem
-        result = masked_cp_als(tensor, RANK, mask=mask, n_sweeps=3, seed=0)
+        result = masked_cp_als(tensor, MaskedOptions(rank=RANK, n_sweeps=3, seed=0),
+                               mask=mask)
         assert isinstance(result, MaskedALSResult)
         assert result.n_observed == int(mask.sum())
         assert result.observed_fraction == pytest.approx(
@@ -117,8 +126,9 @@ class TestResultShape:
 
     def test_completion_recovers_low_rank_truth(self, problem):
         tensor, mask = problem
-        result = masked_cp_als(tensor, RANK, mask=mask, n_sweeps=80,
-                               tol=1e-12, seed=4)
+        result = masked_cp_als(tensor,
+                               MaskedOptions(rank=RANK, n_sweeps=80, tol=1e-12, seed=4),
+                               mask=mask)
         # held-out entries: the decomposition only ever saw the observed ones
         held_out = ~mask
         err = np.linalg.norm(
@@ -131,8 +141,9 @@ class TestResultShape:
         bundled = masked_cp_als(
             tensor, mask=mask,
             options=MaskedOptions(rank=RANK, n_sweeps=4, tol=0.0, seed=6))
-        spelled = masked_cp_als(tensor, RANK, mask=mask, n_sweeps=4, tol=0.0,
-                                seed=6)
+        spelled = masked_cp_als(tensor,
+                                MaskedOptions(rank=RANK, n_sweeps=4, tol=0.0, seed=6),
+                                mask=mask)
         for a, b in zip(bundled.factors, spelled.factors):
             np.testing.assert_array_equal(a, b)
 
@@ -141,17 +152,18 @@ class TestNormalizeMask:
     def test_dense_requires_mask(self, problem):
         tensor, _ = problem
         with pytest.raises(ValueError, match="mask is required"):
-            masked_cp_als(tensor, RANK)
+            masked_cp_als(tensor, MaskedOptions(rank=RANK))
 
     def test_shape_mismatch(self, problem):
         tensor, mask = problem
         with pytest.raises(ValueError, match="does not match tensor shape"):
-            masked_cp_als(tensor, RANK, mask=mask[:3])
+            masked_cp_als(tensor, MaskedOptions(rank=RANK), mask=mask[:3])
 
     def test_empty_mask_rejected(self, problem):
         tensor, _ = problem
         with pytest.raises(ValueError, match="no observed entries"):
-            masked_cp_als(tensor, RANK, mask=np.zeros(SHAPE, dtype=bool))
+            masked_cp_als(tensor, MaskedOptions(rank=RANK),
+                          mask=np.zeros(SHAPE, dtype=bool))
 
     def test_coo_mask_values_ignored(self, problem):
         tensor, mask = problem

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.cp_als import cp_als
 from repro.core.multi_start import MultiStartResult, multi_start, start_seeds
+from repro.core.options import ALSOptions, MaskedOptions, NNOptions, PPOptions
 from repro.machine.cost_tracker import CostTracker
 from repro.tensor.cp_format import random_cp_tensor
 
@@ -20,8 +21,8 @@ def tensor():
 
 
 def test_best_of_k_is_deterministic(tensor):
-    first = multi_start(tensor, RANK, n_starts=4, seed=0, **KWARGS)
-    second = multi_start(tensor, RANK, n_starts=4, seed=0, **KWARGS)
+    first = multi_start(tensor, ALSOptions(rank=RANK, seed=0, **KWARGS), n_starts=4)
+    second = multi_start(tensor, ALSOptions(rank=RANK, seed=0, **KWARGS), n_starts=4)
     assert first.best_index == second.best_index
     assert first.fitnesses() == second.fitnesses()
     for a, b in zip(first.best.factors, second.best.factors):
@@ -29,9 +30,9 @@ def test_best_of_k_is_deterministic(tensor):
 
 
 def test_matches_manual_loop_of_single_starts(tensor):
-    batched = multi_start(tensor, RANK, n_starts=3, seed=7, **KWARGS)
+    batched = multi_start(tensor, ALSOptions(rank=RANK, seed=7, **KWARGS), n_starts=3)
     manual = [
-        cp_als(tensor, RANK, seed=np.random.default_rng(seq), **KWARGS)
+        cp_als(tensor, ALSOptions(rank=RANK, seed=np.random.default_rng(seq), **KWARGS))
         for seq in start_seeds(7, 3)
     ]
     assert batched.fitnesses() == [r.fitness for r in manual]
@@ -42,8 +43,9 @@ def test_matches_manual_loop_of_single_starts(tensor):
 
 
 def test_thread_pool_matches_sequential(tensor):
-    sequential = multi_start(tensor, RANK, n_starts=4, seed=1, n_workers=1, **KWARGS)
-    threaded = multi_start(tensor, RANK, n_starts=4, seed=1, n_workers=3, **KWARGS)
+    options = ALSOptions(rank=RANK, seed=1, **KWARGS)
+    sequential = multi_start(tensor, options, n_starts=4, n_workers=1)
+    threaded = multi_start(tensor, options, n_starts=4, n_workers=3)
     assert threaded.best_index == sequential.best_index
     assert threaded.fitnesses() == sequential.fitnesses()
     for a, b in zip(threaded.best.factors, sequential.best.factors):
@@ -51,7 +53,7 @@ def test_thread_pool_matches_sequential(tensor):
 
 
 def test_best_is_max_fitness(tensor):
-    result = multi_start(tensor, RANK, n_starts=5, seed=3, **KWARGS)
+    result = multi_start(tensor, ALSOptions(rank=RANK, seed=3, **KWARGS), n_starts=5)
     assert result.fitness == max(result.fitnesses())
     assert result.best is result.results[result.best_index]
     # ties (or the common unique-max case) resolve to the lowest index
@@ -60,7 +62,7 @@ def test_best_is_max_fitness(tensor):
 
 
 def test_trajectory_and_summary_tables(tensor):
-    result = multi_start(tensor, RANK, n_starts=3, seed=5, **KWARGS)
+    result = multi_start(tensor, ALSOptions(rank=RANK, seed=5, **KWARGS), n_starts=3)
     rows = result.trajectory_table()
     assert len(rows) == sum(len(r.sweeps) for r in result.results)
     assert {row["start"] for row in rows} == {0, 1, 2}
@@ -76,30 +78,30 @@ def test_trajectory_and_summary_tables(tensor):
 
 def test_tracker_merge_accumulates_all_starts(tensor):
     tracker = CostTracker()
-    multi_start(tensor, RANK, n_starts=2, seed=2, tracker=tracker, **KWARGS)
+    multi_start(tensor, ALSOptions(rank=RANK, seed=2, **KWARGS), n_starts=2, tracker=tracker)
 
     single_tracker = CostTracker()
     for seq in start_seeds(2, 2):
-        cp_als(tensor, RANK, seed=np.random.default_rng(seq),
-               tracker=single_tracker, **KWARGS)
+        cp_als(tensor, ALSOptions(rank=RANK, seed=np.random.default_rng(seq), **KWARGS),
+               tracker=single_tracker)
     assert tracker.total_flops == single_tracker.total_flops
 
 
 def test_pp_algorithm_runs(tensor):
-    result = multi_start(tensor, RANK, n_starts=2, algorithm="pp", seed=4,
-                         n_sweeps=8, tol=0.0)
+    result = multi_start(tensor, PPOptions(rank=RANK, seed=4, n_sweeps=8, tol=0.0),
+                         n_starts=2)
     assert isinstance(result, MultiStartResult)
     assert result.algorithm == "pp"
     assert 0.0 < result.fitness <= 1.0
 
 
 def test_invalid_arguments(tensor):
-    with pytest.raises(ValueError):
-        multi_start(tensor, RANK, n_starts=2, algorithm="nope")
-    with pytest.raises(ValueError):
-        multi_start(tensor, RANK, n_starts=0)
     with pytest.raises(TypeError):
-        multi_start(tensor, RANK, n_starts=2, seed=0, tracker=None,
+        multi_start(tensor, 3, n_starts=2)
+    with pytest.raises(ValueError):
+        multi_start(tensor, ALSOptions(rank=RANK), n_starts=0)
+    with pytest.raises(TypeError):
+        multi_start(tensor, ALSOptions(rank=RANK, seed=0), n_starts=2, tracker=None,
                     initial_factors=[np.ones((8, 3))])
 
 
@@ -127,16 +129,14 @@ def test_start_seeds_deterministic():
 
 def test_nncp_algorithm_keeps_factors_nonnegative(tensor):
     nonneg = np.abs(tensor)
-    result = multi_start(nonneg, RANK, n_starts=2, algorithm="nncp", seed=4,
-                         n_sweeps=6, tol=0.0)
+    result = multi_start(nonneg, NNOptions(rank=RANK, seed=4, n_sweeps=6, tol=0.0),
+                         n_starts=2)
     assert result.algorithm == "nncp"
     for start in result.results:
         assert all((f >= 0).all() for f in start.factors)
 
 
 def test_algorithm_inferred_from_options_bundle(tensor):
-    from repro.core.options import NNOptions
-
     result = multi_start(np.abs(tensor), n_starts=2,
                          options=NNOptions(rank=RANK, n_sweeps=5, tol=0.0,
                                            seed=3))
@@ -147,8 +147,8 @@ def test_masked_algorithm_accepts_mask(tensor):
     from repro.core.masked_cp_als import MaskedALSResult
 
     mask = np.random.default_rng(0).random(tensor.shape) < 0.5
-    result = multi_start(tensor, RANK, n_starts=2, algorithm="masked",
-                         mask=mask, seed=5, n_sweeps=5, tol=0.0)
+    result = multi_start(tensor, MaskedOptions(rank=RANK, seed=5, n_sweeps=5, tol=0.0),
+                         n_starts=2, mask=mask)
     assert isinstance(result.best, MaskedALSResult)
     assert result.best.n_observed == int(mask.sum())
 
@@ -156,4 +156,4 @@ def test_masked_algorithm_accepts_mask(tensor):
 def test_mask_rejected_for_non_masked_algorithms(tensor):
     mask = np.ones(tensor.shape, dtype=bool)
     with pytest.raises(TypeError, match="does not accept a mask"):
-        multi_start(tensor, RANK, n_starts=2, algorithm="als", mask=mask)
+        multi_start(tensor, ALSOptions(rank=RANK), n_starts=2, mask=mask)

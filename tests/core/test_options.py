@@ -1,9 +1,8 @@
-"""Unit tests for the options bundles and the driver options= parameter."""
+"""Unit tests for the options bundles, the drivers' one way to be configured."""
 
 import dataclasses
-import warnings
+import inspect
 
-import numpy as np
 import pytest
 
 from repro.core.cp_als import cp_als
@@ -12,13 +11,20 @@ from repro.core.options import (
     ALSOptions,
     ParallelOptions,
     ParallelPPOptions,
+    MaskedOptions,
+    NNOptions,
     PPOptions,
-    resolve_options,
 )
+from repro.core.masked_cp_als import masked_cp_als
+from repro.core.nn_cp_als import nn_cp_als
+from repro.core.parallel_common import setup_parallel_state
 from repro.core.parallel_cp_als import parallel_cp_als
 from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
+from repro.core.updates import make_update_rule
 from repro.core.pp_cp_als import pp_cp_als
+from repro.grid.processor_grid import ProcessorGrid
 from repro.tensor.cp_format import random_cp_tensor
+from repro.trees.registry import available_providers, make_provider
 
 
 @pytest.fixture(scope="module")
@@ -51,23 +57,25 @@ class TestBundles:
             PPOptions(rank=3, pp_tol=1.5)
         with pytest.raises(ValueError):
             ParallelOptions(rank=3, grid=(0, 2))
+        # a NaN tol would make |r_prev - r| < tol never true: no stop rule
+        for cls in (ALSOptions, PPOptions, NNOptions, MaskedOptions,
+                    ParallelOptions, ParallelPPOptions):
+            for tol in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="tol must be finite"):
+                    cls(rank=2, tol=tol)
+
+    @pytest.mark.parametrize("cls", [ALSOptions, PPOptions, ParallelOptions])
+    def test_unknown_engine_rejected_at_construction(self, cls):
+        with pytest.raises(ValueError, match="unknown MTTKRP engine 'bogus'"):
+            cls(rank=2, mttkrp="bogus")
+
+    def test_unknown_partitioner_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown partitioner 'bogus'"):
+            ParallelOptions(rank=2, grid=(1, 1, 1), partitioner="bogus")
 
     def test_grid_normalized_to_tuple(self):
         assert ParallelOptions(rank=3, grid=[2, 3]).grid == (2, 3)
-
-    def test_from_kwargs_roundtrip(self):
-        opts = PPOptions.from_kwargs(rank=4, n_sweeps=10, pp_tol=0.2)
-        assert opts == PPOptions(rank=4, n_sweeps=10, pp_tol=0.2)
-        rebuilt = PPOptions.from_kwargs(**opts.to_kwargs())
-        assert rebuilt == opts
-
-    def test_from_kwargs_drops_none_and_rejects_unknown(self):
-        opts = ALSOptions.from_kwargs(rank=3, tol=None)
-        assert opts.tol == ALSOptions(rank=3).tol
-        with pytest.raises(TypeError):
-            ALSOptions.from_kwargs(rank=3, nope=1)
-        with pytest.raises(TypeError):
-            ALSOptions.from_kwargs()
+        assert ParallelOptions(rank=3, grid=ProcessorGrid((1, 2))).grid == (1, 2)
 
     def test_cache_key_distinguishes_types_and_values(self):
         a = ALSOptions(rank=3)
@@ -75,28 +83,6 @@ class TestBundles:
         assert a.cache_key() != ALSOptions(rank=4).cache_key()
         # PPOptions with matching shared fields still keys differently
         assert a.cache_key() != PPOptions(rank=3, n_sweeps=50, mttkrp="dt").cache_key()
-
-
-class TestResolveOptions:
-    def test_kwargs_only(self):
-        opts = resolve_options(ALSOptions, None, {"rank": 3, "tol": None})
-        assert opts == ALSOptions(rank=3)
-
-    def test_options_only(self):
-        bundle = PPOptions(rank=3, n_sweeps=7)
-        opts = resolve_options(PPOptions, bundle, {"rank": None, "n_sweeps": None})
-        assert opts == bundle
-
-    def test_both_warns_and_kwargs_win(self):
-        bundle = ALSOptions(rank=3, n_sweeps=5)
-        with pytest.warns(DeprecationWarning):
-            opts = resolve_options(ALSOptions, bundle, {"rank": None, "n_sweeps": 9})
-        assert opts.n_sweeps == 9
-        assert opts.rank == 3
-
-    def test_wrong_bundle_type_rejected(self):
-        with pytest.raises(TypeError):
-            resolve_options(ALSOptions, object(), {"rank": 3})
 
 
 class TestDriverWiring:
@@ -107,13 +93,7 @@ class TestDriverWiring:
 
     def test_cp_als_requires_rank(self, tensor):
         with pytest.raises(TypeError):
-            cp_als(tensor)
-
-    def test_cp_als_both_spellings_warn(self, tensor):
-        with pytest.warns(DeprecationWarning):
-            result = cp_als(tensor, n_sweeps=2,
-                            options=ALSOptions(rank=3, n_sweeps=8, seed=0))
-        assert result.options["n_sweeps"] == 2
+            cp_als(tensor, ALSOptions())
 
     def test_pp_cp_als_options_param(self, tensor):
         result = pp_cp_als(tensor, options=PPOptions(rank=3, n_sweeps=5, seed=1))
@@ -139,59 +119,78 @@ class TestDriverWiring:
         result = parallel_pp_cp_als(tensor, options=ppo)
         assert result.grid_dims == (1, 1, 2)
 
-    def test_parallel_requires_grid(self, tensor):
-        with pytest.raises(TypeError):
-            parallel_cp_als(tensor, rank=3)
+    def test_parallel_grid_order_must_match_tensor(self, tensor):
+        with pytest.raises(ValueError, match="does not match grid order"):
+            parallel_cp_als(tensor, ParallelOptions(rank=3))
 
-    def test_parallel_grid_instance_preserved(self, tensor):
-        from repro.grid.processor_grid import ProcessorGrid
-
+    def test_parallel_grid_instance_accepted(self, tensor):
         grid = ProcessorGrid((1, 2, 1))
-        with pytest.warns(DeprecationWarning):
-            result = parallel_cp_als(
-                tensor, grid=grid, n_sweeps=2,
-                options=ParallelOptions(rank=3, grid=(1, 2, 1), seed=0),
-            )
+        result = parallel_cp_als(
+            tensor, ParallelOptions(rank=3, grid=grid, n_sweeps=2, seed=0)
+        )
         assert result.grid_dims == (1, 2, 1)
 
+    def test_wrong_bundle_type_rejected(self, tensor):
+        with pytest.raises(TypeError, match="PPOptions"):
+            pp_cp_als(tensor, ALSOptions(rank=3))
+        with pytest.raises(TypeError, match="ALSOptions"):
+            cp_als(tensor, 3)
 
-class TestLegacyEquivalence:
-    """options= and the equivalent keywords produce bit-identical runs."""
 
-    def test_cp_als_bitwise(self, tensor):
-        a = cp_als(tensor, rank=3, n_sweeps=6, tol=1e-7, mttkrp="msdt", seed=11)
-        b = cp_als(tensor, options=ALSOptions(rank=3, n_sweeps=6, tol=1e-7,
-                                              mttkrp="msdt", seed=11))
-        for fa, fb in zip(a.factors, b.factors):
-            assert np.array_equal(fa, fb)
+#: the entry points, each with the bundle class its settings live on
+ENTRY_POINTS = [
+    (cp_als, ALSOptions),
+    (pp_cp_als, PPOptions),
+    (nn_cp_als, NNOptions),
+    (masked_cp_als, MaskedOptions),
+    (parallel_cp_als, ParallelOptions),
+    (parallel_pp_cp_als, ParallelPPOptions),
+    (multi_start, PPOptions),
+    (setup_parallel_state, ParallelPPOptions),
+]
 
-    def test_pp_cp_als_bitwise(self, tensor):
-        a = pp_cp_als(tensor, rank=3, n_sweeps=8, pp_tol=0.3, seed=11)
-        b = pp_cp_als(tensor, options=PPOptions(rank=3, n_sweeps=8, pp_tol=0.3,
-                                                seed=11))
-        for fa, fb in zip(a.factors, b.factors):
-            assert np.array_equal(fa, fb)
 
-    def test_multi_start_bitwise(self, tensor):
-        a = multi_start(tensor, rank=3, n_starts=3, seed=2, n_sweeps=4)
-        b = multi_start(tensor, n_starts=3,
-                        options=ALSOptions(rank=3, n_sweeps=4, seed=2))
-        assert a.best_index == b.best_index
-        for fa, fb in zip(a.factors, b.factors):
-            assert np.array_equal(fa, fb)
+class TestOneSpelling:
+    """Each setting of a run has one name, on one object."""
 
-    def test_no_warning_for_pure_spellings(self, tensor):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cp_als(tensor, rank=3, n_sweeps=2, seed=0)
-            cp_als(tensor, options=ALSOptions(rank=3, n_sweeps=2, seed=0))
-            multi_start(tensor, n_starts=2,
-                        options=ALSOptions(rank=3, n_sweeps=2, seed=0))
+    @pytest.mark.parametrize("entry, cls", ENTRY_POINTS,
+                             ids=[e.__name__ for e, _ in ENTRY_POINTS])
+    def test_no_parameter_duplicates_a_bundle_field(self, entry, cls):
+        params = list(inspect.signature(entry).parameters)
+        assert params[1] == "options"
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert not fields & set(params), sorted(fields & set(params))
+        assert "algorithm" not in params
+
+    @pytest.mark.parametrize("alias", ["dimension_tree", "multi_sweep", "coo", "sparse",
+                                       "sparse-dt", "sparse-msdt", "sparse-unfolding"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_deleted_engine_aliases_rejected(self, tensor, alias, sparse):
+        from repro.sparse import CooTensor
+
+        data = CooTensor.from_dense(tensor) if sparse else tensor
+        factors = random_cp_tensor(tensor.shape, rank=2, seed=1).factors
+        with pytest.raises(ValueError) as raised:
+            make_provider(alias, data, factors)
+        assert str(available_providers()) in str(raised.value)
+
+    @pytest.mark.parametrize("field, alias", [
+        ("execution", "sim"), ("execution", "procs"), ("execution", "multiprocess"),
+        ("update", "mu"),
+    ])
+    def test_deleted_setting_aliases_rejected(self, field, alias):
+        with pytest.raises(ValueError, match=f"{alias!r}"):
+            ParallelOptions(rank=2, **{field: alias})
+        if field == "update":
+            with pytest.raises(ValueError, match="'mu'"):
+                NNOptions(rank=2, update=alias)
+            with pytest.raises(ValueError, match="'mu'"):
+                make_update_rule(alias)
 
 
 class TestResultBase:
     def test_multi_start_result_shares_accessor_surface(self, tensor):
-        result = multi_start(tensor, rank=3, n_starts=2, seed=0, n_sweeps=3)
+        result = multi_start(tensor, ALSOptions(rank=3, seed=0, n_sweeps=3), n_starts=2)
         assert result.factors is result.best.factors
         assert result.residual == result.best.residual
         assert result.converged == result.best.converged

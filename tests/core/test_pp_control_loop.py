@@ -20,6 +20,13 @@ from repro.data import collinearity_tensor, sparse_low_rank_tensor
 from repro.machine.cost_tracker import CostTracker
 from repro.tensor.norms import relative_residual, residual_from_mttkrp, tensor_norm
 from repro.trees.registry import make_provider
+from repro.core.options import (
+    ALSOptions,
+    NNOptions,
+    ParallelOptions,
+    ParallelPPOptions,
+    PPOptions,
+)
 
 TOL = 1e-5
 TRIPLE = ["als", "pp-init", "pp-approx"]
@@ -48,7 +55,9 @@ class TestStopRule:
     def run(self):
         tensor, start = collinear(4)
         iterates = []
-        result = pp_cp_als(tensor, 4, n_sweeps=300, tol=TOL, pp_tol=0.2, mttkrp="msdt",
+        result = pp_cp_als(tensor,
+                           PPOptions(rank=4, n_sweeps=300, tol=TOL, pp_tol=0.2,
+                                     mttkrp="msdt"),
                            initial_factors=start,
                            callback=lambda index, factors, fitness: iterates.append(factors))
         return tensor, start, result, iterates
@@ -69,14 +78,18 @@ class TestStopRule:
 
     def test_stops_where_exact_als_stops(self, run):
         tensor, start, result, _ = run
-        als = cp_als(tensor, 4, n_sweeps=300, tol=TOL, mttkrp="dt", initial_factors=start)
+        als = cp_als(tensor, ALSOptions(rank=4, n_sweeps=300, tol=TOL, mttkrp="dt"),
+                     initial_factors=start)
         assert als.converged
         assert result.residual <= als.residual + TOL
         assert result.n_sweeps <= als.n_sweeps
 
-    @pytest.mark.parametrize("engine", ["naive", "dt", "msdt", "sparse-dt", "sparse-msdt"])
-    def test_start_residual_is_exact_and_costs_no_mttkrp(self, engine, sparse3):
-        tensor, start = sparse3 if engine.startswith("sparse") else collinear(3)
+    @pytest.mark.parametrize("engine, kind", [
+        ("naive", "dense"), ("dt", "dense"), ("msdt", "dense"),
+        ("dt", "sparse"), ("msdt", "sparse"),
+    ], ids=["naive", "dt", "msdt", "sparse-dt", "sparse-msdt"])
+    def test_start_residual_is_exact_and_costs_no_mttkrp(self, engine, kind, sparse3):
+        tensor, start = sparse3 if kind == "sparse" else collinear(3)
         rule, plain = _ExactSweepRule(), CostTracker()
         tracker = CostTracker()
         provider = make_provider(engine, tensor, start, tracker=tracker)
@@ -89,14 +102,18 @@ class TestStopRule:
         sweep(reference, [gram_matrix(f) for f in start], tracker=plain)
         assert tracker.flops_by_category == plain.flops_by_category
 
-    @pytest.mark.parametrize("engine", ["dt", "msdt", "sparse-dt"])
-    def test_confirming_sweep_costs_an_ordinary_cold_sweep(self, engine, sparse3):
-        if engine == "sparse-dt":
+    @pytest.mark.parametrize("engine, kind", [
+        ("dt", "dense"), ("msdt", "dense"), ("dt", "sparse"),
+    ], ids=["dt", "msdt", "sparse-dt"])
+    def test_confirming_sweep_costs_an_ordinary_cold_sweep(self, engine, kind, sparse3):
+        if kind == "sparse":
             (tensor, start), rank, pp_tol = sparse3, 3, 0.4
         else:
             (tensor, start), rank, pp_tol = collinear(3), 4, 0.2
         iterates = []
-        result = pp_cp_als(tensor, rank, n_sweeps=300, tol=TOL, pp_tol=pp_tol, mttkrp=engine,
+        result = pp_cp_als(tensor,
+                           PPOptions(rank=rank, n_sweeps=300, tol=TOL, pp_tol=pp_tol,
+                                     mttkrp=engine),
                            initial_factors=start,
                            callback=lambda index, factors, fitness: iterates.append(factors))
         assert result.converged and sweep_types(result)[-2:] == ["pp-approx", "als"]
@@ -113,10 +130,10 @@ class TestStopRule:
 class TestPhaseLog:
     def reasons(self, caplog, **kwargs) -> list[str]:
         tensor, start = collinear(4)
-        options = dict(n_sweeps=300, tol=TOL, pp_tol=0.2, mttkrp="msdt", initial_factors=start)
-        options.update(kwargs)
+        fields = dict(n_sweeps=300, tol=TOL, pp_tol=0.2, mttkrp="msdt")
+        fields.update(kwargs)
         with caplog.at_level(logging.DEBUG, logger="repro.core"):
-            result = pp_cp_als(tensor, 4, **options)
+            result = pp_cp_als(tensor, PPOptions(rank=4, **fields), initial_factors=start)
         messages = [r.getMessage() for r in caplog.records if r.name == "repro.core"]
         assert all(m.startswith("pp phase: ") for m in messages)
         assert len(messages) == result.count_sweeps("pp-init")
@@ -140,8 +157,11 @@ class TestPhaseLog:
         caplog.clear()
         tensor, start = collinear(4)
         with caplog.at_level(logging.DEBUG, logger="repro.core"):
-            parallel_pp_cp_als(tensor, 4, (1, 2, 1, 2), n_sweeps=300, tol=TOL, pp_tol=0.2,
-                               mttkrp="msdt", initial_factors=start)
+            parallel_pp_cp_als(tensor,
+                               ParallelPPOptions(rank=4, grid=(1, 2, 1, 2),
+                                                 n_sweeps=300, tol=TOL, pp_tol=0.2,
+                                                 mttkrp="msdt"),
+                               initial_factors=start)
         parallel = [r.getMessage().split("ended by ")[1].split("(")[0]
                     for r in caplog.records if r.name == "repro.core"]
         assert parallel == sequential
@@ -149,20 +169,24 @@ class TestPhaseLog:
     def test_silent_when_debug_is_off(self, caplog):
         tensor, start = collinear(3)
         with caplog.at_level(logging.INFO, logger="repro.core"):
-            pp_cp_als(tensor, 4, n_sweeps=40, tol=TOL, pp_tol=0.2, initial_factors=start)
+            pp_cp_als(tensor, PPOptions(rank=4, n_sweeps=40, tol=TOL, pp_tol=0.2),
+                      initial_factors=start)
         assert not [r for r in caplog.records if r.name == "repro.core"]
 
 
-#: (sequential driver, parallel driver, extra keywords of both) per loop flavour
+#: (sequential driver and bundle, parallel driver and bundle, extra fields of
+#: both bundles) per loop flavour
 DRIVER_PAIRS = {
-    "pp": (pp_cp_als, parallel_pp_cp_als, {"mttkrp": "msdt"}),
-    "als": (cp_als, parallel_cp_als, {"mttkrp": "dt"}),
-    "hals": (nn_cp_als, parallel_cp_als, {"mttkrp": "dt", "update": "hals"}),
+    "pp": (pp_cp_als, PPOptions, parallel_pp_cp_als, ParallelPPOptions,
+           {"mttkrp": "msdt"}),
+    "als": (cp_als, ALSOptions, parallel_cp_als, ParallelOptions, {"mttkrp": "dt"}),
+    "hals": (nn_cp_als, NNOptions, parallel_cp_als, ParallelOptions,
+             {"mttkrp": "dt", "update": "hals"}),
 }
 
 
 def parity_inputs(kind, flavour, sparse3):
-    """``(tensor, rank, start, extra keywords)`` of one parity case."""
+    """``(tensor, rank, start, extra bundle fields)`` of one parity case."""
     if kind == "sparse":
         (tensor, start), rank, pp_tol = sparse3, 3, 0.4
     else:
@@ -182,10 +206,14 @@ class TestSequentialParallelParity:
     def test_same_sweep_types_and_factors_at_positive_tol(
             self, kind, flavour, grid, execution, sparse3):
         tensor, rank, start, extra = parity_inputs(kind, flavour, sparse3)
-        sequential_driver, parallel_driver, common = DRIVER_PAIRS[flavour]
-        kwargs = dict(n_sweeps=300, tol=TOL, initial_factors=start, **common, **extra)
-        sequential = sequential_driver(tensor, rank, **kwargs)
-        parallel = parallel_driver(tensor, rank, grid, execution=execution, **kwargs)
+        sequential_driver, sequential_cls, parallel_driver, parallel_cls, common = (
+            DRIVER_PAIRS[flavour])
+        fields = dict(rank=rank, n_sweeps=300, tol=TOL, **common, **extra)
+        sequential = sequential_driver(tensor, sequential_cls(**fields),
+                                       initial_factors=start)
+        parallel = parallel_driver(
+            tensor, parallel_cls(grid=grid, execution=execution, **fields),
+            initial_factors=start)
         assert sequential.converged and parallel.converged
         assert parallel.n_sweeps == sequential.n_sweeps
         if flavour == "pp":
@@ -196,9 +224,11 @@ class TestSequentialParallelParity:
 
     def test_parallel_drivers_report_the_same_options(self, sparse3):
         tensor, start = sparse3
-        kwargs = dict(n_sweeps=3, tol=0.0, mttkrp="msdt", initial_factors=start)
-        als = parallel_cp_als(tensor, 3, (1, 2, 2), **kwargs).options
-        pp = parallel_pp_cp_als(tensor, 3, (1, 2, 2), pp_tol=0.4, **kwargs).options
+        fields = dict(rank=3, grid=(1, 2, 2), n_sweeps=3, tol=0.0, mttkrp="msdt")
+        als = parallel_cp_als(tensor, ParallelOptions(**fields),
+                              initial_factors=start).options
+        pp = parallel_pp_cp_als(tensor, ParallelPPOptions(pp_tol=0.4, **fields),
+                                initial_factors=start).options
         assert set(pp) ^ set(als) == {"pp_tol"}
         assert {key: pp[key] for key in als} == als
         assert als["execution"] == "SimulatedMachine"
@@ -257,16 +287,16 @@ class TestDivergenceRollback:
     def test_both_substrates_roll_back_the_same_sweep(self, diverge_once, caplog,
                                                       execution, sparse3):
         tensor, start = sparse3
-        kwargs = dict(n_sweeps=300, tol=TOL, pp_tol=0.4, mttkrp="msdt",
-                      initial_factors=start)
+        fields = dict(rank=3, n_sweeps=300, tol=TOL, pp_tol=0.4, mttkrp="msdt")
         with caplog.at_level(logging.DEBUG, logger="repro.core"):
-            sequential = pp_cp_als(tensor, 3, **kwargs)
+            sequential = pp_cp_als(tensor, PPOptions(**fields), initial_factors=start)
         types = self.check(sequential, diverge_once, caplog)
         diverge_once.clear()
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="repro.core"):
-            parallel = parallel_pp_cp_als(tensor, 3, (1, 2, 2), execution=execution,
-                                          **kwargs)
+            parallel = parallel_pp_cp_als(
+                tensor, ParallelPPOptions(grid=(1, 2, 2), execution=execution, **fields),
+                initial_factors=start)
         assert self.check(parallel, diverge_once, caplog) == types
         # the exact sweep after the rollback ran on the restored factors on
         # every rank (under process execution: republished to the workers)

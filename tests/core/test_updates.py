@@ -109,8 +109,8 @@ class TestRuleFactory:
     def test_default_is_least_squares(self):
         assert isinstance(make_update_rule(None), LeastSquaresUpdate)
 
-    def test_mu_alias(self):
-        assert isinstance(make_update_rule("mu"), MultiplicativeUpdate)
+    def test_multiplicative(self):
+        assert isinstance(make_update_rule("multiplicative"), MultiplicativeUpdate)
 
     def test_instance_passthrough(self):
         rule = HalsUpdate()

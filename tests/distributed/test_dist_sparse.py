@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.cp_als import cp_als
 from repro.core.initialization import init_factors
+from repro.core.options import ALSOptions, ParallelOptions, ParallelPPOptions
 from repro.core.parallel_cp_als import parallel_cp_als
 from repro.data.sparse_synthetic import (
     sparse_low_rank_tensor,
@@ -107,13 +108,15 @@ class TestSparseParallelSweep:
                                         noise=0.1, seed=5)
         rank = 4
         init = init_factors(tensor.shape, rank, seed=11, method="uniform")
-        oracle = cp_als(tensor, rank, n_sweeps=3, tol=0.0, mttkrp="naive",
+        oracle = cp_als(tensor,
+                        ALSOptions(rank=rank, n_sweeps=3, tol=0.0, mttkrp="naive"),
                         initial_factors=[f.copy() for f in init])
-        result = parallel_cp_als(
-            tensor, rank, GRID, n_sweeps=3, tol=0.0, mttkrp=engine,
-            initial_factors=[f.copy() for f in init],
-            partitioner=kind, partition_seed=13,
-        )
+        result = parallel_cp_als(tensor,
+                                 ParallelOptions(rank=rank, grid=GRID, n_sweeps=3,
+                                                 tol=0.0, mttkrp=engine,
+                                                 partitioner=kind),
+                                 initial_factors=[f.copy() for f in init],
+                                 partition_seed=13)
         for ours, ref in zip(result.factors, oracle.factors):
             assert np.max(np.abs(ours - ref)) < 1e-10
         assert result.residual == pytest.approx(oracle.residual, abs=1e-10)
@@ -123,11 +126,13 @@ class TestSparseParallelSweep:
         tensor = sparse_low_rank_tensor((10, 9, 8), rank=2, density=0.2, seed=2)
         dist = DistSparseTensor.from_coo(tensor, GRID, "nnz-balanced")
         init = init_factors(tensor.shape, 3, seed=4, method="uniform")
-        a = parallel_cp_als(dist, 3, GRID, n_sweeps=2, tol=0.0,
+        a = parallel_cp_als(dist,
+                            ParallelOptions(rank=3, grid=GRID, n_sweeps=2, tol=0.0),
                             initial_factors=[f.copy() for f in init])
-        b = parallel_cp_als(tensor, 3, GRID, n_sweeps=2, tol=0.0,
-                            initial_factors=[f.copy() for f in init],
-                            partitioner="nnz-balanced")
+        b = parallel_cp_als(tensor,
+                            ParallelOptions(rank=3, grid=GRID, n_sweeps=2, tol=0.0,
+                                            partitioner="nnz-balanced"),
+                            initial_factors=[f.copy() for f in init])
         for fa, fb in zip(a.factors, b.factors):
             assert np.allclose(fa, fb, atol=1e-12)
 
@@ -135,7 +140,9 @@ class TestSparseParallelSweep:
         tensor = sparse_low_rank_tensor((6, 6, 6), rank=2, density=0.3, seed=0)
         dist = DistSparseTensor.from_coo(tensor, GRID)
         with pytest.raises(ValueError, match="different grid"):
-            parallel_cp_als(dist, 2, ProcessorGrid((2, 2, 1)), n_sweeps=1)
+            parallel_cp_als(dist,
+                            ParallelOptions(rank=2, grid=ProcessorGrid((2, 2, 1)),
+                                            n_sweeps=1))
 
     @pytest.mark.parametrize("kind", available_partitioners())
     def test_parallel_pp_accepts_sparse_input(self, kind):
@@ -145,9 +152,11 @@ class TestSparseParallelSweep:
         from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
 
         tensor = sparse_skewed_count_tensor((20, 20, 20), 0.05, alpha=1.5, seed=0)
-        result = parallel_pp_cp_als(tensor, 4, (2, 2, 2), n_sweeps=6, tol=0.0,
-                                    pp_tol=0.5, seed=0,
-                                    partitioner=kind, partition_seed=1)
+        result = parallel_pp_cp_als(tensor,
+                                    ParallelPPOptions(rank=4, grid=(2, 2, 2),
+                                                      n_sweeps=6, tol=0.0, pp_tol=0.5,
+                                                      seed=0, partitioner=kind),
+                                    partition_seed=1)
         assert result.n_sweeps == 6
         # both PP phases actually ran on the sparse blocks
         assert {"als", "pp-init", "pp-approx"} <= {s.sweep_type for s in result.sweeps}

@@ -4,7 +4,8 @@ Two layers keep the examples honest without requiring Sphinx at test time:
 
 * every ``>>>`` block in the docstrings of the audited ``repro.grid`` /
   ``repro.distributed`` / ``repro.machine.collective_costs`` modules runs
-  via :mod:`doctest` with the module's own globals,
+  via :mod:`doctest` with the module's own globals, and so do those of the
+  package docstring and of the nonnegative and masked drivers,
 * the quickstart page's ``>>>`` blocks run via :func:`doctest.testfile`
   (the CI ``docs`` job additionally runs ``sphinx -b doctest`` over the whole
   site with the same semantics).
@@ -13,10 +14,12 @@ Two layers keep the examples honest without requiring Sphinx at test time:
 from __future__ import annotations
 
 import doctest
+import importlib
 from pathlib import Path
 
 import pytest
 
+import repro
 import repro.distributed.dist_factor
 import repro.distributed.dist_tensor
 import repro.distributed.sparse
@@ -39,6 +42,11 @@ AUDITED_MODULES = [
     repro.machine.calibrate,
     repro.machine.collective_costs,
     repro.trees.sparse_pp,
+    repro,
+    # ``repro.core`` re-exports each driver under its module's name, so the
+    # driver modules are looked up by name
+    importlib.import_module("repro.core.nn_cp_als"),
+    importlib.import_module("repro.core.masked_cp_als"),
 ]
 
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.comm.procs import ProcessMachine, leaked_segments
+from repro.core.options import ParallelOptions
 from repro.core.parallel_cp_als import parallel_cp_als
 from repro.data import sparse_low_rank_tensor
 
@@ -34,13 +35,13 @@ def coo():
                                   noise=0.05, seed=3)
 
 
-def _run(coo, machine=None, **overrides):
-    kwargs = dict(rank=2, grid=(1, 1, 2), n_sweeps=3, tol=0.0, mttkrp="dt",
-                  seed=0, partitioner="nnz-balanced")
-    kwargs.update(overrides)
-    if machine is not None:
-        return parallel_cp_als(coo, machine=machine, **kwargs)
-    return parallel_cp_als(coo, execution="process", **kwargs)
+def _run(coo, machine=None, **fields):
+    """A process run: on ``machine`` when given, else on a fresh one."""
+    options = ParallelOptions(**{
+        "rank": 2, "grid": (1, 1, 2), "n_sweeps": 3, "tol": 0.0, "mttkrp": "dt",
+        "seed": 0, "partitioner": "nnz-balanced", "execution": "process", **fields,
+    })
+    return parallel_cp_als(coo, options, machine=machine)
 
 
 @pytest.fixture(autouse=True)

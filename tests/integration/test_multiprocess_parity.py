@@ -25,11 +25,14 @@ detaches cleanly), and the module teardown asserts that no shared-memory
 segment leaked from any run.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.comm.procs import ProcessMachine, leaked_segments
 from repro.core.initialization import init_factors
+from repro.core.options import ParallelOptions, ParallelPPOptions
 from repro.core.parallel_cp_als import parallel_cp_als
 from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
 from repro.data import sparse_low_rank_tensor
@@ -37,7 +40,7 @@ from repro.grid.balance import available_partitioners
 from repro.trees.registry import available_providers
 
 PARTITIONERS = available_partitioners()
-ENGINES = tuple(available_providers(sparse=True))
+ENGINES = tuple(available_providers())
 GRID = (1, 2, 2)
 RANK = 3
 ATOL = 1e-10
@@ -63,27 +66,31 @@ def machine4():
     assert leaked_segments() == []
 
 
-def _als_kwargs(coo, initial, partitioner, engine):
-    return dict(rank=RANK, grid=GRID, n_sweeps=6, tol=0.0, mttkrp=engine,
-                initial_factors=initial, partitioner=partitioner,
-                partition_seed=5, seed=0)
+def _als_options(partitioner, engine):
+    return ParallelOptions(rank=RANK, grid=GRID, n_sweeps=6, tol=0.0, mttkrp=engine,
+                           partitioner=partitioner, seed=0)
 
 
-def _pp_kwargs(coo, initial, partitioner, engine):
-    return dict(rank=RANK, grid=GRID, n_sweeps=16, tol=0.0, pp_tol=0.4,
-                mttkrp=engine, initial_factors=initial,
-                partitioner=partitioner, partition_seed=5, seed=0)
+def _pp_options(partitioner, engine):
+    return ParallelPPOptions(rank=RANK, grid=GRID, n_sweeps=16, tol=0.0, pp_tol=0.4,
+                             mttkrp=engine, partitioner=partitioner, seed=0)
+
+
+@pytest.fixture(scope="module")
+def data(initial):
+    """The data arguments every parity run shares."""
+    return dict(initial_factors=initial, partition_seed=5)
 
 
 class TestProcessParity:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    def test_cp_als_matches_oracles(self, coo, initial, machine4,
+    def test_cp_als_matches_oracles(self, coo, data, machine4,
                                     partitioner, engine):
-        kwargs = _als_kwargs(coo, initial, partitioner, engine)
-        proc = parallel_cp_als(coo, machine=machine4, **kwargs)
-        sim = parallel_cp_als(coo, **kwargs)
-        single = parallel_cp_als(coo, **{**kwargs, "grid": (1, 1, 1)})
+        options = _als_options(partitioner, engine)
+        proc = parallel_cp_als(coo, options, machine=machine4, **data)
+        sim = parallel_cp_als(coo, options, **data)
+        single = parallel_cp_als(coo, replace(options, grid=(1, 1, 1)), **data)
         assert proc.options["execution"] == "ProcessMachine"
         for a, b in zip(proc.factors, sim.factors):
             np.testing.assert_allclose(a, b, atol=ATOL, rtol=0)
@@ -93,11 +100,11 @@ class TestProcessParity:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    def test_pp_cp_als_matches_oracles(self, coo, initial, machine4,
+    def test_pp_cp_als_matches_oracles(self, coo, data, machine4,
                                        partitioner, engine):
-        kwargs = _pp_kwargs(coo, initial, partitioner, engine)
-        proc = parallel_pp_cp_als(coo, machine=machine4, **kwargs)
-        sim = parallel_pp_cp_als(coo, **kwargs)
+        options = _pp_options(partitioner, engine)
+        proc = parallel_pp_cp_als(coo, options, machine=machine4, **data)
+        sim = parallel_pp_cp_als(coo, options, **data)
         # the PP machinery must actually engage, and identically on both
         # substrates — phase structure is part of the parity contract
         assert proc.count_sweeps("pp-init") == sim.count_sweeps("pp-init")
@@ -106,24 +113,23 @@ class TestProcessParity:
         for a, b in zip(proc.factors, sim.factors):
             np.testing.assert_allclose(a, b, atol=ATOL, rtol=0)
 
-    def test_process_run_is_bit_identical_to_simulated(self, coo, initial,
-                                                       machine4):
+    def test_process_run_is_bit_identical_to_simulated(self, coo, data, machine4):
         """Same P, same inputs: the offloaded kernels are the same float64
         operations in the same order, so equality is exact, not approximate."""
-        kwargs = _als_kwargs(coo, initial, "nnz-balanced", "dt")
-        proc = parallel_cp_als(coo, machine=machine4, **kwargs)
-        sim = parallel_cp_als(coo, **kwargs)
+        options = _als_options("nnz-balanced", "dt")
+        proc = parallel_cp_als(coo, options, machine=machine4, **data)
+        sim = parallel_cp_als(coo, options, **data)
         for a, b in zip(proc.factors, sim.factors):
             assert np.array_equal(a, b)
 
-    def test_overlap_off_is_bit_identical(self, coo, initial, machine4):
+    def test_overlap_off_is_bit_identical(self, coo, data, machine4):
         """overlap=False acks every panel publish instead of pipelining it
         ahead of the next MTTKRP; the FIFO command queues make both orderings
         apply identical updates, so the factors must match bitwise."""
-        kwargs = _als_kwargs(coo, initial, "joint", "msdt")
-        fast = parallel_cp_als(coo, machine=machine4, **kwargs)
+        options = _als_options("joint", "msdt")
+        fast = parallel_cp_als(coo, options, machine=machine4, **data)
         with ProcessMachine(4, overlap=False) as strict_machine:
-            strict = parallel_cp_als(coo, machine=strict_machine, **kwargs)
+            strict = parallel_cp_als(coo, options, machine=strict_machine, **data)
         for a, b in zip(fast.factors, strict.factors):
             assert np.array_equal(a, b)
 
@@ -137,12 +143,12 @@ class TestWorkerCollectives:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    def test_cp_als_matches_single_rank_oracle(self, coo, initial, machine4,
+    def test_cp_als_matches_single_rank_oracle(self, coo, data, machine4,
                                                partitioner, engine):
-        kwargs = _als_kwargs(coo, initial, partitioner, engine)
-        worker = parallel_cp_als(coo, machine=machine4, collectives="worker",
-                                 **kwargs)
-        single = parallel_cp_als(coo, **{**kwargs, "grid": (1, 1, 1)})
+        options = _als_options(partitioner, engine)
+        worker = parallel_cp_als(coo, replace(options, collectives="worker"),
+                                 machine=machine4, **data)
+        single = parallel_cp_als(coo, replace(options, grid=(1, 1, 1)), **data)
         assert worker.options["collectives"] == "worker"
         for a, b in zip(worker.factors, single.factors):
             np.testing.assert_allclose(a, b, atol=ATOL, rtol=0)
@@ -150,12 +156,12 @@ class TestWorkerCollectives:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    def test_pp_cp_als_matches_master_collectives(self, coo, initial, machine4,
+    def test_pp_cp_als_matches_master_collectives(self, coo, data, machine4,
                                                   partitioner, engine):
-        kwargs = _pp_kwargs(coo, initial, partitioner, engine)
-        worker = parallel_pp_cp_als(coo, machine=machine4,
-                                    collectives="worker", **kwargs)
-        master = parallel_pp_cp_als(coo, machine=machine4, **kwargs)
+        options = _pp_options(partitioner, engine)
+        worker = parallel_pp_cp_als(coo, replace(options, collectives="worker"),
+                                    machine=machine4, **data)
+        master = parallel_pp_cp_als(coo, options, machine=machine4, **data)
         # identical phase structure: the collectives mode may not perturb the
         # PP restart decisions
         assert worker.count_sweeps("pp-init") == master.count_sweeps("pp-init")
@@ -164,46 +170,45 @@ class TestWorkerCollectives:
         for a, b in zip(worker.factors, master.factors):
             np.testing.assert_allclose(a, b, atol=ATOL, rtol=0)
 
-    def test_repeated_worker_runs_bit_identical(self, coo, initial, machine4):
-        kwargs = _als_kwargs(coo, initial, "joint", "dt")
-        first = parallel_cp_als(coo, machine=machine4, collectives="worker",
-                                **kwargs)
-        second = parallel_cp_als(coo, machine=machine4, collectives="worker",
-                                 **kwargs)
+    def test_repeated_worker_runs_bit_identical(self, coo, data, machine4):
+        options = replace(_als_options("joint", "dt"), collectives="worker")
+        first = parallel_cp_als(coo, options, machine=machine4, **data)
+        second = parallel_cp_als(coo, options, machine=machine4, **data)
         for a, b in zip(first.factors, second.factors):
             assert np.array_equal(a, b)
 
-    def test_modeled_times_match_master_collectives(self, coo, initial,
-                                                    machine4):
+    def test_modeled_times_match_master_collectives(self, coo, data, machine4):
         """Worker reductions charge the same Section II-E reduce-scatter cost
         as the master path — the observability seconds differ, the *modeled*
         critical path may not."""
-        kwargs = _als_kwargs(coo, initial, "nnz-balanced", "dt")
-        worker = parallel_cp_als(coo, machine=machine4, collectives="worker",
-                                 **kwargs)
-        master = parallel_cp_als(coo, machine=machine4, **kwargs)
+        options = _als_options("nnz-balanced", "dt")
+        worker = parallel_cp_als(coo, replace(options, collectives="worker"),
+                                 machine=machine4, **data)
+        master = parallel_cp_als(coo, options, machine=machine4, **data)
         assert worker.per_sweep_modeled_seconds == pytest.approx(
             master.per_sweep_modeled_seconds
         )
 
     def test_worker_collectives_on_simulated_machine_raises(self, coo):
         with pytest.raises(ValueError, match="worker"):
-            parallel_cp_als(coo, rank=RANK, grid=GRID, n_sweeps=1, tol=0.0,
-                            collectives="worker")
+            parallel_cp_als(coo,
+                            ParallelOptions(rank=RANK, grid=GRID, n_sweeps=1, tol=0.0,
+                                            collectives="worker"))
 
     def test_unknown_collectives_rejected(self, coo):
         with pytest.raises(ValueError, match="collectives"):
-            parallel_cp_als(coo, rank=RANK, grid=GRID, n_sweeps=1, tol=0.0,
-                            collectives="gossip")
+            parallel_cp_als(coo,
+                            ParallelOptions(rank=RANK, grid=GRID, n_sweeps=1, tol=0.0,
+                                            collectives="gossip"))
 
 
 class TestSeededDeterminism:
     def test_repeated_runs_bit_identical(self, coo, machine4):
         """Same seed, same machine: two runs must agree bit-for-bit."""
-        kwargs = dict(rank=RANK, grid=GRID, n_sweeps=5, tol=0.0, mttkrp="dt",
-                      partitioner="nnz-balanced", partition_seed=5, seed=123)
-        first = parallel_cp_als(coo, machine=machine4, **kwargs)
-        second = parallel_cp_als(coo, machine=machine4, **kwargs)
+        options = ParallelOptions(rank=RANK, grid=GRID, n_sweeps=5, tol=0.0, mttkrp="dt",
+                                  partitioner="nnz-balanced", seed=123)
+        first = parallel_cp_als(coo, options, machine=machine4, partition_seed=5)
+        second = parallel_cp_als(coo, options, machine=machine4, partition_seed=5)
         for a, b in zip(first.factors, second.factors):
             assert np.array_equal(a, b)
 
@@ -213,11 +218,11 @@ class TestSeededDeterminism:
         legitimately differ across rank counts), and each rank count is
         itself bitwise reproducible."""
         def run(machine, grid):
-            return parallel_cp_als(
-                coo, rank=RANK, grid=grid, n_sweeps=5, tol=0.0, mttkrp="dt",
-                partitioner="nnz-balanced", partition_seed=5, seed=123,
-                machine=machine,
-            ).factors
+            return parallel_cp_als(coo,
+                                   ParallelOptions(rank=RANK, grid=grid, n_sweeps=5,
+                                                   tol=0.0, mttkrp="dt", seed=123,
+                                                   partitioner="nnz-balanced"),
+                                   machine=machine, partition_seed=5).factors
 
         results = {4: run(machine4, GRID)}
         for n_ranks, grid in ((1, (1, 1, 1)), (2, (1, 1, 2))):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.initialization import init_factors
+from repro.core.options import PPOptions, ParallelPPOptions
 from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
 from repro.core.pp_cp_als import pp_cp_als
 from repro.data import sparse_low_rank_tensor
@@ -37,7 +38,7 @@ def initial3(coo3):
 @pytest.fixture(scope="module")
 def oracle3(coo3, initial3):
     """Single-rank sequential PP run — the parity oracle."""
-    return pp_cp_als(coo3, 3, n_sweeps=25, tol=0.0, pp_tol=0.4,
+    return pp_cp_als(coo3, PPOptions(rank=3, n_sweeps=25, tol=0.0, pp_tol=0.4),
                      initial_factors=initial3)
 
 
@@ -45,10 +46,11 @@ class TestPartitionerParity:
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
     def test_multi_rank_matches_single_rank_oracle(self, coo3, initial3, oracle3,
                                                    partitioner):
-        result = parallel_pp_cp_als(
-            coo3, 3, (2, 2, 1), n_sweeps=25, tol=0.0, pp_tol=0.4,
-            initial_factors=initial3, partitioner=partitioner, partition_seed=5,
-        )
+        result = parallel_pp_cp_als(coo3,
+                                    ParallelPPOptions(rank=3, grid=(2, 2, 1),
+                                                      n_sweeps=25, tol=0.0, pp_tol=0.4,
+                                                      partitioner=partitioner),
+                                    initial_factors=initial3, partition_seed=5)
         assert result.count_sweeps("pp-init") == oracle3.count_sweeps("pp-init")
         assert result.count_sweeps("pp-approx") == oracle3.count_sweeps("pp-approx")
         assert np.isclose(result.fitness, oracle3.fitness, atol=1e-8)
@@ -62,12 +64,13 @@ class TestPartitionerParity:
         coo = sparse_low_rank_tensor((9, 8, 7, 6), rank=2, density=0.15,
                                      noise=0.05, seed=11)
         initial = init_factors(coo.shape, 2, seed=3)
-        sequential = pp_cp_als(coo, 2, n_sweeps=18, tol=0.0, pp_tol=0.4,
+        sequential = pp_cp_als(coo, PPOptions(rank=2, n_sweeps=18, tol=0.0, pp_tol=0.4),
                                initial_factors=initial)
-        result = parallel_pp_cp_als(
-            coo, 2, (2, 1, 2, 1), n_sweeps=18, tol=0.0, pp_tol=0.4,
-            initial_factors=initial, partitioner=partitioner, partition_seed=9,
-        )
+        result = parallel_pp_cp_als(coo,
+                                    ParallelPPOptions(rank=2, grid=(2, 1, 2, 1),
+                                                      n_sweeps=18, tol=0.0, pp_tol=0.4,
+                                                      partitioner=partitioner),
+                                    initial_factors=initial, partition_seed=9)
         assert result.count_sweeps("pp-init") >= 1
         assert result.count_sweeps("pp-approx") >= 1
         assert np.isclose(result.fitness, sequential.fitness, atol=1e-7)
@@ -79,10 +82,11 @@ class TestCheckpointThenCorrect:
         structure: exact sweeps until the steps are small, then a pp-init
         checkpoint immediately followed by corrected (pp-approx) sweeps, and
         an exact sweep again after each PP phase ends."""
-        result = parallel_pp_cp_als(
-            coo3, 3, (2, 2, 1), n_sweeps=25, tol=0.0, pp_tol=0.4,
-            initial_factors=initial3, partitioner="nnz-balanced",
-        )
+        result = parallel_pp_cp_als(coo3,
+                                    ParallelPPOptions(rank=3, grid=(2, 2, 1),
+                                                      n_sweeps=25, tol=0.0, pp_tol=0.4,
+                                                      partitioner="nnz-balanced"),
+                                    initial_factors=initial3)
         types = [s.sweep_type for s in result.sweeps]
         assert "pp-init" in types and "pp-approx" in types and "als" in types
         first_init = types.index("pp-init")
@@ -98,10 +102,11 @@ class TestCheckpointThenCorrect:
         sweep — that is the whole point of checkpoint-then-correct — and the
         semi-sparse pp-init must track fewer flops than one full exact sweep's
         MTTKRPs rebuilt per pair would."""
-        result = parallel_pp_cp_als(
-            coo3, 3, (2, 2, 1), n_sweeps=25, tol=0.0, pp_tol=0.4,
-            initial_factors=initial3, partitioner="nnz-balanced",
-        )
+        result = parallel_pp_cp_als(coo3,
+                                    ParallelPPOptions(rank=3, grid=(2, 2, 1),
+                                                      n_sweeps=25, tol=0.0, pp_tol=0.4,
+                                                      partitioner="nnz-balanced"),
+                                    initial_factors=initial3)
 
         def contraction_flops(record):
             return record.flops.get("ttm", 0) + record.flops.get("mttv", 0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cp_als import cp_als
 from repro.core.normal_equations import solve_normal_equations
+from repro.core.options import ALSOptions
 from repro.tensor.cp_format import random_cp_tensor
 
 pytestmark = pytest.mark.property
@@ -23,7 +24,8 @@ def test_als_residual_never_increases(data):
     tensor = rng.random(shape)
     rank = data.draw(st.integers(1, 3))
     engine = data.draw(st.sampled_from(["dt", "msdt"]))
-    result = cp_als(tensor, rank, n_sweeps=6, tol=0.0, mttkrp=engine, seed=seed)
+    result = cp_als(tensor,
+                    ALSOptions(rank=rank, n_sweeps=6, tol=0.0, mttkrp=engine, seed=seed))
     residuals = [s.residual for s in result.sweeps]
     for earlier, later in zip(residuals, residuals[1:]):
         assert later <= earlier + 1e-9
@@ -39,8 +41,10 @@ def test_als_engines_agree_for_any_problem(data):
     tensor = rng.random(shape)
     rank = data.draw(st.integers(1, 3))
     initial = [rng.random((s, rank)) for s in shape]
-    dt = cp_als(tensor, rank, n_sweeps=3, tol=0.0, mttkrp="dt", initial_factors=initial)
-    msdt = cp_als(tensor, rank, n_sweeps=3, tol=0.0, mttkrp="msdt", initial_factors=initial)
+    dt = cp_als(tensor, ALSOptions(rank=rank, n_sweeps=3, tol=0.0, mttkrp="dt"),
+                initial_factors=initial)
+    msdt = cp_als(tensor, ALSOptions(rank=rank, n_sweeps=3, tol=0.0, mttkrp="msdt"),
+                  initial_factors=initial)
     for a, b in zip(dt.factors, msdt.factors):
         assert np.allclose(a, b, atol=1e-7)
 
@@ -55,7 +59,7 @@ def test_exact_cp_tensor_is_fixed_point_of_sweep(data):
     rank = data.draw(st.integers(1, 2))
     cp = random_cp_tensor(shape, rank, seed=seed, distribution="normal")
     tensor = cp.full()
-    result = cp_als(tensor, rank, n_sweeps=2, tol=0.0, mttkrp="dt",
+    result = cp_als(tensor, ALSOptions(rank=rank, n_sweeps=2, tol=0.0, mttkrp="dt"),
                     initial_factors=cp.factors)
     assert result.residual < 1e-6
 

@@ -17,13 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cp_als import cp_als
+from repro.core.options import ALSOptions
 from repro.sparse import CooTensor
 from repro.trees.registry import make_provider
 
 pytestmark = pytest.mark.property
 
-DENSE_ENGINES = ("naive", "unfolding", "dt", "msdt")
-SPARSE_ENGINES = ("sparse", "naive", "unfolding", "dt", "msdt")
+ENGINES = ("naive", "unfolding", "dt", "msdt")
 
 _LETTERS = "abcdefgh"
 
@@ -75,17 +75,17 @@ def _assert_close(got, expected, label):
 @settings(deadline=None)
 @given(data=st.data())
 def test_all_engines_agree_on_mttkrp(data):
-    """All 9 engine/backend combinations match the einsum oracle through a
+    """All 8 engine/backend combinations match the einsum oracle through a
     random interleaving of MTTKRP requests and factor updates."""
     dense, coo, factors, rng = _draw_instance(data)
     order = dense.ndim
     providers = {
         f"dense:{name}": make_provider(name, dense, [f.copy() for f in factors])
-        for name in DENSE_ENGINES
+        for name in ENGINES
     }
     providers.update({
         f"sparse:{name}": make_provider(name, coo, [f.copy() for f in factors])
-        for name in SPARSE_ENGINES
+        for name in ENGINES
     })
 
     n_steps = data.draw(st.integers(3, 8), label="steps")
@@ -111,16 +111,16 @@ def test_all_engines_agree_on_cp_als_sweeps(data):
         data, min_dim=3, densities=(0.3, 0.6, 1.0), max_rank=3
     )
     runs = {}
-    for name in DENSE_ENGINES:
-        runs[f"dense:{name}"] = cp_als(
-            dense, rank=factors[0].shape[1], n_sweeps=2, tol=0.0,
-            mttkrp=name, initial_factors=[f.copy() for f in factors],
-        )
-    for name in SPARSE_ENGINES:
-        runs[f"sparse:{name}"] = cp_als(
-            coo, rank=factors[0].shape[1], n_sweeps=2, tol=0.0,
-            mttkrp=name, initial_factors=[f.copy() for f in factors],
-        )
+    for name in ENGINES:
+        runs[f"dense:{name}"] = cp_als(dense,
+                                       ALSOptions(rank=factors[0].shape[1], n_sweeps=2,
+                                                  tol=0.0, mttkrp=name),
+                                       initial_factors=[f.copy() for f in factors])
+    for name in ENGINES:
+        runs[f"sparse:{name}"] = cp_als(coo,
+                                        ALSOptions(rank=factors[0].shape[1], n_sweeps=2,
+                                                   tol=0.0, mttkrp=name),
+                                        initial_factors=[f.copy() for f in factors])
     reference = runs["dense:naive"]
     for label, result in runs.items():
         assert result.n_sweeps == reference.n_sweeps

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cp_als import cp_als
+from repro.core.options import ALSOptions, PPOptions
 from repro.core.pp_cp_als import pp_cp_als
 from repro.sparse import CooTensor
 from repro.trees.pp_operators import PairwiseOperators
@@ -29,7 +30,7 @@ from repro.trees.sparse_pp import SemiSparsePairOperator
 
 pytestmark = pytest.mark.property
 
-SPARSE_ENGINES = tuple(available_providers(sparse=True))
+SPARSE_ENGINES = tuple(available_providers())
 
 
 def _assert_close(got, expected, label):
@@ -104,10 +105,9 @@ def test_pp_cp_als_matches_cp_als_fitness_on_both_backends(data):
         data, min_dim=3, densities=(0.3, 0.6, 1.0), max_rank=3
     )
     rank = factors[0].shape[1]
-    pp_kwargs = dict(n_sweeps=20, tol=0.0, pp_tol=0.3,
-                     initial_factors=[f.copy() for f in factors])
-    pp_dense = pp_cp_als(dense, rank, **pp_kwargs)
-    pp_sparse = pp_cp_als(coo, rank, **pp_kwargs)
+    pp_options = PPOptions(rank=rank, n_sweeps=20, tol=0.0, pp_tol=0.3)
+    pp_dense = pp_cp_als(dense, pp_options, initial_factors=[f.copy() for f in factors])
+    pp_sparse = pp_cp_als(coo, pp_options, initial_factors=[f.copy() for f in factors])
 
     # same algorithm, different backend: sweep types and iterates must agree
     assert [s.sweep_type for s in pp_dense.sweeps] == \
@@ -116,9 +116,11 @@ def test_pp_cp_als_matches_cp_als_fitness_on_both_backends(data):
     for a, b in zip(pp_dense.factors, pp_sparse.factors):
         _assert_close(b, a, "pp factors dense vs sparse")
 
-    exact_dense = cp_als(dense, rank, n_sweeps=20, tol=0.0, mttkrp="msdt",
+    exact_dense = cp_als(dense,
+                         ALSOptions(rank=rank, n_sweeps=20, tol=0.0, mttkrp="msdt"),
                          initial_factors=[f.copy() for f in factors])
-    exact_sparse = cp_als(coo, rank, n_sweeps=20, tol=0.0, mttkrp="msdt",
+    exact_sparse = cp_als(coo,
+                          ALSOptions(rank=rank, n_sweeps=20, tol=0.0, mttkrp="msdt"),
                           initial_factors=[f.copy() for f in factors])
     # on small random instances a PP-approximated step can steer the run into
     # a different local basin than exact ALS, so the fitness bound is loose by

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.cp_als import cp_als
 from repro.core.masked_cp_als import masked_cp_als
 from repro.core.nn_cp_als import nn_cp_als
+from repro.core.options import ALSOptions, MaskedOptions, NNOptions
 from repro.sparse.coo import CooTensor
 from repro.tensor.cp_format import CPTensor
 
@@ -36,8 +37,9 @@ def test_nn_factors_nonnegative_and_residual_monotone(data):
         tensor = CooTensor.from_dense(np.where(rng.random(shape) < 0.5, tensor, 0.0))
     engine = data.draw(st.sampled_from(["dt", "msdt"]))
     update = data.draw(st.sampled_from(["hals", "multiplicative"]))
-    result = nn_cp_als(tensor, rank, n_sweeps=5, tol=0.0, mttkrp=engine,
-                       update=update, seed=seed)
+    result = nn_cp_als(tensor,
+                       NNOptions(rank=rank, n_sweeps=5, tol=0.0, mttkrp=engine,
+                                 update=update, seed=seed))
     assert all((f >= 0).all() for f in result.factors)
     residuals = [s.residual for s in result.sweeps]
     for earlier, later in zip(residuals, residuals[1:]):
@@ -58,13 +60,13 @@ def test_masked_matches_dense_zero_fill_oracle(data):
     n_sweeps = data.draw(st.integers(1, 4))
     initial = [rng.random((s, rank)) for s in shape]
 
-    result = masked_cp_als(tensor, rank, mask=mask, n_sweeps=n_sweeps,
-                           tol=0.0, initial_factors=initial)
+    result = masked_cp_als(tensor, MaskedOptions(rank=rank, n_sweeps=n_sweeps, tol=0.0),
+                           mask=mask, initial_factors=initial)
 
     factors = [f.copy() for f in initial]
     for _ in range(n_sweeps):
         filled = np.where(mask, tensor, CPTensor(list(factors)).full())
-        factors = cp_als(filled, rank, n_sweeps=1, tol=0.0,
+        factors = cp_als(filled, ALSOptions(rank=rank, n_sweeps=1, tol=0.0),
                          initial_factors=factors).factors
 
     for a, b in zip(result.factors, factors):
@@ -82,10 +84,10 @@ def test_masked_dense_and_sparse_backends_agree(data):
     if not mask.any():
         mask[tuple(0 for _ in shape)] = True
     initial = [rng.random((s, rank)) for s in shape]
-    dense = masked_cp_als(tensor, rank, mask=mask, n_sweeps=3, tol=0.0,
-                          initial_factors=initial)
+    dense = masked_cp_als(tensor, MaskedOptions(rank=rank, n_sweeps=3, tol=0.0),
+                          mask=mask, initial_factors=initial)
     sparse = masked_cp_als(CooTensor.from_dense(np.where(mask, tensor, 0.0)),
-                           rank, mask=mask, n_sweeps=3, tol=0.0,
+                           MaskedOptions(rank=rank, n_sweeps=3, tol=0.0), mask=mask,
                            initial_factors=initial)
     for a, b in zip(dense.factors, sparse.factors):
         np.testing.assert_allclose(a, b, atol=1e-9)

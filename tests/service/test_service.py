@@ -39,7 +39,7 @@ class TestSubmitAwait:
         async def main():
             async with DecompositionService(n_workers=2) as svc:
                 job = await svc.submit(
-                    DecompositionRequest(tensor, rank=3, seed=1)
+                    DecompositionRequest(tensor, ALSOptions(rank=3), seed=1)
                 )
                 assert job.state in (JobState.PENDING, JobState.RUNNING)
                 result = await svc.result(job.id)
@@ -54,13 +54,14 @@ class TestSubmitAwait:
         async def main():
             async with DecompositionService(n_workers=2) as svc:
                 reqs = [
-                    DecompositionRequest(tensor, rank=3, algorithm="als", seed=1),
+                    DecompositionRequest(tensor, ALSOptions(rank=3), algorithm="als",
+                                         seed=1),
                     DecompositionRequest(
                         tensor, algorithm="pp",
                         options=PPOptions(rank=3, n_sweeps=10), seed=1,
                     ),
-                    DecompositionRequest(tensor, rank=3, algorithm="multi_start",
-                                         n_starts=2, seed=1),
+                    DecompositionRequest(tensor, ALSOptions(rank=3),
+                                         algorithm="multi_start", n_starts=2, seed=1),
                 ]
                 jobs = [await svc.submit(r) for r in reqs]
                 return [await svc.result(j.id) for j in jobs]
@@ -85,7 +86,8 @@ class TestSubmitAwait:
                 # request level, so fail inside the run instead: non-finite
                 bad = tensor.copy()
                 bad[0, 0, 0] = np.nan
-                job = await svc.submit(DecompositionRequest(bad, rank=3, seed=0))
+                job = await svc.submit(DecompositionRequest(bad, ALSOptions(rank=3),
+                                                            seed=0))
                 with pytest.raises(ValueError):
                     await svc.result(job.id)
                 assert svc.job(job.id).state is JobState.FAILED
@@ -113,7 +115,8 @@ class TestBurstParity:
 
         results = run(main())
         for seed, result in zip(seeds, results):
-            direct = multi_start(tensor, rank=3, n_starts=2, seed=seed, n_sweeps=5)
+            direct = multi_start(tensor, ALSOptions(rank=3, seed=seed, n_sweeps=5),
+                                 n_starts=2)
             assert result.best_index == direct.best_index
             for a, b in zip(result.factors, direct.factors):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
@@ -129,7 +132,8 @@ class TestBurstParity:
         async def main():
             async with DecompositionService(n_workers=2) as svc:
                 jobs = [
-                    await svc.submit(DecompositionRequest(sparse, rank=3, seed=s))
+                    await svc.submit(DecompositionRequest(sparse, ALSOptions(rank=3),
+                                                          seed=s))
                     for s in range(4)
                 ]
                 for job in jobs:
@@ -174,11 +178,11 @@ class TestArtifacts:
     def test_resubmission_is_cache_hit(self, tensor):
         async def main():
             async with DecompositionService() as svc:
-                req = DecompositionRequest(tensor, rank=3, seed=9)
+                req = DecompositionRequest(tensor, ALSOptions(rank=3), seed=9)
                 first = await svc.submit(req)
                 result_a = await svc.result(first.id)
                 again = await svc.submit(
-                    DecompositionRequest(tensor.copy(), rank=3, seed=9)
+                    DecompositionRequest(tensor.copy(), ALSOptions(rank=3), seed=9)
                 )
                 assert again.from_artifact_cache
                 assert again.state is JobState.DONE
@@ -192,10 +196,12 @@ class TestArtifacts:
     def test_unseeded_resubmission_hits(self, tensor):
         async def main():
             async with DecompositionService(seed=7) as svc:
-                first = await svc.submit(DecompositionRequest(tensor, rank=3))
+                first = await svc.submit(DecompositionRequest(tensor,
+                                                              ALSOptions(rank=3)))
                 await svc.result(first.id)
                 assert first.resolved_seed is not None
-                again = await svc.submit(DecompositionRequest(tensor, rank=3))
+                again = await svc.submit(DecompositionRequest(tensor,
+                                                              ALSOptions(rank=3)))
                 return first, again
 
         first, again = run(main())
@@ -204,7 +210,8 @@ class TestArtifacts:
     def test_different_options_recompute(self, tensor):
         async def main():
             async with DecompositionService() as svc:
-                a = await svc.submit(DecompositionRequest(tensor, rank=3, seed=1))
+                a = await svc.submit(DecompositionRequest(tensor, ALSOptions(rank=3),
+                                                          seed=1))
                 await svc.result(a.id)
                 b = await svc.submit(
                     DecompositionRequest(
@@ -219,7 +226,7 @@ class TestArtifacts:
     def test_deterministic_service_seed_reproduces(self, tensor):
         async def one_run():
             async with DecompositionService(seed=123) as svc:
-                job = await svc.submit(DecompositionRequest(tensor, rank=3))
+                job = await svc.submit(DecompositionRequest(tensor, ALSOptions(rank=3)))
                 await svc.result(job.id)
                 return job.resolved_seed
 
@@ -237,7 +244,9 @@ class TestCancellation:
                         seed=0,
                     )
                 )
-                victim = await svc.submit(DecompositionRequest(tensor, rank=3, seed=1))
+                victim = await svc.submit(DecompositionRequest(tensor,
+                                                               ALSOptions(rank=3),
+                                                               seed=1))
                 assert svc.cancel(victim.id)
                 with pytest.raises(JobCancelled):
                     await svc.result(victim.id)
@@ -273,7 +282,8 @@ class TestCancellation:
     def test_cancel_terminal_returns_false(self, tensor):
         async def main():
             async with DecompositionService() as svc:
-                job = await svc.submit(DecompositionRequest(tensor, rank=3, seed=0))
+                job = await svc.submit(DecompositionRequest(tensor, ALSOptions(rank=3),
+                                                            seed=0))
                 await svc.result(job.id)
                 return svc.cancel(job.id)
 
@@ -338,7 +348,8 @@ class TestServiceMechanics:
     def test_lazy_start_and_idempotent_close(self, tensor):
         async def main():
             svc = DecompositionService()
-            job = await svc.submit(DecompositionRequest(tensor, rank=3, seed=0))
+            job = await svc.submit(DecompositionRequest(tensor, ALSOptions(rank=3),
+                                                        seed=0))
             result = await svc.result(job.id)
             await svc.close()
             await svc.close()
@@ -362,7 +373,8 @@ class TestServiceMechanics:
 
         async def main():
             async with Hooked() as svc:
-                job = await svc.submit(DecompositionRequest(tensor, rank=3, seed=0))
+                job = await svc.submit(DecompositionRequest(tensor, ALSOptions(rank=3),
+                                                            seed=0))
                 await svc.result(job.id)
                 assert len(svc.artifacts) == 1  # complete hook stored it
                 return job
@@ -382,7 +394,8 @@ class TestServiceMechanics:
     def test_stats_shape(self, tensor):
         async def main():
             async with DecompositionService() as svc:
-                job = await svc.submit(DecompositionRequest(tensor, rank=3, seed=0))
+                job = await svc.submit(DecompositionRequest(tensor, ALSOptions(rank=3),
+                                                            seed=0))
                 await svc.result(job.id)
                 return svc.stats()
 
@@ -423,7 +436,8 @@ class TestServiceMechanics:
 
         async def main():
             async with DecompositionService() as svc:
-                job = await svc.submit(DecompositionRequest(tensor, rank=3, seed=0))
+                job = await svc.submit(DecompositionRequest(tensor, ALSOptions(rank=3),
+                                                            seed=0))
                 await svc.result(job.id)
                 return svc, job
 

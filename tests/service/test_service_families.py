@@ -52,16 +52,17 @@ class TestDispatch:
         assert job.result.options["update"] == "hals"
 
     def test_masked_job(self, tensor, mask):
-        job = _submit_and_wait(DecompositionRequest(
-            tensor, algorithm="masked", rank=RANK, mask=mask, seed=1))
+        job = _submit_and_wait(DecompositionRequest(tensor, MaskedOptions(rank=RANK),
+                                                    algorithm="masked", seed=1,
+                                                    mask=mask))
         assert job.state is JobState.DONE
         assert isinstance(job.result, MaskedALSResult)
         assert job.result.n_observed == int(mask.sum())
 
     def test_sparse_masked_job_defaults_to_nnz_pattern(self, tensor, mask):
         sparse = CooTensor.from_dense(np.where(mask, tensor, 0.0))
-        job = _submit_and_wait(DecompositionRequest(
-            sparse, algorithm="masked", rank=RANK, seed=1))
+        job = _submit_and_wait(DecompositionRequest(sparse, MaskedOptions(rank=RANK),
+                                                    algorithm="masked", seed=1))
         assert job.state is JobState.DONE
         assert job.result.n_observed == sparse.nnz
 
@@ -84,12 +85,12 @@ class TestDispatch:
 class TestRequestValidation:
     def test_default_bundle_follows_registry(self, tensor):
         assert isinstance(
-            DecompositionRequest(tensor, rank=RANK, algorithm="nncp").options,
+            DecompositionRequest(tensor, NNOptions(rank=RANK), algorithm="nncp").options,
             NNOptions,
         )
         sparse = CooTensor.from_dense(tensor)
         assert isinstance(
-            DecompositionRequest(sparse, rank=RANK, algorithm="masked").options,
+            DecompositionRequest(sparse, MaskedOptions(rank=RANK), algorithm="masked").options,
             MaskedOptions,
         )
 
@@ -100,53 +101,58 @@ class TestRequestValidation:
 
     def test_mask_only_for_masked_family(self, tensor, mask):
         with pytest.raises(TypeError, match="does not accept a mask"):
-            DecompositionRequest(tensor, rank=RANK, algorithm="als", mask=mask)
+            DecompositionRequest(tensor, ALSOptions(rank=RANK), algorithm="als",
+                                 mask=mask)
 
     def test_dense_masked_requires_mask(self, tensor):
         with pytest.raises(ValueError, match="explicit mask"):
-            DecompositionRequest(tensor, rank=RANK, algorithm="masked")
+            DecompositionRequest(tensor, MaskedOptions(rank=RANK), algorithm="masked")
 
     def test_mask_shape_checked(self, tensor, mask):
         with pytest.raises(ValueError, match="mask shape"):
-            DecompositionRequest(tensor, rank=RANK, algorithm="masked",
+            DecompositionRequest(tensor, MaskedOptions(rank=RANK), algorithm="masked",
                                  mask=mask[:4])
 
     def test_mask_type_checked(self, tensor):
         with pytest.raises(TypeError, match="mask must be"):
-            DecompositionRequest(tensor, rank=RANK, algorithm="masked",
+            DecompositionRequest(tensor, MaskedOptions(rank=RANK), algorithm="masked",
                                  mask=[[1, 0]])
 
 
 class TestMaskArtifactKey:
     def test_same_pattern_different_dtype_collides(self, tensor, mask):
-        a = DecompositionRequest(tensor, rank=RANK, algorithm="masked",
-                                 mask=mask, seed=1)
-        b = DecompositionRequest(tensor, rank=RANK, algorithm="masked",
-                                 mask=mask.astype(np.float32), seed=1)
+        a = DecompositionRequest(tensor, MaskedOptions(rank=RANK), algorithm="masked",
+                                 seed=1, mask=mask)
+        b = DecompositionRequest(tensor, MaskedOptions(rank=RANK), algorithm="masked",
+                                 seed=1, mask=mask.astype(np.float32))
         assert artifact_key(a) == artifact_key(b)
 
     def test_different_pattern_distinct(self, tensor, mask):
         flipped = mask.copy()
         flipped[0, 0, 0] = not flipped[0, 0, 0]
-        a = DecompositionRequest(tensor, rank=RANK, algorithm="masked",
-                                 mask=mask, seed=1)
-        b = DecompositionRequest(tensor, rank=RANK, algorithm="masked",
-                                 mask=flipped, seed=1)
+        a = DecompositionRequest(tensor, MaskedOptions(rank=RANK), algorithm="masked",
+                                 seed=1, mask=mask)
+        b = DecompositionRequest(tensor, MaskedOptions(rank=RANK), algorithm="masked",
+                                 seed=1, mask=flipped)
         assert artifact_key(a) != artifact_key(b)
 
     def test_non_masked_requests_have_no_mask_component(self, tensor):
-        req = DecompositionRequest(tensor, rank=RANK, seed=1)
+        req = DecompositionRequest(tensor, ALSOptions(rank=RANK), seed=1)
         assert req.mask_fingerprint() is None
 
     def test_masked_resubmission_is_cache_hit(self, tensor, mask):
         async def main():
             async with DecompositionService(n_workers=1) as service:
-                first = await service.submit(DecompositionRequest(
-                    tensor, algorithm="masked", rank=RANK, mask=mask, seed=3))
+                first = await service.submit(DecompositionRequest(tensor,
+                                                                  MaskedOptions(rank=RANK),
+                                                                  algorithm="masked",
+                                                                  seed=3, mask=mask))
                 await service.result(first.id)
-                second = await service.submit(DecompositionRequest(
-                    tensor, algorithm="masked", rank=RANK,
-                    mask=mask.copy(), seed=3))
+                second = await service.submit(DecompositionRequest(tensor,
+                                                                   MaskedOptions(rank=RANK),
+                                                                   algorithm="masked",
+                                                                   seed=3,
+                                                                   mask=mask.copy()))
                 await service.result(second.id)
                 return first, second
 

@@ -44,29 +44,33 @@ class TestFingerprint:
 
 
 class TestRequest:
-    def test_rank_builds_default_bundle(self, tensor):
-        req = DecompositionRequest(tensor, rank=3)
+    def test_bundle_kept(self, tensor):
+        req = DecompositionRequest(tensor, ALSOptions(rank=3))
         assert req.options == ALSOptions(rank=3)
-        req = DecompositionRequest(tensor, rank=3, algorithm="pp")
+        req = DecompositionRequest(tensor, PPOptions(rank=3), algorithm="pp")
         assert isinstance(req.options, PPOptions)
 
-    def test_requires_rank_or_options(self, tensor):
+    def test_requires_options(self, tensor):
         with pytest.raises(TypeError):
             DecompositionRequest(tensor)
+        with pytest.raises(TypeError):
+            DecompositionRequest(tensor, None)
 
     def test_rejects_bad_inputs(self, tensor):
         with pytest.raises(TypeError):
-            DecompositionRequest([[1.0]], rank=2)
+            DecompositionRequest([[1.0]], ALSOptions(rank=2))
         with pytest.raises(ValueError):
-            DecompositionRequest(tensor, rank=3, algorithm="nope")
+            DecompositionRequest(tensor, ALSOptions(rank=3), algorithm="nope")
         with pytest.raises(TypeError):
             DecompositionRequest(
                 tensor, options=ParallelOptions(rank=3, grid=(1, 1, 1))
             )
         with pytest.raises(TypeError):
             DecompositionRequest(tensor, algorithm="pp", options=ALSOptions(rank=3))
-        with pytest.raises(ValueError):
-            DecompositionRequest(tensor, rank=2, options=ALSOptions(rank=3))
+
+    def test_bad_engine_fails_when_the_request_is_built(self, tensor):
+        with pytest.raises(ValueError, match="unknown MTTKRP engine 'bogus'"):
+            DecompositionRequest(tensor, options=ALSOptions(rank=2, mttkrp="bogus"))
 
     def test_seed_hoisted_from_bundle(self, tensor):
         req = DecompositionRequest(tensor, options=ALSOptions(rank=3, seed=7))
@@ -75,40 +79,38 @@ class TestRequest:
         with pytest.raises(ValueError):
             DecompositionRequest(tensor, seed=1, options=ALSOptions(rank=3, seed=7))
 
-    def test_rank_mirrors_bundle(self, tensor):
-        req = DecompositionRequest(tensor, options=ALSOptions(rank=5))
-        assert req.rank == 5
-
 
 class TestArtifactKey:
     def test_equal_requests_collide(self, tensor):
-        a = DecompositionRequest(tensor, rank=3, seed=1)
-        b = DecompositionRequest(tensor.copy(), rank=3, seed=1)
+        a = DecompositionRequest(tensor, ALSOptions(rank=3), seed=1)
+        b = DecompositionRequest(tensor.copy(), ALSOptions(rank=3), seed=1)
         assert artifact_key(a) == artifact_key(b)
 
     def test_seed_none_is_a_value(self, tensor):
-        a = DecompositionRequest(tensor, rank=3)
-        b = DecompositionRequest(tensor, rank=3)
+        a = DecompositionRequest(tensor, ALSOptions(rank=3))
+        b = DecompositionRequest(tensor, ALSOptions(rank=3))
         assert artifact_key(a) == artifact_key(b)
-        assert artifact_key(a) != artifact_key(DecompositionRequest(tensor, rank=3, seed=0))
+        assert artifact_key(a) != artifact_key(DecompositionRequest(tensor,
+                                                                    ALSOptions(rank=3),
+                                                                    seed=0))
 
     def test_distinguishes_algorithm_options_and_starts(self, tensor):
-        base = DecompositionRequest(tensor, rank=3, seed=1)
+        base = DecompositionRequest(tensor, ALSOptions(rank=3), seed=1)
         assert artifact_key(base) != artifact_key(
-            DecompositionRequest(tensor, rank=3, algorithm="pp", seed=1)
+            DecompositionRequest(tensor, PPOptions(rank=3), algorithm="pp", seed=1)
         )
         assert artifact_key(base) != artifact_key(
             DecompositionRequest(tensor, options=ALSOptions(rank=3, n_sweeps=9), seed=1)
         )
-        ms8 = DecompositionRequest(tensor, rank=3, algorithm="multi_start",
+        ms8 = DecompositionRequest(tensor, ALSOptions(rank=3), algorithm="multi_start",
                                    n_starts=8, seed=1)
-        ms4 = DecompositionRequest(tensor, rank=3, algorithm="multi_start",
+        ms4 = DecompositionRequest(tensor, ALSOptions(rank=3), algorithm="multi_start",
                                    n_starts=4, seed=1)
         assert artifact_key(ms8) != artifact_key(ms4)
 
     def test_n_starts_ignored_off_multi_start(self, tensor):
-        a = DecompositionRequest(tensor, rank=3, n_starts=8, seed=1)
-        b = DecompositionRequest(tensor, rank=3, n_starts=4, seed=1)
+        a = DecompositionRequest(tensor, ALSOptions(rank=3), n_starts=8, seed=1)
+        b = DecompositionRequest(tensor, ALSOptions(rank=3), n_starts=4, seed=1)
         assert artifact_key(a) == artifact_key(b)
 
 

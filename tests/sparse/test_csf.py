@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.options import ALSOptions, PPOptions
 from repro.sparse import CooTensor, CsfTensor, SegmentSum
 
 
@@ -358,10 +359,12 @@ class TestLayoutEqualsLexsortConstruction:
 
         _, coo = _random_coo((7, 6, 5), density=0.5, seed=4)
         if driver == "pp":
-            result = pp_cp_als(coo, rank=2, n_sweeps=8, tol=0.0, pp_tol=0.9, seed=0)
+            result = pp_cp_als(coo,
+                               PPOptions(rank=2, n_sweeps=8, tol=0.0, pp_tol=0.9,
+                                         seed=0))
             assert "pp-init" in [record.sweep_type for record in result.sweeps]
         else:
-            cp_als(coo, rank=2, n_sweeps=2, tol=0.0, mttkrp=driver, seed=0)
+            cp_als(coo, ALSOptions(rank=2, n_sweeps=2, tol=0.0, mttkrp=driver, seed=0))
         layouts = list(coo._csf_cache.values())
         assert len(layouts) >= 2
         assert all(layout._levels is None for layout in layouts)

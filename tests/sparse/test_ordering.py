@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import cp_als
+from repro.core.options import ALSOptions
 from repro.core.updates import MaskedLeastSquaresUpdate
 from repro.data.sparse_synthetic import sparse_skewed_count_tensor
 from repro.distributed import DistSparseTensor
@@ -58,10 +59,10 @@ class TestSortsAreCounted:
         """Order 3, ``dt``: of the two root layouts one is the canonical order,
         and the three fiber steps all sum into a single mode's rows."""
         cold = tensor.copy()
-        cp_als(cold, rank=3, n_sweeps=1, tol=0.0, mttkrp="dt", seed=0)
+        cp_als(cold, ALSOptions(rank=3, n_sweeps=1, tol=0.0, mttkrp="dt", seed=0))
         assert sorts == [tensor.nnz]
         # the layouts live on the tensor object: the next request builds none
-        cp_als(cold, rank=3, n_sweeps=2, tol=0.0, mttkrp="dt", seed=1)
+        cp_als(cold, ALSOptions(rank=3, n_sweeps=2, tol=0.0, mttkrp="dt", seed=1))
         assert sorts == [tensor.nnz]
 
     def test_canonical_input_is_not_sorted(self, tensor, sorts):
@@ -169,7 +170,8 @@ class TestHugeShapes:
         assert sorts == [60]
         np.testing.assert_array_equal(coo.indices, np.unique(indices, axis=0))
         assert coo.values[0] == 1.0 and coo.values[-1] == 2.0   # the duplicate, summed
-        result = cp_als(coo, rank=2, n_sweeps=2, tol=0.0, mttkrp="dt", seed=0)
+        result = cp_als(coo,
+                        ALSOptions(rank=2, n_sweeps=2, tol=0.0, mttkrp="dt", seed=0))
         assert np.isfinite(result.residual)
         assert [f.shape for f in result.factors] == [(6400, 2)] * 5
 

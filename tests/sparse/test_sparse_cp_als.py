@@ -9,6 +9,7 @@ import pytest
 from repro.core.cp_als import cp_als
 from repro.core.initialization import init_factors
 from repro.core.multi_start import multi_start
+from repro.core.options import ALSOptions, PPOptions
 from repro.core.pp_cp_als import pp_cp_als
 from repro.backend import check_tensor, is_sparse_tensor
 from repro.sparse import CooTensor
@@ -55,26 +56,20 @@ class TestBackendDispatch:
     def test_make_provider_dispatches_on_backend(self):
         dense, coo = _sparsified_lowrank((5, 4, 3), rank=2, seed=1)
         factors = [np.random.default_rng(2).random((s, 2)) for s in dense.shape]
-        for name in ("naive", "sparse", "coo"):
+        expected = {"naive": SparseCooMTTKRP, "unfolding": SparseUnfoldingMTTKRP,
+                    "dt": SparseDimensionTreeMTTKRP, "msdt": SparseMultiSweepDimensionTree}
+        assert list(expected) == available_providers()
+        for name, cls in expected.items():
             provider = make_provider(name, coo, [f.copy() for f in factors])
-            assert isinstance(provider, SparseCooMTTKRP)
-        for name in ("dt", "dimension_tree", "sparse-dt"):
-            provider = make_provider(name, coo, [f.copy() for f in factors])
-            assert isinstance(provider, SparseDimensionTreeMTTKRP)
-        for name in ("msdt", "multi_sweep", "sparse-msdt"):
-            provider = make_provider(name, coo, [f.copy() for f in factors])
-            assert isinstance(provider, SparseMultiSweepDimensionTree)
-        provider = make_provider("unfolding", coo, [f.copy() for f in factors])
-        assert isinstance(provider, SparseUnfoldingMTTKRP)
+            assert isinstance(provider, cls)
         with pytest.raises(ValueError, match="unknown MTTKRP engine"):
             make_provider("nope", coo, factors)
-        assert "sparse" in available_providers(sparse=True)
 
     def test_sparse_providers_match_dense_provider(self):
         dense, coo = _sparsified_lowrank((6, 5, 4), rank=3, seed=3)
         factors = [np.random.default_rng(4).random((s, 3)) for s in dense.shape]
         oracle = make_provider("naive", dense, [f.copy() for f in factors])
-        for name in ("sparse", "unfolding"):
+        for name in ("naive", "unfolding"):
             provider = make_provider(name, coo, [f.copy() for f in factors])
             for mode in range(3):
                 np.testing.assert_allclose(provider.mttkrp(mode),
@@ -84,13 +79,13 @@ class TestBackendDispatch:
 class TestCpAlsParity:
     @pytest.mark.parametrize("shape,rank", [((9, 8, 7), 3), ((6, 5, 4, 5), 2)],
                              ids=["order3", "order4"])
-    @pytest.mark.parametrize("engine", ["sparse", "unfolding"])
+    @pytest.mark.parametrize("engine", ["naive", "unfolding"])
     def test_full_sweeps_match_dense_path(self, shape, rank, engine):
         dense, coo = _sparsified_lowrank(shape, rank, seed=5)
         initial = init_factors(shape, rank, seed=6)
-        ref = cp_als(dense, rank, n_sweeps=8, tol=0.0, mttkrp="naive",
+        ref = cp_als(dense, ALSOptions(rank=rank, n_sweeps=8, tol=0.0, mttkrp="naive"),
                      initial_factors=initial)
-        got = cp_als(coo, rank, n_sweeps=8, tol=0.0, mttkrp=engine,
+        got = cp_als(coo, ALSOptions(rank=rank, n_sweeps=8, tol=0.0, mttkrp=engine),
                      initial_factors=initial)
         assert got.residual == pytest.approx(ref.residual, abs=1e-10)
         for a, b in zip(got.factors, ref.factors):
@@ -104,14 +99,16 @@ class TestCpAlsParity:
         coo = CooTensor.from_dense(dense)
         assert 3 in coo.empty_slices(0) and 0 in coo.empty_slices(1)
         initial = init_factors(dense.shape, 2, seed=8)
-        ref = cp_als(dense, 2, n_sweeps=6, tol=0.0, initial_factors=initial)
-        got = cp_als(coo, 2, n_sweeps=6, tol=0.0, initial_factors=initial)
+        ref = cp_als(dense, ALSOptions(rank=2, n_sweeps=6, tol=0.0),
+                     initial_factors=initial)
+        got = cp_als(coo, ALSOptions(rank=2, n_sweeps=6, tol=0.0),
+                     initial_factors=initial)
         assert got.residual == pytest.approx(ref.residual, abs=1e-10)
         assert np.isfinite(got.residual)
 
     def test_reported_residual_matches_exact_definition(self):
         _, coo = _sparsified_lowrank((7, 6, 5), rank=3, seed=9)
-        result = cp_als(coo, rank=3, n_sweeps=6, tol=0.0, seed=10)
+        result = cp_als(coo, ALSOptions(rank=3, n_sweeps=6, tol=0.0, seed=10))
         exact = relative_residual(coo, result.factors)
         assert result.residual == pytest.approx(exact, rel=1e-8)
 
@@ -120,21 +117,21 @@ class TestCpAlsParity:
 
         # density 1.0 keeps every entry, so the tensor is exactly low-rank
         coo = sparse_low_rank_tensor((12, 11, 10), rank=2, density=1.0, seed=11)
-        result = cp_als(coo, rank=4, n_sweeps=60, tol=1e-12, seed=12)
+        result = cp_als(coo, ALSOptions(rank=4, n_sweeps=60, tol=1e-12, seed=12))
         assert result.fitness > 0.95
 
     def test_sparse_sampling_residual_decreases_monotonically(self):
         from repro.data import sparse_low_rank_tensor
 
         coo = sparse_low_rank_tensor((12, 11, 10), rank=2, density=0.1, seed=11)
-        result = cp_als(coo, rank=4, n_sweeps=20, tol=0.0, seed=12)
+        result = cp_als(coo, ALSOptions(rank=4, n_sweeps=20, tol=0.0, seed=12))
         residuals = [s.residual for s in result.sweeps]
         for earlier, later in zip(residuals, residuals[1:]):
             assert later <= earlier + 1e-10
 
     def test_float32_sparse_end_to_end(self):
         _, coo = _sparsified_lowrank((8, 7, 6), rank=2, seed=13)
-        result = cp_als(coo, rank=2, n_sweeps=5, seed=14, dtype=np.float32)
+        result = cp_als(coo, ALSOptions(rank=2, n_sweeps=5, seed=14), dtype=np.float32)
         assert all(f.dtype == np.float32 for f in result.factors)
         assert np.isfinite(result.residual)
 
@@ -157,9 +154,9 @@ class TestPpAndMultiStart:
     def test_pp_cp_als_matches_dense_path(self):
         dense, coo = _sparsified_lowrank((8, 7, 6), rank=2, seed=17)
         initial = init_factors(dense.shape, 2, seed=18)
-        ref = pp_cp_als(dense, 2, n_sweeps=15, tol=0.0, pp_tol=0.5,
+        ref = pp_cp_als(dense, PPOptions(rank=2, n_sweeps=15, tol=0.0, pp_tol=0.5),
                         initial_factors=initial)
-        got = pp_cp_als(coo, 2, n_sweeps=15, tol=0.0, pp_tol=0.5,
+        got = pp_cp_als(coo, PPOptions(rank=2, n_sweeps=15, tol=0.0, pp_tol=0.5),
                         initial_factors=initial)
         assert [s.sweep_type for s in got.sweeps] == [s.sweep_type for s in ref.sweeps]
         assert got.residual == pytest.approx(ref.residual, abs=1e-8)
@@ -168,15 +165,19 @@ class TestPpAndMultiStart:
         from repro.data import sparse_low_rank_tensor
 
         coo = sparse_low_rank_tensor((10, 9, 8), rank=2, density=0.5, seed=19)
-        result = pp_cp_als(coo, rank=2, n_sweeps=40, tol=0.0, pp_tol=0.7, seed=20)
+        result = pp_cp_als(coo,
+                           PPOptions(rank=2, n_sweeps=40, tol=0.0, pp_tol=0.7, seed=20))
         types = {s.sweep_type for s in result.sweeps}
         assert "pp-init" in types and "pp-approx" in types
 
     def test_multi_start_accepts_sparse(self):
         dense, coo = _sparsified_lowrank((7, 6, 5), rank=2, seed=21)
-        ref = multi_start(dense, 2, n_starts=3, seed=22, n_sweeps=6, tol=0.0,
-                          mttkrp="naive")
-        got = multi_start(coo, 2, n_starts=3, seed=22, n_sweeps=6, tol=0.0)
+        ref = multi_start(dense,
+                          ALSOptions(rank=2, seed=22, n_sweeps=6, tol=0.0,
+                                     mttkrp="naive"),
+                          n_starts=3)
+        got = multi_start(coo, ALSOptions(rank=2, seed=22, n_sweeps=6, tol=0.0),
+                          n_starts=3)
         assert got.best_index == ref.best_index
         np.testing.assert_allclose(got.fitnesses(), ref.fitnesses(), atol=1e-10)
 
@@ -185,12 +186,12 @@ class TestZeroNormGuard:
     def test_cp_als_rejects_all_zero_sparse_tensor(self):
         coo = CooTensor(np.empty((0, 3), dtype=np.int64), np.empty(0), (4, 4, 4))
         with pytest.raises(ValueError, match="zero Frobenius norm"):
-            cp_als(coo, rank=2, seed=0)
+            cp_als(coo, ALSOptions(rank=2, seed=0))
 
     def test_pp_cp_als_rejects_all_zero_sparse_tensor(self):
         coo = CooTensor(np.empty((0, 3), dtype=np.int64), np.empty(0), (4, 4, 4))
         with pytest.raises(ValueError, match="zero Frobenius norm"):
-            pp_cp_als(coo, rank=2, seed=0)
+            pp_cp_als(coo, PPOptions(rank=2, seed=0))
 
 
 class TestUnfoldingCacheBudget:

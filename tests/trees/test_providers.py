@@ -34,9 +34,8 @@ class TestRegistry:
     def test_available_providers(self):
         assert set(available_providers()) == {"naive", "unfolding", "dt", "msdt"}
 
-    @pytest.mark.parametrize("name", ["naive", "unfolding", "dt", "msdt",
-                                      "dimension_tree", "multi_sweep"])
-    def test_make_provider_accepts_aliases(self, small_tensor3, factors3, name):
+    @pytest.mark.parametrize("name", ["naive", "unfolding", "dt", "msdt"])
+    def test_make_provider_accepts_canonical_names(self, small_tensor3, factors3, name):
         provider = make_provider(name, small_tensor3, factors3)
         assert provider.order == 3
         assert provider.rank == 4
@@ -73,18 +72,17 @@ class TestOneSparseKernelPath:
 
     def test_compiled_engine_name_is_unknown(self, coo_and_factors):
         coo, factors = coo_and_factors
-        assert available_providers(sparse=True) == ["sparse", "unfolding", "naive",
-                                                     "dt", "msdt"]
+        assert available_providers() == ["naive", "unfolding", "dt", "msdt"]
         with pytest.raises(ValueError) as raised:
             make_provider("dt_compiled", coo, factors)
-        assert str(available_providers(sparse=True)) in str(raised.value)
+        assert str(available_providers()) in str(raised.value)
 
     def test_kernel_option_is_unknown(self, coo_and_factors):
         coo, _ = coo_and_factors
         with pytest.raises(TypeError):
             ALSOptions(rank=2, kernel="numba")
         with pytest.raises(TypeError):
-            cp_als(coo, rank=2, kernel="numba")
+            cp_als(coo, ALSOptions(rank=2), kernel="numba")
 
     def test_fused_approx_update_accepts_only_kernel_none(self, coo_and_factors, rng):
         coo, factors = coo_and_factors

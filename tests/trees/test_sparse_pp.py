@@ -182,7 +182,7 @@ class TestBuilder:
         """Recompute/unfolding providers cannot donate a fiber cache, but the
         build must still go semi-sparse (engine donated, no cache sharing)."""
         dense, coo, factors = _sparse_instance(rng, (5, 4, 3), rank=2)
-        for name in ("sparse", "unfolding"):
+        for name in ("naive", "unfolding"):
             provider = make_provider(name, coo, [f.copy() for f in factors])
             ops = PairwiseOperators.build(coo, provider.factors, provider=provider)
             assert all(isinstance(op, SemiSparsePairOperator)
