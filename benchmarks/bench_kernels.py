@@ -6,7 +6,9 @@ update) can be inspected directly with pytest-benchmark's own statistics.
 The last rows time the hot loops against what they replaced: the sparse trees'
 segmented-sum operator against ``np.add.reduceat``, the two dense tree
 kernels (batched GEMM / matrix-vector products on views) against
-``np.einsum(..., optimize=True)``, per mode and per axis, and the pieces of a
+``np.einsum(..., optimize=True)``, per mode and per axis, the dense tree's
+fused trailing half (one Khatri-Rao GEMM) against the first-level TTM and
+mTTVs it replaces, on the shapes of its table in ``docs/engines.rst``, and the pieces of a
 PP approximated sweep (Eq. 5's first-order assembly, the normal-equations
 solve, the Gram matrix) against the per-pair einsum — on semi-sparse
 operators against the gather-scale-scatter it was —, SciPy's
@@ -28,7 +30,7 @@ from repro.core.normal_equations import gram_matrix, solve_normal_equations
 from repro.data.sparse_synthetic import sparse_skewed_count_tensor
 from repro.sparse import CooTensor, CsfTensor
 from repro.sparse.csf import SegmentSum, run_starts
-from repro.tensor.ttm import first_contraction
+from repro.tensor.ttm import first_contraction, trailing_contraction
 from repro.tensor.ttv import contract_intermediate_mode
 from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import make_provider
@@ -223,6 +225,39 @@ def test_contract_intermediate_mode_time(benchmark, tree_workload, kind, axis):
     result = benchmark(kernel, intermediate, factors[axis + 1], axis)
     assert np.allclose(result, _mttv_oracle(intermediate, factors[axis + 1], axis),
                        rtol=1e-12, atol=1e-12)
+
+
+#: ``(shape, R)`` of the fused trailing half's table in ``docs/engines.rst``
+#: ("Dense hot loops"): the harness's 32^4 R16 first, then the shapes it was
+#: measured on; on the last two the chain is faster
+_TRAILING_CASES = ([((6, 5, 4, 3), 4), ((3, 4, 2, 3, 2), 3)] if BENCH_TINY else [
+    ((32, 32, 32, 32), 16), ((10, 20, 30, 200), 16), ((7, 11, 13, 17), 5),
+    ((20, 20, 20, 20, 20), 8), ((200, 30, 20, 10), 16), ((48, 48, 48, 48), 32),
+    ((24, 24, 24, 24), 8), ((16, 16, 64, 64), 32), ((10, 10, 100, 100), 16)])
+
+
+def _trailing_chain(tensor, factors):
+    """First-level TTM of the last mode, then one mTTV per further trailing mode."""
+    order, k = tensor.ndim, len(factors)
+    array = first_contraction(tensor, factors[-1], order - 1)
+    for j in range(k - 2, -1, -1):
+        array = contract_intermediate_mode(array, factors[j], order - k + j)
+    return array
+
+
+@pytest.mark.parametrize("case", _TRAILING_CASES,
+                         ids=lambda c: "x".join(map(str, c[0])) + f"-R{c[1]}")
+@pytest.mark.parametrize("kind", ["krp-gemm", "ttm-mttv-chain"])
+def test_trailing_contraction_time(benchmark, kind, case):
+    """The dense tree's trailing half: ``M^(0..m-1)`` from the raw tensor."""
+    shape, rank = case
+    rng = np.random.default_rng(0)
+    tensor = rng.random(shape)
+    order = len(shape)
+    factors = [rng.random((s, rank)) for s in shape[(order + 1) // 2:]]
+    kernel = trailing_contraction if kind == "krp-gemm" else _trailing_chain
+    result = benchmark(kernel, tensor, factors)
+    assert np.allclose(result, _trailing_chain(tensor, factors), rtol=1e-12, atol=1e-12)
 
 
 def _cholesky_oracle(gamma, rhs):

@@ -18,7 +18,7 @@ from repro.tensor.unfold import unfold
 from repro.utils.random import as_rng
 from repro.utils.validation import check_factor_matrices, check_rank
 
-__all__ = ["init_factors", "prepare_als_inputs"]
+__all__ = ["check_tensor_norm", "init_factors", "prepare_als_inputs"]
 
 
 def init_factors(
@@ -101,12 +101,22 @@ def prepare_als_inputs(
         factors = [np.array(f, copy=True)
                    if np.may_share_memory(f, np.asarray(orig)) else f
                    for f, orig in zip(checked, initial_factors)]
+    return tensor, factors, check_tensor_norm(tensor)
+
+
+def check_tensor_norm(tensor) -> float:
+    """The Frobenius norm of ``tensor`` (:func:`~repro.tensor.norms.tensor_norm`),
+    refused when zero.
+
+    Eq. (2) divides by ``||T||_F``: without this guard an all-zero tensor
+    produces NaN/inf residuals and a meaningless ``converged`` flag.  Every
+    driver calls it before its first sweep, the parallel ones before they
+    partition the tensor.
+    """
     norm_t = tensor_norm(tensor)
     if norm_t == 0.0:
-        # Eq. (2) divides by ||T||_F: without this guard an all-zero tensor
-        # produces NaN/inf residuals and a meaningless ``converged`` flag
         raise ValueError(
             "tensor has zero Frobenius norm; the relative residual of Eq. (2) "
             "is undefined for an all-zero tensor"
         )
-    return tensor, factors, norm_t
+    return norm_t

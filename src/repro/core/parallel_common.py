@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.backend import is_sparse_tensor
 from repro.comm.simulated import SimulatedMachine
-from repro.core.initialization import init_factors
+from repro.core.initialization import check_tensor_norm, init_factors
 from repro.core.loop import SweepRun, run_sweeps
 from repro.core.normal_equations import solve_normal_equations
 from repro.core.options import ParallelOptions
@@ -184,26 +184,29 @@ def setup_parallel_state(
     """
     grid = ProcessorGrid(options.grid)
     rank = options.rank
-    if isinstance(tensor, (DistributedTensor, DistSparseTensor)):
+    distributed = isinstance(tensor, (DistributedTensor, DistSparseTensor))
+    if distributed:
         if tensor.grid != grid:
             raise ValueError("distributed tensor was built for a different grid")
-        dist_tensor = tensor
-        global_shape = tensor.global_shape
-    elif is_sparse_tensor(tensor):
+    else:
+        if not is_sparse_tensor(tensor):
+            tensor = check_dense_tensor(tensor, min_order=2)
         if tensor.ndim != grid.order:
             raise ValueError(
                 f"tensor order {tensor.ndim} does not match grid order {grid.order}"
             )
+    # an all-zero tensor is refused before it is partitioned and before any
+    # worker starts, with the sequential drivers' message
+    norm_t = check_tensor_norm(tensor)
+    if distributed:
+        dist_tensor = tensor
+        global_shape = tensor.global_shape
+    elif is_sparse_tensor(tensor):
         dist_tensor = DistSparseTensor.from_coo(
             tensor, grid, partitioner=options.partitioner, seed=partition_seed
         )
         global_shape = tensor.shape
     else:
-        tensor = check_dense_tensor(tensor, min_order=2)
-        if tensor.ndim != grid.order:
-            raise ValueError(
-                f"tensor order {tensor.ndim} does not match grid order {grid.order}"
-            )
         dist_tensor = DistributedTensor.from_dense(tensor, grid)
         global_shape = tensor.shape
 
@@ -276,7 +279,7 @@ def setup_parallel_state(
         dist_factors=dist_factors,
         providers=providers,
         grams=[np.eye(rank)] * grid.order,
-        norm_t=dist_tensor.norm(),
+        norm_t=norm_t,
         rank=rank,
         distributed_solve=options.distributed_solve,
         collectives=options.collectives,

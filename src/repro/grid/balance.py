@@ -856,31 +856,25 @@ def _build_cyclic(tensor, grid, seed=None):
 PARTITIONERS = {
     "uniform": _build_uniform,
     "nnz-balanced": _build_nnz_balanced,
-    "nnz": _build_nnz_balanced,
-    "balanced": _build_nnz_balanced,
     "random": _build_random,
-    "hash": _build_random,
     "cyclic": _build_cyclic,
     "joint": joint_partition,
-    "bisection": joint_partition,
 }
 
 
 def available_partitioners() -> list[str]:
-    """Canonical partitioner names accepted by :func:`make_partition`."""
-    return ["uniform", "nnz-balanced", "random", "cyclic", "joint"]
+    """The partitioner names :func:`make_partition` accepts."""
+    return list(PARTITIONERS)
 
 
 def make_partition(kind: str, tensor: "CooTensor", grid: ProcessorGrid,
                    seed: int | np.random.Generator | None = None) -> TensorPartition:
     """Build the named :class:`TensorPartition` for ``tensor`` over ``grid``.
 
-    ``kind`` is one of :func:`available_partitioners` (plus the aliases
-    ``"nnz"``/``"balanced"`` for ``"nnz-balanced"`` and ``"hash"`` for
-    ``"random"``).  ``seed`` only affects the ``"random"`` partitioner.
+    ``kind`` is one of :func:`available_partitioners`, spelled exactly.
+    ``seed`` only affects the ``"random"`` partitioner.
     """
-    key = kind.lower().strip()
-    if key not in PARTITIONERS:
+    if kind not in PARTITIONERS:
         raise ValueError(
             f"unknown partitioner {kind!r}; available: {available_partitioners()}"
         )
@@ -888,4 +882,4 @@ def make_partition(kind: str, tensor: "CooTensor", grid: ProcessorGrid,
         raise ValueError(
             f"tensor order {tensor.ndim} does not match grid order {grid.order}"
         )
-    return PARTITIONERS[key](tensor, grid, seed=seed)
+    return PARTITIONERS[kind](tensor, grid, seed=seed)

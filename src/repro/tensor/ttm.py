@@ -1,6 +1,6 @@
 """Tensor-times-matrix (TTM) kernels.
 
-Two flavours are provided:
+Three kernels are provided:
 
 * :func:`ttm` — the textbook mode-``n`` product ``T x_n A`` whose output keeps
   the contracted mode in place with the new dimension (rows of ``A``); an
@@ -12,8 +12,14 @@ Two flavours are provided:
   MTTKRP intermediate ``M^({1..N} \\ {n})`` of Eq. (4).  This is the hot loop
   of every dense tree sweep and runs as a batched BLAS GEMM on views of the
   tensor, not through einsum (``docs/engines.rst``, "Dense hot loops").
+* :func:`trailing_contraction` — the partial MTTKRP of the dimension tree's
+  trailing half: the last ``k >= 2`` modes contracted at once with the
+  Khatri-Rao product of their factors, one batched GEMM on row blocks of the
+  ``(lead, trail)`` unfolding.  It leaves the intermediate a first-level TTM
+  and ``k - 1`` mTTVs would, without forming the order-``(N - 1)`` one in
+  between.
 
-Both record ``2 * prod(shape) * R`` flops (one multiply + one add per term)
+All three record ``2 * prod(shape) * R`` flops (one multiply + one add per term)
 into the tracker under the ``"ttm"`` category, which is how the TTM bar of the
 paper's Figure 3c-f breakdown is measured.
 """
@@ -30,7 +36,7 @@ from repro.contract import resolve_engine, subscript_letters
 from repro.tensor.intermediate import empty_rank_first, rank_last
 from repro.utils.validation import check_mode
 
-__all__ = ["ttm", "multi_ttm", "first_contraction"]
+__all__ = ["ttm", "multi_ttm", "first_contraction", "trailing_contraction"]
 
 #: Multiply-adds one GEMM of :func:`first_contraction`'s batch may do.  A block
 #: this small keeps its slice of the tensor, its slice of the output and the
@@ -49,6 +55,19 @@ _GEMM_WORK = 1 << 19
 #: (0.97 against 1.44 ms for mode 0 of 200x30x20x10).  Blocks of rows, which
 #: the last mode uses, are contiguous and gain at every extent.
 _STRIDED_ROWS = 64
+
+#: Largest ``M * N * K`` of a GEMM that OpenBLAS's AVX-512 builds run with
+#: their small-matrix kernels, without packing.  A GEMM of
+#: :func:`trailing_contraction` just past it is packed and 2-3x slower (32^4,
+#: R = 16: 1.1 ms in blocks of 48 rows, 2.4 ms in blocks of 64); every such
+#: step measured for the table in ``docs/engines.rst`` ("Dense hot loops")
+#: sits exactly at this bound.
+_UNPACKED_GEMM = 10**6
+
+#: :func:`trailing_contraction` takes the unfolding's rows in multiples of this
+#: many per GEMM: 8 doubles fill an AVX-512 register, and blocks of 6 or 10
+#: rows run 10-30 % slower than blocks of 4, 8 or 12.
+_ROW_QUANTUM = 8
 
 
 def _record(tracker, category: str, flops: int, words: int = 0, seconds: float = 0.0) -> None:
@@ -187,4 +206,88 @@ def first_contraction(
     if tracker is not None:
         _record(tracker, category, 2 * tensor.size * rank, tensor.size + result.size,
                 time.perf_counter() - start)
+    return result
+
+
+def _trailing_rows(lead: int, trail: int, rank: int) -> int:
+    """Rows of the ``(lead, trail)`` unfolding one GEMM of
+    :func:`trailing_contraction` takes: all of them if one unpacked GEMM holds
+    them, else as many whole :data:`_ROW_QUANTUM` as it holds (at least one row)."""
+    fit = max(1, min(lead, _UNPACKED_GEMM // max(trail * rank, 1)))
+    return fit if fit == lead or fit < _ROW_QUANTUM else fit - fit % _ROW_QUANTUM
+
+
+def trailing_contraction(
+    tensor: np.ndarray,
+    factors: Sequence[np.ndarray],
+    tracker=None,
+) -> np.ndarray:
+    """Contract the last ``len(factors)`` modes of ``tensor`` with their factors.
+
+    ``factors`` are the ``(s_j, R)`` factor matrices of those modes, in mode
+    order (at least two, and fewer than ``tensor.ndim``).  The result is the
+    intermediate of the kept leading modes with a trailing rank axis,
+
+    ``out[i_0, ..., i_{m-1}, r] = sum_{i_m..i_{N-1}} tensor[i_0, ..., i_{N-1}]
+    * prod_j factors[j][i_{m+j}, r]``,
+
+    equal to a :func:`first_contraction` of the last mode followed by
+    :func:`~repro.tensor.ttv.contract_intermediate_mode` of the others.  It is
+    computed as the partial MTTKRP ``X @ K`` of the ``(lead, trail)`` unfolding
+    ``X`` with the ``(trail, R)`` Khatri-Rao product ``K`` of the factors
+    (built by broadcasting): one batched GEMM ``K^T @ X_b^T`` over blocks
+    ``X_b`` of :func:`_trailing_rows` consecutive rows, plus one GEMM for the
+    rows left over, written into the rank-first buffer of
+    :mod:`repro.tensor.intermediate`.
+
+    The tracker is charged ``2 * prod(shape) * R`` flops under ``"ttm"`` (what
+    the first-level TTM it replaces costs) and the Khatri-Rao product under
+    ``"khatri_rao"``.
+    """
+    tensor = np.asarray(tensor)
+    factors = [np.asarray(f) for f in factors]
+    n_trailing = len(factors)
+    if not 2 <= n_trailing < tensor.ndim:
+        raise ValueError(
+            f"cannot contract {n_trailing} trailing modes of an order-{tensor.ndim} tensor "
+            "(need 2 <= k < order)"
+        )
+    kept_shape = tensor.shape[:-n_trailing]
+    rank = factors[0].shape[-1]
+    for factor, extent in zip(factors, tensor.shape[-n_trailing:]):
+        if factor.shape != (extent, rank):
+            raise ValueError(
+                f"factor shape {factor.shape} cannot contract a mode of size {extent} "
+                f"at rank {rank}"
+            )
+    if tracker is not None:
+        start = time.perf_counter()
+    # K is (trail, R), C-ordered: the GEMM takes K^T as BLAS's transposed
+    # operand, 1.1 ms at 32^4, R = 16 against 1.7 ms with K stored rank-first.
+    # It is not built by khatri_rao: that runs through the contraction engine,
+    # which no dense tree kernel touches, and its einsum took 55-65 us against
+    # 24-26 us for this loop on the two 32 x 16 factors of that shape
+    krp = np.ascontiguousarray(factors[0])
+    krp_flops = 0
+    for factor in factors[1:]:
+        krp = (krp[:, None, :] * np.ascontiguousarray(factor)).reshape(-1, rank)
+        krp_flops += krp.size
+    if tracker is not None:
+        formed = time.perf_counter()
+        _record(tracker, "khatri_rao", krp_flops, seconds=formed - start)
+    lead = math.prod(kept_shape)
+    trail = krp.shape[0]
+    buffer = empty_rank_first(kept_shape, rank, np.result_type(tensor, krp))
+    unfolding = tensor.reshape(lead, trail)
+    out = buffer.reshape(rank, lead)
+    block = _trailing_rows(lead, trail, rank)
+    whole = lead - lead % block
+    np.matmul(krp.T, unfolding[:whole].reshape(-1, block, trail).transpose(0, 2, 1),
+              out=out[:, :whole].reshape(rank, -1, block).transpose(1, 0, 2))
+    if whole < lead:
+        np.matmul(krp.T, unfolding[whole:].T, out=out[:, whole:])
+    result = rank_last(buffer)
+    if tracker is not None:
+        _record(tracker, "ttm", 2 * tensor.size * rank, tensor.size + result.size,
+                time.perf_counter() - formed)
     return result

@@ -7,6 +7,20 @@ order, an intermediate stays valid exactly while the sweep is updating the
 modes inside ``S`` — the versioned cache makes that invariant explicit.  The
 leading-order per-sweep cost is two first-level TTMs, i.e. ``4 s^N R``.
 
+Each half of the tree starts with one partial MTTKRP, as in the dimension
+tree the paper compares MSDT against (PLANC's; Ballard, Hayashi and Kannan,
+HiPC 2018).  For the trailing half — the descent from the raw tensor towards
+a mode of the leading half, which contracts modes ``ceil(N/2)..N-1`` first —
+that is :func:`~repro.tensor.ttm.trailing_contraction`: one GEMM of the
+unfolding with the Khatri-Rao product of those factors, cached under the kept
+modes, so the
+order-``(N - 1)`` intermediate of a TTM followed by mTTVs (``M^(0,1,2)`` at
+``N = 4``) is never formed.  That needs two or more trailing modes, so it
+applies from ``N = 4`` on.  The leading half stays a first-level TTM and mTTVs
+(``docs/engines.rst``, "Dense hot loops", has the measurements of both).
+MSDT, whose root intermediates are reused across sweeps, and the
+pairwise-perturbation operator tree keep the one-mode-at-a-time descent.
+
 The control flow (cache lookup, binary-split descent order) lives in
 :mod:`repro.trees.amortized`; this module supplies the dense descent backend,
 whose two kernels are BLAS calls on views of the tensor and of the rank-first
@@ -22,6 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.tensor.ttm import trailing_contraction
 from repro.trees.amortized import AmortizedTreeMTTKRP, DtOrderPolicy
 from repro.trees.descent import descend
 
@@ -53,6 +68,27 @@ class DenseTreeBackend(AmortizedTreeMTTKRP):
 
 
 class DimensionTreeMTTKRP(DtOrderPolicy, DenseTreeBackend):
-    """Per-sweep amortized MTTKRP via the standard binary dimension tree."""
+    """Per-sweep amortized MTTKRP via the standard binary dimension tree,
+    its trailing half started by one Khatri-Rao GEMM."""
 
     name = "dt"
+
+    def _descend_from(
+        self,
+        start_modes: Sequence[int],
+        start_intermediate: np.ndarray | None,
+        base_versions: Mapping[int, int],
+        order_list: Sequence[int],
+    ) -> np.ndarray:
+        trailing = range((self.order + 1) // 2, self.order)
+        n_trailing = len(trailing)
+        if (start_intermediate is None and n_trailing >= 2
+                and list(order_list[:n_trailing]) == list(reversed(trailing))):
+            start_modes = range(trailing.start)
+            start_intermediate = trailing_contraction(
+                self.tensor, [self.factors[m] for m in trailing], tracker=self.tracker)
+            base_versions = {m: self.versions[m] for m in trailing}
+            self.cache.put(start_modes, start_intermediate, base_versions)
+            order_list = order_list[n_trailing:]
+        return super()._descend_from(start_modes, start_intermediate, base_versions,
+                                     order_list)

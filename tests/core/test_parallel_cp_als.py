@@ -6,11 +6,15 @@ import pytest
 from repro.comm.simulated import SimulatedMachine
 from repro.core.cp_als import cp_als
 from repro.core.initialization import init_factors
-from repro.core.options import ALSOptions, ParallelOptions
+from repro.core.options import ALSOptions, ParallelOptions, ParallelPPOptions
+from repro.core.parallel_common import ParallelRun
 from repro.core.parallel_cp_als import parallel_cp_als
+from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
 from repro.distributed.dist_tensor import DistributedTensor
+from repro.distributed.sparse import DistSparseTensor
 from repro.grid.processor_grid import ProcessorGrid
 from repro.machine.params import MachineParams
+from repro.sparse import CooTensor
 
 
 class TestEquivalenceWithSequential:
@@ -159,3 +163,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             parallel_cp_als(lowrank_tensor3,
                             ParallelOptions(rank=2, grid=(1, 1, 1), tol=-1.0))
+
+
+class TestZeroNormGuard:
+    """An all-zero tensor is refused before partitioning, before the machine
+    (and any worker) starts and before a sweep, with the sequential message."""
+
+    @pytest.mark.parametrize("driver,options_cls", [
+        (parallel_cp_als, ParallelOptions),
+        (parallel_pp_cp_als, ParallelPPOptions),
+    ])
+    @pytest.mark.parametrize("kind", ["dense", "coo"])
+    def test_rejected_before_any_work(self, monkeypatch, driver, options_cls, kind):
+        def never(*args, **kwargs):
+            raise AssertionError("the all-zero tensor got past the norm check")
+
+        monkeypatch.setattr(DistributedTensor, "from_dense", never)
+        monkeypatch.setattr(DistSparseTensor, "from_coo", never)
+        monkeypatch.setattr(SimulatedMachine, "__init__", never)
+        monkeypatch.setattr(ParallelRun, "exact_sweep", never)
+        tensor = (np.zeros((4, 5, 6)) if kind == "dense" else
+                  CooTensor(np.empty((0, 3), dtype=np.int64), np.empty(0), (4, 5, 6)))
+        with pytest.raises(ValueError, match="^tensor has zero Frobenius norm; "):
+            driver(tensor, options_cls(rank=2, grid=(2, 1, 1), n_sweeps=3, seed=0))

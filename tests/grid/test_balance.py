@@ -155,6 +155,23 @@ class TestTensorPartition:
         with pytest.raises(ValueError, match="unknown partitioner"):
             make_partition("bogus", coo, ProcessorGrid((2, 2)))
 
+    @pytest.mark.parametrize("kind", ["nnz", "balanced", "hash", "bisection",
+                                      "Uniform", " nnz-balanced"])
+    def test_only_canonical_names(self, kind):
+        # the deleted aliases and the case/space folding are refused, and the
+        # error lists the names that are accepted
+        coo = _coo([[0, 0]], (4, 2))
+        with pytest.raises(ValueError, match="unknown partitioner") as info:
+            make_partition(kind, coo, ProcessorGrid((2, 2)))
+        assert str(available_partitioners()) in str(info.value)
+
+    def test_available_names_all_build(self):
+        coo = _coo([[0, 0], [3, 1], [1, 1]], (4, 2))
+        assert available_partitioners() == ["uniform", "nnz-balanced", "random",
+                                            "cyclic", "joint"]
+        for kind in available_partitioners():
+            make_partition(kind, coo, ProcessorGrid((2, 2)), seed=0)
+
     def test_block_count_must_match_grid(self):
         part = uniform_partition(4, 3)
         with pytest.raises(ValueError, match="blocks"):

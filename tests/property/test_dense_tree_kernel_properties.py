@@ -1,6 +1,7 @@
-"""Property tests: the two dense tree kernels against an ``np.einsum`` oracle.
+"""Property tests: the dense tree kernels against an ``np.einsum`` oracle.
 
-:func:`repro.tensor.ttm.first_contraction` and
+:func:`repro.tensor.ttm.first_contraction`,
+:func:`repro.tensor.ttm.trailing_contraction` and
 :func:`repro.tensor.ttv.contract_intermediate_mode` are batched BLAS calls on
 views; the einsum spelling they replaced lives here, under ``tests/``, as the
 oracle.  Every mode and axis, orders 1-5, non-cubic shapes with extent-1
@@ -18,7 +19,7 @@ from hypothesis import given, strategies as st
 
 from repro.machine.cost_tracker import CostTracker
 from repro.tensor.intermediate import rank_first
-from repro.tensor.ttm import first_contraction
+from repro.tensor.ttm import first_contraction, trailing_contraction
 from repro.tensor.ttv import contract_intermediate_mode
 
 pytestmark = pytest.mark.property
@@ -86,6 +87,27 @@ def test_first_contraction_matches_einsum_on_every_mode(shape, rank, dtype, layo
             out = first_contraction(tensor, factor, mode)
             _assert_layout(out, shape[:mode] + shape[mode + 1:], rank, dtype)
             np.testing.assert_allclose(out, ttm_oracle(tensor, factor, mode),
+                                       **_tolerance(dtype))
+
+
+@given(shape=st.lists(st.integers(1, 5), min_size=3, max_size=5).map(tuple),
+       rank=st.integers(1, 4), dtype=_dtypes, layout=_layouts,
+       factor_layout=st.sampled_from(["c", "fortran", "sliced"]),
+       unpacked=st.sampled_from([1, 16, 256, 10**6]), seed=st.integers(0, 2**31 - 1))
+def test_trailing_contraction_matches_einsum_for_every_split(shape, rank, dtype, layout,
+                                                             factor_layout, unpacked, seed):
+    """Shrinking the unpacked-GEMM bound makes these small shapes split into
+    row blocks (with a remainder) the way large ones do."""
+    rng = np.random.default_rng(seed)
+    tensor = _array(rng, shape, dtype, layout)
+    subs = _LETTERS[:len(shape)]
+    with mock.patch.object(ttm_module, "_UNPACKED_GEMM", unpacked):
+        for k in range(2, len(shape)):
+            factors = [_array(rng, (s, rank), dtype, factor_layout) for s in shape[-k:]]
+            out = trailing_contraction(tensor, factors)
+            _assert_layout(out, shape[:-k], rank, dtype)
+            spec = ",".join([subs] + [f"{c}R" for c in subs[-k:]]) + f"->{subs[:-k]}R"
+            np.testing.assert_allclose(out, np.einsum(spec, tensor, *factors),
                                        **_tolerance(dtype))
 
 

@@ -1,13 +1,15 @@
 """Tests for the TTM and (batched) TTV kernels."""
 
+import importlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.machine.cost_tracker import CostTracker
 from repro.tensor.mttkrp import partial_mttkrp
-from repro.tensor.ttm import first_contraction, multi_ttm, ttm
+from repro.tensor.ttm import first_contraction, multi_ttm, trailing_contraction, ttm
 from repro.tensor.ttv import contract_intermediate_mode, multi_ttv, ttv
 
 
@@ -81,6 +83,76 @@ class TestFirstContraction:
         tracker = CostTracker()
         first_contraction(small_tensor3, factors3[1], 1, tracker=tracker)
         assert tracker.flops_by_category["ttm"] == 2 * small_tensor3.size * 4
+
+
+def _trailing_chain(tensor, factors):
+    """The chain :func:`trailing_contraction` replaces: a first-level TTM of
+    the last mode, then one mTTV per further trailing mode."""
+    order, k = tensor.ndim, len(factors)
+    array = first_contraction(tensor, factors[-1], order - 1)
+    for j in range(k - 2, -1, -1):
+        array = contract_intermediate_mode(array, factors[j], order - k + j)
+    return array
+
+
+class TestTrailingContraction:
+    @pytest.mark.parametrize("shape,rank", [
+        ((5, 7, 3, 11), 4),
+        ((3, 5, 7, 2, 11), 3),
+        ((2, 3, 5, 3, 2, 7), 2),
+        ((7, 11, 13, 17), 1),
+    ])
+    @pytest.mark.parametrize("layout", ["c", "non-contiguous", "fortran-factors"])
+    def test_matches_ttm_then_mttv(self, rng, shape, rank, layout):
+        tensor = rng.random(shape)
+        if layout == "non-contiguous":
+            every_other = (slice(None, None, 2),) * len(shape)
+            tensor = rng.random(tuple(2 * s for s in shape))[every_other]
+        for k in range(2, len(shape)):
+            factors = [rng.random((s, rank)) for s in shape[-k:]]
+            if layout == "fortran-factors":
+                factors = [np.asfortranarray(f) for f in factors]
+            out = trailing_contraction(tensor, factors)
+            expected = _trailing_chain(tensor, factors)
+            assert out.shape == shape[:-k] + (rank,)
+            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+            assert np.moveaxis(out, -1, 0).flags.c_contiguous  # rank-first buffer
+
+    def test_float32_keeps_dtype(self, rng):
+        tensor = rng.random((5, 7, 3, 11)).astype(np.float32)
+        factors = [rng.random((s, 3)).astype(np.float32) for s in (3, 11)]
+        out = trailing_contraction(tensor, factors)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, _trailing_chain(tensor, factors), rtol=1e-5)
+
+    @pytest.mark.parametrize("unpacked", [1, 3 * 2 * 77, 10 * 2 * 77, 10**6])
+    def test_row_blocks_with_a_remainder(self, rng, unpacked):
+        """Of the 13 rows: blocks of 1; of 3 (four blocks, one row left over);
+        of 8 (ten fit, one block, five left over); all in one GEMM."""
+        ttm_module = importlib.import_module("repro.tensor.ttm")
+        tensor = rng.random((13, 7, 11))
+        factors = [rng.random((s, 2)) for s in (7, 11)]
+        with mock.patch.object(ttm_module, "_UNPACKED_GEMM", unpacked):
+            out = trailing_contraction(tensor, factors)
+        np.testing.assert_allclose(out, _trailing_chain(tensor, factors), rtol=1e-12, atol=0)
+
+    def test_records_one_ttm_and_the_khatri_rao_product(self, rng):
+        tensor = rng.random((4, 5, 6, 7))
+        factors = [rng.random((s, 3)) for s in (5, 6, 7)]
+        tracker = CostTracker()
+        out = trailing_contraction(tensor, factors, tracker=tracker)
+        assert tracker.flops_by_category == {"ttm": 2 * tensor.size * 3,
+                                             "khatri_rao": (5 * 6 + 5 * 6 * 7) * 3}
+        assert tracker.total_vertical_words == tensor.size + out.size
+
+    def test_wrong_shapes_raise(self, rng):
+        tensor = rng.random((4, 5, 6))
+        with pytest.raises(ValueError, match="need 2 <= k < order"):
+            trailing_contraction(tensor, [rng.random((6, 2))])
+        with pytest.raises(ValueError, match="need 2 <= k < order"):
+            trailing_contraction(tensor, [rng.random((s, 2)) for s in (4, 5, 6)])
+        with pytest.raises(ValueError, match="cannot contract a mode of size 6"):
+            trailing_contraction(tensor, [rng.random((5, 2)), rng.random((6, 3))])
 
 
 class TestTTV:
@@ -196,6 +268,17 @@ class TestDenseTreeKernelsCopyNothing:
             lambda: contract_intermediate_mode(intermediate, factors[1], axis))
         assert out.nbytes == intermediate.nbytes // 24
         assert peak < out.nbytes + self.SLACK
+
+    def test_trailing_contraction_allocates_its_output_and_khatri_rao(self, problem):
+        tensor, factors = problem
+        peak, out = _traced_peak(lambda: trailing_contraction(tensor, factors[2:]))
+        krp_bytes = 24 * 24 * 8 * 8
+        # the broadcast product of two factors runs through the ufunc
+        # iterator's buffers, a fixed cost that does not grow with the tensor
+        ufunc_buffers = 2 * np.getbufsize() * 8
+        assert out.nbytes == tensor.nbytes // (24 * 24) * 8
+        assert peak < out.nbytes + krp_bytes + ufunc_buffers + self.SLACK
+        assert np.allclose(out, _trailing_chain(tensor, factors[2:]), rtol=1e-12, atol=0)
 
     def test_pair_operator_correction_in_both_orientations(self, problem):
         """``first_order_correction`` on a pair operator and on its transposed

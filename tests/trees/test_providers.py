@@ -154,10 +154,49 @@ class TestEquivalence:
             assert np.allclose(ref, lim, atol=1e-9)
 
 
+class TestFusedTrailingHalf:
+    """The dense ``dt`` starts its trailing half with one Khatri-Rao GEMM
+    (:func:`repro.tensor.ttm.trailing_contraction`) and never forms that
+    half's order-(N-1) intermediate."""
+
+    @pytest.mark.parametrize("shape,rank", [
+        ((6, 7, 8, 9), 3),
+        ((5, 4, 6, 3, 5), 4),
+        ((3, 4, 3, 2, 4, 3), 2),
+        ((8, 2, 100, 100), 16),   # GEMMs of 6 unfolding rows, 4 left over
+    ])
+    def test_dt_matches_naive(self, rng, shape, rank):
+        tensor = rng.random(shape)
+        factors = [rng.random((s, rank)) for s in shape]
+        reference = make_provider("naive", tensor, [f.copy() for f in factors])
+        candidate = make_provider("dt", tensor, [f.copy() for f in factors])
+        for ref, got in zip(_simulate_als_updates(reference, n_sweeps=3),
+                            _simulate_als_updates(candidate, n_sweeps=3)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", [(6, 7, 8, 9), (5, 4, 6, 3, 5)])
+    def test_only_msdt_caches_the_trailing_half_root(self, rng, shape):
+        order = len(shape)
+        trailing_root = frozenset(range(order - 1))   # M^(0..N-2): mode N-1 contracted
+        held = {}
+        for engine in ("dt", "msdt"):
+            tensor = rng.random(shape)
+            provider = make_provider(engine, tensor, [rng.random((s, 3)) for s in shape])
+            seen = set()
+            for sweep in range(3):
+                for mode in range(order):
+                    result = provider.mttkrp(mode)
+                    seen.update(entry.modes for entry in provider.cache.entries())
+                    provider.set_factor(mode, result / (np.linalg.norm(result) + 1.0))
+            held[engine] = trailing_root in seen
+        assert held == {"dt": False, "msdt": True}
+
+
 class TestLeadingOrderCosts:
     """Verify the Table I leading-order sequential flop counts are achieved."""
 
-    @pytest.mark.parametrize("order,shape", [(3, (10, 10, 10)), (4, (6, 6, 6, 6))])
+    @pytest.mark.parametrize("order,shape", [(3, (10, 10, 10)), (4, (6, 6, 6, 6)),
+                                             (5, (5, 6, 4, 5, 6))])
     def test_per_sweep_ttm_flops(self, order, shape, rng):
         rank = 5
         tensor = rng.random(shape)
