@@ -215,10 +215,10 @@ def _rebuild_pp_from_coo(coo, factors, tracker):
     gather/scatter pass over the raw COO nonzeros per mode pair, then each
     single operator as a dense contraction of a pair operator (tracked here so
     both variants account the full checkpoint, pairs and singles)."""
-    from repro.contract import resolve_engine
+    from repro.contract import default_engine
 
     order = coo.ndim
-    eng = resolve_engine(None)
+    eng = default_engine()
     pairs = {
         (i, j): sparse_partial_mttkrp(coo, factors, (i, j), tracker=tracker)
         for i in range(order) for j in range(i + 1, order)

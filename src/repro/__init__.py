@@ -3,8 +3,10 @@ perturbation and multi-sweep dimension tree" (Ma & Solomonik, IPDPS 2021).
 
 The package provides:
 
-* a dense tensor-algebra substrate (:mod:`repro.tensor`) whose contractions
-  all route through a process-wide plan-caching engine (:mod:`repro.contract`),
+* a dense tensor-algebra substrate (:mod:`repro.tensor`) whose tree kernels
+  are BLAS calls on views; the remaining einsums (the dense reference
+  MTTKRPs, the COO ``naive`` MTTKRP, the sparse fiber step's row scaling)
+  run on one process-wide plan cache (:mod:`repro.contract`),
 * an in-process simulated BSP machine with MPI-style collectives and an
   alpha-beta-gamma-nu cost model (:mod:`repro.machine`, :mod:`repro.comm`,
   :mod:`repro.grid`, :mod:`repro.distributed`),
@@ -31,7 +33,7 @@ True
 
 from repro._version import __version__
 from repro.backend import TensorBackend, is_sparse_tensor
-from repro.contract import ContractionEngine, default_engine
+from repro.contract import default_engine
 from repro.core.cp_als import cp_als
 from repro.sparse import CooTensor, CsfTensor, sparse_mttkrp, sparse_partial_mttkrp
 from repro.core.pp_cp_als import pp_cp_als
@@ -81,7 +83,6 @@ __all__ = [
     "UpdateRule",
     "available_update_rules",
     "make_update_rule",
-    "ContractionEngine",
     "default_engine",
     "parallel_cp_als",
     "parallel_pp_cp_als",

@@ -1,43 +1,28 @@
-"""Process-wide einsum contraction engine with cached contraction plans.
+"""Process-wide einsum plan cache.
 
 ``np.einsum(..., optimize=True)`` re-runs the ``einsum_path`` search on every
 call even when the subscripts and operand shapes are identical to the previous
-call.  For the hot kernels of this reproduction (MTTKRP, the dimension-tree
-mTTV chain, the PP corrections) the same handful of contractions is executed
-thousands of times per ALS run, so the path search itself becomes measurable
-overhead — exactly the kind of repeated work the paper's algorithms exist to
-amortize.
-
-:class:`ContractionEngine` caches ``np.einsum_path`` plans keyed by
+call.  :class:`ContractionEngine` caches ``np.einsum_path`` plans keyed by
 ``(subscript spec, operand shapes, operand dtypes)`` and executes contractions
-with the cached plan.  It is thread-safe (the batched multi-start driver runs
-starts on worker threads against one shared engine), supports preallocated
-output buffers via ``out=``, and keeps per-spec hit/miss/flop statistics that
-can be folded into the existing :class:`~repro.machine.cost_tracker.CostTracker`
-accounting.
+with the cached plan.  It is thread-safe (the batched multi-start driver and
+the service run solves on worker threads against the one shared engine) and
+supports preallocated output buffers via ``out=``.
 
-A process-wide default engine is provided through :func:`default_engine`; the
-module-level :func:`contract` and :func:`plan` helpers operate on it and are
-what the tensor/trees/core kernels use unless an explicit engine is injected.
+There is one engine per process, :func:`default_engine`; the module-level
+:func:`contract` and :func:`plan` helpers use it and nothing takes another.
 """
 
 from __future__ import annotations
 
-import re
 import threading
-import time
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 __all__ = [
-    "PlanInfo",
-    "SpecStats",
     "ContractionEngine",
     "default_engine",
     "reset_default_engine",
-    "resolve_engine",
     "contract",
     "plan",
     "subscript_letters",
@@ -45,10 +30,13 @@ __all__ = [
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
-_FLOP_RE = re.compile(r"Optimized FLOP count:\s*([0-9.eE+\-]+)")
+#: Operand count above which the path search is ``"greedy"``: the exhaustive
+#: ``"optimal"`` search is exponential in it.  The kernels contract at most
+#: ``order + 1`` operands, so every tensor of order <= 5 gets optimal plans.
+_MAX_OPTIMAL_OPERANDS = 6
 
-#: cache key: (spec, operand shapes, operand dtype strings, path-search strategy)
-PlanKey = Tuple[str, Tuple[Tuple[int, ...], ...], Tuple[str, ...], str]
+#: cache key: (spec, operand shapes, operand dtype strings)
+PlanKey = Tuple[str, Tuple[Tuple[int, ...], ...], Tuple[str, ...]]
 
 
 def subscript_letters(n: int, exclude: str = "") -> List[str]:
@@ -63,201 +51,63 @@ def subscript_letters(n: int, exclude: str = "") -> List[str]:
     return pool[:n]
 
 
-@dataclass
-class PlanInfo:
-    """One cached contraction plan for a (spec, shapes, dtypes) key."""
-
-    spec: str
-    shapes: Tuple[Tuple[int, ...], ...]
-    dtypes: Tuple[str, ...]
-    path: list
-    estimated_flops: float
-    #: path-search strategy that produced this plan ("optimal", "greedy", ...);
-    #: part of the cache key, so changing ``max_optimal_operands`` can never
-    #: serve a stale greedy plan where an optimal one is now expected
-    strategy: str = "optimal"
-    description: str = ""
-
-
-@dataclass
-class SpecStats:
-    """Aggregate statistics of one subscript spec across all shape variants."""
-
-    hits: int = 0
-    misses: int = 0
-    calls: int = 0
-    estimated_flops: float = 0.0
-    seconds: float = 0.0
-
-    def asdict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "calls": self.calls,
-            "estimated_flops": self.estimated_flops,
-            "seconds": self.seconds,
-        }
-
-
-def _parse_flops(description: str) -> float:
-    match = _FLOP_RE.search(description)
-    if match is None:
-        return 0.0
-    try:
-        return float(match.group(1))
-    except ValueError:  # pragma: no cover - einsum_path format drift
-        return 0.0
-
-
 class ContractionEngine:
-    """Cache of ``np.einsum_path`` plans plus the executor that uses them.
+    """Cache of ``np.einsum_path`` plans plus the executor that uses them."""
 
-    Parameters
-    ----------
-    optimize:
-        Path-search strategy handed to ``np.einsum_path`` (``"optimal"`` by
-        default; the kernels contract at most ``order + 1`` operands, for which
-        the exhaustive search is cheap and runs exactly once per key).
-    max_optimal_operands:
-        Operand count above which the engine falls back to ``"greedy"`` so a
-        pathological many-operand spec cannot trigger an exponential search.
-    """
-
-    def __init__(self, optimize: str = "optimal", max_optimal_operands: int = 6):
-        self.optimize = optimize
-        self.max_optimal_operands = int(max_optimal_operands)
-        self._plans: Dict[PlanKey, PlanInfo] = {}
-        self._stats: Dict[str, SpecStats] = {}
+    def __init__(self):
+        self._plans: Dict[PlanKey, list] = {}
+        self._hits = 0
+        self._misses = 0
+        self._calls = 0
         self._lock = threading.Lock()
 
-    # -- planning -----------------------------------------------------------
-    def _strategy_for(self, n_operands: int) -> str:
-        """Path-search strategy used for a spec with ``n_operands`` operands."""
-        return self.optimize if n_operands <= self.max_optimal_operands else "greedy"
-
-    def _key(self, spec: str, operands: List[np.ndarray], strategy: str) -> PlanKey:
-        return (
-            spec,
-            tuple(op.shape for op in operands),
-            tuple(op.dtype.str for op in operands),
-            strategy,
-        )
-
-    def plan(self, spec: str, *operands: np.ndarray) -> PlanInfo:
-        """Return the cached plan for ``spec`` applied to ``operands``.
+    def plan(self, spec: str, *operands: np.ndarray) -> list:
+        """Return the cached einsum path for ``spec`` applied to ``operands``.
 
         A cache miss runs ``np.einsum_path`` once and stores the result; every
-        later call with the same spec/shapes/dtypes is a hit.  The resolved
-        path-search strategy is part of the cache key, so an engine whose
-        ``optimize`` / ``max_optimal_operands`` settings changed re-plans
-        instead of serving a plan found under the old strategy.
+        later call with the same spec/shapes/dtypes is a hit.
         """
         ops = [np.asarray(op) for op in operands]
-        strategy = self._strategy_for(len(ops))
-        key = self._key(spec, ops, strategy)
+        key = (spec, tuple(op.shape for op in ops), tuple(op.dtype.str for op in ops))
         with self._lock:
-            stats = self._stats.setdefault(spec, SpecStats())
-            info = self._plans.get(key)
-            if info is not None:
-                stats.hits += 1
-                return info
-            stats.misses += 1
-        path, description = np.einsum_path(spec, *ops, optimize=strategy)
-        info = PlanInfo(
-            spec=spec,
-            shapes=key[1],
-            dtypes=key[2],
-            path=list(path),
-            estimated_flops=_parse_flops(description),
-            strategy=strategy,
-            # the ~1 KB einsum_path report is only needed for the flop parse;
-            # retaining it per cached plan would grow memory for nothing
-            description="",
-        )
+            path = self._plans.get(key)
+            if path is not None:
+                self._hits += 1
+                return path
+            self._misses += 1
+        strategy = "optimal" if len(ops) <= _MAX_OPTIMAL_OPERANDS else "greedy"
+        path, _ = np.einsum_path(spec, *ops, optimize=strategy)
         with self._lock:
             # another thread may have planned the same key concurrently; keep
-            # the first inserted plan so PlanInfo identity is stable
-            info = self._plans.setdefault(key, info)
-        return info
+            # the first inserted plan so the cached path is stable
+            return self._plans.setdefault(key, list(path))
 
-    # -- execution ----------------------------------------------------------
-    def contract(
-        self,
-        spec: str,
-        *operands: np.ndarray,
-        out: np.ndarray | None = None,
-        tracker=None,
-        category: str = "contract",
-    ) -> np.ndarray:
+    def contract(self, spec: str, *operands: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Execute ``np.einsum(spec, *operands)`` with the cached plan.
 
-        Parameters
-        ----------
-        out:
-            Optional preallocated output buffer; when given it is filled in
-            place and returned, so steady-state inner loops allocate nothing.
-        tracker, category:
-            When a :class:`~repro.machine.cost_tracker.CostTracker` is given,
-            the plan's estimated flops and the measured wall-clock seconds are
-            recorded under ``category``.  The migrated kernels do their own
-            model-level accounting and therefore do *not* pass a tracker here;
-            this hook exists for callers using the engine directly.
+        When ``out`` is given it is filled in place and returned, so
+        steady-state inner loops allocate nothing.
         """
         ops = [np.asarray(op) for op in operands]
-        info = self.plan(spec, *ops)
-        start = time.perf_counter()
-        result = np.einsum(spec, *ops, out=out, optimize=info.path)
-        elapsed = time.perf_counter() - start
+        path = self.plan(spec, *ops)
+        result = np.einsum(spec, *ops, out=out, optimize=path)
         with self._lock:
-            # setdefault: a concurrent clear() may have dropped the entry
-            # between plan() and here
-            stats = self._stats.setdefault(spec, SpecStats())
-            stats.calls += 1
-            stats.estimated_flops += info.estimated_flops
-            stats.seconds += elapsed
-        if tracker is not None:
-            tracker.add_flops(category, int(info.estimated_flops))
-            tracker.add_seconds(category, elapsed)
+            self._calls += 1
         return result
 
-    # -- statistics ---------------------------------------------------------
-    def stats(self) -> Dict[str, SpecStats]:
-        """Per-spec statistics (a snapshot; mutating it does not affect the engine)."""
-        with self._lock:
-            return {spec: SpecStats(**s.asdict()) for spec, s in self._stats.items()}
-
     def cache_info(self) -> dict:
-        """Aggregate plan-cache counters (including a per-strategy plan count)."""
+        """Plan-cache counters: cached ``plans``, ``hits``, ``misses`` and
+        executed ``calls``."""
         with self._lock:
-            by_strategy: Dict[str, int] = {}
-            for info in self._plans.values():
-                by_strategy[info.strategy] = by_strategy.get(info.strategy, 0) + 1
-            return {
-                "plans": len(self._plans),
-                "plans_by_strategy": by_strategy,
-                "specs": len(self._stats),
-                "hits": sum(s.hits for s in self._stats.values()),
-                "misses": sum(s.misses for s in self._stats.values()),
-                "calls": sum(s.calls for s in self._stats.values()),
-                "estimated_flops": sum(s.estimated_flops for s in self._stats.values()),
-            }
-
-    def report_to(self, tracker, prefix: str = "einsum") -> None:
-        """Fold the per-spec flop totals into a :class:`CostTracker`.
-
-        Each spec becomes its own category ``"<prefix>:<spec>"`` so reports can
-        break contraction work down by subscript structure.
-        """
-        for spec, stats in self.stats().items():
-            tracker.add_flops(f"{prefix}:{spec}", int(stats.estimated_flops))
-            if stats.seconds > 0:
-                tracker.add_seconds(f"{prefix}:{spec}", stats.seconds)
+            return {"plans": len(self._plans), "hits": self._hits,
+                    "misses": self._misses, "calls": self._calls}
 
     def clear(self) -> None:
-        """Drop every cached plan and all statistics."""
+        """Drop every cached plan and zero the counters."""
         with self._lock:
             self._plans.clear()
-            self._stats.clear()
+            self._hits = self._misses = self._calls = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         info = self.cache_info()
@@ -274,40 +124,24 @@ _default_engine_lock = threading.Lock()
 
 
 def default_engine() -> ContractionEngine:
-    """The process-wide shared engine used by the kernels by default."""
+    """The process-wide engine every einsum of the package runs on."""
     return _default_engine
 
 
-def resolve_engine(engine: ContractionEngine | None) -> ContractionEngine:
-    """``engine`` if given, else the current process-wide default.
-
-    Kernels resolve per call (never capture the default at import/construction
-    time) so :func:`reset_default_engine` takes effect everywhere at once.
-    """
-    return engine if engine is not None else default_engine()
-
-
 def reset_default_engine() -> ContractionEngine:
-    """Replace the process-wide engine with a fresh one (mainly for tests)."""
+    """Replace the process-wide engine with a fresh one (cold plan cache)."""
     global _default_engine
     with _default_engine_lock:
         _default_engine = ContractionEngine()
         return _default_engine
 
 
-def contract(
-    spec: str,
-    *operands: np.ndarray,
-    out: np.ndarray | None = None,
-    tracker=None,
-    category: str = "contract",
-) -> np.ndarray:
-    """:meth:`ContractionEngine.contract` on the process-wide default engine."""
-    return default_engine().contract(
-        spec, *operands, out=out, tracker=tracker, category=category
-    )
+def contract(spec: str, *operands: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """:meth:`ContractionEngine.contract` on the process-wide engine."""
+    return default_engine().contract(spec, *operands, out=out)
 
 
-def plan(spec: str, *operands: np.ndarray) -> PlanInfo:
-    """:meth:`ContractionEngine.plan` on the process-wide default engine."""
+def plan(spec: str, *operands: np.ndarray) -> list:
+    """:meth:`ContractionEngine.plan` on the process-wide engine."""
     return default_engine().plan(spec, *operands)

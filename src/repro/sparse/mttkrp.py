@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.contract import resolve_engine
+from repro.contract import contract
 from repro.sparse.coo import CooTensor
 from repro.sparse.csf import SegmentSum
 from repro.utils.validation import check_factor_matrices, check_mode
@@ -39,21 +39,16 @@ DEFAULT_BLOCK_SIZE = 1 << 16
 def _check_sparse_inputs(tensor: CooTensor, factors, *, what: str):
     if not isinstance(tensor, CooTensor):
         raise TypeError(f"{what} expects a CooTensor, got {type(tensor).__name__}")
-    factors = check_factor_matrices(factors, shape=tensor.shape,
-                                    dtype=tensor.dtype)
-    if len(factors) != tensor.ndim:
-        raise ValueError(f"expected {tensor.ndim} factors, got {len(factors)}")
-    return factors
+    return check_factor_matrices(factors, shape=tensor.shape, dtype=tensor.dtype)
 
 
-def _hadamard_rows(engine, values: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
+def _hadamard_rows(values: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
     """Per-nonzero Khatri-Rao rows: ``values[b] * prod_j rows[j][b, :]``.
 
-    One einsum (``"b,br,...->br"``) so the contraction goes through the shared
-    plan cache like every other kernel in the package.
+    One einsum (``"b,br,...->br"``) on the process-wide plan cache.
     """
     spec = "b," + ",".join("br" for _ in rows) + "->br"
-    return engine.contract(spec, values, *rows)
+    return contract(spec, values, *rows)
 
 
 def _scatter_add(out: np.ndarray, segments: np.ndarray, block: np.ndarray) -> None:
@@ -78,7 +73,6 @@ def sparse_mttkrp(
     mode: int,
     tracker=None,
     category: str = "mttkrp",
-    engine=None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     out: np.ndarray | None = None,
     order_perm: np.ndarray | None = None,
@@ -111,7 +105,6 @@ def sparse_mttkrp(
     if block_size <= 0:
         raise ValueError("block_size must be positive")
     rank = factors[0].shape[1]
-    eng = resolve_engine(engine)
 
     start = time.perf_counter()
     if out is None:
@@ -142,7 +135,7 @@ def sparse_mttkrp(
             values = tensor.values[chunk]
         if others:
             rows = [factors[j][idx[:, j]] for j in others]
-            block = _hadamard_rows(eng, values, rows)
+            block = _hadamard_rows(values, rows)
         else:  # order-1 tensor: the empty Hadamard product is all-ones
             block = np.broadcast_to(values[:, None], (values.shape[0], rank))
         _scatter_add(out, idx[:, mode], block)
@@ -162,7 +155,6 @@ def sparse_partial_mttkrp(
     keep_modes: Sequence[int],
     tracker=None,
     category: str = "mttkrp",
-    engine=None,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> np.ndarray:
     """Sparse partially contracted MTTKRP ``M^(i1,...,im)`` (Eq. 4).
@@ -188,7 +180,6 @@ def sparse_partial_mttkrp(
         dense = tensor.to_dense()
         return np.broadcast_to(dense[..., None], dense.shape + (rank,)).copy()
 
-    eng = resolve_engine(engine)
     keep_dims = tuple(tensor.shape[m] for m in keep)
     n_rows = int(np.prod(keep_dims, dtype=np.int64)) if keep else 1
     flat = np.zeros((n_rows, rank), dtype=tensor.dtype)
@@ -197,7 +188,7 @@ def sparse_partial_mttkrp(
     for lo in range(0, tensor.nnz, block_size):
         idx = tensor.indices[lo:lo + block_size]
         rows = [factors[j][idx[:, j]] for j in contracted]
-        block = _hadamard_rows(eng, tensor.values[lo:lo + block_size], rows)
+        block = _hadamard_rows(tensor.values[lo:lo + block_size], rows)
         _scatter_add(flat, segments[lo:lo + block_size], block)
     elapsed = time.perf_counter() - start
     if tracker is not None:

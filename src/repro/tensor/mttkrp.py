@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.contract import resolve_engine
+from repro.contract import contract
 from repro.tensor.products import khatri_rao
 from repro.tensor.unfold import unfold
 from repro.utils.validation import check_factor_matrices, check_mode
@@ -47,7 +47,6 @@ def mttkrp(
     mode: int,
     tracker=None,
     category: str = "mttkrp",
-    engine=None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact MTTKRP ``M^(mode) = T_(mode) P^(mode)`` computed with one einsum.
@@ -60,8 +59,6 @@ def mttkrp(
     mode = check_mode(mode, order)
     factors = check_factor_matrices(factors, shape=tensor.shape,
                                     dtype=_working_dtype(tensor))
-    if len(factors) != order:
-        raise ValueError(f"expected {order} factors, got {len(factors)}")
     rank = factors[0].shape[1]
 
     subs = _mode_subscripts(order)
@@ -73,9 +70,8 @@ def mttkrp(
         operands.append(factors[j])
         spec_parts.append(subs[j] + "r")
     spec = ",".join(spec_parts) + "->" + subs[mode] + "r"
-    eng = resolve_engine(engine)
     start = time.perf_counter()
-    out = eng.contract(spec, *operands, out=out)
+    out = contract(spec, *operands, out=out)
     elapsed = time.perf_counter() - start
     if tracker is not None:
         tracker.add_flops(category, 2 * tensor.size * rank)
@@ -90,7 +86,6 @@ def mttkrp_unfolding(
     mode: int,
     tracker=None,
     category: str = "mttkrp",
-    engine=None,
 ) -> np.ndarray:
     """Textbook MTTKRP via explicit unfolding and Khatri-Rao product.
 
@@ -105,8 +100,8 @@ def mttkrp_unfolding(
     factors = check_factor_matrices(factors, shape=tensor.shape,
                                     dtype=_working_dtype(tensor))
     others = [factors[j] for j in range(order) if j != mode]
-    kr = khatri_rao(others, tracker=tracker, category=category, engine=engine)
-    out = resolve_engine(engine).contract("ab,br->ar", unfold(tensor, mode), kr)
+    kr = khatri_rao(others, tracker=tracker, category=category)
+    out = contract("ab,br->ar", unfold(tensor, mode), kr)
     if tracker is not None:
         rank = factors[0].shape[1]
         tracker.add_flops(category, 2 * tensor.size * rank)
@@ -120,7 +115,6 @@ def partial_mttkrp(
     keep_modes: Sequence[int],
     tracker=None,
     category: str = "mttkrp",
-    engine=None,
 ) -> np.ndarray:
     """Partially contracted MTTKRP intermediate ``M^(i1,...,im)`` (Eq. 4).
 
@@ -152,8 +146,7 @@ def partial_mttkrp(
         spec_parts.append(subs[j] + "r")
     out_spec = "".join(subs[m] for m in keep) + "r"
     spec = ",".join(spec_parts) + "->" + out_spec
-    eng = resolve_engine(engine)
-    out = eng.contract(spec, *operands)
+    out = contract(spec, *operands)
     if tracker is not None:
         tracker.add_flops(category, 2 * tensor.size * rank)
         tracker.add_vertical_words(tensor.size + out.size)

@@ -14,14 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.contract import resolve_engine
-
 __all__ = ["khatri_rao", "kronecker", "hadamard_chain", "hadamard_all_but"]
 
 
-def khatri_rao(matrices: Sequence[np.ndarray], tracker=None, category: str = "khatri_rao",
-               engine=None) -> np.ndarray:
+def khatri_rao(matrices: Sequence[np.ndarray], tracker=None,
+               category: str = "khatri_rao") -> np.ndarray:
     """Column-wise Khatri-Rao product of ``matrices``.
+
+    Built by broadcasting, one multiply per element of each partial product,
+    into a C-ordered result (a GEMM takes it as BLAS's transposed operand).
 
     Parameters
     ----------
@@ -41,15 +42,12 @@ def khatri_rao(matrices: Sequence[np.ndarray], tracker=None, category: str = "kh
     rank = ranks.pop()
     if len(mats) == 1:
         return mats[0].copy()
-    eng = resolve_engine(engine)
-
-    def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = eng.contract("ir,jr->ijr", a, b).reshape(-1, rank)
+    out = np.ascontiguousarray(mats[0])
+    for m in mats[1:]:
+        out = (out[:, None, :] * np.ascontiguousarray(m)).reshape(-1, rank)
         if tracker is not None:
-            tracker.add_flops(category, a.shape[0] * b.shape[0] * rank)
-        return out
-
-    return reduce(_pair, mats)
+            tracker.add_flops(category, out.size)
+    return out
 
 
 def kronecker(matrices: Sequence[np.ndarray]) -> np.ndarray:

@@ -4,7 +4,7 @@ Three kernels are provided:
 
 * :func:`ttm` — the textbook mode-``n`` product ``T x_n A`` whose output keeps
   the contracted mode in place with the new dimension (rows of ``A``); an
-  einsum through the shared :class:`~repro.contract.ContractionEngine`.
+  einsum through the process-wide plan cache of :mod:`repro.contract`.
 * :func:`first_contraction` — the "first-level contraction" used by dimension
   trees (Section II-C of the paper): contracting mode ``n`` of the input
   tensor with a factor matrix ``A^(n)`` of shape ``(s_n, R)`` *removes* that
@@ -32,8 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.contract import resolve_engine, subscript_letters
+from repro.contract import contract, subscript_letters
 from repro.tensor.intermediate import empty_rank_first, rank_last
+from repro.tensor.products import khatri_rao
 from repro.utils.validation import check_mode
 
 __all__ = ["ttm", "multi_ttm", "first_contraction", "trailing_contraction"]
@@ -86,7 +87,6 @@ def ttm(
     transpose: bool = False,
     tracker=None,
     category: str = "ttm",
-    engine=None,
 ) -> np.ndarray:
     """Mode-``mode`` tensor-times-matrix product ``T x_mode M``.
 
@@ -105,9 +105,8 @@ def ttm(
     out_subs = list(subs)
     out_subs[mode] = "J"
     spec = f"{''.join(subs)},J{subs[mode]}->{''.join(out_subs)}"
-    eng = resolve_engine(engine)
     start = time.perf_counter()
-    out = eng.contract(spec, tensor, mat)
+    out = contract(spec, tensor, mat)
     elapsed = time.perf_counter() - start
     _record(tracker, category, 2 * tensor.size * mat.shape[0], tensor.size + out.size, elapsed)
     return out
@@ -120,7 +119,6 @@ def multi_ttm(
     transpose: bool = False,
     tracker=None,
     category: str = "ttm",
-    engine=None,
 ) -> np.ndarray:
     """Apply :func:`ttm` along several modes in sequence."""
     if len(matrices) != len(modes):
@@ -128,7 +126,7 @@ def multi_ttm(
     out = np.asarray(tensor)
     for matrix, mode in zip(matrices, modes):
         out = ttm(out, matrix, mode, transpose=transpose, tracker=tracker,
-                  category=category, engine=engine)
+                  category=category)
     return out
 
 
@@ -235,7 +233,7 @@ def trailing_contraction(
     :func:`~repro.tensor.ttv.contract_intermediate_mode` of the others.  It is
     computed as the partial MTTKRP ``X @ K`` of the ``(lead, trail)`` unfolding
     ``X`` with the ``(trail, R)`` Khatri-Rao product ``K`` of the factors
-    (built by broadcasting): one batched GEMM ``K^T @ X_b^T`` over blocks
+    (:func:`~repro.tensor.products.khatri_rao`): one batched GEMM ``K^T @ X_b^T`` over blocks
     ``X_b`` of :func:`_trailing_rows` consecutive rows, plus one GEMM for the
     rows left over, written into the rank-first buffer of
     :mod:`repro.tensor.intermediate`.
@@ -263,18 +261,11 @@ def trailing_contraction(
     if tracker is not None:
         start = time.perf_counter()
     # K is (trail, R), C-ordered: the GEMM takes K^T as BLAS's transposed
-    # operand, 1.1 ms at 32^4, R = 16 against 1.7 ms with K stored rank-first.
-    # It is not built by khatri_rao: that runs through the contraction engine,
-    # which no dense tree kernel touches, and its einsum took 55-65 us against
-    # 24-26 us for this loop on the two 32 x 16 factors of that shape
-    krp = np.ascontiguousarray(factors[0])
-    krp_flops = 0
-    for factor in factors[1:]:
-        krp = (krp[:, None, :] * np.ascontiguousarray(factor)).reshape(-1, rank)
-        krp_flops += krp.size
+    # operand, 1.1 ms at 32^4, R = 16 against 1.7 ms with K stored rank-first
+    krp = khatri_rao(factors, tracker=tracker)
     if tracker is not None:
         formed = time.perf_counter()
-        _record(tracker, "khatri_rao", krp_flops, seconds=formed - start)
+        tracker.add_seconds("khatri_rao", formed - start)
     lead = math.prod(kept_shape)
     trail = krp.shape[0]
     buffer = empty_rank_first(kept_shape, rank, np.result_type(tensor, krp))

@@ -8,7 +8,7 @@ of the intermediate — i.e. ``R`` independent TTVs batched together.
 :func:`contract_intermediate_mode` runs them as one batched BLAS matrix-vector
 product on the rank-first buffer of :mod:`repro.tensor.intermediate`
 (``docs/engines.rst``, "Dense hot loops"); the plain :func:`ttv` is an einsum
-through the shared :class:`~repro.contract.ContractionEngine`.
+through the process-wide plan cache of :mod:`repro.contract`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.contract import resolve_engine, subscript_letters
+from repro.contract import contract, subscript_letters
 from repro.tensor.intermediate import empty_rank_first, rank_first, rank_last
 from repro.utils.validation import check_mode
 
@@ -41,7 +41,6 @@ def ttv(
     mode: int,
     tracker=None,
     category: str = "mttv",
-    engine=None,
 ) -> np.ndarray:
     """Contract mode ``mode`` of ``tensor`` with ``vector`` (removing the mode)."""
     tensor = np.asarray(tensor)
@@ -55,9 +54,8 @@ def ttv(
     spec = "{},{}->{}".format(
         "".join(subs), subs[mode], "".join(s for i, s in enumerate(subs) if i != mode)
     )
-    eng = resolve_engine(engine)
     start = time.perf_counter()
-    out = eng.contract(spec, tensor, vector)
+    out = contract(spec, tensor, vector)
     elapsed = time.perf_counter() - start
     _record(tracker, category, 2 * tensor.size, tensor.size + out.size, elapsed)
     return out
@@ -69,7 +67,6 @@ def multi_ttv(
     modes: Sequence[int],
     tracker=None,
     category: str = "mttv",
-    engine=None,
 ) -> np.ndarray:
     """Contract several modes with vectors, highest mode first so indices stay valid."""
     if len(vectors) != len(modes):
@@ -81,7 +78,7 @@ def multi_ttv(
     pairs = sorted(zip(normalized, vectors), key=lambda p: -p[0])
     out = np.asarray(tensor)
     for mode, vec in pairs:
-        out = ttv(out, vec, mode, tracker=tracker, category=category, engine=engine)
+        out = ttv(out, vec, mode, tracker=tracker, category=category)
     return out
 
 

@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.backend import is_sparse_tensor
-from repro.contract import ContractionEngine, resolve_engine
 from repro.trees.cache import ContractionCache
 from repro.utils.validation import check_factor_matrices
 
@@ -40,7 +39,6 @@ class MTTKRPProvider(abc.ABC):
         factors: Sequence[np.ndarray],
         tracker=None,
         max_cache_bytes: int | None = None,
-        engine: ContractionEngine | None = None,
     ):
         if is_sparse_tensor(tensor):
             self.tensor = tensor
@@ -51,15 +49,10 @@ class MTTKRPProvider(abc.ABC):
             self.tensor = np.ascontiguousarray(arr)
         factors = check_factor_matrices(factors, shape=self.tensor.shape,
                                         dtype=self.tensor.dtype)
-        if len(factors) != self.tensor.ndim:
-            raise ValueError(
-                f"expected {self.tensor.ndim} factors, got {len(factors)}"
-            )
         self.factors: list[np.ndarray] = list(factors)
         self.versions: list[int] = [0] * len(factors)
         self.tracker = tracker
         self.cache = ContractionCache(max_bytes=max_cache_bytes)
-        self._engine = engine
         self._update_clock = 0
         self._last_updated = [-1] * len(factors)
 
@@ -76,13 +69,6 @@ class MTTKRPProvider(abc.ABC):
     def dtype(self) -> np.dtype:
         """Working dtype of the tensor and (therefore) the factors."""
         return self.tensor.dtype
-
-    @property
-    def engine(self) -> ContractionEngine:
-        """The contraction engine in use: the injected one, else the current
-        process-wide default (resolved lazily so a ``reset_default_engine``
-        takes effect for existing providers too)."""
-        return resolve_engine(self._engine)
 
     def set_factor(self, mode: int, factor: np.ndarray) -> None:
         """Install the updated factor for ``mode`` and bump its version."""
@@ -122,16 +108,10 @@ class MTTKRPProvider(abc.ABC):
 
     # -- diagnostics -----------------------------------------------------------------
     def cache_stats(self) -> dict:
-        """Intermediate-cache counters plus the plan cache of ``self.engine``.
-
-        ``"plan_cache"`` reflects the whole engine this provider uses — the
-        process-wide default unless one was injected — so with the default
-        engine it aggregates over every provider in the process.
-        """
+        """Counters of the provider's intermediate cache."""
         return {
             "entries": len(self.cache),
             "bytes": self.cache.total_bytes,
             "hits": self.cache.hits,
             "misses": self.cache.misses,
-            "plan_cache": self.engine.cache_info(),
         }

@@ -22,8 +22,7 @@ class NaiveMTTKRP(MTTKRPProvider):
 
     def mttkrp(self, mode: int) -> np.ndarray:
         return mttkrp_einsum(self.tensor, self.factors, mode,
-                             tracker=self.tracker, category="ttm",
-                             engine=self.engine)
+                             tracker=self.tracker, category="ttm")
 
     def _on_factor_update(self, mode: int) -> None:  # no cache to maintain
         return None
@@ -41,8 +40,7 @@ class UnfoldingMTTKRP(MTTKRPProvider):
 
     def mttkrp(self, mode: int) -> np.ndarray:
         return mttkrp_unfolding(self.tensor, self.factors, mode,
-                                tracker=self.tracker, category="ttm",
-                                engine=self.engine)
+                                tracker=self.tracker, category="ttm")
 
     def _on_factor_update(self, mode: int) -> None:
         return None

@@ -243,7 +243,6 @@ class PairwiseOperators:
         tracker=None,
         provider: MTTKRPProvider | None = None,
         max_cache_bytes: int | None = None,
-        engine=None,
     ) -> "PairwiseOperators":
         """Build all PP operators at the current ``factors`` (the checkpoint ``A_p``).
 
@@ -259,9 +258,7 @@ class PairwiseOperators:
         (:func:`repro.trees.sparse_pp.build_semi_sparse_operators`) — when the
         ``provider`` is one of the sparse dimension trees, its versioned
         intermediate cache and pattern-only CSF structures are shared exactly
-        like the dense path shares the dense provider's cache.  ``engine`` is
-        the contraction engine of those sparse descents; the dense descents
-        are BLAS calls on views and use none.
+        like the dense path shares the dense provider's cache.
         """
         sparse = is_sparse_tensor(tensor)
         if not sparse:
@@ -286,8 +283,6 @@ class PairwiseOperators:
                 )
                 if not same:
                     raise ValueError("provider is bound to a different tensor")
-                if engine is None:
-                    engine = provider.engine
             tree = provider if isinstance(provider, SparseTreeBackend) else None
             if tree is not None:
                 for a, b in zip(tree.factors, factors):
@@ -298,7 +293,7 @@ class PairwiseOperators:
                         )
             pair_ops, single_ops = build_semi_sparse_operators(
                 tensor, factors, tracker=tracker, provider=tree,
-                max_cache_bytes=max_cache_bytes, engine=engine,
+                max_cache_bytes=max_cache_bytes,
             )
             return cls([f.copy() for f in factors], pair_ops, single_ops)
 

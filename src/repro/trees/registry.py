@@ -50,7 +50,6 @@ def make_provider(
     factors: Sequence[np.ndarray],
     tracker=None,
     max_cache_bytes: int | None = None,
-    engine=None,
 ) -> MTTKRPProvider:
     """Construct the MTTKRP engine ``name`` for ``tensor`` and ``factors``.
 
@@ -59,11 +58,8 @@ def make_provider(
     to the matching backend implementation (on sparse inputs the tree names
     build the CSF-based semi-sparse dimension trees of
     :mod:`repro.trees.sparse_dt`, and ``"naive"`` the ``O(nnz R N)``
-    recompute kernel).  ``engine`` is the shared
-    :class:`~repro.contract.ContractionEngine` used for every einsum the
-    provider issues (defaults to the process-wide one; the dense ``dt`` /
-    ``msdt`` trees contract through BLAS and issue none).  An unknown name
-    raises :class:`ValueError` listing :func:`available_providers`.
+    recompute kernel).  An unknown name raises :class:`ValueError` listing
+    :func:`available_providers`.
     """
     registry = SPARSE_PROVIDERS if is_sparse_tensor(tensor) else PROVIDERS
     if name not in registry:
@@ -71,4 +67,4 @@ def make_provider(
             f"unknown MTTKRP engine {name!r}; available: {available_providers()}"
         )
     return registry[name](tensor, factors, tracker=tracker,
-                          max_cache_bytes=max_cache_bytes, engine=engine)
+                          max_cache_bytes=max_cache_bytes)

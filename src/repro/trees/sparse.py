@@ -40,10 +40,9 @@ class SparseCooMTTKRP(MTTKRPProvider):
 
     name = "naive"
 
-    def __init__(self, tensor, factors, tracker=None, max_cache_bytes=None,
-                 engine=None):
+    def __init__(self, tensor, factors, tracker=None, max_cache_bytes=None):
         super().__init__(tensor, factors, tracker=tracker,
-                         max_cache_bytes=max_cache_bytes, engine=engine)
+                         max_cache_bytes=max_cache_bytes)
         # per-output-mode nonzero orderings: pattern-only, built lazily once
         self._mode_perms: dict[int, np.ndarray | None] = {}
 
@@ -62,7 +61,6 @@ class SparseCooMTTKRP(MTTKRPProvider):
     def mttkrp(self, mode: int) -> np.ndarray:
         return sparse_mttkrp(self.tensor, self.factors, mode,
                              tracker=self.tracker, category="ttm",
-                             engine=self.engine,
                              order_perm=self._mode_perm(int(mode)))
 
     def _on_factor_update(self, mode: int) -> None:  # no cache to maintain
@@ -74,10 +72,9 @@ class SparseUnfoldingMTTKRP(MTTKRPProvider):
 
     name = "unfolding"
 
-    def __init__(self, tensor, factors, tracker=None, max_cache_bytes=None,
-                 engine=None):
+    def __init__(self, tensor, factors, tracker=None, max_cache_bytes=None):
         super().__init__(tensor, factors, tracker=tracker,
-                         max_cache_bytes=max_cache_bytes, engine=engine)
+                         max_cache_bytes=max_cache_bytes)
         self._max_unfolding_bytes = max_cache_bytes
         self._unfolding_bytes = 0
         self._unfoldings: dict[int, object] = {}
@@ -152,8 +149,7 @@ class SparseUnfoldingMTTKRP(MTTKRPProvider):
             )
         self._check_khatri_rao_budget(mode)
         kr = khatri_rao([self.factors[m] for m in others],
-                        tracker=self.tracker, category="khatri_rao",
-                        engine=self.engine)
+                        tracker=self.tracker, category="khatri_rao")
         out = self._unfolding(mode) @ kr
         if self.tracker is not None:
             self.tracker.add_flops("ttm", 2 * self.tensor.nnz * self.rank)

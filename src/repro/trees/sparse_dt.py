@@ -37,10 +37,9 @@ one sort of the linearised child coordinate when ``prod`` of the child extents
 fits int64, ``np.lexsort`` over the columns when it does not, and no sort when
 the parents are in child order already (``k`` the last mode of ``S``).
 
-Fiber steps route their elementwise product through the shared
-:class:`~repro.contract.ContractionEngine`, and both steps record
-flops/words/seconds in
-the :class:`~repro.machine.cost_tracker.CostTracker` under the same
+Fiber steps run their elementwise product as an einsum on the process-wide
+plan cache of :mod:`repro.contract`, and both steps record flops/words/seconds
+in the :class:`~repro.machine.cost_tracker.CostTracker` under the same
 ``"ttm"``/``"mttv"`` categories as the dense tree, so Figure-3-style
 breakdowns compare directly.  The control flow (cache lookup, DT/MSDT descent
 orders) is shared with the dense engines via :mod:`repro.trees.amortized` —
@@ -56,6 +55,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.contract import contract
 from repro.sparse.coo import CooTensor
 from repro.sparse.csf import CsfTensor, SegmentSum
 from repro.sparse.ordering import lex_order
@@ -149,15 +149,14 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
     against ``max_cache_bytes`` (index arrays, not rank-``R`` blocks).
     """
 
-    def __init__(self, tensor, factors, tracker=None, max_cache_bytes=None,
-                 engine=None):
+    def __init__(self, tensor, factors, tracker=None, max_cache_bytes=None):
         if not isinstance(tensor, CooTensor):
             raise TypeError(
                 f"{type(self).__name__} expects a CooTensor, got "
                 f"{type(tensor).__name__}"
             )
         super().__init__(tensor, factors, tracker=tracker,
-                         max_cache_bytes=max_cache_bytes, engine=engine)
+                         max_cache_bytes=max_cache_bytes)
         self._csf: dict[tuple[int, ...], CsfTensor] = {}
         self._root_steps: dict[int, _RootStep] = {}
         self._fiber_steps: dict[tuple[tuple[int, ...], int], _FiberStep] = {}
@@ -289,7 +288,7 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
         start = time.perf_counter()
         rows = self._gather_rows(k, step.k_coords)
         # scaled in place; the product below allocates the only new block
-        self.engine.contract("fr,fr->fr", semi.block, rows, out=rows)
+        contract("fr,fr->fr", semi.block, rows, out=rows)
         block = step.reduce @ rows
         elapsed = time.perf_counter() - start
         if self.tracker is not None:

@@ -318,7 +318,6 @@ def build_semi_sparse_operators(
     tracker=None,
     provider: SparseTreeBackend | None = None,
     max_cache_bytes: int | None = None,
-    engine=None,
 ) -> tuple[dict[tuple[int, int], SemiSparsePairOperator], dict[int, np.ndarray]]:
     """Build all PP operators at ``factors`` as semi-sparse tree descents.
 
@@ -353,19 +352,17 @@ def build_semi_sparse_operators(
     else:
         backend = SparseDimensionTreeMTTKRP(
             tensor, factors, tracker=tracker,
-            max_cache_bytes=max_cache_bytes, engine=engine,
+            max_cache_bytes=max_cache_bytes,
         )
     order = backend.order
     if order < 3:
         raise ValueError("pairwise perturbation requires tensors of order >= 3")
     shape = backend.tensor.shape
 
-    # route the descent's accounting/engine to the build's, restoring after —
-    # the shared provider keeps tracking its own sweeps afterwards
-    prev_tracker, prev_engine = backend.tracker, backend._engine
+    # route the descent's accounting to the build's, restoring after — the
+    # shared provider keeps tracking its own sweeps afterwards
+    prev_tracker = backend.tracker
     backend.tracker = tracker
-    if engine is not None:
-        backend._engine = engine
     try:
         cache, versions = backend.cache, backend.versions
 
@@ -410,5 +407,4 @@ def build_semi_sparse_operators(
                                               tracker=tracker)
     finally:
         backend.tracker = prev_tracker
-        backend._engine = prev_engine
     return pair_ops, single_ops

@@ -63,13 +63,18 @@ def check_factor_matrices(
     """Validate a list of CP factor matrices.
 
     Each factor must be a 2-D array with the same number of columns.  When
-    ``shape`` is given, factor ``i`` must have ``shape[i]`` rows; when ``rank``
+    ``shape`` is given, there must be one factor per mode and factor ``i``
+    must have ``shape[i]`` rows; when ``rank``
     is given, every factor must have exactly ``rank`` columns.  Factors are
     cast to ``dtype`` (``float64`` when omitted, matching
     :func:`check_dense_tensor`'s default normalization).
     """
     if len(factors) == 0:
         raise ValueError(f"{name} must contain at least one factor matrix")
+    if shape is not None and len(factors) != len(shape):
+        raise ValueError(
+            f"expected {len(shape)} {name}, one per mode, got {len(factors)}"
+        )
     target = np.dtype(np.float64 if dtype is None else dtype)
     if not np.issubdtype(target, np.floating):
         raise ValueError(f"dtype must be a floating type, got {target}")

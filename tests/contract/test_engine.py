@@ -1,9 +1,9 @@
 """Tests of the shared contraction engine and the migrated kernels.
 
-Covers plan-cache hit/miss accounting, ``out=`` buffer reuse, CostTracker
-reporting, and parity of every migrated kernel against a plain ``np.einsum``
-oracle on random order-3/4/5 tensors.  The dense tree kernels
-(``first_contraction``, ``contract_intermediate_mode`` and the dense
+Covers plan-cache hit/miss accounting, ``out=`` buffer reuse, the absence of
+any ``engine`` parameter on the public API, and parity of every migrated
+kernel against a plain ``np.einsum`` oracle on random order-3/4/5 tensors.
+The dense tree kernels (``first_contraction``, ``contract_intermediate_mode`` and the dense
 ``first_order_correction``) and the ``R x R`` algebra around them
 (``gram_matrix``, ``delta_gram``, ``inner_product``, the solve, Eq. 7) are
 BLAS/LAPACK calls, not einsums: they keep their parity checks here and whole
@@ -11,6 +11,9 @@ dense ``cp_als`` / ``pp_cp_als`` runs are asserted *not* to reach the engine.
 """
 
 from __future__ import annotations
+
+import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from repro.contract import (
 from repro.core.normal_equations import gram_matrix
 from repro.core.options import ALSOptions, PPOptions
 from repro.core.pp_corrections import delta_gram, first_order_correction
-from repro.machine.cost_tracker import CostTracker
 from repro.tensor.mttkrp import mttkrp, mttkrp_unfolding, partial_mttkrp
 from repro.tensor.products import khatri_rao
 from repro.tensor.norms import inner_product
@@ -60,23 +62,24 @@ def _oracle_mttkrp(tensor, factors, mode):
 
 class TestPlanCache:
     def test_hit_miss_accounting(self):
-        engine = ContractionEngine()
+        reset_default_engine()
         rng = np.random.default_rng(0)
         a, b = rng.random((7, 3)), rng.random((5, 3))
 
-        engine.contract("ir,jr->ijr", a, b)
-        stats = engine.stats()["ir,jr->ijr"]
-        assert (stats.misses, stats.hits, stats.calls) == (1, 0, 1)
+        def counts():
+            info = default_engine().cache_info()
+            return info["misses"], info["hits"], info["calls"]
 
-        engine.contract("ir,jr->ijr", a, b)
-        stats = engine.stats()["ir,jr->ijr"]
-        assert (stats.misses, stats.hits, stats.calls) == (1, 1, 2)
+        contract("ir,jr->ijr", a, b)
+        assert counts() == (1, 0, 1)
+
+        contract("ir,jr->ijr", a, b)
+        assert counts() == (1, 1, 2)
 
         # a different shape under the same spec is a new plan (second miss)
-        engine.contract("ir,jr->ijr", rng.random((4, 3)), b)
-        stats = engine.stats()["ir,jr->ijr"]
-        assert (stats.misses, stats.hits, stats.calls) == (2, 1, 3)
-        assert engine.cache_info()["plans"] == 2
+        contract("ir,jr->ijr", rng.random((4, 3)), b)
+        assert counts() == (2, 1, 3)
+        assert default_engine().cache_info()["plans"] == 2
 
     def test_dtype_is_part_of_the_key(self):
         engine = ContractionEngine()
@@ -108,56 +111,12 @@ class TestPlanCache:
         engine.contract(spec, tensor, factors[1], factors[2], out=buf)
         np.testing.assert_allclose(buf, expected, atol=1e-12)
 
-    def test_tracker_reporting(self):
-        engine = ContractionEngine()
-        tracker = CostTracker()
-        a = np.random.default_rng(3).random((20, 4))
-        engine.contract("ar,as->rs", a, a, tracker=tracker, category="contract")
-        assert tracker.flops_by_category.get("contract", 0) > 0
-        assert tracker.seconds_by_category.get("contract", 0.0) > 0.0
-
-        report = CostTracker()
-        engine.report_to(report)
-        assert report.flops_by_category.get("einsum:ar,as->rs", 0) > 0
-
     def test_clear_drops_plans_and_stats(self):
         engine = ContractionEngine()
         a = np.ones((3, 2))
         engine.contract("ir,ir->r", a, a)
         engine.clear()
-        assert engine.cache_info() == {
-            "plans": 0,
-            "plans_by_strategy": {},
-            "specs": 0,
-            "hits": 0,
-            "misses": 0,
-            "calls": 0,
-            "estimated_flops": 0.0,
-        }
-
-    def test_strategy_is_part_of_the_key(self):
-        """Changing ``max_optimal_operands`` must not serve stale greedy plans."""
-        rng = np.random.default_rng(40)
-        spec = "ab,bc,cd->ad"
-        ops = [rng.random((4, 4)) for _ in range(3)]
-
-        engine = ContractionEngine(max_optimal_operands=2)
-        greedy = engine.plan(spec, *ops)
-        assert greedy.strategy == "greedy"
-        assert engine.cache_info()["plans_by_strategy"] == {"greedy": 1}
-
-        engine.max_optimal_operands = 8
-        optimal = engine.plan(spec, *ops)
-        assert optimal.strategy == "optimal"
-        assert optimal is not greedy
-        assert engine.cache_info()["plans_by_strategy"] == {"greedy": 1, "optimal": 1}
-
-        # each strategy's plan is now a stable cache hit
-        assert engine.plan(spec, *ops) is optimal
-        engine.max_optimal_operands = 2
-        assert engine.plan(spec, *ops) is greedy
-        info = engine.cache_info()
-        assert info["plans"] == 2 and info["hits"] == 2
+        assert engine.cache_info() == {"plans": 0, "hits": 0, "misses": 0, "calls": 0}
 
     def test_thread_safety_under_concurrent_contract(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -192,19 +151,28 @@ class TestPlanCache:
         assert default_engine() is engine
         assert engine.cache_info()["calls"] == 1
 
-    def test_provider_resolves_default_engine_lazily(self):
-        from repro.trees.registry import make_provider
-
-        tensor, factors = _random_problem((4, 3, 2), rank=2, seed=21)
-        provider = make_provider("dt", tensor, factors)
-        fresh = reset_default_engine()
-        # a provider built before the reset follows the new default...
-        assert provider.engine is fresh
-        # ...but an injected engine stays pinned
-        pinned = ContractionEngine()
-        injected = make_provider("dt", tensor, factors, engine=pinned)
-        reset_default_engine()
-        assert injected.engine is pinned
+    @pytest.mark.parametrize("module", ["repro", "repro.tensor", "repro.sparse",
+                                        "repro.trees"])
+    def test_no_public_callable_takes_an_engine(self, module):
+        """There is one plan cache per process: no kernel, provider or PP
+        builder accepts another (functions, classes and their methods)."""
+        public = importlib.import_module(module)
+        takers = []
+        for name in public.__all__:
+            obj = getattr(public, name)
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", member)
+                            for attr, member in inspect.getmembers(obj, callable)
+                            if not attr.startswith("_")]
+            for qualname, member in members:
+                try:
+                    parameters = inspect.signature(member).parameters
+                except (TypeError, ValueError):  # builtins without a signature
+                    continue
+                if "engine" in parameters:
+                    takers.append(qualname)
+        assert takers == []
 
 
 # -- repeated kernel calls hit the plan cache -------------------------------
@@ -212,72 +180,61 @@ class TestPlanCache:
 
 class TestKernelPlanReuse:
     def test_repeated_mttkrp_hits_cache(self):
-        engine = ContractionEngine()
+        reset_default_engine()
         tensor, factors = _random_problem((6, 5, 4), rank=3, seed=5)
-        mttkrp(tensor, factors, 0, engine=engine)
-        mttkrp(tensor, factors, 0, engine=engine)
-        assert engine.cache_info()["hits"] >= 1
+        mttkrp(tensor, factors, 0)
+        mttkrp(tensor, factors, 0)
+        assert default_engine().cache_info()["hits"] >= 1
 
     def test_every_migrated_kernel_hits_on_second_call(self):
         tensor, factors = _random_problem((5, 4, 3), rank=3, seed=6)
-        kernels = [
-            lambda eng: mttkrp(tensor, factors, 1, engine=eng),
-            lambda eng: mttkrp_unfolding(tensor, factors, 1, engine=eng),
-            lambda eng: partial_mttkrp(tensor, factors, [0, 2], engine=eng),
-            lambda eng: ttv(tensor, factors[1][:, 0], 1, engine=eng),
-            lambda eng: ttm(tensor, factors[0].T, 0, engine=eng),
-            lambda eng: khatri_rao([factors[0], factors[1]], engine=eng),
-        ]
-        for kernel in kernels:
-            engine = ContractionEngine()
-            kernel(engine)
-            kernel(engine)
-            info = engine.cache_info()
-            assert info["hits"] >= 1, f"no plan-cache hit for {kernel}"
+        kernels = {
+            "mttkrp": lambda: mttkrp(tensor, factors, 1),
+            "mttkrp_unfolding": lambda: mttkrp_unfolding(tensor, factors, 1),
+            "partial_mttkrp": lambda: partial_mttkrp(tensor, factors, [0, 2]),
+            "ttv": lambda: ttv(tensor, factors[1][:, 0], 1),
+            "ttm": lambda: ttm(tensor, factors[0].T, 0),
+        }
+        for name, kernel in kernels.items():
+            reset_default_engine()
+            kernel()
+            kernel()
+            info = default_engine().cache_info()
+            assert info["hits"] >= 1, f"no plan-cache hit for {name}"
 
-    def test_every_einsum_provider_honors_injected_engine(self):
-        from repro.sparse import CooTensor
-        from repro.trees.registry import make_provider
-
-        tensor, factors = _random_problem((5, 4, 3), rank=3, seed=9)
-        sparse = CooTensor.from_dense(tensor)
-        cases = [("naive", tensor), ("unfolding", tensor)] + [
-            (name, sparse) for name in ("naive", "unfolding", "dt", "msdt")]
-        for name, data in cases:
-            engine = ContractionEngine()
-            provider = make_provider(name, data, [f.copy() for f in factors],
-                                     engine=engine)
-            provider.mttkrp(0)
-            assert engine.cache_info()["calls"] >= 1, (
-                f"provider {name!r} bypassed its injected engine"
-            )
+    def test_khatri_rao_is_a_broadcast_not_an_einsum(self):
+        _, factors = _random_problem((5, 4, 3), rank=3, seed=7)
+        engine = reset_default_engine()
+        got = khatri_rao(factors)
+        assert engine.cache_info()["calls"] == 0
+        assert got.flags.c_contiguous
+        # the pairwise einsum it replaces: one multiply per element either way
+        pair = np.einsum("ir,jr->ijr", factors[0], factors[1]).reshape(-1, 3)
+        assert np.array_equal(got, np.einsum("ir,jr->ijr", pair, factors[2]).reshape(-1, 3))
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense-naive", "sparse-dt"])
     def test_provider_sweep_reuses_plans_across_sweeps(self, sparse):
         from repro.sparse import CooTensor
         from repro.trees.registry import make_provider
 
-        engine = ContractionEngine()
+        engine = reset_default_engine()
         tensor, factors = _random_problem((6, 5, 4), rank=3, seed=8)
-        if sparse:
-            provider = make_provider("dt", CooTensor.from_dense(tensor), factors,
-                                     engine=engine)
-        else:
-            provider = make_provider("naive", tensor, factors, engine=engine)
+        data = CooTensor.from_dense(tensor) if sparse else tensor
+        provider = make_provider("dt" if sparse else "naive", data, factors)
         for _ in range(3):
             for mode in range(3):
                 result = provider.mttkrp(mode)
                 # updating the factor invalidates the intermediate cache, so
                 # later sweeps re-contract — through cached plans
                 provider.set_factor(mode, result / (np.linalg.norm(result) + 1.0))
-        stats = provider.cache_stats()
-        assert stats["plan_cache"]["hits"] >= 1
-        assert stats["plan_cache"]["misses"] >= 1
+        info = engine.cache_info()
+        assert info["hits"] >= 1
+        assert info["misses"] >= 1
 
     def test_dense_tree_kernels_never_reach_the_engine(self):
         """The dense ``dt``/``msdt`` sweeps, the dense PP operator build and
-        the dense first-order correction are BLAS calls on views: neither an
-        injected engine nor the process-wide one sees a single spec.  Nor do
+        the dense first-order correction are BLAS calls on views: the
+        process-wide engine sees not a single contraction.  Nor do
         whole dense driver runs, whose Gram matrices, solves, Eq. (7) and
         residuals are plain BLAS/LAPACK: exact sweeps, ``pp-init`` and
         approximated sweeps included."""
@@ -290,9 +247,7 @@ class TestKernelPlanReuse:
         tensor, factors = _random_problem((6, 5, 4, 3), rank=3, seed=8)
         default = reset_default_engine()
         for name in ("dt", "msdt"):
-            injected = ContractionEngine()
-            provider = make_provider(name, tensor, [f.copy() for f in factors],
-                                     engine=injected)
+            provider = make_provider(name, tensor, [f.copy() for f in factors])
             for mode in range(tensor.ndim):
                 got = provider.mttkrp(mode)
                 np.testing.assert_allclose(
@@ -301,11 +256,10 @@ class TestKernelPlanReuse:
             operators = PairwiseOperators.build(tensor, provider.factors,
                                                 provider=provider)
             first_order_correction(operators.pair_operator(2, 0), factors[0])
-            assert injected.cache_info()["specs"] == 0
         # (an order-4 array whose last extent is the rank is an intermediate)
         first_contraction(tensor, factors[1], 1)
         contract_intermediate_mode(tensor, factors[1], 1)
-        assert default.cache_info()["specs"] == 0
+        assert default.cache_info()["calls"] == 0
 
         lowrank = random_cp_tensor((7, 6, 8, 5), rank=3, seed=11).full()
         for name in ("dt", "msdt"):
@@ -316,7 +270,7 @@ class TestKernelPlanReuse:
                                             mttkrp=name, seed=0))
             types = {record.sweep_type for record in perturbed.sweeps}
             assert types == {"als", "pp-init", "pp-approx"}
-        assert default.cache_info()["specs"] == 0
+        assert default.cache_info()["calls"] == 0
 
 
 # -- migrated kernels vs the np.einsum oracle -------------------------------

@@ -142,8 +142,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             cp_als(small_tensor3, ALSOptions(rank=2, mttkrp="quantum"))
 
-    def test_wrong_initial_factor_shapes_raise(self, small_tensor3, rng):
-        bad = [rng.random((2, 2)) for _ in range(3)]
+    @pytest.mark.parametrize("rows", [(2, 2, 2), (7, 6, 5, 7), (7, 6)],
+                             ids=["wrong-rows", "too-many", "too-few"])
+    def test_wrong_initial_factor_shapes_raise(self, small_tensor3, rng, rows):
+        bad = [rng.random((r, 2)) for r in rows]
         with pytest.raises(ValueError):
             cp_als(small_tensor3, ALSOptions(rank=2), initial_factors=bad)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.contract import ContractionEngine
+from repro.contract import default_engine, reset_default_engine
 from repro.machine.cost_tracker import CostTracker
 from repro.sparse import CooTensor, sparse_mttkrp, sparse_partial_mttkrp
 from repro.tensor.mttkrp import mttkrp, partial_mttkrp
@@ -113,10 +113,10 @@ class TestMechanics:
 
     def test_engine_plan_cache_is_hit(self):
         _, coo, factors = _problem((6, 5, 4), seed=10)
-        engine = ContractionEngine()
-        sparse_mttkrp(coo, factors, 0, engine=engine)
-        sparse_mttkrp(coo, factors, 0, engine=engine)
-        assert engine.cache_info()["hits"] >= 1
+        reset_default_engine()
+        sparse_mttkrp(coo, factors, 0)
+        sparse_mttkrp(coo, factors, 0)
+        assert default_engine().cache_info()["hits"] >= 1
 
     def test_tracker_accounting(self):
         _, coo, factors = _problem((6, 5, 4), seed=11)

@@ -163,7 +163,7 @@ class TestBuilder:
         for op in ops.pairs().values():
             assert op.block.T.flags.c_contiguous
 
-    def test_build_restores_provider_tracker_and_engine(self, rng):
+    def test_build_restores_provider_tracker(self, rng):
         _, coo, factors = _sparse_instance(rng, (5, 4, 3), rank=2)
         provider_tracker = CostTracker()
         provider = make_provider("dt", coo, [f.copy() for f in factors],
@@ -180,7 +180,7 @@ class TestBuilder:
 
     def test_non_tree_provider_builds_standalone(self, rng):
         """Recompute/unfolding providers cannot donate a fiber cache, but the
-        build must still go semi-sparse (engine donated, no cache sharing)."""
+        build must still go semi-sparse (no cache sharing)."""
         dense, coo, factors = _sparse_instance(rng, (5, 4, 3), rank=2)
         for name in ("naive", "unfolding"):
             provider = make_provider(name, coo, [f.copy() for f in factors])
