@@ -2,20 +2,20 @@
 
 A :class:`ProcessMachine` extends the :class:`~repro.comm.simulated.SimulatedMachine`
 with one *spawned* OS process per rank.  The collectives stay exact and
-master-driven (so process runs are bit-identical to simulated runs at the same
-``P``), while the rank-local tensor kernels — MTTKRP and the pairwise
-perturbation operators — actually execute inside the workers, concurrently
-across ranks.
+master-driven, while the rank-local tensor kernels — MTTKRP and the pairwise
+perturbation operators — execute inside the workers, concurrently across
+ranks.  Each worker runs the same :class:`~repro.distributed.rank.RankKernels`
+a simulated rank runs in the master, so process runs are bit-identical to
+simulated runs at the same ``P``.
 
 Data placement avoids pickle round-trips on the hot path:
 
 * **factor panels** — one :class:`multiprocessing.shared_memory.SharedMemory`
   segment per ``(mode, block)`` of the distributed factors, shared by every
   rank in that block's slice group.  The all-gather of updated factor rows is
-  a single master-side copy into the panel followed by a tiny ``set_factor``
-  command; with ``overlap=True`` (the default) the command is fire-and-forget,
-  so workers ingest the mode-``k`` panel while the master already runs the
-  collectives and solves of mode ``k+1``.
+  a single master-side copy into the panel followed by a tiny fire-and-forget
+  ``set_factor`` command, so workers ingest the mode-``k`` panel while the
+  master already runs the collectives and solves of mode ``k+1``.
 * **output panels** — one per-rank segment sized for the tallest mode block;
   workers write MTTKRP / PP results in place and reply with a row count.
 * **tensor blocks** — shipped once at initialization through transient
@@ -130,133 +130,74 @@ def _load_tensor_block(spec: dict):
 
 
 class _WorkerState:
-    """One rank's live state: provider, panel views, PP checkpoint."""
+    """One rank's live state: its :class:`~repro.distributed.rank.RankKernels`
+    plus the shared factor panels it reads and the output panel it writes."""
 
     def __init__(self, spec: dict):
+        from repro.distributed.rank import RankKernels
         from repro.trees.registry import make_provider
 
-        self.tracker = CostTracker()
-        self.rank_r = int(spec["rank"])
+        rank_r = int(spec["rank"])
         tensor = _load_tensor_block(spec["tensor"])
         self._shms = []
         self.panel_views: list[np.ndarray] = []
         factors = []
         for panel in spec["panels"]:
             shm = _attach_segment(panel["name"])
-            view = np.ndarray((int(panel["rows"]), self.rank_r),
+            view = np.ndarray((int(panel["rows"]), rank_r),
                               dtype=np.float64, buffer=shm.buf)
             self._shms.append(shm)
             self.panel_views.append(view)
             factors.append(view.copy())
         out_shm = _attach_segment(spec["output"]["name"])
         self._shms.append(out_shm)
-        self.out_view = np.ndarray((int(spec["output"]["rows"]), self.rank_r),
+        self.out_view = np.ndarray((int(spec["output"]["rows"]), rank_r),
                                    dtype=np.float64, buffer=out_shm.buf)
-        self.provider = make_provider(
+        self.kernels = RankKernels(make_provider(
             spec["engine"], tensor, factors,
-            tracker=self.tracker,
+            tracker=CostTracker(),
             max_cache_bytes=spec.get("max_cache_bytes"),
-        )
-        self.checkpoint: list[np.ndarray] | None = None
-        self.operators = None
-        # lazily attached views of *other* ranks' output panels, keyed by
-        # segment name (worker-side reduction trees re-use the same peers
-        # every sweep, so the attachments are cached until close())
-        self._peer_shms: dict[str, object] = {}
+        ))
 
     def apply_factor(self, mode: int) -> None:
         """Ingest the published panel for ``mode`` into the local engine."""
-        self.provider.set_factor(mode, self.panel_views[mode].copy())
+        self.kernels.set_factor(mode, self.panel_views[mode].copy())
 
-    def mttkrp(self, mode: int) -> int:
-        result = self.provider.mttkrp(mode)
+    def run(self, command: tuple) -> int | None:
+        """Run one kernel command; an array result goes to the output panel
+        and only its row count is returned."""
+        result = self.kernels.run(command)
+        if result is None:
+            return None
         rows = result.shape[0]
         self.out_view[:rows] = result
         return rows
-
-    def pp_build(self) -> None:
-        """Local PP init: checkpoint the factors and build the operators.
-
-        The checkpoint makes later ``pp_contrib`` calls self-contained: the
-        delta factors are recomputed locally as ``current - checkpoint``,
-        which matches the master's distributed-delta bookkeeping bit for bit,
-        so no delta blocks ever cross the process boundary.
-        """
-        from repro.trees.pp_operators import PairwiseOperators
-
-        self.checkpoint = [f.copy() for f in self.provider.factors]
-        self.operators = PairwiseOperators.build(
-            self.provider.tensor, self.provider.factors,
-            tracker=self.tracker, provider=self.provider,
-        )
-
-    def pp_contrib(self, mode: int, accumulator: np.ndarray,
-                   group_size: int) -> int:
-        if self.operators is None or self.checkpoint is None:
-            raise RuntimeError("pp_contrib before pp_build")
-        local = self.operators.first_order_mttkrp(
-            mode,
-            [None if other == mode else factor - checkpoint
-             for other, (factor, checkpoint)
-             in enumerate(zip(self.provider.factors, self.checkpoint))],
-            tracker=self.tracker,
-        )
-        factor_block = self.provider.factors[mode]
-        t0 = time.perf_counter()
-        v_block = factor_block @ accumulator
-        self.tracker.add_flops(
-            "others",
-            2 * factor_block.shape[0] * self.rank_r**2 // max(group_size, 1),
-        )
-        self.tracker.add_seconds("others", time.perf_counter() - t0)
-        result = local + v_block / max(group_size, 1)
-        rows = result.shape[0]
-        self.out_view[:rows] = result
-        return rows
-
-    def reduce_add(self, src_name: str, rows: int) -> None:
-        """Accumulate a peer rank's output panel into this rank's panel.
-
-        One edge of the worker-side binomial reduction tree: attach the
-        source rank's output segment (cached across sweeps) and add its first
-        ``rows`` rows in place.  Only wall-clock is recorded — the reduction
-        arithmetic replaces master-side copies the model already prices as
-        collective communication, so charging flops here would double-count
-        and change modeled times between collectives modes.
-        """
-        t0 = time.perf_counter()
-        shm = self._peer_shms.get(src_name)
-        if shm is None:
-            shm = _attach_segment(src_name)
-            self._peer_shms[src_name] = shm
-        src = np.ndarray((int(rows), self.rank_r), dtype=np.float64,
-                         buffer=shm.buf)
-        self.out_view[:rows] += src
-        self.tracker.add_seconds("reduce", time.perf_counter() - t0)
-
-    def cost_delta(self, before: CostTracker) -> dict:
-        return self.tracker.diff_since(before).as_dict()
 
     def close(self) -> None:
-        self.provider = None
-        self.operators = None
-        self.checkpoint = None
+        self.kernels = None
         self.panel_views = []
         self.out_view = None
-        for shm in (*self._shms, *self._peer_shms.values()):
+        for shm in self._shms:
             try:
                 shm.close()
             except BufferError:  # pragma: no cover - a stray view kept the buffer
                 pass
         self._shms = []
-        self._peer_shms = {}
+
+
+#: the commands a worker hands to its :class:`~repro.distributed.rank.RankKernels`
+_KERNEL_COMMANDS = ("mttkrp", "pp_build", "pp_contrib")
 
 
 def _worker_main(rank: int, cmd_queue, res_queue) -> None:
     """Worker loop: serve commands until ``exit`` (runs in the child process).
 
+    A kernel command (``("mttkrp", mode)``, ``("pp_build",)``,
+    ``("pp_contrib", mode, accumulator, group_size)``) is answered with
+    ``(tag, rows, cost_delta)``: the row count of the result written to the
+    output panel (``None`` for ``pp_build``) and the worker tracker's delta.
     Time spent blocked on the command queue between kernel commands is
-    accumulated into ``pending_wait`` and attributed to the next *timed*
+    accumulated into ``pending_wait`` and attributed to the next kernel
     command's cost delta under the ``queue_wait`` category — the per-rank
     observability input for the process-hop calibration (kernel vs queue-wait
     vs publish, see :mod:`repro.machine.calibrate`).
@@ -288,37 +229,14 @@ def _worker_main(rank: int, cmd_queue, res_queue) -> None:
             elif tag == "ping":
                 res_queue.put(("ping", rank))
             elif tag == "set_factor":
-                _, mode, ack = msg
-                state.apply_factor(mode)
-                if ack:
-                    res_queue.put(("set_factor", mode))
-            elif tag == "mttkrp":
-                _, mode = msg
-                before = state.tracker.snapshot()
-                state.tracker.add_seconds("queue_wait", pending_wait)
+                state.apply_factor(msg[1])
+            elif tag in _KERNEL_COMMANDS:
+                tracker = state.kernels.tracker
+                before = tracker.snapshot()
+                tracker.add_seconds("queue_wait", pending_wait)
                 pending_wait = 0.0
-                rows = state.mttkrp(mode)
-                res_queue.put(("mttkrp", mode, rows, state.cost_delta(before)))
-            elif tag == "reduce_add":
-                _, src_name, rows = msg
-                before = state.tracker.snapshot()
-                state.tracker.add_seconds("queue_wait", pending_wait)
-                pending_wait = 0.0
-                state.reduce_add(src_name, rows)
-                res_queue.put(("reduce_add", rows, state.cost_delta(before)))
-            elif tag == "pp_build":
-                before = state.tracker.snapshot()
-                state.tracker.add_seconds("queue_wait", pending_wait)
-                pending_wait = 0.0
-                state.pp_build()
-                res_queue.put(("pp_build", state.cost_delta(before)))
-            elif tag == "pp_contrib":
-                _, mode, accumulator, group_size = msg
-                before = state.tracker.snapshot()
-                state.tracker.add_seconds("queue_wait", pending_wait)
-                pending_wait = 0.0
-                rows = state.pp_contrib(mode, accumulator, group_size)
-                res_queue.put(("pp_contrib", mode, rows, state.cost_delta(before)))
+                rows = state.run(msg)
+                res_queue.put((tag, rows, tracker.diff_since(before).as_dict()))
             else:
                 res_queue.put(("error", tag, f"unknown command {tag!r}", ""))
         except BaseException as exc:  # noqa: BLE001 - forwarded to the master
@@ -399,21 +317,14 @@ class ProcessMachine(SimulatedMachine):
     timeout:
         Seconds :meth:`wait` blocks on one command before declaring the
         worker hung.  Worker *death* is detected within ~0.1 s regardless.
-    overlap:
-        When ``True`` (default), ``set_factor`` commands are posted without
-        an ack, overlapping panel ingestion for mode ``k`` with the master's
-        collectives for mode ``k+1``.  FIFO command queues make this safe;
-        ``False`` forces a fully synchronous (debug) schedule.
     """
 
     def __init__(self, n_ranks: int, params: MachineParams | None = None,
-                 start_method: str = "spawn", timeout: float = 120.0,
-                 overlap: bool = True):
+                 start_method: str = "spawn", timeout: float = 120.0):
         super().__init__(n_ranks, params=params)
         import multiprocessing as mp
 
         self.timeout = float(timeout)
-        self.overlap = bool(overlap)
         self._session = uuid.uuid4().hex[:10]
         self._seg_counter = 0
         self._closed = False

@@ -83,18 +83,6 @@ class SimulatedMachine(GroupCollectives):
             tracker.add_messages(int(round(messages)))
             tracker.add_horizontal_words(int(round(words)))
 
-    def charge_collective(
-        self, group: Sequence[int], messages: float, words: float
-    ) -> None:
-        """Charge a collective's modeled cost without moving data through here.
-
-        Worker-side process collectives perform the reduction in shared
-        memory (:meth:`repro.distributed.runtime.ProcessRuntime.reduce_blocks`)
-        but must still charge the same Section II-E cost the master-driven
-        path would, so modeled times stay comparable across collectives modes.
-        """
-        self._charge(group, messages, words)
-
     @staticmethod
     def _as_array(value: np.ndarray) -> np.ndarray:
         arr = np.asarray(value, dtype=np.float64)

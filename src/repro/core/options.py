@@ -198,12 +198,6 @@ class ParallelOptions(ALSOptions):
     #: rank with shared-memory factor panels).  Ignored when an explicit
     #: ``machine=`` is passed to the driver.
     execution: str = "simulated"
-    #: who sums the per-rank MTTKRP panels: ``"master"`` (default — the
-    #: master-driven collectives, bit-identical to simulated execution) or
-    #: ``"worker"`` (workers reduce among themselves through shared memory in
-    #: a binomial tree; requires a process machine, matches the single-rank
-    #: oracle at 1e-10 and is deterministic run to run).
-    collectives: str = "master"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -216,7 +210,6 @@ class ParallelOptions(ALSOptions):
         _check_choice(self.update, "update rule",
                       ("least_squares", "hals", "multiplicative"))
         _check_choice(self.execution, "execution substrate", ("simulated", "process"))
-        _check_choice(self.collectives, "collectives", ("master", "worker"))
 
 
 @dataclass

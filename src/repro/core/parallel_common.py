@@ -2,8 +2,10 @@
 
 The drivers are written as BSP supersteps over a
 :class:`~repro.comm.simulated.SimulatedMachine`: local kernels run per rank on
-that rank's tensor block and factor blocks (recording their flops and wall
-time into the rank's cost tracker), and the collectives of Algorithm 3 (lines
+that rank's tensor block and factor blocks
+(:class:`~repro.distributed.rank.RankKernels`, in this process or in a
+process worker; they record their flops and wall time into the rank's cost
+tracker), and the collectives of Algorithm 3 (lines
 14, 17, 18) move data between ranks while charging the alpha-beta costs of
 Section II-E.  Because the data movement is performed exactly, the parallel
 drivers produce the same iterates as the sequential ones given the same
@@ -23,6 +25,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.backend import is_sparse_tensor
+from repro.comm.procs import ProcessMachine
 from repro.comm.simulated import SimulatedMachine
 from repro.core.initialization import check_tensor_norm, init_factors
 from repro.core.loop import SweepRun, run_sweeps
@@ -33,16 +36,15 @@ from repro.core.results import ParallelALSResult
 from repro.core.updates import make_update_rule
 from repro.distributed.dist_factor import DistributedFactor
 from repro.distributed.dist_tensor import DistributedTensor
+from repro.distributed.rank import RankKernels
+from repro.distributed.runtime import ProcessRuntime, RemoteRank
 from repro.distributed.sparse import DistSparseTensor
 from repro.grid.distribution import split_rows_evenly
 from repro.grid.processor_grid import ProcessorGrid
-from repro.machine.collective_costs import reduce_scatter_cost
 from repro.machine.cost_tracker import CostTracker
 from repro.machine.params import MachineParams
 from repro.tensor.norms import residual_from_mttkrp
 from repro.tensor.products import hadamard_all_but
-from repro.trees.base import MTTKRPProvider
-from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import make_provider
 from repro.utils.validation import check_dense_tensor, check_factor_matrices
 
@@ -66,18 +68,19 @@ class ParallelState:
     machine: SimulatedMachine
     dist_tensor: DistributedTensor | DistSparseTensor
     dist_factors: List[DistributedFactor]
-    providers: Dict[int, MTTKRPProvider]
+    #: one rank-local kernel set per rank, driven through ``set_factor`` /
+    #: ``submit`` / ``collect``: a :class:`~repro.distributed.rank.RankKernels`
+    #: on a simulated machine, a :class:`~repro.distributed.runtime.RemoteRank`
+    #: on a process machine
+    ranks: Dict[int, RankKernels | RemoteRank]
     grams: List[np.ndarray]
     norm_t: float
     rank: int
     distributed_solve: bool = True
     solve_latency_messages: int = 2
-    #: who sums the per-rank MTTKRP panels: ``"master"`` (default) or
-    #: ``"worker"`` (shared-memory reduction tree; process execution only)
-    collectives: str = "master"
     extra: dict = field(default_factory=dict)
     #: the :class:`~repro.distributed.runtime.ProcessRuntime` behind the
-    #: providers when executing on a ProcessMachine (``None`` when simulated)
+    #: ranks when executing on a ProcessMachine (``None`` when simulated)
     runtime: object | None = None
     #: whether :func:`setup_parallel_state` created the machine itself (and
     #: :meth:`close` should therefore shut it down)
@@ -155,8 +158,8 @@ def setup_parallel_state(
     """Distribute the tensor and factors and build the per-rank MTTKRP engines.
 
     ``options`` is the run's :class:`~repro.core.options.ParallelOptions`
-    (grid, local engine, seed, solve model, partitioner, substrate and
-    collectives).  ``tensor`` may be dense (an ndarray or a pre-built
+    (grid, local engine, seed, solve model, partitioner and substrate).
+    ``tensor`` may be dense (an ndarray or a pre-built
     :class:`~repro.distributed.dist_tensor.DistributedTensor`) or sparse (a
     :class:`~repro.sparse.CooTensor` or a pre-built
     :class:`~repro.distributed.sparse.DistSparseTensor`).  Sparse inputs are
@@ -170,17 +173,13 @@ def setup_parallel_state(
     distributed execution) or ``"process"`` (a
     :class:`~repro.comm.procs.ProcessMachine` with one spawned worker per
     rank and shared-memory factor panels).  An explicit ``machine`` always
-    wins; a :class:`~repro.comm.procs.ProcessMachine` instance routes the
-    per-rank engines through :class:`~repro.distributed.runtime.ProcessRuntime`
-    proxies either way.  Callers must ``state.close()`` when done so worker
-    state and shared segments are reclaimed (the drivers do this in a
-    ``finally``).
-
-    ``options.collectives="worker"`` lets the workers of a process machine
-    sum the per-rank MTTKRP panels among themselves through shared memory
-    (binomial tree over the output panels, barriered by the command queues),
-    so the master reads one summed panel per slice group instead of every
-    rank's; it requires process execution.
+    wins.  The one substrate decision is made here: on a
+    :class:`~repro.comm.procs.ProcessMachine` each rank is a
+    :class:`~repro.distributed.runtime.RemoteRank` whose worker runs the
+    rank-local kernels, otherwise a
+    :class:`~repro.distributed.rank.RankKernels` in this process.  Callers
+    must ``state.close()`` when done so worker state and shared segments are
+    reclaimed (the drivers do this in a ``finally``).
     """
     grid = ProcessorGrid(options.grid)
     rank = options.rank
@@ -213,8 +212,6 @@ def setup_parallel_state(
     owns_machine = machine is None
     if machine is None:
         if options.execution == "process":
-            from repro.comm.procs import ProcessMachine
-
             machine = ProcessMachine(grid.size, params=params)
         else:
             machine = SimulatedMachine(grid.size, params=params)
@@ -238,12 +235,8 @@ def setup_parallel_state(
         for mode in range(grid.order)
     ]
 
-    from repro.comm.procs import ProcessMachine
-
     runtime = None
     if isinstance(machine, ProcessMachine):
-        from repro.distributed.runtime import ProcessRuntime
-
         try:
             runtime = ProcessRuntime(
                 machine, grid, dist_tensor, dist_factors, options.mttkrp,
@@ -253,36 +246,29 @@ def setup_parallel_state(
             if owns_machine:
                 machine.close()
             raise
-        providers: Dict[int, MTTKRPProvider] = runtime.providers
+        ranks = runtime.ranks
     else:
-        if options.collectives == "worker":
-            raise ValueError(
-                "collectives='worker' needs real workers to reduce in — "
-                "use execution='process' or pass a ProcessMachine"
-            )
-        providers = {}
-        for proc in grid.ranks():
-            local_factors = [dist_factors[m].local_block_for(proc)
-                             for m in range(grid.order)]
-            providers[proc] = make_provider(
+        ranks = {
+            proc: RankKernels(make_provider(
                 options.mttkrp,
                 dist_tensor.local_block(proc),
-                local_factors,
+                [dist_factors[m].local_block_for(proc) for m in range(grid.order)],
                 tracker=machine.tracker(proc),
                 max_cache_bytes=max_cache_bytes,
-            )
+            ))
+            for proc in grid.ranks()
+        }
 
     state = ParallelState(
         grid=grid,
         machine=machine,
         dist_tensor=dist_tensor,
         dist_factors=dist_factors,
-        providers=providers,
+        ranks=ranks,
         grams=[np.eye(rank)] * grid.order,
         norm_t=norm_t,
         rank=rank,
         distributed_solve=options.distributed_solve,
-        collectives=options.collectives,
         runtime=runtime,
         owns_machine=owns_machine,
     )
@@ -400,12 +386,22 @@ def _solve_chunks(
     return solved
 
 
+def _run_on_ranks(state: ParallelState, *command) -> Dict[int, np.ndarray | None]:
+    """Submit one kernel command to every rank, then collect every result.
+
+    A simulated rank computes inside ``submit``; a process rank posts the
+    command there, so every worker's kernel runs before any is awaited.
+    """
+    for proc in state.grid.ranks():
+        state.ranks[proc].submit(*command)
+    return {proc: state.ranks[proc].collect() for proc in state.grid.ranks()}
+
+
 def parallel_mode_update(
     state: ParallelState,
     mode: int,
     contributions: Dict[int, np.ndarray] | None = None,
     rule=None,
-    panel_rows: Dict[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One mode update of Algorithm 3 (lines 12-18).
 
@@ -425,17 +421,6 @@ def parallel_mode_update(
         rank's reduce-scattered row chunk (default: the exact least-squares
         solve).  Rules are row-separable, so the parallel iterates match the
         sequential driver running the same rule.
-    panel_rows:
-        Per-rank row counts of results already sitting in the workers' shared
-        output panels (worker-side collectives only; the PP driver passes
-        these after ``pp_contrib`` so no panel ever crosses to the master
-        before the reduction tree).
-
-    Under ``state.collectives == "worker"`` the per-rank panels never travel
-    to the master individually: the workers sum them in shared memory
-    (:meth:`~repro.distributed.runtime.ProcessRuntime.reduce_blocks`) and the
-    master reads one summed block per slice group, charging the same modeled
-    Reduce-Scatter cost as the master-driven path.
 
     Returns
     -------
@@ -446,65 +431,16 @@ def parallel_mode_update(
     grid = state.grid
     machine = state.machine
     gamma = compute_gamma(state, mode)
-
-    use_worker = (
-        state.collectives == "worker"
-        and state.runtime is not None
-        and contributions is None
-    )
-    reduced_panels: Dict[int, np.ndarray] = {}
-    slice_groups = grid.slice_groups(mode)
-    if use_worker:
-        if panel_rows is None:
-            # submit-all-then-collect, but leave every result in its shared
-            # panel: replies carry only the row count
-            for proc in grid.ranks():
-                state.providers[proc].mttkrp_submit(mode)
-            panel_rows = {
-                proc: state.providers[proc].mttkrp_result_rows()
-                for proc in grid.ranks()
-            }
-        rows_by_group = [panel_rows[group[0]] for group in slice_groups]
-        reduced_panels = state.runtime.reduce_blocks(
-            [list(group) for group in slice_groups], rows_by_group
-        )
-    elif contributions is None:
-        # submit-all-then-collect: on a ProcessMachine every rank's local
-        # MTTKRP runs concurrently in its worker; simulated providers compute
-        # inline (hasattr keeps the sequential path allocation-free)
-        contributions = {}
-        pending: list[int] = []
-        for proc in grid.ranks():
-            provider = state.providers[proc]
-            if hasattr(provider, "mttkrp_submit"):
-                provider.mttkrp_submit(mode)
-                pending.append(proc)
-            else:
-                contributions[proc] = provider.mttkrp(mode)
-        for proc in pending:
-            contributions[proc] = state.providers[proc].mttkrp_result()
+    if contributions is None:
+        contributions = _run_on_ranks(state, "mttkrp", mode)
 
     new_blocks: list[np.ndarray] = []
     summed_blocks: list[np.ndarray] = []
     gram_contribs: Dict[int, np.ndarray] = {}
-    for block_index, group in enumerate(slice_groups):
-        if use_worker:
-            summed = reduced_panels[block_index]
-            machine.charge_collective(
-                group, *reduce_scatter_cost(summed.size, len(group))
-            )
-            ranges = split_rows_evenly(summed.shape[0], len(group))
-            chunks = {
-                proc: summed[start:stop].copy()
-                for proc, (start, stop) in zip(group, ranges)
-            }
-            summed_blocks.append(summed)
-        else:
-            group_contribs = {proc: contributions[proc] for proc in group}
-            chunks = machine.reduce_scatter_rows(group_contribs, group)
-            summed_blocks.append(
-                np.concatenate([chunks[proc] for proc in group], axis=0)
-            )
+    for group in grid.slice_groups(mode):
+        group_contribs = {proc: contributions[proc] for proc in group}
+        chunks = machine.reduce_scatter_rows(group_contribs, group)
+        summed_blocks.append(np.concatenate([chunks[proc] for proc in group], axis=0))
         solved_chunks = _solve_chunks(
             state, gamma, chunks, group, rule=rule,
             factor_block=state.dist_factors[mode].local_block_for(group[0]),
@@ -527,9 +463,7 @@ def parallel_mode_update(
     for block_index, block in enumerate(new_blocks):
         state.dist_factors[mode].set_block(block_index, block)
     for proc in grid.ranks():
-        state.providers[proc].set_factor(
-            mode, state.dist_factors[mode].local_block_for(proc)
-        )
+        state.ranks[proc].set_factor(mode, state.dist_factors[mode].local_block_for(proc))
 
     reduced = machine.all_reduce(gram_contribs, list(grid.ranks()))
     state.grams[mode] = reduced[0]
@@ -595,125 +529,43 @@ class ParallelRun(SweepRun):
                                     grams, last_mode=0)
 
     def pp_init(self) -> None:
+        # local PP-init of Algorithm 4 (line 2): every rank checkpoints its
+        # factor blocks and builds its pairwise operators from its own block
+        # (on sparse blocks as semi-sparse descents off its tree provider's
+        # cache, :mod:`repro.trees.sparse_pp`)
         state = self.state
         self.checkpoint = [df.copy() for df in state.dist_factors]
         self.steps = zero_delta_factors(state)
-        self.operators = self._build_local_operators()
+        _run_on_ranks(state, "pp_build")
         self.delta_grams = [np.zeros((state.rank, state.rank)) for _ in range(state.order)]
 
-    def _build_local_operators(self) -> Dict[int, PairwiseOperators]:
-        """Local-PP-init of Algorithm 4 (line 2): one operator set per processor.
-
-        On sparse per-rank blocks the operators come out of each rank's
-        CSF-based tree provider as semi-sparse descents
-        (:mod:`repro.trees.sparse_pp`) and stay in fiber form; intermediates
-        still valid from the preceding exact sweep are reused rank-locally.
-
-        Remote providers (process execution) build their operators inside the
-        worker instead, concurrently across ranks; the worker also checkpoints
-        its factors so later PP contributions can recompute the steps locally.
-        Their dict entry is the provider itself — :meth:`_contributions`
-        dispatches on it, never on a master-side operator set.
-        """
-        state = self.state
-        operators: Dict[int, PairwiseOperators] = {}
-        remote = [proc for proc in state.grid.ranks()
-                  if hasattr(state.providers[proc], "pp_build_submit")]
-        for proc in remote:
-            state.providers[proc].pp_build_submit()
-        for proc in state.grid.ranks():
-            provider = state.providers[proc]
-            if proc in remote:
-                provider.pp_build_result()
-                operators[proc] = provider
-            else:
-                operators[proc] = PairwiseOperators.build(
-                    provider.tensor, provider.factors,
-                    tracker=state.machine.tracker(proc), provider=provider,
-                )
-        return operators
-
-    def _contributions(
-        self, mode: int,
-    ) -> tuple[Dict[int, np.ndarray] | None, Dict[int, int] | None]:
+    def _contributions(self, mode: int) -> Dict[int, np.ndarray]:
         """Per-rank approximated MTTKRP contributions for one mode update.
 
         Each rank contributes its local ``M_p^(mode) + sum_i U^(mode,i)`` plus
-        its share of the (global, cheap) second-order correction ``V^(mode)``,
-        so that summing the contributions over the mode's processor slice
-        reproduces Eq. (5) exactly.
-
-        Returns ``(contributions, panel_rows)``: normally the per-rank arrays
-        and ``None``.  Under worker-side collectives the results stay in the
-        workers' shared output panels — the return is ``(None, per-rank row
-        counts)`` and :func:`parallel_mode_update` reduces the panels in place.
+        its share of the (global, cheap) second-order correction ``V^(mode)``
+        (:meth:`~repro.distributed.rank.RankKernels.pp_contrib`), so that
+        summing the contributions over the mode's processor slice reproduces
+        Eq. (5) exactly.  Only the ``R x R`` accumulator goes to the ranks.
         """
         state = self.state
-        machine = state.machine
-        rank_r = state.rank
-
         # second-order accumulator (R x R), identical on every rank (redundant compute)
         t0 = time.perf_counter()
         accumulator, hadamard_flops = second_order_accumulator(
             mode, state.grams, self.delta_grams)
         elapsed = time.perf_counter() - t0
         for proc in state.grid.ranks():
-            tracker = machine.tracker(proc)
+            tracker = state.machine.tracker(proc)
             tracker.add_flops("hadamard", hadamard_flops)
             tracker.add_seconds("hadamard", elapsed)
-
-        slice_groups = state.grid.slice_groups(mode)
-        group_size = len(slice_groups[0]) if slice_groups else 1
-
-        if state.collectives == "worker" and state.runtime is not None:
-            # worker-side collectives: results stay in the shared panels for the
-            # reduction tree, only row counts come back
-            for proc in state.grid.ranks():
-                state.providers[proc].pp_contrib_submit(mode, accumulator, group_size)
-            panel_rows = {
-                proc: state.providers[proc].pp_contrib_result_rows()
-                for proc in state.grid.ranks()
-            }
-            return None, panel_rows
-
-        contributions: Dict[int, np.ndarray] = {}
-        remote = [proc for proc in state.grid.ranks()
-                  if hasattr(state.providers[proc], "pp_contrib_submit")]
-        for proc in remote:
-            # the worker recomputes its steps from the pp_build checkpoint, so
-            # only the R x R accumulator crosses the process boundary
-            state.providers[proc].pp_contrib_submit(mode, accumulator, group_size)
-        for proc in remote:
-            contributions[proc] = state.providers[proc].pp_contrib_result()
-        for proc in state.grid.ranks():
-            if proc in remote:
-                continue
-            tracker = machine.tracker(proc)
-            local = self.operators[proc].first_order_mttkrp(
-                mode,
-                [None if other == mode else step.local_block_for(proc)
-                 for other, step in enumerate(self.steps)],
-                tracker=tracker,
-            )
-            # this rank's share of V^(mode): rows of its factor block times the
-            # accumulator, divided by the slice size so the Reduce-Scatter sum
-            # contributes V exactly once
-            factor_block = state.dist_factors[mode].local_block_for(proc)
-            t0 = time.perf_counter()
-            v_block = factor_block @ accumulator
-            elapsed = time.perf_counter() - t0
-            tracker.add_flops("others", 2 * factor_block.shape[0] * rank_r * rank_r
-                              // max(group_size, 1))
-            tracker.add_seconds("others", elapsed)
-            contributions[proc] = local + v_block / max(group_size, 1)
-        return contributions, None
+        group_size = len(state.grid.slice_groups(mode)[0])
+        return _run_on_ranks(state, "pp_contrib", mode, accumulator, group_size)
 
     def approx_sweep(self) -> float:
         state = self.state
         for mode in range(state.order):
-            contributions, panel_rows = self._contributions(mode)
             _, summed = parallel_mode_update(
-                state, mode, contributions=contributions, panel_rows=panel_rows)
+                state, mode, contributions=self._contributions(mode))
             # refresh the distributed step and its Gram product (Eq. 8)
             self._set_step(mode, self.checkpoint)
             self.delta_grams[mode] = allreduce_rowwise_product(
@@ -738,9 +590,9 @@ class ParallelRun(SweepRun):
             factor = state.dist_factors[mode]
             for x in range(state.grid.dims[mode]):
                 factor.set_block(x, saved_factor.block(x))
-            # republish to every rank's provider (a worker's shared panel too)
+            # republish to every rank (a worker's shared panel too)
             for proc in state.grid.ranks():
-                state.providers[proc].set_factor(mode, factor.local_block_for(proc))
+                state.ranks[proc].set_factor(mode, factor.local_block_for(proc))
         state.grams[:] = grams
 
     def factors(self) -> list[np.ndarray]:
@@ -778,7 +630,6 @@ def solve_parallel(tensor, opts: ParallelOptions, *,
         "update": opts.update,
         "partitioner": getattr(getattr(state.dist_tensor, "partition", None), "name", None),
         "execution": type(state.machine).__name__,
-        "collectives": state.collectives,
     })
     return ParallelALSResult(
         factors=run.factors(),

@@ -193,7 +193,6 @@ def sparse_sweep_time_model(
     block_rows: tuple[int, ...] | None = None,
     params: MachineParams | None = None,
     execution: str = "simulated",
-    collectives: str = "master",
 ) -> SweepCostBreakdown:
     """Modeled per-sweep time of *sparse* distributed CP-ALS.
 
@@ -231,9 +230,6 @@ def sparse_sweep_time_model(
         charge the per-sweep :func:`process_hop_cost` of real spawned workers
         at ``params.alpha_hop`` / ``params.beta_hop`` (reported as
         :attr:`SweepCostBreakdown.hop_seconds`).
-    collectives:
-        ``"master"`` or ``"worker"`` — which process-layer reduction strategy
-        to charge for; only meaningful with ``execution="process"``.
     """
     method = method.lower().strip()
     execution = execution.lower().strip()
@@ -305,13 +301,9 @@ def sparse_sweep_time_model(
     hop_seconds = 0.0
     if execution == "process":
         hop_messages, hop_words = process_hop_cost(
-            shape, grid_dims, rank, collectives=collectives, block_rows=block_rows
+            shape, grid_dims, rank, block_rows=block_rows
         )
         hop_seconds = params.alpha_hop * hop_messages + params.beta_hop * hop_words
-    elif collectives.lower().strip() not in ("master", "worker"):
-        raise ValueError(
-            f"unknown collectives mode {collectives!r}; use 'master' or 'worker'"
-        )
 
     return SweepCostBreakdown(
         method=f"sparse-{method}",

@@ -15,22 +15,26 @@ Two tensor layouts share that factor distribution:
   nnz-balanced, random/cyclic permutation), with uniform padded extents so
   the collectives of the sweep stay identical to the dense path.
 
-:mod:`repro.distributed.runtime` adds the process-execution runtime on top of
-the same layout: :class:`~repro.distributed.runtime.ProcessRuntime` mirrors the
-distributed factor blocks into shared-memory panels and drives one
-:class:`~repro.distributed.runtime.RemoteProvider` per rank against a
-:class:`~repro.comm.procs.ProcessMachine`.
+:class:`~repro.distributed.rank.RankKernels` holds one rank's local kernels
+(MTTKRP, PP-init, PP contribution); a simulated rank is one in the calling
+process.  :mod:`repro.distributed.runtime` adds the process-execution runtime
+on top of the same layout: :class:`~repro.distributed.runtime.ProcessRuntime`
+mirrors the distributed factor blocks into shared-memory panels and drives
+one :class:`~repro.distributed.runtime.RemoteRank` per rank — a worker of a
+:class:`~repro.comm.procs.ProcessMachine` running its own ``RankKernels``.
 """
 
 from repro.distributed.dist_tensor import DistributedTensor
 from repro.distributed.dist_factor import DistributedFactor
 from repro.distributed.sparse import DistSparseTensor
-from repro.distributed.runtime import ProcessRuntime, RemoteProvider
+from repro.distributed.rank import RankKernels
+from repro.distributed.runtime import ProcessRuntime, RemoteRank
 
 __all__ = [
     "DistributedTensor",
     "DistributedFactor",
     "DistSparseTensor",
+    "RankKernels",
     "ProcessRuntime",
-    "RemoteProvider",
+    "RemoteRank",
 ]

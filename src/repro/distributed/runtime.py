@@ -11,17 +11,16 @@ This module is the semantic half of the real multi-process execution layer
   that workers fill with MTTKRP / PP results,
 * ships each rank's tensor block once through transient init segments,
   unlinked as soon as the worker has copied its block out,
-* hands back :class:`RemoteProvider` proxies that plug into
-  ``ParallelState.providers`` unchanged.
+* hands back one :class:`RemoteRank` per rank for ``ParallelState.ranks``.
 
-A :class:`RemoteProvider` mirrors the
-:class:`~repro.trees.base.MTTKRPProvider` surface the drivers use
-(``mttkrp``/``set_factor``) and adds split submit/result calls so
-:func:`~repro.core.parallel_common.parallel_mode_update` can post every
-rank's MTTKRP before collecting any result — that is where the real
-cross-rank parallelism comes from.  The PP entry points mirror the worker's
-checkpoint-based protocol (see :meth:`_WorkerState.pp_build`): only the tiny
-``R x R`` second-order accumulator crosses the process boundary per call.
+A :class:`RemoteRank` offers the master the same ``set_factor`` /
+``submit(command, *args)`` / ``collect()`` surface as a simulated rank's
+:class:`~repro.distributed.rank.RankKernels`; ``submit`` posts the command to
+the worker, which runs it on its own ``RankKernels``.  Because every rank is
+submitted to before any is collected, the workers' kernels run concurrently.
+Only the tiny ``R x R`` second-order accumulator of a PP contribution crosses
+the process boundary per call: the worker recomputes its factor steps from
+its own PP checkpoint.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 from repro.backend import is_sparse_tensor
 from repro.comm.procs import ProcessMachine
 
-__all__ = ["ProcessRuntime", "RemoteProvider"]
+__all__ = ["ProcessRuntime", "RemoteRank"]
 
 
 def _pack_tensor_block(machine: ProcessMachine, block, rank: int):
@@ -72,7 +71,7 @@ def _pack_tensor_block(machine: ProcessMachine, block, rank: int):
 
 
 class ProcessRuntime:
-    """Shared panels + remote providers for one distributed problem instance.
+    """Shared panels + remote ranks for one distributed problem instance.
 
     The runtime is tied to one ``(dist_tensor, dist_factors)`` pair; call
     :meth:`detach` (drivers do, via ``ParallelState.close``) to drop the
@@ -156,8 +155,8 @@ class ProcessRuntime:
         for name in init_names:
             machine.release_segment(name)
 
-        self.providers: dict[int, RemoteProvider] = {
-            proc: RemoteProvider(self, proc, grid.coordinate(proc), mttkrp)
+        self.ranks: dict[int, RemoteRank] = {
+            proc: RemoteRank(self, proc, grid.coordinate(proc))
             for proc in grid.ranks()
         }
 
@@ -182,48 +181,6 @@ class ProcessRuntime:
 
     def output_view(self, proc: int) -> np.ndarray:
         return self._outputs[proc][1]
-
-    # -- worker-side collectives ----------------------------------------------
-    def reduce_blocks(
-        self,
-        groups: list[list[int]],
-        rows_by_group: list[int],
-    ) -> dict[int, np.ndarray]:
-        """Sum output panels inside each slice group with a worker-side tree.
-
-        Each group runs a binomial (recursive-halving-style) reduction over
-        the ranks' shared output panels: in round ``offset`` the worker at
-        ``group[idx]`` adds ``group[idx + offset]``'s panel into its own
-        (:meth:`repro.comm.procs._WorkerState.reduce_add`), leaving the group
-        sum in ``group[0]``'s panel after ``ceil(log2(len(group)))`` rounds.
-        Rounds run in *lockstep across all groups* — every edge of a round is
-        posted before any ack is awaited, so the command-queue barrier costs
-        one queue round-trip per round, not per edge.  Requires every rank's
-        kernel result to already be in its output panel (the caller collects
-        all row counts first).
-
-        Returns ``{group_index: summed panel copy}``; the master reads one
-        panel per group instead of all ``P``.
-        """
-        machine = self.machine
-        offset = 1
-        max_len = max((len(g) for g in groups), default=0)
-        while offset < max_len:
-            wave: list[int] = []
-            for gi, group in enumerate(groups):
-                rows = int(rows_by_group[gi])
-                for idx in range(0, len(group) - offset, 2 * offset):
-                    dst, src = group[idx], group[idx + offset]
-                    machine.send(dst, ("reduce_add", self._outputs[src][0], rows))
-                    wave.append(dst)
-            for dst in wave:
-                msg = machine.wait(dst, "reduce_add")
-                machine.merge_cost_payload(dst, msg[2])
-            offset *= 2
-        return {
-            gi: self.output_view(group[0])[: int(rows_by_group[gi])].copy()
-            for gi, group in enumerate(groups)
-        }
 
     # -- lifecycle -------------------------------------------------------------
     def detach(self) -> None:
@@ -257,112 +214,47 @@ class ProcessRuntime:
             self.machine.release_segment(name)
 
 
-class RemoteProvider:
-    """Master-side proxy of one worker's MTTKRP engine.
+class RemoteRank:
+    """Master-side proxy of one worker's :class:`~repro.distributed.rank.RankKernels`.
 
-    Presents the provider surface the parallel drivers touch (``mttkrp``,
-    ``set_factor``, ``tracker``) plus split submit/result calls
-    for batch dispatch.  Results come back through the rank's shared output
-    panel; replies only carry the row count and the worker's cost delta.
+    Results come back through the rank's shared output panel; replies only
+    carry the row count and the worker's cost delta, which is merged into the
+    rank's master-side tracker.
     """
 
-    def __init__(self, runtime: ProcessRuntime, proc: int, coord, engine: str):
+    def __init__(self, runtime: ProcessRuntime, proc: int, coord):
         self.runtime = runtime
         self.machine = runtime.machine
         self.proc = proc
         self.coord = tuple(coord)
-        self.engine_name = engine
-        self.name = f"process[{engine}]"
         self._pending: str | None = None
 
-    @property
-    def tracker(self):
-        return self.machine.tracker(self.proc)
+    def set_factor(self, mode: int, factor: np.ndarray) -> None:
+        """Publish the updated block panel and tell the worker to ingest it.
 
-    def _submit(self, tag: str, message: tuple) -> None:
+        The command is fire-and-forget: the FIFO queue guarantees the worker
+        applies it before any later kernel command, while the master
+        immediately proceeds to the next mode's collectives.
+        """
+        self.runtime.publish(mode, self.coord[mode], factor)
+        self.machine.send(self.proc, ("set_factor", mode))
+
+    def submit(self, *command) -> None:
+        """Post one kernel command, e.g. ``("mttkrp", mode)``, to the worker."""
         if self._pending is not None:
             raise RuntimeError(
                 f"rank {self.proc} already has a pending {self._pending!r} call"
             )
-        self.machine.send(self.proc, message)
-        self._pending = tag
+        self.machine.send(self.proc, command)
+        self._pending = command[0]
 
-    def _collect(self, tag: str) -> tuple:
-        if self._pending != tag:
-            raise RuntimeError(
-                f"rank {self.proc} has no pending {tag!r} call "
-                f"(pending: {self._pending!r})"
-            )
-        self._pending = None
-        return self.machine.wait(self.proc, tag)
-
-    # -- driver surface -------------------------------------------------------
-    def set_factor(self, mode: int, factor: np.ndarray) -> None:
-        """Publish the updated block panel and tell the worker to ingest it.
-
-        With ``machine.overlap`` the command is fire-and-forget: the FIFO
-        queue guarantees the worker applies it before any later MTTKRP, while
-        the master immediately proceeds to the next mode's collectives.
-        """
-        self.runtime.publish(mode, self.coord[mode], factor)
-        ack = not self.machine.overlap
-        self.machine.send(self.proc, ("set_factor", mode, ack))
-        if ack:
-            self.machine.wait(self.proc, "set_factor")
-
-    def mttkrp_submit(self, mode: int) -> None:
-        self._submit("mttkrp", ("mttkrp", mode))
-
-    def mttkrp_result(self) -> np.ndarray:
-        msg = self._collect("mttkrp")
-        _, _mode, rows, costs = msg
+    def collect(self) -> np.ndarray | None:
+        """Wait for the pending command; its result rows, copied out of the panel."""
+        if self._pending is None:
+            raise RuntimeError(f"rank {self.proc} has no pending call")
+        tag, self._pending = self._pending, None
+        _, rows, costs = self.machine.wait(self.proc, tag)
         self.machine.merge_cost_payload(self.proc, costs)
+        if rows is None:
+            return None
         return self.runtime.output_view(self.proc)[:rows].copy()
-
-    def mttkrp_result_rows(self) -> int:
-        """Collect a pending MTTKRP but leave the panel in shared memory.
-
-        Worker-side collectives reduce the panels in place, so the master
-        only needs the row count here — the one copy happens after the
-        reduction tree, per *group* instead of per rank.
-        """
-        msg = self._collect("mttkrp")
-        _, _mode, rows, costs = msg
-        self.machine.merge_cost_payload(self.proc, costs)
-        return int(rows)
-
-    def mttkrp(self, mode: int) -> np.ndarray:
-        self.mttkrp_submit(mode)
-        return self.mttkrp_result()
-
-    # -- pairwise perturbation -------------------------------------------------
-    def pp_build_submit(self) -> None:
-        self._submit("pp_build", ("pp_build",))
-
-    def pp_build_result(self) -> None:
-        msg = self._collect("pp_build")
-        self.machine.merge_cost_payload(self.proc, msg[1])
-
-    def pp_contrib_submit(self, mode: int, accumulator: np.ndarray,
-                          group_size: int) -> None:
-        self._submit(
-            "pp_contrib",
-            ("pp_contrib", mode, np.ascontiguousarray(accumulator),
-             int(group_size)),
-        )
-
-    def pp_contrib_result(self) -> np.ndarray:
-        msg = self._collect("pp_contrib")
-        _, _mode, rows, costs = msg
-        self.machine.merge_cost_payload(self.proc, costs)
-        return self.runtime.output_view(self.proc)[:rows].copy()
-
-    def pp_contrib_result_rows(self) -> int:
-        """PP analogue of :meth:`mttkrp_result_rows` (no panel copy)."""
-        msg = self._collect("pp_contrib")
-        _, _mode, rows, costs = msg
-        self.machine.merge_cost_payload(self.proc, costs)
-        return int(rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RemoteProvider(rank={self.proc}, engine={self.engine_name!r})"

@@ -310,7 +310,6 @@ def measured_multiprocess_sweep(
     partitioner: str = "joint",
     params: MachineParams | None = None,
     method: str = "dt",
-    collectives: str = "master",
 ) -> dict:
     """Measured multi-process sweep wall-clock vs the sparse sweep model.
 
@@ -326,8 +325,7 @@ def measured_multiprocess_sweep(
     ``params.beta_hop``; see :mod:`repro.machine.calibrate`).  ``params``
     defaults to :meth:`~repro.machine.params.MachineParams.container_like`
     because the comparison is against this container, not the paper's KNL
-    nodes.  ``collectives`` selects master-driven or worker-side reductions
-    and is threaded into both the run and the hop model.
+    nodes.
 
     The partition is computed once and reused for both the imbalance report
     and the distributed tensor the run executes on.
@@ -357,7 +355,7 @@ def measured_multiprocess_sweep(
 
     options = ParallelOptions(
         rank=rank, grid=pgrid, n_sweeps=n_sweeps, tol=0.0, mttkrp=method,
-        seed=seed, execution="process", collectives=collectives,
+        seed=seed, execution="process",
     )
     result = parallel_cp_als(dist, options, params=params)
     sweeps = [s for s in result.sweeps if s.sweep_type == "als"]
@@ -367,18 +365,15 @@ def measured_multiprocess_sweep(
     breakdown = sparse_sweep_time_model(
         method, max(tensor.nnz // n_procs, 1), shape, rank, grid,
         imbalance=report.imbalance, params=params,
-        execution="process", collectives=collectives,
+        execution="process",
     )
     modeled = breakdown.total_seconds
-    hop_messages, hop_words = process_hop_cost(
-        shape, grid, rank, collectives=collectives
-    )
+    hop_messages, hop_words = process_hop_cost(shape, grid, rank)
     point = {
         "grid": "x".join(str(d) for d in grid),
         "n_procs": n_procs,
         "method": f"sparse-{method}",
         "partitioner": report.partitioner,
-        "collectives": collectives,
         "imbalance": float(report.imbalance),
         "nnz": int(tensor.nnz),
         "rank": int(rank),

@@ -162,7 +162,6 @@ def calibrate_machine_params(
     alpha: float = 1.1,
     partitioner: str = "joint",
     base_params: MachineParams | None = None,
-    collectives: str = "master",
     method: str = "dt",
 ) -> CalibrationResult:
     """Measure a small sweep grid and fit the hop terms from it.
@@ -192,7 +191,6 @@ def calibrate_machine_params(
                 nnz_local, s_local, rank, grid,
                 n_sweeps=n_sweeps, seed=seed, alpha=alpha,
                 partitioner=partitioner, params=zero_hop, method=method,
-                collectives=collectives,
             )
             observations.append(
                 HopObservation(

@@ -129,7 +129,6 @@ def process_hop_cost(
     shape: Tuple[int, ...],
     grid_dims: Tuple[int, ...],
     rank: int,
-    collectives: str = "master",
     block_rows: Tuple[int, ...] | None = None,
 ) -> Tuple[float, float]:
     """(hop messages, hop words) of one sweep under ``execution="process"``.
@@ -139,28 +138,20 @@ def process_hop_cost(
     every command/reply crossing a ``multiprocessing`` queue and every factor
     panel crossing shared memory is an extra *process hop* the pure model
     never sees.  Per mode ``m`` with padded block height ``b``, grid extent
-    ``d = grid_dims[m]`` and ``P`` total ranks:
+    ``d = grid_dims[m]`` and ``P`` total ranks, ``3 P`` queue messages and
+    ``(d + P) * b * R`` words:
 
     * ``3 P`` queue messages — an MTTKRP command and reply per rank plus the
       ``set_factor`` notification after the all-gather;
     * ``d * b * R`` published words — one factor-panel publish per distinct
       ``(mode, block)`` panel;
-    * with ``collectives="master"``, ``P * b * R`` more words — the master
-      copies every rank's output panel out of shared memory to reduce it;
-    * with ``collectives="worker"``, ``2 (P - d)`` more messages (a
-      ``reduce_add`` command + ack per binomial-tree edge, ``g - 1`` edges in
-      each of the ``d`` groups of ``g = P / d`` ranks) but only ``d * b * R``
-      more words — the master reads just the ``d`` already-summed root panels.
+    * ``P * b * R`` words — the master copies every rank's output panel out
+      of shared memory to reduce it.
 
     Charge the result at ``alpha_hop`` / ``beta_hop``
     (:class:`repro.machine.params.MachineParams`), typically fitted from
     measured runs by :mod:`repro.machine.calibrate`.
     """
-    collectives = collectives.lower().strip()
-    if collectives not in ("master", "worker"):
-        raise ValueError(
-            f"unknown collectives mode {collectives!r}; use 'master' or 'worker'"
-        )
     if len(shape) != len(grid_dims):
         raise ValueError("shape and grid_dims must have equal length")
     if rank <= 0:
@@ -179,12 +170,6 @@ def process_hop_cost(
     messages = 0.0
     words = 0.0
     for d, b in zip(grid_dims, block_rows):
-        d = int(d)
         messages += 3.0 * n_procs
-        words += float(d) * int(b) * rank
-        if collectives == "worker":
-            messages += 2.0 * (n_procs - d)
-            words += float(d) * int(b) * rank
-        else:
-            words += float(n_procs) * int(b) * rank
+        words += float(int(d) + n_procs) * int(b) * rank
     return messages, words

@@ -187,6 +187,25 @@ class TestOneSpelling:
             with pytest.raises(ValueError, match="'mu'"):
                 make_update_rule(alias)
 
+    def test_one_way_to_run_a_rank(self):
+        """Ranks reduce one way (the master's Reduce-Scatter) and panel
+        publishes are always pipelined: no option, machine or cost/experiment
+        function offers worker-side collectives or an overlap switch."""
+        from repro.comm.procs import ProcessMachine
+        from repro.costs.sweep_model import sparse_sweep_time_model
+        from repro.experiments.weak_scaling import measured_multiprocess_sweep
+        from repro.machine.calibrate import calibrate_machine_params
+        from repro.machine.collective_costs import process_hop_cost
+
+        assert "collectives" not in {f.name for f in dataclasses.fields(ParallelOptions)}
+        takers = [
+            callable_.__qualname__
+            for callable_ in (ProcessMachine, process_hop_cost, sparse_sweep_time_model,
+                              measured_multiprocess_sweep, calibrate_machine_params)
+            if {"collectives", "overlap"} & set(inspect.signature(callable_).parameters)
+        ]
+        assert takers == []
+
 
 class TestResultBase:
     def test_multi_start_result_shares_accessor_surface(self, tensor):

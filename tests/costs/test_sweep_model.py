@@ -185,31 +185,17 @@ class TestProcessHopModel:
         assert set(proc.category_seconds()) == {"ttm", "mttv", "hadamard",
                                                 "solve", "others", "comm"}
 
-    def test_worker_collectives_cheaper_words_than_master(self):
+    def test_process_hop_cost_prices_the_master_path(self):
+        """Per mode: 3P queue messages and (d + P) * b * R copied words."""
         from repro.machine.collective_costs import process_hop_cost
 
-        words_params = MachineParams(alpha_hop=0.0, beta_hop=1e-7)
-        master = sparse_sweep_time_model(
-            "dt", 1e4, self.SHAPE, 8, self.GRID, params=words_params,
-            execution="process", collectives="master",
-        )
-        worker = sparse_sweep_time_model(
-            "dt", 1e4, self.SHAPE, 8, self.GRID, params=words_params,
-            execution="process", collectives="worker",
-        )
-        # master copies all P panels per mode; workers pre-reduce to d panels
-        assert worker.hop_seconds < master.hop_seconds
-        m_msgs, m_words = process_hop_cost(self.SHAPE, self.GRID, 8,
-                                           collectives="master")
-        w_msgs, w_words = process_hop_cost(self.SHAPE, self.GRID, 8,
-                                           collectives="worker")
-        assert w_words < m_words
-        assert w_msgs > m_msgs  # reduction edges cost extra messages
+        messages, words = process_hop_cost((40, 60, 80), (1, 2, 2), 8)
+        n_procs, block_rows = 4, (40, 30, 40)
+        assert messages == 3 * n_procs * 3
+        assert words == sum((d + n_procs) * b * 8
+                            for d, b in zip((1, 2, 2), block_rows))
 
-    def test_invalid_execution_and_collectives_raise(self):
+    def test_invalid_execution_raises(self):
         with pytest.raises(ValueError):
             sparse_sweep_time_model("dt", 1e4, self.SHAPE, 8, self.GRID,
                                     execution="quantum")
-        with pytest.raises(ValueError):
-            sparse_sweep_time_model("dt", 1e4, self.SHAPE, 8, self.GRID,
-                                    collectives="nobody")

@@ -161,67 +161,6 @@ class TestFailedMachine:
             assert machine.wait(0, "ping")[1] == 0
 
 
-class TestWorkerReductionFaults:
-    """collectives="worker" adds a reduction phase where workers read each
-    other's shared panels; a rank dying or wedging mid-tree must surface the
-    usual clean RuntimeError and leak nothing."""
-
-    def _kwargs(self):
-        return dict(collectives="worker", mttkrp="dt")
-
-    def test_sigkill_mid_reduction_raises_cleanly(self, coo, monkeypatch):
-        from repro.distributed import runtime as runtime_module
-
-        machine = ProcessMachine(2, timeout=30.0)
-        real = runtime_module.ProcessRuntime.reduce_blocks
-        state = {"killed": False}
-
-        def kill_then_reduce(self, groups, rows_by_group):
-            if not state["killed"]:
-                state["killed"] = True
-                # rank 0 is the destination of the (1,1,2) grid's only
-                # reduction edge: its death is seen at the edge's send/wait
-                os.kill(machine.worker_pid(0), signal.SIGKILL)
-            return real(self, groups, rows_by_group)
-
-        monkeypatch.setattr(runtime_module.ProcessRuntime, "reduce_blocks",
-                            kill_then_reduce)
-        try:
-            start = time.perf_counter()
-            with pytest.raises(RuntimeError, match="rank 0 (is dead|died)"):
-                _run(coo, machine=machine, **self._kwargs())
-            assert time.perf_counter() - start < machine.timeout
-            assert state["killed"]
-        finally:
-            machine.close()
-
-    def test_sigstop_mid_reduction_times_out(self, coo, monkeypatch):
-        """A wedged (stopped, not dead) reducer trips the machine timeout —
-        never a hang — and marks the machine failed."""
-        from repro.distributed import runtime as runtime_module
-
-        machine = ProcessMachine(2, timeout=1.5)
-        real = runtime_module.ProcessRuntime.reduce_blocks
-        state = {"stopped": False}
-
-        def wedge_then_reduce(self, groups, rows_by_group):
-            if not state["stopped"]:
-                state["stopped"] = True
-                os.kill(machine.worker_pid(0), signal.SIGSTOP)
-            return real(self, groups, rows_by_group)
-
-        monkeypatch.setattr(runtime_module.ProcessRuntime, "reduce_blocks",
-                            wedge_then_reduce)
-        try:
-            with pytest.raises(RuntimeError, match="timed out"):
-                _run(coo, machine=machine, **self._kwargs())
-            assert "timed out" in machine.failed
-        finally:
-            if state["stopped"]:
-                os.kill(machine.worker_pid(0), signal.SIGCONT)
-            machine.close()
-
-
 class TestLeakAuditPlatformGuard:
     def test_missing_dev_shm_raises_not_falsely_clean(self, monkeypatch):
         """Without /dev/shm (macOS, Windows) the audit has nothing to scan;
