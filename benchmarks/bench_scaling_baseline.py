@@ -70,7 +70,7 @@ def run_baseline(config: dict) -> dict:
     )
     grid = ProcessorGrid(tuple(config["imbalance_grid"]))
     reports = {
-        kind: make_partition(kind, tensor, grid, seed=1).report(tensor)
+        kind: make_partition(kind, tensor, grid).report(tensor)
         for kind in ("nnz-balanced", "joint")
     }
     tracked = {

@@ -4,9 +4,9 @@ The sparse extension of the Figure-3 studies: fixed *nonzeros per processor*
 instead of fixed dense block volume, skewed power-law inputs, and the
 pluggable partitioners of :mod:`repro.grid.balance`.  Three artifacts:
 
-* partitioner comparison — per-rank nnz imbalance of uniform / nnz-balanced /
-  random / cyclic partitions on a skewed Poisson tensor (the uniform padded
-  baseline exceeds 3x while nnz-balanced stays under 1.5x),
+* partitioner comparison — per-rank nnz imbalance of the uniform,
+  nnz-balanced and joint partitions on a skewed Poisson tensor (the uniform
+  padded baseline exceeds 3x while nnz-balanced stays under 1.5x),
 * executed sparse weak scaling — Algorithm 3 on the simulated machine with
   per-rank COO/CSF blocks and the sparse engine registry,
 * modeled sparse weak scaling at paper-style scale, where payloads follow
@@ -42,7 +42,7 @@ def test_partitioner_imbalance(benchmark, report):
 
     def _reports():
         return {
-            kind: make_partition(kind, tensor, grid, seed=1).report(tensor)
+            kind: make_partition(kind, tensor, grid).report(tensor)
             for kind in available_partitioners()
         }
 
@@ -76,7 +76,7 @@ def test_joint_partitioner_4x4x4(benchmark, report):
 
     def _reports():
         return {
-            kind: make_partition(kind, tensor, grid, seed=1).report(tensor)
+            kind: make_partition(kind, tensor, grid).report(tensor)
             for kind in ("nnz-balanced", "joint")
         }
 

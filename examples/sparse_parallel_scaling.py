@@ -37,7 +37,7 @@ def main() -> None:
     # 1. how does each partitioner spread the nonzeros over the grid?
     reports = {}
     for kind in available_partitioners():
-        dist = DistSparseTensor.from_coo(tensor, grid, kind, seed=1)
+        dist = DistSparseTensor.from_coo(tensor, grid, kind)
         reports[kind] = dist.report()
         print(reports[kind].summary())
         print()
@@ -53,7 +53,7 @@ def main() -> None:
                                      ParallelOptions(rank=RANK, grid=grid, n_sweeps=3,
                                                      tol=0.0, mttkrp=engine, seed=2,
                                                      partitioner=kind),
-                                     params=params, partition_seed=1)
+                                     params=params)
             rows.append([
                 kind, engine,
                 f"{reports[kind].imbalance:.2f}x",

@@ -180,7 +180,7 @@ class ParallelOptions(ALSOptions):
     paper's distributed SPD solves, ``False`` the PLANC-style redundant
     sequential solve.  ``partitioner`` (one of
     :func:`repro.grid.balance.available_partitioners`) splits sparse inputs
-    over the grid.  ``update`` is the per-mode rule applied to each
+    over the grid; dense inputs always take the uniform blocks.  ``update`` is the per-mode rule applied to each
     reduce-scattered chunk: ``"least_squares"`` (default, Algorithm 3
     exactly), ``"hals"`` or ``"multiplicative"``; every rule is row-separable,
     so the parallel iterates match the sequential ones.  The PP fields live

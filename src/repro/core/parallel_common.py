@@ -153,7 +153,6 @@ def setup_parallel_state(
     params: MachineParams | None = None,
     initial_factors: Sequence[np.ndarray] | None = None,
     max_cache_bytes: int | None = None,
-    partition_seed: int | np.random.Generator | None = None,
 ) -> ParallelState:
     """Distribute the tensor and factors and build the per-rank MTTKRP engines.
 
@@ -164,9 +163,11 @@ def setup_parallel_state(
     :class:`~repro.sparse.CooTensor` or a pre-built
     :class:`~repro.distributed.sparse.DistSparseTensor`).  Sparse inputs are
     partitioned by ``options.partitioner`` (see
-    :func:`repro.grid.balance.make_partition`); the per-rank MTTKRP engines
-    then come from the sparse registry, so ``mttkrp="dt"``/``"msdt"`` build
-    CSF-based semi-sparse dimension trees on each rank's own block.
+    :func:`repro.grid.balance.make_partition`), dense ones always by the
+    uniform partition, and each factor's rows follow its mode's partition.
+    The per-rank MTTKRP engines of a sparse input come from the sparse
+    registry, so ``mttkrp="dt"``/``"msdt"`` build CSF-based semi-sparse
+    dimension trees on each rank's own block.
 
     ``options.execution`` selects the substrate when no ``machine`` is
     passed: ``"simulated"`` (logical ranks in-process, bit-identical to real
@@ -202,7 +203,7 @@ def setup_parallel_state(
         global_shape = tensor.global_shape
     elif is_sparse_tensor(tensor):
         dist_tensor = DistSparseTensor.from_coo(
-            tensor, grid, partitioner=options.partitioner, seed=partition_seed
+            tensor, grid, partitioner=options.partitioner
         )
         global_shape = tensor.shape
     else:
@@ -226,12 +227,9 @@ def setup_parallel_state(
         factors = [np.array(f, dtype=np.float64, copy=True) for f in
                    check_factor_matrices(initial_factors, shape=global_shape, rank=rank)]
 
-    partition = getattr(dist_tensor, "partition", None)
     dist_factors = [
-        DistributedFactor.from_global(
-            factors[mode], mode, grid,
-            partition=None if partition is None else partition.modes[mode],
-        )
+        DistributedFactor.from_global(factors[mode], mode, grid,
+                                      dist_tensor.partition.modes[mode])
         for mode in range(grid.order)
     ]
 
@@ -313,14 +311,14 @@ def allreduce_rowwise_product(
 def zero_delta_factors(state: ParallelState) -> list[DistributedFactor]:
     """Distributed all-zero factor steps (one per mode).
 
-    The deltas share each factor's row partition so non-uniform / permuted
-    sparse layouts keep their padded block heights.
+    The deltas share each factor's row partition so non-uniform sparse
+    layouts keep their padded block heights.
     """
     deltas = []
     for mode, df in enumerate(state.dist_factors):
         blocks = [np.zeros((df.block_rows, df.rank)) for _ in range(state.grid.dims[mode])]
-        deltas.append(DistributedFactor(mode, df.global_rows, df.rank, state.grid,
-                                        blocks, partition=df.partition))
+        deltas.append(DistributedFactor(mode, df.rank, state.grid, blocks,
+                                        df.partition))
     return deltas
 
 
@@ -608,7 +606,7 @@ def solve_parallel(tensor, opts: ParallelOptions, *,
     ``opts`` is the run's :class:`~repro.core.options.ParallelOptions` (or
     its PP subclass); ``setup`` holds the remaining keywords of
     :func:`setup_parallel_state` (``machine``, ``params``,
-    ``initial_factors``, ``max_cache_bytes``, ``partition_seed``).
+    ``initial_factors``, ``max_cache_bytes``).
     """
     rule = make_update_rule(opts.update)
     state = setup_parallel_state(tensor, opts, **setup)
@@ -628,7 +626,7 @@ def solve_parallel(tensor, opts: ParallelOptions, *,
         "grid": tuple(state.grid.dims),
         "distributed_solve": opts.distributed_solve,
         "update": opts.update,
-        "partitioner": getattr(getattr(state.dist_tensor, "partition", None), "name", None),
+        "partitioner": state.dist_tensor.partition.name,
         "execution": type(state.machine).__name__,
     })
     return ParallelALSResult(

@@ -41,7 +41,6 @@ def parallel_cp_als(
     initial_factors: Sequence[np.ndarray] | None = None,
     record_sweeps: bool = True,
     max_cache_bytes: int | None = None,
-    partition_seed: int | np.random.Generator | None = None,
 ) -> ParallelALSResult:
     """Distributed-memory CP-ALS (Algorithm 3) executed on the simulated machine.
 
@@ -67,8 +66,6 @@ def parallel_cp_als(
         it can be reused across runs).
     initial_factors, record_sweeps, max_cache_bytes:
         As in :func:`~repro.core.cp_als.cp_als`.
-    partition_seed:
-        Seed of the ``"random"`` partitioner of sparse inputs.
 
     Returns
     -------
@@ -79,5 +76,4 @@ def parallel_cp_als(
         tensor, check_options(options, ParallelOptions),
         record_sweeps=record_sweeps, machine=machine, params=params,
         initial_factors=initial_factors, max_cache_bytes=max_cache_bytes,
-        partition_seed=partition_seed,
     )

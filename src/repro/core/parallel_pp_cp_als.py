@@ -46,7 +46,6 @@ def parallel_pp_cp_als(
     initial_factors: Sequence[np.ndarray] | None = None,
     record_sweeps: bool = True,
     max_cache_bytes: int | None = None,
-    partition_seed: int | np.random.Generator | None = None,
 ) -> ParallelALSResult:
     """Parallel PP-CP-ALS (Algorithm 4) on the simulated machine.
 
@@ -69,5 +68,4 @@ def parallel_pp_cp_als(
         tensor, opts, pp=(opts.pp_tol, opts.max_pp_sweeps_per_phase),
         record_sweeps=record_sweeps, machine=machine, params=params,
         initial_factors=initial_factors, max_cache_bytes=max_cache_bytes,
-        partition_seed=partition_seed,
     )

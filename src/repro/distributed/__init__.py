@@ -6,14 +6,15 @@ grid, and each factor matrix ``A^(i)`` is stored as one row block per value of
 the ``i``-th grid coordinate — the block every processor in the corresponding
 grid slice holds redundantly after the mode-``i`` All-Gather.
 
-Two tensor layouts share that factor distribution:
+Both tensor classes cut every mode into contiguous blocks at the boundaries
+of a :class:`~repro.grid.balance.TensorPartition`, padded to uniform extents,
+and each factor's rows follow its mode's cuts:
 
-* :class:`DistributedTensor` — dense, uniform zero-padded blocks (Section
-  II-A of the paper).
-* :class:`DistSparseTensor` — sparse COO blocks selected by the pluggable
-  per-mode partitioners of :mod:`repro.grid.balance` (uniform baseline,
-  nnz-balanced, random/cyclic permutation), with uniform padded extents so
-  the collectives of the sweep stay identical to the dense path.
+* :class:`DistributedTensor` — dense blocks of the uniform partition
+  (Section II-A of the paper).
+* :class:`DistSparseTensor` — sparse COO blocks of any partition of
+  :mod:`repro.grid.balance` (uniform, nnz-balanced, joint); the padded
+  extents keep the collectives of the sweep identical to the dense path.
 
 :class:`~repro.distributed.rank.RankKernels` holds one rank's local kernels
 (MTTKRP, PP-init, PP contribution); a simulated rank is one in the calling

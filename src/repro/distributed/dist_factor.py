@@ -7,21 +7,23 @@ For mode ``i`` on a grid with ``I_i`` blocks along that mode, the factor
 Algorithm 3; the :class:`DistributedFactor` stores it once and the parallel
 drivers charge the replication cost through the simulated collectives.
 
-By default the row blocks are the paper's uniform padded blocks of height
-``ceil(s_i / I_i)``.  When a :class:`~repro.grid.balance.ModePartition` is
-supplied (the sparse nnz-balanced / permuted layouts of
-:mod:`repro.grid.balance`), block ``x`` instead holds the rows whose permuted
-positions fall inside the partition's ``x``-th boundary interval, padded to
-the widest interval so collective payloads stay uniform.  Padded rows are
-identically zero and stay zero through the normal-equation solves.
+The rows follow the tensor's layout: block ``x`` holds the contiguous rows
+inside the ``x``-th boundary interval of the mode's
+:class:`~repro.grid.balance.ModePartition` (the paper's uniform blocks of
+height ``ceil(s_i / I_i)`` for a dense tensor, nnz-balanced or joint cuts for
+a sparse one), padded to the widest interval so collective payloads stay
+uniform.  Padded rows are identically zero and stay zero through the
+normal-equation solves.
 
 Example
 -------
 >>> import numpy as np
 >>> from repro.distributed import DistributedFactor
 >>> from repro.grid import ProcessorGrid
+>>> from repro.grid.balance import uniform_partition
 >>> factor = DistributedFactor.from_global(np.arange(6.0).reshape(3, 2), 0,
-...                                        ProcessorGrid((2, 1)))
+...                                        ProcessorGrid((2, 1)),
+...                                        uniform_partition(3, 2))
 >>> factor.block(0).shape, factor.block(1).shape   # padded to ceil(3/2) rows
 ((2, 2), (2, 2))
 >>> factor.to_global().tolist()
@@ -34,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.grid.balance import ModePartition, uniform_partition
+from repro.grid.balance import ModePartition
 from repro.grid.processor_grid import ProcessorGrid
 
 __all__ = ["DistributedFactor"]
@@ -47,41 +49,31 @@ class DistributedFactor:
     ----------
     mode:
         Tensor mode this factor belongs to.
-    global_rows:
-        Number of true (unpadded) rows, ``s_mode``.
     rank:
         CP rank ``R`` (number of columns).
     grid:
         The processor grid; the factor has ``grid.dims[mode]`` row blocks.
     blocks:
-        The row blocks, each of shape ``(block_rows, rank)``.
+        The row blocks, each of shape ``(partition.block_rows, rank)``.
     partition:
-        Optional :class:`~repro.grid.balance.ModePartition` describing
-        non-uniform (or permuted) row blocks; uniform padded blocks when
-        omitted.
+        The mode's :class:`~repro.grid.balance.ModePartition`: its extent is
+        the number of true (unpadded) rows, its intervals the rows of each
+        block.
     """
 
-    def __init__(self, mode: int, global_rows: int, rank: int, grid: ProcessorGrid,
-                 blocks: Sequence[np.ndarray],
-                 partition: ModePartition | None = None):
+    def __init__(self, mode: int, rank: int, grid: ProcessorGrid,
+                 blocks: Sequence[np.ndarray], partition: ModePartition):
         if not 0 <= mode < grid.order:
             raise ValueError(f"mode {mode} out of range for order-{grid.order} grid")
-        self.mode = mode
-        self.global_rows = int(global_rows)
-        self.rank = int(rank)
-        self.grid = grid
-        if partition is None:
-            partition = uniform_partition(self.global_rows, grid.dims[mode])
-        if partition.extent != self.global_rows:
-            raise ValueError(
-                f"partition covers {partition.extent} rows but the factor has "
-                f"{self.global_rows}"
-            )
         if partition.n_blocks != grid.dims[mode]:
             raise ValueError(
                 f"partition has {partition.n_blocks} blocks but grid dimension "
                 f"{mode} is {grid.dims[mode]}"
             )
+        self.mode = mode
+        self.global_rows = partition.extent
+        self.rank = int(rank)
+        self.grid = grid
         self.partition = partition
         self.block_rows = partition.block_rows
         blocks = [np.ascontiguousarray(b, dtype=np.float64) for b in blocks]
@@ -99,12 +91,11 @@ class DistributedFactor:
     # -- constructors -----------------------------------------------------------
     @classmethod
     def from_global(cls, matrix: np.ndarray, mode: int, grid: ProcessorGrid,
-                    partition: ModePartition | None = None) -> "DistributedFactor":
+                    partition: ModePartition) -> "DistributedFactor":
         """Split a global ``(s_mode, R)`` factor into padded row blocks.
 
-        With a ``partition``, block ``x`` receives the rows whose permuted
-        positions fall in the partition's ``x``-th interval (in position
-        order); otherwise the paper's uniform contiguous blocks.
+        Block ``x`` is a copy of the contiguous rows in the partition's
+        ``x``-th interval, zero-padded to the widest interval.
 
         Example
         -------
@@ -120,19 +111,18 @@ class DistributedFactor:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError("factor matrix must be 2-D")
-        if not 0 <= mode < grid.order:
-            raise ValueError(f"mode {mode} out of range for order-{grid.order} grid")
         rows, rank = matrix.shape
-        if partition is None:
-            partition = uniform_partition(rows, grid.dims[mode])
-        block_rows = partition.block_rows
+        if rows != partition.extent:
+            raise ValueError(
+                f"partition covers {partition.extent} rows but the factor has {rows}"
+            )
         blocks = []
         for idx in range(partition.n_blocks):
-            owned = partition.global_rows_of_block(idx)
-            block = np.zeros((block_rows, rank), dtype=np.float64)
-            block[: owned.shape[0]] = matrix[owned]
+            start, stop = partition.block_range(idx)
+            block = np.zeros((partition.block_rows, rank), dtype=np.float64)
+            block[: stop - start] = matrix[start:stop]
             blocks.append(block)
-        return cls(mode, rows, rank, grid, blocks, partition=partition)
+        return cls(mode, rank, grid, blocks, partition)
 
     # -- access -----------------------------------------------------------------
     def block(self, block_index: int) -> np.ndarray:
@@ -154,16 +144,15 @@ class DistributedFactor:
         return self._blocks[coord[self.mode]]
 
     def to_global(self) -> np.ndarray:
-        """Reassemble the global factor (dropping padded rows, undoing any
-        partition permutation)."""
+        """Reassemble the global factor (dropping padded rows)."""
         out = np.zeros((self.global_rows, self.rank), dtype=np.float64)
         for idx, block in enumerate(self._blocks):
-            owned = self.partition.global_rows_of_block(idx)
-            out[owned] = block[: owned.shape[0]]
+            start, stop = self.partition.block_range(idx)
+            out[start:stop] = block[: stop - start]
         return out
 
     def padded_global(self) -> np.ndarray:
-        """Concatenation of all blocks including padded rows (position order)."""
+        """Concatenation of all blocks including padded rows."""
         return np.concatenate(self._blocks, axis=0)
 
     def gram(self) -> np.ndarray:
@@ -173,8 +162,10 @@ class DistributedFactor:
         -------
         >>> import numpy as np
         >>> from repro.grid import ProcessorGrid
+        >>> from repro.grid.balance import uniform_partition
         >>> factor = DistributedFactor.from_global(np.eye(3, 2), 0,
-        ...                                        ProcessorGrid((2, 1)))
+        ...                                        ProcessorGrid((2, 1)),
+        ...                                        uniform_partition(3, 2))
         >>> factor.gram().tolist()
         [[1.0, 0.0], [0.0, 1.0]]
         """
@@ -185,10 +176,8 @@ class DistributedFactor:
 
     def copy(self) -> "DistributedFactor":
         """Deep copy (fresh block arrays, shared grid/partition)."""
-        return DistributedFactor(
-            self.mode, self.global_rows, self.rank, self.grid,
-            [b.copy() for b in self._blocks], partition=self.partition,
-        )
+        return DistributedFactor(self.mode, self.rank, self.grid,
+                                 [b.copy() for b in self._blocks], self.partition)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

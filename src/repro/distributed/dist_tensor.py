@@ -1,10 +1,11 @@
 """Block-distributed dense tensors over a processor grid.
 
-Every processor owns the block of the tensor selected by its grid coordinate,
-zero-padded so all local blocks share the shape ``(ceil(s_1/I_1), ...,
-ceil(s_N/I_N))`` exactly as described in Section II-A of the paper.  Padding
-with zeros leaves all MTTKRP results unchanged, so the parallel algorithms can
-treat every block uniformly.
+Every processor owns the block of the tensor selected by its grid coordinate
+in the uniform :class:`~repro.grid.balance.TensorPartition`
+(``make_partition("uniform", ...)``), zero-padded so all local blocks share
+the shape ``(ceil(s_1/I_1), ..., ceil(s_N/I_N))`` exactly as described in
+Section II-A of the paper.  Padding with zeros leaves all MTTKRP results
+unchanged, so the parallel algorithms can treat every block uniformly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.grid.distribution import local_block_slices, padded_block_size
+from repro.grid.balance import TensorPartition, make_partition
 from repro.grid.processor_grid import ProcessorGrid
 from repro.utils.validation import check_dense_tensor
 
@@ -23,8 +24,9 @@ __all__ = ["DistributedTensor"]
 class DistributedTensor:
     """A dense tensor block-distributed over a :class:`ProcessorGrid`.
 
-    The sparse counterpart (COO blocks with pluggable, possibly non-uniform
-    partitions) is :class:`repro.distributed.sparse.DistSparseTensor`.
+    The blocks are the contiguous ones of :attr:`partition`, the same kind of
+    object the sparse counterpart
+    :class:`repro.distributed.sparse.DistSparseTensor` carries.
 
     Example
     -------
@@ -32,26 +34,20 @@ class DistributedTensor:
     >>> from repro.grid import ProcessorGrid
     >>> dist = DistributedTensor.from_dense(np.arange(12.0).reshape(4, 3),
     ...                                     ProcessorGrid((2, 1)))
-    >>> dist.local_shape
-    (2, 3)
+    >>> dist.local_shape, dist.partition.name
+    ((2, 3), 'uniform')
     >>> dist.local_block(1).tolist()
     [[6.0, 7.0, 8.0], [9.0, 10.0, 11.0]]
     >>> bool(np.allclose(dist.to_dense(), np.arange(12.0).reshape(4, 3)))
     True
     """
 
-    def __init__(self, blocks: Dict[int, np.ndarray], global_shape: tuple[int, ...],
-                 grid: ProcessorGrid):
-        if grid.order != len(global_shape):
-            raise ValueError(
-                f"grid order {grid.order} does not match tensor order {len(global_shape)}"
-            )
-        self.grid = grid
-        self.global_shape = tuple(int(s) for s in global_shape)
-        self.local_shape = tuple(
-            padded_block_size(s, d) for s, d in zip(self.global_shape, grid.dims)
-        )
-        if set(blocks) != set(range(grid.size)):
+    def __init__(self, blocks: Dict[int, np.ndarray], partition: TensorPartition):
+        self.partition = partition
+        self.grid = partition.grid
+        self.global_shape = partition.global_shape
+        self.local_shape = partition.padded_extents
+        if set(blocks) != set(range(self.grid.size)):
             raise ValueError("blocks must be provided for every rank")
         for rank, block in blocks.items():
             if block.shape != self.local_shape:
@@ -66,22 +62,14 @@ class DistributedTensor:
     def from_dense(cls, tensor: np.ndarray, grid: ProcessorGrid) -> "DistributedTensor":
         """Distribute a dense tensor over ``grid`` (zero-padding partial blocks)."""
         tensor = check_dense_tensor(tensor, min_order=1)
-        if tensor.ndim != grid.order:
-            raise ValueError(
-                f"tensor order {tensor.ndim} does not match grid order {grid.order}"
-            )
-        local_shape = tuple(
-            padded_block_size(s, d) for s, d in zip(tensor.shape, grid.dims)
-        )
+        partition = make_partition("uniform", tensor, grid)
         blocks: Dict[int, np.ndarray] = {}
         for rank in grid.ranks():
-            coord = grid.coordinate(rank)
-            slices = local_block_slices(tensor.shape, grid.dims, coord)
-            piece = tensor[slices]
-            block = np.zeros(local_shape, dtype=np.float64)
+            piece = tensor[partition.block_slices(rank)]
+            block = np.zeros(partition.padded_extents, dtype=np.float64)
             block[tuple(slice(0, p) for p in piece.shape)] = piece
             blocks[rank] = block
-        return cls(blocks, tensor.shape, grid)
+        return cls(blocks, partition)
 
     # -- access ---------------------------------------------------------------
     @property
@@ -106,10 +94,9 @@ class DistributedTensor:
         """Reassemble the global tensor (dropping padding)."""
         out = np.zeros(self.global_shape, dtype=np.float64)
         for rank in self.grid.ranks():
-            coord = self.grid.coordinate(rank)
-            slices = local_block_slices(self.global_shape, self.grid.dims, coord)
-            extents = tuple(s.stop - s.start for s in slices)
-            out[slices] = self._blocks[rank][tuple(slice(0, e) for e in extents)]
+            slices = self.partition.block_slices(rank)
+            out[slices] = self._blocks[rank][tuple(slice(0, s.stop - s.start)
+                                                   for s in slices)]
         return out
 
     def norm(self) -> float:

@@ -9,12 +9,13 @@ sparse analogue of the paper's zero-padded dense blocks), so every collective
 of the parallel CP-ALS sweep keeps the dense path's uniform payloads while
 local MTTKRP work scales with the block's own nonzero count.
 
-Unlike the dense :class:`~repro.distributed.dist_tensor.DistributedTensor`,
-the block boundaries need not be uniform: the ``"nnz-balanced"`` partitioner
-(the default of :meth:`DistSparseTensor.from_coo`) sizes blocks from the
-per-mode nonzero histograms so per-rank work is even on skewed real-world
-tensors, and the ``"random"``/``"cyclic"`` partitioners permute slices before
-blocking.  The chosen layout is summarized by :meth:`DistSparseTensor.report`.
+The blocks are contiguous, as for the dense
+:class:`~repro.distributed.dist_tensor.DistributedTensor`, but their
+boundaries need not be uniform: the ``"nnz-balanced"`` partitioner (the
+default of :meth:`DistSparseTensor.from_coo`) and the ``"joint"`` one size
+blocks from the nonzero histograms so per-rank work is even on skewed
+real-world tensors.  The chosen layout is summarized by
+:meth:`DistSparseTensor.report`.
 
 Example
 -------
@@ -47,19 +48,8 @@ __all__ = ["DistSparseTensor"]
 class DistSparseTensor:
     """A sparse COO tensor block-distributed over a :class:`ProcessorGrid`."""
 
-    def __init__(self, blocks: Dict[int, CooTensor], global_shape: tuple[int, ...],
-                 grid: ProcessorGrid, partition: TensorPartition):
-        if grid.order != len(global_shape):
-            raise ValueError(
-                f"grid order {grid.order} does not match tensor order {len(global_shape)}"
-            )
-        if partition.grid != grid:
-            raise ValueError("partition was built for a different grid")
-        if partition.global_shape != tuple(int(s) for s in global_shape):
-            raise ValueError(
-                f"partition covers shape {partition.global_shape}, "
-                f"tensor has shape {tuple(global_shape)}"
-            )
+    def __init__(self, blocks: Dict[int, CooTensor], partition: TensorPartition):
+        grid = partition.grid
         if set(blocks) != set(range(grid.size)):
             raise ValueError("blocks must be provided for every rank")
         local_shape = partition.padded_extents
@@ -73,7 +63,7 @@ class DistSparseTensor:
                     f"block of rank {rank} has shape {block.shape}, expected {local_shape}"
                 )
         self.grid = grid
-        self.global_shape = tuple(int(s) for s in global_shape)
+        self.global_shape = partition.global_shape
         self.partition = partition
         self.local_shape = local_shape
         self._blocks = dict(blocks)
@@ -85,15 +75,13 @@ class DistSparseTensor:
         tensor: CooTensor,
         grid: ProcessorGrid,
         partitioner: str | TensorPartition = "nnz-balanced",
-        seed: int | np.random.Generator | None = None,
     ) -> "DistSparseTensor":
         """Distribute ``tensor`` over ``grid`` with the named partitioner.
 
         ``partitioner`` is a name accepted by
         :func:`repro.grid.balance.make_partition` (``"uniform"``,
-        ``"nnz-balanced"``, ``"random"``, ``"cyclic"``) or an explicit
-        :class:`~repro.grid.balance.TensorPartition`.  ``seed`` only affects
-        the ``"random"`` partitioner.
+        ``"nnz-balanced"``, ``"joint"``) or an explicit
+        :class:`~repro.grid.balance.TensorPartition` built for ``grid``.
 
         Example
         -------
@@ -110,12 +98,18 @@ class DistSparseTensor:
             )
         if isinstance(partitioner, TensorPartition):
             partition = partitioner
+            if partition.grid != grid or partition.global_shape != tensor.shape:
+                raise ValueError(
+                    f"partition covers shape {partition.global_shape} on grid "
+                    f"{partition.grid.dims}, tensor has shape {tensor.shape} on "
+                    f"grid {grid.dims}"
+                )
         else:
-            partition = make_partition(partitioner, tensor, grid, seed=seed)
+            partition = make_partition(partitioner, tensor, grid)
         ranks, local_indices = partition.assign(tensor.indices)
         local_shape = partition.padded_extents
-        # stable: each block keeps the canonical order of its nonzeros, so a
-        # partition that maps slices monotonically hands over sorted blocks
+        # stable: each block keeps the canonical order of its nonzeros, and
+        # contiguous blocks map slices monotonically, so every block is sorted
         order, _ = lex_order([ranks], [grid.size])
         bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(ranks, minlength=grid.size))))
@@ -128,7 +122,7 @@ class DistSparseTensor:
                 local_indices[sel], tensor.values[sel], local_shape,
                 dtype=tensor.dtype,
             )
-        return cls(blocks, tensor.shape, grid, partition)
+        return cls(blocks, partition)
 
     # -- access ---------------------------------------------------------------
     @property
@@ -183,20 +177,15 @@ class DistSparseTensor:
 
     # -- reassembly ------------------------------------------------------------
     def to_coo(self) -> CooTensor:
-        """Reassemble the global sparse tensor (inverting the partition maps)."""
+        """Reassemble the global sparse tensor (shifting block offsets back)."""
         all_indices = []
         all_values = []
         for proc in self.grid.ranks():
             block = self._blocks[proc]
             if block.nnz == 0:
                 continue
-            coord = self.grid.coordinate(proc)
-            global_idx = np.empty_like(block.indices)
-            for m, part in enumerate(self.partition.modes):
-                start, _ = part.block_range(coord[m])
-                positions = block.indices[:, m] + start
-                global_idx[:, m] = part.global_of_positions(positions)
-            all_indices.append(global_idx)
+            starts = [s.start for s in self.partition.block_slices(proc)]
+            all_indices.append(block.indices + np.array(starts, dtype=np.int64))
             all_values.append(block.values)
         if not all_indices:
             empty = np.zeros((0, self.order), dtype=np.int64)

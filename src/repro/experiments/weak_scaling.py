@@ -287,8 +287,7 @@ def executed_sparse_weak_scaling(
                 rank=rank, grid=grid, n_sweeps=n_sweeps, tol=0.0,
                 mttkrp=method, seed=seed, partitioner=partitioner,
             )
-            result = parallel_cp_als(tensor, options, params=params,
-                                     partition_seed=seed)
+            result = parallel_cp_als(tensor, options, params=params)
             values = [s for s in result.sweeps if s.sweep_type == "als"]
             mean_time = float(np.mean([s.modeled_seconds for s in values]))
             breakdown = values[-1].kernel_seconds if values else {}
@@ -349,7 +348,7 @@ def measured_multiprocess_sweep(
     density = min(1.0, nnz_local * n_procs / size)
     tensor = sparse_skewed_count_tensor(shape, density, alpha=alpha, seed=seed)
     pgrid = ProcessorGrid(grid)
-    partition = make_partition(partitioner, tensor, pgrid, seed=seed)
+    partition = make_partition(partitioner, tensor, pgrid)
     report = partition.report(tensor)
     dist = DistSparseTensor.from_coo(tensor, pgrid, partitioner=partition)
 

@@ -1,22 +1,17 @@
-"""Logical processor grids, block data distributions and load balancing.
+"""Logical processor grids and the contiguous block layout of distributed tensors.
 
 The parallel algorithms distribute an order-``N`` tensor over an order-``N``
 processor grid (Section II-E of the paper).  :class:`ProcessorGrid` handles
 rank <-> coordinate arithmetic and the "slice" groups used by the per-mode
-collectives; :mod:`repro.grid.distribution` implements the paper's uniform
-padded block distribution of tensor modes and factor matrix rows;
-:mod:`repro.grid.balance` generalizes it to pluggable per-mode partitioners
-(nnz-balanced, random/cyclic permutation) for skewed sparse tensors.
+collectives.  Every mode of a distributed tensor, dense or sparse, is cut
+into contiguous, uniformly padded blocks: :mod:`repro.grid.balance` chooses
+the cuts (the paper's uniform blocks, or nnz-balanced / joint cuts for skewed
+sparse tensors) and :mod:`repro.grid.distribution` holds the padded block
+height and the even row split of the collectives.
 """
 
 from repro.grid.processor_grid import ProcessorGrid
-from repro.grid.distribution import (
-    padded_block_size,
-    block_range,
-    pad_rows,
-    local_block_slices,
-    split_rows_evenly,
-)
+from repro.grid.distribution import padded_block_size, split_rows_evenly
 from repro.grid.balance import (
     ModePartition,
     PartitionReport,
@@ -28,9 +23,6 @@ from repro.grid.balance import (
 __all__ = [
     "ProcessorGrid",
     "padded_block_size",
-    "block_range",
-    "pad_rows",
-    "local_block_slices",
     "split_rows_evenly",
     "ModePartition",
     "PartitionReport",

@@ -1,23 +1,18 @@
-"""Partitioners mapping tensor modes onto processor-grid dimensions.
+"""Partitioners cutting tensor modes into contiguous blocks over a processor grid.
 
-The paper distributes a *dense* tensor in uniform padded blocks
-(:func:`repro.grid.distribution.padded_block_size`), which is the right layout
-when every slice carries the same amount of work.  Sparse tensors break that
-assumption: per-slice nonzero counts are wildly skewed in real data, so
-uniform blocking leaves most ranks idle while a few own nearly all nonzeros.
+Every distributed tensor, dense or sparse, has one layout rule: each mode is
+cut into contiguous blocks at its partition's ``boundaries``, and every block
+is padded to the widest one so collective payloads stay uniform (Section
+II-A and Algorithm 3 of the paper).  The partitioners differ only in where
+they put the cuts:
 
-This module provides pluggable 1-d partitioners for each tensor mode:
-
-* :func:`uniform_partition` — the dense-compatible baseline: ``ceil(s / I)``
-  padded blocks, exactly the layout of
-  :class:`~repro.distributed.dist_tensor.DistributedTensor`.
-* :func:`nnz_balanced_partition` — contiguous blocks with greedily balanced
-  nonzero counts, computed from the per-mode histograms of
+* :func:`uniform_partition` — the paper's layout: ``ceil(s / I)`` padded
+  blocks.  :class:`~repro.distributed.dist_tensor.DistributedTensor` always
+  uses it; a sparse tensor cut this way lands on the same ranks its
+  densified twin would.
+* :func:`nnz_balanced_partition` — greedily balanced nonzero counts,
+  computed from the per-mode histograms of
   :meth:`repro.sparse.CooTensor.mode_nnz` / ``stats()``.
-* :func:`random_partition` / :func:`cyclic_partition` — a random affine
-  coordinate hash (:class:`HashedModePartition`, no materialized permutation
-  arrays) or a deterministic cyclic interleaving of the slice indices followed
-  by near-equal blocks; destroys locality but balances marginal skew.
 * :func:`joint_partition` — recursive bisection of the cached per-mode
   histograms followed by joint min-max refinement: each mode's boundaries are
   re-cut against the *conditional* per-rank loads induced by the other modes'
@@ -25,9 +20,8 @@ This module provides pluggable 1-d partitioners for each tensor mode:
   partitioner (including nnz-balanced) cannot see.  Never worse than
   nnz-balanced (it falls back when refinement does not help).
 
-A :class:`ModePartition` describes one mode's layout (optional slice
-permutation plus contiguous block boundaries in permuted *position* space);
-a :class:`TensorPartition` bundles one per mode over a
+A :class:`ModePartition` describes one mode's boundaries; a
+:class:`TensorPartition` bundles one per mode over a
 :class:`~repro.grid.processor_grid.ProcessorGrid` and assigns every nonzero
 to the unique rank whose blocks contain it.  :meth:`TensorPartition.report`
 summarizes the resulting per-rank nonzero counts as a
@@ -50,7 +44,6 @@ Example
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -58,22 +51,18 @@ import numpy as np
 
 from repro.grid.distribution import padded_block_size, split_rows_evenly
 from repro.grid.processor_grid import ProcessorGrid
-from repro.utils.random import as_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sparse.coo import CooTensor
 
 __all__ = [
     "ModePartition",
-    "HashedModePartition",
     "TensorPartition",
     "PartitionReport",
     "uniform_partition",
     "nnz_balanced_partition",
     "nnz_balanced_boundaries",
     "bisection_boundaries",
-    "random_partition",
-    "cyclic_partition",
     "joint_partition",
     "make_partition",
     "available_partitioners",
@@ -84,11 +73,10 @@ __all__ = [
 class ModePartition:
     """Layout of one tensor mode over the grid dimension that owns it.
 
-    A mode of extent ``s`` is mapped to ``n_blocks`` grid coordinates in two
-    steps: an optional *permutation* sends global slice index ``i`` to
-    position ``perm[i]``, and contiguous ``boundaries`` split the position
-    range ``[0, s)`` into ``n_blocks`` half-open intervals (empty intervals
-    are allowed).  Block heights are padded to the maximum interval width
+    Contiguous ``boundaries`` split the index range ``[0, s)`` of a mode of
+    extent ``s`` into ``n_blocks`` half-open intervals (empty intervals are
+    allowed); block ``x`` owns the slices ``boundaries[x] <= i <
+    boundaries[x + 1]``.  Block heights are padded to the widest interval
     (:attr:`block_rows`) so collective payloads stay uniform, mirroring the
     paper's padded dense blocks.
 
@@ -103,8 +91,7 @@ class ModePartition:
     [0, 1, 0, 2]
     """
 
-    def __init__(self, extent: int, boundaries: Sequence[int],
-                 permutation: np.ndarray | None = None, name: str = "custom"):
+    def __init__(self, extent: int, boundaries: Sequence[int], name: str = "custom"):
         self.extent = int(extent)
         if self.extent <= 0:
             raise ValueError("mode extent must be positive")
@@ -119,17 +106,7 @@ class ModePartition:
         if (np.diff(bounds) < 0).any():
             raise ValueError("boundaries must be non-decreasing")
         self.boundaries = bounds
-        if permutation is not None:
-            permutation = np.asarray(permutation, dtype=np.int64)
-            if permutation.shape != (self.extent,):
-                raise ValueError(
-                    f"permutation must have shape ({self.extent},), got {permutation.shape}"
-                )
-            if not np.array_equal(np.sort(permutation), np.arange(self.extent)):
-                raise ValueError("permutation must be a bijection of the mode indices")
-        self.permutation = permutation
         self.name = name
-        self._inverse: np.ndarray | None = None
 
     # -- basic properties ------------------------------------------------------
     @property
@@ -147,7 +124,7 @@ class ModePartition:
         return np.diff(self.boundaries)
 
     def block_range(self, block_index: int) -> tuple[int, int]:
-        """Half-open *position* range ``[start, stop)`` covered by one block."""
+        """Half-open global index range ``[start, stop)`` covered by one block."""
         if not 0 <= block_index < self.n_blocks:
             raise ValueError(
                 f"block index {block_index} out of range for {self.n_blocks} blocks"
@@ -155,50 +132,20 @@ class ModePartition:
         return int(self.boundaries[block_index]), int(self.boundaries[block_index + 1])
 
     # -- index mapping ---------------------------------------------------------
-    def position_of(self, indices: np.ndarray) -> np.ndarray:
-        """Permuted position of each global slice index."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if self.permutation is None:
-            return indices
-        return self.permutation[indices]
-
     def block_of(self, indices: np.ndarray) -> np.ndarray:
         """Owning block of each global slice index."""
-        pos = self.position_of(indices)
-        return np.searchsorted(self.boundaries, pos, side="right") - 1
+        indices = np.asarray(indices, dtype=np.int64)
+        return np.searchsorted(self.boundaries, indices, side="right") - 1
 
     def local_offset(self, indices: np.ndarray) -> np.ndarray:
         """Row offset inside the owning block of each global slice index."""
-        pos = self.position_of(indices)
-        return pos - self.boundaries[self.block_of(indices)]
-
-    def global_of_positions(self, positions: np.ndarray) -> np.ndarray:
-        """Global slice index of each permuted position (inverse of :meth:`position_of`).
-
-        Subclasses with computed (rather than materialized) layouts override
-        this to invert the position map directly, without an ``O(extent)``
-        lookup table.
-        """
-        positions = np.asarray(positions, dtype=np.int64)
-        if self.permutation is None:
-            return positions
-        return self.inverse_permutation()[positions]
-
-    def inverse_permutation(self) -> np.ndarray:
-        """Map position -> global slice index (identity when unpermuted)."""
-        if self._inverse is None:
-            if self.permutation is None:
-                self._inverse = np.arange(self.extent, dtype=np.int64)
-            else:
-                inv = np.empty(self.extent, dtype=np.int64)
-                inv[self.permutation] = np.arange(self.extent, dtype=np.int64)
-                self._inverse = inv
-        return self._inverse
+        indices = np.asarray(indices, dtype=np.int64)
+        return indices - self.boundaries[self.block_of(indices)]
 
     def global_rows_of_block(self, block_index: int) -> np.ndarray:
-        """Global slice indices owned by ``block_index``, in position order."""
+        """Global slice indices owned by ``block_index``, in order."""
         start, stop = self.block_range(block_index)
-        return self.global_of_positions(np.arange(start, stop, dtype=np.int64))
+        return np.arange(start, stop, dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -212,10 +159,11 @@ class ModePartition:
 def uniform_partition(extent: int, n_blocks: int) -> ModePartition:
     """Uniform padded blocks — the dense-compatible baseline layout.
 
-    Matches :func:`repro.grid.distribution.block_range` exactly: block ``x``
-    covers ``[min(x b, s), min((x+1) b, s))`` with ``b = ceil(s / I)``, so a
-    sparse tensor partitioned this way lands on the same ranks its densified
-    twin would.
+    Block ``x`` covers ``[min(x b, s), min((x+1) b, s))`` with ``b = ceil(s /
+    I)`` (Section II-A of the paper): the layout of every dense
+    :class:`~repro.distributed.dist_tensor.DistributedTensor`, so a sparse
+    tensor partitioned this way lands on the same ranks its densified twin
+    would.
 
     Example
     -------
@@ -276,7 +224,7 @@ def nnz_balanced_partition(counts: np.ndarray, n_blocks: int) -> ModePartition:
 
     Contiguity preserves slice locality (neighbouring slices stay on the same
     rank) at the price of a residual imbalance bounded by the heaviest single
-    slice; use :func:`random_partition` when single slices dominate.
+    slice.
 
     Example
     -------
@@ -292,7 +240,7 @@ def nnz_balanced_partition(counts: np.ndarray, n_blocks: int) -> ModePartition:
 def bisection_boundaries(counts: np.ndarray, n_blocks: int) -> np.ndarray:
     """Recursive-bisection contiguous boundaries over a slice histogram.
 
-    Splits the position range at the prefix-sum point closest to a
+    Splits the index range at the prefix-sum point closest to a
     ``left_blocks / n_blocks`` share of the range's nonzeros, then recurses
     into both halves.  Unlike the greedy left-to-right walk of
     :func:`nnz_balanced_boundaries`, a bisection cut sees the mass on *both*
@@ -387,151 +335,6 @@ def _near_equal_boundaries(extent: int, n_blocks: int) -> np.ndarray:
     return np.array([0] + [stop for _, stop in ranges], dtype=np.int64)
 
 
-class HashedModePartition(ModePartition):
-    """Permutation-free random layout: positions come from a coordinate hash.
-
-    Slice ``i`` is sent to position ``(a * i + b) mod extent`` with
-    ``gcd(a, extent) == 1`` — an affine bijection evaluated on the fly, so the
-    layout carries two integers instead of the ``O(extent)`` permutation (and
-    inverse) arrays the original ``random`` partitioner materialized per mode
-    (the PR-4 ROADMAP follow-up).  The inverse map is the affine hash with
-    ``a^-1 mod extent``, so block reassembly stays array-free as well.
-
-    Example
-    -------
-    >>> part = HashedModePartition(5, [0, 3, 5], multiplier=2, offset=1)
-    >>> part.position_of([0, 1, 2, 3, 4]).tolist()
-    [1, 3, 0, 2, 4]
-    >>> part.global_of_positions(part.position_of([0, 1, 2, 3, 4])).tolist()
-    [0, 1, 2, 3, 4]
-    """
-
-    def __init__(self, extent: int, boundaries: Sequence[int], multiplier: int,
-                 offset: int, name: str = "random"):
-        super().__init__(extent, boundaries, permutation=None, name=name)
-        if self.extent >= 2**31:
-            raise ValueError(
-                "hashed partitions require extent < 2**31 (the affine products "
-                "must fit an int64)"
-            )
-        multiplier = int(multiplier) % self.extent if self.extent > 1 else 1
-        if math.gcd(multiplier, self.extent) != 1:
-            raise ValueError(
-                f"multiplier {multiplier} is not coprime with extent {self.extent}"
-            )
-        self.multiplier = multiplier
-        self.offset = int(offset) % self.extent
-        self._inv_multiplier = pow(self.multiplier, -1, self.extent)
-
-    def position_of(self, indices: np.ndarray) -> np.ndarray:
-        """Hashed position ``(a * i + b) mod extent`` of each slice index."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return (self.multiplier * indices + self.offset) % self.extent
-
-    def global_of_positions(self, positions: np.ndarray) -> np.ndarray:
-        """Invert the hash: ``i = a^-1 * (p - b) mod extent``."""
-        positions = np.asarray(positions, dtype=np.int64)
-        return (self._inv_multiplier * (positions - self.offset)) % self.extent
-
-    def inverse_permutation(self) -> np.ndarray:
-        """Materialized position -> global map (compatibility/debugging only)."""
-        if self._inverse is None:
-            self._inverse = self.global_of_positions(
-                np.arange(self.extent, dtype=np.int64)
-            )
-        return self._inverse
-
-
-def random_partition(extent: int, n_blocks: int,
-                     seed: int | np.random.Generator | None = None) -> ModePartition:
-    """Random coordinate hash followed by near-equal contiguous blocks.
-
-    The hash-style partitioner: slices are scattered by a random affine
-    bijection (:class:`HashedModePartition`), so marginal nonzero skew is
-    broken up without any per-slice state — including skews a contiguous
-    partition cannot split — at the price of destroying slice locality.
-    Deterministic given ``seed``.
-
-    Degenerate multipliers (1 and ``extent - 1``: a shift / a reflection,
-    which keep contiguous runs contiguous) are avoided whenever the extent
-    admits any other coprime; extents whose *only* coprimes are those two
-    (e.g. 4 and 6) necessarily fall back to them, so contiguous skews on such
-    tiny modes may survive — prefer ``cyclic`` or ``nnz-balanced`` there.
-
-    .. note::
-       Since the hashed rewrite, the layout is computed from two drawn
-       integers instead of a materialized ``rng.permutation`` array, so a
-       given seed assigns slices *differently* than the earlier
-       permutation-array implementation did (the regression suite pins the
-       new assignments).  Memory per mode drops from ``O(extent)`` to
-       ``O(1)``.
-
-    Example
-    -------
-    >>> part = random_partition(6, 3, seed=0)
-    >>> sorted(part.widths().tolist())
-    [2, 2, 2]
-    >>> np.array_equal(random_partition(6, 3, seed=0).block_of(np.arange(6)),
-    ...                part.block_of(np.arange(6)))
-    True
-    """
-    extent = int(extent)
-    n_blocks = int(n_blocks)
-    if extent <= 0 or n_blocks <= 0:
-        raise ValueError("extent and n_blocks must be positive")
-    rng = as_rng(seed)
-    if extent == 1:
-        multiplier, offset = 1, 0
-    else:
-        # multipliers 1 and extent-1 are degenerate (a shift / a reflection —
-        # contiguous heavy runs stay contiguous, defeating the scatter), so
-        # prefer a non-trivial coprime; some extents (e.g. 4 and 6) have no
-        # other coprime at all, hence the bounded retry with fallback
-        multiplier = None
-        for _ in range(64):
-            candidate = int(rng.integers(1, extent))
-            if math.gcd(candidate, extent) != 1:
-                continue
-            if candidate in (1, extent - 1) and extent > 3:
-                multiplier = multiplier or candidate  # fallback, keep drawing
-                continue
-            multiplier = candidate
-            break
-        if multiplier is None or math.gcd(multiplier, extent) != 1:
-            multiplier = 1
-        offset = int(rng.integers(0, extent))
-    return HashedModePartition(extent, _near_equal_boundaries(extent, n_blocks),
-                               multiplier=multiplier, offset=offset,
-                               name="random")
-
-
-def cyclic_partition(extent: int, n_blocks: int) -> ModePartition:
-    """Cyclic (round-robin) slice distribution: slice ``i`` goes to block
-    ``i mod n_blocks``.
-
-    The deterministic cousin of :func:`random_partition` — balances smooth
-    marginal skews (e.g. monotone decay) without a seed, but a periodic skew
-    aligned with the block count defeats it.
-
-    Example
-    -------
-    >>> cyclic_partition(5, 2).block_of([0, 1, 2, 3, 4]).tolist()
-    [0, 1, 0, 1, 0]
-    """
-    extent = int(extent)
-    n_blocks = int(n_blocks)
-    if extent <= 0 or n_blocks <= 0:
-        raise ValueError("extent and n_blocks must be positive")
-    blocks = np.arange(extent, dtype=np.int64) % n_blocks
-    inverse = np.argsort(blocks, kind="stable").astype(np.int64)
-    perm = np.empty(extent, dtype=np.int64)
-    perm[inverse] = np.arange(extent, dtype=np.int64)
-    bounds = np.concatenate(
-        [[0], np.cumsum(np.bincount(blocks, minlength=n_blocks))]
-    ).astype(np.int64)
-    return ModePartition(extent, bounds, permutation=perm, name="cyclic")
-
-
 # -- reports ---------------------------------------------------------------------
 
 @dataclass(eq=False)  # ndarray field: the generated __eq__ would raise
@@ -611,10 +414,10 @@ class TensorPartition:
     -------
     >>> import numpy as np
     >>> from repro.grid import ProcessorGrid
-    >>> from repro.grid.balance import TensorPartition
+    >>> from repro.grid.balance import make_partition
     >>> from repro.sparse import CooTensor
     >>> coo = CooTensor(np.array([[0, 0], [3, 1]]), np.ones(2), (4, 2))
-    >>> part = TensorPartition.build(coo, ProcessorGrid((2, 2)), kind="uniform")
+    >>> part = make_partition("uniform", coo, ProcessorGrid((2, 2)))
     >>> part.rank_of(coo.indices).tolist()
     [0, 3]
     """
@@ -637,12 +440,6 @@ class TensorPartition:
         self.modes = modes
         self.name = name
 
-    @classmethod
-    def build(cls, tensor: "CooTensor", grid: ProcessorGrid, kind: str = "nnz-balanced",
-              seed: int | np.random.Generator | None = None) -> "TensorPartition":
-        """Build per-mode partitions of ``kind`` for ``tensor`` over ``grid``."""
-        return make_partition(kind, tensor, grid, seed=seed)
-
     @property
     def global_shape(self) -> tuple[int, ...]:
         return tuple(p.extent for p in self.modes)
@@ -651,6 +448,20 @@ class TensorPartition:
     def padded_extents(self) -> tuple[int, ...]:
         """Uniform local block shape: the padded height of every mode."""
         return tuple(p.block_rows for p in self.modes)
+
+    def block_slices(self, rank: int) -> tuple[slice, ...]:
+        """Global index slices of the block owned by grid ``rank``.
+
+        Example
+        -------
+        >>> from repro.grid import ProcessorGrid
+        >>> part = TensorPartition(ProcessorGrid((2, 2)),
+        ...                        [uniform_partition(4, 2), uniform_partition(6, 2)])
+        >>> part.block_slices(2)
+        (slice(2, 4, None), slice(0, 3, None))
+        """
+        coord = self.grid.coordinate(rank)
+        return tuple(slice(*part.block_range(c)) for part, c in zip(self.modes, coord))
 
     def rank_of(self, indices: np.ndarray) -> np.ndarray:
         """Owning grid rank of each coordinate row of ``indices``."""
@@ -678,8 +489,7 @@ class TensorPartition:
         """``(ranks, local_indices)`` in one pass over the coordinates.
 
         Equivalent to :meth:`rank_of` plus :meth:`local_indices` but computes
-        each mode's permuted positions and block ids once instead of three
-        times — the hot path of
+        each mode's block ids once instead of twice — the hot path of
         :meth:`repro.distributed.sparse.DistSparseTensor.from_coo`.
         """
         indices = np.asarray(indices, dtype=np.int64)
@@ -690,9 +500,9 @@ class TensorPartition:
         local = np.empty_like(indices)
         blocks = []
         for m, part in enumerate(self.modes):
-            pos = part.position_of(indices[:, m])
-            block = np.searchsorted(part.boundaries, pos, side="right") - 1
-            local[:, m] = pos - part.boundaries[block]
+            column = indices[:, m]
+            block = np.searchsorted(part.boundaries, column, side="right") - 1
+            local[:, m] = column - part.boundaries[block]
             blocks.append(block)
         if indices.shape[0] == 0:
             return np.zeros(0, dtype=np.int64), local
@@ -722,7 +532,6 @@ class TensorPartition:
 # -- the joint (cross-mode) partitioner ------------------------------------------
 
 def joint_partition(tensor: "CooTensor", grid: ProcessorGrid,
-                    seed: int | np.random.Generator | None = None,
                     rounds: int = 3) -> TensorPartition:
     """Joint cross-mode partition: recursive bisection plus min-max refinement.
 
@@ -740,9 +549,6 @@ def joint_partition(tensor: "CooTensor", grid: ProcessorGrid,
     raise) the max per-rank load, and as a final guarantee the result is
     compared against the marginal ``nnz-balanced`` partition and the better of
     the two is returned — so ``joint`` is never worse than ``nnz-balanced``.
-
-    ``seed`` is accepted for registry-signature compatibility and ignored
-    (the construction is deterministic).
 
     Example
     -------
@@ -816,7 +622,7 @@ def joint_partition(tensor: "CooTensor", grid: ProcessorGrid,
 
 # -- registry --------------------------------------------------------------------
 
-def _build_uniform(tensor, grid, seed=None):
+def _build_uniform(tensor, grid):
     return TensorPartition(
         grid,
         [uniform_partition(s, d) for s, d in zip(tensor.shape, grid.dims)],
@@ -824,7 +630,7 @@ def _build_uniform(tensor, grid, seed=None):
     )
 
 
-def _build_nnz_balanced(tensor, grid, seed=None):
+def _build_nnz_balanced(tensor, grid):
     return TensorPartition(
         grid,
         [
@@ -835,29 +641,10 @@ def _build_nnz_balanced(tensor, grid, seed=None):
     )
 
 
-def _build_random(tensor, grid, seed=None):
-    rng = as_rng(seed)
-    return TensorPartition(
-        grid,
-        [random_partition(s, d, seed=rng) for s, d in zip(tensor.shape, grid.dims)],
-        name="random",
-    )
-
-
-def _build_cyclic(tensor, grid, seed=None):
-    return TensorPartition(
-        grid,
-        [cyclic_partition(s, d) for s, d in zip(tensor.shape, grid.dims)],
-        name="cyclic",
-    )
-
-
-#: partitioner name -> builder ``(CooTensor, ProcessorGrid, seed) -> TensorPartition``
+#: partitioner name -> builder ``(tensor, ProcessorGrid) -> TensorPartition``
 PARTITIONERS = {
     "uniform": _build_uniform,
     "nnz-balanced": _build_nnz_balanced,
-    "random": _build_random,
-    "cyclic": _build_cyclic,
     "joint": joint_partition,
 }
 
@@ -867,12 +654,12 @@ def available_partitioners() -> list[str]:
     return list(PARTITIONERS)
 
 
-def make_partition(kind: str, tensor: "CooTensor", grid: ProcessorGrid,
-                   seed: int | np.random.Generator | None = None) -> TensorPartition:
+def make_partition(kind: str, tensor: "CooTensor", grid: ProcessorGrid) -> TensorPartition:
     """Build the named :class:`TensorPartition` for ``tensor`` over ``grid``.
 
     ``kind`` is one of :func:`available_partitioners`, spelled exactly.
-    ``seed`` only affects the ``"random"`` partitioner.
+    ``"uniform"`` reads only ``tensor.shape``, so it also cuts a dense
+    ndarray (:meth:`repro.distributed.dist_tensor.DistributedTensor.from_dense`).
     """
     if kind not in PARTITIONERS:
         raise ValueError(
@@ -882,4 +669,4 @@ def make_partition(kind: str, tensor: "CooTensor", grid: ProcessorGrid,
         raise ValueError(
             f"tensor order {tensor.ndim} does not match grid order {grid.order}"
         )
-    return PARTITIONERS[kind](tensor, grid, seed=seed)
+    return PARTITIONERS[kind](tensor, grid)

@@ -1,21 +1,19 @@
-"""Padded block distributions of tensor modes and factor-matrix rows.
+"""Block sizes of the padded distribution of tensor modes and factor rows.
 
 The paper distributes the dense tensor uniformly over the processor grid with
 local blocks of size ``ceil(s_i / I_i)`` per mode, padding with zeros when the
 mode size is not divisible (Section II-A).  Zero padding keeps every local
 block the same shape (so collective payloads are uniform) and does not change
-any MTTKRP/Gram results because the padded rows are identically zero.
+any MTTKRP/Gram results because the padded rows are identically zero.  The
+blocks themselves are cut by :func:`repro.grid.balance.uniform_partition`;
+this module holds the block height it and the cost models share, and the
+even row split of a slice group's rows across its members.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = [
     "padded_block_size",
-    "block_range",
-    "pad_rows",
-    "local_block_slices",
     "split_rows_evenly",
 ]
 
@@ -33,62 +31,6 @@ def padded_block_size(extent: int, n_blocks: int) -> int:
     if n_blocks <= 0:
         raise ValueError("n_blocks must be positive")
     return -(-extent // n_blocks)
-
-
-def block_range(extent: int, n_blocks: int, block_index: int) -> tuple[int, int]:
-    """Half-open global index range ``[start, stop)`` covered by one block.
-
-    The last blocks may cover fewer than ``padded_block_size`` true entries
-    (or none at all when ``n_blocks * block >= extent`` already before them).
-
-    Example
-    -------
-    >>> [block_range(10, 4, b) for b in range(4)]
-    [(0, 3), (3, 6), (6, 9), (9, 10)]
-    """
-    if not 0 <= block_index < n_blocks:
-        raise ValueError(f"block index {block_index} out of range for {n_blocks} blocks")
-    b = padded_block_size(extent, n_blocks)
-    start = min(block_index * b, extent)
-    stop = min(start + b, extent)
-    return start, stop
-
-
-def pad_rows(array: np.ndarray, target_rows: int) -> np.ndarray:
-    """Zero-pad ``array`` along axis 0 up to ``target_rows`` rows.
-
-    Example
-    -------
-    >>> pad_rows(np.ones((2, 2)), 3).tolist()
-    [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]
-    """
-    array = np.asarray(array)
-    if array.shape[0] > target_rows:
-        raise ValueError(
-            f"cannot pad array with {array.shape[0]} rows down to {target_rows}"
-        )
-    if array.shape[0] == target_rows:
-        return array
-    pad_width = [(0, target_rows - array.shape[0])] + [(0, 0)] * (array.ndim - 1)
-    return np.pad(array, pad_width)
-
-
-def local_block_slices(shape: tuple[int, ...], grid_dims: tuple[int, ...],
-                       coordinate: tuple[int, ...]) -> tuple[slice, ...]:
-    """Global index slices of the block owned by grid ``coordinate``.
-
-    Example
-    -------
-    >>> local_block_slices((4, 6), (2, 2), (1, 0))
-    (slice(2, 4, None), slice(0, 3, None))
-    """
-    if len(shape) != len(grid_dims) or len(shape) != len(coordinate):
-        raise ValueError("shape, grid dims and coordinate must have equal length")
-    slices = []
-    for extent, blocks, coord in zip(shape, grid_dims, coordinate):
-        start, stop = block_range(extent, blocks, coord)
-        slices.append(slice(start, stop))
-    return tuple(slices)
 
 
 def split_rows_evenly(n_rows: int, n_parts: int) -> list[tuple[int, int]]:

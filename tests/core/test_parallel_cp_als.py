@@ -7,7 +7,11 @@ from repro.comm.simulated import SimulatedMachine
 from repro.core.cp_als import cp_als
 from repro.core.initialization import init_factors
 from repro.core.options import ALSOptions, ParallelOptions, ParallelPPOptions
-from repro.core.parallel_common import ParallelRun
+from repro.core.parallel_common import (
+    ParallelRun,
+    setup_parallel_state,
+    zero_delta_factors,
+)
 from repro.core.parallel_cp_als import parallel_cp_als
 from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
 from repro.distributed.dist_tensor import DistributedTensor
@@ -186,3 +190,41 @@ class TestZeroNormGuard:
                   CooTensor(np.empty((0, 3), dtype=np.int64), np.empty(0), (4, 5, 6)))
         with pytest.raises(ValueError, match="^tensor has zero Frobenius norm; "):
             driver(tensor, options_cls(rank=2, grid=(2, 1, 1), n_sweeps=3, seed=0))
+
+
+class TestOneLayout:
+    """Dense and sparse runs distribute by one kind of object: the tensor's
+    partition, whose per-mode cuts the factor rows follow."""
+
+    @pytest.mark.parametrize("partitioner", [None, "uniform", "nnz-balanced", "joint"])
+    def test_factor_rows_follow_the_tensor_partition(self, rng, partitioner):
+        dense = rng.random((9, 8, 7)) * (rng.random((9, 8, 7)) < 0.4)
+        tensor = dense if partitioner is None else CooTensor.from_dense(dense)
+        options = ParallelOptions(rank=3, grid=(2, 3, 2),
+                                  partitioner=partitioner or "nnz-balanced")
+        state = setup_parallel_state(tensor, options)
+        try:
+            partition = state.dist_tensor.partition
+            assert partition.name == (partitioner or "uniform")
+            for mode, factor in enumerate(state.dist_factors):
+                assert factor.partition is partition.modes[mode]
+            for mode, delta in enumerate(zero_delta_factors(state)):
+                assert delta.partition is partition.modes[mode]
+                assert not delta.padded_global().any()
+        finally:
+            state.close()
+
+    @pytest.mark.parametrize("predistributed", [False, True])
+    @pytest.mark.parametrize("driver", ["als", "pp"])
+    def test_dense_run_reports_the_uniform_partitioner(self, lowrank_tensor3,
+                                                       driver, predistributed):
+        grid = ProcessorGrid((2, 2, 1))
+        tensor = (DistributedTensor.from_dense(lowrank_tensor3, grid)
+                  if predistributed else lowrank_tensor3)
+        if driver == "als":
+            result = parallel_cp_als(tensor, ParallelOptions(rank=3, grid=grid,
+                                                             n_sweeps=2))
+        else:
+            result = parallel_pp_cp_als(tensor, ParallelPPOptions(rank=3, grid=grid,
+                                                                  n_sweeps=2))
+        assert result.options["partitioner"] == "uniform"

@@ -27,7 +27,7 @@ def skewed():
 class TestDistSparseTensor:
     @pytest.mark.parametrize("kind", available_partitioners())
     def test_round_trip(self, skewed, kind):
-        dist = DistSparseTensor.from_coo(skewed, GRID, kind, seed=7)
+        dist = DistSparseTensor.from_coo(skewed, GRID, kind)
         back = dist.to_coo()
         assert np.array_equal(back.indices, skewed.indices)
         assert np.allclose(back.values, skewed.values)
@@ -64,7 +64,15 @@ class TestDistSparseTensor:
         partition = make_partition("uniform", skewed, GRID)
         blocks = {0: skewed}
         with pytest.raises(ValueError, match="every rank"):
-            DistSparseTensor(blocks, skewed.shape, GRID, partition)
+            DistSparseTensor(blocks, partition)
+
+    @pytest.mark.parametrize("grid,shape", [((2, 2, 1), (20, 16, 12)),
+                                            ((2, 2, 2), (21, 16, 12))])
+    def test_explicit_partition_must_fit_grid_and_shape(self, skewed, grid, shape):
+        other = CooTensor(np.zeros((0, 3), dtype=np.int64), np.zeros(0), shape)
+        partition = make_partition("uniform", other, ProcessorGrid(grid))
+        with pytest.raises(ValueError, match="partition covers"):
+            DistSparseTensor.from_coo(skewed, GRID, partitioner=partition)
 
     def test_explicit_partition_object(self, skewed):
         partition = make_partition("nnz-balanced", skewed, GRID)
@@ -82,14 +90,6 @@ class TestDistributedFactorPartition:
         assert np.allclose(factor.to_global(), matrix)
         g = factor.gram()
         assert np.allclose(g, matrix.T @ matrix)
-
-    def test_permuted_blocks_round_trip(self):
-        matrix = np.arange(8.0).reshape(4, 2)
-        part = ModePartition(4, [0, 2, 4], permutation=np.array([3, 1, 0, 2]))
-        factor = DistributedFactor.from_global(matrix, 0, ProcessorGrid((2, 1)), part)
-        assert np.allclose(factor.to_global(), matrix)
-        # position order: inverse permutation maps positions [0..3] -> rows [2,1,3,0]
-        assert np.allclose(factor.padded_global(), matrix[[2, 1, 3, 0]])
 
     def test_partition_extent_mismatch(self):
         with pytest.raises(ValueError, match="partition covers"):
@@ -115,8 +115,7 @@ class TestSparseParallelSweep:
                                  ParallelOptions(rank=rank, grid=GRID, n_sweeps=3,
                                                  tol=0.0, mttkrp=engine,
                                                  partitioner=kind),
-                                 initial_factors=[f.copy() for f in init],
-                                 partition_seed=13)
+                                 initial_factors=[f.copy() for f in init])
         for ours, ref in zip(result.factors, oracle.factors):
             assert np.max(np.abs(ours - ref)) < 1e-10
         assert result.residual == pytest.approx(oracle.residual, abs=1e-10)
@@ -155,8 +154,7 @@ class TestSparseParallelSweep:
         result = parallel_pp_cp_als(tensor,
                                     ParallelPPOptions(rank=4, grid=(2, 2, 2),
                                                       n_sweeps=6, tol=0.0, pp_tol=0.5,
-                                                      seed=0, partitioner=kind),
-                                    partition_seed=1)
+                                                      seed=0, partitioner=kind))
         assert result.n_sweeps == 6
         # both PP phases actually ran on the sparse blocks
         assert {"als", "pp-init", "pp-approx"} <= {s.sweep_type for s in result.sweeps}

@@ -4,7 +4,34 @@ import numpy as np
 import pytest
 
 from repro.distributed.dist_tensor import DistributedTensor
+from repro.distributed.sparse import DistSparseTensor
+from repro.grid.balance import make_partition
+from repro.grid.distribution import padded_block_size
 from repro.grid.processor_grid import ProcessorGrid
+from repro.sparse import CooTensor
+
+#: ragged shapes: partial trailing blocks, and empty ones where ``I * ceil(s /
+#: I)`` overshoots ``s`` by a whole block
+RAGGED = [
+    ((10, 7, 5), (4, 3, 2)),
+    ((9, 7, 5), (4, 3, 4)),
+    ((5, 3), (4, 7)),
+    ((1, 16), (1, 4)),
+    ((3, 5, 2, 4), (3, 2, 3, 1)),
+]
+
+
+def _papers_block(tensor, dims, coord):
+    """The block Section II-A of the paper gives grid coordinate ``coord``:
+    rows ``[min(x b, s), min((x + 1) b, s))`` of each mode, ``b = ceil(s /
+    I)``, zero-padded to ``b`` rows."""
+    heights = [padded_block_size(s, d) for s, d in zip(tensor.shape, dims)]
+    slices = tuple(slice(min(x * b, s), min((x + 1) * b, s))
+                   for x, b, s in zip(coord, heights, tensor.shape))
+    piece = tensor[slices]
+    block = np.zeros(heights)
+    block[tuple(slice(0, e) for e in piece.shape)] = piece
+    return block
 
 
 class TestDistribution:
@@ -63,8 +90,40 @@ class TestDistribution:
             DistributedTensor.from_dense(rng.random((4, 4)), ProcessorGrid((2, 2, 2)))
 
     def test_constructor_validates_blocks(self, rng):
-        grid = ProcessorGrid((2,))
+        partition = make_partition("uniform", np.zeros(4), ProcessorGrid((2,)))
         with pytest.raises(ValueError):
-            DistributedTensor({0: np.zeros((2,))}, (4,), grid)  # missing rank 1
+            DistributedTensor({0: np.zeros((2,))}, partition)  # missing rank 1
         with pytest.raises(ValueError):
-            DistributedTensor({0: np.zeros((3,)), 1: np.zeros((2,))}, (4,), grid)
+            DistributedTensor({0: np.zeros((3,)), 1: np.zeros((2,))}, partition)
+
+
+class TestUniformPartition:
+    """A dense tensor is cut by ``make_partition("uniform", ...)``: the
+    paper's padded blocks, the layout a sparse tensor's uniform partition
+    gives too."""
+
+    @pytest.mark.parametrize("shape,dims", RAGGED)
+    def test_ragged_shapes_cut_into_the_papers_padded_blocks(self, rng, shape, dims):
+        tensor = rng.random(shape)
+        grid = ProcessorGrid(dims)
+        dist = DistributedTensor.from_dense(tensor, grid)
+        assert dist.partition.name == "uniform"
+        assert dist.local_shape == tuple(
+            padded_block_size(s, d) for s, d in zip(shape, dims))
+        for rank in grid.ranks():
+            expected = _papers_block(tensor, dims, grid.coordinate(rank))
+            assert np.array_equal(dist.local_block(rank), expected)
+        assert np.array_equal(dist.to_dense(), tensor)
+
+    @pytest.mark.parametrize("shape,dims", RAGGED)
+    def test_sparse_twin_gets_the_same_blocks(self, rng, shape, dims):
+        tensor = rng.random(shape) * (rng.random(shape) < 0.5)
+        grid = ProcessorGrid(dims)
+        dense = DistributedTensor.from_dense(tensor, grid)
+        sparse = DistSparseTensor.from_coo(CooTensor.from_dense(tensor), grid,
+                                           "uniform")
+        assert [p.boundaries.tolist() for p in sparse.partition.modes] == \
+            [p.boundaries.tolist() for p in dense.partition.modes]
+        for rank in grid.ranks():
+            assert np.array_equal(sparse.local_block(rank).to_dense(),
+                                  dense.local_block(rank))

@@ -263,7 +263,7 @@ class TestAcrossSubstrates:
         outcomes = []
         for machine in (None, machine4):
             state = setup_parallel_state(tensor, options, machine=machine,
-                                         initial_factors=initial, partition_seed=5)
+                                         initial_factors=initial)
             try:
                 outcomes.append(_drive(state, seed=15))
             finally:

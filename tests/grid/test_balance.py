@@ -1,21 +1,25 @@
 """Unit tests for the mode partitioners of repro.grid.balance."""
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+from repro.core.options import ParallelOptions
+from repro.distributed import DistSparseTensor
 from repro.grid import ProcessorGrid
 from repro.grid.balance import (
     ModePartition,
     TensorPartition,
     available_partitioners,
-    cyclic_partition,
+    joint_partition,
     make_partition,
     nnz_balanced_boundaries,
     nnz_balanced_partition,
-    random_partition,
     uniform_partition,
 )
-from repro.grid.distribution import block_range, padded_block_size
 from repro.sparse import CooTensor
 
 
@@ -32,10 +36,6 @@ class TestModePartition:
             ModePartition(4, [1, 4])
         with pytest.raises(ValueError, match="non-decreasing"):
             ModePartition(4, [0, 3, 2, 4])
-        with pytest.raises(ValueError, match="bijection"):
-            ModePartition(3, [0, 3], permutation=[0, 0, 2])
-        with pytest.raises(ValueError, match="shape"):
-            ModePartition(3, [0, 3], permutation=[0, 1])
 
     def test_empty_blocks_allowed(self):
         part = ModePartition(3, [0, 3, 3])
@@ -43,24 +43,27 @@ class TestModePartition:
         assert part.block_of([0, 1, 2]).tolist() == [0, 0, 0]
         assert part.global_rows_of_block(1).size == 0
 
-    def test_permuted_round_trip(self):
-        perm = np.array([2, 0, 3, 1])
-        part = ModePartition(4, [0, 2, 4], permutation=perm)
-        # positions: 0 -> 2 (block 1), 1 -> 0 (block 0), 2 -> 3 (block 1), 3 -> 1 (block 0)
-        assert part.block_of([0, 1, 2, 3]).tolist() == [1, 0, 1, 0]
-        assert part.local_offset([0, 1, 2, 3]).tolist() == [0, 0, 1, 1]
-        assert part.global_rows_of_block(0).tolist() == [1, 3]
-        assert part.global_rows_of_block(1).tolist() == [0, 2]
+    def test_blocks_are_contiguous_index_ranges(self):
+        part = ModePartition(7, [0, 2, 2, 7])
+        assert part.block_of(np.arange(7)).tolist() == [0, 0, 2, 2, 2, 2, 2]
+        assert part.local_offset(np.arange(7)).tolist() == [0, 1, 0, 1, 2, 3, 4]
+        assert [part.global_rows_of_block(b).tolist() for b in range(3)] == \
+            [[0, 1], [], [2, 3, 4, 5, 6]]
+        assert [part.block_range(b) for b in range(3)] == [(0, 2), (2, 2), (2, 7)]
+
+
+    @pytest.mark.parametrize("boundaries", [[0, 5], [0, 1, 5], [0, 0, 2, 5],
+                                            [0, 2, 4, 5, 5]])
+    def test_local_offset_is_the_index_minus_its_block_start(self, boundaries):
+        part = ModePartition(5, boundaries)
+        idx = np.arange(5)
+        blocks = part.block_of(idx)
+        starts = np.array([part.block_range(b)[0] for b in blocks])
+        assert np.array_equal(part.local_offset(idx), idx - starts)
+        assert (part.local_offset(idx) < part.widths()[blocks]).all()
 
 
 class TestPartitioners:
-    @pytest.mark.parametrize("extent,n_blocks", [(1, 1), (5, 2), (5, 4), (3, 7), (16, 4)])
-    def test_uniform_matches_dense_block_range(self, extent, n_blocks):
-        part = uniform_partition(extent, n_blocks)
-        assert part.block_rows == padded_block_size(extent, n_blocks)
-        for b in range(n_blocks):
-            assert part.block_range(b) == block_range(extent, n_blocks, b)
-
     def test_nnz_balanced_splits_heavy_head(self):
         counts = np.array([100, 1, 1, 1, 1, 1])
         bounds = nnz_balanced_boundaries(counts, 2)
@@ -82,66 +85,11 @@ class TestPartitioners:
         assert part.n_blocks == 4
         assert int(part.widths().sum()) == 2
 
-    def test_random_is_deterministic_given_seed(self):
-        a = random_partition(10, 3, seed=42)
-        b = random_partition(10, 3, seed=42)
-        idx = np.arange(10)
-        assert np.array_equal(a.block_of(idx), b.block_of(idx))
-        assert np.array_equal(a.local_offset(idx), b.local_offset(idx))
-
-    def test_random_hash_pins_known_assignments(self):
-        """Regression pin of the hashed-layout assignments (the scheme changed
-        from materialized ``rng.permutation`` arrays to an affine coordinate
-        hash; these golden values keep the *new* scheme stable)."""
-        part = random_partition(10, 3, seed=42)
-        assert part.permutation is None  # nothing materialized
-        assert part.multiplier == 7 and part.offset == 6
-        assert part.position_of(np.arange(10)).tolist() == \
-            [6, 3, 0, 7, 4, 1, 8, 5, 2, 9]
-        assert part.block_of(np.arange(10)).tolist() == \
-            [1, 0, 0, 2, 1, 0, 2, 1, 0, 2]
-
-    def test_random_avoids_degenerate_multipliers(self):
-        """Multipliers 1 and extent-1 (shift / reflection) keep contiguous
-        heavy slice runs contiguous, so they are rejected whenever the extent
-        admits any other coprime."""
-        for extent in (5, 7, 10, 12, 50, 200):
-            for seed in range(40):
-                m = random_partition(extent, 3, seed=seed).multiplier
-                assert m not in (1, extent - 1), (extent, seed, m)
-        # extents whose only coprimes are 1 / extent-1 must still build
-        for extent in (2, 3, 4, 6):
-            part = random_partition(extent, 2, seed=0)
-            pos = part.position_of(np.arange(extent))
-            assert np.array_equal(np.sort(pos), np.arange(extent))
-
-    def test_random_hash_is_a_bijection(self):
-        for extent, blocks, seed in ((1, 1, 0), (2, 3, 1), (17, 4, 7), (64, 8, 3)):
-            part = random_partition(extent, blocks, seed=seed)
-            pos = part.position_of(np.arange(extent))
-            assert np.array_equal(np.sort(pos), np.arange(extent))
-            assert np.array_equal(part.global_of_positions(pos), np.arange(extent))
-            owned = np.concatenate(
-                [part.global_rows_of_block(b) for b in range(part.n_blocks)]
-            )
-            assert np.array_equal(np.sort(owned), np.arange(extent))
-
-    def test_hashed_partition_rejects_non_coprime_multiplier(self):
-        from repro.grid.balance import HashedModePartition
-
-        with pytest.raises(ValueError, match="coprime"):
-            HashedModePartition(6, [0, 3, 6], multiplier=2, offset=0)
-
-    def test_cyclic_round_robin(self):
-        part = cyclic_partition(7, 3)
-        assert part.block_of(np.arange(7)).tolist() == [0, 1, 2, 0, 1, 2, 0]
-        assert part.widths().tolist() == [3, 2, 2]
-
 
 class TestTensorPartition:
     def test_build_and_rank_of(self):
         coo = _coo([[0, 0], [3, 1], [1, 1]], (4, 2))  # canonicalized to sorted order
-        part = TensorPartition.build(coo, ProcessorGrid((2, 2)), kind="uniform")
+        part = make_partition("uniform", coo, ProcessorGrid((2, 2)))
         assert part.rank_of(coo.indices).tolist() == [0, 1, 3]
         assert part.padded_extents == (2, 1)
 
@@ -167,10 +115,9 @@ class TestTensorPartition:
 
     def test_available_names_all_build(self):
         coo = _coo([[0, 0], [3, 1], [1, 1]], (4, 2))
-        assert available_partitioners() == ["uniform", "nnz-balanced", "random",
-                                            "cyclic", "joint"]
+        assert available_partitioners() == ["uniform", "nnz-balanced", "joint"]
         for kind in available_partitioners():
-            make_partition(kind, coo, ProcessorGrid((2, 2)), seed=0)
+            make_partition(kind, coo, ProcessorGrid((2, 2)))
 
     def test_block_count_must_match_grid(self):
         part = uniform_partition(4, 3)
@@ -185,7 +132,7 @@ class TestTensorPartition:
         )
         coo = _coo(idx, (6, 7, 8))
         grid = ProcessorGrid((2, 3, 2))
-        report = make_partition(kind, coo, grid, seed=0).report(coo)
+        report = make_partition(kind, coo, grid).report(coo)
         assert int(report.per_rank_nnz.sum()) == coo.nnz
         assert report.per_rank_nnz.shape == (grid.size,)
         assert report.imbalance >= 1.0
@@ -199,10 +146,34 @@ class TestTensorPartition:
             np.unravel_index(rng.choice(9 * 8 * 7, size=80, replace=False), (9, 8, 7))
         )
         coo = _coo(idx, (9, 8, 7))
-        part = make_partition(kind, coo, ProcessorGrid((2, 2, 2)), seed=4)
+        part = make_partition(kind, coo, ProcessorGrid((2, 2, 2)))
         ranks, local = part.assign(coo.indices)
         np.testing.assert_array_equal(ranks, part.rank_of(coo.indices))
         np.testing.assert_array_equal(local, part.local_indices(coo.indices))
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (1, 2, 2), (4, 1, 1), (3, 3, 3)])
+    @pytest.mark.parametrize("kind", available_partitioners())
+    def test_block_slices_tile_the_tensor(self, kind, dims):
+        """Each rank's block is one box of contiguous index ranges; the boxes
+        tile the tensor, and every nonzero sits in its rank's box at its
+        local offset."""
+        rng = np.random.default_rng(3)
+        shape = (9, 8, 7)
+        idx = np.column_stack(
+            np.unravel_index(rng.choice(9 * 8 * 7, size=90, replace=False), shape)
+        )
+        coo = _coo(idx, shape)
+        grid = ProcessorGrid(dims)
+        part = make_partition(kind, coo, grid)
+        cover = np.zeros(shape, dtype=np.int64)
+        for rank in grid.ranks():
+            cover[part.block_slices(rank)] += 1
+        assert (cover == 1).all()
+        ranks, local = part.assign(coo.indices)
+        for row, rank, offsets in zip(coo.indices, ranks, local):
+            slices = part.block_slices(rank)
+            assert all(s.start <= i < s.stop for s, i in zip(slices, row))
+            assert offsets.tolist() == [i - s.start for s, i in zip(slices, row)]
 
     def test_report_comparison_does_not_raise(self):
         """Regression: the generated dataclass __eq__ choked on the ndarray field."""
@@ -218,3 +189,49 @@ class TestTensorPartition:
         assert report.total_nnz == 0
         assert report.imbalance == 1.0
         assert report.empty_ranks == 2
+
+
+class TestOneLayout:
+    """Contiguous blocks are the only layout: no partitioner permutes slices,
+    and nothing takes a slice permutation or a partition seed."""
+
+    def test_registry(self):
+        assert available_partitioners() == ["uniform", "nnz-balanced", "joint"]
+
+    @pytest.mark.parametrize("kind", ["random", "cyclic"])
+    def test_options_refuse_the_permuting_partitioners(self, kind):
+        with pytest.raises(ValueError, match="unknown partitioner") as info:
+            ParallelOptions(rank=2, partitioner=kind)
+        assert str(["uniform", "nnz-balanced", "joint"]) in str(info.value)
+
+    @pytest.mark.parametrize("builder", [make_partition, joint_partition,
+                                         DistSparseTensor.from_coo])
+    def test_builders_take_no_seed(self, builder):
+        assert "seed" not in inspect.signature(builder).parameters
+
+    @pytest.mark.parametrize("package", ["repro.grid", "repro.distributed",
+                                         "repro.core", "repro.experiments"])
+    def test_no_public_callable_takes_a_partition_seed_or_permutation(self, package):
+        """Every name a module of ``package`` exports (functions, classes and
+        their public methods)."""
+        root = importlib.import_module(package)
+        modules = [root] + [importlib.import_module(f"{package}.{info.name}")
+                            for info in pkgutil.iter_modules(root.__path__)]
+        takers = []
+        for module in modules:
+            for name in module.__all__:
+                obj = getattr(module, name)
+                members = [(name, obj)]
+                if inspect.isclass(obj):
+                    members += [(f"{name}.{attr}", member)
+                                for attr, member in inspect.getmembers(obj, callable)
+                                if not attr.startswith("_")]
+                for qualname, member in members:
+                    try:
+                        parameters = inspect.signature(member).parameters
+                    except (TypeError, ValueError):  # builtins without a signature
+                        continue
+                    if {"partition_seed", "permutation"} & set(parameters):
+                        takers.append(f"{module.__name__}.{qualname}")
+        assert len(modules) > 3
+        assert takers == []

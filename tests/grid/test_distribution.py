@@ -1,15 +1,8 @@
 """Tests for the padded block distribution helpers."""
 
-import numpy as np
 import pytest
 
-from repro.grid.distribution import (
-    block_range,
-    local_block_slices,
-    pad_rows,
-    padded_block_size,
-    split_rows_evenly,
-)
+from repro.grid.distribution import padded_block_size, split_rows_evenly
 
 
 class TestPaddedBlockSize:
@@ -24,54 +17,6 @@ class TestPaddedBlockSize:
             padded_block_size(0, 2)
         with pytest.raises(ValueError):
             padded_block_size(4, 0)
-
-
-class TestBlockRange:
-    def test_blocks_cover_extent_without_overlap(self):
-        extent, blocks = 11, 4
-        covered = []
-        for idx in range(blocks):
-            start, stop = block_range(extent, blocks, idx)
-            covered.extend(range(start, stop))
-        assert covered == list(range(extent))
-
-    def test_trailing_blocks_may_be_empty(self):
-        start, stop = block_range(4, 4, 3)
-        assert (start, stop) == (3, 4)
-        start, stop = block_range(3, 4, 3)
-        assert start == stop  # fully padded block
-
-    def test_out_of_range_block_raises(self):
-        with pytest.raises(ValueError):
-            block_range(10, 2, 2)
-
-
-class TestPadRows:
-    def test_pads_with_zeros(self, rng):
-        arr = rng.random((3, 2))
-        padded = pad_rows(arr, 5)
-        assert padded.shape == (5, 2)
-        assert np.array_equal(padded[:3], arr)
-        assert np.all(padded[3:] == 0)
-
-    def test_noop_when_exact(self, rng):
-        arr = rng.random((4, 2))
-        assert pad_rows(arr, 4) is arr
-
-    def test_shrinking_raises(self, rng):
-        with pytest.raises(ValueError):
-            pad_rows(rng.random((4, 2)), 3)
-
-
-class TestLocalBlockSlices:
-    def test_slices_select_correct_region(self):
-        shape, dims = (10, 9), (2, 3)
-        slices = local_block_slices(shape, dims, (1, 2))
-        assert slices == (slice(5, 10), slice(6, 9))
-
-    def test_mismatched_lengths_raise(self):
-        with pytest.raises(ValueError):
-            local_block_slices((10,), (2, 2), (0, 0))
 
 
 class TestSplitRowsEvenly:

@@ -77,7 +77,7 @@ def _pp_options(partitioner, engine):
 @pytest.fixture(scope="module")
 def data(initial):
     """The data arguments every parity run shares."""
-    return dict(initial_factors=initial, partition_seed=5)
+    return dict(initial_factors=initial)
 
 
 class TestProcessParity:
@@ -117,8 +117,8 @@ class TestSeededDeterminism:
         """Same seed, same machine: two runs must agree bit-for-bit."""
         options = ParallelOptions(rank=RANK, grid=GRID, n_sweeps=5, tol=0.0, mttkrp="dt",
                                   partitioner="nnz-balanced", seed=123)
-        first = parallel_cp_als(coo, options, machine=machine4, partition_seed=5)
-        second = parallel_cp_als(coo, options, machine=machine4, partition_seed=5)
+        first = parallel_cp_als(coo, options, machine=machine4)
+        second = parallel_cp_als(coo, options, machine=machine4)
         for a, b in zip(first.factors, second.factors):
             assert np.array_equal(a, b)
 
@@ -132,7 +132,7 @@ class TestSeededDeterminism:
                                    ParallelOptions(rank=RANK, grid=grid, n_sweeps=5,
                                                    tol=0.0, mttkrp="dt", seed=123,
                                                    partitioner="nnz-balanced"),
-                                   machine=machine, partition_seed=5).factors
+                                   machine=machine).factors
 
         results = {4: run(machine4, GRID)}
         for n_ranks, grid in ((1, (1, 1, 1)), (2, (1, 1, 2))):

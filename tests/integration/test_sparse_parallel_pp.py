@@ -1,7 +1,7 @@
 """End-to-end multi-rank sparse ``parallel_pp_cp_als`` (ISSUE 5).
 
 The parallel PP driver on sparse inputs combines every layer this repo has
-grown: COO partitioning onto the processor grid (all four partitioners),
+grown: COO partitioning onto the processor grid (every partitioner),
 per-rank CSF-based dimension-tree providers, semi-sparse PP operators built
 rank-locally off those providers' caches, and the Reduce-Scatter /
 All-Gather / All-Reduce superstep structure of Algorithm 4.  Because the
@@ -50,7 +50,7 @@ class TestPartitionerParity:
                                     ParallelPPOptions(rank=3, grid=(2, 2, 1),
                                                       n_sweeps=25, tol=0.0, pp_tol=0.4,
                                                       partitioner=partitioner),
-                                    initial_factors=initial3, partition_seed=5)
+                                    initial_factors=initial3)
         assert result.count_sweeps("pp-init") == oracle3.count_sweeps("pp-init")
         assert result.count_sweeps("pp-approx") == oracle3.count_sweeps("pp-approx")
         assert np.isclose(result.fitness, oracle3.fitness, atol=1e-8)
@@ -70,7 +70,7 @@ class TestPartitionerParity:
                                     ParallelPPOptions(rank=2, grid=(2, 1, 2, 1),
                                                       n_sweeps=18, tol=0.0, pp_tol=0.4,
                                                       partitioner=partitioner),
-                                    initial_factors=initial, partition_seed=9)
+                                    initial_factors=initial)
         assert result.count_sweeps("pp-init") >= 1
         assert result.count_sweeps("pp-approx") >= 1
         assert np.isclose(result.fitness, sequential.fitness, atol=1e-7)

@@ -4,10 +4,12 @@ For every partitioner kind and random sparse tensor / grid combination:
 
 * every nonzero lands on exactly one rank (the rank map is a function, and
   reassembling the distributed blocks recovers the tensor exactly),
-* every 1-d partition covers its mode (boundaries span ``[0, s]``, the block
-  map never leaves the grid dimension, permutations are bijections),
+* every 1-d partition covers its mode with contiguous blocks (boundaries span
+  ``[0, s]``, the block map never leaves the grid dimension, the blocks' rows
+  tile the index range in order),
 * the nnz-balanced partitioner never does worse than uniform blocking on
-  skewed synthetic tensors (its whole reason to exist).
+  skewed synthetic tensors (its whole reason to exist),
+* a dense tensor and its sparse twin under ``uniform`` get the same blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.data.sparse_synthetic import sparse_skewed_count_tensor
-from repro.distributed import DistSparseTensor
+from repro.distributed import DistributedTensor, DistSparseTensor
 from repro.grid import ProcessorGrid, available_partitioners, make_partition
 
 pytestmark = pytest.mark.property
@@ -42,13 +44,13 @@ def _draw_instance(data, max_order=4, max_dim=12, max_grid=3):
     values = rng.standard_normal(nnz) + 2.0  # bounded away from 0
     from repro.sparse import CooTensor
 
-    return CooTensor(indices.reshape(nnz, order), values, shape), ProcessorGrid(grid_dims), seed
+    return CooTensor(indices.reshape(nnz, order), values, shape), ProcessorGrid(grid_dims)
 
 
 @given(data=st.data(), kind=st.sampled_from(KINDS))
 def test_every_nonzero_lands_on_exactly_one_rank(data, kind):
-    tensor, grid, seed = _draw_instance(data)
-    partition = make_partition(kind, tensor, grid, seed=seed)
+    tensor, grid = _draw_instance(data)
+    partition = make_partition(kind, tensor, grid)
     ranks = partition.rank_of(tensor.indices)
     assert ranks.shape == (tensor.nnz,)
     assert ((ranks >= 0) & (ranks < grid.size)).all()
@@ -64,8 +66,8 @@ def test_every_nonzero_lands_on_exactly_one_rank(data, kind):
 
 @given(data=st.data(), kind=st.sampled_from(KINDS))
 def test_partition_boundaries_cover_each_mode(data, kind):
-    tensor, grid, seed = _draw_instance(data)
-    partition = make_partition(kind, tensor, grid, seed=seed)
+    tensor, grid = _draw_instance(data)
+    partition = make_partition(kind, tensor, grid)
     for mode, part in enumerate(partition.modes):
         assert part.extent == tensor.shape[mode]
         assert part.n_blocks == grid.dims[mode]
@@ -80,11 +82,23 @@ def test_partition_boundaries_cover_each_mode(data, kind):
         assert ((blocks >= 0) & (blocks < part.n_blocks)).all()
         offsets = part.local_offset(all_idx)
         assert ((offsets >= 0) & (offsets < part.block_rows)).all()
-        # each block's owned rows round-trip through the inverse map
+        # the blocks' rows, block after block, are the mode's indices in order
         owned = np.concatenate(
             [part.global_rows_of_block(b) for b in range(part.n_blocks)]
         )
-        assert np.array_equal(np.sort(owned), all_idx)
+        assert np.array_equal(owned, all_idx)
+
+
+@given(data=st.data())
+def test_dense_and_sparse_uniform_layouts_agree(data):
+    tensor, grid = _draw_instance(data)
+    dense = DistributedTensor.from_dense(tensor.to_dense(), grid)
+    sparse = DistSparseTensor.from_coo(tensor, grid, "uniform")
+    assert dense.local_shape == sparse.local_shape
+    for rank in grid.ranks():
+        assert np.array_equal(sparse.local_block(rank).to_dense(),
+                              dense.local_block(rank))
+    assert np.array_equal(dense.to_dense(), tensor.to_dense())
 
 
 @given(

@@ -20,7 +20,7 @@ from repro.core.options import ALSOptions
 from repro.core.updates import MaskedLeastSquaresUpdate
 from repro.data.sparse_synthetic import sparse_skewed_count_tensor
 from repro.distributed import DistSparseTensor
-from repro.grid import ProcessorGrid
+from repro.grid import ProcessorGrid, available_partitioners
 from repro.sparse import CooTensor, CsfTensor, ordering
 
 
@@ -71,36 +71,26 @@ class TestSortsAreCounted:
         np.testing.assert_array_equal(again.indices, tensor.indices)
         np.testing.assert_array_equal(again.values, tensor.values)
 
-    @pytest.mark.parametrize("partitioner", ["uniform", "nnz-balanced", "joint"])
+    @pytest.mark.parametrize("partitioner", available_partitioners())
     @pytest.mark.parametrize("dims", [(2, 1, 2), (1, 2, 2), (4, 1, 1)])
-    def test_contiguous_partitions_hand_over_sorted_blocks(self, tensor, sorts,
+    def test_contiguous_partitions_hand_over_sorted_blocks(self, tensor, sorts, caplog,
                                                            partitioner, dims):
-        """Slices map to block positions monotonically, and the nonzeros are
-        grouped by rank stably: no block is sorted.  The grouping itself is
-        one radix sort of the rank column unless that is in order too (a grid
-        that splits the leading mode only)."""
-        dist = DistSparseTensor.from_coo(tensor, ProcessorGrid(dims), partitioner)
+        """Every partitioner cuts contiguous blocks, so slices map to block
+        offsets monotonically, and the nonzeros are grouped by rank stably: no
+        block is sorted.  The grouping itself is one radix sort of the rank
+        column unless that is in order too (a grid that splits the leading
+        mode only).  A partitioner that permuted slices inside a block would
+        sort its blocks here."""
+        grid = ProcessorGrid(dims)
+        with caplog.at_level(logging.DEBUG, logger="repro.sparse"):
+            dist = DistSparseTensor.from_coo(tensor, grid, partitioner)
         assert sorts == ([] if dims == (4, 1, 1) else [tensor.nnz])
+        # one record for the rank grouping, then one per block: all in order
+        branches = [record.getMessage().rsplit(": ", 1)[1]
+                    for record in caplog.records]
+        assert branches[1:] == ["in-order"] * grid.size
         np.testing.assert_array_equal(dist.to_coo().indices, tensor.indices)
         np.testing.assert_array_equal(dist.to_coo().values, tensor.values)
-
-    @pytest.mark.parametrize("partitioner", ["random", "cyclic"])
-    def test_permuting_partitions_yield_the_same_blocks(self, tensor, sorts, partitioner):
-        """A hashed partition scrambles the slices inside a block, so every
-        non-empty block is sorted, once; a cyclic one keeps the slices of a
-        block in their global order, so it is as good as a contiguous one."""
-        grid = ProcessorGrid((1, 2, 2))
-        dist = DistSparseTensor.from_coo(tensor, grid, partitioner, seed=5)
-        counts = [int(n) for n in dist.local_nnz() if n]
-        assert sorts == [tensor.nnz] + (counts if partitioner == "random" else [])
-        # the blocks are the ones a from-scratch selection and lexsort gives
-        ranks, local = dist.partition.assign(tensor.indices)
-        for rank in grid.ranks():
-            rows, values = local[ranks == rank], tensor.values[ranks == rank]
-            order = np.lexsort(rows.T[::-1])
-            block = dist.local_block(rank)
-            np.testing.assert_array_equal(block.indices, rows[order])
-            np.testing.assert_array_equal(block.values, values[order])
 
     def test_masked_rule_canonicalises_like_lexsort_and_dedupe(self, tensor, sorts):
         rng = np.random.default_rng(6)
