@@ -67,10 +67,11 @@ def test_engine_sweep_time(benchmark, workload, engine):
 def _first_order_oracle(operators, mode, deltas):
     """Eq. (5) up to first order, one ``np.einsum`` per pair."""
     out = operators.single(mode).copy()
-    for other in range(operators.order):
-        if other != mode:
-            out += np.einsum("xyk,yk->xk", operators.pair_operator(mode, other),
-                             deltas[other])
+    for (i, j), op in operators.pairs().items():
+        if i == mode:
+            out += np.einsum("xyk,yk->xk", op, deltas[j])
+        elif j == mode:
+            out += np.einsum("xyk,xk->yk", op, deltas[i])
     return out
 
 

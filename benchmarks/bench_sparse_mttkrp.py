@@ -305,8 +305,8 @@ def test_sparse_pp_checkpoint(report):
                 expected = partial_mttkrp(dense, factors, [i, j])
                 scale = max(float(np.abs(expected).max()), 1.0)
                 for name, (result, _, _) in variants.items():
-                    got = (result[(i, j)] if isinstance(result, dict)
-                           else result.pair_operator(i, j))
+                    got = (result if isinstance(result, dict)
+                           else result.pairs())[i, j]
                     err = float(np.abs(np.asarray(got) - expected).max())
                     assert err <= 1e-10 * scale, (
                         f"{label} {name} pair {(i, j)} diverged from the dense "

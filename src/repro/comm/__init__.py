@@ -6,15 +6,15 @@ every collective takes the per-rank contributions of one BSP superstep and
 returns the per-rank results, charging the alpha-beta cost of the collective
 to each participating rank's :class:`repro.machine.cost_tracker.CostTracker`.
 
-Two implementations are provided:
+Two machines implement it:
 
 * :class:`repro.comm.simulated.SimulatedMachine` — ``P`` logical ranks inside
   one process.  Data movement is performed exactly (results are bit-identical
   to a real distributed run) and costs are charged according to the formulas
   of Section II-E of the paper.  This is the substitution for the paper's
-  MPI/Cyclops runs (see DESIGN.md).
-* :class:`repro.comm.self_comm.SelfMachine` — the degenerate single-rank
-  machine used by the sequential algorithms.
+  MPI/Cyclops runs (``docs/execution.rst``); a single-rank machine is
+  ``SimulatedMachine(1)``, whose collectives are the identity and cost
+  nothing.
 * :class:`repro.comm.procs.ProcessMachine` — real ``multiprocessing`` workers
   (one spawned process per rank) with shared-memory factor panels; collectives
   stay master-driven (bit-identical to the simulated machine) while the
@@ -26,14 +26,12 @@ algorithms need, so the same local kernels can be deployed under real MPI.
 """
 
 from repro.comm.base import GroupCollectives
-from repro.comm.self_comm import SelfMachine
 from repro.comm.simulated import SimulatedMachine
 from repro.comm.mpi_adapter import MPICollectives
 from repro.comm.procs import ProcessMachine, leaked_segments
 
 __all__ = [
     "GroupCollectives",
-    "SelfMachine",
     "SimulatedMachine",
     "MPICollectives",
     "ProcessMachine",

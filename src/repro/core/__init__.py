@@ -38,7 +38,6 @@ from repro.core.results import ALSResult, ParallelALSResult, ResultBase, SweepRe
 from repro.core.initialization import init_factors
 from repro.core.normal_equations import gram_matrix, gamma_chain, solve_normal_equations
 from repro.core.pp_corrections import (
-    first_order_correction,
     second_order_correction,
     delta_gram,
     pp_step_within_tolerance,
@@ -89,7 +88,6 @@ __all__ = [
     "gram_matrix",
     "gamma_chain",
     "solve_normal_equations",
-    "first_order_correction",
     "second_order_correction",
     "delta_gram",
     "pp_step_within_tolerance",

@@ -529,8 +529,7 @@ class ParallelRun(SweepRun):
     def pp_init(self) -> None:
         # local PP-init of Algorithm 4 (line 2): every rank checkpoints its
         # factor blocks and builds its pairwise operators from its own block
-        # (on sparse blocks as semi-sparse descents off its tree provider's
-        # cache, :mod:`repro.trees.sparse_pp`)
+        # as descents off its tree provider's cache (PairwiseOperators.build)
         state = self.state
         self.checkpoint = [df.copy() for df in state.dist_factors]
         self.steps = zero_delta_factors(state)

@@ -11,8 +11,9 @@ matrix product (Eq. 7).
 
 What runs where: the sum ``M_p^(n) + sum_i U^(n,i)`` is assembled by
 :meth:`repro.trees.pp_operators.PairwiseOperators.first_order_mttkrp`, the one
-place that knows how the operators are laid out (:func:`first_order_correction`
-is the single-pair kernel, kept for callers that hold one operator);
+place that knows how the operators are laid out (the einsum reference for a
+single ``U^(n,i)`` is :func:`repro.tensor.mttkrp.partial_mttkrp` of the pair
+contracted with ``dA^(i)``);
 :func:`second_order_accumulator` is the one spelling of Eq. (7)'s ``R x R``
 sum, shared with the parallel driver; :func:`delta_gram` and the last product
 of Eq. (7) are plain ``@`` (BLAS), not einsum-engine calls — at these sizes
@@ -26,12 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.tensor.ttv import contract_intermediate_mode
-from repro.trees.sparse_pp import OrientedPairOperator, SemiSparsePairOperator
-
 __all__ = [
     "delta_gram",
-    "first_order_correction",
     "fused_approx_update",
     "second_order_accumulator",
     "second_order_correction",
@@ -55,70 +52,6 @@ def delta_gram(factor: np.ndarray, delta_factor: np.ndarray, tracker=None) -> np
     rows, rank = factor.shape
     tracker.add_flops("others", 2 * rows * rank * rank)
     tracker.add_seconds("others", elapsed)
-    return out
-
-
-def first_order_correction(
-    pair_operator: np.ndarray,
-    delta_factor: np.ndarray,
-    tracker=None,
-    category: str = "mttv",
-    out: np.ndarray | None = None,
-    accumulate: bool = False,
-) -> np.ndarray:
-    """``U^(n,i)(x, k) = sum_y M_p^(n,i)(x, y, k) dA^(i)(y, k)`` (Eq. 6).
-
-    ``pair_operator`` is oriented ``(s_n, s_i, R)``; the result has shape
-    ``(s_n, R)``.  This is a batched TTV, so it is recorded under the paper's
-    ``mTTV`` kernel category (the PP approximated step is mTTV bound).
-
-    A dense operator is a two-mode intermediate, so the correction is
-    :func:`~repro.tensor.ttv.contract_intermediate_mode` on its second axis —
-    one batched matrix-vector product, the same for the operator and for the
-    transposed view that
-    :meth:`~repro.trees.pp_operators.PairwiseOperators.pair_operator` hands
-    out when ``n > i`` (nothing is copied).  On the sparse backend the
-    oriented operator is a semi-sparse
-    :class:`~repro.trees.sparse_pp.OrientedPairOperator`; the contraction then
-    is one sparse matrix-vector product over its nonzero fibers (block-diagonal
-    in the rank), without densifying the operator.
-
-    ``accumulate=True`` adds the correction into the caller's ``out`` buffer
-    instead of overwriting it.
-    """
-    if isinstance(pair_operator, SemiSparsePairOperator):
-        # a raw operator's orientation is ambiguous whenever s_i == s_j (no
-        # shape error would catch a mode mix-up), so require the caller to
-        # pick one — PairwiseOperators.pair_operator(mode, other) does
-        raise TypeError(
-            "pass an oriented semi-sparse pair operator (use "
-            "PairwiseOperators.pair_operator(mode, other) or "
-            "SemiSparsePairOperator.oriented(lead_axis)), not the raw operator"
-        )
-    if accumulate and out is None:
-        raise ValueError("accumulate=True requires an out= buffer")
-    if isinstance(pair_operator, OrientedPairOperator):
-        return pair_operator.contract_delta(
-            np.asarray(delta_factor), tracker=tracker, category=category,
-            out=out, accumulate=accumulate,
-        )
-    pair_operator = np.asarray(pair_operator)
-    delta_factor = np.asarray(delta_factor)
-    if pair_operator.ndim != 3:
-        raise ValueError("pair operator must have shape (s_n, s_i, R)")
-    if delta_factor.shape != (pair_operator.shape[1], pair_operator.shape[2]):
-        raise ValueError(
-            f"delta factor shape {delta_factor.shape} incompatible with operator "
-            f"shape {pair_operator.shape}"
-        )
-    correction = contract_intermediate_mode(pair_operator, delta_factor, 1,
-                                            tracker=tracker, category=category)
-    if out is None:
-        return correction
-    if accumulate:
-        out += correction
-    else:
-        np.copyto(out, correction)
     return out
 
 

@@ -55,10 +55,11 @@ def pp_cp_als(
     a dense ndarray or a sparse :class:`repro.sparse.CooTensor`).  On sparse
     inputs the default ``mttkrp="msdt"`` resolves to the CSF-based semi-sparse
     MSDT (:mod:`repro.trees.sparse_dt`), so the exact sweeps amortize there
-    too — and each PP initialization then builds its operators as semi-sparse
-    descents off that same provider cache (:mod:`repro.trees.sparse_pp`),
-    keeping the pair operators in fiber form for the approximated sweeps'
-    first-order corrections.
+    too — and each PP initialization then builds its operators as descents
+    off that same provider cache
+    (:meth:`repro.trees.pp_operators.PairwiseOperators.build`), keeping the
+    pair operators in fiber form (:mod:`repro.trees.sparse_pp`) for the
+    approximated sweeps' first-order corrections.
     """
     opts = check_options(options, PPOptions)
     tracker = tracker if tracker is not None else CostTracker()

@@ -7,7 +7,8 @@ repository's container.  :func:`sweep_time_model` composes the Table I MTTKRP
 costs with the remaining per-sweep work (Hadamard chains, normal-equation
 solves, Gram updates) under the alpha-beta-gamma-nu machine model so the
 paper-scale curves can be regenerated; the executed small-scale runs validate
-the model's shape (see EXPERIMENTS.md).
+the model's shape (``docs/execution.rst``, "Measured vs modeled, and hop
+calibration").
 
 :func:`sparse_sweep_time_model` is the sparse counterpart for the distributed
 sparse CP-ALS of :mod:`repro.distributed.sparse`: compute and vertical terms

@@ -15,8 +15,9 @@
   workloads at controlled density (sampled low-rank signal, Poisson counts).
 
 Every generator is deterministic given its ``seed`` and returns ``float64``
-dense arrays.  DESIGN.md documents why each substitution preserves the
-behaviour the corresponding experiment measures.
+dense arrays.  Each module's docstring names the paper's dataset it stands in
+for and the properties it keeps; ``docs/architecture.rst`` ("Evaluation
+layer") places the generators among the experiment drivers.
 """
 
 from repro.data.lowrank import random_low_rank_tensor

@@ -15,8 +15,7 @@ module                             paper artifact
 
 All drivers accept explicit problem sizes so the benchmark harness can run
 them at container scale while :mod:`repro.costs` evaluates the same quantities
-at the paper's scale; EXPERIMENTS.md records both against the published
-numbers.
+at the paper's scale (``docs/architecture.rst``, "Evaluation layer").
 """
 
 from repro.experiments.table1 import table1_rows, measured_mttkrp_flops_per_sweep

@@ -80,7 +80,8 @@ class MachineParams:
         ~ 0.8 GB/s of Omni-Path bandwidth per process, alpha ~ 2 microseconds
         per message.  The calibration reproduces the per-sweep magnitudes and
         speed-up factors of the paper's Figure 3 to within tens of percent;
-        see EXPERIMENTS.md.
+        ``docs/execution.rst`` ("Measured vs modeled, and hop calibration")
+        shows how to fit parameters to the machine at hand.
         """
         return cls(alpha=2.0e-6, beta=1.0e-8, gamma=8.0e-12, nu=3.2e-10,
                    cache_words=2 * 1024 * 1024)

@@ -37,13 +37,15 @@ algorithms); on sparse inputs ``naive`` wins for one-shot MTTKRPs (nothing to
 amortize), the trees win across full ALS sweeps (each first-level contraction
 is reused for ``~N/2`` — DT — or ``N-1`` — MSDT — mode updates), and
 ``unfolding`` only for tensors small enough to afford the dense Khatri-Rao
-workspace.  The shared DT/MSDT control flow lives in
+workspace.  The shared DT/MSDT control flow — the one cache lookup and
+choice of contraction order, for sweeps and PP operators alike — lives in
 :mod:`repro.trees.amortized`; the sparse semi-sparse descent in
-:mod:`repro.trees.sparse_dt`.  On sparse inputs the PP operators of
-:class:`PairwiseOperators` are themselves semi-sparse
-(:mod:`repro.trees.sparse_pp`): built as tree descents off the provider's CSF
-fiber cache and kept as fiber-id × ``R`` blocks so the first-order
-corrections never densify them.
+:mod:`repro.trees.sparse_dt`.  :class:`PairwiseOperators` has one builder for
+both backends, the tree provider's
+:meth:`~repro.trees.amortized.AmortizedTreeMTTKRP.partial_mttkrp`; on sparse
+inputs its pair operators are semi-sparse (:mod:`repro.trees.sparse_pp`),
+kept as fiber-id × ``R`` blocks so the first-order corrections never densify
+them.
 """
 
 from repro.trees.base import MTTKRPProvider
@@ -59,11 +61,7 @@ from repro.trees.sparse_dt import (
     SparseDimensionTreeMTTKRP,
     SparseMultiSweepDimensionTree,
 )
-from repro.trees.sparse_pp import (
-    OrientedPairOperator,
-    SemiSparsePairOperator,
-    build_semi_sparse_operators,
-)
+from repro.trees.sparse_pp import SemiSparsePairOperator
 from repro.trees.registry import make_provider, available_providers
 
 __all__ = [
@@ -81,9 +79,7 @@ __all__ = [
     "SemiSparseIntermediate",
     "SparseDimensionTreeMTTKRP",
     "SparseMultiSweepDimensionTree",
-    "OrientedPairOperator",
     "SemiSparsePairOperator",
-    "build_semi_sparse_operators",
     "make_provider",
     "available_providers",
 ]

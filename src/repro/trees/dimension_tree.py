@@ -21,11 +21,10 @@ applies from ``N = 4`` on.  The leading half stays a first-level TTM and mTTVs
 MSDT, whose root intermediates are reused across sweeps, and the
 pairwise-perturbation operator tree keep the one-mode-at-a-time descent.
 
-The control flow (cache lookup, binary-split descent order) lives in
+The control flow (cache lookup, descent orders) lives in
 :mod:`repro.trees.amortized`; this module supplies the dense descent backend,
 whose two kernels are BLAS calls on views of the tensor and of the rank-first
-intermediates (:mod:`repro.tensor.intermediate`) — the contraction engine the
-provider carries is not involved.
+intermediates (:mod:`repro.tensor.intermediate`), not einsums.
 The sparse twin over CSF fiber blocks is
 :class:`repro.trees.sparse_dt.SparseDimensionTreeMTTKRP`.
 """
@@ -36,35 +35,44 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.tensor.ttm import trailing_contraction
+from repro.tensor.ttm import first_contraction, trailing_contraction
+from repro.tensor.ttv import contract_intermediate_mode
 from repro.trees.amortized import AmortizedTreeMTTKRP, DtOrderPolicy
-from repro.trees.descent import descend
 
 __all__ = ["DenseTreeBackend", "DimensionTreeMTTKRP"]
 
 
 class DenseTreeBackend(AmortizedTreeMTTKRP):
-    """Dense descent backend: first-level TTM as a batched GEMM, every further
-    step as a batched matrix-vector product (:func:`repro.trees.descent.descend`)."""
+    """Dense descent backend: first-level TTM as a batched GEMM
+    (:func:`~repro.tensor.ttm.first_contraction`), every further step as a
+    batched matrix-vector product
+    (:func:`~repro.tensor.ttv.contract_intermediate_mode`).  Neither is an
+    einsum, and every intermediate cached is in the rank-first layout of
+    :mod:`repro.tensor.intermediate`."""
 
-    def _descend_from(
+    def _descend(
         self,
         start_modes: Sequence[int],
         start_intermediate: np.ndarray | None,
         base_versions: Mapping[int, int],
         order_list: Sequence[int],
     ) -> np.ndarray:
-        return descend(
-            self.tensor,
-            self.factors,
-            self.versions,
-            self.cache,
-            start_modes,
-            start_intermediate,
-            base_versions,
-            order_list,
-            tracker=self.tracker,
-        )
+        remaining = sorted(int(m) for m in start_modes)
+        array = start_intermediate
+        versions_used = dict(base_versions)
+        for mode in order_list:
+            mode = int(mode)
+            axis = remaining.index(mode)
+            if array is None:
+                array = first_contraction(self.tensor, self.factors[mode], axis,
+                                          tracker=self.tracker)
+            else:
+                array = contract_intermediate_mode(array, self.factors[mode], axis,
+                                                   tracker=self.tracker)
+            versions_used[mode] = self.versions[mode]
+            remaining.pop(axis)
+            self.cache.put(remaining, array, versions_used)
+        return array
 
 
 class DimensionTreeMTTKRP(DtOrderPolicy, DenseTreeBackend):
@@ -73,7 +81,7 @@ class DimensionTreeMTTKRP(DtOrderPolicy, DenseTreeBackend):
 
     name = "dt"
 
-    def _descend_from(
+    def _descend(
         self,
         start_modes: Sequence[int],
         start_intermediate: np.ndarray | None,
@@ -90,5 +98,5 @@ class DimensionTreeMTTKRP(DtOrderPolicy, DenseTreeBackend):
             base_versions = {m: self.versions[m] for m in trailing}
             self.cache.put(start_modes, start_intermediate, base_versions)
             order_list = order_list[n_trailing:]
-        return super()._descend_from(start_modes, start_intermediate, base_versions,
-                                     order_list)
+        return super()._descend(start_modes, start_intermediate, base_versions,
+                                order_list)

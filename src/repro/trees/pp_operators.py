@@ -7,12 +7,15 @@ The PP initialization step (Algorithm 2, line 9) computes, at a checkpoint
   contracted MTTKRPs keeping two modes (Eq. 4), and
 * the first-order MTTKRPs ``M_p^(n)`` for every mode,
 
-and the PP approximated step reuses them for many cheap sweeps.  The builder
-below walks the same versioned contraction cache as the dimension-tree
-engines, contracting non-target modes in ascending order, which reproduces the
-sharing pattern of the paper's PP tree (``binom(l+1, 2)`` intermediates per
-level; three first-level TTMs for ``N = 4``, one of which can be amortized
-from the preceding regular sweep when the caller passes its engine's cache).
+and the PP approximated step reuses them for many cheap sweeps.  There is
+one builder, :meth:`PairwiseOperators.build`, for dense and sparse tensors
+alike: one loop over the kept mode sets, each operator the
+:meth:`~repro.trees.amortized.AmortizedTreeMTTKRP.partial_mttkrp` of a tree
+provider.  That walks the same versioned contraction cache as the sweeps,
+contracting non-target modes in ascending order, which reproduces the sharing
+pattern of the paper's PP tree (``binom(l+1, 2)`` intermediates per level;
+three first-level TTMs at every order, one of which is amortized from the
+preceding regular sweep when the caller passes its tree provider).
 
 Layout of the dense pair operators — decided here, by measurement.  Each
 ``M_p^(i,j)`` is held **once**, as the rank-first intermediate its descent
@@ -39,21 +42,17 @@ sweep").  One orientation per pair is what ships; there is no second form.
 from __future__ import annotations
 
 import time
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.backend import is_sparse_tensor
 from repro.tensor.intermediate import rank_first
+from repro.trees.amortized import AmortizedTreeMTTKRP
 from repro.trees.base import MTTKRPProvider
-from repro.trees.cache import ContractionCache
-from repro.trees.descent import ascending_order, descend
-from repro.trees.sparse_dt import SparseTreeBackend
-from repro.trees.sparse_pp import (
-    OrientedPairOperator,
-    SemiSparsePairOperator,
-    build_semi_sparse_operators,
-)
+from repro.trees.registry import make_provider
+from repro.trees.sparse_pp import SemiSparsePairOperator
 from repro.utils.validation import check_factor_matrices
 
 __all__ = ["PairwiseOperators"]
@@ -65,72 +64,56 @@ class PairwiseOperators:
     Pair operators are dense ``(s_i, s_j, R)`` arrays on the dense backend and
     :class:`~repro.trees.sparse_pp.SemiSparsePairOperator` fiber blocks on the
     sparse one (``np.asarray`` densifies either); single operators are always
-    dense ``(s_n, R)`` matrices.  Shapes are validated here, once;
-    :meth:`first_order_mttkrp` is the one place that turns the operators into
-    the approximated MTTKRP of Eq. (5).
+    dense ``(s_n, R)`` matrices, one per mode, and fix the shapes every pair
+    is validated against, once.  :meth:`first_order_mttkrp` is the one place
+    that turns the operators into the approximated MTTKRP of Eq. (5).
     """
 
     def __init__(
         self,
-        checkpoint_factors: Sequence[np.ndarray],
         pair_ops: Mapping[tuple[int, int], np.ndarray | SemiSparsePairOperator],
         single_ops: Mapping[int, np.ndarray],
     ):
-        # preserve the caller's working dtype (float32 runs stay float32)
-        self.checkpoint_factors = [np.asarray(f) for f in checkpoint_factors]
-        self.order = len(self.checkpoint_factors)
         self._pairs = dict(pair_ops)
         self._singles = dict(single_ops)
+        self.order = len(self._singles)
         self._semi_sparse = any(isinstance(op, SemiSparsePairOperator)
                                 for op in self._pairs.values())
         # per-mode scratch and operand views of the dense first-order terms
         self._plans: dict[int, tuple] = {}
+        if self.order < 3 or sorted(self._singles) != list(range(self.order)):
+            raise ValueError(
+                "expected one single operator per mode of an order >= 3 tensor, "
+                f"got modes {sorted(self._singles)}"
+            )
+        rows = []
+        for n in range(self.order):
+            shape = self._singles[n].shape
+            if len(shape) != 2 or shape[1] != self.rank:
+                raise ValueError(
+                    f"single operator {n} has shape {shape}, expected (s_{n}, {self.rank})"
+                )
+            rows.append(shape[0])
         for (i, j), op in self._pairs.items():
             if not 0 <= i < j < self.order:
                 raise ValueError(f"invalid pair key {(i, j)}")
-            expected = (
-                self.checkpoint_factors[i].shape[0],
-                self.checkpoint_factors[j].shape[0],
-                self.rank,
-            )
+            expected = (rows[i], rows[j], self.rank)
             if op.shape != expected:
                 raise ValueError(
                     f"pair operator {(i, j)} has shape {op.shape}, expected {expected}"
-                )
-        for n, arr in self._singles.items():
-            expected = (self.checkpoint_factors[n].shape[0], self.rank)
-            if arr.shape != expected:
-                raise ValueError(
-                    f"single operator {n} has shape {arr.shape}, expected {expected}"
                 )
 
     # -- properties ---------------------------------------------------------------
     @property
     def rank(self) -> int:
-        return self.checkpoint_factors[0].shape[1]
+        return self._singles[0].shape[-1]
 
     def single(self, mode: int) -> np.ndarray:
         """``M_p^(mode)`` — the MTTKRP at the checkpoint factors."""
         return self._singles[mode]
 
-    def pair_operator(self, mode: int, other: int) -> np.ndarray | OrientedPairOperator:
-        """``M_p^(mode, other)`` oriented with ``mode`` first: shape ``(s_mode, s_other, R)``.
-
-        Dense operators come back as arrays (a transposed view when
-        ``mode > other``); semi-sparse ones as a zero-copy
-        :class:`~repro.trees.sparse_pp.OrientedPairOperator`.
-        """
-        if mode == other:
-            raise ValueError("pair operator requires two distinct modes")
-        key = (mode, other) if mode < other else (other, mode)
-        op = self._pairs[key]
-        if isinstance(op, SemiSparsePairOperator):
-            return op.oriented(0 if mode < other else 1)
-        if mode < other:
-            return op
-        return np.transpose(op, (1, 0, 2))
-
     def pairs(self) -> dict[tuple[int, int], np.ndarray | SemiSparsePairOperator]:
+        """``M_p^(i,j)`` keyed ``(i, j)`` with ``i < j``, shape ``(s_i, s_j, R)``."""
         return dict(self._pairs)
 
     def memory_words(self) -> int:
@@ -167,11 +150,10 @@ class PairwiseOperators:
         product on the rank-first slices of the pair operator — matrix times
         column when ``mode`` is the pair's first mode, row times matrix when
         it is the second, so no operator is ever transposed — into one
-        scratch, summed once.  Semi-sparse operators accumulate one
-        :meth:`~repro.trees.sparse_pp.OrientedPairOperator.contract_delta` per
-        pair.  Either
-        way the tracker is charged what the ``N - 1`` single-pair
-        :func:`~repro.core.pp_corrections.first_order_correction` calls charge.
+        scratch, summed once, and the tracker is charged ``2`` flops per
+        operator element under ``"mttv"``.  Semi-sparse operators accumulate
+        one :meth:`~repro.trees.sparse_pp.SemiSparsePairOperator.contract_other`
+        per pair, which charges its own fibers.
         """
         if len(delta_factors) != self.order:
             raise ValueError(
@@ -186,9 +168,10 @@ class PairwiseOperators:
             np.copyto(out, single)
             for other in range(self.order):
                 if other != mode:
-                    self.pair_operator(mode, other).contract_delta(
-                        np.asarray(delta_factors[other]), tracker=tracker,
-                        out=out, accumulate=True,
+                    key = (mode, other) if mode < other else (other, mode)
+                    self._pairs[key].contract_other(
+                        delta_factors[other], 0 if mode < other else 1,
+                        tracker=tracker, out=out, accumulate=True,
                     )
             return out
         if tracker is not None:
@@ -197,10 +180,10 @@ class PairwiseOperators:
                                           or self._first_order_plan(mode))
         for other, forward, slices, target in steps:
             delta = np.asarray(delta_factors[other])
-            if delta.shape != self.checkpoint_factors[other].shape:
+            if delta.shape != self._singles[other].shape:
                 raise ValueError(
                     f"delta factor {other} has shape {delta.shape}, expected "
-                    f"{self.checkpoint_factors[other].shape}"
+                    f"{self._singles[other].shape}"
                 )
             if forward:
                 np.matmul(slices, delta.T[:, :, None], out=target)
@@ -246,19 +229,27 @@ class PairwiseOperators:
     ) -> "PairwiseOperators":
         """Build all PP operators at the current ``factors`` (the checkpoint ``A_p``).
 
-        When ``provider`` is given, its contraction cache and factor versions
-        are reused, so first-level intermediates left over from the preceding
-        regular (DT/MSDT) sweep are amortized exactly as footnote 1 of the
-        paper describes.  The provider's factors must already equal
-        ``factors`` (the checkpoint is taken at the current iterate).
-
         ``tensor`` may be a dense ndarray or a sparse
-        :class:`repro.sparse.CooTensor`; sparse inputs build every operator
-        as semi-sparse descents over the CSF fiber cache
-        (:func:`repro.trees.sparse_pp.build_semi_sparse_operators`) — when the
-        ``provider`` is one of the sparse dimension trees, its versioned
-        intermediate cache and pattern-only CSF structures are shared exactly
-        like the dense path shares the dense provider's cache.
+        :class:`repro.sparse.CooTensor`.  Every operator is the
+        :meth:`~repro.trees.amortized.AmortizedTreeMTTKRP.partial_mttkrp` of
+        one tree provider, charged to ``tracker``:
+
+        * a tree provider (``dt``/``msdt``, either backend) is used as it is,
+          so the intermediates its last sweep left — and, on sparse input,
+          its CSF layouts, fiber regroupings and pair patterns — are shared
+          exactly as footnote 1 of the paper describes; its factors must
+          already equal ``factors``;
+        * for any other provider, or none, a private ``dt`` provider (cache
+          budget ``max_cache_bytes``) is built and dropped afterwards, so no
+          PP intermediate outlives the build in a provider that never
+          invalidates its cache.
+
+        A provider must hold the same data as ``tensor``.  Dense pair
+        operators are the rank-first-backed intermediates themselves; sparse
+        ones are wrapped as
+        :class:`~repro.trees.sparse_pp.SemiSparsePairOperator`, and a sparse
+        ``M_p^(n)`` is one fiber contraction of its neighbouring pair with the
+        factor of the other mode (Eq. 4: ``M^(n) = M^(n,m) x_m A^(m)``).
         """
         sparse = is_sparse_tensor(tensor)
         if not sparse:
@@ -270,92 +261,64 @@ class PairwiseOperators:
                                         dtype=tensor.dtype)
         if order < 3:
             raise ValueError("pairwise perturbation requires tensors of order >= 3")
-
-        if sparse:
-            if provider is not None:
-                # sharing is only sound when the provider was built from this
-                # very data: identity is the fast path (the drivers hand the
-                # provider's own tensor back), else compare the COO payload
-                same = provider.tensor is tensor or (
-                    provider.tensor.shape == tensor.shape
-                    and np.array_equal(provider.tensor.indices, tensor.indices)
-                    and np.array_equal(provider.tensor.values, tensor.values)
-                )
-                if not same:
-                    raise ValueError("provider is bound to a different tensor")
-            tree = provider if isinstance(provider, SparseTreeBackend) else None
-            if tree is not None:
-                for a, b in zip(tree.factors, factors):
-                    if a.shape != b.shape or not np.array_equal(a, b):
-                        raise ValueError(
-                            "provider factors must equal the checkpoint factors "
-                            "when sharing its cache"
-                        )
-            pair_ops, single_ops = build_semi_sparse_operators(
-                tensor, factors, tracker=tracker, provider=tree,
-                max_cache_bytes=max_cache_bytes,
-            )
-            return cls([f.copy() for f in factors], pair_ops, single_ops)
-
-        if provider is not None:
-            # sharing the provider's intermediate cache is only sound when it
-            # was built from this very data — a same-shaped different tensor
-            # would silently mix cached contractions of the wrong data.  The
-            # provider may hold a normalized copy (dtype/contiguity), so fall
-            # back to a value comparison; PP-init already does O(size * R)
-            # work, so the O(size) check is negligible.  (No shares-memory
-            # shortcut: overlapping views of the same buffer can still hold
-            # different data.)
-            same = provider.tensor is tensor or (
-                provider.tensor.shape == tensor.shape
-                and np.array_equal(provider.tensor, tensor)
-            )
-            if not same:
-                raise ValueError("provider is bound to a different tensor")
+        if provider is not None and not _holds(provider.tensor, tensor):
+            raise ValueError("provider is bound to a different tensor")
+        if isinstance(provider, AmortizedTreeMTTKRP):
             for a, b in zip(provider.factors, factors):
                 if a.shape != b.shape or not np.array_equal(a, b):
                     raise ValueError(
                         "provider factors must equal the checkpoint factors when "
                         "sharing its cache"
                     )
-            cache = provider.cache
-            versions: Sequence[int] = provider.versions
-            work_factors = provider.factors
+            tree = provider
         else:
-            cache = ContractionCache(max_bytes=max_cache_bytes)
-            versions = [0] * order
-            work_factors = factors
+            tree = make_provider("dt", tensor, factors, max_cache_bytes=max_cache_bytes)
 
-        def _compute(targets: set[int]) -> np.ndarray:
-            start = cache.find_valid(versions, targets)
-            if start is None:
-                start_modes: list[int] = list(range(order))
-                start_array = None
-                base_versions: dict[int, int] = {}
-            else:
-                start_modes = sorted(start.modes)
-                start_array = start.array
-                base_versions = start.versions_used
-            order_list = ascending_order(start_modes, targets)
-            return descend(
-                tensor,
-                work_factors,
-                versions,
-                cache,
-                start_modes,
-                start_array,
-                base_versions,
-                order_list,
-                tracker=tracker,
-            )
+        # route the descents' accounting to the build's, restoring after — a
+        # shared provider keeps tracking its own sweeps afterwards
+        prev_tracker, tree.tracker = tree.tracker, tracker
+        try:
+            pair_ops = {}
+            for i, j in combinations(range(order), 2):
+                op = tree.partial_mttkrp((i, j))
+                if sparse:
+                    semi = op
+                    op = SemiSparsePairOperator(
+                        (i, j), semi.fibers, semi.block, (tensor.shape[i], tensor.shape[j]),
+                        pattern=tree._pair_patterns.get((i, j)))
+                    tree._pair_patterns[i, j] = op.pattern
+                    semi.block = op.block  # same values; the cache's copy is freed
+                pair_ops[i, j] = op
+            single_ops = {}
+            for n in range(order):
+                if not sparse:
+                    single_ops[n] = tree.partial_mttkrp((n,))
+                elif n < order - 1:
+                    single_ops[n] = pair_ops[n, n + 1].contract_other(
+                        tree.factors[n + 1], 0, tracker=tracker)
+                else:
+                    single_ops[n] = pair_ops[n - 1, n].contract_other(
+                        tree.factors[n - 1], 1, tracker=tracker)
+        finally:
+            tree.tracker = prev_tracker
+        return cls(pair_ops, single_ops)
 
-        pair_ops: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(order):
-            for j in range(i + 1, order):
-                pair_ops[(i, j)] = _compute({i, j})
-        single_ops: dict[int, np.ndarray] = {}
-        for n in range(order):
-            single_ops[n] = _compute({n})
 
-        checkpoint = [f.copy() for f in factors]
-        return cls(checkpoint, pair_ops, single_ops)
+def _holds(held, tensor) -> bool:
+    """Whether a provider's ``held`` tensor is ``tensor``'s data.
+
+    Identity is the fast path (the drivers hand the provider's own tensor
+    back); else the dense values, or the COO shape, indices and values, are
+    compared — a provider may hold a normalized copy (dtype, contiguity), and
+    a same-shaped different tensor (or an overlapping view of the same
+    buffer) would silently mix cached contractions of the wrong data.  The
+    ``O(size)`` check is negligible next to the build.
+    """
+    if held is tensor:
+        return True
+    if is_sparse_tensor(held) != is_sparse_tensor(tensor) or held.shape != tensor.shape:
+        return False
+    if is_sparse_tensor(tensor):
+        return (np.array_equal(held.indices, tensor.indices)
+                and np.array_equal(held.values, tensor.values))
+    return bool(np.array_equal(held, tensor))

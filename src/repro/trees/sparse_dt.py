@@ -303,7 +303,7 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
                                       fibers=step.out_fibers, block=block)
 
     # -- backend hooks -------------------------------------------------------
-    def _descend_semi(
+    def _descend(
         self,
         start_modes: Sequence[int],
         start_intermediate: SemiSparseIntermediate | None,
@@ -312,46 +312,25 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
     ) -> SemiSparseIntermediate:
         """Contract ``order_list`` away, returning the semi-sparse result.
 
-        Every intermediate produced along the way is inserted into the
-        versioned cache, so later descents — a sweep's next mode update *or* a
-        pairwise-perturbation operator build — resume from the deepest valid
-        ancestor.  The target mode set may therefore have any size >= 1; the
-        MTTKRP path finalizes single-mode results, the PP operator builder
-        (:mod:`repro.trees.sparse_pp`) densifies pairs.
+        The first step from the raw tensor is a root contraction, every
+        further one a fiber contraction; each intermediate lands in the
+        versioned cache.  :meth:`mttkrp` finalizes single-mode results; the
+        PP operator builder wraps pairs as
+        :class:`~repro.trees.sparse_pp.SemiSparsePairOperator`.
         """
         remaining = sorted(int(m) for m in start_modes)
         versions_used = dict(base_versions)
-        order_list = [int(k) for k in order_list]
         semi = start_intermediate
-        if semi is None:
-            if not order_list:
-                raise ValueError(
-                    "a descent from the raw tensor must contract at least one mode"
-                )
-            k0 = order_list[0]
-            semi = self._root_contract(k0)
-            versions_used[k0] = self.versions[k0]
-            remaining.remove(k0)
-            self.cache.put(remaining, semi, versions_used)
-            order_list = order_list[1:]
         for k in order_list:
-            semi = self._contract_fiber_mode(semi, k)
+            k = int(k)
+            if semi is None:
+                semi = self._root_contract(k)
+            else:
+                semi = self._contract_fiber_mode(semi, k)
             versions_used[k] = self.versions[k]
             remaining.remove(k)
             self.cache.put(remaining, semi, versions_used)
         return semi
-
-    def _descend_from(
-        self,
-        start_modes: Sequence[int],
-        start_intermediate: SemiSparseIntermediate | None,
-        base_versions: Mapping[int, int],
-        order_list: Sequence[int],
-    ) -> np.ndarray:
-        return self._finalize(
-            self._descend_semi(start_modes, start_intermediate, base_versions,
-                               order_list)
-        )
 
     def _finalize(self, semi: SemiSparseIntermediate) -> np.ndarray:
         """The single-mode intermediate as the dense ``(s_mode, R)`` MTTKRP."""

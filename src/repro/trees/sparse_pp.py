@@ -1,32 +1,20 @@
-"""Semi-sparse pairwise-perturbation operators off the CSF fiber cache.
+"""Semi-sparse pairwise-perturbation operators.
 
 The PP initialization step needs every pairwise operator ``M_p^(i,j)`` (Eq. 4
 with two kept modes) at a factor checkpoint.  Over a sparse tensor each one is
 a partially contracted MTTKRP, and — exactly like the sweep intermediates of
 :mod:`repro.trees.sparse_dt` — it is *semi-sparse*: only the distinct
 ``(i, j)`` coordinate pairs that carry at least one nonzero have nonzero
-``R``-vectors.  The builder here therefore walks the same descent machinery as
-the sparse dimension trees instead of re-reading the raw COO nonzeros once per
-pair:
-
-* descents start at the deepest still-valid intermediate in the provider's
-  versioned :class:`~repro.trees.cache.ContractionCache` (first-level
-  intermediates left over from the preceding DT/MSDT sweep are free, footnote
-  1 of the paper);
-* root contractions come off the cached :class:`~repro.sparse.csf.CsfTensor`
-  layouts and fiber contractions off the cached per-``(S, k)`` regroupings —
-  both pattern-only structures (with their
-  :class:`~repro.sparse.csf.SegmentSum` operators) built once per provider
-  lifetime;
-* non-target modes are contracted in ascending order
-  (:func:`~repro.trees.descent.ascending_order`), so the ``binom(l+1, 2)``
-  intermediates of the paper's PP tree (Fig. 1b) are shared across the pair
-  requests through the cache.
-
-Checkpoint setup thus drops from ``binom(N, 2)`` independent
-``O(nnz * R * (N - 2))`` passes over the nonzeros to ``N - 1`` root
-contractions plus fiber-level work — the same tree amortization the paper
-proves for the dense PP tree, now on the sparse backend.
+``R``-vectors.  :meth:`repro.trees.pp_operators.PairwiseOperators.build`
+obtains them, dense and sparse alike, from the tree provider's
+:meth:`~repro.trees.amortized.AmortizedTreeMTTKRP.partial_mttkrp`: descents
+that start at the deepest still-valid cached intermediate (first-level
+intermediates left over from the preceding DT/MSDT sweep are free, footnote 1
+of the paper), contract the other modes in ascending order (the shared
+intermediates of the paper's PP tree, Fig. 1b) and run on the provider's
+cached CSF layouts and fiber regroupings.  Checkpoint setup thus costs ``N - 1``
+root contractions plus fiber-level work, not ``binom(N, 2)`` passes over the
+nonzeros.
 
 The pair operators themselves *stay semi-sparse* (padded per-rank blocks of
 order > 3 tensors must not densify in
@@ -45,38 +33,31 @@ Example
 >>> import numpy as np
 >>> from repro.sparse import CooTensor
 >>> from repro.tensor.mttkrp import mttkrp, partial_mttkrp
->>> from repro.trees.sparse_pp import build_semi_sparse_operators
+>>> from repro.trees.pp_operators import PairwiseOperators
 >>> rng = np.random.default_rng(0)
 >>> dense = rng.random((4, 3, 3)) * (rng.random((4, 3, 3)) < 0.5)
 >>> coo = CooTensor.from_dense(dense)
 >>> factors = [rng.random((s, 2)) for s in coo.shape]
->>> pairs, singles = build_semi_sparse_operators(coo, factors)
->>> sorted(pairs)
+>>> ops = PairwiseOperators.build(coo, factors)
+>>> sorted(ops.pairs())
 [(0, 1), (0, 2), (1, 2)]
->>> bool(np.allclose(pairs[0, 1].densify(),
+>>> type(ops.pairs()[0, 1]).__name__
+'SemiSparsePairOperator'
+>>> bool(np.allclose(ops.pairs()[0, 1].densify(),
 ...                  partial_mttkrp(dense, factors, [0, 1]), atol=1e-12))
 True
->>> bool(np.allclose(singles[2], mttkrp(dense, factors, 2), atol=1e-12))
+>>> bool(np.allclose(ops.single(2), mttkrp(dense, factors, 2), atol=1e-12))
 True
 """
 
 from __future__ import annotations
 
 import time
-from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
 
-from repro.sparse.coo import CooTensor
-from repro.trees.descent import ascending_order
-from repro.trees.sparse_dt import SparseDimensionTreeMTTKRP, SparseTreeBackend
-
-__all__ = [
-    "SemiSparsePairOperator",
-    "OrientedPairOperator",
-    "build_semi_sparse_operators",
-]
+__all__ = ["SemiSparsePairOperator"]
 
 
 def _rank_first(block: np.ndarray) -> np.ndarray:
@@ -183,10 +164,6 @@ class SemiSparsePairOperator:
             out[self.fibers[:, 0], self.fibers[:, 1]] = self.block
         return out
 
-    def oriented(self, lead_axis: int) -> "OrientedPairOperator":
-        """The operator with fiber axis ``lead_axis`` (0 or 1) leading."""
-        return OrientedPairOperator(self, lead_axis)
-
     def __array__(self, dtype=None, copy=None):
         """Densify under ``np.asarray`` (tests and dense consumers)."""
         dense = self.densify()
@@ -198,7 +175,6 @@ class SemiSparsePairOperator:
         factor: np.ndarray,
         out_axis: int,
         tracker=None,
-        category: str = "mttv",
         out: np.ndarray | None = None,
         accumulate: bool = False,
     ) -> np.ndarray:
@@ -239,11 +215,11 @@ class SemiSparsePairOperator:
             out += summed.reshape(self.rank, -1).T  # out is zero unless accumulating
         elapsed = time.perf_counter() - start
         if tracker is not None:
-            tracker.add_flops(category, 2 * self.n_fibers * self.rank)
+            tracker.add_flops("mttv", 2 * self.n_fibers * self.rank)
             tracker.add_vertical_words(
                 self.n_fibers * (2 + 2 * self.rank) + out.size
             )
-            tracker.add_seconds(category, elapsed)
+            tracker.add_seconds("mttv", elapsed)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -251,160 +227,3 @@ class SemiSparsePairOperator:
             f"SemiSparsePairOperator(modes={self.modes}, dims={self.dims}, "
             f"n_fibers={self.n_fibers}, rank={self.rank})"
         )
-
-
-class OrientedPairOperator:
-    """A :class:`SemiSparsePairOperator` with a chosen leading mode.
-
-    :meth:`repro.trees.pp_operators.PairwiseOperators.pair_operator` returns
-    the operator oriented with the requested mode first; for semi-sparse
-    operators that orientation is this zero-copy view.  It duck-types the
-    dense ``(s_n, s_i, R)`` array where the PP drivers need it:
-    ``shape``/``ndim`` for validation,
-    :meth:`contract_delta` for the first-order correction (dispatched by
-    :func:`repro.core.pp_corrections.first_order_correction`), and
-    ``np.asarray`` densification for oracles and tests.
-    """
-
-    __slots__ = ("operator", "lead_axis")
-
-    #: the dense operator is always a 3-d array
-    ndim = 3
-
-    def __init__(self, operator: SemiSparsePairOperator, lead_axis: int):
-        if lead_axis not in (0, 1):
-            raise ValueError(f"lead_axis must be 0 or 1, got {lead_axis}")
-        self.operator = operator
-        self.lead_axis = int(lead_axis)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """Shape of the equivalent dense oriented operator."""
-        s_i, s_j, rank = self.operator.shape
-        return (s_i, s_j, rank) if self.lead_axis == 0 else (s_j, s_i, rank)
-
-    @property
-    def size(self) -> int:
-        """Element count of the equivalent dense operator."""
-        s_lead, s_other, rank = self.shape
-        return s_lead * s_other * rank
-
-    def contract_delta(self, delta_factor: np.ndarray, tracker=None,
-                       category: str = "mttv", out: np.ndarray | None = None,
-                       accumulate: bool = False) -> np.ndarray:
-        """``U(x, k) = sum_y M(x, y, k) delta(y, k)`` with the lead mode as ``x``."""
-        return self.operator.contract_other(
-            delta_factor, self.lead_axis, tracker=tracker, category=category,
-            out=out, accumulate=accumulate,
-        )
-
-    def densify(self) -> np.ndarray:
-        """The dense oriented ``(s_lead, s_other, R)`` operator array."""
-        dense = self.operator.densify()
-        return dense if self.lead_axis == 0 else np.transpose(dense, (1, 0, 2))
-
-    def __array__(self, dtype=None, copy=None):
-        """Densify under ``np.asarray`` (tests and dense consumers)."""
-        dense = self.densify()
-        return dense if dtype is None else dense.astype(dtype)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"OrientedPairOperator(shape={self.shape}, lead_axis={self.lead_axis})"
-
-
-def build_semi_sparse_operators(
-    tensor: CooTensor,
-    factors: Sequence[np.ndarray],
-    tracker=None,
-    provider: SparseTreeBackend | None = None,
-    max_cache_bytes: int | None = None,
-) -> tuple[dict[tuple[int, int], SemiSparsePairOperator], dict[int, np.ndarray]]:
-    """Build all PP operators at ``factors`` as semi-sparse tree descents.
-
-    When ``provider`` is a :class:`~repro.trees.sparse_dt.SparseTreeBackend`
-    bound to this tensor (its factors must already equal ``factors`` — the
-    caller checks), the descents share its versioned intermediate cache and
-    its pattern-only caches (CSF layouts, fiber regroupings, the pair
-    operators' index arrays), so a checkpoint taken right after a DT/MSDT
-    sweep starts from the sweep's still-valid intermediates and builds no
-    structure.  Without one a standalone backend rebuilds and discards all of
-    it per call, so repeated checkpoints should go through a tree provider
-    (the ``pp_cp_als`` / ``parallel_pp_cp_als`` default).
-
-    Intermediates produced by the descents land in the (shared) versioned
-    cache under its usual byte budget until the next factor update
-    invalidates them; a cached pair intermediate is pointed at its operator's
-    rank-first copy of the ``R``-vectors, so one copy of them stays alive.
-
-    Returns ``(pair_ops, single_ops)``: the pair operators keyed ``(i, j)``
-    with ``i < j`` as :class:`SemiSparsePairOperator`, and the dense
-    ``(s_n, R)`` first-order MTTKRPs ``M_p^(n)``, each obtained from a pair
-    operator by one cheap fiber contraction with the neighbouring factor
-    (Eq. 4: ``M^(n) = M^(n,m) x_m A^(m)`` — no extra pass over the nonzeros).
-    """
-    if provider is not None and not isinstance(provider, SparseTreeBackend):
-        raise TypeError(
-            "build_semi_sparse_operators can only share the cache of a "
-            f"SparseTreeBackend, got {type(provider).__name__}"
-        )
-    if provider is not None:
-        backend = provider
-    else:
-        backend = SparseDimensionTreeMTTKRP(
-            tensor, factors, tracker=tracker,
-            max_cache_bytes=max_cache_bytes,
-        )
-    order = backend.order
-    if order < 3:
-        raise ValueError("pairwise perturbation requires tensors of order >= 3")
-    shape = backend.tensor.shape
-
-    # route the descent's accounting to the build's, restoring after — the
-    # shared provider keeps tracking its own sweeps afterwards
-    prev_tracker = backend.tracker
-    backend.tracker = tracker
-    try:
-        cache, versions = backend.cache, backend.versions
-
-        def _pair_semi(i: int, j: int):
-            targets = {i, j}
-            start = cache.find_valid(versions, targets)
-            if start is None:
-                start_modes: list[int] = list(range(order))
-                start_semi = None
-                base_versions: dict[int, int] = {}
-            else:
-                start_modes = sorted(start.modes)
-                start_semi = start.array
-                base_versions = start.versions_used
-            order_list = ascending_order(start_modes, targets)
-            return backend._descend_semi(start_modes, start_semi,
-                                         base_versions, order_list)
-
-        pair_ops: dict[tuple[int, int], SemiSparsePairOperator] = {}
-        for i in range(order):
-            for j in range(i + 1, order):
-                semi = _pair_semi(i, j)
-                if semi.modes != (i, j):
-                    raise RuntimeError(
-                        f"descent for pair {(i, j)} produced modes {semi.modes}"
-                    )
-                op = pair_ops[(i, j)] = SemiSparsePairOperator(
-                    modes=(i, j), fibers=semi.fibers, block=semi.block,
-                    dims=(shape[i], shape[j]),
-                    pattern=backend._pair_patterns.get((i, j)),
-                )
-                backend._pair_patterns[(i, j)] = op.pattern
-                semi.block = op.block  # same values; the cache's copy is freed
-
-        single_ops: dict[int, np.ndarray] = {}
-        for n in range(order):
-            if n < order - 1:
-                op, other, axis = pair_ops[(n, n + 1)], n + 1, 0
-            else:
-                op, other, axis = pair_ops[(n - 1, n)], n - 1, 1
-            single_ops[n] = op.contract_other(backend.factors[other], axis,
-                                              tracker=tracker)
-    finally:
-        backend.tracker = prev_tracker
-    return pair_ops, single_ops

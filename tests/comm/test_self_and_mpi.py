@@ -1,26 +1,26 @@
-"""Tests for the single-rank machine and the mpi4py-style adapter."""
+"""Tests for the single-rank simulated machine and the mpi4py-style adapter."""
 
 import numpy as np
 import pytest
 
 from repro.comm.mpi_adapter import MPICollectives
-from repro.comm.self_comm import SelfMachine
+from repro.comm.simulated import SimulatedMachine
 
 
-class TestSelfMachine:
+class TestSingleRankMachine:
     def test_single_rank(self):
-        machine = SelfMachine()
+        machine = SimulatedMachine(1)
         assert machine.n_ranks == 1
 
     def test_collectives_are_identity(self, rng):
-        machine = SelfMachine()
+        machine = SimulatedMachine(1)
         value = rng.random((3, 2))
         assert np.allclose(machine.all_reduce({0: value}, [0])[0], value)
         assert np.allclose(machine.all_gather_rows({0: value}, [0])[0], value)
         assert np.allclose(machine.broadcast(value, [0], root=0)[0], value)
 
     def test_collectives_cost_nothing(self, rng):
-        machine = SelfMachine()
+        machine = SimulatedMachine(1)
         machine.all_reduce({0: rng.random((5, 5))}, [0])
         assert machine.tracker(0).horizontal_words == 0
         assert machine.tracker(0).messages == 0

@@ -4,7 +4,7 @@ Covers plan-cache hit/miss accounting, ``out=`` buffer reuse, the absence of
 any ``engine`` parameter on the public API, and parity of every migrated
 kernel against a plain ``np.einsum`` oracle on random order-3/4/5 tensors.
 The dense tree kernels (``first_contraction``, ``contract_intermediate_mode`` and the dense
-``first_order_correction``) and the ``R x R`` algebra around them
+``PairwiseOperators.first_order_mttkrp``) and the ``R x R`` algebra around them
 (``gram_matrix``, ``delta_gram``, ``inner_product``, the solve, Eq. 7) are
 BLAS/LAPACK calls, not einsums: they keep their parity checks here and whole
 dense ``cp_als`` / ``pp_cp_als`` runs are asserted *not* to reach the engine.
@@ -27,7 +27,7 @@ from repro.contract import (
 )
 from repro.core.normal_equations import gram_matrix
 from repro.core.options import ALSOptions, PPOptions
-from repro.core.pp_corrections import delta_gram, first_order_correction
+from repro.core.pp_corrections import delta_gram
 from repro.tensor.mttkrp import mttkrp, mttkrp_unfolding, partial_mttkrp
 from repro.tensor.products import khatri_rao
 from repro.tensor.norms import inner_product
@@ -255,7 +255,7 @@ class TestKernelPlanReuse:
                 provider.set_factor(mode, got / (np.linalg.norm(got) + 1.0))
             operators = PairwiseOperators.build(tensor, provider.factors,
                                                 provider=provider)
-            first_order_correction(operators.pair_operator(2, 0), factors[0])
+            operators.first_order_mttkrp(2, factors)
         # (an order-4 array whose last extent is the rank is an intermediate)
         first_contraction(tensor, factors[1], 1)
         contract_intermediate_mode(tensor, factors[1], 1)
@@ -357,15 +357,21 @@ class TestKernelParity:
         np.testing.assert_allclose(delta_gram(a, b), a.T @ b, atol=1e-10)
         assert inner_product(a, b) == pytest.approx(float(np.dot(a.ravel(), b.ravel())))
 
-    def test_first_order_correction_matches_einsum(self):
+    def test_first_order_mttkrp_matches_einsum(self):
+        from repro.trees.pp_operators import PairwiseOperators
+
+        tensor, factors = _random_problem((6, 5, 4), rank=4, seed=19)
         rng = np.random.default_rng(19)
-        op = rng.random((6, 5, 4))
-        delta = rng.random((5, 4))
-        np.testing.assert_allclose(
-            first_order_correction(op, delta),
-            np.einsum("xyk,yk->xk", op, delta),
-            atol=1e-10,
-        )
+        deltas = [rng.random(f.shape) for f in factors]
+        operators = PairwiseOperators.build(tensor, factors)
+        for mode in range(3):
+            # M_p^(mode) + sum_i U^(mode,i), U^(mode,i) the MTTKRP with dA^(i) for A^(i)
+            expected = _oracle_mttkrp(tensor, factors, mode)
+            for other in set(range(3)) - {mode}:
+                stepped = [deltas[k] if k == other else factors[k] for k in range(3)]
+                expected = expected + _oracle_mttkrp(tensor, stepped, mode)
+            np.testing.assert_allclose(operators.first_order_mttkrp(mode, deltas),
+                                       expected, atol=1e-10)
 
     def test_mttkrp_out_buffer(self):
         tensor, factors = _random_problem((6, 5, 4), rank=3, seed=20)

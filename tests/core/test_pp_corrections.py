@@ -6,7 +6,6 @@ import pytest
 from repro.core.normal_equations import gamma_chain, solve_normal_equations
 from repro.core.pp_corrections import (
     delta_gram,
-    first_order_correction,
     fused_approx_update,
     pp_step_within_tolerance,
     second_order_accumulator,
@@ -15,8 +14,17 @@ from repro.core.pp_corrections import (
 from repro.core.updates import make_update_rule
 from repro.machine.cost_tracker import CostTracker
 from repro.sparse import CooTensor
+from repro.tensor.intermediate import rank_first
 from repro.tensor.mttkrp import mttkrp
+from repro.tensor.ttv import contract_intermediate_mode
 from repro.trees.pp_operators import PairwiseOperators
+from repro.trees.sparse_pp import SemiSparsePairOperator
+
+
+def _oriented(operators, mode, other):
+    """``M_p^(mode, other)`` as a dense ``(s_mode, s_other, R)`` array."""
+    dense = np.asarray(operators.pairs()[min(mode, other), max(mode, other)])
+    return dense if mode < other else np.transpose(dense, (1, 0, 2))
 
 
 class TestDeltaGram:
@@ -30,55 +38,46 @@ class TestDeltaGram:
             delta_gram(rng.random((4, 2)), rng.random((4, 3)))
 
 
-class TestFirstOrderCorrection:
-    def test_matches_einsum(self, rng):
-        operator = rng.random((5, 6, 3))
-        delta = rng.random((6, 3))
-        expected = np.einsum("xyk,yk->xk", operator, delta)
-        assert np.allclose(first_order_correction(operator, delta), expected)
-
-    def test_zero_step_gives_zero(self, rng):
-        operator = rng.random((4, 5, 2))
-        assert np.allclose(first_order_correction(operator, np.zeros((5, 2))), 0.0)
-
-    def test_records_mttv_flops(self, rng):
-        tracker = CostTracker()
-        operator = rng.random((4, 5, 2))
-        first_order_correction(operator, rng.random((5, 2)), tracker=tracker)
-        assert tracker.flops_by_category["mttv"] == 2 * operator.size
-
-    def test_shape_mismatch_raises(self, rng):
-        with pytest.raises(ValueError):
-            first_order_correction(rng.random((4, 5, 2)), rng.random((4, 2)))
-        with pytest.raises(ValueError):
-            first_order_correction(rng.random((4, 5)), rng.random((5, 2)))
+class TestFirstOrderMttkrp:
+    """``first_order_mttkrp`` against ``M_p^(n) + sum_i U^(n,i)`` in einsum."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_dense_operators_in_both_orientations(self, rng, dtype):
-        """Operators as the dense PP build leaves them, used as ``(mode, other)``
-        and as the transposed ``(other, mode)`` view, into every ``out=`` form."""
+    def test_matches_einsum_in_both_orientations(self, rng, dtype):
+        """Each pair serves the mode before it and the mode after it, into a
+        fresh result and into a given ``out=``."""
         tensor = rng.random((5, 4, 6, 3)).astype(dtype)
         factors = [rng.random((s, 2)).astype(dtype) for s in tensor.shape]
+        deltas = [rng.random(f.shape).astype(dtype) for f in factors]
         operators = PairwiseOperators.build(tensor, factors)
         tol = 1e-4 if dtype == np.float32 else 1e-12
-        for mode, other in [(0, 2), (2, 0), (3, 1), (1, 3)]:
-            operator = operators.pair_operator(mode, other)
-            delta = rng.random((tensor.shape[other], 2)).astype(dtype)
-            expected = np.einsum("xyk,yk->xk", operator, delta)
-            plain = first_order_correction(operator, delta)
-            assert plain.dtype == dtype
-            np.testing.assert_allclose(plain, expected, rtol=tol, atol=tol)
+        for mode in range(4):
+            expected = operators.single(mode) + sum(
+                np.einsum("xyk,yk->xk", _oriented(operators, mode, other), deltas[other])
+                for other in range(4) if other != mode)
+            got = operators.first_order_mttkrp(mode, deltas)
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, expected, rtol=tol, atol=tol)
             buffer = np.full((tensor.shape[mode], 2), 7.0, dtype=dtype)
-            assert first_order_correction(operator, delta, out=buffer) is buffer
+            assert operators.first_order_mttkrp(mode, deltas, out=buffer) is buffer
             np.testing.assert_allclose(buffer, expected, rtol=tol, atol=tol)
-            assert first_order_correction(operator, delta, out=buffer,
-                                          accumulate=True) is buffer
-            np.testing.assert_allclose(buffer, 2 * expected, rtol=tol, atol=tol)
 
-    def test_accumulate_needs_a_buffer(self, rng):
-        with pytest.raises(ValueError, match="requires an out= buffer"):
-            first_order_correction(rng.random((4, 5, 2)), rng.random((5, 2)),
-                                   accumulate=True)
+    def test_records_mttv_flops(self, rng):
+        tensor = rng.random((4, 5, 3))
+        factors = [rng.random((s, 2)) for s in tensor.shape]
+        operators = PairwiseOperators.build(tensor, factors)
+        tracker = CostTracker()
+        operators.first_order_mttkrp(1, factors, tracker=tracker)
+        # the pairs (0, 1) and (1, 2), two flops per element
+        assert tracker.flops_by_category["mttv"] == 2 * (4 * 5 + 5 * 3) * 2
+
+    def test_delta_shape_mismatch_raises(self, rng):
+        tensor = rng.random((4, 5, 3))
+        factors = [rng.random((s, 2)) for s in tensor.shape]
+        operators = PairwiseOperators.build(tensor, factors)
+        with pytest.raises(ValueError, match="delta factor 2"):
+            operators.first_order_mttkrp(0, [factors[0], factors[1], factors[1]])
+        with pytest.raises(ValueError, match="expected 3 delta factors"):
+            operators.first_order_mttkrp(0, factors[:2])
 
 
 class TestSecondOrderCorrection:
@@ -194,12 +193,22 @@ def _problem(shape, rank, sparse, dtype=np.float64, seed=3):
 
 
 def _unfused_first_order(operators, mode, deltas, tracker=None):
-    """Eq. (5) up to first order, one single-pair kernel call per pair."""
+    """Eq. (5) up to first order, one single-pair kernel call per pair: the
+    fiber contraction of a semi-sparse operator, the batched matrix-vector
+    product on the second axis of a dense one (transposed when ``mode`` is
+    the pair's second mode)."""
     total = operators.single(mode).copy()
     for other in range(operators.order):
-        if other != mode:
-            total += first_order_correction(operators.pair_operator(mode, other),
-                                            deltas[other], tracker=tracker)
+        if other == mode:
+            continue
+        operator = operators.pairs()[min(mode, other), max(mode, other)]
+        if isinstance(operator, SemiSparsePairOperator):
+            total += operator.contract_other(deltas[other], 0 if mode < other else 1,
+                                             tracker=tracker)
+        else:
+            oriented = operator if mode < other else np.transpose(operator, (1, 0, 2))
+            total += contract_intermediate_mode(oriented, deltas[other], 1,
+                                                tracker=tracker)
     return total
 
 
@@ -291,15 +300,11 @@ class TestApproximatedStep:
         assert fused.vertical_words_by_category == unfused.vertical_words_by_category
         assert fused.total_vertical_words > 0
 
-    def test_each_pair_is_stored_once_and_viewed_both_ways(self):
+    def test_each_pair_is_stored_once_rank_first(self):
         operators, _, deltas, _, _ = _problem((5, 4, 6, 3), 2, sparse=False)
         stored = operators.pairs()
-        for (i, j), operator in stored.items():
-            forward = operators.pair_operator(i, j)
-            backward = operators.pair_operator(j, i)
-            assert np.array_equal(forward, np.transpose(backward, (1, 0, 2)))
-            assert np.shares_memory(forward, operator)
-            assert np.shares_memory(backward, operator)
+        for operator in stored.values():
+            assert rank_first(operator).flags.c_contiguous
         held = sum(op.size for op in stored.values())
         held += sum(operators.single(n).size for n in range(4))
         assert operators.memory_words() == held
@@ -382,9 +387,8 @@ class TestApproximationQuality:
                 for other in range(3):
                     if other == mode:
                         continue
-                    approx += first_order_correction(
-                        operators.pair_operator(mode, other), deltas[other]
-                    )
+                    approx += np.einsum("xyk,yk->xk", _oriented(operators, mode, other),
+                                        deltas[other])
                 approx += second_order_correction(mode, current[mode], grams, dgrams)
                 worst = max(worst, np.linalg.norm(exact - approx) / np.linalg.norm(exact))
             return worst

@@ -280,16 +280,15 @@ class TestDenseTreeKernelsCopyNothing:
         assert peak < out.nbytes + krp_bytes + ufunc_buffers + self.SLACK
         assert np.allclose(out, _trailing_chain(tensor, factors[2:]), rtol=1e-12, atol=0)
 
-    def test_pair_operator_correction_in_both_orientations(self, problem):
-        """``first_order_correction`` on a pair operator and on its transposed
-        view (the ``mode > other`` orientation) never copies the operator."""
-        from repro.core.pp_corrections import first_order_correction
-
+    def test_pair_correction_in_both_orientations(self, problem):
+        """A first-order correction (Eq. 6) on a pair intermediate and on its
+        transposed view (the ``mode > other`` orientation) never copies it."""
         tensor, factors = problem
         pair = contract_intermediate_mode(
             first_contraction(tensor, factors[0], 0), factors[1], 0)
         for operator in (pair, np.transpose(pair, (1, 0, 2))):
-            peak, out = _traced_peak(lambda: first_order_correction(operator, factors[3]))
+            peak, out = _traced_peak(
+                lambda: contract_intermediate_mode(operator, factors[3], 1))
             assert peak < pair.nbytes // 4  # no operator-sized temporary
             assert np.allclose(out, np.einsum("xyk,yk->xk", operator, factors[3]),
                                rtol=1e-12, atol=1e-12)

@@ -1,11 +1,13 @@
-"""Tests for the contraction-order policies and the descent executor."""
+"""Tests for the contraction-order policies and the tree providers' descent."""
 
 import numpy as np
 import pytest
 
+from repro.machine.cost_tracker import CostTracker
+from repro.sparse import CooTensor
 from repro.tensor.mttkrp import mttkrp, partial_mttkrp
-from repro.trees.cache import ContractionCache
-from repro.trees.descent import ascending_order, binary_split_order, descend
+from repro.trees.descent import ascending_order, binary_split_order
+from repro.trees.registry import make_provider
 
 
 class TestBinarySplitOrder:
@@ -48,85 +50,81 @@ class TestAscendingOrder:
             ascending_order([0, 1], {5})
 
 
-class TestDescend:
-    def test_full_descent_matches_mttkrp(self, small_tensor3, factors3):
-        cache = ContractionCache()
-        versions = [0, 0, 0]
-        out = descend(
-            small_tensor3, factors3, versions, cache,
-            start_modes=[0, 1, 2], start_array=None, start_versions_used={},
-            contraction_order=[2, 1],
-        )
+def _tree(backend, tensor, factors, tracker=None):
+    """A fresh ``dt`` provider over ``tensor`` on the dense or sparse backend."""
+    if backend == "sparse":
+        tensor = CooTensor.from_dense(tensor)
+    return make_provider("dt", tensor, [f.copy() for f in factors], tracker=tracker)
+
+
+def _dense(provider, intermediate):
+    """A raw intermediate as a dense ``(s_i, ..., R)`` array."""
+    if hasattr(intermediate, "densify"):
+        return intermediate.densify(provider.tensor.shape)
+    return intermediate
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+class TestPartialMttkrp:
+    """``partial_mttkrp``: the cached, ascending-order descent of the trees."""
+
+    def test_single_mode_matches_mttkrp(self, backend, small_tensor3, factors3):
+        provider = _tree(backend, small_tensor3, factors3)
+        out = _dense(provider, provider.partial_mttkrp([0]))
         assert np.allclose(out, mttkrp(small_tensor3, factors3, 0))
 
-    def test_intermediates_are_cached_with_versions(self, small_tensor3, factors3):
-        cache = ContractionCache()
-        versions = [5, 6, 7]
-        descend(
-            small_tensor3, factors3, versions, cache,
-            start_modes=[0, 1, 2], start_array=None, start_versions_used={},
-            contraction_order=[2, 1],
-        )
-        pair = cache.get_exact([0, 1], versions)
+    def test_intermediates_are_cached_with_versions(self, backend, small_tensor3,
+                                                    factors3):
+        provider = _tree(backend, small_tensor3, factors3)
+        for mode, bumps in enumerate((5, 6, 7)):
+            for _ in range(bumps):
+                provider.set_factor(mode, factors3[mode])
+        provider.partial_mttkrp([0])  # ascending: contracts mode 1, then 2
+        pair = provider.cache.get_exact([0, 2], provider.versions)
         assert pair is not None
-        assert pair.versions_used == {2: 7}
-        leaf = cache.get_exact([0], versions)
+        assert pair.versions_used == {1: 6}
+        leaf = provider.cache.get_exact([0], provider.versions)
         assert leaf is not None
-        assert leaf.versions_used == {2: 7, 1: 6}
+        assert leaf.versions_used == {1: 6, 2: 7}
 
-    def test_resume_from_cached_intermediate(self, small_tensor3, factors3):
-        cache = ContractionCache()
-        versions = [0, 0, 0]
-        pair = descend(
-            small_tensor3, factors3, versions, cache,
-            start_modes=[0, 1, 2], start_array=None, start_versions_used={},
-            contraction_order=[2],
-        )
-        leaf = descend(
-            small_tensor3, factors3, versions, cache,
-            start_modes=[0, 1], start_array=pair, start_versions_used={2: 0},
-            contraction_order=[0],
-        )
+    def test_resume_from_cached_intermediate(self, backend, small_tensor3, factors3):
+        tracker = CostTracker()
+        provider = _tree(backend, small_tensor3, factors3, tracker=tracker)
+        provider.partial_mttkrp([0, 1])
+        first_level = tracker.flops_by_category["ttm"]
+        hits = provider.cache.hits
+        leaf = _dense(provider, provider.partial_mttkrp([1]))
         assert np.allclose(leaf, mttkrp(small_tensor3, factors3, 1))
+        assert provider.cache.hits == hits + 1
+        assert tracker.flops_by_category["ttm"] == first_level  # no second TTM
 
-    def test_partial_descent_matches_partial_mttkrp(self, small_tensor4, factors4):
-        cache = ContractionCache()
-        versions = [0] * 4
-        out = descend(
-            small_tensor4, factors4, versions, cache,
-            start_modes=[0, 1, 2, 3], start_array=None, start_versions_used={},
-            contraction_order=[1, 3],
-        )
+    def test_partial_matches_partial_mttkrp(self, backend, small_tensor4, factors4):
+        provider = _tree(backend, small_tensor4, factors4)
+        out = _dense(provider, provider.partial_mttkrp([0, 2]))
         assert np.allclose(out, partial_mttkrp(small_tensor4, factors4, [0, 2]))
 
-    def test_contraction_order_irrelevant_for_result(self, small_tensor4, factors4):
-        versions = [0] * 4
-        out_a = descend(
-            small_tensor4, factors4, versions, ContractionCache(),
-            [0, 1, 2, 3], None, {}, [3, 1, 0],
-        )
-        out_b = descend(
-            small_tensor4, factors4, versions, ContractionCache(),
-            [0, 1, 2, 3], None, {}, [0, 1, 3],
-        )
+    def test_contraction_path_irrelevant_for_result(self, backend, small_tensor4,
+                                                    factors4):
+        cold = _tree(backend, small_tensor4, factors4)
+        out_a = _dense(cold, cold.partial_mttkrp([2]))
+        resumed = _tree(backend, small_tensor4, factors4)
+        resumed.partial_mttkrp([2, 3])  # the next request resumes here
+        out_b = _dense(resumed, resumed.partial_mttkrp([2]))
         assert np.allclose(out_a, out_b)
         assert np.allclose(out_a, mttkrp(small_tensor4, factors4, 2))
 
-    def test_unknown_mode_in_order_raises(self, small_tensor3, factors3):
+    @pytest.mark.parametrize("kept", [[3], [0, 7], [], [0, 1, 2]],
+                             ids=["unknown", "one-unknown", "empty", "all"])
+    def test_invalid_kept_modes_raise(self, backend, kept, small_tensor3, factors3):
+        provider = _tree(backend, small_tensor3, factors3)
         with pytest.raises(ValueError):
-            descend(
-                small_tensor3, factors3, [0, 0, 0], ContractionCache(),
-                [0, 1], np.zeros((7, 6, 4)), {2: 0}, [2],
-            )
+            provider.partial_mttkrp(kept)
 
-    def test_tracker_records_ttm_then_mttv(self, small_tensor3, factors3):
-        from repro.machine.cost_tracker import CostTracker
-
+    def test_tracker_records_ttm_then_mttv(self, backend, small_tensor3, factors3):
         tracker = CostTracker()
-        descend(
-            small_tensor3, factors3, [0, 0, 0], ContractionCache(),
-            [0, 1, 2], None, {}, [2, 1], tracker=tracker,
-        )
+        provider = _tree(backend, small_tensor3, factors3, tracker=tracker)
+        provider.partial_mttkrp([0])
         flops = tracker.flops_by_category
-        assert flops["ttm"] == 2 * small_tensor3.size * 4
+        size = provider.tensor.nnz if backend == "sparse" else small_tensor3.size
+        assert flops["ttm"] == 2 * size * 4
         assert flops["mttv"] > 0

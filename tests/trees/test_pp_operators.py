@@ -6,6 +6,7 @@ import pytest
 from repro.core.normal_equations import gram_matrix
 from repro.core.updates import sweep
 from repro.machine.cost_tracker import CostTracker
+from repro.sparse import CooTensor
 from repro.tensor.mttkrp import mttkrp, partial_mttkrp
 from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import make_provider
@@ -21,7 +22,7 @@ class TestBuild:
         for i in range(order):
             for j in range(i + 1, order):
                 expected = partial_mttkrp(tensor, factors, [i, j])
-                assert np.allclose(operators.pair_operator(i, j), expected, atol=1e-10)
+                assert np.allclose(operators.pairs()[i, j], expected, atol=1e-10)
 
     @pytest.mark.parametrize("order", [3, 4])
     def test_single_operators_match_mttkrp(self, order, rng):
@@ -32,28 +33,10 @@ class TestBuild:
         for n in range(order):
             assert np.allclose(operators.single(n), mttkrp(tensor, factors, n), atol=1e-10)
 
-    def test_pair_operator_orientation(self, small_tensor3, factors3):
-        operators = PairwiseOperators.build(small_tensor3, factors3)
-        forward = operators.pair_operator(0, 2)
-        backward = operators.pair_operator(2, 0)
-        assert forward.shape == (7, 5, 4)
-        assert backward.shape == (5, 7, 4)
-        assert np.allclose(forward, np.transpose(backward, (1, 0, 2)))
-
-    def test_same_mode_pair_raises(self, small_tensor3, factors3):
-        operators = PairwiseOperators.build(small_tensor3, factors3)
-        with pytest.raises(ValueError):
-            operators.pair_operator(1, 1)
-
     def test_memory_words_counts_all_operators(self, small_tensor3, factors3):
         operators = PairwiseOperators.build(small_tensor3, factors3)
         expected = (7 * 6 + 7 * 5 + 6 * 5) * 4 + (7 + 6 + 5) * 4
         assert operators.memory_words() == expected
-
-    def test_checkpoint_factors_are_copies(self, small_tensor3, factors3):
-        operators = PairwiseOperators.build(small_tensor3, factors3)
-        factors3[0][0, 0] += 100.0
-        assert operators.checkpoint_factors[0][0, 0] != factors3[0][0, 0]
 
     def test_order2_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -73,8 +56,8 @@ class TestBuildWithProvider:
         standalone = PairwiseOperators.build(small_tensor3, provider.factors)
         for i in range(3):
             for j in range(i + 1, 3):
-                assert np.allclose(shared.pair_operator(i, j),
-                                   standalone.pair_operator(i, j), atol=1e-10)
+                assert np.allclose(shared.pairs()[i, j],
+                                   standalone.pairs()[i, j], atol=1e-10)
             assert np.allclose(shared.single(i), standalone.single(i), atol=1e-10)
 
     def test_provider_cache_reuse_saves_first_level_flops(self, rng):
@@ -135,7 +118,7 @@ class TestBuildAfterASweep:
                                             provider=provider)
         for i in range(order):
             for j in range(i + 1, order):
-                assert np.allclose(operators.pair_operator(i, j),
+                assert np.allclose(operators.pairs()[i, j],
                                    partial_mttkrp(tensor, provider.factors, [i, j]),
                                    atol=1e-10)
             assert np.allclose(operators.single(i), mttkrp(tensor, provider.factors, i),
@@ -153,17 +136,34 @@ class TestBuildAfterASweep:
 
 
 class TestConstructorValidation:
-    def test_wrong_pair_shape_rejected(self, factors3):
-        with pytest.raises(ValueError):
-            PairwiseOperators(factors3, {(0, 1): np.zeros((2, 2, 4))}, {})
+    """The singles fix ``(s_n, R)``; every pair is checked against them."""
 
-    def test_wrong_single_shape_rejected(self, factors3):
-        with pytest.raises(ValueError):
-            PairwiseOperators(factors3, {}, {0: np.zeros((2, 4))})
+    @staticmethod
+    def singles(shape=(7, 6, 5), rank=4):
+        return {n: np.zeros((s, rank)) for n, s in enumerate(shape)}
 
-    def test_bad_pair_key_rejected(self, factors3):
-        with pytest.raises(ValueError):
-            PairwiseOperators(factors3, {(1, 0): np.zeros((6, 7, 4))}, {})
+    def test_wrong_pair_shape_rejected(self):
+        with pytest.raises(ValueError, match="pair operator"):
+            PairwiseOperators({(0, 1): np.zeros((2, 2, 4))}, self.singles())
+
+    def test_pair_rank_must_match_singles(self):
+        with pytest.raises(ValueError, match="pair operator"):
+            PairwiseOperators({(0, 1): np.zeros((7, 6, 3))}, self.singles())
+
+    def test_bad_pair_key_rejected(self):
+        with pytest.raises(ValueError, match="invalid pair key"):
+            PairwiseOperators({(1, 0): np.zeros((6, 7, 4))}, self.singles())
+
+    def test_singles_of_mixed_rank_rejected(self):
+        singles = self.singles()
+        singles[2] = np.zeros((5, 3))
+        with pytest.raises(ValueError, match="single operator 2"):
+            PairwiseOperators({}, singles)
+
+    @pytest.mark.parametrize("modes", [(0, 1), (0, 1, 3)], ids=["order2", "gap"])
+    def test_one_single_per_mode_of_order3_or_more(self, modes):
+        with pytest.raises(ValueError, match="one single operator per mode"):
+            PairwiseOperators({}, {n: np.zeros((4, 2)) for n in modes})
 
 
 class TestDtypePreservation:
@@ -176,7 +176,8 @@ class TestDtypePreservation:
         ops = PairwiseOperators.build(tensor, factors)
         assert all(ops.single(n).dtype == np.float32 for n in range(3))
         assert all(arr.dtype == np.float32 for arr in ops.pairs().values())
-        assert all(f.dtype == np.float32 for f in ops.checkpoint_factors)
+        assert all(ops.first_order_mttkrp(n, factors).dtype == np.float32
+                   for n in range(3))
 
     def test_int_tensor_still_promoted_to_float64(self):
         rng = np.random.default_rng(51)
@@ -218,3 +219,40 @@ class TestDtypePreservation:
         provider.mttkrp(0)
         with pytest.raises(ValueError, match="different tensor"):
             PairwiseOperators.build(base[1:5], provider.factors, provider=provider)
+
+
+def _instance(backend, rng, shape=(6, 5, 4, 3), rank=3):
+    tensor = rng.random(shape)
+    if backend == "sparse":
+        tensor = CooTensor.from_dense(tensor * (rng.random(shape) < 0.3))
+    return tensor, [rng.random((s, rank)) for s in shape]
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+class TestOneBuilder:
+    def test_no_provider_is_a_fresh_dt_provider(self, backend, rng):
+        """Without a provider the build runs on a private ``dt`` tree: the
+        same operators, bit for bit, and the same charges as a fresh one."""
+        tensor, factors = _instance(backend, rng)
+        alone, fresh = CostTracker(), CostTracker()
+        ops = PairwiseOperators.build(tensor, factors, tracker=alone)
+        ref = PairwiseOperators.build(
+            tensor, factors, tracker=fresh,
+            provider=make_provider("dt", tensor, [f.copy() for f in factors]))
+        assert sorted(ops.pairs()) == sorted(ref.pairs())
+        for key, op in ops.pairs().items():
+            assert np.array_equal(np.asarray(op), np.asarray(ref.pairs()[key]))
+        for n in range(len(factors)):
+            assert np.array_equal(ops.single(n), ref.single(n))
+        assert alone.flops_by_category == fresh.flops_by_category
+
+    @pytest.mark.parametrize("engine", ["naive", "unfolding"])
+    def test_non_tree_provider_keeps_no_intermediate(self, backend, engine, rng):
+        """A provider without a tree never invalidates its cache, so the build
+        must leave nothing in it: after one update per mode it is empty."""
+        tensor, factors = _instance(backend, rng)
+        provider = make_provider(engine, tensor, [f.copy() for f in factors])
+        PairwiseOperators.build(tensor, provider.factors, provider=provider)
+        for mode, factor in enumerate(factors):
+            provider.set_factor(mode, 2.0 * factor)
+        assert provider.cache_stats()["entries"] == 0

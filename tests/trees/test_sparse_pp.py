@@ -1,4 +1,4 @@
-"""Unit tests for the semi-sparse PP operator builder and its operators."""
+"""Unit tests for the semi-sparse PP operators and their build on sparse input."""
 
 import gc
 import weakref
@@ -12,11 +12,7 @@ from repro.sparse.csf import SegmentSum
 from repro.tensor.mttkrp import mttkrp, partial_mttkrp
 from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import make_provider
-from repro.trees.sparse_pp import (
-    OrientedPairOperator,
-    SemiSparsePairOperator,
-    build_semi_sparse_operators,
-)
+from repro.trees.sparse_pp import SemiSparsePairOperator
 
 
 def _sparse_instance(rng, shape, rank, density=0.3):
@@ -70,7 +66,8 @@ class TestBuilder:
     def test_operators_match_dense_kernels(self, order, rng):
         shape = tuple(int(rng.integers(3, 6)) for _ in range(order))
         dense, coo, factors = _sparse_instance(rng, shape, rank=3)
-        pairs, singles = build_semi_sparse_operators(coo, factors)
+        ops = PairwiseOperators.build(coo, factors)
+        pairs = ops.pairs()
         assert sorted(pairs) == [(i, j) for i in range(order)
                                  for j in range(i + 1, order)]
         for (i, j), op in pairs.items():
@@ -81,7 +78,7 @@ class TestBuilder:
             )
         for n in range(order):
             np.testing.assert_allclose(
-                singles[n], mttkrp(dense, factors, n), atol=1e-12
+                ops.single(n), mttkrp(dense, factors, n), atol=1e-12
             )
 
     def test_provider_cache_reuse_saves_flops(self, rng):
@@ -103,8 +100,8 @@ class TestBuilder:
         for i in range(4):
             for j in range(i + 1, 4):
                 np.testing.assert_allclose(
-                    np.asarray(shared.pair_operator(i, j)),
-                    np.asarray(standalone.pair_operator(i, j)), atol=1e-12,
+                    np.asarray(shared.pairs()[i, j]),
+                    np.asarray(standalone.pairs()[i, j]), atol=1e-12,
                 )
 
     def test_second_checkpoint_reuses_the_pair_patterns(self, rng):
@@ -120,11 +117,9 @@ class TestBuilder:
                 provider.mttkrp(mode)
                 provider.set_factor(mode, rng.random(factors[mode].shape))
             ops = PairwiseOperators.build(coo, provider.factors, provider=provider)
-            for mode in range(3):  # use every (pair, axis) as a PP sweep does
-                for other in range(3):
-                    if other != mode:
-                        ops.pair_operator(mode, other).contract_delta(
-                            provider.factors[other])
+            for (i, j), op in ops.pairs().items():  # both axes, as a PP sweep does
+                op.contract_other(provider.factors[j], 0)
+                op.contract_other(provider.factors[i], 1)
             return ops
 
         first = checkpoint()
@@ -188,7 +183,7 @@ class TestBuilder:
             assert all(isinstance(op, SemiSparsePairOperator)
                        for op in ops.pairs().values())
             np.testing.assert_allclose(
-                np.asarray(ops.pair_operator(0, 1)),
+                np.asarray(ops.pairs()[0, 1]),
                 partial_mttkrp(dense, factors, [0, 1]), atol=1e-12,
             )
 
@@ -209,17 +204,17 @@ class TestBuilder:
     def test_order2_rejected(self, rng):
         coo = CooTensor.from_dense(rng.random((4, 4)))
         with pytest.raises(ValueError, match="order >= 3"):
-            build_semi_sparse_operators(coo, [rng.random((4, 2))] * 2)
+            PairwiseOperators.build(coo, [rng.random((4, 2))] * 2)
 
     def test_empty_tensor_yields_zero_operators(self, rng):
         coo = CooTensor(np.zeros((0, 3), dtype=np.int64), np.zeros(0), (4, 3, 2))
         factors = [rng.random((s, 2)) for s in coo.shape]
-        pairs, singles = build_semi_sparse_operators(coo, factors)
-        for op in pairs.values():
+        ops = PairwiseOperators.build(coo, factors)
+        for op in ops.pairs().values():
             assert op.n_fibers == 0
             assert not op.densify().any()
-        for single in singles.values():
-            assert not single.any()
+        for n in range(3):
+            assert not ops.single(n).any()
 
     def test_float32_preserved(self, rng):
         dense, coo, factors = _sparse_instance(rng, (5, 4, 3), rank=2)
@@ -244,21 +239,21 @@ class TestContractOtherBitIdentity:
 
     def test_no_fibers(self, rng):
         coo = CooTensor(np.zeros((0, 3), dtype=np.int64), np.zeros(0), (4, 3, 2))
-        pairs, _ = build_semi_sparse_operators(coo, [rng.random((s, 2)) for s in coo.shape])
-        for op in pairs.values():
+        ops = PairwiseOperators.build(coo, [rng.random((s, 2)) for s in coo.shape])
+        for op in ops.pairs().values():
             assert op.n_fibers == 0
             _assert_matches_gather_scale_scatter(op, rng)
 
     def test_one_fiber(self, rng):
         coo = CooTensor(np.array([[2, 1, 0]]), np.array([1.5]), (4, 3, 2))
-        pairs, _ = build_semi_sparse_operators(coo, [rng.random((s, 3)) for s in coo.shape])
-        for op in pairs.values():
+        ops = PairwiseOperators.build(coo, [rng.random((s, 3)) for s in coo.shape])
+        for op in ops.pairs().values():
             assert op.n_fibers == 1
             _assert_matches_gather_scale_scatter(op, rng)
 
     def test_rank_one(self, rng):
         _, coo, factors = _sparse_instance(rng, (7, 5, 6), rank=1)
-        for op in build_semi_sparse_operators(coo, factors)[0].values():
+        for op in PairwiseOperators.build(coo, factors).pairs().values():
             _assert_matches_gather_scale_scatter(op, rng)
 
     def test_float32_stays_float32(self, rng):
@@ -297,8 +292,7 @@ class TestSemiSparsePairOperator:
     @pytest.fixture()
     def op(self, rng):
         dense, coo, factors = _sparse_instance(rng, (6, 5, 4), rank=3)
-        pairs, _ = build_semi_sparse_operators(coo, factors)
-        return pairs[(0, 2)], dense, factors
+        return PairwiseOperators.build(coo, factors).pairs()[0, 2], dense, factors
 
     def test_contract_other_both_axes(self, op, rng):
         operator, dense, factors = op
@@ -334,18 +328,22 @@ class TestSemiSparsePairOperator:
             operator.contract_other(rng.random((4, 3)), 0, out=np.zeros((2, 3)))
 
     @pytest.mark.parametrize("accumulate", [False, True])
-    def test_oriented_pair_contraction(self, accumulate, rng):
+    def test_every_orientation_of_a_build(self, accumulate, rng):
         """Every ``(mode, other)`` orientation of a build, overwriting or
         adding into the caller's buffer, against the dense operator."""
         _, coo, factors = _sparse_instance(rng, (5, 4, 3), rank=3, density=0.4)
         ops = PairwiseOperators.build(coo, factors)
         for mode in range(3):
             for other in set(range(3)) - {mode}:
-                op = ops.pair_operator(mode, other)
+                op = ops.pairs()[min(mode, other), max(mode, other)]
+                dense = np.asarray(op)
+                if mode > other:
+                    dense = np.transpose(dense, (1, 0, 2))
                 delta = rng.random(factors[other].shape)
-                expected = np.einsum("xyk,yk->xk", np.asarray(op), delta)
+                expected = np.einsum("xyk,yk->xk", dense, delta)
                 base = rng.random(expected.shape)
-                out = op.contract_delta(delta, out=base.copy(), accumulate=accumulate)
+                out = op.contract_other(delta, 0 if mode < other else 1,
+                                        out=base.copy(), accumulate=accumulate)
                 np.testing.assert_allclose(out, base + expected if accumulate else expected,
                                            rtol=1e-12, atol=1e-12)
 
@@ -355,24 +353,6 @@ class TestSemiSparsePairOperator:
         operator.contract_other(rng.random((4, 3)), 0, tracker=tracker)
         assert tracker.flops_by_category.get("mttv", 0) == \
             2 * operator.n_fibers * operator.rank
-
-    def test_oriented_wrapper(self, op):
-        operator, _, _ = op
-        lead0, lead1 = operator.oriented(0), operator.oriented(1)
-        assert isinstance(lead0, OrientedPairOperator)
-        assert lead0.shape == (6, 4, 3) and lead1.shape == (4, 6, 3)
-        assert lead0.ndim == lead1.ndim == 3
-        np.testing.assert_allclose(
-            np.asarray(lead1), np.transpose(np.asarray(lead0), (1, 0, 2))
-        )
-
-    def test_pair_operator_orientation_via_container(self, rng):
-        dense, coo, factors = _sparse_instance(rng, (6, 5, 4), rank=3)
-        ops = PairwiseOperators.build(coo, factors)
-        forward = np.asarray(ops.pair_operator(0, 2))
-        backward = np.asarray(ops.pair_operator(2, 0))
-        assert forward.shape == (6, 4, 3) and backward.shape == (4, 6, 3)
-        np.testing.assert_allclose(forward, np.transpose(backward, (1, 0, 2)))
 
     def test_memory_words_counts_fiber_storage(self, rng):
         _, coo, factors = _sparse_instance(rng, (6, 5, 4), rank=3)
@@ -402,16 +382,3 @@ class TestSemiSparsePairOperator:
         with pytest.raises(ValueError, match="lexicographically sorted"):
             SemiSparsePairOperator((0, 1), np.array([[0, 1], [0, 1]]),
                                    np.ones((2, 2)), (2, 2))
-
-    def test_first_order_correction_rejects_raw_operator(self, rng):
-        """A raw semi-sparse operator has no orientation; with square modes a
-        mode mix-up would produce no shape error, so it must be refused."""
-        from repro.core.pp_corrections import first_order_correction
-
-        _, coo, factors = _sparse_instance(rng, (4, 4, 3), rank=2)
-        ops = PairwiseOperators.build(coo, factors)
-        with pytest.raises(TypeError, match="oriented"):
-            first_order_correction(ops.pairs()[(0, 1)], rng.random((4, 2)))
-        # the oriented view from the container is the supported path
-        got = first_order_correction(ops.pair_operator(1, 0), rng.random((4, 2)))
-        assert got.shape == (4, 2)
