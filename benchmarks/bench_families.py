@@ -7,9 +7,8 @@ tensor decomposed for a fixed number of sweeps with
 * ``nn_cp_als`` under both nonnegative rules (HALS, multiplicative), and
 * ``masked_cp_als`` with the stored-nonzero pattern as the mask.
 
-Tracked metrics are the deterministic per-family flop counts (CI fails on
->15% drift against the committed ``BENCH_families.json``); wall-clock and
-final fitness are informational.
+The report's tracked metrics are the deterministic per-family flop counts
+(CI fails on >15% drift against the committed ``BENCH_families.json``).
 
 Run as a script to (re)generate the baseline::
 
@@ -18,11 +17,6 @@ Run as a script to (re)generate the baseline::
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 
 from repro.core.masked_cp_als import masked_cp_als
@@ -30,6 +24,8 @@ from repro.core.nn_cp_als import nn_cp_als
 from repro.core.options import MaskedOptions, NNOptions
 from repro.data.sparse_synthetic import sparse_low_rank_tensor
 from repro.sparse.coo import CooTensor
+
+from compare_bench import write_report_main
 
 try:  # pytest-only flag; absent when run as a plain script
     from conftest import BENCH_TINY
@@ -47,7 +43,6 @@ def run_families(config: dict) -> dict:
     )
     rank, n_sweeps = config["rank"], config["n_sweeps"]
     tracked: dict = {"nnz": int(tensor.nnz)}
-    info: dict = {}
 
     runs = {
         "nncp_hals": lambda: nn_cp_als(
@@ -66,33 +61,12 @@ def run_families(config: dict) -> dict:
             tensor, MaskedOptions(rank=rank, n_sweeps=n_sweeps, tol=0.0, seed=0)),
     }
     for name, run in runs.items():
-        start = time.perf_counter()
-        result = run()
-        wall = time.perf_counter() - start
-        tracked[f"flops_{name}"] = int(result.tracker.total_flops)
-        info[f"wall_s_{name}"] = wall
-        info[f"fitness_{name}"] = result.fitness
-    info["masked_n_observed"] = int(tensor.nnz)
-    return {
-        "name": "families_baseline",
-        "config": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in config.items()},
-        "tracked": tracked,
-        "info": info,
-    }
+        tracked[f"flops_{name}"] = int(run().tracker.total_flops)
+    return {"name": "families_baseline", "config": config, "tracked": tracked}
 
 
-def format_report(data: dict) -> str:
-    lines = [f"decomposition-family sweep baseline ({data['config']})", ""]
-    for section in ("tracked", "info"):
-        lines.append(f"{section}:")
-        for key, value in data[section].items():
-            lines.append(f"  {key:>24s}: {value}")
-    return "\n".join(lines)
-
-
-def test_families_baseline(report):
-    """Smoke/report entry point for the pytest harness."""
+def test_families_baseline():
+    """Smoke entry point for pytest."""
     data = run_families(TINY_CONFIG if BENCH_TINY else FULL_CONFIG)
     # every family must do real tracked work on top of the shared kernel
     for key in ("flops_nncp_hals", "flops_nncp_multiplicative", "flops_masked"):
@@ -100,20 +74,7 @@ def test_families_baseline(report):
     # the masked EM fill does strictly more per-sweep work than plain nn ALS
     # at the same engine (extra model-at-mask MTTKRP + cross-Gram correction)
     assert data["tracked"]["flops_masked"] > data["tracked"]["flops_nncp_hals"]
-    report("bench_families", format_report(data))
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_families.json"))
-    parser.add_argument("--tiny", action="store_true",
-                        help="tiny shapes (smoke only; not baseline-comparable)")
-    args = parser.parse_args()
-    data = run_families(TINY_CONFIG if args.tiny else FULL_CONFIG)
-    args.out.write_text(json.dumps(data, indent=2) + "\n")
-    print(format_report(data))
-    print(f"\n[saved to {args.out}]")
 
 
 if __name__ == "__main__":
-    main()
+    write_report_main(run_families, FULL_CONFIG, TINY_CONFIG, "BENCH_families.json")

@@ -5,7 +5,10 @@ bins, five seeds per bin, run on a 4x4x4 grid.  The container-scale run keeps
 the collinearity bins, the PP tolerance and the multiple seeds, with smaller
 tensors and serial execution (the speed-up being measured is algorithmic:
 exact DT sweeps vs mostly PP-approximated sweeps).  ``REPRO_BENCH_TINY`` runs
-12^3 tensors and reports the numbers without asserting a timing.
+12^3 tensors.  The speed-ups are reported, never asserted: the wall-clock
+claim is the harness's ``dense4_collinear`` workload (``pp_solve_s`` against
+``als_solve_s``), and ``bench_table3_sweep_counts.py`` asserts the sweep
+counts behind it.
 """
 
 from __future__ import annotations
@@ -43,23 +46,7 @@ def test_fig4_pp_speedup_vs_collinearity(benchmark, report):
     )
     report("fig4_collinearity_speedup", text)
 
-    # the measured direction (20 repeat runs, one and two BLAS threads, on the
-    # 2-vCPU container): PP beats DT in the two bins of collinearity >= 0.6,
-    # medians 1.12-1.55x and 1.25-1.46x (the paper reports up to 1.8x at
-    # 1600^3), because an approximated sweep costs ~0.30 ms against the ~0.45
-    # ms of an exact one at this size; below 0.4 a run converges in a dozen
-    # sweeps, too few to pay back the PP initializations, and PP takes
-    # 0.65-1.05x the time of DT.  (While the R x R algebra of a sweep still
-    # went through the einsum engine an approximated sweep cost more than an
-    # exact one here and no bin reached 1.0: medians 0.56-1.09 in 20 runs.
-    # With the exact-to-exact stop rule, 13 runs on one thread: 1.20-1.46x and
-    # 1.17-1.44x, 0.66-0.93x below 0.4.)
-    medians = [r.median_speedup for r in results]
-    if not BENCH_TINY:
-        assert all(m > 0.5 for m in medians)
-        assert max(medians) > 1.2
-        assert min(medians[-2:]) > 1.0
-    # and PP must reach essentially the same fitness as the DT baseline
+    # PP must reach essentially the same fitness as the DT baseline
     for result in results:
         for fit_dt, fit_pp in zip(result.final_fitness_baseline, result.final_fitness_pp):
             assert fit_pp >= fit_dt - 0.05

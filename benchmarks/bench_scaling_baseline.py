@@ -16,11 +16,10 @@ Two regression anchors for the real-execution layer:
   ``beta_hop``) are first fitted on this machine by
   :func:`~repro.machine.calibrate.calibrate_machine_params` over a small
   P ∈ {1, 2, 4} ladder, then the P=4 run is re-measured under the fitted
-  parameters.  Wall-clock is not stable across CI runners, so the raw
-  timings and ratios live in the non-gated ``info`` section; the *structural*
-  claim — calibration closes the measured/modeled gap to ≤ 3x at P=4 — is a
-  1/0 indicator in the gated ``tracked`` section
-  (``mp_calibrated_ratio_le_3``).
+  parameters.  Wall-clock is not stable across CI runners, so the report
+  carries only the *structural* claim — calibration closes the
+  measured/modeled gap to ≤ 3x at P=4 — as a 1/0 indicator in the gated
+  ``tracked`` section (``mp_calibrated_ratio_le_3``).
 
 Run as a script to (re)generate the baseline::
 
@@ -29,15 +28,13 @@ Run as a script to (re)generate the baseline::
 
 from __future__ import annotations
 
-import argparse
-import json
-from pathlib import Path
-
 from repro.data.sparse_synthetic import sparse_skewed_count_tensor
 from repro.experiments.weak_scaling import measured_multiprocess_sweep
 from repro.grid.balance import make_partition
 from repro.grid.processor_grid import ProcessorGrid
-from repro.machine.calibrate import calibrate_machine_params
+from repro.machine.calibrate import CalibrationResult, calibrate_machine_params
+
+from compare_bench import write_report_main
 
 try:  # pytest-only flag; absent when run as a plain script
     from conftest import BENCH_TINY
@@ -64,7 +61,8 @@ TINY_CONFIG = {
 }
 
 
-def run_baseline(config: dict) -> dict:
+def measure(config: dict) -> tuple[dict, CalibrationResult, dict]:
+    """Tracked metrics, the hop calibration and the measured P=4 point."""
     tensor = sparse_skewed_count_tensor(
         config["shape"], config["density"], alpha=config["alpha"], seed=0
     )
@@ -96,70 +94,34 @@ def run_baseline(config: dict) -> dict:
     )
     ratio = measured.get("measured_over_modeled", float("inf"))
     tracked["mp_calibrated_ratio_le_3"] = int(ratio <= 3.0)
-    info = {
-        "mp_grid": measured["grid"],
-        "mp_partition_imbalance": measured["imbalance"],
-        "mp_measured_per_sweep_s": measured["measured_per_sweep_seconds"],
-        "mp_modeled_per_sweep_s": measured["modeled_per_sweep_seconds"],
-        "mp_measured_over_modeled": ratio,
-        "cal_alpha_hop": cal.params.alpha_hop,
-        "cal_beta_hop": cal.params.beta_hop,
-        "cal_max_ratio_before": cal.max_ratio_before,
-        "cal_max_ratio_after": cal.max_ratio_after,
-        "cal_n_observations": len(cal.observations),
-    }
-    return {
-        "name": "scaling_baseline",
-        "config": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in config.items()},
-        "tracked": tracked,
-        "info": info,
-    }
+    return tracked, cal, measured
 
 
-def format_report(data: dict) -> str:
-    lines = [f"scaling baseline ({data['config']})", ""]
-    for section in ("tracked", "info"):
-        lines.append(f"{section}:")
-        for key, value in data[section].items():
-            lines.append(f"  {key:>28s}: {value}")
-    return "\n".join(lines)
+def run_baseline(config: dict) -> dict:
+    return {"name": "scaling_baseline", "config": config,
+            "tracked": measure(config)[0]}
 
 
-def test_scaling_baseline(report):
-    """Smoke/report entry point for the pytest harness."""
-    data = run_baseline(TINY_CONFIG if BENCH_TINY else FULL_CONFIG)
+def test_scaling_baseline():
+    """Smoke entry point for pytest."""
+    tracked, cal, measured = measure(TINY_CONFIG if BENCH_TINY else FULL_CONFIG)
     # the joint partitioner's whole contract: never worse than the marginal
     # nnz-balanced cut on the same skewed workload
-    assert (data["tracked"]["imbalance_pct_joint"]
-            <= data["tracked"]["imbalance_pct_nnz_balanced"])
+    assert tracked["imbalance_pct_joint"] <= tracked["imbalance_pct_nnz_balanced"]
     # the measured multi-process run actually ran and produced finite timings
-    assert data["info"]["mp_measured_per_sweep_s"] > 0.0
-    assert data["info"]["mp_modeled_per_sweep_s"] > 0.0
+    assert measured["n_procs"] == 4
+    assert measured["measured_per_sweep_seconds"] > 0.0
+    assert measured["modeled_per_sweep_seconds"] > 0.0
     # calibration's whole contract: fitting the hop terms never widens the
     # measured/modeled gap on the points it was fitted on
-    assert (data["info"]["cal_max_ratio_after"]
-            <= data["info"]["cal_max_ratio_before"] + 1e-9)
-    assert data["info"]["cal_alpha_hop"] >= 0.0
-    assert data["info"]["cal_beta_hop"] >= 0.0
+    assert cal.max_ratio_after <= cal.max_ratio_before + 1e-9
+    assert cal.params.alpha_hop >= 0.0
+    assert cal.params.beta_hop >= 0.0
     if not BENCH_TINY:
-        # the headline gap-closing claim (issue: 53.8x -> <= 3x at P=4);
-        # wall-clock dependent, so only asserted on the full configuration
-        assert data["tracked"]["mp_calibrated_ratio_le_3"] == 1
-    report("bench_scaling_baseline", format_report(data))
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_scaling.json"))
-    parser.add_argument("--tiny", action="store_true",
-                        help="tiny shapes (smoke only; not baseline-comparable)")
-    args = parser.parse_args()
-    data = run_baseline(TINY_CONFIG if args.tiny else FULL_CONFIG)
-    args.out.write_text(json.dumps(data, indent=2) + "\n")
-    print(format_report(data))
-    print(f"\n[saved to {args.out}]")
+        # the headline gap-closing claim (53.8x -> <= 3x at P=4); wall-clock
+        # dependent, so only asserted on the full configuration
+        assert tracked["mp_calibrated_ratio_le_3"] == 1
 
 
 if __name__ == "__main__":
-    main()
+    write_report_main(run_baseline, FULL_CONFIG, TINY_CONFIG, "BENCH_scaling.json")

@@ -1,15 +1,12 @@
-"""Service throughput benchmark: a 16-job burst of sparse multi-starts.
+"""Service baseline: a 16-job burst of sparse multi-starts.
 
 An asyncio load driver submits a burst of identical-shape
 ``multi_start`` requests (60^3 @ 1% sparse, 2 starts each) to a
-:class:`~repro.service.DecompositionService` and measures jobs/sec plus the
-p50/p95 submit-to-finish latency.  The JSON report separates
-
-* ``tracked`` metrics — deterministic work counters (total tracked flops,
-  total sweeps, nonzeros); CI compares them against the committed
-  ``BENCH_service.json`` baseline and fails on >15% drift, and
-* ``info`` metrics — timing and cache statistics, recorded for humans but
-  never compared (CI runner timing is too noisy to gate on).
+:class:`~repro.service.DecompositionService` and awaits every job.  The
+report's tracked metrics are deterministic work counters (total tracked
+flops, total sweeps, nonzeros); CI compares them against the committed
+``BENCH_service.json`` baseline and fails on >15% drift.  The service's
+wall-clock numbers are the harness's ``small_service`` workload.
 
 Run as a script to (re)generate the baseline::
 
@@ -21,19 +18,14 @@ check.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
-import time
-from pathlib import Path
-
-import numpy as np
 
 from repro.contract import default_engine, reset_default_engine
 from repro.core.options import ALSOptions
 from repro.data.sparse_synthetic import sparse_low_rank_tensor
 from repro.service import DecompositionRequest, DecompositionService
-from repro.sparse.csf import csf_cache_stats, reset_csf_cache_stats
+
+from compare_bench import write_report_main
 
 try:  # pytest-only flag; absent when run as a plain script
     from conftest import BENCH_TINY
@@ -61,7 +53,7 @@ TINY_CONFIG = {
 
 
 def run_burst(config: dict) -> dict:
-    """Submit the burst, await every job, and collect the metric report."""
+    """Submit the burst, await every job, and return the report."""
     tensor = sparse_low_rank_tensor(
         config["shape"], rank=config["rank"], density=config["density"],
         noise=0.1, seed=0,
@@ -73,7 +65,6 @@ def run_burst(config: dict) -> dict:
         async with DecompositionService(
             n_workers=config["n_workers"], max_queue=config["n_jobs"],
         ) as service:
-            wall_start = time.perf_counter()
             jobs = [
                 await service.submit(
                     DecompositionRequest(
@@ -83,74 +74,35 @@ def run_burst(config: dict) -> dict:
                 )
                 for seed in range(config["n_jobs"])
             ]
-            results = [await service.result(job.id) for job in jobs]
-            wall = time.perf_counter() - wall_start
-            return jobs, results, wall, service.stats()
+            return [await service.result(job.id) for job in jobs]
 
-    reset_default_engine()
-    reset_csf_cache_stats()
-    jobs, results, wall, stats = asyncio.run(burst())
-
-    latencies = np.array([job.finished_at - job.submitted_at for job in jobs])
+    results = asyncio.run(burst())
     total_flops = sum(
         start.tracker.total_flops for result in results for start in result.results
     )
     total_sweeps = sum(
         start.n_sweeps for result in results for start in result.results
     )
-    engine = default_engine().cache_info()
     return {
         "name": "service_throughput",
-        "config": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in config.items()},
+        "config": config,
         "tracked": {
             "total_flops": int(total_flops),
             "total_sweeps": int(total_sweeps),
             "nnz": int(tensor.nnz),
         },
-        "info": {
-            "jobs_per_second": len(jobs) / wall,
-            "latency_p50_s": float(np.percentile(latencies, 50)),
-            "latency_p95_s": float(np.percentile(latencies, 95)),
-            "wall_s": wall,
-            "mean_fitness": float(np.mean([r.fitness for r in results])),
-            "engine_plans": engine["plans"],
-            "engine_hits": engine["hits"],
-            "engine_misses": engine["misses"],
-            "csf_cache": csf_cache_stats(),
-            "artifacts": stats["artifacts"],
-        },
     }
 
 
-def format_report(data: dict) -> str:
-    lines = [f"service throughput burst ({data['config']})", ""]
-    for section in ("tracked", "info"):
-        lines.append(f"{section}:")
-        for key, value in data[section].items():
-            lines.append(f"  {key:>18s}: {value}")
-    return "\n".join(lines)
-
-
-def test_service_throughput(report):
-    """Smoke/report entry point for the pytest harness."""
+def test_service_throughput():
+    """Smoke entry point for pytest."""
+    reset_default_engine()
     data = run_burst(TINY_CONFIG if BENCH_TINY else FULL_CONFIG)
     assert data["tracked"]["total_sweeps"] > 0
-    assert data["info"]["engine_hits"] > data["info"]["engine_misses"]
-    report("bench_service_throughput", format_report(data))
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_service.json"))
-    parser.add_argument("--tiny", action="store_true",
-                        help="tiny shapes (smoke only; not baseline-comparable)")
-    args = parser.parse_args()
-    data = run_burst(TINY_CONFIG if args.tiny else FULL_CONFIG)
-    args.out.write_text(json.dumps(data, indent=2) + "\n")
-    print(format_report(data))
-    print(f"\n[saved to {args.out}]")
+    # the burst's jobs replay the contraction plans the first one searched
+    engine = default_engine().cache_info()
+    assert engine["hits"] > engine["misses"]
 
 
 if __name__ == "__main__":
-    main()
+    write_report_main(run_burst, FULL_CONFIG, TINY_CONFIG, "BENCH_service.json")

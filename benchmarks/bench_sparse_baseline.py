@@ -2,11 +2,11 @@
 
 The standard sparse regression anchor: a fixed synthetic low-rank tensor
 (200^3, ~1% density, 80k nonzeros) decomposed for a fixed number of sweeps
-with each amortizing engine.  Tracked metrics are the deterministic per-engine
-flop counts, the PP-checkpoint operator-build flops off a warmed MSDT
-provider, and the nnz-balanced partition's max-imbalance on the benchmark
-grid (CI fails on >15% drift against the committed ``BENCH_sparse.json``);
-wall-clock per sweep is informational.
+with each amortizing engine.  The report's tracked metrics are the
+deterministic per-engine flop counts, the PP-checkpoint operator-build flops
+off a warmed MSDT provider, and the nnz-balanced partition's max-imbalance on
+the benchmark grid (CI fails on >15% drift against the committed
+``BENCH_sparse.json``).
 
 Run as a script to (re)generate the baseline::
 
@@ -14,11 +14,6 @@ Run as a script to (re)generate the baseline::
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +25,8 @@ from repro.grid.processor_grid import ProcessorGrid
 from repro.machine.cost_tracker import CostTracker
 from repro.trees import PairwiseOperators
 from repro.trees.registry import make_provider
+
+from compare_bench import write_report_main
 
 try:  # pytest-only flag; absent when run as a plain script
     from conftest import BENCH_TINY
@@ -44,8 +41,8 @@ TINY_CONFIG = {"shape": (20, 20, 20), "density": 0.05, "rank": 3,
 ENGINES = ("dt", "msdt")
 
 
-def pp_checkpoint_flops(tensor, rank: int) -> tuple[int, float]:
-    """Tracked flops (and wall-clock) of one PP-checkpoint operator build.
+def pp_checkpoint_flops(tensor, rank: int) -> int:
+    """Tracked flops of one PP-checkpoint operator build.
 
     Mirrors the ``pp_cp_als`` configuration: the checkpoint is taken right
     after an exact MSDT sweep, so the provider's structural caches and
@@ -59,10 +56,9 @@ def pp_checkpoint_flops(tensor, rank: int) -> tuple[int, float]:
     for mode in range(len(tensor.shape)):
         provider.mttkrp(mode)
     before = tracker.total_flops
-    start = time.perf_counter()
     PairwiseOperators.build(tensor, provider.factors, tracker=tracker,
                             provider=provider)
-    return tracker.total_flops - before, time.perf_counter() - start
+    return tracker.total_flops - before
 
 
 def run_sweeps(config: dict) -> dict:
@@ -71,74 +67,31 @@ def run_sweeps(config: dict) -> dict:
         noise=0.1, seed=0,
     )
     tracked: dict = {"nnz": int(tensor.nnz)}
-    info: dict = {}
     for engine in ENGINES:
         options = ALSOptions(rank=config["rank"], n_sweeps=config["n_sweeps"],
                              tol=0.0, mttkrp=engine, seed=0)
-        start = time.perf_counter()
         result = cp_als(tensor, options=options)
-        wall = time.perf_counter() - start
         tracked[f"flops_{engine}"] = int(result.tracker.total_flops)
-        info[f"wall_s_{engine}"] = wall
-        info[f"seconds_per_sweep_{engine}"] = wall / result.n_sweeps
-        info[f"fitness_{engine}"] = result.fitness
-
-    checkpoint_flops, checkpoint_wall = pp_checkpoint_flops(
-        tensor, config["rank"]
-    )
-    tracked["flops_pp_checkpoint"] = int(checkpoint_flops)
-    info["wall_s_pp_checkpoint"] = checkpoint_wall
+    tracked["flops_pp_checkpoint"] = int(pp_checkpoint_flops(tensor, config["rank"]))
 
     # nnz-balanced partition quality on the benchmark grid: max-imbalance is
     # a deterministic function of the (seeded) tensor, so a drift here means
     # the balancer itself changed
     partition = make_partition("nnz-balanced", tensor,
                                ProcessorGrid(tuple(config["grid"])))
-    partition_report = partition.report(tensor)
     tracked["partition_max_imbalance_pct"] = int(
-        round(100 * float(partition_report.imbalance))
+        round(100 * float(partition.report(tensor).imbalance))
     )
-    info["partition_per_rank_nnz_max"] = int(
-        np.max(partition_report.per_rank_nnz)
-    )
-    return {
-        "name": "sparse_baseline",
-        "config": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in config.items()},
-        "tracked": tracked,
-        "info": info,
-    }
+    return {"name": "sparse_baseline", "config": config, "tracked": tracked}
 
 
-def format_report(data: dict) -> str:
-    lines = [f"sparse sweep baseline ({data['config']})", ""]
-    for section in ("tracked", "info"):
-        lines.append(f"{section}:")
-        for key, value in data[section].items():
-            lines.append(f"  {key:>24s}: {value}")
-    return "\n".join(lines)
-
-
-def test_sparse_baseline(report):
-    """Smoke/report entry point for the pytest harness."""
+def test_sparse_baseline():
+    """Smoke entry point for pytest."""
     data = run_sweeps(TINY_CONFIG if BENCH_TINY else FULL_CONFIG)
     # the amortizing tree engines must run, and msdt must not do more work
     # than the standard tree (its whole point is reuse across sweeps)
     assert data["tracked"]["flops_msdt"] <= data["tracked"]["flops_dt"]
-    report("bench_sparse_baseline", format_report(data))
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_sparse.json"))
-    parser.add_argument("--tiny", action="store_true",
-                        help="tiny shapes (smoke only; not baseline-comparable)")
-    args = parser.parse_args()
-    data = run_sweeps(TINY_CONFIG if args.tiny else FULL_CONFIG)
-    args.out.write_text(json.dumps(data, indent=2) + "\n")
-    print(format_report(data))
-    print(f"\n[saved to {args.out}]")
 
 
 if __name__ == "__main__":
-    main()
+    write_report_main(run_sweeps, FULL_CONFIG, TINY_CONFIG, "BENCH_sparse.json")

@@ -4,12 +4,17 @@ Usage::
 
     python benchmarks/compare_bench.py BENCH_service.json /tmp/BENCH_service.json
 
-Only the ``tracked`` section gates: these are deterministic work counters
-(flop counts, sweep counts, nonzeros), so any relative drift beyond the
-threshold (default 15%) means the computation itself changed and the run
-exits non-zero.  ``info`` metrics (timing, cache hit rates) are printed side
-by side for context but never compared — CI runner timing is not stable
-enough to gate on.
+A report has exactly three keys: ``name``, ``config`` and ``tracked``.  The
+``tracked`` metrics are deterministic work counters (flop counts, sweep
+counts, nonzeros), so any relative drift beyond the threshold (default 15%)
+means the computation itself changed and the run exits 1.  A report with any
+other layout, or a config that differs from the baseline's, exits 2.
+Wall-clock numbers come from the harness (``benchmarks/harness``), never from
+these reports.
+
+The baseline scripts (``bench_families.py``, ``bench_sparse_baseline.py``,
+``bench_service_throughput.py``, ``bench_scaling_baseline.py``) write their
+reports through :func:`write_report_main`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
+
+REPORT_KEYS = {"name", "config", "tracked"}
 
 
 def relative_drift(baseline: float, candidate: float) -> float:
@@ -30,15 +38,14 @@ def relative_drift(baseline: float, candidate: float) -> float:
 def compare(baseline: dict, candidate: dict, threshold: float) -> list[str]:
     """Failure messages for tracked metrics drifting beyond ``threshold``."""
     failures = []
-    base_tracked = baseline.get("tracked", {})
-    cand_tracked = candidate.get("tracked", {})
+    base_tracked, cand_tracked = baseline["tracked"], candidate["tracked"]
     missing = set(base_tracked) - set(cand_tracked)
     if missing:
         failures.append(f"candidate is missing tracked metrics: {sorted(missing)}")
     for key in sorted(set(base_tracked) & set(cand_tracked)):
         drift = relative_drift(base_tracked[key], cand_tracked[key])
         marker = "FAIL" if drift > threshold else "ok"
-        print(f"  tracked {key:>24s}: {base_tracked[key]:>16} -> "
+        print(f"  tracked {key:>28s}: {base_tracked[key]:>16} -> "
               f"{cand_tracked[key]:>16}  ({drift:7.2%} drift) {marker}")
         if drift > threshold:
             failures.append(
@@ -46,10 +53,27 @@ def compare(baseline: dict, candidate: dict, threshold: float) -> list[str]:
                 f"(baseline {base_tracked[key]}, candidate {cand_tracked[key]}, "
                 f"threshold {threshold:.0%})"
             )
-    for key in sorted(set(baseline.get("info", {})) & set(candidate.get("info", {}))):
-        print(f"  info    {key:>24s}: {baseline['info'][key]} -> "
-              f"{candidate['info'][key]}")
     return failures
+
+
+def write_report_main(run: Callable[[dict], dict], full_config: dict,
+                      tiny_config: dict, default_out: str) -> None:
+    """Command line of a baseline script: ``[--out PATH] [--tiny]``.
+
+    Runs ``run`` on the full (or tiny) configuration, writes the report it
+    returns as JSON and prints its tracked metrics.
+    """
+    parser = argparse.ArgumentParser(description=sys.modules["__main__"].__doc__)
+    parser.add_argument("--out", type=Path, default=Path(default_out))
+    parser.add_argument("--tiny", action="store_true",
+                        help="tiny shapes (smoke only; not baseline-comparable)")
+    args = parser.parse_args()
+    data = run(tiny_config if args.tiny else full_config)
+    args.out.write_text(json.dumps(data, indent=2) + "\n")
+    print(f"{data['name']} ({data['config']})")
+    for key, value in data["tracked"].items():
+        print(f"  tracked {key:>28s}: {value}")
+    print(f"[saved to {args.out}]")
 
 
 def main() -> int:
@@ -62,9 +86,14 @@ def main() -> int:
 
     baseline = json.loads(args.baseline.read_text())
     candidate = json.loads(args.candidate.read_text())
-    if baseline.get("config") != candidate.get("config"):
-        print(f"error: config mismatch\n  baseline:  {baseline.get('config')}\n"
-              f"  candidate: {candidate.get('config')}", file=sys.stderr)
+    for path, data in ((args.baseline, baseline), (args.candidate, candidate)):
+        if set(data) != REPORT_KEYS:
+            print(f"error: {path} has keys {sorted(data)}; a report has exactly "
+                  f"{sorted(REPORT_KEYS)}", file=sys.stderr)
+            return 2
+    if baseline["config"] != candidate["config"]:
+        print(f"error: config mismatch\n  baseline:  {baseline['config']}\n"
+              f"  candidate: {candidate['config']}", file=sys.stderr)
         return 2
 
     print(f"comparing {args.candidate} against baseline {args.baseline} "

@@ -121,30 +121,6 @@ def _charge_all_ranks_flops(machine: SimulatedMachine, category: str, flops: int
             tracker.add_seconds(category, seconds)
 
 
-def _allreduce_gram(state: ParallelState, mode: int) -> np.ndarray:
-    """Gram matrix of factor ``mode`` via per-rank row chunks + All-Reduce.
-
-    Mirrors lines 6-7 / 16-17 of Algorithm 3: the factor rows are distributed
-    over all ``P`` processors, each computes the Gram of its chunk, and an
-    All-Reduce over all processors replicates the result.
-    """
-    machine = state.machine
-    factor = state.dist_factors[mode].padded_global()
-    ranges = split_rows_evenly(factor.shape[0], machine.n_ranks)
-    contributions = {}
-    for rank, (start, stop) in enumerate(ranges):
-        chunk = factor[start:stop]
-        t0 = time.perf_counter()
-        local_gram = chunk.T @ chunk
-        elapsed = time.perf_counter() - t0
-        tracker = machine.tracker(rank)
-        tracker.add_flops("others", 2 * chunk.shape[0] * state.rank * state.rank)
-        tracker.add_seconds("others", elapsed)
-        contributions[rank] = local_gram
-    reduced = machine.all_reduce(contributions, list(range(machine.n_ranks)))
-    return reduced[0]
-
-
 def setup_parallel_state(
     tensor: np.ndarray | DistributedTensor | DistSparseTensor,
     options: ParallelOptions,
@@ -271,7 +247,8 @@ def setup_parallel_state(
         owns_machine=owns_machine,
     )
     # initial Gram matrices + All-Reduce (Algorithm 3 lines 4-9)
-    state.grams = [_allreduce_gram(state, mode) for mode in range(grid.order)]
+    padded = [f.padded_global() for f in dist_factors]
+    state.grams = [allreduce_rowwise_product(state, p, p) for p in padded]
     return state
 
 

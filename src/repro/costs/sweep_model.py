@@ -219,8 +219,8 @@ def sparse_sweep_time_model(
         multiplied by it.  ``1.0`` models a perfectly balanced partition.
     fiber_ratio:
         Fraction of nonzero-level work the fiber-compressed second tree
-        levels retain (CSF fibers per nonzero); 0.5 matches the measured
-        ``bench_sparse_mttkrp`` sweeps at 1% density.
+        levels retain (CSF fibers per nonzero); 0.5 is close to the 0.43
+        fibers per nonzero of the 200^3, 1% tensor of ``BENCH_sparse.json``.
     block_rows:
         Per-mode padded factor-block heights; defaults to the uniform
         ``ceil(s_i / I_i)`` (pass a partition's
@@ -307,7 +307,7 @@ def sparse_sweep_time_model(
         hop_seconds = params.alpha_hop * hop_messages + params.beta_hop * hop_words
 
     return SweepCostBreakdown(
-        method=f"sparse-{method}",
+        method=method,
         ttm_seconds=ttm_seconds,
         mttv_seconds=mttv_seconds,
         hadamard_seconds=hadamard_seconds,

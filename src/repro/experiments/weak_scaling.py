@@ -292,8 +292,7 @@ def executed_sparse_weak_scaling(
             mean_time = float(np.mean([s.modeled_seconds for s in values]))
             breakdown = values[-1].kernel_seconds if values else {}
             points.append(
-                WeakScalingPoint(grid, f"sparse-{method}", mean_time, breakdown,
-                                 "executed")
+                WeakScalingPoint(grid, method, mean_time, breakdown, "executed")
             )
     return points
 
@@ -371,7 +370,7 @@ def measured_multiprocess_sweep(
     point = {
         "grid": "x".join(str(d) for d in grid),
         "n_procs": n_procs,
-        "method": f"sparse-{method}",
+        "method": method,
         "partitioner": report.partitioner,
         "imbalance": float(report.imbalance),
         "nnz": int(tensor.nnz),

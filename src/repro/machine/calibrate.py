@@ -4,8 +4,9 @@ The pure alpha-beta-gamma-nu model prices the paper's *network*; it knows
 nothing about the cost of crossing a ``multiprocessing`` queue or publishing a
 factor panel through shared memory, which is why the first real measurement of
 ``execution="process"`` sweeps came out ~54x over the model at tiny per-rank
-sizes (``BENCH_scaling.json``).  This module closes that gap: run a small grid
-of :func:`~repro.experiments.weak_scaling.measured_multiprocess_sweep` points,
+sizes (what :attr:`CalibrationResult.max_ratio_before` reports).  This module
+closes that gap: run a small grid of
+:func:`~repro.experiments.weak_scaling.measured_multiprocess_sweep` points,
 regress the measured-minus-modeled residual on the per-sweep hop counts of
 :func:`~repro.machine.collective_costs.process_hop_cost`, and return machine
 parameters whose ``alpha_hop`` / ``beta_hop`` absorb the IPC overhead.

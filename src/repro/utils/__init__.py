@@ -1,4 +1,4 @@
-"""Small shared utilities: argument validation, RNG handling, timers."""
+"""Small shared utilities: argument validation and RNG handling."""
 
 from repro.utils.validation import (
     check_dense_tensor,
@@ -8,7 +8,6 @@ from repro.utils.validation import (
     check_rank,
 )
 from repro.utils.random import as_rng
-from repro.utils.timing import Timer, CategoryTimer
 
 __all__ = [
     "check_dense_tensor",
@@ -17,6 +16,4 @@ __all__ = [
     "check_probability",
     "check_rank",
     "as_rng",
-    "Timer",
-    "CategoryTimer",
 ]

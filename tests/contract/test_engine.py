@@ -230,6 +230,12 @@ class TestKernelPlanReuse:
         info = engine.cache_info()
         assert info["hits"] >= 1
         assert info["misses"] >= 1
+        # a fresh provider on the same shapes (the next start of a
+        # multi-start) replays the plans the first one searched
+        fresh = make_provider("dt" if sparse else "naive", data, factors)
+        for mode in range(3):
+            fresh.mttkrp(mode)
+        assert engine.cache_info()["misses"] == info["misses"]
 
     def test_dense_tree_kernels_never_reach_the_engine(self):
         """The dense ``dt``/``msdt`` sweeps, the dense PP operator build and

@@ -144,7 +144,7 @@ class TestSparseSweepModel:
 
     def test_breakdown_sums(self):
         breakdown = sparse_sweep_time_model("msdt", 1e5, self.SHAPE, 32, self.GRID)
-        assert breakdown.method == "sparse-msdt"
+        assert breakdown.method == "msdt"
         assert breakdown.total_seconds == pytest.approx(
             sum(breakdown.category_seconds().values())
         )

@@ -160,9 +160,13 @@ class TestSparseParallelSweep:
         assert {"als", "pp-init", "pp-approx"} <= {s.sweep_type for s in result.sweeps}
 
     def test_skewed_acceptance_scenario(self):
-        """nnz-balanced <= 1.5x where uniform blocking exceeds 3x (ISSUE 4)."""
+        """nnz-balanced <= 1.5x where uniform blocking exceeds 3x, and the
+        joint (cross-mode) cut is never worse than the marginal one."""
         tensor = sparse_skewed_count_tensor((200, 200, 200), 0.01, alpha=1.1, seed=0)
         uniform = make_partition("uniform", tensor, GRID).report(tensor)
         balanced = make_partition("nnz-balanced", tensor, GRID).report(tensor)
+        joint = make_partition("joint", tensor, GRID).report(tensor)
         assert uniform.imbalance > 3.0
         assert balanced.imbalance <= 1.5
+        assert joint.partitioner == "joint"
+        assert joint.imbalance <= balanced.imbalance

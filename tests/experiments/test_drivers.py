@@ -87,7 +87,7 @@ class TestSparseWeakScalingDriver:
         points = modeled_sparse_weak_scaling(3, 10_000, 50, 16,
                                              grids=[(1, 1, 1), (2, 2, 2)])
         assert len(points) == 2 * 3
-        assert {p.method for p in points} == {"sparse-naive", "sparse-dt", "sparse-msdt"}
+        assert {p.method for p in points} == {"naive", "dt", "msdt"}
         assert all(p.per_sweep_seconds > 0 for p in points)
 
     def test_modeled_default_grid_lists(self):

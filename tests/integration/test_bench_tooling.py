@@ -1,8 +1,8 @@
-"""The benchmark tooling on canned reports (no benchmark runs here).
+"""The benchmark tooling on canned and committed reports (no benchmark runs here).
 
-An ``info`` value may be ``null`` (a timing that did not run);
-``compare_bench.py`` must print it side by side like any other ``info`` value
-and gate on ``tracked`` alone.
+A ``BENCH_*.json`` report is a pure work-counter file: exactly ``name``,
+``config`` and ``tracked``; ``compare_bench.py`` refuses any other layout and
+gates on ``tracked`` alone.
 ``ab_pairs.py`` turns alternating parent/change harness runs into the verdict
 of the rule every speed claim is held to.
 """
@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-_COMPARE = Path(__file__).resolve().parents[2] / "benchmarks" / "compare_bench.py"
+_REPO = Path(__file__).resolve().parents[2]
+_COMPARE = _REPO / "benchmarks" / "compare_bench.py"
+_BASELINES = sorted(_REPO.glob("BENCH_*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -25,36 +27,38 @@ def compare_bench():
     return module
 
 
-def _report(ratio, flops=100):
-    return {"name": "sparse_baseline", "config": {"rank": 8},
-            "tracked": {"flops_dt": flops},
-            "info": {"wall_s_optional": ratio}}
+def _compare_files(compare_bench, monkeypatch, baseline, candidate):
+    monkeypatch.setattr(sys, "argv", ["compare_bench.py", str(baseline), str(candidate)])
+    return compare_bench.main()
 
 
-@pytest.mark.parametrize("baseline, candidate", [(0.95, None), (None, None), (None, 0.4)])
-def test_null_info_values_are_printed_not_compared(compare_bench, capsys,
-                                                   baseline, candidate):
-    failures = compare_bench.compare(_report(baseline), _report(candidate), 0.15)
-    assert failures == []
-    assert f"{baseline} -> {candidate}" in capsys.readouterr().out
+def test_cli_refuses_any_key_beside_name_config_tracked(compare_bench, tmp_path,
+                                                        monkeypatch, capsys):
+    report = {"name": "sparse_baseline", "config": {"rank": 8},
+              "tracked": {"flops_dt": 100}}
+    base, same, drifted, extra = (tmp_path / f"{name}.json" for name in "abcd")
+    base.write_text(json.dumps(report))
+    same.write_text(json.dumps(report))
+    drifted.write_text(json.dumps({**report, "tracked": {"flops_dt": 200}}))
+    extra.write_text(json.dumps({**report, "info": {"wall_s_dt": 0.1}}))
+    assert _compare_files(compare_bench, monkeypatch, base, same) == 0
+    assert _compare_files(compare_bench, monkeypatch, base, drifted) == 1
+    assert _compare_files(compare_bench, monkeypatch, base, extra) == 2
+    assert _compare_files(compare_bench, monkeypatch, extra, base) == 2
+    assert "info" in capsys.readouterr().err
 
 
-def test_cli_accepts_nulls_and_still_gates_on_tracked(compare_bench, tmp_path,
-                                                      monkeypatch, capsys):
-    base, same, drifted = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
-    base.write_text(json.dumps(_report(0.95)))
-    same.write_text(json.dumps(_report(None)))
-    drifted.write_text(json.dumps(_report(None, flops=200)))
-    monkeypatch.setattr(sys, "argv", ["compare_bench.py", str(base), str(same)])
-    assert compare_bench.main() == 0
-    monkeypatch.setattr(sys, "argv", ["compare_bench.py", str(base), str(drifted)])
-    assert compare_bench.main() == 1
-    capsys.readouterr()
+@pytest.mark.parametrize("path", _BASELINES, ids=lambda path: path.name)
+def test_committed_reports_are_work_counters_only(compare_bench, monkeypatch,
+                                                  capsys, path):
+    assert set(json.loads(path.read_text())) == {"name", "config", "tracked"}
+    assert _compare_files(compare_bench, monkeypatch, path, path) == 0
+    assert "all tracked metrics within threshold" in capsys.readouterr().out
 
 
 # -- benchmarks/ab_pairs.py: the alternating-pairs verdict on canned reports --
 
-_AB_PAIRS = Path(__file__).resolve().parents[2] / "benchmarks" / "ab_pairs.py"
+_AB_PAIRS = _REPO / "benchmarks" / "ab_pairs.py"
 
 
 @pytest.fixture(scope="module")
