@@ -39,11 +39,11 @@ from repro.sparse import CooTensor, CsfTensor, sparse_mttkrp, sparse_partial_mtt
 from repro.core.pp_cp_als import pp_cp_als
 from repro.core.nn_cp_als import nn_cp_als
 from repro.core.masked_cp_als import MaskedALSResult, masked_cp_als
-from repro.core.algorithms import available_algorithms, get_algorithm
 from repro.core.updates import UpdateRule, available_update_rules, make_update_rule
 from repro.core.multi_start import MultiStartResult, multi_start, start_seeds
 from repro.core.parallel_cp_als import parallel_cp_als
 from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
+from repro.core.decompose import decompose
 from repro.core.results import ALSResult, ParallelALSResult, ResultBase, SweepRecord
 from repro.core.options import (
     ALSOptions,
@@ -70,6 +70,7 @@ from repro.distributed.dist_tensor import DistributedTensor
 
 __all__ = [
     "__version__",
+    "decompose",
     "cp_als",
     "pp_cp_als",
     "nn_cp_als",
@@ -78,8 +79,6 @@ __all__ = [
     "MultiStartResult",
     "MaskedALSResult",
     "start_seeds",
-    "available_algorithms",
-    "get_algorithm",
     "UpdateRule",
     "available_update_rules",
     "make_update_rule",

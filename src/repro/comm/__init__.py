@@ -20,6 +20,10 @@ Two machines implement it:
   stay master-driven (bit-identical to the simulated machine) while the
   rank-local kernels execute in the workers.
 
+:data:`MACHINES` maps a run's ``execution`` setting to its machine class, and
+each machine's ``attach`` builds the ranks of one distributed problem on it
+(:mod:`repro.distributed.runtime`): the one substrate decision.
+
 :class:`repro.comm.mpi_adapter.MPICollectives` additionally adapts any
 mpi4py-compatible communicator to the small set of array collectives the
 algorithms need, so the same local kernels can be deployed under real MPI.
@@ -30,7 +34,11 @@ from repro.comm.simulated import SimulatedMachine
 from repro.comm.mpi_adapter import MPICollectives
 from repro.comm.procs import ProcessMachine, leaked_segments
 
+#: the machine class of each ``execution`` substrate
+MACHINES = {"simulated": SimulatedMachine, "process": ProcessMachine}
+
 __all__ = [
+    "MACHINES",
     "GroupCollectives",
     "SimulatedMachine",
     "MPICollectives",

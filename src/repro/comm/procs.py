@@ -490,6 +490,16 @@ class ProcessMachine(SimulatedMachine):
         for category, seconds in payload.get("seconds", {}).items():
             tracker.add_seconds(category, seconds)
 
+    # -- substrate -------------------------------------------------------------
+    def attach(self, grid, dist_tensor, dist_factors, mttkrp: str,
+               max_cache_bytes: int | None = None):
+        """The ranks of one distributed problem on this machine, in its
+        workers (a :class:`~repro.distributed.runtime.ProcessRuntime`)."""
+        from repro.distributed.runtime import ProcessRuntime
+
+        return ProcessRuntime(self, grid, dist_tensor, dist_factors, mttkrp,
+                              max_cache_bytes=max_cache_bytes)
+
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
         """Shut workers down and unlink every owned segment (idempotent)."""

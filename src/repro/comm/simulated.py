@@ -51,10 +51,6 @@ class SimulatedMachine(GroupCollectives):
             raise ValueError(f"rank {rank} out of range for {self._n_ranks} ranks")
         return self._trackers[rank]
 
-    @property
-    def trackers(self) -> list[CostTracker]:
-        return list(self._trackers)
-
     def reset_costs(self) -> None:
         for t in self._trackers:
             t.reset()
@@ -75,6 +71,19 @@ class SimulatedMachine(GroupCollectives):
     def modeled_time(self) -> float:
         """Modeled seconds of the critical path under this machine's params."""
         return self.critical_path_tracker().modeled_time(self.params)
+
+    # -- substrate -------------------------------------------------------------
+    def attach(self, grid, dist_tensor, dist_factors, mttkrp: str,
+               max_cache_bytes: int | None = None):
+        """The ranks of one distributed problem on this machine, in this
+        process (a :class:`~repro.distributed.runtime.LocalRuntime`)."""
+        from repro.distributed.runtime import LocalRuntime
+
+        return LocalRuntime(self, grid, dist_tensor, dist_factors, mttkrp,
+                            max_cache_bytes=max_cache_bytes)
+
+    def close(self) -> None:
+        """Release the machine's resources (none in one process)."""
 
     # -- internal ---------------------------------------------------------------
     def _charge(self, group: Sequence[int], messages: float, words: float) -> None:

@@ -14,16 +14,18 @@
 * :func:`repro.core.masked_cp_als.masked_cp_als` — masked/weighted ALS over
   an observed-entry pattern (missing-data tensors).
 * :func:`repro.core.multi_start.multi_start` — batched best-of-K multi-start
-  driver over any registered sequential algorithm, with deterministic
-  per-start seeds and optional worker threads sharing one contraction-plan
-  cache.
+  driver over any sequential bundle, with deterministic per-start seeds and
+  optional worker threads sharing one contraction-plan cache.
+* :func:`repro.core.decompose.decompose` — the one entry point: the options
+  bundle's class picks the driver.
 
 Every driver runs the one sweep loop of :mod:`repro.core.loop` (stop rule,
-PP phases, sweep records) over a sequential or a parallel substrate.  The
-per-mode factor updates live in :mod:`repro.core.updates` (the
+PP phases, sweep records) over a sequential or a parallel substrate, from one
+of two bodies: :func:`~repro.core.loop.solve_sequential` or
+:func:`~repro.core.parallel_common.solve_parallel`.  The per-mode factor
+updates live in :mod:`repro.core.updates` (the
 :class:`~repro.core.updates.UpdateRule` objects plus the shared
-:func:`~repro.core.updates.sweep` kernel every sequential driver runs), and
-the name → (driver, options-class) registry in :mod:`repro.core.algorithms`.
+:func:`~repro.core.updates.sweep` kernel every sequential driver runs).
 """
 
 from repro.core.options import (
@@ -52,16 +54,10 @@ from repro.core.cp_als import cp_als
 from repro.core.pp_cp_als import pp_cp_als
 from repro.core.nn_cp_als import nn_cp_als
 from repro.core.masked_cp_als import MaskedALSResult, masked_cp_als
-from repro.core.algorithms import (
-    AlgorithmSpec,
-    algorithm_for_options,
-    available_algorithms,
-    get_algorithm,
-    options_class_for,
-)
 from repro.core.multi_start import MultiStartResult, multi_start, start_seeds
 from repro.core.parallel_cp_als import parallel_cp_als
 from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
+from repro.core.decompose import decompose
 
 __all__ = [
     "ALSOptions",
@@ -79,11 +75,6 @@ __all__ = [
     "make_update_rule",
     "available_update_rules",
     "sweep",
-    "AlgorithmSpec",
-    "algorithm_for_options",
-    "available_algorithms",
-    "get_algorithm",
-    "options_class_for",
     "init_factors",
     "gram_matrix",
     "gamma_chain",
@@ -100,4 +91,5 @@ __all__ = [
     "start_seeds",
     "parallel_cp_als",
     "parallel_pp_cp_als",
+    "decompose",
 ]

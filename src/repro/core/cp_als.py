@@ -6,9 +6,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.initialization import prepare_als_inputs
-from repro.core.loop import SequentialRun, run_sweeps
-from repro.core.options import ALSOptions, check_options
+from repro.core.loop import solve_sequential
+from repro.core.options import ALSOptions
 from repro.core.results import ALSResult
 from repro.core.updates import make_update_rule
 from repro.machine.cost_tracker import CostTracker
@@ -63,27 +62,8 @@ def cp_als(
     -------
     :class:`~repro.core.results.ALSResult`
     """
-    opts = check_options(options, ALSOptions)
-    tracker = tracker if tracker is not None else CostTracker()
-    tensor, factors, norm_t = prepare_als_inputs(
-        tensor, opts.rank, min_order=2, dtype=dtype,
-        initial_factors=initial_factors, seed=opts.seed,
-    )
-
-    run = SequentialRun.build(opts.mttkrp, tensor, factors, norm_t, tracker,
-                              make_update_rule("least_squares"), max_cache_bytes)
-    outcome = run_sweeps(run, n_sweeps=opts.n_sweeps, tol=opts.tol,
-                         record_sweeps=record_sweeps, callback=callback)
-
-    return ALSResult(
-        factors=run.factors(),
-        tracker=tracker,
-        options={
-            "rank": opts.rank,
-            "n_sweeps": opts.n_sweeps,
-            "tol": opts.tol,
-            "mttkrp": opts.mttkrp,
-            "dtype": str(tensor.dtype),
-        },
-        **outcome.result_fields(),
+    return solve_sequential(
+        tensor, options, ALSOptions, rule=make_update_rule("least_squares"),
+        initial_factors=initial_factors, tracker=tracker, record_sweeps=record_sweeps,
+        callback=callback, max_cache_bytes=max_cache_bytes, dtype=dtype,
     )

@@ -81,8 +81,8 @@ def prepare_als_inputs(
 ):
     """Shared driver prologue: validated tensor, working factors, tensor norm.
 
-    Used by :func:`~repro.core.cp_als.cp_als` and
-    :func:`~repro.core.pp_cp_als.pp_cp_als` so tensor/backend validation, the
+    Used by :func:`~repro.core.loop.solve_sequential`, the body of every
+    sequential driver, so tensor/backend validation, the
     dtype normalization of the factors and the zero-norm guard stay in one
     place.  Returns ``(tensor, factors, norm_t)`` where the tensor is dense or
     sparse (see :func:`repro.backend.check_tensor`), the factors are fresh

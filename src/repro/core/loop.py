@@ -26,7 +26,9 @@ matrices, a cost tracker and an update rule — ``cp_als``, ``nn_cp_als``,
 :class:`~repro.core.parallel_common.ParallelRun` (a
 :class:`~repro.core.parallel_common.ParallelState` — ``parallel_cp_als`` and
 ``parallel_pp_cp_als``).  With ``pp=None`` the loop copies no factors and
-keeps no start residual.
+keeps no start residual.  :func:`solve_sequential` is the body of the four
+sequential drivers, the twin of
+:func:`~repro.core.parallel_common.solve_parallel`.
 """
 
 from __future__ import annotations
@@ -34,17 +36,19 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.initialization import prepare_als_inputs
 from repro.core.normal_equations import gamma_chain, gram_matrix
 from repro.core.pp_corrections import (
     delta_gram,
     fused_approx_update,
     pp_step_within_tolerance,
 )
-from repro.core.results import ResultBase, SweepRecord
+from repro.core.options import NNOptions, PPOptions, check_options
+from repro.core.results import ALSResult, ResultBase, SweepRecord
 from repro.core.updates import LeastSquaresUpdate, UpdateRule, sweep
 from repro.machine.cost_tracker import CostTracker
 from repro.tensor.norms import residual_from_mttkrp
@@ -52,7 +56,8 @@ from repro.trees.base import MTTKRPProvider
 from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import make_provider
 
-__all__ = ["run_sweeps", "SweepOutcome", "SweepRun", "SequentialRun", "DIVERGENCE"]
+__all__ = ["run_sweeps", "SweepOutcome", "SweepRun", "SequentialRun", "solve_sequential",
+           "DIVERGENCE"]
 
 logger = logging.getLogger("repro.core")
 
@@ -279,16 +284,6 @@ class SequentialRun(SweepRun):
         # per-mode Mtilde workspaces, reused across every approximated sweep
         self._workspaces: dict[int, np.ndarray] = {}
 
-    @classmethod
-    def build(cls, engine: str, tensor, factors, norm_t: float, tracker: CostTracker,
-              rule: UpdateRule | None = None,
-              max_cache_bytes: int | None = None) -> "SequentialRun":
-        """Bind the MTTKRP ``engine`` to ``tensor`` and ``factors``."""
-        provider = make_provider(engine, tensor, factors, tracker=tracker,
-                                 max_cache_bytes=max_cache_bytes)
-        grams = [gram_matrix(f, tracker=tracker) for f in provider.factors]
-        return cls(provider, grams, norm_t, tracker, rule)
-
     def snapshot(self):
         return self.tracker.snapshot()
 
@@ -349,3 +344,42 @@ class SequentialRun(SweepRun):
 
     def factors(self) -> list[np.ndarray]:
         return [f.copy() for f in self.provider.factors]
+
+
+def solve_sequential(tensor, options, cls: type, *, rule: UpdateRule | None = None,
+                     result: Callable[..., ALSResult] = ALSResult,
+                     initial_factors: Sequence[np.ndarray] | None = None,
+                     tracker: CostTracker | None = None, max_cache_bytes: int | None = None,
+                     dtype: np.dtype | str | None = None, **loop) -> ALSResult:
+    """The body of the four sequential drivers: the one sweep loop on a
+    :class:`SequentialRun` of the ``cls`` bundle's engine under ``rule``.
+
+    A :class:`~repro.core.options.PPOptions` ``cls`` turns on PP phases;
+    ``result`` builds the result.  The keywords are those of
+    :func:`~repro.core.cp_als.cp_als`; ``loop`` (``record_sweeps``,
+    ``callback``) goes to :func:`run_sweeps`.
+    """
+    opts = check_options(options, cls)
+    pp = ((opts.pp_tol, opts.max_pp_sweeps_per_phase)
+          if issubclass(cls, PPOptions) else None)
+    tracker = tracker if tracker is not None else CostTracker()
+    tensor, factors, norm_t = prepare_als_inputs(
+        tensor, opts.rank, min_order=2 if pp is None else 3, dtype=dtype,
+        initial_factors=initial_factors, seed=opts.seed,
+    )
+
+    provider = make_provider(opts.mttkrp, tensor, factors, tracker=tracker,
+                             max_cache_bytes=max_cache_bytes)
+    run = SequentialRun(provider, [gram_matrix(f, tracker=tracker) for f in provider.factors],
+                        norm_t, tracker, rule)
+    outcome = run_sweeps(run, n_sweeps=opts.n_sweeps, tol=opts.tol, pp=pp, **loop)
+
+    settings = {"rank": opts.rank, "n_sweeps": opts.n_sweeps, "tol": opts.tol}
+    if pp is not None:
+        settings["pp_tol"] = opts.pp_tol
+    settings["mttkrp"] = opts.mttkrp
+    if issubclass(cls, NNOptions):
+        settings["update"] = opts.update
+    settings["dtype"] = str(tensor.dtype)
+    return result(factors=run.factors(), tracker=tracker, options=settings,
+                  **outcome.result_fields())

@@ -15,13 +15,14 @@ produce identical iterates.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.backend import is_sparse_tensor
-from repro.core.initialization import prepare_als_inputs
-from repro.core.loop import SequentialRun, run_sweeps
+from repro.core.loop import solve_sequential
 from repro.core.options import MaskedOptions, check_options
 from repro.core.results import ALSResult
 from repro.core.updates import MaskedLeastSquaresUpdate
@@ -29,8 +30,6 @@ from repro.machine.cost_tracker import CostTracker
 from repro.sparse.coo import CooTensor
 
 __all__ = ["masked_cp_als", "MaskedALSResult", "normalize_mask"]
-
-from dataclasses import dataclass
 
 
 @dataclass
@@ -71,8 +70,8 @@ def normalize_mask(tensor, mask) -> np.ndarray:
     if mask is None:
         if not is_sparse_tensor(tensor):
             raise ValueError(
-                "a mask is required for dense input (for a sparse CooTensor "
-                "the nonzero pattern is used when mask is omitted)"
+                "a mask is required for dense input: pass an explicit mask (for "
+                "a sparse CooTensor the nonzero pattern is used when it is omitted)"
             )
         return tensor.indices
     if is_sparse_tensor(mask):
@@ -162,9 +161,7 @@ def masked_cp_als(
     observed entries, and ``n_observed``/``observed_fraction`` report the
     mask size.
     """
-    opts = check_options(options, MaskedOptions)
-    tracker = tracker if tracker is not None else CostTracker()
-
+    check_options(options, MaskedOptions)
     sparse_input = is_sparse_tensor(tensor)
     mask_indices = normalize_mask(tensor, mask)
     if mask_indices.shape[0] == 0:
@@ -180,30 +177,13 @@ def masked_cp_als(
         observed_tensor = np.zeros(shape, dtype=np.float64)
         observed_tensor[tuple(mask_indices.T)] = observed
 
-    observed_tensor, factors, norm_obs = prepare_als_inputs(
-        observed_tensor, opts.rank, min_order=2, dtype=dtype,
-        initial_factors=initial_factors, seed=opts.seed,
-    )
-
-    rule = MaskedLeastSquaresUpdate(mask_indices, shape)
-    run = SequentialRun.build(opts.mttkrp, observed_tensor, factors, norm_obs, tracker,
-                              rule, max_cache_bytes)
-    outcome = run_sweeps(run, n_sweeps=opts.n_sweeps, tol=opts.tol,
-                         record_sweeps=record_sweeps, callback=callback)
-
     n_observed = int(mask_indices.shape[0])
     size = int(np.prod(shape, dtype=np.int64))
-    return MaskedALSResult(
-        factors=run.factors(),
-        tracker=tracker,
-        options={
-            "rank": opts.rank,
-            "n_sweeps": opts.n_sweeps,
-            "tol": opts.tol,
-            "mttkrp": opts.mttkrp,
-            "dtype": str(run.provider.dtype),
-        },
-        n_observed=n_observed,
-        observed_fraction=n_observed / size,
-        **outcome.result_fields(),
+    return solve_sequential(
+        observed_tensor, options, MaskedOptions,
+        rule=MaskedLeastSquaresUpdate(mask_indices, shape),
+        result=partial(MaskedALSResult, n_observed=n_observed,
+                       observed_fraction=n_observed / size),
+        initial_factors=initial_factors, tracker=tracker, record_sweeps=record_sweeps,
+        callback=callback, max_cache_bytes=max_cache_bytes, dtype=dtype,
     )

@@ -1,7 +1,9 @@
-"""Batched multi-start CP-ALS / PP-CP-ALS driver.
+"""Batched multi-start driver over the sequential bundles.
 
 CP-ALS converges to a local optimum of a non-convex objective, so production
-use runs ``K`` random initializations and keeps the best fit.  The starts are
+use runs ``K`` random initializations and keeps the best fit.  Each start is
+one :func:`~repro.core.decompose.decompose` call, so the options bundle's
+class picks the solver (ALS, PP, nonnegative or masked).  The starts are
 embarrassingly parallel *and* share all contraction structure: every start
 contracts the same tensor with factor matrices of the same shapes, so the
 plan cache of the shared :class:`~repro.contract.ContractionEngine` is warmed
@@ -25,8 +27,8 @@ from typing import List
 
 import numpy as np
 
-from repro.core.algorithms import algorithm_for_options
-from repro.core.options import ALSOptions, ParallelOptions, check_options
+from repro.core.decompose import algorithm_name, decompose
+from repro.core.options import ALSOptions, MaskedOptions, ParallelOptions, check_options
 from repro.core.results import ALSResult, ResultBase, SweepRecord
 from repro.machine.cost_tracker import CostTracker
 from repro.utils.validation import check_positive_int
@@ -182,10 +184,10 @@ def multi_start(
         runs the sparse MTTKRP engines against the shared plan cache).
     options:
         A sequential bundle (:class:`~repro.core.options.ALSOptions`,
-        :class:`~repro.core.options.PPOptions`, ...).  Its type selects the
-        solver through :func:`repro.core.algorithms.algorithm_for_options`
-        (e.g. an :class:`~repro.core.options.NNOptions` runs ``"nncp"``), and
-        its ``seed`` is the root seed: per-start seeds come from
+        :class:`~repro.core.options.PPOptions`, ...).  Its class selects the
+        solver through :func:`repro.core.decompose.decompose` (e.g. an
+        :class:`~repro.core.options.NNOptions` runs ``"nncp"``), and its
+        ``seed`` is the root seed: per-start seeds come from
         :func:`start_seeds`, so the run is deterministic for any
         ``n_workers``.
     n_starts:
@@ -203,19 +205,20 @@ def multi_start(
     Returns
     -------
     :class:`MultiStartResult` with the best-fitness result and the per-start
-    fitness trajectory table.
+    fitness trajectory table; its ``options`` records the bundle's settings
+    and ``n_starts``, never the data and runtime arguments.
     """
     if isinstance(options, ParallelOptions):
         raise TypeError(
             "multi_start batches the sequential solvers; pass ALSOptions "
             "or PPOptions, not a parallel bundle"
         )
-    spec = algorithm_for_options(check_options(options, ALSOptions))
+    algorithm = algorithm_name(check_options(options, ALSOptions))
     n_starts = check_positive_int(n_starts, "n_starts")
     n_workers = check_positive_int(n_workers, "n_workers")
-    if "mask" in solver_kwargs and not spec.accepts_mask:
+    if "mask" in solver_kwargs and not isinstance(options, MaskedOptions):
         raise TypeError(
-            f"algorithm {spec.name!r} does not accept a mask; masked "
+            f"algorithm {algorithm!r} does not accept a mask; masked "
             "decomposition runs under a MaskedOptions bundle"
         )
     if "initial_factors" in solver_kwargs:
@@ -233,8 +236,7 @@ def multi_start(
         start_options = dataclasses.replace(
             options, seed=np.random.default_rng(seeds[k])
         )
-        return spec.driver(tensor, start_options, tracker=trackers[k],
-                           **solver_kwargs)
+        return decompose(tensor, start_options, tracker=trackers[k], **solver_kwargs)
 
     run_start = time.perf_counter()
     if n_workers == 1 or n_starts == 1:
@@ -252,7 +254,7 @@ def multi_start(
         best_index=_best_index(results),
         results=results,
         elapsed_seconds=elapsed,
-        algorithm=spec.name,
+        algorithm=algorithm,
         n_workers=n_workers,
-        options={**options.asdict(), "n_starts": n_starts, **solver_kwargs},
+        options={**options.asdict(), "n_starts": n_starts},
     )

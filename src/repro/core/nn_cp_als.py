@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.backend import is_sparse_tensor
-from repro.core.initialization import prepare_als_inputs
-from repro.core.loop import SequentialRun, run_sweeps
+from repro.core.loop import solve_sequential
 from repro.core.options import NNOptions, check_options
 from repro.core.results import ALSResult
 from repro.core.updates import make_update_rule
@@ -73,38 +72,18 @@ def nn_cp_als(
     :class:`~repro.core.results.ALSResult`
     """
     opts = check_options(options, NNOptions)
-    tracker = tracker if tracker is not None else CostTracker()
-    rule = make_update_rule(opts.update)
     if opts.update == "multiplicative":
         _check_nonnegative_tensor(tensor)
-
-    tensor, factors, norm_t = prepare_als_inputs(
-        tensor, opts.rank, min_order=2, dtype=dtype,
-        initial_factors=initial_factors, seed=opts.seed,
-    )
     if initial_factors is not None:
-        for mode, factor in enumerate(factors):
+        for mode, factor in enumerate(initial_factors):
+            factor = np.asarray(factor)
             if factor.size and float(np.min(factor)) < 0.0:
                 raise ValueError(
                     f"initial factor for mode {mode} has negative entries; "
                     "nonnegative CP requires nonnegative initial factors"
                 )
-
-    run = SequentialRun.build(opts.mttkrp, tensor, factors, norm_t, tracker, rule,
-                              max_cache_bytes)
-    outcome = run_sweeps(run, n_sweeps=opts.n_sweeps, tol=opts.tol,
-                         record_sweeps=record_sweeps, callback=callback)
-
-    return ALSResult(
-        factors=run.factors(),
-        tracker=tracker,
-        options={
-            "rank": opts.rank,
-            "n_sweeps": opts.n_sweeps,
-            "tol": opts.tol,
-            "mttkrp": opts.mttkrp,
-            "update": opts.update,
-            "dtype": str(tensor.dtype),
-        },
-        **outcome.result_fields(),
+    return solve_sequential(
+        tensor, opts, NNOptions, rule=make_update_rule(opts.update),
+        initial_factors=initial_factors, tracker=tracker, record_sweeps=record_sweeps,
+        callback=callback, max_cache_bytes=max_cache_bytes, dtype=dtype,
     )

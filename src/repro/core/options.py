@@ -7,8 +7,9 @@ Every driver takes its settings as one bundle, its second argument:
 :func:`~repro.core.masked_cp_als.masked_cp_als` a :class:`MaskedOptions`,
 :func:`~repro.core.parallel_cp_als.parallel_cp_als` a :class:`ParallelOptions`
 and :func:`~repro.core.parallel_pp_cp_als.parallel_pp_cp_als` a
-:class:`ParallelPPOptions`.  :func:`~repro.core.multi_start.multi_start` takes
-any sequential bundle and runs the algorithm registered for its type.  The
+:class:`ParallelPPOptions`.  :func:`~repro.core.decompose.decompose` takes
+any bundle and runs its driver, and
+:func:`~repro.core.multi_start.multi_start` batches any sequential one.  The
 driver's remaining keywords are data and runtime arguments (initial factors,
 tracker, callback, mask, machine, ...), never a setting of the run.
 
@@ -28,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.comm import MACHINES
 from repro.grid.balance import available_partitioners
 from repro.grid.processor_grid import ProcessorGrid
 from repro.trees.registry import available_providers
@@ -209,7 +211,7 @@ class ParallelOptions(ALSOptions):
         _check_choice(self.partitioner, "partitioner", available_partitioners())
         _check_choice(self.update, "update rule",
                       ("least_squares", "hals", "multiplicative"))
-        _check_choice(self.execution, "execution substrate", ("simulated", "process"))
+        _check_choice(self.execution, "execution substrate", tuple(MACHINES))
 
 
 @dataclass

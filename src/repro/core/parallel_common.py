@@ -19,13 +19,13 @@ their shared body.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.backend import is_sparse_tensor
-from repro.comm.procs import ProcessMachine
+from repro.comm import MACHINES
 from repro.comm.simulated import SimulatedMachine
 from repro.core.initialization import check_tensor_norm, init_factors
 from repro.core.loop import SweepRun, run_sweeps
@@ -37,7 +37,7 @@ from repro.core.updates import make_update_rule
 from repro.distributed.dist_factor import DistributedFactor
 from repro.distributed.dist_tensor import DistributedTensor
 from repro.distributed.rank import RankKernels
-from repro.distributed.runtime import ProcessRuntime, RemoteRank
+from repro.distributed.runtime import LocalRuntime, ProcessRuntime, RemoteRank
 from repro.distributed.sparse import DistSparseTensor
 from repro.grid.distribution import split_rows_evenly
 from repro.grid.processor_grid import ProcessorGrid
@@ -45,7 +45,6 @@ from repro.machine.cost_tracker import CostTracker
 from repro.machine.params import MachineParams
 from repro.tensor.norms import residual_from_mttkrp
 from repro.tensor.products import hadamard_all_but
-from repro.trees.registry import make_provider
 from repro.utils.validation import check_dense_tensor, check_factor_matrices
 
 __all__ = [
@@ -68,20 +67,16 @@ class ParallelState:
     machine: SimulatedMachine
     dist_tensor: DistributedTensor | DistSparseTensor
     dist_factors: List[DistributedFactor]
-    #: one rank-local kernel set per rank, driven through ``set_factor`` /
-    #: ``submit`` / ``collect``: a :class:`~repro.distributed.rank.RankKernels`
-    #: on a simulated machine, a :class:`~repro.distributed.runtime.RemoteRank`
-    #: on a process machine
-    ranks: Dict[int, RankKernels | RemoteRank]
+    #: the ranks on the machine, built by its ``attach``: a
+    #: :class:`~repro.distributed.runtime.LocalRuntime` or a
+    #: :class:`~repro.distributed.runtime.ProcessRuntime`, whose ``ranks`` are
+    #: driven through ``set_factor`` / ``submit`` / ``collect``
+    runtime: LocalRuntime | ProcessRuntime
     grams: List[np.ndarray]
     norm_t: float
     rank: int
     distributed_solve: bool = True
     solve_latency_messages: int = 2
-    extra: dict = field(default_factory=dict)
-    #: the :class:`~repro.distributed.runtime.ProcessRuntime` behind the
-    #: ranks when executing on a ProcessMachine (``None`` when simulated)
-    runtime: object | None = None
     #: whether :func:`setup_parallel_state` created the machine itself (and
     #: :meth:`close` should therefore shut it down)
     owns_machine: bool = False
@@ -90,25 +85,18 @@ class ParallelState:
     def order(self) -> int:
         return self.grid.order
 
-    def global_factors(self) -> list[np.ndarray]:
-        """Unpadded global factor matrices."""
-        return [df.to_global() for df in self.dist_factors]
-
-    def critical_modeled_time(self) -> float:
-        return self.machine.modeled_time()
+    @property
+    def ranks(self) -> Dict[int, RankKernels | RemoteRank]:
+        return self.runtime.ranks
 
     def close(self) -> None:
-        """Release process-execution resources (idempotent; simulated: no-op).
-
-        Detaches the shared-memory runtime (dropping worker state and
-        unlinking the factor/output panels) and, when the machine was created
-        by :func:`setup_parallel_state` rather than passed in, shuts the
-        worker pool down too.  The drivers call this in a ``finally`` so
+        """Detach the runtime (process workers drop their state, the panels
+        are unlinked), then close the machine if :func:`setup_parallel_state`
+        created it.  Idempotent; the drivers call it in a ``finally``, so
         segments are reclaimed on success, failure and interrupt alike.
         """
-        if self.runtime is not None:
-            self.runtime.detach()
-        if self.owns_machine and hasattr(self.machine, "close"):
+        self.runtime.detach()
+        if self.owns_machine:
             self.machine.close()
 
 
@@ -146,17 +134,15 @@ def setup_parallel_state(
     dimension trees on each rank's own block.
 
     ``options.execution`` selects the substrate when no ``machine`` is
-    passed: ``"simulated"`` (logical ranks in-process, bit-identical to real
-    distributed execution) or ``"process"`` (a
-    :class:`~repro.comm.procs.ProcessMachine` with one spawned worker per
-    rank and shared-memory factor panels).  An explicit ``machine`` always
-    wins.  The one substrate decision is made here: on a
-    :class:`~repro.comm.procs.ProcessMachine` each rank is a
-    :class:`~repro.distributed.runtime.RemoteRank` whose worker runs the
-    rank-local kernels, otherwise a
-    :class:`~repro.distributed.rank.RankKernels` in this process.  Callers
-    must ``state.close()`` when done so worker state and shared segments are
-    reclaimed (the drivers do this in a ``finally``).
+    passed (:data:`repro.comm.MACHINES`): ``"simulated"`` (logical ranks
+    in-process, bit-identical to real distributed execution) or
+    ``"process"`` (a :class:`~repro.comm.procs.ProcessMachine` with one
+    spawned worker per rank and shared-memory factor panels).  An explicit
+    ``machine`` always wins.  The machine's ``attach`` builds the ranks: a
+    :class:`~repro.distributed.rank.RankKernels` per rank in this process, or
+    a :class:`~repro.distributed.runtime.RemoteRank` whose worker runs them.
+    Callers must ``state.close()`` when done so worker state and shared
+    segments are reclaimed (the drivers do this in a ``finally``).
     """
     grid = ProcessorGrid(options.grid)
     rank = options.rank
@@ -188,10 +174,7 @@ def setup_parallel_state(
 
     owns_machine = machine is None
     if machine is None:
-        if options.execution == "process":
-            machine = ProcessMachine(grid.size, params=params)
-        else:
-            machine = SimulatedMachine(grid.size, params=params)
+        machine = MACHINES[options.execution](grid.size, params=params)
     elif machine.n_ranks != grid.size:
         raise ValueError(
             f"machine has {machine.n_ranks} ranks but grid needs {grid.size}"
@@ -209,41 +192,24 @@ def setup_parallel_state(
         for mode in range(grid.order)
     ]
 
-    runtime = None
-    if isinstance(machine, ProcessMachine):
-        try:
-            runtime = ProcessRuntime(
-                machine, grid, dist_tensor, dist_factors, options.mttkrp,
-                max_cache_bytes=max_cache_bytes,
-            )
-        except BaseException:
-            if owns_machine:
-                machine.close()
-            raise
-        ranks = runtime.ranks
-    else:
-        ranks = {
-            proc: RankKernels(make_provider(
-                options.mttkrp,
-                dist_tensor.local_block(proc),
-                [dist_factors[m].local_block_for(proc) for m in range(grid.order)],
-                tracker=machine.tracker(proc),
-                max_cache_bytes=max_cache_bytes,
-            ))
-            for proc in grid.ranks()
-        }
+    try:
+        runtime = machine.attach(grid, dist_tensor, dist_factors, options.mttkrp,
+                                 max_cache_bytes=max_cache_bytes)
+    except BaseException:
+        if owns_machine:
+            machine.close()
+        raise
 
     state = ParallelState(
         grid=grid,
         machine=machine,
         dist_tensor=dist_tensor,
         dist_factors=dist_factors,
-        ranks=ranks,
+        runtime=runtime,
         grams=[np.eye(rank)] * grid.order,
         norm_t=norm_t,
         rank=rank,
         distributed_solve=options.distributed_solve,
-        runtime=runtime,
         owns_machine=owns_machine,
     )
     # initial Gram matrices + All-Reduce (Algorithm 3 lines 4-9)
@@ -570,12 +536,14 @@ class ParallelRun(SweepRun):
         state.grams[:] = grams
 
     def factors(self) -> list[np.ndarray]:
-        return self.state.global_factors()
+        return [df.to_global() for df in self.state.dist_factors]
 
 
 def solve_parallel(tensor, opts: ParallelOptions, *,
                    pp: tuple[float, int] | None = None,
-                   record_sweeps: bool = True, **setup) -> ParallelALSResult:
+                   record_sweeps: bool = True,
+                   callback: Callable[[int, list[np.ndarray], float], None] | None = None,
+                   **setup) -> ParallelALSResult:
     """The body of both parallel drivers: distribute, run the one sweep loop
     on a :class:`ParallelRun`, release the substrate, report.
 
@@ -591,7 +559,7 @@ def solve_parallel(tensor, opts: ParallelOptions, *,
     # success, failure and KeyboardInterrupt alike (no-op when simulated)
     try:
         outcome = run_sweeps(run, n_sweeps=opts.n_sweeps, tol=opts.tol, pp=pp,
-                             record_sweeps=record_sweeps)
+                             record_sweeps=record_sweeps, callback=callback)
     finally:
         state.close()
     options = {"rank": opts.rank, "n_sweeps": opts.n_sweeps, "tol": opts.tol}

@@ -17,7 +17,7 @@ dispatches to the sparse engine registry on its own COO/CSF block.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ def parallel_cp_als(
     params: MachineParams | None = None,
     initial_factors: Sequence[np.ndarray] | None = None,
     record_sweeps: bool = True,
+    callback: Callable[[int, list[np.ndarray], float], None] | None = None,
     max_cache_bytes: int | None = None,
 ) -> ParallelALSResult:
     """Distributed-memory CP-ALS (Algorithm 3) executed on the simulated machine.
@@ -64,8 +65,9 @@ def parallel_cp_als(
         :class:`~repro.comm.procs.ProcessMachine` runs the per-rank kernels
         in real worker processes (the machine is then *not* closed here, so
         it can be reused across runs).
-    initial_factors, record_sweeps, max_cache_bytes:
-        As in :func:`~repro.core.cp_als.cp_als`.
+    initial_factors, record_sweeps, callback, max_cache_bytes:
+        As in :func:`~repro.core.cp_als.cp_als`; the callback's factors are
+        the gathered global ones.
 
     Returns
     -------
@@ -74,6 +76,6 @@ def parallel_cp_als(
     """
     return solve_parallel(
         tensor, check_options(options, ParallelOptions),
-        record_sweeps=record_sweeps, machine=machine, params=params,
+        record_sweeps=record_sweeps, callback=callback, machine=machine, params=params,
         initial_factors=initial_factors, max_cache_bytes=max_cache_bytes,
     )

@@ -23,7 +23,7 @@ rule and the divergence rollback are those of the sequential driver.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ def parallel_pp_cp_als(
     params: MachineParams | None = None,
     initial_factors: Sequence[np.ndarray] | None = None,
     record_sweeps: bool = True,
+    callback: Callable[[int, list[np.ndarray], float], None] | None = None,
     max_cache_bytes: int | None = None,
 ) -> ParallelALSResult:
     """Parallel PP-CP-ALS (Algorithm 4) on the simulated machine.
@@ -66,6 +67,6 @@ def parallel_pp_cp_als(
         )
     return solve_parallel(
         tensor, opts, pp=(opts.pp_tol, opts.max_pp_sweeps_per_phase),
-        record_sweeps=record_sweeps, machine=machine, params=params,
+        record_sweeps=record_sweeps, callback=callback, machine=machine, params=params,
         initial_factors=initial_factors, max_cache_bytes=max_cache_bytes,
     )

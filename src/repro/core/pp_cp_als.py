@@ -16,7 +16,9 @@ The stop rule is :func:`~repro.core.cp_als.cp_als`'s on exact numbers: two
 against the residual Eq. (3) gives from its own first MTTKRP.  An approximated
 residual only ever ends a phase (``docs/algorithms.rst``, "PP control loop").
 The loop is :func:`repro.core.loop.run_sweeps`, shared with every other
-driver; the sweeps are :class:`~repro.core.loop.SequentialRun`'s.
+driver; the sweeps are :class:`~repro.core.loop.SequentialRun`'s, and the
+body is :func:`~repro.core.loop.solve_sequential`, shared with the other
+sequential drivers.
 
 Every phase is recorded as sweep records of type ``"als"``, ``"pp-init"`` or
 ``"pp-approx"`` — the statistics behind Tables III and IV and Figures 4/5.
@@ -28,9 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.initialization import prepare_als_inputs
-from repro.core.loop import SequentialRun, run_sweeps
-from repro.core.options import PPOptions, check_options
+from repro.core.loop import solve_sequential
+from repro.core.options import PPOptions
 from repro.core.results import ALSResult
 from repro.machine.cost_tracker import CostTracker
 
@@ -61,31 +62,10 @@ def pp_cp_als(
     pair operators in fiber form (:mod:`repro.trees.sparse_pp`) for the
     approximated sweeps' first-order corrections.
     """
-    opts = check_options(options, PPOptions)
-    tracker = tracker if tracker is not None else CostTracker()
-    tensor, factors, norm_t = prepare_als_inputs(
-        tensor, opts.rank, min_order=3, dtype=dtype,
-        initial_factors=initial_factors, seed=opts.seed,
-    )
-
     # PP approximates the MTTKRP, not the update: the default rule is exact
     # least squares, keeping each exact sweep's start residual
-    run = SequentialRun.build(opts.mttkrp, tensor, factors, norm_t, tracker,
-                              max_cache_bytes=max_cache_bytes)
-    outcome = run_sweeps(run, n_sweeps=opts.n_sweeps, tol=opts.tol,
-                         pp=(opts.pp_tol, opts.max_pp_sweeps_per_phase),
-                         record_sweeps=record_sweeps, callback=callback)
-
-    return ALSResult(
-        factors=run.factors(),
-        tracker=tracker,
-        options={
-            "rank": opts.rank,
-            "n_sweeps": opts.n_sweeps,
-            "tol": opts.tol,
-            "pp_tol": opts.pp_tol,
-            "mttkrp": opts.mttkrp,
-            "dtype": str(tensor.dtype),
-        },
-        **outcome.result_fields(),
+    return solve_sequential(
+        tensor, options, PPOptions,
+        initial_factors=initial_factors, tracker=tracker, record_sweeps=record_sweeps,
+        callback=callback, max_cache_bytes=max_cache_bytes, dtype=dtype,
     )

@@ -17,11 +17,12 @@ and each factor's rows follow its mode's cuts:
   extents keep the collectives of the sweep identical to the dense path.
 
 :class:`~repro.distributed.rank.RankKernels` holds one rank's local kernels
-(MTTKRP, PP-init, PP contribution); a simulated rank is one in the calling
-process.  :mod:`repro.distributed.runtime` adds the process-execution runtime
-on top of the same layout: :class:`~repro.distributed.runtime.ProcessRuntime`
-mirrors the distributed factor blocks into shared-memory panels and drives
-one :class:`~repro.distributed.runtime.RemoteRank` per rank — a worker of a
+(MTTKRP, PP-init, PP contribution).  :mod:`repro.distributed.runtime` puts the
+ranks on a machine: a :class:`~repro.distributed.runtime.LocalRuntime` holds
+one ``RankKernels`` per rank in the calling process, a
+:class:`~repro.distributed.runtime.ProcessRuntime` mirrors the distributed
+factor blocks into shared-memory panels and drives one
+:class:`~repro.distributed.runtime.RemoteRank` per rank — a worker of a
 :class:`~repro.comm.procs.ProcessMachine` running its own ``RankKernels``.
 """
 
@@ -29,13 +30,14 @@ from repro.distributed.dist_tensor import DistributedTensor
 from repro.distributed.dist_factor import DistributedFactor
 from repro.distributed.sparse import DistSparseTensor
 from repro.distributed.rank import RankKernels
-from repro.distributed.runtime import ProcessRuntime, RemoteRank
+from repro.distributed.runtime import LocalRuntime, ProcessRuntime, RemoteRank
 
 __all__ = [
     "DistributedTensor",
     "DistributedFactor",
     "DistSparseTensor",
     "RankKernels",
+    "LocalRuntime",
     "ProcessRuntime",
     "RemoteRank",
 ]

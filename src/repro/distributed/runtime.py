@@ -1,7 +1,9 @@
-"""Process-execution runtime: wiring distributed data onto a :class:`ProcessMachine`.
+"""Runtimes: the ranks of one distributed problem, built by a machine's ``attach``.
 
-This module is the semantic half of the real multi-process execution layer
-(:mod:`repro.comm.procs` is the transport half).  A :class:`ProcessRuntime`
+A simulated machine's is a :class:`LocalRuntime` (the ranks in this process);
+a :class:`ProcessMachine`'s is a :class:`ProcessRuntime`, the semantic half of
+the real multi-process execution layer (:mod:`repro.comm.procs` is the
+transport half).  A :class:`ProcessRuntime`
 
 * creates one shared-memory **factor panel** per ``(mode, block)`` of the
   distributed factors — every rank whose grid coordinate selects that block
@@ -31,8 +33,31 @@ import numpy as np
 
 from repro.backend import is_sparse_tensor
 from repro.comm.procs import ProcessMachine
+from repro.distributed.rank import RankKernels
+from repro.trees.registry import make_provider
 
-__all__ = ["ProcessRuntime", "RemoteRank"]
+__all__ = ["LocalRuntime", "ProcessRuntime", "RemoteRank"]
+
+
+class LocalRuntime:
+    """One :class:`~repro.distributed.rank.RankKernels` per rank, in this
+    process, recording into the rank's cost tracker."""
+
+    def __init__(self, machine, grid, dist_tensor, dist_factors, mttkrp: str,
+                 max_cache_bytes: int | None = None):
+        self.ranks = {
+            proc: RankKernels(make_provider(
+                mttkrp,
+                dist_tensor.local_block(proc),
+                [dist_factors[m].local_block_for(proc) for m in range(grid.order)],
+                tracker=machine.tracker(proc),
+                max_cache_bytes=max_cache_bytes,
+            ))
+            for proc in grid.ranks()
+        }
+
+    def detach(self) -> None:
+        """Nothing to release: the ranks live in this process."""
 
 
 def _pack_tensor_block(machine: ProcessMachine, block, rank: int):
@@ -82,10 +107,6 @@ class ProcessRuntime:
     def __init__(self, machine: ProcessMachine, grid, dist_tensor,
                  dist_factors, mttkrp: str,
                  max_cache_bytes: int | None = None):
-        if machine.n_ranks != grid.size:
-            raise ValueError(
-                f"machine has {machine.n_ranks} ranks but grid needs {grid.size}"
-            )
         self.machine = machine
         self.grid = grid
         self._detached = False

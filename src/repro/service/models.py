@@ -2,14 +2,16 @@
 
 A :class:`DecompositionRequest` is the one client-facing description of a
 decomposition: the tensor (dense ndarray or sparse
-:class:`~repro.sparse.CooTensor`), the algorithm (any name in the sequential
-registry of :mod:`repro.core.algorithms` — ``"als"``, ``"pp"``, ``"nncp"``,
-``"masked"`` — or ``"multi_start"``), an
+:class:`~repro.sparse.CooTensor`), an
 :class:`~repro.core.options.ALSOptions`-family bundle for every solver
-setting, an optional observation ``mask`` for the masked family, and an
-optional root seed.  Construction normalizes the request — a seed carried
-inside the bundle is hoisted into :attr:`DecompositionRequest.seed` — so one
-canonical form reaches the queue, the workers and the artifact key.
+setting, whose class picks the algorithm through
+:func:`repro.core.decompose.decompose` (``"als"``, ``"pp"``, ``"nncp"``,
+``"masked"``), or ``algorithm="multi_start"`` to batch that algorithm, an
+optional observation ``mask`` for the masked family, and an optional root
+seed.  Construction normalizes the request — the algorithm name defaults to
+the bundle's own, a seed carried inside the bundle is hoisted into
+:attr:`DecompositionRequest.seed` — so one canonical form reaches the queue,
+the workers and the artifact key.
 
 :func:`tensor_fingerprint` hashes the tensor *content* (shape, dtype and the
 nonzero pattern/values), so two structurally identical submissions share an
@@ -27,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.algorithms import available_algorithms, get_algorithm
+from repro.core.decompose import algorithm_name
 from repro.core.masked_cp_als import normalize_mask
 from repro.core.options import (
     ALSOptions,
@@ -45,12 +47,6 @@ __all__ = [
     "artifact_key",
     "tensor_fingerprint",
 ]
-
-
-def _service_algorithms() -> tuple[str, ...]:
-    """Names the service accepts: every registered sequential algorithm plus
-    the ``multi_start`` meta-driver that batches any of them."""
-    return (*available_algorithms(), "multi_start")
 
 
 class JobState(enum.Enum):
@@ -105,24 +101,24 @@ class DecompositionRequest:
     tensor:
         Dense ndarray or sparse :class:`~repro.sparse.CooTensor`.
     options:
-        An :class:`~repro.core.options.ALSOptions`-family bundle, of the
-        class the algorithm registers (e.g. ``"nncp"`` takes an
-        :class:`~repro.core.options.NNOptions`; ``"multi_start"`` takes any
-        sequential bundle).  A ``seed`` inside the bundle is hoisted into
-        :attr:`seed` so the request has exactly one seed channel.
+        An :class:`~repro.core.options.ALSOptions`-family bundle; its class
+        picks the algorithm (an :class:`~repro.core.options.NNOptions` runs
+        ``"nncp"``, a :class:`~repro.core.options.PPOptions` ``"pp"``, ...).
+        A ``seed`` inside the bundle is hoisted into :attr:`seed` so the
+        request has exactly one seed channel.
     algorithm:
-        Any name in the sequential-algorithm registry
-        (:func:`repro.core.algorithms.available_algorithms` — ``"als"``,
-        ``"pp"``, ``"nncp"``, ``"masked"``) or ``"multi_start"``
-        (:func:`~repro.core.multi_start.multi_start`; the inner solver follows
-        the options bundle type).
+        ``None`` (default, normalized to the bundle's own name), that name,
+        or ``"multi_start"`` (:func:`~repro.core.multi_start.multi_start` of
+        the bundle's algorithm).  Any other name raises :class:`TypeError`:
+        the name never overrides the bundle.
     n_starts:
         Number of random starts (only meaningful for ``"multi_start"``).
     mask:
-        Observed-entry pattern for the masked family (``algorithm="masked"``
-        or ``"multi_start"`` with a :class:`~repro.core.options.MaskedOptions`
-        bundle): a boolean/0-1 ndarray or a :class:`~repro.sparse.CooTensor`
-        whose stored pattern marks the observed entries.  Required for dense
+        Observed-entry pattern for the masked family (a
+        :class:`~repro.core.options.MaskedOptions` bundle, run directly or
+        under ``"multi_start"``): a boolean/0-1 ndarray or a
+        :class:`~repro.sparse.CooTensor` whose stored pattern marks the
+        observed entries.  Required for dense
         masked tensors; for sparse masked tensors ``None`` means "the stored
         nonzeros are the observations".  Rejected for every other algorithm.
     seed:
@@ -135,7 +131,7 @@ class DecompositionRequest:
 
     tensor: Any
     options: ALSOptions
-    algorithm: str = "als"
+    algorithm: str | None = None
     n_starts: int = 8
     seed: int | None = None
     mask: Any = None
@@ -146,26 +142,21 @@ class DecompositionRequest:
                 "tensor must be a numpy ndarray or CooTensor, got "
                 f"{type(self.tensor).__name__}"
             )
-        algorithms = _service_algorithms()
-        if self.algorithm not in algorithms:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; available: {sorted(algorithms)}"
-            )
         self.n_starts = check_positive_int(self.n_starts, "n_starts")
         if isinstance(self.options, ParallelOptions):
             raise TypeError(
                 "the service runs the sequential solvers; pass an "
                 "ALSOptions-family bundle, not a parallel bundle"
             )
-        check_options(self.options, ALSOptions)
-        if self.algorithm != "multi_start":
-            spec = get_algorithm(self.algorithm)
-            if not isinstance(self.options, spec.options_cls):
-                raise TypeError(
-                    f"algorithm {self.algorithm!r} requires a "
-                    f"{spec.options_cls.__name__} bundle, got "
-                    f"{type(self.options).__name__}"
-                )
+        own = algorithm_name(check_options(self.options, ALSOptions))
+        if self.algorithm is None:
+            self.algorithm = own
+        elif self.algorithm not in (own, "multi_start"):
+            raise TypeError(
+                f"algorithm {self.algorithm!r} does not match the "
+                f"{type(self.options).__name__} bundle, which runs {own!r}; "
+                "pass the bundle of the algorithm wanted"
+            )
         self._validate_mask()
         # one seed channel: hoist a bundle-borne seed onto the request
         if self.options.seed is not None:
@@ -176,40 +167,22 @@ class DecompositionRequest:
             self.seed = self.options.seed
             self.options = dataclasses.replace(self.options, seed=None)
 
-    @property
-    def masked(self) -> bool:
-        """Whether the request runs the masked family (directly or batched)."""
-        return self.algorithm == "masked" or (
-            self.algorithm == "multi_start" and isinstance(self.options, MaskedOptions)
-        )
-
     def _validate_mask(self) -> None:
-        if not self.masked:
+        self._mask_indices = None
+        if not isinstance(self.options, MaskedOptions):
             if self.mask is not None:
                 raise TypeError(
                     f"algorithm {self.algorithm!r} does not accept a mask; "
-                    "masked decomposition runs under algorithm='masked' (or "
-                    "multi_start with a MaskedOptions bundle)"
+                    "masked decomposition runs under a MaskedOptions bundle"
                 )
             return
-        if self.mask is None:
-            if not isinstance(self.tensor, CooTensor):
-                raise ValueError(
-                    "dense masked decomposition requires an explicit mask "
-                    "(for sparse tensors the stored nonzeros stand in)"
-                )
-            return
-        if not isinstance(self.mask, (np.ndarray, CooTensor)):
+        if self.mask is not None and not isinstance(self.mask, (np.ndarray, CooTensor)):
             raise TypeError(
                 "mask must be a numpy ndarray or CooTensor, got "
                 f"{type(self.mask).__name__}"
             )
-        tensor_shape = tuple(self.tensor.shape)
-        mask_shape = tuple(self.mask.shape)
-        if mask_shape != tensor_shape:
-            raise ValueError(
-                f"mask shape {mask_shape} does not match tensor shape {tensor_shape}"
-            )
+        # the masked driver's own normalization checks the rest, once
+        self._mask_indices = normalize_mask(self.tensor, self.mask)
 
     def fingerprint(self) -> str:
         """Content hash of the request's tensor (see :func:`tensor_fingerprint`)."""
@@ -224,13 +197,12 @@ class DecompositionRequest:
         same pattern — or a sparse tensor with ``mask=None`` and the same
         tensor passed with its own pattern as an explicit mask — share a key.
         """
-        if not self.masked:
+        if self._mask_indices is None:
             return None
-        indices = normalize_mask(self.tensor, self.mask)
         digest = hashlib.sha256()
         digest.update(b"mask")
         digest.update(repr(tuple(self.tensor.shape)).encode())
-        digest.update(np.ascontiguousarray(indices, dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(self._mask_indices, dtype=np.int64).tobytes())
         return digest.hexdigest()
 
 

@@ -22,8 +22,8 @@ Request flow::
     submit(request)
         -> artifact cache probe  (hit: job is DONE immediately)
         -> bounded asyncio queue (backpressure when full)
-        -> worker task -> thread pool -> registered driver (als / pp / nncp
-           / masked, via repro.core.algorithms) or multi_start
+        -> worker task -> thread pool -> decompose (the bundle picks als /
+           pp / nncp / masked) or multi_start
              sweep callback -> ProgressEvent stream + cancellation check
         -> post_complete_hook -> artifact cache
 """
@@ -38,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.contract import default_engine
-from repro.core.algorithms import get_algorithm
+from repro.core.decompose import decompose
 from repro.core.multi_start import multi_start
 from repro.service.artifacts import ArtifactCache
 from repro.service.models import DecompositionRequest, Job, JobState, artifact_key
@@ -324,13 +324,10 @@ class DecompositionService(BaseService):
         if request.mask is not None:
             extra["mask"] = request.mask
         if request.algorithm == "multi_start":
-            # the inner solver is inferred from the options bundle type via
-            # the algorithm registry (NNOptions -> nncp, MaskedOptions ->
-            # masked, PPOptions -> pp, plain ALSOptions -> als)
             return multi_start(
                 request.tensor, options, n_starts=request.n_starts, **extra
             )
-        return get_algorithm(request.algorithm).driver(request.tensor, options, **extra)
+        return decompose(request.tensor, options, **extra)
 
     def _finish(self, job: Job, state: JobState) -> None:
         job.state = state

@@ -153,6 +153,16 @@ def test_masked_algorithm_accepts_mask(tensor):
     assert result.best.n_observed == int(mask.sum())
 
 
+def test_options_record_the_bundle_not_the_runtime_arguments(tensor):
+    options = MaskedOptions(rank=RANK, seed=5, n_sweeps=3, tol=0.0)
+    mask = np.random.default_rng(0).random(tensor.shape) < 0.5
+    seen = []
+    result = multi_start(tensor, options, n_starts=2, mask=mask, record_sweeps=False,
+                         callback=lambda sweep, factors, fitness: seen.append(sweep))
+    assert seen == [0, 1, 2, 0, 1, 2]
+    assert result.options == {**options.asdict(), "n_starts": 2}
+
+
 def test_mask_rejected_for_non_masked_algorithms(tensor):
     mask = np.ones(tensor.shape, dtype=bool)
     with pytest.raises(TypeError, match="does not accept a mask"):

@@ -6,6 +6,7 @@ import inspect
 import pytest
 
 from repro.core.cp_als import cp_als
+from repro.core.decompose import decompose
 from repro.core.multi_start import multi_start
 from repro.core.options import (
     ALSOptions,
@@ -147,6 +148,7 @@ ENTRY_POINTS = [
     (parallel_pp_cp_als, ParallelPPOptions),
     (multi_start, PPOptions),
     (setup_parallel_state, ParallelPPOptions),
+    (decompose, ParallelPPOptions),
 ]
 
 

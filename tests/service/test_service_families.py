@@ -1,4 +1,4 @@
-"""Service-layer tests of the registry-dispatched decomposition families."""
+"""Service-layer tests of the decomposition families the bundle class picks."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.masked_cp_als import MaskedALSResult
-from repro.core.options import ALSOptions, MaskedOptions, NNOptions
+from repro.core.options import ALSOptions, MaskedOptions, NNOptions, PPOptions
 from repro.service import DecompositionRequest, DecompositionService, JobState
 from repro.service.models import artifact_key
 from repro.sparse.coo import CooTensor
@@ -73,6 +73,24 @@ class TestDispatch:
         assert job.state is JobState.DONE
         assert job.result.algorithm == "masked"
         assert isinstance(job.result.best, MaskedALSResult)
+        # the job's callback closure and mask are data, not settings: they
+        # stay out of the result the artifact cache keeps
+        assert job.result.options == {
+            **MaskedOptions(rank=RANK, n_sweeps=4, seed=job.resolved_seed).asdict(),
+            "n_starts": 2,
+        }
+
+    def test_pp_bundle_runs_pp_under_the_default_name(self, tensor):
+        job = _submit_and_wait(DecompositionRequest(
+            tensor, PPOptions(rank=RANK, n_sweeps=8, pp_tol=0.3), seed=1))
+        assert job.request.algorithm == "pp"
+        assert job.result.options["pp_tol"] == 0.3
+
+    def test_nn_bundle_runs_nncp_under_the_default_name(self, tensor):
+        signed = tensor - tensor.mean()
+        job = _submit_and_wait(DecompositionRequest(signed, NNOptions(rank=2), seed=1))
+        assert job.request.algorithm == "nncp"
+        assert all((f >= 0).all() for f in job.result.factors)
 
     def test_sweep_events_stream_for_new_families(self, tensor):
         job = _submit_and_wait(DecompositionRequest(
@@ -83,7 +101,7 @@ class TestDispatch:
 
 
 class TestRequestValidation:
-    def test_default_bundle_follows_registry(self, tensor):
+    def test_bundle_kept_for_every_family(self, tensor):
         assert isinstance(
             DecompositionRequest(tensor, NNOptions(rank=RANK), algorithm="nncp").options,
             NNOptions,
@@ -94,8 +112,8 @@ class TestRequestValidation:
             MaskedOptions,
         )
 
-    def test_registered_bundle_class_enforced(self, tensor):
-        with pytest.raises(TypeError, match="NNOptions"):
+    def test_bundle_class_enforced(self, tensor):
+        with pytest.raises(TypeError, match="does not match the ALSOptions bundle"):
             DecompositionRequest(tensor, algorithm="nncp",
                                  options=ALSOptions(rank=RANK))
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.options import ALSOptions, ParallelOptions, PPOptions
+from repro.core.options import ALSOptions, NNOptions, ParallelOptions, PPOptions
 from repro.service.models import (
     DecompositionRequest,
     JobState,
@@ -59,7 +59,7 @@ class TestRequest:
     def test_rejects_bad_inputs(self, tensor):
         with pytest.raises(TypeError):
             DecompositionRequest([[1.0]], ALSOptions(rank=2))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="does not match"):
             DecompositionRequest(tensor, ALSOptions(rank=3), algorithm="nope")
         with pytest.raises(TypeError):
             DecompositionRequest(
@@ -67,6 +67,21 @@ class TestRequest:
             )
         with pytest.raises(TypeError):
             DecompositionRequest(tensor, algorithm="pp", options=ALSOptions(rank=3))
+
+    def test_algorithm_defaults_to_the_bundles_own(self, tensor):
+        assert DecompositionRequest(tensor, ALSOptions(rank=3)).algorithm == "als"
+        assert DecompositionRequest(tensor, PPOptions(rank=3)).algorithm == "pp"
+        assert DecompositionRequest(tensor, NNOptions(rank=3)).algorithm == "nncp"
+
+    def test_name_never_overrides_the_bundle(self, tensor):
+        # a nonnegative bundle under "als" once ran plain cp_als and returned
+        # negative factors; the name and the bundle must agree
+        with pytest.raises(TypeError, match="NNOptions bundle, which runs 'nncp'"):
+            DecompositionRequest(tensor, NNOptions(rank=2), algorithm="als")
+        with pytest.raises(TypeError, match="PPOptions bundle, which runs 'pp'"):
+            DecompositionRequest(tensor, PPOptions(rank=2), algorithm="als")
+        assert DecompositionRequest(tensor, NNOptions(rank=2),
+                                    algorithm="multi_start").algorithm == "multi_start"
 
     def test_bad_engine_fails_when_the_request_is_built(self, tensor):
         with pytest.raises(ValueError, match="unknown MTTKRP engine 'bogus'"):
@@ -107,6 +122,14 @@ class TestArtifactKey:
         ms4 = DecompositionRequest(tensor, ALSOptions(rank=3), algorithm="multi_start",
                                    n_starts=4, seed=1)
         assert artifact_key(ms8) != artifact_key(ms4)
+
+    def test_default_name_keys_as_the_explicit_one(self, tensor):
+        for options, name in [(ALSOptions(rank=3), "als"), (PPOptions(rank=3), "pp"),
+                              (NNOptions(rank=3), "nncp")]:
+            implicit = DecompositionRequest(tensor, options, seed=1)
+            explicit = DecompositionRequest(tensor, options, algorithm=name, seed=1)
+            assert artifact_key(implicit) == artifact_key(explicit)
+            assert artifact_key(implicit)[1] == name
 
     def test_n_starts_ignored_off_multi_start(self, tensor):
         a = DecompositionRequest(tensor, ALSOptions(rank=3), n_starts=8, seed=1)
