@@ -23,7 +23,7 @@ from repro.data.sparse_synthetic import sparse_low_rank_tensor
 from repro.grid.balance import make_partition
 from repro.grid.processor_grid import ProcessorGrid
 from repro.machine.cost_tracker import CostTracker
-from repro.trees import PairwiseOperators
+from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import make_provider
 
 from compare_bench import write_report_main

@@ -10,7 +10,8 @@ statistics showing that all starts share one set of cached einsum plans.
 
 from __future__ import annotations
 
-from repro import default_engine, multi_start
+from repro import multi_start
+from repro.contract import default_engine
 from repro.core.options import ALSOptions
 from repro.data.collinearity import collinearity_tensor
 

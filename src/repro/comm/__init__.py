@@ -24,14 +24,12 @@ Two machines implement it:
 each machine's ``attach`` builds the ranks of one distributed problem on it
 (:mod:`repro.distributed.runtime`): the one substrate decision.
 
-:class:`repro.comm.mpi_adapter.MPICollectives` additionally adapts any
-mpi4py-compatible communicator to the small set of array collectives the
-algorithms need, so the same local kernels can be deployed under real MPI.
+No machine runs over real MPI: full-sweep SPMD deployment is parked, and git
+history holds the mpi4py adapter that once served it (``7033aeb``).
 """
 
 from repro.comm.base import GroupCollectives
 from repro.comm.simulated import SimulatedMachine
-from repro.comm.mpi_adapter import MPICollectives
 from repro.comm.procs import ProcessMachine, leaked_segments
 
 #: the machine class of each ``execution`` substrate
@@ -41,7 +39,6 @@ __all__ = [
     "MACHINES",
     "GroupCollectives",
     "SimulatedMachine",
-    "MPICollectives",
     "ProcessMachine",
     "leaked_segments",
 ]

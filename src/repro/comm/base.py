@@ -4,8 +4,9 @@ The interface is deliberately BSP-superstep shaped: a collective is invoked
 once per superstep with the contributions of *all* participating ranks and
 returns the per-rank results.  This keeps the simulated machine simple and
 deterministic while remaining a faithful description of the data movement; a
-true SPMD deployment maps each call onto the corresponding MPI collective
-(see :class:`repro.comm.mpi_adapter.MPICollectives`).
+true SPMD deployment would map each call onto the corresponding MPI collective.
+:class:`repro.comm.simulated.SimulatedMachine` implements it, and
+:class:`repro.comm.procs.ProcessMachine` inherits that implementation.
 """
 
 from __future__ import annotations

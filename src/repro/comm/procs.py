@@ -29,10 +29,13 @@ keep working unchanged.  A worker death (e.g. SIGKILL) or hang surfaces as a
 :meth:`ProcessMachine.close` (also registered as a GC finalizer) unlinks every
 shared segment on success, failure and interrupt alike.
 
-Spawn-safety: :func:`_worker_main` is a module-level function and the heavy
-``repro`` imports happen inside the worker loop, so the machine works under
-the ``spawn`` start method (the only portable one) without importing the
-driver stack at fork time.
+Spawn-safety: :func:`_worker_main` is a module-level function, so the machine
+works under the ``spawn`` start method (the only portable one).  A spawned
+worker imports this module plus the rank-local kernels it runs
+(:mod:`repro.distributed.rank`, :mod:`repro.trees.registry`,
+:mod:`repro.sparse`), and none of the driver stack: no :mod:`repro.core`, no
+:mod:`repro.service`, no ``scipy.linalg`` and no ``asyncio``
+(``tests/integration/test_import_surface.py`` pins this set).
 """
 
 from __future__ import annotations

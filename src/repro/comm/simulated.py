@@ -51,10 +51,6 @@ class SimulatedMachine(GroupCollectives):
             raise ValueError(f"rank {rank} out of range for {self._n_ranks} ranks")
         return self._trackers[rank]
 
-    def reset_costs(self) -> None:
-        for t in self._trackers:
-            t.reset()
-
     def snapshot_costs(self) -> list[CostTracker]:
         """Per-rank snapshots, for differencing per-sweep costs."""
         return [t.snapshot() for t in self._trackers]

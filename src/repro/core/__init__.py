@@ -27,69 +27,3 @@ updates live in :mod:`repro.core.updates` (the
 :class:`~repro.core.updates.UpdateRule` objects plus the shared
 :func:`~repro.core.updates.sweep` kernel every sequential driver runs).
 """
-
-from repro.core.options import (
-    ALSOptions,
-    PPOptions,
-    NNOptions,
-    MaskedOptions,
-    ParallelOptions,
-    ParallelPPOptions,
-)
-from repro.core.results import ALSResult, ParallelALSResult, ResultBase, SweepRecord
-from repro.core.initialization import init_factors
-from repro.core.normal_equations import gram_matrix, gamma_chain, solve_normal_equations
-from repro.core.pp_corrections import (
-    second_order_correction,
-    delta_gram,
-    pp_step_within_tolerance,
-)
-from repro.core.updates import (
-    UpdateRule,
-    make_update_rule,
-    available_update_rules,
-    sweep,
-)
-from repro.core.cp_als import cp_als
-from repro.core.pp_cp_als import pp_cp_als
-from repro.core.nn_cp_als import nn_cp_als
-from repro.core.masked_cp_als import MaskedALSResult, masked_cp_als
-from repro.core.multi_start import MultiStartResult, multi_start, start_seeds
-from repro.core.parallel_cp_als import parallel_cp_als
-from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
-from repro.core.decompose import decompose
-
-__all__ = [
-    "ALSOptions",
-    "PPOptions",
-    "NNOptions",
-    "MaskedOptions",
-    "ParallelOptions",
-    "ParallelPPOptions",
-    "ALSResult",
-    "MaskedALSResult",
-    "ParallelALSResult",
-    "ResultBase",
-    "SweepRecord",
-    "UpdateRule",
-    "make_update_rule",
-    "available_update_rules",
-    "sweep",
-    "init_factors",
-    "gram_matrix",
-    "gamma_chain",
-    "solve_normal_equations",
-    "second_order_correction",
-    "delta_gram",
-    "pp_step_within_tolerance",
-    "cp_als",
-    "pp_cp_als",
-    "nn_cp_als",
-    "masked_cp_als",
-    "multi_start",
-    "MultiStartResult",
-    "start_seeds",
-    "parallel_cp_als",
-    "parallel_pp_cp_als",
-    "decompose",
-]

@@ -573,12 +573,13 @@ def solve_parallel(tensor, opts: ParallelOptions, *,
         "partitioner": state.dist_tensor.partition.name,
         "execution": type(state.machine).__name__,
     })
+    critical_path = state.machine.critical_path_tracker()
     return ParallelALSResult(
         factors=run.factors(),
-        tracker=state.machine.critical_path_tracker(),
+        tracker=critical_path,
         options=options,
         grid_dims=tuple(state.grid.dims),
         per_sweep_modeled_seconds=outcome.modeled_seconds,
-        critical_path=state.machine.critical_path_tracker(),
+        critical_path=critical_path,
         **outcome.result_fields(),
     )

@@ -159,16 +159,6 @@ class ParallelALSResult(ALSResult):
     per_sweep_modeled_seconds: List[float] = field(default_factory=list)
     critical_path: CostTracker | None = None
 
-    def mean_modeled_sweep_seconds(self, sweep_type: str | None = None) -> float:
-        """Mean modeled per-sweep seconds, optionally filtered by sweep type."""
-        values = []
-        for record in self.sweeps:
-            if sweep_type is not None and record.sweep_type != sweep_type:
-                continue
-            if record.modeled_seconds is not None:
-                values.append(record.modeled_seconds)
-        return float(np.mean(values)) if values else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ParallelALSResult(grid={tuple(self.grid_dims)}, fitness={self.fitness:.4f}, "

@@ -153,11 +153,6 @@ class UpdateRule:
             last_mode=provider.order - 1,
         )
 
-    # -- identity ------------------------------------------------------------
-    def cache_token(self) -> tuple:
-        """Hashable description of the rule (options / artifact-cache keys)."""
-        return (self.name,)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
@@ -246,9 +241,6 @@ class MultiplicativeUpdate(UpdateRule):
 
     def rows_flops(self, rows: int, rank: int) -> int:
         return 2 * rows * rank * rank + 3 * rows * rank
-
-    def cache_token(self) -> tuple:
-        return (self.name, self.eps)
 
 
 class MaskedLeastSquaresUpdate(UpdateRule):
@@ -368,9 +360,6 @@ class MaskedLeastSquaresUpdate(UpdateRule):
         residual_sq = norm_t**2 + model_norm_sq - 2.0 * cross
         lower_bound = (norm_t - float(np.sqrt(model_norm_sq))) ** 2
         return float(np.sqrt(max(residual_sq, lower_bound, 0.0)) / norm_t)
-
-    def cache_token(self) -> tuple:
-        return (self.name, self.n_observed)
 
 
 _RULES = {

@@ -7,30 +7,3 @@ per-sweep MTTKRP computation.  :mod:`repro.costs.sweep_model` composes them
 with the Gram/Hadamard/solve terms into modeled per-sweep times, which is how
 the paper-scale curves of Figure 3 and the Table II comparison are generated.
 """
-
-from repro.costs.mttkrp_costs import (
-    KernelCosts,
-    dt_costs,
-    msdt_costs,
-    pp_init_costs,
-    pp_init_ref_costs,
-    pp_approx_costs,
-    pp_approx_ref_costs,
-    mttkrp_costs_for,
-    TABLE1_METHODS,
-)
-from repro.costs.sweep_model import sweep_time_model, SweepCostBreakdown
-
-__all__ = [
-    "KernelCosts",
-    "dt_costs",
-    "msdt_costs",
-    "pp_init_costs",
-    "pp_init_ref_costs",
-    "pp_approx_costs",
-    "pp_approx_ref_costs",
-    "mttkrp_costs_for",
-    "TABLE1_METHODS",
-    "sweep_time_model",
-    "SweepCostBreakdown",
-]

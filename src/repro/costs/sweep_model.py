@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.comm import MACHINES
 from repro.costs.mttkrp_costs import mttkrp_costs_for
 from repro.grid.distribution import padded_block_size
 from repro.machine.collective_costs import als_sweep_collective_cost, process_hop_cost
@@ -227,16 +228,17 @@ def sparse_sweep_time_model(
         :attr:`~repro.grid.balance.TensorPartition.padded_extents` to charge
         the padding a skewed partition induces).
     execution:
-        ``"simulated"`` (default: the pure BSP model) or ``"process"``: also
-        charge the per-sweep :func:`process_hop_cost` of real spawned workers
-        at ``params.alpha_hop`` / ``params.beta_hop`` (reported as
+        A key of :data:`repro.comm.MACHINES`: ``"simulated"`` (default: the
+        pure BSP model) or ``"process"``: also charge the per-sweep
+        :func:`process_hop_cost` of real spawned workers at
+        ``params.alpha_hop`` / ``params.beta_hop`` (reported as
         :attr:`SweepCostBreakdown.hop_seconds`).
     """
     method = method.lower().strip()
     execution = execution.lower().strip()
-    if execution not in ("simulated", "process"):
+    if execution not in MACHINES:
         raise ValueError(
-            f"unknown execution mode {execution!r}; use 'simulated' or 'process'"
+            f"unknown execution mode {execution!r}; available: {list(MACHINES)}"
         )
     if method not in SPARSE_MODELED_METHODS:
         raise ValueError(

@@ -77,11 +77,6 @@ class DistributedTensor:
         """Tensor order ``N`` (equals the grid order)."""
         return len(self.global_shape)
 
-    @property
-    def padded_shape(self) -> tuple[int, ...]:
-        """Global shape after padding every mode up to a multiple of the grid dim."""
-        return tuple(b * d for b, d in zip(self.local_shape, self.grid.dims))
-
     def local_block(self, rank: int) -> np.ndarray:
         """The (padded) tensor block owned by ``rank``."""
         return self._blocks[rank]

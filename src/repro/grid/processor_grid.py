@@ -116,11 +116,6 @@ class ProcessorGrid:
             groups[coord[mode]].append(rank)
         return groups
 
-    def slice_group_of(self, rank: int, mode: int) -> list[int]:
-        """The slice group (along ``mode``) containing ``rank``."""
-        coord = self.coordinate(rank)
-        return self.slice_groups(mode)[coord[mode]]
-
     def fiber_groups(self, mode: int) -> list[list[int]]:
         """Partition of ranks into fibers varying only along ``mode``.
 
@@ -140,10 +135,6 @@ class ProcessorGrid:
             coord[mode] = -1
             buckets.setdefault(tuple(coord), []).append(rank)
         return list(buckets.values())
-
-    def all_ranks_group(self) -> list[int]:
-        """The group of all processors (used for All-Reduce of Gram matrices)."""
-        return list(range(self._size))
 
     # -- helpers --------------------------------------------------------------
     @classmethod

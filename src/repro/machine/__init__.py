@@ -15,34 +15,3 @@ kernels and for modeled collectives), and
 :mod:`repro.machine.collective_costs` contains the collective cost formulas of
 Section II-E used by the simulated communicator.
 """
-
-from repro.machine.params import MachineParams
-from repro.machine.cost_tracker import CostTracker, CostBreakdown
-from repro.machine.collective_costs import (
-    all_gather_cost,
-    reduce_scatter_cost,
-    all_reduce_cost,
-    broadcast_cost,
-    process_hop_cost,
-)
-from repro.machine.calibrate import (
-    CalibrationResult,
-    HopObservation,
-    calibrate_machine_params,
-    fit_hop_params,
-)
-
-__all__ = [
-    "MachineParams",
-    "CostTracker",
-    "CostBreakdown",
-    "all_gather_cost",
-    "reduce_scatter_cost",
-    "all_reduce_cost",
-    "broadcast_cost",
-    "process_hop_cost",
-    "HopObservation",
-    "CalibrationResult",
-    "fit_hop_params",
-    "calibrate_machine_params",
-]

@@ -87,12 +87,6 @@ class MachineParams:
                    cache_words=2 * 1024 * 1024)
 
     @classmethod
-    def laptop_like(cls) -> "MachineParams":
-        """Parameters resembling a single multicore workstation (for examples/tests)."""
-        return cls(alpha=5.0e-7, beta=2.0e-9, gamma=5.0e-11, nu=4.0e-10,
-                   cache_words=4 * 1024 * 1024)
-
-    @classmethod
     def container_like(cls) -> "MachineParams":
         """Parameters for the executed container-scale benchmarks.
 

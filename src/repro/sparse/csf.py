@@ -437,10 +437,6 @@ class CsfTensor:
             [self.sorted_column(j)[starts] for j in range(depth + 1)], axis=1
         )
 
-    def fiber_counts(self, depth: int) -> np.ndarray:
-        """Nonzeros per depth-``depth`` node (``diff`` of :meth:`value_ptr`)."""
-        return np.diff(self.value_ptr(depth))
-
     def to_coo(self) -> CooTensor:
         """Round-trip back to (canonical) COO — the layout loses nothing."""
         starts = self._starts[self.ndim - 1] if self.nnz else np.zeros(0, np.int64)

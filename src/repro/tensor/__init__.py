@@ -19,48 +19,3 @@ All kernels optionally record their arithmetic cost into a
 ``category`` keyword arguments, which is how the per-kernel breakdowns of the
 paper's Figure 3c-f are produced.
 """
-
-from repro.tensor.unfold import unfold, fold, generalized_unfolding
-from repro.tensor.products import (
-    khatri_rao,
-    kronecker,
-    hadamard_chain,
-    hadamard_all_but,
-)
-from repro.tensor.ttm import ttm, multi_ttm, first_contraction
-from repro.tensor.ttv import ttv, contract_intermediate_mode
-from repro.tensor.mttkrp import mttkrp, mttkrp_unfolding, partial_mttkrp
-from repro.tensor.norms import (
-    tensor_norm,
-    inner_product,
-    relative_residual,
-    residual_from_mttkrp,
-    fitness,
-)
-from repro.tensor.cp_format import CPTensor, random_cp_tensor, reconstruct
-
-__all__ = [
-    "unfold",
-    "fold",
-    "generalized_unfolding",
-    "khatri_rao",
-    "kronecker",
-    "hadamard_chain",
-    "hadamard_all_but",
-    "ttm",
-    "multi_ttm",
-    "first_contraction",
-    "ttv",
-    "contract_intermediate_mode",
-    "mttkrp",
-    "mttkrp_unfolding",
-    "partial_mttkrp",
-    "tensor_norm",
-    "inner_product",
-    "relative_residual",
-    "residual_from_mttkrp",
-    "fitness",
-    "CPTensor",
-    "random_cp_tensor",
-    "reconstruct",
-]

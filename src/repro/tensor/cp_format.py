@@ -112,12 +112,6 @@ class CPTensor:
         unit = self.with_unit_weights()
         return float(np.sqrt(cp_norm_squared(unit.factors)))
 
-    def fitness_to(self, tensor: np.ndarray) -> float:
-        """Fitness ``1 - ||T - self||_F / ||T||_F`` against a dense tensor."""
-        from repro.tensor.norms import fitness
-
-        return fitness(tensor, self.with_unit_weights().factors)
-
     def copy(self) -> "CPTensor":
         return CPTensor(
             [f.copy() for f in self.factors],

@@ -47,39 +47,3 @@ inputs its pair operators are semi-sparse (:mod:`repro.trees.sparse_pp`),
 kept as fiber-id × ``R`` blocks so the first-order corrections never densify
 them.
 """
-
-from repro.trees.base import MTTKRPProvider
-from repro.trees.cache import ContractionCache, CacheEntry
-from repro.trees.naive import NaiveMTTKRP, UnfoldingMTTKRP
-from repro.trees.amortized import AmortizedTreeMTTKRP
-from repro.trees.dimension_tree import DimensionTreeMTTKRP
-from repro.trees.msdt import MultiSweepDimensionTree
-from repro.trees.pp_operators import PairwiseOperators
-from repro.trees.sparse import SparseCooMTTKRP, SparseUnfoldingMTTKRP
-from repro.trees.sparse_dt import (
-    SemiSparseIntermediate,
-    SparseDimensionTreeMTTKRP,
-    SparseMultiSweepDimensionTree,
-)
-from repro.trees.sparse_pp import SemiSparsePairOperator
-from repro.trees.registry import make_provider, available_providers
-
-__all__ = [
-    "MTTKRPProvider",
-    "ContractionCache",
-    "CacheEntry",
-    "NaiveMTTKRP",
-    "UnfoldingMTTKRP",
-    "AmortizedTreeMTTKRP",
-    "DimensionTreeMTTKRP",
-    "MultiSweepDimensionTree",
-    "PairwiseOperators",
-    "SparseCooMTTKRP",
-    "SparseUnfoldingMTTKRP",
-    "SemiSparseIntermediate",
-    "SparseDimensionTreeMTTKRP",
-    "SparseMultiSweepDimensionTree",
-    "SemiSparsePairOperator",
-    "make_provider",
-    "available_providers",
-]

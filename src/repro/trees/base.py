@@ -84,12 +84,6 @@ class MTTKRPProvider(abc.ABC):
         self._last_updated[mode] = self._update_clock
         self._on_factor_update(mode)
 
-    def set_all_factors(self, factors: Sequence[np.ndarray]) -> None:
-        """Replace every factor (bumps every version)."""
-        factors = check_factor_matrices(factors, shape=self.tensor.shape)
-        for mode, factor in enumerate(factors):
-            self.set_factor(mode, factor)
-
     def most_recently_updated(self, exclude: int | None = None) -> int:
         """Mode with the most recent update (ties/no updates: the largest index)."""
         candidates = [m for m in range(self.order) if m != exclude]

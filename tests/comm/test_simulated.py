@@ -136,11 +136,6 @@ class TestBroadcastAndBookkeeping:
         assert deltas[0].horizontal_words > 0
         assert deltas[2].horizontal_words == 0
 
-    def test_reset_costs(self, machine):
-        machine.all_reduce({0: np.ones(4), 1: np.ones(4)}, [0, 1])
-        machine.reset_costs()
-        assert machine.tracker(0).horizontal_words == 0
-
     def test_critical_path_and_modeled_time(self):
         machine = SimulatedMachine(2, params=MachineParams.communication_only())
         machine.tracker(0).add_flops("ttm", 100)

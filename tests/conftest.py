@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -68,3 +72,33 @@ def reference_mttkrp(tensor: np.ndarray, factors, mode: int) -> np.ndarray:
 @pytest.fixture
 def mttkrp_oracle():
     return reference_mttkrp
+
+
+def exported_parameters(package: str) -> dict[tuple[str, str], set[str]]:
+    """Parameter names of every callable that ``package`` or one of its
+    modules exports in ``__all__`` (functions, classes and their public
+    methods), keyed by ``(module name, qualified name)``."""
+    root = importlib.import_module(package)
+    modules = [root] + [importlib.import_module(f"{package}.{info.name}")
+                        for info in pkgutil.iter_modules(root.__path__)]
+    found = {}
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", member)
+                            for attr, member in inspect.getmembers(obj, callable)
+                            if not attr.startswith("_")]
+            for qualname, member in members:
+                try:
+                    parameters = inspect.signature(member).parameters
+                except (TypeError, ValueError):  # builtins without a signature
+                    continue
+                found[module.__name__, qualname] = set(parameters)
+    return found
+
+
+@pytest.fixture
+def public_parameters():
+    return exported_parameters

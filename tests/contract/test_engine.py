@@ -12,9 +12,6 @@ dense ``cp_als`` / ``pp_cp_als`` runs are asserted *not* to reach the engine.
 
 from __future__ import annotations
 
-import importlib
-import inspect
-
 import numpy as np
 import pytest
 
@@ -151,27 +148,15 @@ class TestPlanCache:
         assert default_engine() is engine
         assert engine.cache_info()["calls"] == 1
 
-    @pytest.mark.parametrize("module", ["repro", "repro.tensor", "repro.sparse",
-                                        "repro.trees"])
-    def test_no_public_callable_takes_an_engine(self, module):
+    @pytest.mark.parametrize("package", ["repro", "repro.core", "repro.machine",
+                                         "repro.tensor", "repro.sparse", "repro.trees"])
+    def test_no_public_callable_takes_an_engine(self, package, public_parameters):
         """There is one plan cache per process: no kernel, provider or PP
-        builder accepts another (functions, classes and their methods)."""
-        public = importlib.import_module(module)
-        takers = []
-        for name in public.__all__:
-            obj = getattr(public, name)
-            members = [(name, obj)]
-            if inspect.isclass(obj):
-                members += [(f"{name}.{attr}", member)
-                            for attr, member in inspect.getmembers(obj, callable)
-                            if not attr.startswith("_")]
-            for qualname, member in members:
-                try:
-                    parameters = inspect.signature(member).parameters
-                except (TypeError, ValueError):  # builtins without a signature
-                    continue
-                if "engine" in parameters:
-                    takers.append(qualname)
+        builder accepts another (every name the package or one of its modules
+        exports: functions, classes and their methods)."""
+        parameters = public_parameters(package)
+        takers = [name for name, names in parameters.items() if "engine" in names]
+        assert len({module for module, _ in parameters}) > 3
         assert takers == []
 
 

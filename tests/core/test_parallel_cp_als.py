@@ -103,6 +103,14 @@ class TestParallelBehaviour:
         assert small.critical_path.horizontal_words == 0
         assert large.critical_path.horizontal_words > 0
 
+    def test_tracker_is_the_critical_path(self, lowrank_tensor3):
+        """The machine's max-over-ranks tracker is computed once per run."""
+        result = parallel_cp_als(lowrank_tensor3,
+                                 ParallelOptions(rank=3, grid=(2, 1, 1), n_sweeps=2,
+                                                 tol=0.0, seed=0))
+        assert result.tracker is result.critical_path
+        assert result.critical_path.total_flops > 0
+
     def test_distributed_solve_flag_changes_costs_not_results(self, lowrank_tensor3):
         initial = init_factors(lowrank_tensor3.shape, 3, seed=6)
         ours = parallel_cp_als(lowrank_tensor3,

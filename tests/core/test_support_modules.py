@@ -6,7 +6,7 @@ import pytest
 from repro.core.initialization import init_factors
 from repro.core.normal_equations import gamma_chain, gram_matrix, solve_normal_equations
 from repro.core.options import ALSOptions, ParallelOptions, PPOptions
-from repro.core.results import ALSResult, ParallelALSResult, SweepRecord
+from repro.core.results import ALSResult, SweepRecord
 from repro.machine.cost_tracker import CostTracker
 
 
@@ -227,17 +227,3 @@ class TestResults:
         data = record.asdict()
         assert data["type"] == "als"
         assert data["kernel_seconds"]["ttm"] == 0.3
-
-    def test_parallel_result_mean_modeled(self):
-        sweeps = [
-            SweepRecord(0, "als", 0.5, 0.5, 0.1, 0.1, modeled_seconds=2.0),
-            SweepRecord(1, "als", 0.6, 0.4, 0.1, 0.2, modeled_seconds=4.0),
-        ]
-        result = ParallelALSResult(
-            factors=[np.zeros((2, 2))], fitness=0.6, residual=0.4, n_sweeps=2,
-            converged=False, sweeps=sweeps, grid_dims=(2, 1),
-            per_sweep_modeled_seconds=[2.0, 4.0],
-        )
-        assert result.mean_modeled_sweep_seconds() == pytest.approx(3.0)
-        assert result.mean_modeled_sweep_seconds("als") == pytest.approx(3.0)
-        assert result.mean_modeled_sweep_seconds("pp-init") == 0.0

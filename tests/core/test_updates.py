@@ -174,13 +174,6 @@ class TestRowUpdates:
             assert tracker.total_flops > 0
             assert tracker.total_flops == rule.rows_flops(10, RANK)
 
-    def test_cache_tokens_distinguish_rules(self):
-        tokens = {
-            make_update_rule(n).cache_token()
-            for n in ("least_squares", "hals", "multiplicative")
-        }
-        assert len(tokens) == 3
-
 
 class TestCpValuesAt:
     def test_matches_dense_reconstruction(self):

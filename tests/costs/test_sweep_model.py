@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.comm import MACHINES
 from repro.costs.sweep_model import (
     MODELED_METHODS,
     SPARSE_MODELED_METHODS,
@@ -195,7 +196,14 @@ class TestProcessHopModel:
         assert words == sum((d + n_procs) * b * 8
                             for d, b in zip((1, 2, 2), block_rows))
 
+    @pytest.mark.parametrize("execution", sorted(MACHINES))
+    def test_every_machine_substrate_is_priced(self, execution):
+        breakdown = sparse_sweep_time_model("dt", 1e4, self.SHAPE, 8, self.GRID,
+                                            execution=execution)
+        assert breakdown.total_seconds > 0.0
+
     def test_invalid_execution_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             sparse_sweep_time_model("dt", 1e4, self.SHAPE, 8, self.GRID,
                                     execution="quantum")
+        assert str(list(MACHINES)) in str(info.value)

@@ -70,11 +70,6 @@ class TestDistribution:
         dist = DistributedTensor.from_dense(tensor, grid)
         assert np.isclose(dist.norm(), np.linalg.norm(tensor))
 
-    def test_padded_shape(self, rng):
-        tensor = rng.random((5, 7))
-        dist = DistributedTensor.from_dense(tensor, ProcessorGrid((2, 3)))
-        assert dist.padded_shape == (6, 9)
-
     def test_single_processor_block_is_tensor(self, rng):
         tensor = rng.random((4, 5))
         dist = DistributedTensor.from_dense(tensor, ProcessorGrid((1, 1)))

@@ -14,12 +14,13 @@ Two layers keep the examples honest without requiring Sphinx at test time:
 from __future__ import annotations
 
 import doctest
-import importlib
 from pathlib import Path
 
 import pytest
 
 import repro
+import repro.core.masked_cp_als
+import repro.core.nn_cp_als
 import repro.distributed.dist_factor
 import repro.distributed.dist_tensor
 import repro.distributed.sparse
@@ -43,10 +44,8 @@ AUDITED_MODULES = [
     repro.machine.collective_costs,
     repro.trees.sparse_pp,
     repro,
-    # ``repro.core`` re-exports each driver under its module's name, so the
-    # driver modules are looked up by name
-    importlib.import_module("repro.core.nn_cp_als"),
-    importlib.import_module("repro.core.masked_cp_als"),
+    repro.core.nn_cp_als,
+    repro.core.masked_cp_als,
 ]
 
 

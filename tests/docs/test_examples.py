@@ -1,8 +1,7 @@
 """Every example script runs to completion.
 
 Each script under ``examples/`` runs in a fresh interpreter with ``src`` on
-the path, as a user would run it.  ``mpi_smoke.py`` is left out: it needs an
-MPI launcher and ``mpi4py`` (CI's MPI job runs it).
+the path, as a user would run it.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
-EXAMPLES = sorted(p for p in (ROOT / "examples").glob("*.py") if p.name != "mpi_smoke.py")
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)

@@ -1,8 +1,6 @@
 """Unit tests for the mode partitioners of repro.grid.balance."""
 
-import importlib
 import inspect
-import pkgutil
 
 import numpy as np
 import pytest
@@ -211,27 +209,12 @@ class TestOneLayout:
 
     @pytest.mark.parametrize("package", ["repro.grid", "repro.distributed",
                                          "repro.core", "repro.experiments"])
-    def test_no_public_callable_takes_a_partition_seed_or_permutation(self, package):
+    def test_no_public_callable_takes_a_partition_seed_or_permutation(
+            self, package, public_parameters):
         """Every name a module of ``package`` exports (functions, classes and
         their public methods)."""
-        root = importlib.import_module(package)
-        modules = [root] + [importlib.import_module(f"{package}.{info.name}")
-                            for info in pkgutil.iter_modules(root.__path__)]
-        takers = []
-        for module in modules:
-            for name in module.__all__:
-                obj = getattr(module, name)
-                members = [(name, obj)]
-                if inspect.isclass(obj):
-                    members += [(f"{name}.{attr}", member)
-                                for attr, member in inspect.getmembers(obj, callable)
-                                if not attr.startswith("_")]
-                for qualname, member in members:
-                    try:
-                        parameters = inspect.signature(member).parameters
-                    except (TypeError, ValueError):  # builtins without a signature
-                        continue
-                    if {"partition_seed", "permutation"} & set(parameters):
-                        takers.append(f"{module.__name__}.{qualname}")
-        assert len(modules) > 3
+        parameters = public_parameters(package)
+        takers = [name for name, names in parameters.items()
+                  if {"partition_seed", "permutation"} & names]
+        assert len({module for module, _ in parameters}) > 3
         assert takers == []

@@ -70,12 +70,6 @@ class TestGroups:
                 for rank in group:
                     assert grid.coordinate(rank)[mode] == value
 
-    def test_slice_group_of(self):
-        grid = ProcessorGrid((2, 2))
-        group = grid.slice_group_of(3, 0)
-        assert 3 in group
-        assert all(grid.coordinate(r)[0] == 1 for r in group)
-
     def test_fiber_groups_vary_single_mode(self):
         grid = ProcessorGrid((2, 3))
         fibers = grid.fiber_groups(1)
@@ -84,9 +78,6 @@ class TestGroups:
             assert len(fiber) == 3
             rows = {grid.coordinate(r)[0] for r in fiber}
             assert len(rows) == 1
-
-    def test_all_ranks_group(self):
-        assert ProcessorGrid((2, 2)).all_ranks_group() == [0, 1, 2, 3]
 
     def test_bad_mode_raises(self):
         with pytest.raises(ValueError):

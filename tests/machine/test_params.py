@@ -11,7 +11,7 @@ class TestMachineParams:
         assert params.alpha >= params.beta >= params.gamma
         assert params.nu >= 0
 
-    @pytest.mark.parametrize("preset", ["knl_like", "laptop_like", "container_like",
+    @pytest.mark.parametrize("preset", ["knl_like", "container_like",
                                         "compute_only", "communication_only"])
     def test_presets_construct(self, preset):
         params = getattr(MachineParams, preset)()

@@ -10,13 +10,13 @@ sliced or transposed; the output is always in the one layout
 :mod:`repro.tensor.intermediate` declares.
 """
 
-import importlib
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.tensor.ttm as ttm_module
 from repro.machine.cost_tracker import CostTracker
 from repro.tensor.intermediate import rank_first
 from repro.tensor.ttm import first_contraction, trailing_contraction
@@ -24,8 +24,6 @@ from repro.tensor.ttv import contract_intermediate_mode
 
 pytestmark = pytest.mark.property
 
-# (``repro.tensor`` re-exports the function ``ttm`` over the submodule's name)
-ttm_module = importlib.import_module("repro.tensor.ttm")
 
 _LETTERS = "abcde"
 _dtypes = st.sampled_from([np.float64, np.float32])

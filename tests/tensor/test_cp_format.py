@@ -76,10 +76,6 @@ class TestCPTensor:
         weighted = CPTensor(factors3, weights=np.array([1.0, 2.0, 3.0, 0.5]))
         assert np.isclose(weighted.norm(), np.linalg.norm(weighted.full()), rtol=1e-10)
 
-    def test_fitness_to_self_is_one(self, factors3):
-        cp = CPTensor(factors3)
-        assert cp.fitness_to(cp.full()) > 1 - 1e-10
-
     def test_copy_is_independent(self, factors3):
         cp = CPTensor(factors3)
         duplicate = cp.copy()

@@ -1,12 +1,12 @@
 """Tests for the TTM and (batched) TTV kernels."""
 
-import importlib
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.tensor.ttm as ttm_module
 from repro.machine.cost_tracker import CostTracker
 from repro.tensor.mttkrp import partial_mttkrp
 from repro.tensor.ttm import first_contraction, multi_ttm, trailing_contraction, ttm
@@ -129,7 +129,6 @@ class TestTrailingContraction:
     def test_row_blocks_with_a_remainder(self, rng, unpacked):
         """Of the 13 rows: blocks of 1; of 3 (four blocks, one row left over);
         of 8 (ten fit, one block, five left over); all in one GEMM."""
-        ttm_module = importlib.import_module("repro.tensor.ttm")
         tensor = rng.random((13, 7, 11))
         factors = [rng.random((s, 2)) for s in (7, 11)]
         with mock.patch.object(ttm_module, "_UNPACKED_GEMM", unpacked):
