@@ -6,7 +6,9 @@ Paper setting: local tensor 400^3 per processor, R = 400, grids 1x1x1 up to
 This benchmark produces (i) the modeled curve at the paper's scale for the full
 grid list and (ii) an executed weak-scaling run on the simulated machine at
 container scale (s_local = 14, R = 16, grids up to 8 ranks) whose local kernels
-really run and whose communication is charged by the cost model.
+really run and whose communication is charged by the cost model.  Both report
+modeled seconds; the wall-clock version of the MSDT-over-DT claim is the
+harness's ``msdt_sweep_s`` against ``dt_sweep_s`` (``BENCHMARK.json``).
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """Figure 3b — weak scaling of per-sweep time, order-4 tensors.
 
 Paper setting: local tensor 75^4 per processor, R = 200, grids 1x1x1x1 up to
-4x4x8x8 (1024 processors).
+4x4x8x8 (1024 processors).  The modeled curve is evaluated at the paper's
+scale and an executed run on the simulated machine at container scale; both
+report modeled seconds.  The wall-clock version of the MSDT-over-DT claim is
+the harness's ``msdt_sweep_s`` against ``dt_sweep_s`` (``BENCHMARK.json``).
 """
 
 from __future__ import annotations

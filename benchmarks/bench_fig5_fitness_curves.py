@@ -1,4 +1,4 @@
-"""Figure 5 (a-f) and Table IV — fitness-versus-time on the evaluation tensors.
+"""Figure 5 (a-f) and Table IV — fitness against work on the evaluation tensors.
 
 One test per panel:
 
@@ -8,10 +8,13 @@ One test per panel:
 * 5f — time-lapse hyperspectral surrogate
 
 Each test runs DT, MSDT and PP from a shared initialization, records the
-fitness trajectories (the plotted curves), reports the Table IV statistics of
-the PP run, and checks the paper's qualitative findings: PP reaches the common
-fitness level at least as fast as DT (the paper reports 1.5-5.4x), and MSDT is
-never slower than DT in per-sweep time.
+fitness trajectories against cumulative counted flops (the plotted curves),
+reports the Table IV row of the PP run (sweep counts and mean flops per sweep
+type), and checks the paper's qualitative findings: PP keeps the fitness of
+exact ALS, and a PP approximated sweep costs fewer flops than an exact one.
+The wall-clock versions of Table IV's time columns are the harness's
+``pp_approx_sweep_s``, ``trees.pp_build_s`` and ``dt_sweep_s``
+(``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -27,31 +30,16 @@ from repro.experiments.reporting import format_table
 
 
 def _report_curves(report, name: str, title: str, curves) -> None:
-    series = curves.curves()
-    rows = []
-    for method, points in series.items():
-        if not points:
-            continue
-        rows.append([
-            method,
-            len(points),
-            points[-1][0],
-            points[-1][1],
-            curves.pp.fitness if method == "pp" else getattr(curves, method).fitness,
-        ])
+    rows = [[method, len(points), points[-1][0], points[-1][1]]
+            for method, points in curves.curves().items() if points]
     table4 = curves.table4_row()
-    text = format_table(
-        ["method", "#sweeps", "total seconds", "final fitness", "result fitness"],
-        rows, title=title,
-    )
+    text = format_table(["method", "#sweeps", "total flops", "final fitness"], rows, title=title)
     text += "\n" + format_table(
-        ["N-ALS", "N-PP-init", "N-PP-approx", "T-ALS", "T-PP-init", "T-PP-approx"],
+        ["N-ALS", "N-PP-init", "N-PP-approx", "F-ALS", "F-PP-init", "F-PP-approx"],
         [[table4["n_als"], table4["n_pp_init"], table4["n_pp_approx"],
-          table4["t_als"], table4["t_pp_init"], table4["t_pp_approx"]]],
-        title="Table IV row (PP run statistics)",
+          table4["flops_als"], table4["flops_pp_init"], table4["flops_pp_approx"]]],
+        title="Table IV row (PP run statistics, mean flops per sweep)",
     )
-    speedup = curves.pp_speedup_to_common_fitness(margin=0.01)
-    text += f"\nPP speed-up to common fitness (vs DT): {speedup:.2f}x"
     report(name, text)
 
 
@@ -69,6 +57,11 @@ def _basic_checks(curves) -> None:
         assert all(b >= a - 1e-1 for a, b in zip(pp_fits, pp_fits[1:]))
     # PP must not lose accuracy relative to exact ALS
     assert curves.pp.fitness >= curves.dt.fitness - 0.02
+    # Table IV's defining property: a PP approximated sweep is cheaper than an
+    # exact ALS sweep
+    row = curves.table4_row()
+    assert row["n_pp_approx"] > 0
+    assert row["flops_pp_approx"] < row["flops_als"]
 
 
 def test_fig5a_collinearity_tensor(benchmark, report):

@@ -2,8 +2,9 @@
 
 Builds the COIL-like rotating-objects tensor and the time-lapse hyperspectral
 surrogate, runs DT / MSDT / PP from a shared initialization and prints the
-fitness-versus-time trajectories plus the PP speed-up to the common fitness
-level — the qualitative content of the paper's Figures 5e and 5f.
+fitness-versus-work trajectories (cumulative counted flops) plus the mean
+flops per sweep type of the PP run — the qualitative content of the paper's
+Figures 5e and 5f.
 
 Run with ``python examples/image_and_hyperspectral_analysis.py``.
 """
@@ -18,15 +19,15 @@ from repro.experiments.fitness_curves import fitness_curve_comparison
 def _show(label: str, curves) -> None:
     print(f"\n=== {label} ===")
     for method, series in curves.curves().items():
-        trajectory = "  ".join(f"{t:6.2f}s:{f:.3f}" for t, f in series[:: max(len(series) // 6, 1)])
-        print(f"  {method:5s} final fitness {series[-1][1]:.4f}   [{trajectory}]")
+        trajectory = "  ".join(f"{w / 1e6:7.1f}M:{f:.3f}"
+                               for w, f in series[:: max(len(series) // 6, 1)])
+        print(f"  {method:5s} final fitness {series[-1][1]:.4f} after "
+              f"{series[-1][0] / 1e6:.1f} Mflop   [{trajectory}]")
     row = curves.table4_row()
     print(f"  PP sweep mix: {row['n_als']} exact / {row['n_pp_init']} init / "
-          f"{row['n_pp_approx']} approximated; per-sweep times "
-          f"{row['t_als'] * 1e3:.2f} / {row['t_pp_init'] * 1e3:.2f} / "
-          f"{row['t_pp_approx'] * 1e3:.2f} ms")
-    print("  PP speed-up over DT to the common fitness: "
-          f"{curves.pp_speedup_to_common_fitness(margin=0.01):.2f}x")
+          f"{row['n_pp_approx']} approximated; mean flops per sweep "
+          f"{row['flops_als'] / 1e6:.2f} / {row['flops_pp_init'] / 1e6:.2f} / "
+          f"{row['flops_pp_approx'] / 1e6:.2f} M")
 
 
 def main() -> None:

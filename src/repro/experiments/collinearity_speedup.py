@@ -5,8 +5,8 @@ collinearity tensor is decomposed with (i) plain CP-ALS using the dimension
 tree (or MSDT) and (ii) PP-CP-ALS, both stopping when the fitness change drops
 below the tolerance or the sweep budget is exhausted.  The study reports
 
-* the wall-clock speed-up of PP over the baseline per seed (the box plots of
-  Fig. 4), and
+* the counted speed-up of PP over the baseline per seed — total flops of the
+  baseline run over total flops of the PP run (the box plots of Fig. 4), and
 * the PP sweep-type counts (exact ALS sweeps, PP initialization steps, PP
   approximated sweeps — the columns of Table III).
 
@@ -40,37 +40,30 @@ class CollinearityBinResult:
     """Aggregated results of one collinearity bin."""
 
     collinearity_range: tuple[float, float]
-    speedups: list[float] = field(default_factory=list)
-    baseline_seconds: list[float] = field(default_factory=list)
-    pp_seconds: list[float] = field(default_factory=list)
+    #: total flops of the baseline run over those of the PP run, per seed
+    flop_speedups: list[float] = field(default_factory=list)
     #: sweep-type sequence of each PP run (``"als"`` / ``"pp-init"`` / ``"pp-approx"``)
     pp_sweep_types: list[list[str]] = field(default_factory=list)
     final_fitness_baseline: list[float] = field(default_factory=list)
     final_fitness_pp: list[float] = field(default_factory=list)
-
-    @property
-    def median_speedup(self) -> float:
-        return float(np.median(self.speedups)) if self.speedups else 0.0
-
-    @property
-    def quartiles(self) -> tuple[float, float, float]:
-        if not self.speedups:
-            return (0.0, 0.0, 0.0)
-        return tuple(np.percentile(self.speedups, [25, 50, 75]))  # type: ignore[return-value]
 
     def _mean_count(self, sweep_type: str) -> float:
         counts = [types.count(sweep_type) for types in self.pp_sweep_types]
         return float(np.mean(counts)) if counts else 0.0
 
     def table3_row(self) -> dict:
-        """Mean sweep counts — one row of Table III."""
+        """Mean sweep counts and the median counted speed-up — one row of Table III."""
         return {
             "collinearity": f"[{self.collinearity_range[0]:.1f}, {self.collinearity_range[1]:.1f})",
             "num_als": self._mean_count("als"),
             "num_pp_init": self._mean_count("pp-init"),
             "num_pp_approx": self._mean_count("pp-approx"),
-            "median_speedup": self.median_speedup,
+            "flop_speedup": float(np.median(self.flop_speedups)),
         }
+
+
+def _total_flops(result) -> int:
+    return sum(sum(record.flops.values()) for record in result.sweeps)
 
 
 def collinearity_speedup_study(
@@ -110,14 +103,7 @@ def collinearity_speedup_study(
                 mttkrp="msdt", seed=init_seed,
             ))
 
-            # time-to-solution comparison: wall-clock until each run stopped
-            baseline_time = baseline.elapsed_seconds
-            pp_time = pp.elapsed_seconds
-            speedup = baseline_time / pp_time if pp_time > 0 else float("inf")
-
-            bin_result.speedups.append(float(speedup))
-            bin_result.baseline_seconds.append(float(baseline_time))
-            bin_result.pp_seconds.append(float(pp_time))
+            bin_result.flop_speedups.append(_total_flops(baseline) / _total_flops(pp))
             bin_result.pp_sweep_types.append([s.sweep_type for s in pp.sweeps])
             bin_result.final_fitness_baseline.append(baseline.fitness)
             bin_result.final_fitness_pp.append(pp.fitness)

@@ -1,15 +1,16 @@
-"""Figure 5 and Table IV — fitness-versus-time comparison on application tensors.
+"""Figure 5 and Table IV — fitness against work on application tensors.
 
 For a given tensor the driver runs DT-based CP-ALS, MSDT-based CP-ALS and
 PP-CP-ALS from the same initialization and records the fitness trajectory of
-each (the curves of Fig. 5a-5f).  The per-run sweep statistics — number of
-exact / PP-init / PP-approx sweeps and their mean per-sweep times — reproduce
-the columns of Table IV.
+each against its cumulative counted flops (the curves of Fig. 5a-5f).  The
+per-run sweep statistics — number of exact / PP-init / PP-approx sweeps and
+their mean flops per sweep — reproduce the columns of Table IV.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,6 +23,10 @@ from repro.core.results import ALSResult
 __all__ = ["FitnessCurves", "fitness_curve_comparison"]
 
 
+def _sweep_flops(record) -> int:
+    return sum(record.flops.values())
+
+
 @dataclass
 class FitnessCurves:
     """Results of one Fig. 5 panel: the three runs plus derived statistics."""
@@ -31,52 +36,29 @@ class FitnessCurves:
     msdt: ALSResult
     pp: ALSResult
 
-    def curves(self) -> dict[str, list[tuple[float, float]]]:
-        """(time, fitness) series per method — the plotted curves."""
-        return {
-            "dt": self.dt.fitness_history(),
-            "msdt": self.msdt.fitness_history(),
-            "pp": self.pp.fitness_history(),
-        }
+    def curves(self) -> dict[str, list[tuple[int, float]]]:
+        """(cumulative flops, fitness) series per method — the plotted curves."""
+        out = {}
+        for name, result in (("dt", self.dt), ("msdt", self.msdt), ("pp", self.pp)):
+            work = accumulate(_sweep_flops(record) for record in result.sweeps)
+            out[name] = [(flops, record.fitness) for flops, record in zip(work, result.sweeps)]
+        return out
+
+    def _mean_flops(self, sweep_type: str) -> float:
+        counts = [_sweep_flops(s) for s in self.pp.sweeps if s.sweep_type == sweep_type]
+        return float(np.mean(counts)) if counts else 0.0
 
     def table4_row(self) -> dict:
-        """One row of Table IV (sweep counts and mean per-sweep times of the PP run)."""
+        """One row of Table IV (sweep counts and mean flops per sweep of the PP run)."""
         return {
             "tensor": self.label,
             "n_als": self.pp.count_sweeps("als"),
             "n_pp_init": self.pp.count_sweeps("pp-init"),
             "n_pp_approx": self.pp.count_sweeps("pp-approx"),
-            "t_als": self.pp.mean_sweep_seconds("als"),
-            "t_pp_init": self.pp.mean_sweep_seconds("pp-init"),
-            "t_pp_approx": self.pp.mean_sweep_seconds("pp-approx"),
+            "flops_als": self._mean_flops("als"),
+            "flops_pp_init": self._mean_flops("pp-init"),
+            "flops_pp_approx": self._mean_flops("pp-approx"),
         }
-
-    def time_to_fitness(self, target: float) -> dict[str, float]:
-        """Seconds each method needs to first reach ``target`` fitness (inf if never)."""
-        out = {}
-        for name, result in (("dt", self.dt), ("msdt", self.msdt), ("pp", self.pp)):
-            seconds = float("inf")
-            for record in result.sweeps:
-                if record.fitness >= target:
-                    seconds = record.cumulative_seconds
-                    break
-            out[name] = seconds
-        return out
-
-    def pp_speedup_to_common_fitness(self, margin: float = 0.0) -> float:
-        """Speed-up of PP over DT to the highest fitness both reach.
-
-        The target is the minimum of the two final fitness values minus
-        ``margin``; this mirrors how the paper reports 1.52-5.4x speed-ups on
-        the application tensors.
-        """
-        target = min(self.dt.fitness, self.pp.fitness) - margin
-        times = self.time_to_fitness(target)
-        if not np.isfinite(times["pp"]) or times["pp"] <= 0:
-            return 0.0
-        if not np.isfinite(times["dt"]):
-            return float("inf")
-        return times["dt"] / times["pp"]
 
 
 def fitness_curve_comparison(

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
-__all__ = ["format_table", "format_breakdown"]
+__all__ = ["format_table"]
 
 
 def _fmt(value) -> str:
@@ -37,19 +37,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
 
-
-def format_breakdown(breakdowns: Mapping[str, Mapping[str, float]],
-                     title: str | None = None) -> str:
-    """Render per-method kernel breakdowns (Fig. 3c-f style) as a table."""
-    categories: list[str] = []
-    for per_cat in breakdowns.values():
-        for cat in per_cat:
-            if cat not in categories:
-                categories.append(cat)
-    headers = ["method"] + categories + ["total"]
-    rows = []
-    for method, per_cat in breakdowns.items():
-        row = [method] + [per_cat.get(cat, 0.0) for cat in categories]
-        row.append(sum(per_cat.values()))
-        rows.append(row)
-    return format_table(headers, rows, title=title)

@@ -1,26 +1,23 @@
-"""Weak-scaling study of per-sweep time (Figures 3a and 3b).
+"""Weak-scaling study of per-sweep time and its breakdown (Figures 3a-3f).
 
 Two modes:
 
 * :func:`modeled_weak_scaling` evaluates the alpha-beta-gamma-nu sweep model
   at the paper's scale (``s_local = 400, R = 400`` for order 3;
   ``s_local = 75, R = 200`` for order 4) for the full list of processor grids
-  of Fig. 3a/3b.
+  of Fig. 3a/3b; each point's ``breakdown`` is the modeled per-category split
+  of Fig. 3c-f.
 * :func:`executed_weak_scaling` actually runs Algorithm 3 / Algorithm 4 on the
   simulated machine for container-sized grids (keeping the local tensor size
-  fixed, exactly like the paper's weak scaling), reporting both the measured
-  local kernel times and the modeled parallel per-sweep time.
+  fixed, exactly like the paper's weak scaling), reporting the modeled
+  parallel per-sweep time and the counted per-category flops of each sweep
+  type.
 
 The paper's grid lists are exposed as :data:`PAPER_GRIDS_ORDER3` and
 :data:`PAPER_GRIDS_ORDER4`.
 
-:func:`modeled_sparse_weak_scaling` / :func:`executed_sparse_weak_scaling`
-extend the study to the sparse workload class: fixed *nonzeros per processor*
-instead of fixed dense block volume, skewed synthetic inputs, and the
-pluggable partitioners of :mod:`repro.grid.balance`.
-
-:func:`measured_multiprocess_sweep` closes the loop on the model: it runs the
-same sparse sweep on a real :class:`~repro.comm.procs.ProcessMachine` (one OS
+:func:`measured_multiprocess_sweep` closes the loop on the model: it runs a
+sparse sweep on a real :class:`~repro.comm.procs.ProcessMachine` (one OS
 process per rank) and compares *measured wall-clock* per sweep against the
 :func:`~repro.costs.sweep_model.sparse_sweep_time_model` prediction under
 container-like machine parameters.
@@ -28,6 +25,7 @@ container-like machine parameters.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,12 +35,7 @@ from repro.core.initialization import init_factors
 from repro.core.options import ParallelOptions, ParallelPPOptions
 from repro.core.parallel_cp_als import parallel_cp_als
 from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
-from repro.costs.sweep_model import (
-    MODELED_METHODS,
-    SPARSE_MODELED_METHODS,
-    sparse_sweep_time_model,
-    sweep_time_model,
-)
+from repro.costs.sweep_model import MODELED_METHODS, sparse_sweep_time_model, sweep_time_model
 from repro.data.lowrank import random_low_rank_tensor
 from repro.data.sparse_synthetic import sparse_skewed_count_tensor
 from repro.machine.params import MachineParams
@@ -51,8 +44,6 @@ __all__ = [
     "WeakScalingPoint",
     "modeled_weak_scaling",
     "executed_weak_scaling",
-    "modeled_sparse_weak_scaling",
-    "executed_sparse_weak_scaling",
     "measured_multiprocess_sweep",
     "PAPER_GRIDS_ORDER3",
     "PAPER_GRIDS_ORDER4",
@@ -74,7 +65,11 @@ PAPER_GRIDS_ORDER4: tuple[tuple[int, ...], ...] = (
 
 @dataclass
 class WeakScalingPoint:
-    """One (grid, method) measurement of the weak-scaling study."""
+    """One (grid, method) point of the weak-scaling study.
+
+    ``breakdown`` holds modeled seconds per kernel category for a ``"model"``
+    point and the mean counted flops per category for an ``"executed"`` one.
+    """
 
     grid: tuple[int, ...]
     method: str
@@ -132,6 +127,18 @@ def modeled_weak_scaling(
     return points
 
 
+def _sweep_type_means(result, sweep_type: str) -> tuple[float, dict[str, float]]:
+    """Mean modeled seconds and mean flops per category of one sweep type."""
+    records = [s for s in result.sweeps if s.sweep_type == sweep_type]
+    if not records:
+        return 0.0, {}
+    flops: Counter[str] = Counter()
+    for record in records:
+        flops.update(record.flops)
+    mean_time = float(np.mean([s.modeled_seconds for s in records]))
+    return mean_time, {c: total / len(records) for c, total in flops.items()}
+
+
 def executed_weak_scaling(
     order: int,
     s_local: int,
@@ -147,13 +154,15 @@ def executed_weak_scaling(
     The tensor for each grid has global mode sizes ``s_local * grid[i]`` so the
     per-processor block stays ``s_local^order`` — the same weak-scaling setup
     as the paper, at container-friendly sizes.  ``pp-init`` / ``pp-approx``
-    per-sweep times are taken from the corresponding sweep types of a
+    points are taken from the corresponding sweep types of a
     :func:`~repro.core.parallel_pp_cp_als.parallel_pp_cp_als` run with a
-    permissive PP tolerance so both phases are exercised.
+    permissive PP tolerance so both phases are exercised.  Each point reports
+    the mean modeled per-sweep seconds and, as its ``breakdown``, the mean
+    counted flops per kernel category (Fig. 3c-f) of its sweep type.
 
     Every method of a grid starts from the *same* shared initial factors
-    (seeded per grid), so the per-method sweep times are compared on
-    identical iterates rather than on whatever each driver would seed itself.
+    (seeded per grid), so the per-method sweeps are compared on identical
+    iterates rather than on whatever each driver would seed itself.
     """
     params = params if params is not None else MachineParams.knl_like()
     points: list[WeakScalingPoint] = []
@@ -167,14 +176,6 @@ def executed_weak_scaling(
         # generate themselves (same seed and method), but materialized here so
         # every method provably starts from identical factors
         initial = init_factors(shape, rank, seed=seed, method="uniform")
-
-        def _mean_modeled(result, sweep_type: str) -> tuple[float, dict]:
-            values = [s for s in result.sweeps if s.sweep_type == sweep_type]
-            if not values:
-                return 0.0, {}
-            mean_time = float(np.mean([s.modeled_seconds for s in values]))
-            return mean_time, values[-1].kernel_seconds
-
         for method in methods:
             if method in ("planc", "dt", "msdt"):
                 options = ParallelOptions(
@@ -184,8 +185,7 @@ def executed_weak_scaling(
                 )
                 result = parallel_cp_als(tensor, options, params=params,
                                          initial_factors=initial)
-                mean_time, breakdown = _mean_modeled(result, "als")
-                points.append(WeakScalingPoint(grid, method, mean_time, breakdown, "executed"))
+                sweep_type = "als"
             else:
                 options = ParallelPPOptions(
                     rank=rank, grid=grid, n_sweeps=4 * n_sweeps, tol=0.0,
@@ -194,106 +194,8 @@ def executed_weak_scaling(
                 result = parallel_pp_cp_als(tensor, options, params=params,
                                             initial_factors=initial)
                 sweep_type = "pp-init" if method == "pp-init" else "pp-approx"
-                mean_time, breakdown = _mean_modeled(result, sweep_type)
-                points.append(WeakScalingPoint(grid, method, mean_time, breakdown, "executed"))
-    return points
-
-
-def modeled_sparse_weak_scaling(
-    order: int,
-    nnz_local: int,
-    s_local: int,
-    rank: int,
-    grids: Sequence[Sequence[int]] | None = None,
-    methods: Sequence[str] = SPARSE_MODELED_METHODS,
-    imbalance: float = 1.0,
-    params: MachineParams | None = None,
-) -> list[WeakScalingPoint]:
-    """Sparse per-sweep modeled times for every (grid, method) pair.
-
-    The sparse weak-scaling setup keeps *nonzeros per processor* fixed at
-    ``nnz_local`` (the sparse analogue of the paper's fixed ``s_local^N``
-    dense block) while global mode sizes grow as ``s_local * I_i``;
-    ``imbalance`` charges the slowest rank of a partitioner with that
-    max-over-mean nonzero ratio (see
-    :func:`repro.costs.sweep_model.sparse_sweep_time_model`).
-    """
-    if grids is None:
-        if order == 3:
-            grids = PAPER_GRIDS_ORDER3
-        elif order == 4:
-            grids = PAPER_GRIDS_ORDER4
-        else:
-            raise ValueError("default grids exist only for orders 3 and 4")
-    params = params if params is not None else MachineParams.knl_like()
-    points: list[WeakScalingPoint] = []
-    for grid in grids:
-        grid = tuple(int(d) for d in grid)
-        if len(grid) != order:
-            raise ValueError(f"grid {grid} does not match order {order}")
-        shape = tuple(s_local * d for d in grid)
-        for method in methods:
-            breakdown = sparse_sweep_time_model(
-                method, nnz_local, shape, rank, grid,
-                imbalance=imbalance, params=params,
-            )
-            points.append(
-                WeakScalingPoint(
-                    grid=grid,
-                    method=breakdown.method,
-                    per_sweep_seconds=breakdown.total_seconds,
-                    breakdown=breakdown.category_seconds(),
-                    source="model",
-                )
-            )
-    return points
-
-
-def executed_sparse_weak_scaling(
-    order: int,
-    nnz_local: int,
-    s_local: int,
-    rank: int,
-    grids: Sequence[Sequence[int]],
-    n_sweeps: int = 3,
-    seed: int = 0,
-    alpha: float = 1.0,
-    partitioner: str = "nnz-balanced",
-    params: MachineParams | None = None,
-    methods: Sequence[str] = ("naive", "dt", "msdt"),
-) -> list[WeakScalingPoint]:
-    """Execute sparse Algorithm 3 on the simulated machine (weak scaling).
-
-    Each grid gets a skewed Poisson tensor
-    (:func:`repro.data.sparse_synthetic.sparse_skewed_count_tensor`, power-law
-    exponent ``alpha``) with global shape ``s_local * grid[i]`` and a target
-    of ``nnz_local`` nonzeros per processor, distributed by ``partitioner``;
-    modeled per-sweep times come from the per-rank cost trackers exactly as
-    in :func:`executed_weak_scaling`.
-    """
-    params = params if params is not None else MachineParams.knl_like()
-    points: list[WeakScalingPoint] = []
-    for grid in grids:
-        grid = tuple(int(d) for d in grid)
-        if len(grid) != order:
-            raise ValueError(f"grid {grid} does not match order {order}")
-        n_procs = int(np.prod(grid))
-        shape = tuple(s_local * d for d in grid)
-        size = int(np.prod(shape, dtype=np.int64))
-        density = min(1.0, nnz_local * n_procs / size)
-        tensor = sparse_skewed_count_tensor(shape, density, alpha=alpha, seed=seed)
-        for method in methods:
-            options = ParallelOptions(
-                rank=rank, grid=grid, n_sweeps=n_sweeps, tol=0.0,
-                mttkrp=method, seed=seed, partitioner=partitioner,
-            )
-            result = parallel_cp_als(tensor, options, params=params)
-            values = [s for s in result.sweeps if s.sweep_type == "als"]
-            mean_time = float(np.mean([s.modeled_seconds for s in values]))
-            breakdown = values[-1].kernel_seconds if values else {}
-            points.append(
-                WeakScalingPoint(grid, method, mean_time, breakdown, "executed")
-            )
+            mean_time, breakdown = _sweep_type_means(result, sweep_type)
+            points.append(WeakScalingPoint(grid, method, mean_time, breakdown, "executed"))
     return points
 
 
@@ -311,8 +213,10 @@ def measured_multiprocess_sweep(
 ) -> dict:
     """Measured multi-process sweep wall-clock vs the sparse sweep model.
 
-    Builds the same skewed Poisson workload as
-    :func:`executed_sparse_weak_scaling`, runs ``parallel_cp_als`` with
+    Builds a skewed Poisson tensor
+    (:func:`repro.data.sparse_synthetic.sparse_skewed_count_tensor`, power-law
+    exponent ``alpha``) with global shape ``s_local * grid[i]`` and a target
+    of ``nnz_local`` nonzeros per processor, runs ``parallel_cp_als`` with
     ``execution="process"`` (a real :class:`~repro.comm.procs.ProcessMachine`
     with one spawned worker per rank), and reports the mean *measured*
     per-sweep wall-clock — the first sweep is dropped as warm-up (BLAS/cache

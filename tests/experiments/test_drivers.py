@@ -1,24 +1,21 @@
 """Tests for the experiment drivers (Tables I-IV, Figures 3-5) at container scale."""
 
-import numpy as np
 import pytest
 
+from repro.data.collinearity import collinearity_tensor
 from repro.data.lowrank import random_low_rank_tensor
-from repro.experiments.breakdown import BREAKDOWN_CATEGORIES, executed_breakdown, modeled_breakdown
 from repro.experiments.collinearity_speedup import (
     PAPER_COLLINEARITY_BINS,
     collinearity_speedup_study,
 )
 from repro.experiments.fitness_curves import fitness_curve_comparison
 from repro.experiments.pp_vs_ref import PAPER_TABLE2_CONFIGS, pp_vs_reference_table
-from repro.experiments.reporting import format_breakdown, format_table
+from repro.experiments.reporting import format_table
 from repro.experiments.table1 import table1_rows
 from repro.experiments.weak_scaling import (
     PAPER_GRIDS_ORDER3,
     PAPER_GRIDS_ORDER4,
-    executed_sparse_weak_scaling,
     executed_weak_scaling,
-    modeled_sparse_weak_scaling,
     modeled_weak_scaling,
 )
 
@@ -82,51 +79,45 @@ class TestWeakScalingDriver:
         assert data["method"] == "dt"
 
 
-class TestSparseWeakScalingDriver:
-    def test_modeled_covers_all_methods(self):
-        points = modeled_sparse_weak_scaling(3, 10_000, 50, 16,
-                                             grids=[(1, 1, 1), (2, 2, 2)])
-        assert len(points) == 2 * 3
-        assert {p.method for p in points} == {"naive", "dt", "msdt"}
-        assert all(p.per_sweep_seconds > 0 for p in points)
+class TestBreakdown:
+    """Fig. 3c-f: the ``breakdown`` of the modeled and executed points."""
 
-    def test_modeled_default_grid_lists(self):
-        points = modeled_sparse_weak_scaling(3, 10_000, 400, 64)
-        assert len(points) == len(PAPER_GRIDS_ORDER3) * 3
+    @staticmethod
+    def _modeled(grid):
+        return {p.method: p.breakdown for p in modeled_weak_scaling(3, 400, 400, grids=[grid])}
 
-    def test_executed_small_scale(self):
-        points = executed_sparse_weak_scaling(
-            3, 200, 8, 4, grids=[(1, 1, 1), (2, 1, 1)], n_sweeps=2, seed=0,
-        )
-        assert len(points) == 2 * 3
-        assert all(p.source == "executed" for p in points)
-        assert all(p.per_sweep_seconds >= 0 for p in points)
-
-    def test_executed_wrong_grid_order_raises(self):
-        with pytest.raises(ValueError):
-            executed_sparse_weak_scaling(3, 200, 8, 4, grids=[(2, 2)], n_sweeps=1)
-
-
-class TestBreakdownDriver:
     def test_modeled_breakdown_categories(self):
-        out = modeled_breakdown(3, 400, 400, (2, 4, 4))
+        out = self._modeled((2, 4, 4))
         assert set(out) == {"planc", "dt", "msdt", "pp-init", "pp-approx"}
         for per_cat in out.values():
-            assert set(per_cat) == set(BREAKDOWN_CATEGORIES)
+            assert set(per_cat) == {"ttm", "mttv", "hadamard", "solve", "others", "comm"}
 
     def test_modeled_ttm_dominates_dt(self):
-        out = modeled_breakdown(3, 400, 400, (8, 8, 8))
-        dt = out["dt"]
+        dt = self._modeled((8, 8, 8))["dt"]
         assert dt["ttm"] == max(dt.values())
 
     def test_modeled_pp_approx_has_no_ttm(self):
-        out = modeled_breakdown(3, 400, 400, (2, 4, 4))
-        assert out["pp-approx"]["ttm"] == 0.0
+        assert self._modeled((2, 4, 4))["pp-approx"]["ttm"] == 0.0
 
-    def test_executed_breakdown_small(self):
-        out = executed_breakdown(3, 5, 4, (2, 1, 1), n_sweeps=2, seed=0)
+    @pytest.fixture(scope="class")
+    def executed(self):
+        points = executed_weak_scaling(3, 12, 12, grids=[(2, 2, 1)], n_sweeps=2, seed=0)
+        return {p.method: p.breakdown for p in points}
+
+    def test_executed_breakdown_counts_the_headline(self, executed):
+        # the paper's headline on counted flops: TTM dominates a DT sweep,
+        # and the PP approximated sweep runs no TTM at all
+        out = executed
         assert set(out) == {"planc", "dt", "msdt", "pp-init", "pp-approx"}
-        assert out["dt"]["ttm"] >= 0.0
+        assert out["dt"]["ttm"] == 82944
+        assert out["dt"]["mttv"] == 10368
+        assert "ttm" not in out["pp-approx"]
+        assert out["pp-approx"]["mttv"] > 0
+
+    def test_executed_msdt_saves_ttm_flops(self, executed):
+        # Table I: the multi-sweep tree amortizes first-level TTMs across sweeps
+        assert executed["msdt"]["ttm"] < executed["dt"]["ttm"]
+        assert sum(executed["msdt"].values()) < sum(executed["dt"].values())
 
 
 class TestPPvsRefDriver:
@@ -150,13 +141,18 @@ class TestCollinearityDriver:
         )
         assert len(results) == 1
         result = results[0]
-        assert len(result.speedups) == 1
-        assert result.speedups[0] > 0
+        assert len(result.flop_speedups) == 1
+        assert result.flop_speedups[0] > 0
         row = result.table3_row()
         assert set(row) == {"collinearity", "num_als", "num_pp_init",
-                            "num_pp_approx", "median_speedup"}
-        q25, q50, q75 = result.quartiles
-        assert q25 <= q50 <= q75
+                            "num_pp_approx", "flop_speedup"}
+        assert row["flop_speedup"] == result.flop_speedups[0]
+
+    def test_pp_saves_flops_on_collinear_factors(self):
+        results = collinearity_speedup_study(
+            mode_size=16, rank=4, bins=[(0.6, 0.8)], n_seeds=2, n_sweeps=60, pp_tol=0.2,
+        )
+        assert min(results[0].flop_speedups) > 1.5
 
     def test_paper_bins_constant(self):
         assert len(PAPER_COLLINEARITY_BINS) == 5
@@ -172,22 +168,56 @@ class TestFitnessCurvesDriver:
         assert set(series) == {"dt", "msdt", "pp"}
         for name, points in series.items():
             assert len(points) >= 1
-            times = [t for t, _ in points]
-            assert all(b >= a for a, b in zip(times, times[1:])), name
+            work = [flops for flops, _ in points]
+            assert all(b > a for a, b in zip(work, work[1:])), name
         row = curves.table4_row()
         assert row["tensor"] == "toy"
         assert row["n_pp_approx"] >= 0
+        assert row["flops_als"] > 0
         # the three methods start from the same initialization, so their final
         # fitness values must be close
         assert abs(curves.dt.fitness - curves.msdt.fitness) < 1e-6
 
-    def test_time_to_fitness_and_speedup(self):
-        tensor = random_low_rank_tensor((12, 12, 12), rank=3, noise=0.01, seed=2)
-        curves = fitness_curve_comparison(tensor, rank=3, label="toy", n_sweeps=20,
-                                          tol=0.0, pp_tol=0.3, seed=3)
-        times = curves.time_to_fitness(0.0)
-        assert all(np.isfinite(t) for t in times.values())
-        assert curves.pp_speedup_to_common_fitness(margin=0.05) >= 0.0
+
+    def test_table4_counts_flops_of_the_pp_run(self):
+        tensor = collinearity_tensor((14, 14, 14), 4, (0.6, 0.8), seed=5).tensor
+        curves = fitness_curve_comparison(tensor, rank=4, label="toy", n_sweeps=40,
+                                          tol=1e-6, pp_tol=0.2, seed=1)
+        row = curves.table4_row()
+        assert row["n_pp_approx"] > 0
+        assert row["flops_pp_approx"] < row["flops_als"]
+        total = sum(sum(s.flops.values()) for s in curves.pp.sweeps)
+        assert curves.curves()["pp"][-1] == (total, curves.pp.sweeps[-1].fitness)
+
+
+class TestRepeatability:
+    """Two identical calls report identical numbers: nothing is timed."""
+
+    def test_executed_weak_scaling(self):
+        def run():
+            points = executed_weak_scaling(3, 5, 4, grids=[(2, 1, 1)], n_sweeps=2, seed=0)
+            return [(p.method, p.per_sweep_seconds, p.breakdown) for p in points]
+
+        assert run() == run()
+
+    def test_collinearity_study(self):
+        def run():
+            results = collinearity_speedup_study(
+                mode_size=12, rank=3, bins=[(0.4, 0.6)], n_seeds=2, n_sweeps=20, pp_tol=0.3,
+            )
+            return [r.table3_row() for r in results]
+
+        assert run() == run()
+
+    def test_fitness_curve_comparison(self):
+        tensor = random_low_rank_tensor((10, 10, 10), rank=3, noise=0.01, seed=2)
+
+        def run():
+            curves = fitness_curve_comparison(tensor, rank=3, label="toy", n_sweeps=15,
+                                              tol=0.0, pp_tol=0.3, seed=3)
+            return curves.curves(), curves.table4_row()
+
+        assert run() == run()
 
 
 class TestReporting:
@@ -200,9 +230,3 @@ class TestReporting:
     def test_format_table_row_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             format_table(["a"], [[1, 2]])
-
-    def test_format_breakdown(self):
-        text = format_breakdown({"dt": {"ttm": 1.0, "solve": 0.5}})
-        assert "dt" in text
-        assert "ttm" in text
-        assert "total" in text
