@@ -1,12 +1,12 @@
 """Communication substrate.
 
-The parallel algorithms in :mod:`repro.core` are written against the
-*group-collective* interface of :class:`repro.comm.base.GroupCollectives`:
-every collective takes the per-rank contributions of one BSP superstep and
-returns the per-rank results, charging the alpha-beta cost of the collective
-to each participating rank's :class:`repro.machine.cost_tracker.CostTracker`.
+The parallel algorithms in :mod:`repro.core` run on a machine's
+*group collectives*: every collective takes the per-rank contributions of one
+BSP superstep and returns the per-rank results, charging the alpha-beta cost
+of the collective to each participating rank's
+:class:`repro.machine.cost_tracker.CostTracker`.
 
-Two machines implement it:
+Two machines provide them:
 
 * :class:`repro.comm.simulated.SimulatedMachine` — ``P`` logical ranks inside
   one process.  Data movement is performed exactly (results are bit-identical
@@ -28,7 +28,6 @@ No machine runs over real MPI: full-sweep SPMD deployment is parked, and git
 history holds the mpi4py adapter that once served it (``7033aeb``).
 """
 
-from repro.comm.base import GroupCollectives
 from repro.comm.simulated import SimulatedMachine
 from repro.comm.procs import ProcessMachine, leaked_segments
 
@@ -37,7 +36,6 @@ MACHINES = {"simulated": SimulatedMachine, "process": ProcessMachine}
 
 __all__ = [
     "MACHINES",
-    "GroupCollectives",
     "SimulatedMachine",
     "ProcessMachine",
     "leaked_segments",

@@ -159,7 +159,6 @@ class _WorkerState:
         self.kernels = RankKernels(make_provider(
             spec["engine"], tensor, factors,
             tracker=CostTracker(),
-            max_cache_bytes=spec.get("max_cache_bytes"),
         ))
 
     def apply_factor(self, mode: int) -> None:
@@ -494,14 +493,12 @@ class ProcessMachine(SimulatedMachine):
             tracker.add_seconds(category, seconds)
 
     # -- substrate -------------------------------------------------------------
-    def attach(self, grid, dist_tensor, dist_factors, mttkrp: str,
-               max_cache_bytes: int | None = None):
+    def attach(self, grid, dist_tensor, dist_factors, mttkrp: str):
         """The ranks of one distributed problem on this machine, in its
         workers (a :class:`~repro.distributed.runtime.ProcessRuntime`)."""
         from repro.distributed.runtime import ProcessRuntime
 
-        return ProcessRuntime(self, grid, dist_tensor, dist_factors, mttkrp,
-                              max_cache_bytes=max_cache_bytes)
+        return ProcessRuntime(self, grid, dist_tensor, dist_factors, mttkrp)
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

@@ -1,10 +1,13 @@
 """In-process simulated BSP machine with MPI-style collectives.
 
-A :class:`SimulatedMachine` hosts ``P`` logical ranks.  Collectives move the
-actual numpy data between the per-rank contributions (so results are exactly
-what a real distributed execution would produce) and charge the latency /
-bandwidth cost of Section II-E of the paper to every participating rank's
-:class:`~repro.machine.cost_tracker.CostTracker`.
+A :class:`SimulatedMachine` hosts ``P`` logical ranks.  Its collectives are
+BSP-superstep shaped: each is invoked once per superstep with the
+contributions of *all* ranks of an explicit group and returns the per-rank
+results.  They move the actual numpy data between the contributions (so
+results are exactly what a real distributed execution would produce) and
+charge the latency / bandwidth cost of Section II-E of the paper to every
+participating rank's :class:`~repro.machine.cost_tracker.CostTracker`.
+:class:`repro.comm.procs.ProcessMachine` inherits them.
 
 This is the documented substitution for the paper's Cyclops/MPI runs on
 Stampede2: the local computations and the communicated volumes are identical;
@@ -17,12 +20,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.comm.base import GroupCollectives
 from repro.grid.distribution import split_rows_evenly
 from repro.machine.collective_costs import (
     all_gather_cost,
     all_reduce_cost,
-    broadcast_cost,
     reduce_scatter_cost,
 )
 from repro.machine.cost_tracker import CostTracker
@@ -32,7 +33,7 @@ from repro.utils.validation import check_positive_int
 __all__ = ["SimulatedMachine"]
 
 
-class SimulatedMachine(GroupCollectives):
+class SimulatedMachine:
     """``P`` logical ranks with exact collectives and modeled communication cost."""
 
     def __init__(self, n_ranks: int, params: MachineParams | None = None):
@@ -69,14 +70,12 @@ class SimulatedMachine(GroupCollectives):
         return self.critical_path_tracker().modeled_time(self.params)
 
     # -- substrate -------------------------------------------------------------
-    def attach(self, grid, dist_tensor, dist_factors, mttkrp: str,
-               max_cache_bytes: int | None = None):
+    def attach(self, grid, dist_tensor, dist_factors, mttkrp: str):
         """The ranks of one distributed problem on this machine, in this
         process (a :class:`~repro.distributed.runtime.LocalRuntime`)."""
         from repro.distributed.runtime import LocalRuntime
 
-        return LocalRuntime(self, grid, dist_tensor, dist_factors, mttkrp,
-                            max_cache_bytes=max_cache_bytes)
+        return LocalRuntime(self, grid, dist_tensor, dist_factors, mttkrp)
 
     def close(self) -> None:
         """Release the machine's resources (none in one process)."""
@@ -93,10 +92,23 @@ class SimulatedMachine(GroupCollectives):
         arr = np.asarray(value, dtype=np.float64)
         return arr
 
+    @staticmethod
+    def _check_group(contributions: Mapping[int, np.ndarray], group: Sequence[int]) -> list[int]:
+        group = [int(r) for r in group]
+        if len(group) == 0:
+            raise ValueError("collective group must be non-empty")
+        if len(set(group)) != len(group):
+            raise ValueError(f"collective group contains duplicate ranks: {group}")
+        missing = [r for r in group if r not in contributions]
+        if missing:
+            raise ValueError(f"missing contributions for ranks {missing}")
+        return group
+
     # -- collectives -------------------------------------------------------------
     def all_reduce(
         self, contributions: Mapping[int, np.ndarray], group: Sequence[int]
     ) -> dict[int, np.ndarray]:
+        """Sum the contributions of ``group`` and return the sum to every member."""
         group = self._check_group(contributions, group)
         arrays = [self._as_array(contributions[r]) for r in group]
         shapes = {a.shape for a in arrays}
@@ -110,6 +122,7 @@ class SimulatedMachine(GroupCollectives):
     def all_gather_rows(
         self, contributions: Mapping[int, np.ndarray], group: Sequence[int]
     ) -> dict[int, np.ndarray]:
+        """Concatenate the row blocks of ``group`` (in group order) on every member."""
         group = self._check_group(contributions, group)
         arrays = [np.atleast_2d(self._as_array(contributions[r])) for r in group]
         trailing = {a.shape[1:] for a in arrays}
@@ -123,11 +136,10 @@ class SimulatedMachine(GroupCollectives):
         return {r: gathered.copy() for r in group}
 
     def reduce_scatter_rows(
-        self,
-        contributions: Mapping[int, np.ndarray],
-        group: Sequence[int],
-        row_ranges: Mapping[int, tuple[int, int]] | None = None,
+        self, contributions: Mapping[int, np.ndarray], group: Sequence[int]
     ) -> dict[int, np.ndarray]:
+        """Sum the contributions of ``group`` and scatter its rows, split
+        evenly in group order, to the members."""
         group = self._check_group(contributions, group)
         arrays = [np.atleast_2d(self._as_array(contributions[r])) for r in group]
         shapes = {a.shape for a in arrays}
@@ -136,37 +148,10 @@ class SimulatedMachine(GroupCollectives):
                 f"reduce_scatter_rows contributions must share a shape, got {shapes}"
             )
         total = np.sum(arrays, axis=0)
-        n_rows = total.shape[0]
-        if row_ranges is None:
-            ranges = split_rows_evenly(n_rows, len(group))
-            row_ranges = {rank: rng for rank, rng in zip(group, ranges)}
-        else:
-            for rank in group:
-                if rank not in row_ranges:
-                    raise ValueError(f"row_ranges missing rank {rank}")
-                start, stop = row_ranges[rank]
-                if not 0 <= start <= stop <= n_rows:
-                    raise ValueError(
-                        f"row range {row_ranges[rank]} invalid for {n_rows} rows"
-                    )
+        ranges = split_rows_evenly(total.shape[0], len(group))
         messages, words = reduce_scatter_cost(total.size, len(group))
         self._charge(group, messages, words)
-        return {
-            rank: total[row_ranges[rank][0]: row_ranges[rank][1]].copy() for rank in group
-        }
-
-    def broadcast(
-        self, value: np.ndarray, group: Sequence[int], root: int
-    ) -> dict[int, np.ndarray]:
-        group = [int(r) for r in group]
-        if len(group) == 0:
-            raise ValueError("collective group must be non-empty")
-        if root not in group:
-            raise ValueError(f"broadcast root {root} not in group {group}")
-        arr = self._as_array(value)
-        messages, words = broadcast_cost(arr.size, len(group))
-        self._charge(group, messages, words)
-        return {r: arr.copy() for r in group}
+        return {rank: total[start:stop].copy() for rank, (start, stop) in zip(group, ranges)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimulatedMachine(n_ranks={self._n_ranks})"

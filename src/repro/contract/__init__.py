@@ -2,7 +2,7 @@
 
 The einsums that remain in the package — the COO ``naive`` MTTKRP, the sparse
 fiber step's row scaling and the dense reference kernels of
-:mod:`repro.tensor` (the ``naive``/``unfolding`` MTTKRPs, ``ttm``, ``ttv``,
+:mod:`repro.tensor` (the ``naive`` MTTKRP, ``ttm``, ``ttv``,
 ``partial_mttkrp``) — run on one :class:`~repro.contract.engine.ContractionEngine`
 per process, so the ``np.einsum_path`` search runs once per (spec, shapes,
 dtypes) key instead of once per call.  There is nothing to inject: every

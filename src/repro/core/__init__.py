@@ -1,7 +1,7 @@
 """CP-ALS drivers: sequential, pairwise-perturbation, and parallel variants.
 
 * :func:`repro.core.cp_als.cp_als` — Algorithm 1 with a pluggable MTTKRP
-  engine (naive / unfolding / dimension tree / MSDT).
+  engine (naive / dimension tree / MSDT).
 * :func:`repro.core.pp_cp_als.pp_cp_als` — Algorithm 2 (pairwise
   perturbation), using MSDT for the exact sweeps as the paper's
   implementation does.

@@ -21,9 +21,7 @@ def cp_als(
     *,
     initial_factors: Sequence[np.ndarray] | None = None,
     tracker: CostTracker | None = None,
-    record_sweeps: bool = True,
     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
-    max_cache_bytes: int | None = None,
     dtype: np.dtype | str | None = None,
 ) -> ALSResult:
     """CP decomposition via alternating least squares (Algorithm 1).
@@ -44,15 +42,10 @@ def cp_als(
     tracker:
         Optional :class:`~repro.machine.cost_tracker.CostTracker`; a fresh one
         is created when omitted and returned in the result.
-    record_sweeps:
-        When True (default) a :class:`~repro.core.results.SweepRecord` is kept
-        per sweep (fitness history, kernel breakdown).
     callback:
         Optional ``callback(sweep_index, factors, fitness)`` invoked after
         every sweep.  An exception raised by the callback aborts the run and
         propagates — :mod:`repro.service` uses this for job cancellation.
-    max_cache_bytes:
-        Optional bound on the engine's intermediate cache.
     dtype:
         Working floating dtype.  ``None`` (default) normalizes the tensor and
         factors to float64; pass e.g. ``np.float32`` to run the whole
@@ -64,6 +57,6 @@ def cp_als(
     """
     return solve_sequential(
         tensor, options, ALSOptions, rule=make_update_rule("least_squares"),
-        initial_factors=initial_factors, tracker=tracker, record_sweeps=record_sweeps,
-        callback=callback, max_cache_bytes=max_cache_bytes, dtype=dtype,
+        initial_factors=initial_factors, tracker=tracker, callback=callback,
+        dtype=dtype,
     )

@@ -1,9 +1,7 @@
-"""Factor matrix initialization.
+"""Factor matrix initialization and the drivers' shared prologue.
 
 The paper (Algorithms 1 and 2, line 2) initializes every factor with entries
-drawn uniformly from ``[0, 1)``.  A Gaussian option and an HOSVD-style option
-(leading left singular vectors of the unfoldings) are provided as well since
-they are common in practice and useful for tests.
+drawn uniformly from ``[0, 1)``; every driver does the same.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import numpy as np
 
 from repro.backend import check_tensor
 from repro.tensor.norms import tensor_norm
-from repro.tensor.unfold import unfold
 from repro.utils.random import as_rng
 from repro.utils.validation import check_factor_matrices, check_rank
 
@@ -25,50 +22,15 @@ def init_factors(
     shape: Sequence[int],
     rank: int,
     seed: int | np.random.Generator | None = None,
-    method: str = "uniform",
-    tensor: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """Initial factor matrices for CP-ALS.
-
-    Parameters
-    ----------
-    shape:
-        Mode sizes of the tensor to decompose.
-    rank:
-        CP rank.
-    method:
-        ``"uniform"`` (paper default), ``"normal"``, or ``"hosvd"`` (requires
-        ``tensor``); ``"hosvd"`` pads with random columns when a mode is
-        smaller than the rank.
-    """
+    """Initial factor matrices for CP-ALS: entries uniform on ``[0, 1)``,
+    one ``(shape[n], rank)`` matrix per mode, drawn from ``seed``."""
     rank = check_rank(rank)
     rng = as_rng(seed)
     shape = [int(s) for s in shape]
     if any(s <= 0 for s in shape):
         raise ValueError(f"mode sizes must be positive, got {shape}")
-
-    if method == "uniform":
-        return [rng.random((s, rank)) for s in shape]
-    if method == "normal":
-        return [rng.standard_normal((s, rank)) for s in shape]
-    if method == "hosvd":
-        if tensor is None:
-            raise ValueError("HOSVD initialization requires the tensor")
-        tensor = np.asarray(tensor, dtype=np.float64)
-        if tuple(tensor.shape) != tuple(shape):
-            raise ValueError("tensor shape does not match the requested shape")
-        factors = []
-        for mode, s in enumerate(shape):
-            unfolded = unfold(tensor, mode)
-            u, _, _ = np.linalg.svd(unfolded, full_matrices=False)
-            k = min(rank, u.shape[1])
-            factor = np.empty((s, rank))
-            factor[:, :k] = u[:, :k]
-            if k < rank:
-                factor[:, k:] = rng.random((s, rank - k))
-            factors.append(factor)
-        return factors
-    raise ValueError(f"unknown initialization method {method!r}")
+    return [rng.random((s, rank)) for s in shape]
 
 
 def prepare_als_inputs(
@@ -91,8 +53,7 @@ def prepare_als_inputs(
     tensor = check_tensor(tensor, min_order=min_order, dtype=dtype)
     if initial_factors is None:
         factors = [np.asarray(f, dtype=tensor.dtype)
-                   for f in init_factors(tensor.shape, rank, seed=seed,
-                                         method="uniform")]
+                   for f in init_factors(tensor.shape, rank, seed=seed)]
     else:
         checked = check_factor_matrices(initial_factors, shape=tensor.shape,
                                         rank=rank, dtype=tensor.dtype)

@@ -165,7 +165,6 @@ def run_sweeps(
     n_sweeps: int,
     tol: float,
     pp: tuple[float, int] | None = None,
-    record_sweeps: bool = True,
     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
 ) -> SweepOutcome:
     """Run up to ``n_sweeps`` sweeps of ``run`` under the stop rule.
@@ -188,13 +187,12 @@ def run_sweeps(
         if modeled_seconds is not None:
             modeled.append(modeled_seconds)
         fitness = ResultBase.fitness_from_residual(residual)
-        if record_sweeps:
-            records.append(SweepRecord(
-                index=count, sweep_type=sweep_type, fitness=fitness,
-                residual=residual, elapsed_seconds=elapsed,
-                cumulative_seconds=cumulative, kernel_seconds=kernel_seconds,
-                flops=flops, modeled_seconds=modeled_seconds,
-            ))
+        records.append(SweepRecord(
+            index=count, sweep_type=sweep_type, fitness=fitness,
+            residual=residual, elapsed_seconds=elapsed,
+            cumulative_seconds=cumulative, kernel_seconds=kernel_seconds,
+            flops=flops, modeled_seconds=modeled_seconds,
+        ))
         count += 1
         if notify and callback is not None:
             callback(count - 1, run.factors(), fitness)
@@ -349,15 +347,17 @@ class SequentialRun(SweepRun):
 def solve_sequential(tensor, options, cls: type, *, rule: UpdateRule | None = None,
                      result: Callable[..., ALSResult] = ALSResult,
                      initial_factors: Sequence[np.ndarray] | None = None,
-                     tracker: CostTracker | None = None, max_cache_bytes: int | None = None,
-                     dtype: np.dtype | str | None = None, **loop) -> ALSResult:
+                     tracker: CostTracker | None = None,
+                     dtype: np.dtype | str | None = None,
+                     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
+                     ) -> ALSResult:
     """The body of the four sequential drivers: the one sweep loop on a
     :class:`SequentialRun` of the ``cls`` bundle's engine under ``rule``.
 
     A :class:`~repro.core.options.PPOptions` ``cls`` turns on PP phases;
     ``result`` builds the result.  The keywords are those of
-    :func:`~repro.core.cp_als.cp_als`; ``loop`` (``record_sweeps``,
-    ``callback``) goes to :func:`run_sweeps`.
+    :func:`~repro.core.cp_als.cp_als`; ``callback`` goes to
+    :func:`run_sweeps`.
     """
     opts = check_options(options, cls)
     pp = ((opts.pp_tol, opts.max_pp_sweeps_per_phase)
@@ -368,11 +368,11 @@ def solve_sequential(tensor, options, cls: type, *, rule: UpdateRule | None = No
         initial_factors=initial_factors, seed=opts.seed,
     )
 
-    provider = make_provider(opts.mttkrp, tensor, factors, tracker=tracker,
-                             max_cache_bytes=max_cache_bytes)
+    provider = make_provider(opts.mttkrp, tensor, factors, tracker=tracker)
     run = SequentialRun(provider, [gram_matrix(f, tracker=tracker) for f in provider.factors],
                         norm_t, tracker, rule)
-    outcome = run_sweeps(run, n_sweeps=opts.n_sweeps, tol=opts.tol, pp=pp, **loop)
+    outcome = run_sweeps(run, n_sweeps=opts.n_sweeps, tol=opts.tol, pp=pp,
+                         callback=callback)
 
     settings = {"rank": opts.rank, "n_sweeps": opts.n_sweeps, "tol": opts.tol}
     if pp is not None:

@@ -121,9 +121,7 @@ def masked_cp_als(
     mask=None,
     initial_factors: Sequence[np.ndarray] | None = None,
     tracker: CostTracker | None = None,
-    record_sweeps: bool = True,
     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
-    max_cache_bytes: int | None = None,
     dtype: np.dtype | str | None = None,
 ) -> MaskedALSResult:
     """CP decomposition over observed entries only (masked/weighted ALS).
@@ -141,7 +139,7 @@ def masked_cp_als(
         The observed-entry pattern; see :func:`normalize_mask` for the
         accepted spellings.  Required for dense input; defaults to the
         nonzero pattern for sparse input.
-    initial_factors, tracker, record_sweeps, callback, max_cache_bytes, dtype:
+    initial_factors, tracker, callback, dtype:
         As in :func:`~repro.core.cp_als.cp_als`.
 
     >>> import numpy as np
@@ -184,6 +182,6 @@ def masked_cp_als(
         rule=MaskedLeastSquaresUpdate(mask_indices, shape),
         result=partial(MaskedALSResult, n_observed=n_observed,
                        observed_fraction=n_observed / size),
-        initial_factors=initial_factors, tracker=tracker, record_sweeps=record_sweeps,
-        callback=callback, max_cache_bytes=max_cache_bytes, dtype=dtype,
+        initial_factors=initial_factors, tracker=tracker, callback=callback,
+        dtype=dtype,
     )

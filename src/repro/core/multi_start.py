@@ -200,7 +200,7 @@ def multi_start(
         this one in start order after the run.
     solver_kwargs:
         Data and runtime arguments forwarded to the solver (``callback``,
-        ``mask``, ``record_sweeps``, ``max_cache_bytes``, ``dtype``).
+        ``mask``, ``dtype``).
 
     Returns
     -------

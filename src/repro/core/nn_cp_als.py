@@ -43,9 +43,7 @@ def nn_cp_als(
     *,
     initial_factors: Sequence[np.ndarray] | None = None,
     tracker: CostTracker | None = None,
-    record_sweeps: bool = True,
     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
-    max_cache_bytes: int | None = None,
     dtype: np.dtype | str | None = None,
 ) -> ALSResult:
     """Nonnegative CP decomposition (HALS by default).
@@ -84,6 +82,6 @@ def nn_cp_als(
                 )
     return solve_sequential(
         tensor, opts, NNOptions, rule=make_update_rule(opts.update),
-        initial_factors=initial_factors, tracker=tracker, record_sweeps=record_sweeps,
-        callback=callback, max_cache_bytes=max_cache_bytes, dtype=dtype,
+        initial_factors=initial_factors, tracker=tracker, callback=callback,
+        dtype=dtype,
     )

@@ -76,7 +76,6 @@ class ParallelState:
     norm_t: float
     rank: int
     distributed_solve: bool = True
-    solve_latency_messages: int = 2
     #: whether :func:`setup_parallel_state` created the machine itself (and
     #: :meth:`close` should therefore shut it down)
     owns_machine: bool = False
@@ -116,7 +115,6 @@ def setup_parallel_state(
     machine: SimulatedMachine | None = None,
     params: MachineParams | None = None,
     initial_factors: Sequence[np.ndarray] | None = None,
-    max_cache_bytes: int | None = None,
 ) -> ParallelState:
     """Distribute the tensor and factors and build the per-rank MTTKRP engines.
 
@@ -181,7 +179,7 @@ def setup_parallel_state(
         )
 
     if initial_factors is None:
-        factors = init_factors(global_shape, rank, seed=options.seed, method="uniform")
+        factors = init_factors(global_shape, rank, seed=options.seed)
     else:
         factors = [np.array(f, dtype=np.float64, copy=True) for f in
                    check_factor_matrices(initial_factors, shape=global_shape, rank=rank)]
@@ -193,8 +191,7 @@ def setup_parallel_state(
     ]
 
     try:
-        runtime = machine.attach(grid, dist_tensor, dist_factors, options.mttkrp,
-                                 max_cache_bytes=max_cache_bytes)
+        runtime = machine.attach(grid, dist_tensor, dist_factors, options.mttkrp)
     except BaseException:
         if owns_machine:
             machine.close()
@@ -319,7 +316,9 @@ def _solve_chunks(
         if state.distributed_solve:
             tracker.add_flops("solve", rank_r**3 // (3 * len(group)) + 2 * chunk.shape[0] * rank_r**2)
             if len(group) > 1:
-                tracker.add_messages(state.solve_latency_messages * max(len(group).bit_length() - 1, 0))
+                # the shared factorization's extra latency: two messages per
+                # doubling of the group
+                tracker.add_messages(2 * max(len(group).bit_length() - 1, 0))
                 tracker.add_horizontal_words(rank_r * rank_r)
         else:
             tracker.add_flops("solve", rank_r**3 // 3 + 2 * chunk.shape[0] * rank_r**2)
@@ -541,7 +540,6 @@ class ParallelRun(SweepRun):
 
 def solve_parallel(tensor, opts: ParallelOptions, *,
                    pp: tuple[float, int] | None = None,
-                   record_sweeps: bool = True,
                    callback: Callable[[int, list[np.ndarray], float], None] | None = None,
                    **setup) -> ParallelALSResult:
     """The body of both parallel drivers: distribute, run the one sweep loop
@@ -550,7 +548,7 @@ def solve_parallel(tensor, opts: ParallelOptions, *,
     ``opts`` is the run's :class:`~repro.core.options.ParallelOptions` (or
     its PP subclass); ``setup`` holds the remaining keywords of
     :func:`setup_parallel_state` (``machine``, ``params``,
-    ``initial_factors``, ``max_cache_bytes``).
+    ``initial_factors``).
     """
     rule = make_update_rule(opts.update)
     state = setup_parallel_state(tensor, opts, **setup)
@@ -559,7 +557,7 @@ def solve_parallel(tensor, opts: ParallelOptions, *,
     # success, failure and KeyboardInterrupt alike (no-op when simulated)
     try:
         outcome = run_sweeps(run, n_sweeps=opts.n_sweeps, tol=opts.tol, pp=pp,
-                             record_sweeps=record_sweeps, callback=callback)
+                             callback=callback)
     finally:
         state.close()
     options = {"rank": opts.rank, "n_sweeps": opts.n_sweeps, "tol": opts.tol}

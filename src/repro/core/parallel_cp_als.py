@@ -39,9 +39,7 @@ def parallel_cp_als(
     machine: SimulatedMachine | None = None,
     params: MachineParams | None = None,
     initial_factors: Sequence[np.ndarray] | None = None,
-    record_sweeps: bool = True,
     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
-    max_cache_bytes: int | None = None,
 ) -> ParallelALSResult:
     """Distributed-memory CP-ALS (Algorithm 3) executed on the simulated machine.
 
@@ -65,7 +63,7 @@ def parallel_cp_als(
         :class:`~repro.comm.procs.ProcessMachine` runs the per-rank kernels
         in real worker processes (the machine is then *not* closed here, so
         it can be reused across runs).
-    initial_factors, record_sweeps, callback, max_cache_bytes:
+    initial_factors, callback:
         As in :func:`~repro.core.cp_als.cp_als`; the callback's factors are
         the gathered global ones.
 
@@ -76,6 +74,6 @@ def parallel_cp_als(
     """
     return solve_parallel(
         tensor, check_options(options, ParallelOptions),
-        record_sweeps=record_sweeps, callback=callback, machine=machine, params=params,
-        initial_factors=initial_factors, max_cache_bytes=max_cache_bytes,
+        callback=callback, machine=machine, params=params,
+        initial_factors=initial_factors,
     )

@@ -44,9 +44,7 @@ def parallel_pp_cp_als(
     machine: SimulatedMachine | None = None,
     params: MachineParams | None = None,
     initial_factors: Sequence[np.ndarray] | None = None,
-    record_sweeps: bool = True,
     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
-    max_cache_bytes: int | None = None,
 ) -> ParallelALSResult:
     """Parallel PP-CP-ALS (Algorithm 4) on the simulated machine.
 
@@ -67,6 +65,6 @@ def parallel_pp_cp_als(
         )
     return solve_parallel(
         tensor, opts, pp=(opts.pp_tol, opts.max_pp_sweeps_per_phase),
-        record_sweeps=record_sweeps, callback=callback, machine=machine, params=params,
-        initial_factors=initial_factors, max_cache_bytes=max_cache_bytes,
+        callback=callback, machine=machine, params=params,
+        initial_factors=initial_factors,
     )

@@ -44,9 +44,7 @@ def pp_cp_als(
     *,
     initial_factors: Sequence[np.ndarray] | None = None,
     tracker: CostTracker | None = None,
-    record_sweeps: bool = True,
     callback: Callable[[int, list[np.ndarray], float], None] | None = None,
-    max_cache_bytes: int | None = None,
     dtype: np.dtype | str | None = None,
 ) -> ALSResult:
     """CP decomposition via pairwise-perturbation ALS (Algorithm 2).
@@ -66,6 +64,6 @@ def pp_cp_als(
     # least squares, keeping each exact sweep's start residual
     return solve_sequential(
         tensor, options, PPOptions,
-        initial_factors=initial_factors, tracker=tracker, record_sweeps=record_sweeps,
-        callback=callback, max_cache_bytes=max_cache_bytes, dtype=dtype,
+        initial_factors=initial_factors, tracker=tracker, callback=callback,
+        dtype=dtype,
     )

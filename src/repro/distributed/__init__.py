@@ -26,18 +26,34 @@ factor blocks into shared-memory panels and drives one
 :class:`~repro.comm.procs.ProcessMachine` running its own ``RankKernels``.
 """
 
-from repro.distributed.dist_tensor import DistributedTensor
-from repro.distributed.dist_factor import DistributedFactor
-from repro.distributed.sparse import DistSparseTensor
-from repro.distributed.rank import RankKernels
-from repro.distributed.runtime import LocalRuntime, ProcessRuntime, RemoteRank
+import importlib
 
-__all__ = [
-    "DistributedTensor",
-    "DistributedFactor",
-    "DistSparseTensor",
-    "RankKernels",
-    "LocalRuntime",
-    "ProcessRuntime",
-    "RemoteRank",
-]
+#: the public names and their defining modules, imported on first use
+#: (PEP 562) so that a process-machine worker, which needs only
+#: :mod:`repro.distributed.rank`, loads no other submodule
+_PUBLIC = {
+    "DistributedTensor": "repro.distributed.dist_tensor",
+    "DistributedFactor": "repro.distributed.dist_factor",
+    "DistSparseTensor": "repro.distributed.sparse",
+    "RankKernels": "repro.distributed.rank",
+    "LocalRuntime": "repro.distributed.runtime",
+    "ProcessRuntime": "repro.distributed.runtime",
+    "RemoteRank": "repro.distributed.runtime",
+}
+
+__all__ = list(_PUBLIC)
+
+
+def __getattr__(name: str):
+    try:
+        module = _PUBLIC[name]
+    except KeyError:
+        raise AttributeError(
+            f"module 'repro.distributed' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -43,15 +43,13 @@ class LocalRuntime:
     """One :class:`~repro.distributed.rank.RankKernels` per rank, in this
     process, recording into the rank's cost tracker."""
 
-    def __init__(self, machine, grid, dist_tensor, dist_factors, mttkrp: str,
-                 max_cache_bytes: int | None = None):
+    def __init__(self, machine, grid, dist_tensor, dist_factors, mttkrp: str):
         self.ranks = {
             proc: RankKernels(make_provider(
                 mttkrp,
                 dist_tensor.local_block(proc),
                 [dist_factors[m].local_block_for(proc) for m in range(grid.order)],
                 tracker=machine.tracker(proc),
-                max_cache_bytes=max_cache_bytes,
             ))
             for proc in grid.ranks()
         }
@@ -105,8 +103,7 @@ class ProcessRuntime:
     """
 
     def __init__(self, machine: ProcessMachine, grid, dist_tensor,
-                 dist_factors, mttkrp: str,
-                 max_cache_bytes: int | None = None):
+                 dist_factors, mttkrp: str):
         self.machine = machine
         self.grid = grid
         self._detached = False
@@ -157,7 +154,6 @@ class ProcessRuntime:
             coord = grid.coordinate(proc)
             specs[proc] = {
                 "engine": mttkrp,
-                "max_cache_bytes": max_cache_bytes,
                 "rank": rank_r,
                 "order": order,
                 "tensor": tensor_spec,

@@ -72,7 +72,7 @@ def fitness_curve_comparison(
 ) -> FitnessCurves:
     """Run DT, MSDT and PP from a shared initialization on one tensor (one Fig. 5 panel)."""
     tensor = np.asarray(tensor, dtype=np.float64)
-    initial = init_factors(tensor.shape, rank, seed=seed, method="uniform")
+    initial = init_factors(tensor.shape, rank, seed=seed)
     dt_result = cp_als(
         tensor, ALSOptions(rank=rank, n_sweeps=n_sweeps, tol=tol, mttkrp="dt"),
         initial_factors=initial,

@@ -70,7 +70,7 @@ def measured_mttkrp_flops_per_sweep(
 
     for name in ("naive", "dt", "msdt"):
         tracker = CostTracker()
-        factors = init_factors(shape, rank, seed=seed, method="uniform")
+        factors = init_factors(shape, rank, seed=seed)
         provider = make_provider(name, tensor, factors, tracker=tracker)
         # warm-up sweep so cross-sweep amortization (MSDT) reaches steady state
         for _ in range(2):
@@ -87,7 +87,7 @@ def measured_mttkrp_flops_per_sweep(
 
     # PP initialization step
     tracker = CostTracker()
-    factors = init_factors(shape, rank, seed=seed, method="uniform")
+    factors = init_factors(shape, rank, seed=seed)
     operators = PairwiseOperators.build(tensor, factors, tracker=tracker)
     results["pp-init"] = _contraction_flops(tracker)
 

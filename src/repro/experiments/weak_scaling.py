@@ -175,7 +175,7 @@ def executed_weak_scaling(
         # one shared initialization per grid — matches what the drivers would
         # generate themselves (same seed and method), but materialized here so
         # every method provably starts from identical factors
-        initial = init_factors(shape, rank, seed=seed, method="uniform")
+        initial = init_factors(shape, rank, seed=seed)
         for method in methods:
             if method in ("planc", "dt", "msdt"):
                 options = ParallelOptions(

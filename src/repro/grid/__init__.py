@@ -10,23 +10,33 @@ sparse tensors) and :mod:`repro.grid.distribution` holds the padded block
 height and the even row split of the collectives.
 """
 
-from repro.grid.processor_grid import ProcessorGrid
-from repro.grid.distribution import padded_block_size, split_rows_evenly
-from repro.grid.balance import (
-    ModePartition,
-    PartitionReport,
-    TensorPartition,
-    available_partitioners,
-    make_partition,
-)
+import importlib
 
-__all__ = [
-    "ProcessorGrid",
-    "padded_block_size",
-    "split_rows_evenly",
-    "ModePartition",
-    "PartitionReport",
-    "TensorPartition",
-    "available_partitioners",
-    "make_partition",
-]
+#: the public names and their defining modules, imported on first use
+#: (PEP 562) so that importing one submodule loads no other
+_PUBLIC = {
+    "ProcessorGrid": "repro.grid.processor_grid",
+    "padded_block_size": "repro.grid.distribution",
+    "split_rows_evenly": "repro.grid.distribution",
+    "ModePartition": "repro.grid.balance",
+    "PartitionReport": "repro.grid.balance",
+    "TensorPartition": "repro.grid.balance",
+    "available_partitioners": "repro.grid.balance",
+    "make_partition": "repro.grid.balance",
+}
+
+__all__ = list(_PUBLIC)
+
+
+def __getattr__(name: str):
+    try:
+        module = _PUBLIC[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro.grid' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -116,26 +116,6 @@ class ProcessorGrid:
             groups[coord[mode]].append(rank)
         return groups
 
-    def fiber_groups(self, mode: int) -> list[list[int]]:
-        """Partition of ranks into fibers varying only along ``mode``.
-
-        Each group holds ``I_mode`` ranks that differ only in their ``mode``-th
-        coordinate (useful for mode-wise broadcast patterns).
-
-        Example
-        -------
-        >>> ProcessorGrid((2, 2)).fiber_groups(1)
-        [[0, 1], [2, 3]]
-        """
-        if not 0 <= mode < self.order:
-            raise ValueError(f"mode {mode} out of range for order-{self.order} grid")
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for rank in range(self._size):
-            coord = list(self.coordinate(rank))
-            coord[mode] = -1
-            buckets.setdefault(tuple(coord), []).append(rank)
-        return list(buckets.values())
-
     # -- helpers --------------------------------------------------------------
     @classmethod
     def for_tensor(cls, shape: Sequence[int], n_procs: int) -> "ProcessorGrid":

@@ -23,7 +23,6 @@ __all__ = [
     "all_gather_cost",
     "reduce_scatter_cost",
     "all_reduce_cost",
-    "broadcast_cost",
     "als_sweep_collective_cost",
     "process_hop_cost",
 ]
@@ -59,13 +58,6 @@ def all_reduce_cost(n_words: float, n_procs: int) -> Tuple[float, float]:
     _validate(n_words, n_procs)
     delta = 1.0 if n_procs > 1 else 0.0
     return 2.0 * _log2_ceil(n_procs), 2.0 * n_words * delta
-
-
-def broadcast_cost(n_words: float, n_procs: int) -> Tuple[float, float]:
-    """(messages, words) cost of a Broadcast of size ``n_words``."""
-    _validate(n_words, n_procs)
-    delta = 1.0 if n_procs > 1 else 0.0
-    return _log2_ceil(n_procs), n_words * delta
 
 
 def als_sweep_collective_cost(

@@ -109,9 +109,6 @@ class DecompositionService(BaseService):
     artifact_cache:
         Shared :class:`~repro.service.artifacts.ArtifactCache` (a private one
         with ``max_artifacts`` entries is created when omitted).
-    max_cache_bytes:
-        Process-wide budget for the dimension-tree caches, split evenly
-        across workers and passed to every driver as its per-run bound.
     """
 
     def __init__(
@@ -121,7 +118,6 @@ class DecompositionService(BaseService):
         seed: int | None = None,
         artifact_cache: ArtifactCache | None = None,
         max_artifacts: int = 128,
-        max_cache_bytes: int | None = None,
     ):
         super().__init__()
         self.n_workers = check_positive_int(n_workers, "n_workers")
@@ -129,7 +125,6 @@ class DecompositionService(BaseService):
         self.artifacts = artifact_cache if artifact_cache is not None else ArtifactCache(
             max_entries=max_artifacts
         )
-        self.max_cache_bytes = max_cache_bytes
         self._seed_seq = np.random.SeedSequence(seed)
         self._jobs: dict[str, Job] = {}
         self._streams: dict[str, list[ProgressStream]] = {}
@@ -319,8 +314,6 @@ class DecompositionService(BaseService):
             )
 
         extra: dict = {"callback": callback}
-        if self.max_cache_bytes is not None:
-            extra["max_cache_bytes"] = max(self.max_cache_bytes // self.n_workers, 1)
         if request.mask is not None:
             extra["mask"] = request.mask
         if request.algorithm == "multi_start":

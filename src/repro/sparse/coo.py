@@ -205,7 +205,8 @@ class CooTensor:
 
         With ``modes`` in increasing order this matches the column convention
         of :func:`repro.tensor.unfold.unfold` (the last selected mode varies
-        fastest), which is what the sparse unfolding MTTKRP relies on.
+        fastest); the masked driver matches coordinates through it and the
+        sparse partial MTTKRP keys its output rows on it.
         """
         modes = [int(m) for m in modes]
         if not modes:

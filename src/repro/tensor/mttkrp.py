@@ -2,10 +2,9 @@
 
 These are the *unamortized* reference implementations: :func:`mttkrp` contracts
 the input tensor with all but one factor via a single ``einsum`` (the
-correctness oracle used throughout the test suite), and
-:func:`mttkrp_unfolding` is the textbook ``T_(n) @ khatri_rao(...)`` form (the
-"TensorLy-style" baseline).  The amortized engines (dimension tree, MSDT, PP)
-live in :mod:`repro.trees` and are validated against these.
+correctness oracle used throughout the test suite).  The amortized engines
+(dimension tree, MSDT, PP) live in :mod:`repro.trees` and are validated
+against it.
 
 :func:`partial_mttkrp` computes the partially contracted intermediates
 ``M^(i1,...,im)`` of Eq. (4) in the paper, with the kept modes as leading axes
@@ -20,11 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.contract import contract
-from repro.tensor.products import khatri_rao
-from repro.tensor.unfold import unfold
 from repro.utils.validation import check_factor_matrices, check_mode
 
-__all__ = ["mttkrp", "mttkrp_unfolding", "partial_mttkrp"]
+__all__ = ["mttkrp", "partial_mttkrp"]
 
 _LETTERS = "abcdefghijklmnopqstuvwxyz"  # 'r' reserved for the rank axis
 
@@ -77,35 +74,6 @@ def mttkrp(
         tracker.add_flops(category, 2 * tensor.size * rank)
         tracker.add_vertical_words(tensor.size + out.size)
         tracker.add_seconds(category, elapsed)
-    return out
-
-
-def mttkrp_unfolding(
-    tensor: np.ndarray,
-    factors: Sequence[np.ndarray],
-    mode: int,
-    tracker=None,
-    category: str = "mttkrp",
-) -> np.ndarray:
-    """Textbook MTTKRP via explicit unfolding and Khatri-Rao product.
-
-    This forms the full ``(prod_{m != mode} s_m) x R`` Khatri-Rao matrix and is
-    therefore only suitable for small problems; it mirrors what a generic
-    tensor toolbox (e.g. TensorLy's reference backend) does and serves as the
-    unamortized baseline in the benchmarks.
-    """
-    tensor = np.asarray(tensor)
-    order = tensor.ndim
-    mode = check_mode(mode, order)
-    factors = check_factor_matrices(factors, shape=tensor.shape,
-                                    dtype=_working_dtype(tensor))
-    others = [factors[j] for j in range(order) if j != mode]
-    kr = khatri_rao(others, tracker=tracker, category=category)
-    out = contract("ab,br->ar", unfold(tensor, mode), kr)
-    if tracker is not None:
-        rank = factors[0].shape[1]
-        tracker.add_flops(category, 2 * tensor.size * rank)
-        tracker.add_vertical_words(tensor.size + kr.size + out.size)
     return out
 
 

@@ -23,22 +23,20 @@ Every engine exists on both tensor backends; :func:`make_provider` dispatches
 by input type.  The support matrix (engine name x backend, with the class that
 serves it):
 
-============= ================================ ==========================================
-name          dense ``np.ndarray``             sparse :class:`~repro.sparse.CooTensor`
-============= ================================ ==========================================
-``naive``     :class:`NaiveMTTKRP`             :class:`SparseCooMTTKRP` (``O(nnz R N)``)
-``unfolding`` :class:`UnfoldingMTTKRP`         :class:`SparseUnfoldingMTTKRP` (CSR)
-``dt``        :class:`DimensionTreeMTTKRP`     :class:`SparseDimensionTreeMTTKRP` (CSF)
-``msdt``      :class:`MultiSweepDimensionTree` :class:`SparseMultiSweepDimensionTree`
-============= ================================ ==========================================
+========== ================================ ==========================================
+name       dense ``np.ndarray``             sparse :class:`~repro.sparse.CooTensor`
+========== ================================ ==========================================
+``naive``  :class:`NaiveMTTKRP`             :class:`SparseCooMTTKRP` (``O(nnz R N)``)
+``dt``     :class:`DimensionTreeMTTKRP`     :class:`SparseDimensionTreeMTTKRP` (CSF)
+``msdt``   :class:`MultiSweepDimensionTree` :class:`SparseMultiSweepDimensionTree`
+========== ================================ ==========================================
 
 On dense inputs the trees win once ``N >= 3`` (they are the paper's headline
 algorithms); on sparse inputs ``naive`` wins for one-shot MTTKRPs (nothing to
 amortize), the trees win across full ALS sweeps (each first-level contraction
-is reused for ``~N/2`` — DT — or ``N-1`` — MSDT — mode updates), and
-``unfolding`` only for tensors small enough to afford the dense Khatri-Rao
-workspace.  The shared DT/MSDT control flow — the one cache lookup and
-choice of contraction order, for sweeps and PP operators alike — lives in
+is reused for ``~N/2`` — DT — or ``N-1`` — MSDT — mode updates).  The
+shared DT/MSDT control flow — the one cache lookup and choice of
+contraction order, for sweeps and PP operators alike — lives in
 :mod:`repro.trees.amortized`; the sparse semi-sparse descent in
 :mod:`repro.trees.sparse_dt`.  :class:`PairwiseOperators` has one builder for
 both backends, the tree provider's

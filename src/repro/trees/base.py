@@ -38,7 +38,6 @@ class MTTKRPProvider(abc.ABC):
         tensor: np.ndarray,
         factors: Sequence[np.ndarray],
         tracker=None,
-        max_cache_bytes: int | None = None,
     ):
         if is_sparse_tensor(tensor):
             self.tensor = tensor
@@ -52,7 +51,7 @@ class MTTKRPProvider(abc.ABC):
         self.factors: list[np.ndarray] = list(factors)
         self.versions: list[int] = [0] * len(factors)
         self.tracker = tracker
-        self.cache = ContractionCache(max_bytes=max_cache_bytes)
+        self.cache = ContractionCache()
         self._update_clock = 0
         self._last_updated = [-1] * len(factors)
 

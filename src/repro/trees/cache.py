@@ -25,7 +25,6 @@ class CacheEntry:
     modes: FrozenSet[int]
     array: np.ndarray
     versions_used: Dict[int, int] = field(default_factory=dict)
-    last_used: int = 0
 
     @property
     def nbytes(self) -> int:
@@ -39,12 +38,8 @@ class CacheEntry:
 class ContractionCache:
     """Cache of rank-carrying intermediates keyed by their remaining-mode set."""
 
-    def __init__(self, max_bytes: int | None = None):
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive or None")
-        self.max_bytes = max_bytes
+    def __init__(self):
         self._entries: Dict[FrozenSet[int], CacheEntry] = {}
-        self._clock = 0
         self.hits = 0
         self.misses = 0
 
@@ -69,33 +64,16 @@ class ContractionCache:
         key = frozenset(int(m) for m in modes)
         if not key:
             raise ValueError("cannot cache an intermediate with no remaining modes")
-        self._clock += 1
-        entry = CacheEntry(
-            modes=key,
-            array=array,
-            versions_used=dict(versions_used),
-            last_used=self._clock,
-        )
+        entry = CacheEntry(modes=key, array=array, versions_used=dict(versions_used))
         self._entries[key] = entry
-        self._evict_if_needed(protect=key)
         return entry
-
-    def _evict_if_needed(self, protect: FrozenSet[int]) -> None:
-        if self.max_bytes is None:
-            return
-        while self.total_bytes > self.max_bytes and len(self._entries) > 1:
-            victims = [k for k in self._entries if k != protect]
-            if not victims:
-                return
-            # evict the least recently used non-protected entry
-            victim = min(victims, key=lambda k: self._entries[k].last_used)
-            del self._entries[victim]
 
     def invalidate_stale(self, current_versions: Sequence[int]) -> int:
         """Drop every entry invalidated by the current factor versions.
 
         Returns the number of dropped entries.  Amortizing providers call this
-        opportunistically to bound memory; correctness never depends on it.
+        after every factor update, which bounds the cache to the
+        intermediates still valid; correctness never depends on it.
         """
         stale = [k for k, e in self._entries.items() if not e.is_valid(current_versions)]
         for k in stale:
@@ -120,8 +98,6 @@ class ContractionCache:
             if best is None or len(entry.modes) < len(best.modes):
                 best = entry
         if best is not None:
-            self._clock += 1
-            best.last_used = self._clock
             self.hits += 1
         else:
             self.misses += 1
@@ -133,7 +109,5 @@ class ContractionCache:
         key = frozenset(int(m) for m in modes)
         entry = self._entries.get(key)
         if entry is not None and entry.is_valid(current_versions):
-            self._clock += 1
-            entry.last_used = self._clock
             return entry
         return None

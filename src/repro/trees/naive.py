@@ -1,14 +1,13 @@
-"""Unamortized MTTKRP engines (the correctness oracles / baselines)."""
+"""The unamortized MTTKRP engine (the correctness oracle / baseline)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.tensor.mttkrp import mttkrp as mttkrp_einsum
-from repro.tensor.mttkrp import mttkrp_unfolding
 from repro.trees.base import MTTKRPProvider
 
-__all__ = ["NaiveMTTKRP", "UnfoldingMTTKRP"]
+__all__ = ["NaiveMTTKRP"]
 
 
 class NaiveMTTKRP(MTTKRPProvider):
@@ -25,22 +24,4 @@ class NaiveMTTKRP(MTTKRPProvider):
                              tracker=self.tracker, category="ttm")
 
     def _on_factor_update(self, mode: int) -> None:  # no cache to maintain
-        return None
-
-
-class UnfoldingMTTKRP(MTTKRPProvider):
-    """Textbook unfolding + Khatri-Rao MTTKRP (TensorLy-style reference baseline).
-
-    Forms the dense Khatri-Rao matrix explicitly; only sensible for small
-    tensors, included as the generic-toolbox baseline the paper's introduction
-    contrasts against.
-    """
-
-    name = "unfolding"
-
-    def mttkrp(self, mode: int) -> np.ndarray:
-        return mttkrp_unfolding(self.tensor, self.factors, mode,
-                                tracker=self.tracker, category="ttm")
-
-    def _on_factor_update(self, mode: int) -> None:
         return None

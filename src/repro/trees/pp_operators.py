@@ -225,7 +225,6 @@ class PairwiseOperators:
         factors: Sequence[np.ndarray],
         tracker=None,
         provider: MTTKRPProvider | None = None,
-        max_cache_bytes: int | None = None,
     ) -> "PairwiseOperators":
         """Build all PP operators at the current ``factors`` (the checkpoint ``A_p``).
 
@@ -239,10 +238,9 @@ class PairwiseOperators:
           its CSF layouts, fiber regroupings and pair patterns — are shared
           exactly as footnote 1 of the paper describes; its factors must
           already equal ``factors``;
-        * for any other provider, or none, a private ``dt`` provider (cache
-          budget ``max_cache_bytes``) is built and dropped afterwards, so no
-          PP intermediate outlives the build in a provider that never
-          invalidates its cache.
+        * for any other provider, or none, a private ``dt`` provider is built
+          and dropped afterwards, so no PP intermediate outlives the build in
+          a provider that never invalidates its cache.
 
         A provider must hold the same data as ``tensor``.  Dense pair
         operators are the rank-first-backed intermediates themselves; sparse
@@ -272,7 +270,7 @@ class PairwiseOperators:
                     )
             tree = provider
         else:
-            tree = make_provider("dt", tensor, factors, max_cache_bytes=max_cache_bytes)
+            tree = make_provider("dt", tensor, factors)
 
         # route the descents' accounting to the build's, restoring after — a
         # shared provider keeps tracking its own sweeps afterwards

@@ -76,8 +76,8 @@ class SemiSparseIntermediate:
     ``fibers[i]`` is the coordinate tuple of fiber ``i`` over the sorted
     remaining mode set ``modes`` (rows lexicographically sorted and unique);
     ``block[i]`` is its ``R``-vector.  Exposes ``nbytes`` so the versioned
-    :class:`~repro.trees.cache.ContractionCache` can budget these entries
-    exactly like dense intermediates.
+    :class:`~repro.trees.cache.ContractionCache` counts these entries in
+    ``cache_stats()["bytes"]`` exactly like dense intermediates.
     """
 
     modes: tuple[int, ...]
@@ -145,18 +145,17 @@ class SparseTreeBackend(AmortizedTreeMTTKRP):
     Structural state (CSF layouts, fiber regroupings) depends only on the
     tensor's sparsity pattern: it is built lazily on first use, cached for the
     provider's lifetime, and — unlike the factor-dependent intermediates in
-    ``self.cache`` — never invalidated by factor updates and not counted
-    against ``max_cache_bytes`` (index arrays, not rank-``R`` blocks).
+    ``self.cache`` — never invalidated by factor updates (index arrays, not
+    rank-``R`` blocks).
     """
 
-    def __init__(self, tensor, factors, tracker=None, max_cache_bytes=None):
+    def __init__(self, tensor, factors, tracker=None):
         if not isinstance(tensor, CooTensor):
             raise TypeError(
                 f"{type(self).__name__} expects a CooTensor, got "
                 f"{type(tensor).__name__}"
             )
-        super().__init__(tensor, factors, tracker=tracker,
-                         max_cache_bytes=max_cache_bytes)
+        super().__init__(tensor, factors, tracker=tracker)
         self._csf: dict[tuple[int, ...], CsfTensor] = {}
         self._root_steps: dict[int, _RootStep] = {}
         self._fiber_steps: dict[tuple[tuple[int, ...], int], _FiberStep] = {}

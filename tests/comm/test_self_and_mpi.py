@@ -15,7 +15,7 @@ class TestSingleRankMachine:
         value = rng.random((3, 2))
         assert np.allclose(machine.all_reduce({0: value}, [0])[0], value)
         assert np.allclose(machine.all_gather_rows({0: value}, [0])[0], value)
-        assert np.allclose(machine.broadcast(value, [0], root=0)[0], value)
+        assert np.allclose(machine.reduce_scatter_rows({0: value}, [0])[0], value)
 
     def test_collectives_cost_nothing(self, rng):
         machine = SimulatedMachine(1)

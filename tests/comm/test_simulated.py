@@ -87,24 +87,6 @@ class TestReduceScatterRows:
         assert np.allclose(reassembled, total)
         assert result[0].shape == (1, 2)
 
-    def test_custom_row_ranges(self, machine):
-        contribs = {0: np.arange(12.0).reshape(6, 2), 1: np.zeros((6, 2))}
-        ranges = {0: (0, 4), 1: (4, 6)}
-        result = machine.reduce_scatter_rows(contribs, [0, 1], row_ranges=ranges)
-        assert result[0].shape == (4, 2)
-        assert result[1].shape == (2, 2)
-        assert np.allclose(result[1], contribs[0][4:6])
-
-    def test_invalid_row_range_raises(self, machine):
-        contribs = {0: np.ones((3, 1)), 1: np.ones((3, 1))}
-        with pytest.raises(ValueError):
-            machine.reduce_scatter_rows(contribs, [0, 1], row_ranges={0: (0, 5), 1: (0, 1)})
-
-    def test_missing_row_range_raises(self, machine):
-        contribs = {0: np.ones((3, 1)), 1: np.ones((3, 1))}
-        with pytest.raises(ValueError):
-            machine.reduce_scatter_rows(contribs, [0, 1], row_ranges={0: (0, 1)})
-
     def test_reduce_scatter_then_gather_equals_allreduce(self, machine, rng):
         contribs = {r: rng.random((6, 3)) for r in range(3)}
         group = [0, 1, 2]
@@ -114,17 +96,7 @@ class TestReduceScatterRows:
         assert np.allclose(gathered[0], reduced[0])
 
 
-class TestBroadcastAndBookkeeping:
-    def test_broadcast_replicates_value(self, machine, rng):
-        value = rng.random((2, 2))
-        result = machine.broadcast(value, [0, 1, 3], root=1)
-        for r in (0, 1, 3):
-            assert np.array_equal(result[r], value)
-
-    def test_broadcast_root_not_in_group_raises(self, machine):
-        with pytest.raises(ValueError):
-            machine.broadcast(np.ones(2), [0, 1], root=3)
-
+class TestBookkeeping:
     def test_tracker_out_of_range_raises(self, machine):
         with pytest.raises(ValueError):
             machine.tracker(99)

@@ -25,7 +25,7 @@ from repro.contract import (
 from repro.core.normal_equations import gram_matrix
 from repro.core.options import ALSOptions, PPOptions
 from repro.core.pp_corrections import delta_gram
-from repro.tensor.mttkrp import mttkrp, mttkrp_unfolding, partial_mttkrp
+from repro.tensor.mttkrp import mttkrp, partial_mttkrp
 from repro.tensor.products import khatri_rao
 from repro.tensor.norms import inner_product
 from repro.tensor.ttm import first_contraction, ttm
@@ -159,6 +159,19 @@ class TestPlanCache:
         assert len({module for module, _ in parameters}) > 3
         assert takers == []
 
+    @pytest.mark.parametrize("package", ["repro.core", "repro.trees", "repro.service",
+                                         "repro.comm", "repro.distributed"])
+    def test_no_public_callable_takes_a_cache_budget_or_sweep_switch(
+            self, package, public_parameters):
+        """Intermediate caches are bounded by invalidation alone and every run
+        keeps its sweep records: no driver, provider, machine, runtime or
+        service takes a byte budget or a switch for them."""
+        parameters = public_parameters(package)
+        removed = {"max_cache_bytes", "max_bytes", "record_sweeps"}
+        takers = [name for name, names in parameters.items() if names & removed]
+        assert len({module for module, _ in parameters}) > 1
+        assert takers == []
+
 
 # -- repeated kernel calls hit the plan cache -------------------------------
 
@@ -175,7 +188,6 @@ class TestKernelPlanReuse:
         tensor, factors = _random_problem((5, 4, 3), rank=3, seed=6)
         kernels = {
             "mttkrp": lambda: mttkrp(tensor, factors, 1),
-            "mttkrp_unfolding": lambda: mttkrp_unfolding(tensor, factors, 1),
             "partial_mttkrp": lambda: partial_mttkrp(tensor, factors, [0, 2]),
             "ttv": lambda: ttv(tensor, factors[1][:, 0], 1),
             "ttm": lambda: ttm(tensor, factors[0].T, 0),

@@ -55,7 +55,7 @@ class TestEngineEquivalence:
             engine: cp_als(lowrank_tensor3,
                            ALSOptions(rank=4, n_sweeps=8, tol=0.0, mttkrp=engine),
                            initial_factors=initial)
-            for engine in ("naive", "unfolding", "dt", "msdt")
+            for engine in ("naive", "dt", "msdt")
         }
         reference = results["naive"]
         for engine, result in results.items():
@@ -84,12 +84,6 @@ class TestInterface:
         assert result.sweeps[0].flops.get("ttm", 0) > 0
         cumulative = [s.cumulative_seconds for s in result.sweeps]
         assert all(b >= a for a, b in zip(cumulative, cumulative[1:]))
-
-    def test_record_sweeps_disabled(self, small_tensor3):
-        result = cp_als(small_tensor3, ALSOptions(rank=2, n_sweeps=3, tol=0.0, seed=0),
-                        record_sweeps=False)
-        assert result.sweeps == []
-        assert result.n_sweeps == 3
 
     def test_callback_invoked_each_sweep(self, small_tensor3):
         calls = []
@@ -168,7 +162,7 @@ class TestZeroNormGuard:
             cp_als(np.zeros((4, 4, 4)), ALSOptions(rank=2, seed=0))
 
     def test_all_zero_tensor_raises_for_every_engine(self):
-        for engine in ("naive", "unfolding", "dt", "msdt"):
+        for engine in ("naive", "dt", "msdt"):
             with pytest.raises(ValueError, match="zero Frobenius norm"):
                 cp_als(np.zeros((3, 3, 3)), ALSOptions(rank=2, mttkrp=engine, seed=0))
 

@@ -157,7 +157,7 @@ def test_options_record_the_bundle_not_the_runtime_arguments(tensor):
     options = MaskedOptions(rank=RANK, seed=5, n_sweeps=3, tol=0.0)
     mask = np.random.default_rng(0).random(tensor.shape) < 0.5
     seen = []
-    result = multi_start(tensor, options, n_starts=2, mask=mask, record_sweeps=False,
+    result = multi_start(tensor, options, n_starts=2, mask=mask,
                          callback=lambda sweep, factors, fitness: seen.append(sweep))
     assert seen == [0, 1, 2, 0, 1, 2]
     assert result.options == {**options.asdict(), "n_starts": 2}

@@ -165,7 +165,8 @@ class TestOneSpelling:
         assert "algorithm" not in params
 
     @pytest.mark.parametrize("alias", ["dimension_tree", "multi_sweep", "coo", "sparse",
-                                       "sparse-dt", "sparse-msdt", "sparse-unfolding"])
+                                       "sparse-dt", "sparse-msdt", "sparse-unfolding",
+                                       "unfolding"])
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_deleted_engine_aliases_rejected(self, tensor, alias, sparse):
         from repro.sparse import CooTensor

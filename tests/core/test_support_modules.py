@@ -23,31 +23,6 @@ class TestInitFactors:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
-    def test_normal_method(self):
-        factors = init_factors((20, 20), 3, seed=0, method="normal")
-        assert any((f < 0).any() for f in factors)
-
-    def test_hosvd_uses_leading_singular_vectors(self, lowrank_tensor3):
-        factors = init_factors(lowrank_tensor3.shape, 4, seed=0, method="hosvd",
-                               tensor=lowrank_tensor3)
-        for mode, f in enumerate(factors):
-            assert f.shape == (lowrank_tensor3.shape[mode], 4)
-            # columns should be orthonormal (they are singular vectors)
-            assert np.allclose(f.T @ f, np.eye(4), atol=1e-8)
-
-    def test_hosvd_pads_when_rank_exceeds_mode(self, rng):
-        tensor = rng.random((3, 8, 8))
-        factors = init_factors(tensor.shape, 5, seed=0, method="hosvd", tensor=tensor)
-        assert factors[0].shape == (3, 5)
-
-    def test_hosvd_requires_tensor(self):
-        with pytest.raises(ValueError):
-            init_factors((4, 4), 2, method="hosvd")
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError):
-            init_factors((4, 4), 2, method="magic")
-
     def test_bad_shape_raises(self):
         with pytest.raises(ValueError):
             init_factors((4, 0), 2)

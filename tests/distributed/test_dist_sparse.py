@@ -107,7 +107,7 @@ class TestSparseParallelSweep:
         tensor = sparse_low_rank_tensor((12, 10, 8), rank=3, density=0.3,
                                         noise=0.1, seed=5)
         rank = 4
-        init = init_factors(tensor.shape, rank, seed=11, method="uniform")
+        init = init_factors(tensor.shape, rank, seed=11)
         oracle = cp_als(tensor,
                         ALSOptions(rank=rank, n_sweeps=3, tol=0.0, mttkrp="naive"),
                         initial_factors=[f.copy() for f in init])
@@ -124,7 +124,7 @@ class TestSparseParallelSweep:
     def test_accepts_predistributed_tensor(self):
         tensor = sparse_low_rank_tensor((10, 9, 8), rank=2, density=0.2, seed=2)
         dist = DistSparseTensor.from_coo(tensor, GRID, "nnz-balanced")
-        init = init_factors(tensor.shape, 3, seed=4, method="uniform")
+        init = init_factors(tensor.shape, 3, seed=4)
         a = parallel_cp_als(dist,
                             ParallelOptions(rank=3, grid=GRID, n_sweeps=2, tol=0.0),
                             initial_factors=[f.copy() for f in init])

@@ -70,15 +70,6 @@ class TestGroups:
                 for rank in group:
                     assert grid.coordinate(rank)[mode] == value
 
-    def test_fiber_groups_vary_single_mode(self):
-        grid = ProcessorGrid((2, 3))
-        fibers = grid.fiber_groups(1)
-        assert len(fibers) == 2
-        for fiber in fibers:
-            assert len(fiber) == 3
-            rows = {grid.coordinate(r)[0] for r in fiber}
-            assert len(rows) == 1
-
     def test_bad_mode_raises(self):
         with pytest.raises(ValueError):
             ProcessorGrid((2, 2)).slice_groups(2)

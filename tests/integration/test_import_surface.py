@@ -4,12 +4,15 @@
 costs nothing beyond the version string, and a spawned
 :class:`~repro.comm.procs.ProcessMachine` worker — which imports only
 :mod:`repro.comm.procs` plus the rank-local kernels — loads none of the driver
-stack.  Each check that depends on what is already imported runs in a fresh
+stack and none of the master's set-up (partitioners, distributed layouts,
+runtimes), since ``repro.grid`` and ``repro.distributed`` resolve their names
+lazily too.  Each check that depends on what is already imported runs in a fresh
 interpreter.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -28,6 +31,12 @@ WORKER_SET = ("repro.comm.procs", "repro.distributed.rank", "repro.trees.registr
 
 #: modules of the driver stack a worker must not load
 DRIVER_STACK = ("repro.core", "repro.service", "scipy.linalg", "asyncio")
+
+#: modules of the master's set-up a worker must not load (the ``repro.grid``
+#: and ``repro.distributed`` packages resolve their names lazily)
+MASTER_SETUP = ("repro.grid.balance", "repro.grid.processor_grid",
+                "repro.distributed.sparse", "repro.distributed.dist_tensor",
+                "repro.distributed.dist_factor", "repro.distributed.runtime")
 
 #: the names ``benchmarks/harness/layers.py`` imports from ``repro`` outside
 #: ``__all__``
@@ -53,6 +62,22 @@ def test_worker_imports_no_driver_stack():
     loaded = _loaded_after("\n".join(f"import {m}" for m in WORKER_SET))
     assert set(WORKER_SET) <= set(loaded)
     assert _under(loaded, DRIVER_STACK) == []
+    assert _under(loaded, MASTER_SETUP) == []
+
+
+@pytest.mark.parametrize("package", ["repro.grid", "repro.distributed"])
+def test_lazy_subpackage_names_resolve(package):
+    """Every name of a lazy subpackage resolves to its defining module's own
+    object, and importing the package loads none of those modules."""
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        value = getattr(module, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert set(module.__all__) <= set(dir(module))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name  # noqa: B018
+    loaded = _loaded_after(f"import {package}")
+    assert _under(loaded, (package,)) == [package]
 
 
 def test_import_repro_loads_only_the_version():

@@ -6,8 +6,9 @@ processes with shared-memory factor panels, while the collectives stay
 master-driven exactly as on the simulated machine.  A worker runs the same
 :class:`~repro.distributed.rank.RankKernels` a simulated rank runs in the
 master.  Two consequences are pinned here, over the full partitioner x engine
-x driver matrix (every engine of the sparse registry, so the COO and CSR
-engines run inside the workers as well as the dimension trees):
+x driver matrix (every engine of the sparse registry — ``naive``, ``dt`` and
+``msdt`` — so the COO recompute kernel runs inside the workers as well as the
+CSF dimension trees):
 
 * at the *same* rank count, a process run and a simulated run execute the
   same float64 operations on the same operands in the same order, so their

@@ -8,13 +8,12 @@ from repro.machine.collective_costs import (
     all_gather_cost,
     all_reduce_cost,
     als_sweep_collective_cost,
-    broadcast_cost,
     reduce_scatter_cost,
 )
 
 
 class TestCollectiveCosts:
-    @pytest.mark.parametrize("func", [all_gather_cost, reduce_scatter_cost, broadcast_cost])
+    @pytest.mark.parametrize("func", [all_gather_cost, reduce_scatter_cost])
     def test_single_process_is_free(self, func):
         messages, words = func(1000, 1)
         assert messages == 0
@@ -34,9 +33,6 @@ class TestCollectiveCosts:
         ar = all_reduce_cost(300, 8)
         assert ar[0] == 2 * rs[0]
         assert ar[1] == 2 * rs[1]
-
-    def test_broadcast_matches_all_gather(self):
-        assert broadcast_cost(128, 16) == all_gather_cost(128, 16)
 
     def test_non_power_of_two_rounds_message_count_up(self):
         messages, _ = all_gather_cost(10, 6)

@@ -1,13 +1,12 @@
-"""Hypothesis parity sweep across the full engine/backend matrix (ISSUE 3).
+"""Hypothesis parity sweep across the full engine/backend matrix.
 
-Every registered MTTKRP engine — ``naive`` / ``unfolding`` / ``dt`` / ``msdt``
-on the dense backend, plus ``sparse`` / ``unfolding`` / ``naive`` / ``dt`` /
-``msdt`` on the COO backend — must produce the same MTTKRPs (against the einsum
-oracle) and the same CP-ALS iterates, for random shapes, orders (3-5), ranks
-and densities, under arbitrary factor-update sequences.  This is what keeps
-the engine/backend matrix honest: the implementations share no kernel code
-across backends (einsum contractions vs CSF fiber reductions vs CSR
-matricization), so agreement to 1e-10 is strong evidence of correctness.
+Every registered MTTKRP engine — ``naive`` / ``dt`` / ``msdt`` on the dense
+backend and on the COO backend — must produce the same MTTKRPs (against the
+einsum oracle) and the same CP-ALS iterates, for random shapes, orders (3-5),
+ranks and densities, under arbitrary factor-update sequences.  This is what
+keeps the engine/backend matrix honest: the implementations share no kernel
+code across backends (einsum contractions vs COO gather/scatter vs CSF fiber
+reductions), so agreement to 1e-10 is strong evidence of correctness.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.trees.registry import make_provider
 
 pytestmark = pytest.mark.property
 
-ENGINES = ("naive", "unfolding", "dt", "msdt")
+ENGINES = ("naive", "dt", "msdt")
 
 _LETTERS = "abcdefgh"
 
@@ -75,7 +74,7 @@ def _assert_close(got, expected, label):
 @settings(deadline=None)
 @given(data=st.data())
 def test_all_engines_agree_on_mttkrp(data):
-    """All 8 engine/backend combinations match the einsum oracle through a
+    """All 6 engine/backend combinations match the einsum oracle through a
     random interleaving of MTTKRP requests and factor updates."""
     dense, coo, factors, rng = _draw_instance(data)
     order = dense.ndim

@@ -16,7 +16,7 @@ from repro.sparse import CooTensor
 from repro.tensor.norms import relative_residual, tensor_norm
 from repro.trees.pp_operators import PairwiseOperators
 from repro.trees.registry import available_providers, make_provider
-from repro.trees.sparse import SparseCooMTTKRP, SparseUnfoldingMTTKRP
+from repro.trees.sparse import SparseCooMTTKRP
 from repro.trees.sparse_dt import (
     SparseDimensionTreeMTTKRP,
     SparseMultiSweepDimensionTree,
@@ -56,7 +56,7 @@ class TestBackendDispatch:
     def test_make_provider_dispatches_on_backend(self):
         dense, coo = _sparsified_lowrank((5, 4, 3), rank=2, seed=1)
         factors = [np.random.default_rng(2).random((s, 2)) for s in dense.shape]
-        expected = {"naive": SparseCooMTTKRP, "unfolding": SparseUnfoldingMTTKRP,
+        expected = {"naive": SparseCooMTTKRP,
                     "dt": SparseDimensionTreeMTTKRP, "msdt": SparseMultiSweepDimensionTree}
         assert list(expected) == available_providers()
         for name, cls in expected.items():
@@ -69,17 +69,16 @@ class TestBackendDispatch:
         dense, coo = _sparsified_lowrank((6, 5, 4), rank=3, seed=3)
         factors = [np.random.default_rng(4).random((s, 3)) for s in dense.shape]
         oracle = make_provider("naive", dense, [f.copy() for f in factors])
-        for name in ("naive", "unfolding"):
-            provider = make_provider(name, coo, [f.copy() for f in factors])
-            for mode in range(3):
-                np.testing.assert_allclose(provider.mttkrp(mode),
-                                           oracle.mttkrp(mode), atol=1e-10, err_msg=name)
+        provider = make_provider("naive", coo, [f.copy() for f in factors])
+        for mode in range(3):
+            np.testing.assert_allclose(provider.mttkrp(mode), oracle.mttkrp(mode),
+                                       atol=1e-10)
 
 
 class TestCpAlsParity:
     @pytest.mark.parametrize("shape,rank", [((9, 8, 7), 3), ((6, 5, 4, 5), 2)],
                              ids=["order3", "order4"])
-    @pytest.mark.parametrize("engine", ["naive", "unfolding"])
+    @pytest.mark.parametrize("engine", ["naive"])
     def test_full_sweeps_match_dense_path(self, shape, rank, engine):
         dense, coo = _sparsified_lowrank(shape, rank, seed=5)
         initial = init_factors(shape, rank, seed=6)
@@ -189,57 +188,3 @@ class TestZeroNormGuard:
         coo = CooTensor(np.empty((0, 3), dtype=np.int64), np.empty(0), (4, 4, 4))
         with pytest.raises(ValueError, match="zero Frobenius norm"):
             pp_cp_als(coo, PPOptions(rank=2, seed=0))
-
-
-class TestUnfoldingCacheBudget:
-    def test_max_cache_bytes_bounds_cached_unfoldings(self):
-        _, coo = _sparsified_lowrank((8, 7, 6), rank=2, seed=30)
-        factors = [np.random.default_rng(31).random((s, 2)) for s in coo.shape]
-        unbounded = make_provider("unfolding", coo, [f.copy() for f in factors])
-        for mode in range(3):
-            unbounded.mttkrp(mode)
-        assert len(unbounded._unfoldings) == 3
-
-        one_csr = unbounded._csr_bytes(unbounded._unfoldings[0])
-        bounded = make_provider("unfolding", coo, [f.copy() for f in factors],
-                                max_cache_bytes=one_csr + 1)
-        expected = {m: unbounded.mttkrp(m) for m in range(3)}
-        for _ in range(2):  # evicted unfoldings are rebuilt correctly
-            for mode in range(3):
-                np.testing.assert_allclose(bounded.mttkrp(mode), expected[mode],
-                                           atol=1e-10)
-        assert bounded._unfolding_bytes <= one_csr + 1
-        assert len(bounded._unfoldings) <= 1
-
-    def test_oversized_csr_returns_uncached(self):
-        """A CSR too large for the budget is handed back uncached (not cached)."""
-        _, coo = _sparsified_lowrank((8, 7, 6), rank=2, seed=32)
-        factors = [np.random.default_rng(33).random((s, 2)) for s in coo.shape]
-        reference = make_provider("unfolding", coo, [f.copy() for f in factors])
-        expected = reference.mttkrp(0)
-        one_csr = reference._csr_bytes(reference._unfoldings[0])
-        kr_bytes = 7 * 6 * 2 * np.dtype(np.float64).itemsize
-        # a budget that affords the Khatri-Rao workspace but not the CSR
-        assert kr_bytes < one_csr, "fixture must keep the CSR the larger object"
-        tiny = make_provider("unfolding", coo, [f.copy() for f in factors],
-                             max_cache_bytes=one_csr - 1)
-        np.testing.assert_allclose(tiny.mttkrp(0), expected, atol=1e-10)
-        assert len(tiny._unfoldings) == 0
-
-    def test_khatri_rao_over_budget_raises(self):
-        """Satellite fix: the dense Khatri-Rao workspace must honor the budget.
-
-        Previously the engine silently materialized the full
-        ``(prod_{m != n} s_m) x R`` matrix no matter what ``max_cache_bytes``
-        said; now the violation fails fast with the workspace size and the
-        engines to use instead.
-        """
-        _, coo = _sparsified_lowrank((8, 7, 6), rank=2, seed=32)
-        factors = [np.random.default_rng(33).random((s, 2)) for s in coo.shape]
-        strict = make_provider("unfolding", coo, [f.copy() for f in factors],
-                               max_cache_bytes=8)
-        with pytest.raises(MemoryError, match="Khatri-Rao workspace"):
-            strict.mttkrp(0)
-        # an unbounded provider is unaffected
-        loose = make_provider("unfolding", coo, [f.copy() for f in factors])
-        loose.mttkrp(0)

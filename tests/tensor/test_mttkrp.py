@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine.cost_tracker import CostTracker
-from repro.tensor.mttkrp import mttkrp, mttkrp_unfolding, partial_mttkrp
+from repro.tensor.mttkrp import mttkrp, partial_mttkrp
 from repro.tensor.products import khatri_rao
 from repro.tensor.unfold import unfold
 
@@ -22,13 +22,6 @@ class TestMTTKRP:
         assert np.allclose(
             mttkrp(small_tensor4, factors4, mode),
             mttkrp_oracle(small_tensor4, factors4, mode),
-        )
-
-    @pytest.mark.parametrize("mode", [0, 1, 2])
-    def test_unfolding_variant_matches(self, small_tensor3, factors3, mode):
-        assert np.allclose(
-            mttkrp(small_tensor3, factors3, mode),
-            mttkrp_unfolding(small_tensor3, factors3, mode),
         )
 
     def test_unfolding_identity(self, small_tensor3, factors3):
@@ -113,7 +106,6 @@ class TestDtypePreservation:
         tensor = rng.random((5, 4, 3)).astype(np.float32)
         factors = [rng.random((s, 2)).astype(np.float32) for s in tensor.shape]
         assert mttkrp(tensor, factors, 0).dtype == np.float32
-        assert mttkrp_unfolding(tensor, factors, 0).dtype == np.float32
         assert partial_mttkrp(tensor, factors, [0, 2]).dtype == np.float32
 
     def test_int_tensor_still_promotes_to_float64(self, rng):

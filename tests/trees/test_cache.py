@@ -81,26 +81,6 @@ class TestContractionCache:
         with pytest.raises(ValueError):
             cache.put([], np.ones(1), {})
 
-    def test_eviction_respects_byte_budget(self):
-        cache = ContractionCache(max_bytes=100)
-        cache.put([0], np.zeros(8), {})       # 64 bytes
-        cache.put([1], np.zeros(8), {})       # 64 bytes -> must evict [0]
-        assert len(cache) == 1
-        assert cache.get_exact([1], [0, 0]) is not None
-
-    def test_eviction_keeps_most_recently_used(self):
-        cache = ContractionCache(max_bytes=150)
-        cache.put([0], np.zeros(8), {})
-        cache.put([1], np.zeros(8), {})
-        cache.find_valid([0, 0, 0], {0})       # touch [0]
-        cache.put([2], np.zeros(8), {})        # evicts the LRU entry [1]
-        assert cache.get_exact([0], [0, 0, 0]) is not None
-        assert cache.get_exact([1], [0, 0, 0]) is None
-
-    def test_invalid_budget_raises(self):
-        with pytest.raises(ValueError):
-            ContractionCache(max_bytes=0)
-
     def test_clear_and_total_bytes(self):
         cache = ContractionCache()
         cache.put([0], np.zeros(4), {})

@@ -246,12 +246,11 @@ class TestOneBuilder:
             assert np.array_equal(ops.single(n), ref.single(n))
         assert alone.flops_by_category == fresh.flops_by_category
 
-    @pytest.mark.parametrize("engine", ["naive", "unfolding"])
-    def test_non_tree_provider_keeps_no_intermediate(self, backend, engine, rng):
+    def test_non_tree_provider_keeps_no_intermediate(self, backend, rng):
         """A provider without a tree never invalidates its cache, so the build
         must leave nothing in it: after one update per mode it is empty."""
         tensor, factors = _instance(backend, rng)
-        provider = make_provider(engine, tensor, [f.copy() for f in factors])
+        provider = make_provider("naive", tensor, [f.copy() for f in factors])
         PairwiseOperators.build(tensor, provider.factors, provider=provider)
         for mode, factor in enumerate(factors):
             provider.set_factor(mode, 2.0 * factor)

@@ -321,17 +321,6 @@ class TestAmortization:
         assert entry.array.n_fibers == 6 and entry.array.block is got
         np.testing.assert_array_equal(entry.array.fibers[:, 0], np.arange(6))
 
-    def test_max_cache_bytes_bounds_intermediates_not_correctness(self):
-        shape = (7, 6, 5)
-        dense, coo = _random_sparse(shape, density=0.4, seed=34)
-        rng = np.random.default_rng(35)
-        factors = [rng.random((s, 3)) for s in shape]
-        tight = make_provider("msdt", coo, [f.copy() for f in factors],
-                              max_cache_bytes=1024)
-        fs = [f.copy() for f in factors]
-        _als_like_updates(tight, dense, fs, rng, n_sweeps=2)
-        assert tight.cache.total_bytes <= 1024
-
     def test_semisparse_nbytes_and_densify(self):
         shape = (5, 4, 3)
         dense, coo = _random_sparse(shape, density=0.5, seed=36)

@@ -174,18 +174,17 @@ class TestBuilder:
         assert provider_tracker.total_flops > base
 
     def test_non_tree_provider_builds_standalone(self, rng):
-        """Recompute/unfolding providers cannot donate a fiber cache, but the
-        build must still go semi-sparse (no cache sharing)."""
+        """The recompute provider cannot donate a fiber cache, but the build
+        must still go semi-sparse (no cache sharing)."""
         dense, coo, factors = _sparse_instance(rng, (5, 4, 3), rank=2)
-        for name in ("naive", "unfolding"):
-            provider = make_provider(name, coo, [f.copy() for f in factors])
-            ops = PairwiseOperators.build(coo, provider.factors, provider=provider)
-            assert all(isinstance(op, SemiSparsePairOperator)
-                       for op in ops.pairs().values())
-            np.testing.assert_allclose(
-                np.asarray(ops.pairs()[0, 1]),
-                partial_mttkrp(dense, factors, [0, 1]), atol=1e-12,
-            )
+        provider = make_provider("naive", coo, [f.copy() for f in factors])
+        ops = PairwiseOperators.build(coo, provider.factors, provider=provider)
+        assert all(isinstance(op, SemiSparsePairOperator)
+                   for op in ops.pairs().values())
+        np.testing.assert_allclose(
+            np.asarray(ops.pairs()[0, 1]),
+            partial_mttkrp(dense, factors, [0, 1]), atol=1e-12,
+        )
 
     def test_provider_bound_to_other_tensor_raises(self, rng):
         _, coo, factors = _sparse_instance(rng, (5, 4, 3), rank=2)
