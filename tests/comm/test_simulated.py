@@ -96,6 +96,45 @@ class TestReduceScatterRows:
         assert np.allclose(gathered[0], reduced[0])
 
 
+COLLECTIVES = ["all_reduce", "all_gather_rows", "reduce_scatter_rows"]
+
+
+class TestGroupCheck:
+    """Every collective validates its group the same way before it moves
+    data or charges any cost."""
+
+    @pytest.mark.parametrize("collective", COLLECTIVES)
+    @pytest.mark.parametrize("contribs, group, message", [
+        ({}, [], "non-empty"),
+        ({0: np.ones((2, 2))}, [0, 0], "duplicate"),
+        ({0: np.ones((2, 2))}, [0, 1], "missing contributions"),
+    ], ids=["empty", "duplicate", "missing"])
+    def test_bad_group_raises_and_charges_nothing(self, machine, collective,
+                                                  contribs, group, message):
+        with pytest.raises(ValueError, match=message):
+            getattr(machine, collective)(contribs, group)
+        assert all(machine.tracker(r).messages == 0 for r in range(4))
+        assert all(machine.tracker(r).horizontal_words == 0 for r in range(4))
+
+    @pytest.mark.parametrize("collective", COLLECTIVES)
+    def test_results_and_costs_only_for_group_members(self, machine, collective):
+        """Contributions of ranks outside the group are ignored, and only the
+        members get a result and a charge."""
+        contribs = {r: np.full((4, 2), float(r + 1)) for r in range(4)}
+        result = getattr(machine, collective)(contribs, [3, 1])
+        assert set(result) == {1, 3}
+        assert machine.tracker(1).messages > 0 and machine.tracker(3).messages > 0
+        assert machine.tracker(0).messages == machine.tracker(2).messages == 0
+        if collective == "all_gather_rows":
+            expected = np.concatenate([contribs[3], contribs[1]])
+            assert np.array_equal(result[1], expected)
+        else:
+            expected = contribs[3] + contribs[1]
+            if collective == "reduce_scatter_rows":
+                result = {1: np.concatenate([result[3], result[1]])}
+            assert np.array_equal(result[1], expected)
+
+
 class TestBookkeeping:
     def test_tracker_out_of_range_raises(self, machine):
         with pytest.raises(ValueError):

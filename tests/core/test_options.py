@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.core.cp_als import cp_als
@@ -23,6 +24,7 @@ from repro.core.parallel_cp_als import parallel_cp_als
 from repro.core.parallel_pp_cp_als import parallel_pp_cp_als
 from repro.core.updates import make_update_rule
 from repro.core.pp_cp_als import pp_cp_als
+from repro.core.results import SweepRecord
 from repro.grid.processor_grid import ProcessorGrid
 from repro.tensor.cp_format import random_cp_tensor
 from repro.trees.registry import available_providers, make_provider
@@ -208,6 +210,40 @@ class TestOneSpelling:
             if {"collectives", "overlap"} & set(inspect.signature(callable_).parameters)
         ]
         assert takers == []
+
+
+#: one short run of each driver, with tol=0 so every run takes all its sweeps
+RUNS = {
+    "cp_als": lambda t: cp_als(t, ALSOptions(rank=3, n_sweeps=4, tol=0.0, seed=0)),
+    "pp_cp_als": lambda t: pp_cp_als(t, PPOptions(rank=3, n_sweeps=6, tol=0.0, seed=0)),
+    "nn_cp_als": lambda t: nn_cp_als(t, NNOptions(rank=3, n_sweeps=4, tol=0.0, seed=0)),
+    "masked_cp_als": lambda t: masked_cp_als(
+        t, MaskedOptions(rank=3, n_sweeps=4, tol=0.0, seed=0),
+        mask=np.random.default_rng(0).random(t.shape) < 0.7),
+    "parallel_cp_als": lambda t: parallel_cp_als(
+        t, ParallelOptions(rank=3, grid=(1, 1, 2), n_sweeps=4, tol=0.0, seed=0)),
+    "parallel_pp_cp_als": lambda t: parallel_pp_cp_als(
+        t, ParallelPPOptions(rank=3, grid=(1, 1, 2), n_sweeps=6, tol=0.0, seed=0)),
+    "multi_start": lambda t: multi_start(
+        t, ALSOptions(rank=3, n_sweeps=4, tol=0.0, seed=0), n_starts=2),
+}
+
+
+class TestEverySweepIsRecorded:
+    """No driver offers a switch to drop its sweep table: every run returns
+    one :class:`SweepRecord` per sweep, the last one carrying the result's
+    residual."""
+
+    @pytest.mark.parametrize("driver", list(RUNS))
+    def test_run_keeps_one_record_per_sweep(self, tensor, driver):
+        result = RUNS[driver](tensor)
+        assert result.n_sweeps == len(result.sweeps) > 0
+        assert all(isinstance(s, SweepRecord) for s in result.sweeps)
+        assert [s.index for s in result.sweeps] == list(range(result.n_sweeps))
+        assert all(s.flops for s in result.sweeps)
+        assert result.sweeps[-1].residual == result.residual
+        if driver.startswith(("pp_", "parallel_pp_")):
+            assert result.count_sweeps("pp-approx") > 0
 
 
 class TestResultBase:

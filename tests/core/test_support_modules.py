@@ -23,6 +23,23 @@ class TestInitFactors:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
+    def test_draws_one_uniform_stream_mode_by_mode(self):
+        """Algorithm 1, line 2: mode ``n``'s factor is the next ``(I_n, R)``
+        block of one uniform ``[0, 1)`` stream seeded by ``seed``."""
+        rng = np.random.default_rng(7)
+        expected = [rng.random((s, 3)) for s in (4, 5, 6)]
+        for got, want in zip(init_factors((4, 5, 6), 3, seed=7), expected):
+            assert np.array_equal(got, want)
+
+    def test_different_seeds_differ(self):
+        a = init_factors((4, 5), 2, seed=0)
+        b = init_factors((4, 5), 2, seed=1)
+        assert not any(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_bad_rank_raises(self):
+        with pytest.raises(ValueError):
+            init_factors((4, 5), 0)
+
     def test_bad_shape_raises(self):
         with pytest.raises(ValueError):
             init_factors((4, 0), 2)

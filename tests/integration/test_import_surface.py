@@ -58,21 +58,43 @@ def _under(modules: list[str], roots: tuple[str, ...]) -> list[str]:
     return [m for m in modules if any(m == r or m.startswith(r + ".") for r in roots)]
 
 
-def test_worker_imports_no_driver_stack():
-    loaded = _loaded_after("\n".join(f"import {m}" for m in WORKER_SET))
-    assert set(WORKER_SET) <= set(loaded)
-    assert _under(loaded, DRIVER_STACK) == []
-    assert _under(loaded, MASTER_SETUP) == []
+@pytest.fixture(scope="module")
+def worker_loaded() -> list[str]:
+    """``sys.modules`` of a fresh interpreter that imported the worker set."""
+    return _loaded_after("\n".join(f"import {m}" for m in WORKER_SET))
 
 
-@pytest.mark.parametrize("package", ["repro.grid", "repro.distributed"])
-def test_lazy_subpackage_names_resolve(package):
-    """Every name of a lazy subpackage resolves to its defining module's own
-    object, and importing the package loads none of those modules."""
+def test_worker_imports_no_driver_stack(worker_loaded):
+    assert set(WORKER_SET) <= set(worker_loaded)
+    assert _under(worker_loaded, DRIVER_STACK) == []
+
+
+@pytest.mark.parametrize("module", MASTER_SETUP)
+def test_worker_loads_no_master_setup_module(worker_loaded, module):
+    assert _under(worker_loaded, (module,)) == []
+
+
+#: the lazy subpackages and the names each resolves on first use
+LAZY_PACKAGES = ("repro.grid", "repro.distributed")
+LAZY_NAMES = [(package, name) for package in LAZY_PACKAGES
+              for name in importlib.import_module(package).__all__]
+
+
+@pytest.mark.parametrize("package, name", LAZY_NAMES,
+                         ids=[f"{p}.{n}" for p, n in LAZY_NAMES])
+def test_every_lazy_subpackage_name_resolves(package, name):
+    """The name is its defining module's own object, cached on the package."""
     module = importlib.import_module(package)
-    for name in module.__all__:
-        value = getattr(module, name)
-        assert getattr(sys.modules[value.__module__], name) is value
+    value = getattr(module, name)
+    assert getattr(sys.modules[value.__module__], name) is value
+    assert vars(module)[name] is value
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_subpackage_names_resolve(package):
+    """A lazy subpackage lists its names, refuses unknown ones, and importing
+    it loads none of its submodules."""
+    module = importlib.import_module(package)
     assert set(module.__all__) <= set(dir(module))
     with pytest.raises(AttributeError, match="no_such_name"):
         module.no_such_name  # noqa: B018

@@ -145,6 +145,29 @@ class TestEquivalence:
         assert stats["entries"] >= 1
 
 
+class TestCacheStaysBounded:
+    """The tree cache has no byte budget: invalidation on every factor update
+    alone keeps it to the intermediates still valid, so it holds no stale
+    entry and does not grow from sweep to sweep."""
+
+    @pytest.mark.parametrize("engine", ["dt", "msdt"])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_only_valid_entries_and_steady_size(self, engine, backend, rng):
+        dense = rng.random((6, 5, 4, 3))
+        if backend == "sparse":
+            dense = dense * (rng.random(dense.shape) < 0.4)
+        tensor = CooTensor.from_dense(dense) if backend == "sparse" else dense
+        provider = make_provider(engine, tensor, [rng.random((s, 3)) for s in dense.shape])
+        period = dense.ndim - 1 if engine == "msdt" else 1
+        sizes = []
+        for _ in range(3 * period + 1):
+            _simulate_als_updates(provider, n_sweeps=1)
+            assert all(e.is_valid(provider.versions) for e in provider.cache.entries())
+            assert 0 < len(provider.cache) < dense.ndim
+            sizes.append((len(provider.cache), provider.cache.total_bytes))
+        assert sizes[period:] == sizes[:-period]
+
+
 class TestFusedTrailingHalf:
     """The dense ``dt`` starts its trailing half with one Khatri-Rao GEMM
     (:func:`repro.tensor.ttm.trailing_contraction`) and never forms that
